@@ -3,8 +3,10 @@
 An algebra of dimension n over F_p is stored as a dense tensor
 ``mul[i, j, k]`` meaning e_i * e_j = sum_k mul[i, j, k] e_k, together with
 the coefficient vector of the unit. Associativity and the unit axioms are
-checked exhaustively at construction, so everything downstream can assume
-a genuine algebra.
+checked exhaustively once, when :func:`build_algebra` reads the data, so
+everything downstream can assume a genuine algebra. Algebras derived from
+a checked one (quotients by a checked ideal, checked subalgebras) inherit
+the axioms and are built without checking them again.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .linalg import (
     Subspace,
     asmat,
     complement_projection,
-    kernel,
+    joint_kernel,
     matmul_mod,
     tensordot_mod,
 )
@@ -187,18 +189,6 @@ def build_algebra(field: FieldSpec, dim: int, unit, entries, labels=()) -> Struc
     return StructureConstantAlgebra(field, dim, unit, mul, tuple(labels))
 
 
-def algebra_from_dense(field, unit, mul, labels=()) -> StructureConstantAlgebra:
-    dim = mul.shape[0]
-    _check_unit(field, dim, asmat(unit, field.p), asmat(mul, field.p))
-    _check_associative(field, dim, asmat(mul, field.p))
-    return StructureConstantAlgebra(field, dim, unit, mul, tuple(labels))
-
-
-def regular_action(alg: StructureConstantAlgebra) -> np.ndarray:
-    """Left-multiplication action matrices of the regular module."""
-    return alg.left_regular()
-
-
 # -- subspaces of an algebra ---------------------------------------------
 
 
@@ -265,18 +255,7 @@ def is_subalgebra(alg: StructureConstantAlgebra, a: Subspace) -> bool:
 
 def center(alg: StructureConstantAlgebra) -> Subspace:
     """Joint kernel of the commutator maps v -> e_i v - v e_i."""
-    p = alg.field.p
-    current = Subspace.full(alg.field, alg.dim)
-    left = alg.left_regular()
-    right = alg.right_regular()
-    for i in range(alg.dim):
-        comm = (left[i] - right[i]) % p
-        if current.dim == 0:
-            break
-        imgs = matmul_mod(current.basis, comm.T, p)
-        coeffs = kernel(imgs.T, p)  # combos of current basis killed by comm
-        current = Subspace(alg.field, alg.dim, matmul_mod(coeffs, current.basis, p))
-    return current
+    return joint_kernel(alg.field, (alg.left_regular() - alg.right_regular()) % alg.field.p)
 
 
 def is_central_subalgebra(alg: StructureConstantAlgebra, a: Subspace) -> bool:
@@ -313,7 +292,9 @@ def quotient_algebra(alg: StructureConstantAlgebra, ideal: Subspace) -> Quotient
 
     The quotient basis consists of the images of the standard vectors at
     the non-pivot columns of the ideal's canonical basis, which makes the
-    construction deterministic.
+    construction deterministic. The ideal is checked (NotAnIdeal,
+    ImproperIdeal); the quotient's unit and associativity then follow from
+    the algebra's and are not checked again.
     """
     p = alg.field.p
     if ideal.ambient != alg.dim:
@@ -334,7 +315,7 @@ def quotient_algebra(alg: StructureConstantAlgebra, ideal: Subspace) -> Quotient
             qmul[a, b] = matmul_mod(proj, prod, p)
     qunit = matmul_mod(proj, alg.unit, p)
     qlabels = tuple(alg.labels[c] for c in nonpivot)
-    qalg = algebra_from_dense(alg.field, qunit, qmul, qlabels)
+    qalg = StructureConstantAlgebra(alg.field, qdim, qunit, qmul, qlabels)
     return QuotientData(qalg, proj, section, ideal)
 
 
@@ -342,7 +323,9 @@ def subalgebra_as_algebra(alg: StructureConstantAlgebra, a: Subspace):
     """Present a unital multiplicatively closed subspace as its own algebra.
 
     Returns (algebra, embedding) where embedding rows are the chosen basis
-    of the subspace inside the ambient algebra.
+    of the subspace inside the ambient algebra. The subspace is checked to
+    be a unital subalgebra (NotASubalgebra); its unit and associativity are
+    inherited from the ambient algebra and are not checked again.
     """
     if not is_subalgebra(alg, a):
         raise NotASubalgebra("subspace is not a unital subalgebra")
@@ -356,5 +339,6 @@ def subalgebra_as_algebra(alg: StructureConstantAlgebra, a: Subspace):
             prod = alg.multiply(basis[i], basis[j])
             sub_mul[i, j] = prod[piv]  # coordinates w.r.t. an RREF basis
     unit_coords = alg.unit[piv]
-    sub = algebra_from_dense(alg.field, unit_coords, sub_mul, tuple(f"a{i}" for i in range(k)))
+    sub = StructureConstantAlgebra(alg.field, k, unit_coords, sub_mul,
+                                   tuple(f"a{i}" for i in range(k)))
     return sub, basis

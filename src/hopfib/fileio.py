@@ -135,11 +135,6 @@ def write_instance(path, inst: CorpusInstance) -> bytes:
     return data
 
 
-def read_instance(path) -> CorpusInstance:
-    with open(path, "rb") as fh:
-        return instance_from_dict(json.loads(fh.read().decode()))
-
-
 def report_dict(command: str, seed: int | None, input_bytes: bytes | None, results: dict) -> dict:
     return {
         "schema": SCHEMA,

@@ -21,7 +21,7 @@ import numpy as np
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor
 
-from .algebra import StructureConstantAlgebra, ideal_closure
+from .algebra import StructureConstantAlgebra
 from .errors import BudgetExceeded, DifferentAlgebras, DimensionMismatch
 from .linalg import Subspace, asmat, complement_projection, kernel, matmul_mod, solve, tensordot_mod
 
@@ -38,8 +38,8 @@ class ModuleRep:
     """Left module given by one action matrix per algebra basis element.
 
     The action must be an algebra homomorphism (checked at construction
-    unless the caller certifies it, as for restrictions of already-checked
-    modules to invariant subspaces, which are homomorphisms by exactness).
+    unless the caller certifies it, as for submodules and quotients of
+    already-checked modules, which are homomorphisms by exactness).
     """
 
     __slots__ = ("alg", "dim", "action")
@@ -207,11 +207,15 @@ def _try_split(action, field, rng, budget, config):
 
 
 def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0,
-         config: ChopConfig | None = None) -> list[tuple[ModuleRep, int]]:
-    """Composition factors with multiplicities, canonically ordered.
+         config: ChopConfig | None = None) -> list[SimpleRecord]:
+    """Composition factors with annihilators and multiplicities, canonically ordered.
 
-    The multiset of factors is independent of the seed; the attempt budget
-    guards the randomized search.
+    Every leaf of the split tree is a subquotient of the input module, so its
+    action is an algebra map by exactness and is not checked again. Leaves
+    are merged by (dimension, annihilator), which is the isomorphism test of
+    :func:`iso_simple`, and the records are sorted by that key. The multiset
+    of factors is independent of the seed; the attempt budget guards the
+    randomized search.
     """
     if module.alg.digest() != alg.digest():
         raise DifferentAlgebras("module is not over the given algebra")
@@ -233,25 +237,23 @@ def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0,
         stack.append(quotient_action(act, w, p))
 
     assert sum(a.shape[1] for a in leaves) == module.dim
-    # cheap first pass: identical action stacks are identical modules
-    # (for 1-dim factors the action is a canonical scalar vector)
+    # cheap first pass: identical action stacks are identical modules (the
+    # byte length fixes the dimension; 1-dim actions are canonical scalars)
     by_bytes: dict[bytes, tuple[np.ndarray, int]] = {}
     for act in leaves:
-        key = act.tobytes() + bytes([act.shape[1]])
+        key = act.tobytes()
         stack_, count = by_bytes.get(key, (act, 0))
         by_bytes[key] = (stack_, count + 1)
-    reps: list[tuple[ModuleRep, Subspace, int]] = []  # (module, annihilator, count)
+    classes: dict[tuple[int, bytes], SimpleRecord] = {}
     for act, count in by_bytes.values():
-        cand = ModuleRep(alg, act, check=True)
-        ann = annihilator(alg, cand)
-        for idx, (rep, rep_ann, prev) in enumerate(reps):
-            if rep.dim == cand.dim and rep_ann == ann and iso_simple(rep, cand):
-                reps[idx] = (rep, rep_ann, prev + count)
-                break
+        rep = ModuleRep(alg, act, check=False)
+        ann = annihilator(alg, rep)
+        key = (rep.dim, ann.key())
+        if key in classes:
+            classes[key].multiplicity += count
         else:
-            reps.append((cand, ann, count))
-    reps.sort(key=lambda t: (t[0].dim, t[1].key()))
-    return [(rep, c) for rep, _ann, c in reps]
+            classes[key] = SimpleRecord(rep, ann, count)
+    return [classes[key] for key in sorted(classes)]
 
 
 _SIMPLES_CACHE: dict[tuple, list] = {}
@@ -268,49 +270,33 @@ def simples(alg: StructureConstantAlgebra, seed: int = 0,
 
     key = (hashlib.sha256(alg.digest()).hexdigest(), seed,
            None if config is None else (config.max_attempts, config.spin_vectors_per_kernel))
-    if key in _SIMPLES_CACHE:
-        return _SIMPLES_CACHE[key]
-    factors = chop(alg, regular_module(alg), seed=seed, config=config)
-    records = [
-        SimpleRecord(module=rep, annihilator=annihilator(alg, rep), multiplicity=count)
-        for rep, count in factors
-    ]
-    records.sort(key=lambda r: (r.module.dim, r.annihilator.key()))
-    _SIMPLES_CACHE[key] = records
-    return records
+    if key not in _SIMPLES_CACHE:
+        _SIMPLES_CACHE[key] = chop(alg, regular_module(alg), seed=seed, config=config)
+    return _SIMPLES_CACHE[key]
 
 
 def iso_simple(m1: ModuleRep, m2: ModuleRep) -> bool:
-    """True iff a nonzero intertwiner exists between two simple modules."""
+    """True iff two simple modules over the same algebra are isomorphic.
+
+    Criterion: equal dimensions and equal annihilators. The annihilator P of
+    a simple module S is a primitive ideal; B/P is a finite-dimensional
+    primitive algebra, hence simple artinian (Wedderburn), and a simple
+    artinian algebra has exactly one simple module up to isomorphism. So two
+    simples with the same annihilator are both that module of B/P. Both
+    arguments must be simple; this is not checked.
+    """
     if m1.alg.digest() != m2.alg.digest():
         raise DifferentAlgebras("modules live over different algebras")
-    if m1.dim != m2.dim:
-        return False
-    p = m1.alg.field.p
-    m = m1.dim
-    if m == 1:
-        return bool(np.array_equal(m1.action, m2.action))
-    ann1 = annihilator(m1.alg, m1)
-    ann2 = annihilator(m1.alg, m2)
-    if ann1 != ann2:
-        return False
-    if m > 12:
-        # equal annihilators of simples over a finite field force isomorphism
-        # (the common quotient is simple artinian with one simple module)
-        return True
-    eye = np.eye(m, dtype=np.int64)
-    blocks = [
-        (np.kron(eye, a.T) - np.kron(b, eye)) % p
-        for a, b in zip(m1.action, m2.action)
-    ]
-    ker = kernel(np.vstack(blocks), p)
-    return ker.shape[0] > 0
+    return m1.dim == m2.dim and annihilator(m1.alg, m1) == annihilator(m1.alg, m2)
 
 
 def annihilator(alg: StructureConstantAlgebra, module: ModuleRep) -> Subspace:
-    """Kernel of the action map, as a canonical subspace of the algebra."""
+    """Kernel of the action map, as a canonical subspace of the algebra.
+
+    The action map of a module is an algebra homomorphism (checked when the
+    module was built), so its kernel is a two-sided ideal; that is not
+    re-derived here.
+    """
     m = module.dim
     flat = module.action.reshape(alg.dim, m * m).T
-    ann = Subspace(alg.field, alg.dim, kernel(flat, alg.field.p))
-    assert ideal_closure(alg, ann) == ann, "annihilator must be a two-sided ideal"
-    return ann
+    return Subspace(alg.field, alg.dim, kernel(flat, alg.field.p))

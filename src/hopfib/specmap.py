@@ -70,7 +70,6 @@ def prim_enumerate(alg: StructureConstantAlgebra, seed: int = 0) -> list[PrimIte
         if rec.module.dim == 1:
             char = Character.from_vector(alg.field.p, rec.module.action[:, 0, 0])
         items.append(PrimItem(rec.annihilator, rec.module.dim, char, rec.module))
-    items.sort(key=lambda it: (it.simple_dim, it.annihilator.key()))
     return items
 
 

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from hopfib.algebra import StructureConstantAlgebra, subalgebra_closure
-from hopfib.linalg import Subspace, solve
+from hopfib.linalg import Subspace, kernel, matmul_mod, solve
 
 
 def greedy_generating_set(alg: StructureConstantAlgebra) -> list[int]:
@@ -106,3 +106,38 @@ def highest_weight_module_small_sl2(instance):
                 mat = (mat @ gen_mats[letter]) % p
         action[idx] = mat
     return ModuleRep(instance.h.alg, action, check=True)
+
+
+def intertwiner_exists(m1, m2) -> bool:
+    """True iff a nonzero X with X a1_i = a2_i X for all i exists (equal dims).
+
+    Solves the linear intertwiner equations directly (Kronecker form), so
+    it decides isomorphism of simple modules without using annihilators.
+    """
+    p = m1.alg.field.p
+    eye = np.eye(m1.dim, dtype=np.int64)
+    blocks = [
+        (np.kron(eye, a.T) - np.kron(b, eye)) % p
+        for a, b in zip(m1.action, m2.action)
+    ]
+    return kernel(np.vstack(blocks), p).shape[0] > 0
+
+
+def is_algebra_endomorphism(alg: StructureConstantAlgebra, mat: np.ndarray, gens) -> bool:
+    """Check f(1) = 1 and f(e_g e_j) = f(e_g) f(e_j) for every j and every g in gens.
+
+    gens is a set of basis indices generating the algebra as a unital
+    algebra, such as greedy_generating_set(alg). That is enough: the x with
+    f(xy) = f(x) f(y) for all y form a unital subalgebra, so it contains
+    every product of generators.
+    """
+    p = alg.field.p
+    if not np.array_equal(matmul_mod(mat, alg.unit, p), alg.unit):
+        return False
+    left = alg.left_regular()
+    for g in gens:
+        f_of_g_times = matmul_mod(mat, left[g], p)  # x -> f(e_g x)
+        f_g_times_f = matmul_mod(alg.left_mult_matrix(mat[:, g]), mat, p)  # x -> f(e_g) f(x)
+        if not np.array_equal(f_of_g_times, f_g_times_f):
+            return False
+    return True

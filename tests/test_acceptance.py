@@ -24,7 +24,7 @@ from hopfib.hopf import (
     verify_structure,
     winding,
 )
-from hopfib.linalg import FieldSpec
+from hopfib.linalg import FieldSpec, rref
 from hopfib.repn import simples
 from hopfib.specmap import (
     fibers,
@@ -34,7 +34,7 @@ from hopfib.specmap import (
     verify_theorem,
 )
 
-from oracles import brute_force_characters
+from oracles import brute_force_characters, greedy_generating_set, is_algebra_endomorphism
 
 HOPF_NAMES = ("c3", "c4c2", "q8", "s3c2", "qsl2", "usl2")
 
@@ -244,6 +244,17 @@ def test_criterion_2_winding_group_law(corpus):
             for ch in chars:
                 fixes = np.array_equal((mats[ch.values] @ basis_t) % p, basis_t)
                 assert fixes == (ch.values in members)
+        # winding maps are built unchecked: both sides are algebra maps on
+        # every instance, and invertible when there is an antipode
+        for name in SHIPPED_NAMES:
+            h = corpus[name].h
+            gens = greedy_generating_set(h.alg)
+            for ch in enumerate_characters(h):
+                for side in ("right", "left"):
+                    mat = winding(h, ch, side=side)
+                    assert is_algebra_endomorphism(h.alg, mat, gens)
+                    if h.antipode is not None:
+                        assert rref(mat, h.field.p)[1] == h.dim
 
 
 def test_criterion_3_adjoint_identity(corpus):
@@ -255,7 +266,7 @@ def test_criterion_3_adjoint_identity(corpus):
             found = ad_one_dim_submodules(h, ad)
             assert found  # at least the counit eigenvector (the unit element)
             for chi, eigenspace in found:
-                sigma = winding(h, chi, side="right", check=False)
+                sigma = winding(h, chi, side="right")
                 for nvec in eigenspace.basis:
                     lhs = h.alg.right_mult_matrix(nvec)
                     rhs = (h.alg.left_mult_matrix(nvec) @ sigma) % p

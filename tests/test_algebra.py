@@ -9,7 +9,6 @@ from hopfib.algebra import (
     is_commutative,
     is_subalgebra,
     quotient_algebra,
-    regular_action,
     subalgebra_as_algebra,
 )
 from hopfib.errors import ImproperIdeal, NotAnIdeal, NotAssociative, NotASubalgebra, UnitAxiomFails
@@ -82,7 +81,7 @@ class TestRegularModule:
         assert set(np.unique(l_g)) <= {0, 1}
 
     def test_homomorphism_identity_all_pairs(self, m2):
-        left = regular_action(m2)
+        left = m2.left_regular()
         for i in range(m2.dim):
             for j in range(m2.dim):
                 prod = (left[i] @ left[j]) % 7

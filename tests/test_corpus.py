@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hopfib.algebra import ideal_closure, is_central_subalgebra
 from hopfib.corpus import (
+    SHIPPED_NAMES,
     builtin_group,
     cyclic_group,
     group_algebra,
@@ -20,10 +23,10 @@ from hopfib.hopf import (
     is_right_coideal,
     verify_structure,
 )
-from hopfib.linalg import FieldSpec, Subspace
-from hopfib.repn import iso_simple, simples, spin
+from hopfib.linalg import FieldSpec, Subspace, invert, rref
+from hopfib.repn import ModuleRep, annihilator, iso_simple, simples, spin
 
-from oracles import brute_force_characters, highest_weight_module_small_sl2
+from oracles import brute_force_characters, highest_weight_module_small_sl2, intertwiner_exists
 
 F7 = FieldSpec(7)
 
@@ -226,6 +229,36 @@ class TestIrreducibilityCertificates:
                 for v in vectors:
                     if v.any():
                         assert spin(act, [v], inst.h.field).dim == m
+
+    def test_simple_records_are_modules_with_ideal_annihilators(self, instances):
+        # chop builds its leaves unchecked and merges them by annihilator;
+        # here every record of H and of the counit fiber algebra is checked
+        # as a module, its annihilator as an ideal, and the merge against
+        # the Kronecker intertwiner oracle
+        rng = np.random.default_rng(17)
+        for name in SHIPPED_NAMES:
+            inst = instances(name)
+            h, a = inst.h, inst.a
+            p = h.field.p
+            eps_a = Character.from_vector(p, (a.subspace.basis @ h.counit) % p)
+            for alg in (h.alg, fiber_quotient(h, a, eps_a).algebra):
+                recs = simples(alg, seed=0)
+                for rec in recs:
+                    ModuleRep(alg, rec.module.action)
+                    assert ideal_closure(alg, rec.annihilator) == rec.annihilator
+                for r1, r2 in itertools.combinations(recs, 2):
+                    if r1.module.dim == r2.module.dim <= 12:
+                        assert not intertwiner_exists(r1.module, r2.module)
+                for rec in recs:
+                    m = rec.module.dim
+                    g = rng.integers(0, p, size=(m, m))
+                    while rref(g, p)[1] < m:
+                        g = rng.integers(0, p, size=(m, m))
+                    ginv = invert(g, p)
+                    conj = ModuleRep(alg, np.stack([g @ x % p @ ginv % p for x in rec.module.action]))
+                    assert annihilator(alg, conj) == rec.annihilator
+                    if m <= 12:
+                        assert intertwiner_exists(rec.module, conj)
 
 
 class TestIdealClosureOnCorpus:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hopfib.algebra import build_algebra
-from hopfib.corpus import builtin_group
+from hopfib.algebra import _check_associative, _check_unit, build_algebra, subalgebra_as_algebra
+from hopfib.corpus import SHIPPED_NAMES, builtin_group
 from hopfib.errors import NoAntipode
 from hopfib.hopf import (
     BialgebraData,
@@ -304,6 +304,21 @@ class TestFiberQuotient:
         two_dims = [r for r in simples(h.alg, seed=0) if r.module.dim == 2]
         assert len(two_dims) == 1
         assert iso_simple(pulled_mod, two_dims[0].module)
+
+    def test_derived_algebras_and_counit_fiber_satisfy_the_axioms(self, instances):
+        # quotients, subalgebras and the induced fiber bialgebra are built
+        # without re-verification; check them here on every shipped instance
+        for name in SHIPPED_NAMES:
+            inst = instances(name)
+            h, a = inst.h, inst.a
+            p = h.field.p
+            eps_a = Character.from_vector(p, (a.subspace.basis @ h.counit) % p)
+            fq = fiber_quotient(h, a, eps_a)
+            assert fq.bialgebra.hopf_flag == (h.antipode is not None)
+            assert verify_structure(fq.bialgebra).passed
+            for alg in (fq.algebra, subalgebra_as_algebra(h.alg, a.subspace)[0]):
+                _check_unit(alg.field, alg.dim, alg.unit, alg.mul)
+                _check_associative(alg.field, alg.dim, alg.mul)
 
     def test_windings_descend(self, q8_pair):
         h = q8_pair.h

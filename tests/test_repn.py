@@ -91,9 +91,9 @@ class TestModuleRep:
 class TestChop:
     def test_c3_regular_three_linear_factors(self, c3):
         factors = chop(c3, regular_module(c3), seed=0)
-        assert [(rep.dim, mult) for rep, mult in factors] == [(1, 1), (1, 1), (1, 1)]
+        assert [(r.module.dim, r.multiplicity) for r in factors] == [(1, 1), (1, 1), (1, 1)]
         # factor scalars are exactly the cube roots of unity mod 7
-        scalars = sorted(int(rep.action[1, 0, 0]) for rep, _ in factors)
+        scalars = sorted(int(r.module.action[1, 0, 0]) for r in factors)
         cube_roots = sorted(x for x in range(1, 7) if pow(x, 3, 7) == 1)
         assert scalars == cube_roots
 
@@ -107,21 +107,21 @@ class TestChop:
         mod = ModuleRep(m2, col)
         factors = chop(m2, mod, seed=3)
         assert len(factors) == 1
-        rep, mult = factors[0]
+        rep, mult = factors[0].module, factors[0].multiplicity
         assert mult == 1 and rep.dim == 2
         assert np.array_equal(rep.action, col)
 
     def test_s3_regular_wedderburn_shape(self, s3):
         # F_7[S3] = F_7 + F_7 + M_2(F_7): factors 1, 1, and 2 twice
         factors = chop(s3, regular_module(s3), seed=0)
-        assert [(rep.dim, mult) for rep, mult in factors] == [(1, 1), (1, 1), (2, 2)]
+        assert [(r.module.dim, r.multiplicity) for r in factors] == [(1, 1), (1, 1), (2, 2)]
 
     def test_dimension_accounting_and_seed_independence(self, s3):
         shapes = set()
         for seed in (0, 1, 2):
             factors = chop(s3, regular_module(s3), seed=seed)
-            assert sum(rep.dim * mult for rep, mult in factors) == 6
-            shapes.add(tuple((rep.dim, mult) for rep, mult in factors))
+            assert sum(r.module.dim * r.multiplicity for r in factors) == 6
+            shapes.add(tuple((r.module.dim, r.multiplicity) for r in factors))
         assert len(shapes) == 1
 
 
