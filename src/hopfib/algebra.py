@@ -153,11 +153,9 @@ def _check_associative(field, dim, mul):
         stacked = np.ascontiguousarray(left.transpose(1, 0, 2)).reshape(dim, dim * dim)
     for i in range(dim):
         if use_sparse:
-            prod = (sparse.csr_matrix(left[i]) @ stacked) % p  # [r, j*dim+col]
-            actual = np.asarray(prod).reshape(dim, dim, dim).transpose(1, 0, 2)
-            expected = np.asarray(
-                (sparse.csr_matrix(mul[i]) @ flat) % p
-            ).reshape(dim, dim, dim)
+            prod = matmul_mod(sparse.csr_matrix(left[i]), stacked, p)  # [r, j*dim+col]
+            actual = prod.reshape(dim, dim, dim).transpose(1, 0, 2)
+            expected = matmul_mod(sparse.csr_matrix(mul[i]), flat, p).reshape(dim, dim, dim)
         else:
             actual = matmul_mod(left[i], left, p)  # (dim, dim, dim): L_i @ L_j
             expected = matmul_mod(mul[i], flat, p).reshape(dim, dim, dim)

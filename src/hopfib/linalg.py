@@ -4,6 +4,17 @@ Matrices are plain numpy int64 arrays with entries reduced into [0, p).
 Subspaces are stored as row spans in reduced row echelon form, so two
 subspaces are equal iff their basis arrays are identical; no tolerances
 anywhere.
+
+Every product of field data in the package goes through
+:func:`matmul_mod` or :func:`tensordot_mod`, and both are exact in int64
+for every odd prime p <= 2**31. A contraction of length ``inner`` is
+summed directly while ``inner * (p-1)**2 < 2**63``. Beyond that bound
+the right operand is split into w-bit limbs, w being the largest width
+with ``inner * (p-1) * (2**w - 1) < 2**63``, so each limb product is
+exact before its reduction; the reduced limb products are recombined
+Horner-style, ``acc = ((acc << w) + limb_product) % p``. At p = 2**31 - 1
+and inner < 2**16 that is two 16-bit limbs (delayed modular reduction
+over word-size limbs; Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
 """
 
 from __future__ import annotations
@@ -45,21 +56,52 @@ def asmat(entries, p: int) -> np.ndarray:
     return np.asarray(entries, dtype=np.int64) % p
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, switching to exact bignum arithmetic if int64 could overflow."""
+def _limb_product(product, a, b, inner: int, p: int) -> np.ndarray:
+    """product(a, b) mod p with b split into limbs that keep each sum in int64.
+
+    a has entries in [0, p); b may hold any int64 values and is reduced
+    first. Each product(a, limb) term is at most (p-1) * (2**w - 1), so a
+    contraction of length inner stays below 2**63. The Horner step is
+    exact too: limbs are used only when inner * (p-1)**2 >= 2**63, so
+    2**w - 1 < p - 1, and with acc < p <= 2**31 that keeps acc << w below
+    2**62.
+    """
+    budget = (2**63 - 1) // (inner * (p - 1))
+    w = (budget + 1).bit_length() - 1  # largest w with 2**w - 1 <= budget
+    b = b % p
+    mask = (1 << w) - 1
+    top = ((p - 1).bit_length() - 1) // w * w
+    acc = product(a, b >> top) % p
+    for shift in range(top - w, -1, -w):
+        acc = ((acc << w) + product(a, (b >> shift) & mask) % p) % p
+    return acc
+
+
+def matmul_mod(a, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, exact for every odd prime p <= 2**31.
+
+    Entries of a must lie in [0, p); a may be a scipy sparse matrix. With
+    inner = a.shape[-1], the product is formed directly when
+    inner * (p-1)**2 < 2**63 and otherwise from w-bit limbs of b, w the
+    largest width with inner * (p-1) * (2**w - 1) < 2**63.
+    """
     inner = a.shape[-1]
     if inner * (p - 1) ** 2 < 2**63:
         return (a @ b) % p
-    return np.asarray((a.astype(object) @ b.astype(object)) % p, dtype=np.int64)
+    return _limb_product(lambda x, y: x @ y, a, b, inner, p)
 
 
 def tensordot_mod(a: np.ndarray, b: np.ndarray, axes, p: int) -> np.ndarray:
-    """np.tensordot mod p with the same overflow guard as matmul_mod."""
-    contracted = int(np.prod([a.shape[ax] for ax in np.atleast_1d(axes[0])]))
-    if contracted * (p - 1) ** 2 < 2**63:
+    """np.tensordot(a, b, axes) mod p, exact for every odd prime p <= 2**31.
+
+    Entries of a must lie in [0, p). The contracted length inner is the
+    product of a's contracted axis lengths; the same bound as in
+    matmul_mod picks a direct product or w-bit limbs of b.
+    """
+    inner = int(np.prod([a.shape[ax] for ax in np.atleast_1d(axes[0])]))
+    if inner * (p - 1) ** 2 < 2**63:
         return np.tensordot(a, b, axes=axes) % p
-    out = np.tensordot(a.astype(object), b.astype(object), axes=axes) % p
-    return np.asarray(out, dtype=np.int64)
+    return _limb_product(lambda x, y: np.tensordot(x, y, axes=axes), a, b, inner, p)
 
 
 def identity(n: int) -> np.ndarray:

@@ -28,7 +28,6 @@ import numpy as np
 
 from .algebra import (
     StructureConstantAlgebra,
-    ideal_closure,
     is_commutative,
     quotient_algebra,
     subalgebra_as_algebra,
@@ -84,7 +83,8 @@ def contraction_is_maximal(alg: StructureConstantAlgebra, prim: PrimItem,
 
     The quotient is a field iff the iterated p-power map has zero kernel
     (no nilpotents) and its fixed space is one-dimensional (one factor).
-    Only defined for commutative A.
+    Only defined for commutative A. P intersect A is an ideal of A because
+    P is an ideal; quotient_algebra checks that once (NotAnIdeal).
     """
     asub, _embedding = subalgebra_as_algebra(alg, a.subspace)
     if not is_commutative(asub):
@@ -93,8 +93,6 @@ def contraction_is_maximal(alg: StructureConstantAlgebra, prim: PrimItem,
     cont = contract(prim, a)
     coords = cont.basis[:, list(a.subspace.pivots)]
     ideal_in_a = Subspace(alg.field, asub.dim, coords)
-    if ideal_closure(asub, ideal_in_a) != ideal_in_a:
-        raise HopfibError("contraction is not an ideal of the subalgebra")
     q = quotient_algebra(asub, ideal_in_a).algebra
     frob = np.zeros((q.dim, q.dim), dtype=np.int64)
     for i in range(q.dim):
@@ -260,7 +258,7 @@ def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0
     if h.antipode is None:
         return _experiment_verdict(instance, seed)
     x = character_group_X(h, a, seed=seed)
-    eps_a = Character.from_vector(p, (a.subspace.basis @ h.counit) % p)
+    eps_a = Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p))
     fq = fiber_quotient(h, a, eps_a, x_group=x)
 
     fiber_recs = simples(fq.algebra, seed=seed)
@@ -283,7 +281,7 @@ def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0
         # the quotient's own characters must correspond one-to-one with X
         q_chars = enumerate_characters(fq.bialgebra, seed=seed)
         lifted = sorted(
-            tuple(int(v) for v in (c.vector() @ fq.projection) % p) for c in q_chars
+            tuple(int(v) for v in matmul_mod(c.vector(), fq.projection, p)) for c in q_chars
         )
         x_keys = sorted(c.values for c in x.chars)
         if lifted != x_keys:
@@ -387,7 +385,7 @@ def remark_uniform_fibers(instance: CorpusInstance, seed: int = 0) -> FiberUnifo
     asub, _embedding = subalgebra_as_algebra(h.alg, a.subspace)
     a_chars = enumerate_characters(asub, seed=seed)
     restrictions = {
-        tuple(int(t) for t in (a.subspace.basis @ c.vector()) % p)
+        tuple(int(t) for t in matmul_mod(a.subspace.basis, c.vector(), p))
         for c in enumerate_characters(h, seed=seed)
     }
     entries = []

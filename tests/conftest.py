@@ -1,6 +1,10 @@
 import pytest
 
 from hopfib.corpus import shipped_instance
+from hopfib.fileio import corpus_instance_to_dict
+from oracles import random_change_of_basis
+
+P_BIG = 2**31 - 1  # the largest prime the verifier accepts
 
 
 @pytest.fixture(scope="session")
@@ -12,6 +16,25 @@ def instances():
         if name not in cache:
             cache[name] = shipped_instance(name)
         return cache[name]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def rebased_big_p(instances):
+    """A shipped group-algebra instance dict at p = 2**31 - 1 in a random basis.
+
+    Group algebras have structure constants 0 and 1, so the same integers
+    define the same Hopf algebra, with the same A, over any prime; the
+    seeded change of basis then makes every coefficient a large field
+    element.
+    """
+
+    def get(name):
+        d = corpus_instance_to_dict(instances(name))
+        d["field"] = {"p": P_BIG}
+        d["provenance"] = dict(d["provenance"], p=P_BIG)
+        return random_change_of_basis(d, seed=1)
 
     return get
 

@@ -1,6 +1,7 @@
 """Independent test oracles, deliberately ignorant of the library's chop path."""
 
 import itertools
+import random
 
 import numpy as np
 
@@ -141,3 +142,98 @@ def is_algebra_endomorphism(alg: StructureConstantAlgebra, mat: np.ndarray, gens
         if not np.array_equal(f_of_g_times, f_g_times_f):
             return False
     return True
+
+
+def _inverse_mod(t, p):
+    """Inverse of an invertible list-of-lists matrix over F_p, by Gauss-Jordan."""
+    n = len(t)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(t)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] % p)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], p - 2, p)
+        aug[col] = [x * inv % p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _transform3(entries, m0, m1, m2, p):
+    """out[x][y][z] = sum of m0[x][u] m1[y][v] c m2[w][z] over entries (u, v, w, c)."""
+    n = len(m0)
+    acc = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for u, v, w, c in entries:
+        for x in range(n):
+            cx = m0[x][u] * c
+            if cx:
+                for y in range(n):
+                    acc[x][y][w] += cx * m1[y][v]
+    return [
+        [[sum(row[w] * m2[w][z] for w in range(n)) % p for z in range(n)] for row in plane]
+        for plane in acc
+    ]
+
+
+def random_change_of_basis(d: dict, seed: int) -> dict:
+    """The instance dict d rewritten in a seeded random basis, in Python ints.
+
+    The new basis is f_i = sum_j T[i][j] e_j with T = P D (I + N): P a
+    random permutation, D a random invertible diagonal and N strictly upper
+    triangular with 2n random entries, so every coefficient is a random
+    field element while the data stays sparse enough for the exhaustive
+    axiom checks (a dense T makes verify_structure's Delta-multiplicativity
+    check take about 20 s on s3c2). Old coordinates x become T^-T x: the
+    unit and A's basis rows transform so, the counit as T eps, mul and
+    comul multilinearly, and the antipode matrix (column j is S(e_j)) as
+    S' = T^-T S T^T. Every entry stays a Python int, so the result is exact
+    at any p.
+    """
+    p = d["field"]["p"]
+    n = d["dim"]
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    scale = [rng.randrange(1, p) for _ in range(n)]
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    t = [[0] * n for _ in range(n)]
+    for i in range(n):
+        t[perm[i]][i] = scale[i]
+    for i, j in rng.sample(upper, min(2 * n, len(upper))):
+        t[perm[i]][j] = scale[i] * rng.randrange(1, p) % p
+    tinv = _inverse_mod(t, p)
+    tinv_t = [list(col) for col in zip(*tinv)]
+
+    def coords(x):  # T^-T x
+        return [sum(tinv[c][k] * x[c] for c in range(n)) % p for k in range(n)]
+
+    def entries3(tensor):
+        return [[i, j, k, c] for i, plane in enumerate(tensor)
+                for j, row in enumerate(plane) for k, c in enumerate(row) if c]
+
+    out = dict(d)
+    out["basis_labels"] = [f"f{i}" for i in range(n)]
+    out["unit"] = coords(d["unit"])
+    # f_i f_j = sum T[i][a] T[j][b] e_a e_b, and e_k = sum_l Tinv[k][l] f_l
+    out["mul"] = entries3(_transform3(d["mul"], t, t, tinv, p))
+    # Delta(f_i) = sum T[i][a] Delta(e_a), with both legs rewritten in f
+    out["comul"] = entries3(_transform3(d["comul"], t, tinv_t, tinv, p))
+    out["counit"] = [sum(t[i][a] * d["counit"][a] for a in range(n)) % p for i in range(n)]
+    if "antipode" in d:
+        s = [[0] * n for _ in range(n)]
+        for i, j, c in d["antipode"]:
+            s[i][j] = (s[i][j] + c) % p
+        s_new = [
+            [sum(tinv[a][i] * s[a][b] * t[j][b] for a in range(n) for b in range(n)) % p
+             for j in range(n)]
+            for i in range(n)
+        ]
+        out["antipode"] = [
+            [i, j, c] for i, row in enumerate(s_new) for j, c in enumerate(row) if c
+        ]
+    if "subalgebra_A" in d:
+        out["subalgebra_A"] = {
+            "basis_vectors": [coords(row) for row in d["subalgebra_A"]["basis_vectors"]]
+        }
+    return out

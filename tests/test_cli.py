@@ -148,6 +148,23 @@ class TestVerifyCommand:
         assert report["input_digest"].startswith("sha256:")
         assert report["timing"] is None
 
+    @pytest.mark.parametrize("name", ["q8", "s3c2"])
+    def test_verdict_survives_a_random_basis_at_the_largest_prime(
+        self, name, instances, rebased_big_p, tmp_path, capsys
+    ):
+        # every coefficient is a random element of F_p for p = 2**31 - 1, so
+        # any product of field data that wraps in int64 changes the outcome
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(rebased_big_p(name)))
+        code, report = run(capsys, "verify", "--input", str(path), "--seed", "3")
+        assert code == 0
+        expected = instances(name).expected
+        results = report["results"]
+        assert results["x_order"] == expected["x_order"]
+        assert all(c is expected["conditions"] for c in results["conditions"].values())
+        assert results["witnesses"]["fiber_sizes"] == sorted(expected["fiber_sizes"])
+        assert results["witnesses"]["orbit_sizes"] == sorted(expected["orbit_sizes"])
+
     def test_qm2_experiment_via_cli(self, tmp_path, capsys):
         path = tmp_path / "qm2.json"
         code = main(["corpus", "--family", "qm2", "--t", "3", "--p", "7", "-o", str(path)])

@@ -4,6 +4,7 @@ import pytest
 from hopfib.algebra import _check_associative, _check_unit, build_algebra, subalgebra_as_algebra
 from hopfib.corpus import SHIPPED_NAMES, builtin_group
 from hopfib.errors import NoAntipode
+from hopfib.fileio import instance_from_dict
 from hopfib.hopf import (
     BialgebraData,
     Character,
@@ -16,6 +17,7 @@ from hopfib.hopf import (
     counit_character,
     enumerate_characters,
     fiber_quotient,
+    is_character,
     is_right_coideal,
     verify_structure,
     winding,
@@ -105,6 +107,18 @@ class TestConvolution:
         for ch in enumerate_characters(h):
             inv = convolution_inverse(h, ch)
             assert convolve(h, ch, inv) == eps
+
+    def test_convolutions_are_characters(self, instances, rebased_big_p):
+        # convolve does not re-check multiplicativity (it follows from the
+        # verified Delta), so hold it here, including at p = 2**31 - 1
+        bialgebras = [instances(name).h for name in SHIPPED_NAMES]
+        bialgebras.append(instance_from_dict(rebased_big_p("q8")).h)
+        for h in bialgebras:
+            chars = enumerate_characters(h)
+            assert chars
+            for c1 in chars:
+                for c2 in chars:
+                    assert is_character(h.alg, convolve(h, c1, c2).vector())
 
     def test_inverse_needs_antipode(self, qm2_pair):
         ch = enumerate_characters(qm2_pair.h)[0]

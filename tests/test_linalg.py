@@ -1,7 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 from hopfib.errors import NoSuchRoot
 from hopfib.linalg import (
@@ -14,6 +19,7 @@ from hopfib.linalg import (
     modinv,
     rref,
     solve,
+    tensordot_mod,
 )
 
 F7 = FieldSpec(7)
@@ -123,6 +129,72 @@ class TestSolve:
         assert np.array_equal(got, np.full((4, 4), 4, dtype=np.int64))
 
 
+P_BIG = 2**31 - 1
+PRIMES = [3, 7, 65521, P_BIG]
+
+
+def reference_tensordot(a, b, axes, p):
+    """np.tensordot in Python ints: exact whatever the sizes."""
+    return np.tensordot(a.astype(object), b.astype(object), axes=axes) % p
+
+
+@st.composite
+def field_arrays(draw, shape_a, shape_b):
+    p = draw(st.sampled_from(PRIMES))
+    entries = st.integers(min_value=0, max_value=p - 1)
+    a = draw(arrays(np.int64, shape_a, elements=entries))
+    b = draw(arrays(np.int64, shape_b, elements=entries))
+    return p, a, b
+
+
+dims = st.integers(min_value=1, max_value=5)
+
+
+class TestProductKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), dims, dims, dims, st.booleans(), st.booleans())
+    def test_matmul_matches_python_ints(self, data, m, k, n, vector_a, vector_b):
+        shape_a = (k,) if vector_a else (m, k)
+        shape_b = (k,) if vector_b else (k, n)
+        p, a, b = data.draw(field_arrays(shape_a, shape_b))
+        got = matmul_mod(a, b, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_tensordot(a, b, ([-1], [0]), p))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), dims, dims, dims, dims,
+           st.sampled_from([((2,), (0,)), ((1,), (1,)), ((0,), (0,)), ((1, 2), (0, 1))]))
+    def test_tensordot_matches_python_ints(self, data, x, y, z, w, axes):
+        shape_a = (x, y, z)
+        contracted = [shape_a[ax] for ax in axes[0]]
+        shape_b = [w] * (len(axes[1]) + 1)
+        for ax, size in zip(axes[1], contracted):
+            shape_b[ax] = size
+        p, a, b = data.draw(field_arrays(shape_a, tuple(shape_b)))
+        got = tensordot_mod(a, b, axes, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_tensordot(a, b, axes, p))
+
+    def test_contraction_past_two_to_the_sixteen(self):
+        # inner = 70000 forces limbs narrower than 16 bits at p = 2**31 - 1
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, P_BIG, size=(2, 70000))
+        b = rng.integers(0, P_BIG, size=(70000, 2))
+        a[0] = b[:, 0] = P_BIG - 1  # the largest possible sum in one entry
+        expected = reference_tensordot(a, b, ([1], [0]), P_BIG)
+        assert np.array_equal(matmul_mod(a, b, P_BIG), expected)
+        assert np.array_equal(tensordot_mod(a, b, ([1], [0]), P_BIG), matmul_mod(a, b, P_BIG))
+
+    @pytest.mark.parametrize("p", [7, P_BIG])
+    def test_sparse_left_operand(self, p):
+        rng = np.random.default_rng(6)
+        a = rng.integers(0, p, size=(6, 9)) * (rng.random((6, 9)) < 0.4)
+        b = rng.integers(0, p, size=(9, 4))
+        got = matmul_mod(sparse.csr_matrix(a), b, p)
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, reference_tensordot(a, b, ([1], [0]), p))
+
+
 @st.composite
 def random_subspace(draw, ambient=6, p=7):
     nrows = draw(st.integers(min_value=0, max_value=ambient))
@@ -180,3 +252,58 @@ class TestSubspace:
         v = Subspace(F7, 4, [[2, 4, 6, 1], [0, 2, 0, 2], [1, 2, 3, 4]])
         assert u == v
         assert hash(u) == hash(v)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hopfib"
+RAW_PRODUCTS = {"dot", "matmul", "tensordot", "einsum"}
+
+
+def _is_object_dtype(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "object") or (
+        isinstance(node, ast.Constant) and node.value in ("object", "O")
+    )
+
+
+def lint_products(tree: ast.AST, allow_products: bool) -> list[tuple[int, str]]:
+    """Raw products of field data and Python-object arrays, by line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in RAW_PRODUCTS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call):
+            astype = isinstance(node.func, ast.Attribute) and node.func.attr == "astype"
+            dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+            if astype:
+                dtypes += node.args[:1]
+            if any(_is_object_dtype(d) for d in dtypes):
+                found.append((node.lineno, "object dtype"))
+    if allow_products:
+        found = [f for f in found if f[1] == "object dtype"]
+    return found
+
+
+class TestEveryProductGoesThroughLinalg:
+    """Outside linalg.py a raw int64 product can wrap for p near 2**31."""
+
+    def test_lint_flags_each_pattern(self):
+        bad = ast.parse(
+            "x = a @ b\nx @= b\nnp.dot(a, b)\nnp.matmul(a, b)\nnp.tensordot(a, b, 1)\n"
+            "np.einsum('ij,jk', a, b)\na.astype(object)\nnp.array(a, dtype=object)\n"
+        )
+        def lines(allow_products):
+            return sorted(line for line, _ in lint_products(bad, allow_products))
+
+        assert lines(allow_products=False) == list(range(1, 9))
+        assert lines(allow_products=True) == [7, 8]
+
+    def test_no_raw_product_or_object_array_in_the_package(self):
+        files = sorted(SRC.glob("*.py"))
+        assert SRC / "linalg.py" in files
+        offences = [
+            f"{path.name}:{line}: {what}"
+            for path in files
+            for line, what in lint_products(ast.parse(path.read_text()), path.name == "linalg.py")
+        ]
+        assert offences == []
