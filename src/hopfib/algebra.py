@@ -25,11 +25,15 @@ from .errors import (
 )
 from .linalg import (
     FieldSpec,
+    SparseTensor,
     Subspace,
     asmat,
     complement_projection,
+    contract,
+    first_difference,
     joint_kernel,
     matmul_mod,
+    permute,
     tensordot_mod,
 )
 
@@ -115,61 +119,38 @@ def mul_entries(alg: StructureConstantAlgebra) -> list[tuple[int, int, int, int]
 
 
 def dense_mul_tensor(dim: int, entries, p: int) -> np.ndarray:
-    mul = np.zeros((dim, dim, dim), dtype=np.int64)
-    for i, j, k, c in entries:
-        mul[i, j, k] = (mul[i, j, k] + c) % p
-    return mul
+    return SparseTensor.from_entries(dim, 3, entries, p).dense()
 
 
 def _check_unit(field, dim, unit, mul):
+    """1 e_i = e_i for every i, then e_i 1 = e_i; the witness is the first failing i."""
     p = field.p
-    left = matmul_mod(unit, mul.reshape(dim, dim * dim), p).reshape(dim, dim).T
-    eye = np.eye(dim, dtype=np.int64)
-    if not np.array_equal(left, eye):
-        i = int(np.argmax((left != eye).any(axis=0)))
-        raise UnitAxiomFails(i, "left")
-    right = (tensordot_mod(mul, unit, ([1], [0]), p)).T
-    if not np.array_equal(right, eye):
-        i = int(np.argmax((right != eye).any(axis=0)))
-        raise UnitAxiomFails(i, "right")
+    m, u = SparseTensor.from_dense(mul), SparseTensor.from_dense(unit)
+    eye = SparseTensor.from_dense(np.eye(dim, dtype=np.int64))
+    sides = (("left", contract(u, m, 1, p)), ("right", contract(permute(m, (0, 2, 1)), u, 1, p)))
+    for side, prod in sides:
+        at = first_difference(prod, eye)
+        if at is not None:
+            raise UnitAxiomFails(at[0], side)
 
 
 def _check_associative(field, dim, mul):
     """Exhaustive check of (e_i e_j) e_k = e_i (e_j e_k) for all triples.
 
-    Equivalent formulation: left multiplication is an algebra map, i.e.
-    L_{e_i} L_{e_j} = L_{e_i e_j} for all pairs. The multiplication tensor
-    of every corpus algebra is sparse, so larger dimensions go through
-    scipy's sparse kernels.
+    Both sides are sparse rank-4 tensors over (i, j, k, t), t indexing the
+    coefficient of e_t: (e_i e_j) e_k = sum_s m[i,j,s] m[s,k,t] is one
+    contraction of the multiplication tensor m with itself, and
+    e_i (e_j e_k) = sum_s m[j,k,s] m[i,s,t] is m contracted with m
+    permuted to (s, i, t), then permuted back from (j, k, i, t). The
+    witness is the lexicographically smallest failing triple.
     """
     p = field.p
-    left = np.ascontiguousarray(mul.transpose(0, 2, 1))  # L[i]
-    flat = left.reshape(dim, dim * dim)
-    use_sparse = dim >= 24 and dim * (p - 1) ** 2 < 2**63
-    if use_sparse:
-        from scipy import sparse
-
-        # stacked[t, j*dim + col] = L_j[t, col]
-        stacked = np.ascontiguousarray(left.transpose(1, 0, 2)).reshape(dim, dim * dim)
-    for i in range(dim):
-        if use_sparse:
-            prod = matmul_mod(sparse.csr_matrix(left[i]), stacked, p)  # [r, j*dim+col]
-            actual = prod.reshape(dim, dim, dim).transpose(1, 0, 2)
-            expected = matmul_mod(sparse.csr_matrix(mul[i]), flat, p).reshape(dim, dim, dim)
-        else:
-            actual = matmul_mod(left[i], left, p)  # (dim, dim, dim): L_i @ L_j
-            expected = matmul_mod(mul[i], flat, p).reshape(dim, dim, dim)
-        if not np.array_equal(actual, expected):
-            j = int(np.argmax((actual != expected).any(axis=(1, 2))))
-            # locate a failing association triple for the witness
-            for k in range(dim):
-                lhs_vec = np.zeros(dim, dtype=np.int64)
-                lhs_vec[k] = 1
-                lhs = matmul_mod(actual[j], lhs_vec, p)
-                rhs = matmul_mod(expected[j], lhs_vec, p)
-                if not np.array_equal(lhs, rhs):
-                    raise NotAssociative(i, j, k)
-            raise NotAssociative(i, j, -1)
+    m = SparseTensor.from_dense(mul)
+    lhs = contract(m, m, 1, p)
+    rhs = permute(contract(m, permute(m, (1, 0, 2)), 1, p), (2, 0, 1, 3))
+    at = first_difference(lhs, rhs)
+    if at is not None:
+        raise NotAssociative(*at[:3])
 
 
 def build_algebra(field: FieldSpec, dim: int, unit, entries, labels=()) -> StructureConstantAlgebra:

@@ -29,9 +29,9 @@ import json
 import numpy as np
 
 from . import __version__
-from .algebra import build_algebra, mul_entries
+from .algebra import StructureConstantAlgebra, build_algebra, dense_mul_tensor, mul_entries
 from .corpus import CorpusInstance
-from .errors import HopfibError
+from .errors import DimensionMismatch, HopfibError
 from .hopf import BialgebraData, build_bialgebra, coideal_subalgebra
 from .linalg import FieldSpec, Subspace
 
@@ -82,19 +82,17 @@ def corpus_instance_to_dict(inst: CorpusInstance) -> dict:
 
 def raw_bialgebra_from_dict(d: dict) -> BialgebraData:
     """Shape the data without running any verification (for axiom reports)."""
-    _require_schema(d)
+    d = _checked_entries(d)
     field = FieldSpec(int(d["field"]["p"]))
     n = int(d["dim"])
     alg = _raw_algebra(field, n, d)
-    return BialgebraData(alg, d.get("comul", []), d["counit"], _antipode_matrix(d, n))
+    return BialgebraData(alg, d["comul"], d["counit"], _antipode_matrix(d, n))
 
 
 def _raw_algebra(field, n, d):
-    from .algebra import StructureConstantAlgebra, dense_mul_tensor
-
-    mul = dense_mul_tensor(n, d.get("mul", []), field.p)
+    mul = dense_mul_tensor(n, d["mul"], field.p)
     labels = tuple(d.get("basis_labels") or ())
-    return StructureConstantAlgebra(field, n, np.asarray(d["unit"], dtype=np.int64), mul, labels)
+    return StructureConstantAlgebra(field, n, d["unit"], mul, labels)
 
 
 def _antipode_matrix(d, n):
@@ -102,25 +100,45 @@ def _antipode_matrix(d, n):
         return None
     s = np.zeros((n, n), dtype=np.int64)
     for i, j, c in d["antipode"]:
-        s[int(i), int(j)] = int(c)
+        s[i, j] = c
     return s
 
 
-def _require_schema(d):
+def _checked_entries(d: dict) -> dict:
+    """d with mul, comul and antipode entries checked to have the right arity
+    and indices in [0, dim) (DimensionMismatch otherwise), and coefficients,
+    unit and counit reduced mod p while they are Python ints.
+    """
     if d.get("schema") != SCHEMA:
         raise HopfibError(f"unsupported schema {d.get('schema')!r}; expected {SCHEMA}")
+    p = int(d["field"]["p"])
+    n = int(d["dim"])
+
+    def entries(key, arity):
+        for e in d.get(key, []):
+            shaped = isinstance(e, list) and len(e) == arity
+            if not (shaped and all(0 <= int(i) < n for i in e[:-1])):
+                raise DimensionMismatch(
+                    f"{key} entry {e!r} is not {arity - 1} indices in [0, {n}) and a coefficient")
+        return [(*(int(i) for i in e[:-1]), int(e[-1]) % p) for e in d.get(key, [])]
+
+    out = dict(d, unit=[int(x) % p for x in d["unit"]], counit=[int(x) % p for x in d["counit"]],
+               mul=entries("mul", 4), comul=entries("comul", 4))
+    if "antipode" in d:
+        out["antipode"] = entries("antipode", 3)
+    return out
 
 
 def instance_from_dict(d: dict) -> CorpusInstance:
     """Parse and fully verify an instance; A defaults to the scalars."""
-    _require_schema(d)
+    d = _checked_entries(d)
     field = FieldSpec(int(d["field"]["p"]))
     n = int(d["dim"])
     labels = tuple(d.get("basis_labels") or ())
-    alg = build_algebra(field, n, d["unit"], d.get("mul", []), labels)
-    b = build_bialgebra(alg, d.get("comul", []), d["counit"], _antipode_matrix(d, n))
+    alg = build_algebra(field, n, d["unit"], d["mul"], labels)
+    b = build_bialgebra(alg, d["comul"], d["counit"], _antipode_matrix(d, n))
     if "subalgebra_A" in d:
-        rows = d["subalgebra_A"]["basis_vectors"]
+        rows = [[int(x) % field.p for x in row] for row in d["subalgebra_A"]["basis_vectors"]]
         a_space = Subspace(field, n, rows)
     else:
         a_space = Subspace(field, n, [alg.unit])

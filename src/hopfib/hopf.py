@@ -1,11 +1,13 @@
 """Bialgebra and Hopf algebra structure on a structure-constant algebra.
 
-Comultiplication is stored sparsely as entries (i, a, b, c) meaning that
-Delta(e_i) contains c * e_a (x) e_b. The tensor square B (x) B is
-identified with F_p**(n*n) through the flat index a*n + b.
+Comultiplication is stored once, as a rank-3 :class:`~hopfib.linalg.SparseTensor`
+whose key (i*n + a)*n + b holds the coefficient of e_a (x) e_b in
+Delta(e_i). The tensor square B (x) B is identified with F_p**(n*n)
+through the flat index a*n + b.
 
 verify_structure checks every axiom exhaustively on basis elements and
-reports a witness index for each failure:
+reports a witness index for each failure, the lexicographically smallest
+failing one:
 
   * Delta(1) = 1 (x) 1 and eps(1) = 1
   * coassociativity on every basis element
@@ -14,8 +16,10 @@ reports a witness index for each failure:
   * both antipode identities on every basis element (when an antipode is
     present)
 
-Convolution, winding maps and the character group restricting trivially
-to a coideal subalgebra are built on top of the same sparse data.
+Each law is two sparse contractions of the structure constants compared
+by linalg.first_difference. Convolution, winding maps and the character
+group restricting trivially to a coideal subalgebra are built on the same
+sparse data.
 """
 
 from __future__ import annotations
@@ -43,7 +47,18 @@ from .errors import (
     NotCentral,
     StructureCheckFailed,
 )
-from .linalg import Subspace, asmat, joint_kernel, kernel, matmul_mod, tensordot_mod
+from .linalg import (
+    SparseTensor,
+    Subspace,
+    asmat,
+    contract,
+    first_difference,
+    joint_kernel,
+    kernel,
+    matmul_mod,
+    permute,
+    tensordot_mod,
+)
 from .repn import simples as _simples
 
 
@@ -78,17 +93,13 @@ class BialgebraData:
     verified bialgebra (:func:`fiber_quotient`).
     """
 
-    __slots__ = ("alg", "comul", "counit", "antipode", "hopf_flag", "_mulcsr")
+    __slots__ = ("alg", "comul", "counit", "antipode", "hopf_flag")
 
     def __init__(self, alg: StructureConstantAlgebra, comul_entries, counit, antipode=None):
         p = alg.field.p
         n = alg.dim
         self.alg = alg
-        dt = np.zeros((n, n, n), dtype=np.int64)
-        for i, a, b, c in comul_entries:
-            dt[int(i), int(a), int(b)] = (dt[int(i), int(a), int(b)] + int(c)) % p
-        dt.setflags(write=False)
-        self.comul = dt  # comul[i, a, b]: coefficient of e_a (x) e_b in Delta(e_i)
+        self.comul = SparseTensor.from_entries(n, 3, comul_entries, p)
         self.counit = asmat(counit, p)
         if self.counit.shape != (n,):
             raise DimensionMismatch("counit vector has wrong length")
@@ -100,7 +111,6 @@ class BialgebraData:
             antipode.setflags(write=False)
         self.antipode = antipode
         self.hopf_flag = False
-        self._mulcsr = None
 
     @property
     def field(self):
@@ -111,30 +121,13 @@ class BialgebraData:
         return self.alg.dim
 
     def comul_entries(self) -> list[tuple[int, int, int, int]]:
-        idx = np.argwhere(self.comul != 0)
-        return [(int(i), int(a), int(b), int(self.comul[i, a, b])) for i, a, b in idx]
-
-    def comul_coo(self):
-        """(i, a, b, coeff) arrays of the nonzero comultiplication entries."""
-        i, a, b = np.nonzero(self.comul)
-        return i, a, b, self.comul[i, a, b]
+        """Sorted (i, a, b, coeff) entries of the comultiplication."""
+        return list(zip(*(x.tolist() for x in (*self.comul.indices(), self.comul.vals))))
 
     def comul_of(self, vec) -> np.ndarray:
         """Delta(vec) as an (n, n) matrix over the tensor-square legs."""
-        return tensordot_mod(asmat(vec, self.field.p), self.comul, ([0], [0]), self.field.p)
-
-    def mul_csr(self):
-        """CSR layout of the multiplication tensor over flattened index pairs."""
-        if self._mulcsr is None:
-            n = self.dim
-            flat = self.alg.mul.reshape(n * n, n)
-            rows, cols = np.nonzero(flat)
-            vals = flat[rows, cols]
-            counts = np.bincount(rows, minlength=n * n)
-            indptr = np.concatenate([[0], np.cumsum(counts)])
-            self._mulcsr = (counts.astype(np.int64), indptr.astype(np.int64),
-                            cols.astype(np.int64), vals.astype(np.int64))
-        return self._mulcsr
+        p = self.field.p
+        return contract(SparseTensor.from_dense(asmat(vec, p)), self.comul, 1, p).dense()
 
     def __repr__(self):
         kind = "Hopf" if self.antipode is not None else "bialgebra"
@@ -174,156 +167,63 @@ def is_character(alg: StructureConstantAlgebra, values) -> bool:
     return bool(np.array_equal(lhs, rhs))
 
 
-# -- ragged gather used by the exhaustive Delta-multiplicativity check -----
-
-
-def _ragged_positions(starts, counts):
-    """Flat positions [s, s+1, ..., s+c-1] concatenated over (start, count) rows."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    bases = np.repeat(np.cumsum(counts) - counts, counts)
-    offsets = np.arange(total, dtype=np.int64) - bases
-    return rows, np.repeat(starts, counts) + offsets
-
-
-def _comul_product_into(b: BialgebraData, terms_a, terms_b, terms_coeff, other_i,
-                        other_a, other_b, other_c, out):
-    """Accumulate Delta-term products into out[j, u, v].
-
-    terms_* describe the comultiplication of one fixed basis element;
-    other_* is the full comultiplication in COO form, providing the second
-    factor Delta(e_j) for every j simultaneously.
-    """
-    p = b.field.p
-    n = b.dim
-    counts, indptr, cols, vals = b.mul_csr()
-    t = len(terms_a)
-    s = len(other_i)
-    if t == 0 or s == 0:
-        return
-    # cross join of the fixed element's terms with every COO entry
-    pa = np.repeat(terms_a, s)
-    pb = np.repeat(terms_b, s)
-    alpha = np.repeat(terms_coeff, s)
-    pj = np.tile(other_i, t)
-    pc = np.tile(other_a, t)
-    pd = np.tile(other_b, t)
-    beta = np.tile(other_c, t)
-    w0 = (alpha * beta) % p
-    key1 = pa * n + pc
-    key2 = pb * n + pd
-    rows1, pos1 = _ragged_positions(indptr[key1], counts[key1])
-    u = cols[pos1]
-    w1 = (w0[rows1] * vals[pos1]) % p
-    key2e = key2[rows1]
-    rows2, pos2 = _ragged_positions(indptr[key2e], counts[key2e])
-    v = cols[pos2]
-    w2 = (w1[rows2] * vals[pos2]) % p
-    j_final = pj[rows1][rows2]
-    u_final = u[rows2]
-    np.add.at(out, (j_final, u_final, v), w2)
-
-
 # -- axiom verification ----------------------------------------------------
 
 
 def verify_structure(b: BialgebraData) -> StructureReport:
-    """Exhaustive bialgebra/Hopf axiom report with failure witnesses."""
+    """Exhaustive bialgebra/Hopf axiom report with failure witnesses.
+
+    Each law compares two sparse tensors whose leading axes index the basis
+    elements it is checked on; the witness is that prefix of the first
+    index where the two sides differ. With m the multiplication tensor
+    (i, j, k) and d = Delta (i, a, b):
+
+      * coassociativity: sum_a d[i,a,z] d[a,x,y] against sum_b d[i,x,b] d[b,y,z];
+      * Delta multiplicative: sum_m m[i,j,m] d[m,u,v] against
+        sum d[i,a,b] d[j,c,d] m[a,c,u] m[b,d,v], contracted over a, then c,
+        then (b, d);
+      * antipode: sum d[i,a,b] S(e_a) e_b and sum d[i,a,b] e_a S(e_b)
+        against eps(e_i) 1.
+    """
     p = b.field.p
     n = b.dim
     alg = b.alg
-    dt = b.comul
-    eps = b.counit
+    eps = SparseTensor.from_dense(b.counit)
+    unit = SparseTensor.from_dense(alg.unit)
+    mul = SparseTensor.from_dense(alg.mul)
+    d = b.comul
+    d_ba = permute(d, (0, 2, 1))  # (i, b, a)
     checks: list[AxiomCheck] = []
 
-    # Delta(1) = 1 (x) 1
-    d_unit = b.comul_of(alg.unit)
-    ok = np.array_equal(d_unit, np.outer(alg.unit, alg.unit) % p)
-    checks.append(AxiomCheck("comul_unit", bool(ok), None if ok else 0))
+    def law(name, lhs, rhs, prefix):
+        at = first_difference(lhs, rhs)
+        witness = None if at is None else (at[0] if prefix == 1 else at[:prefix])
+        checks.append(AxiomCheck(name, at is None, witness))
 
-    # eps(1) = 1
-    ok = int(matmul_mod(eps, alg.unit, p)) == 1
-    checks.append(AxiomCheck("counit_unit", bool(ok), None if ok else 0))
+    def outer(u, v):
+        return SparseTensor.from_dense(np.outer(u, v) % p)
 
-    # coassociativity: (Delta x id)Delta = (id x Delta)Delta on each basis elt
-    witness = None
-    ci, ca, cb, cc = b.comul_coo()
-    for i in range(n):
-        sel = ci == i
-        lhs = np.zeros((n, n, n), dtype=np.int64)
-        rhs = np.zeros((n, n, n), dtype=np.int64)
-        for a, bb, c in zip(ca[sel], cb[sel], cc[sel]):
-            lhs[:, :, bb] = (lhs[:, :, bb] + c * dt[a]) % p
-            rhs[a] = (rhs[a] + c * dt[bb]) % p
-        if not np.array_equal(lhs, rhs):
-            witness = i
-            break
-    checks.append(AxiomCheck("coassociativity", witness is None, witness))
-
-    # counit laws: (eps x id)Delta = id = (id x eps)Delta
-    left = np.zeros((n, n), dtype=np.int64)
-    np.add.at(left, (cb, ci), (cc * eps[ca]) % p)
-    left %= p
-    eye = np.eye(n, dtype=np.int64)
-    ok = np.array_equal(left, eye)
-    checks.append(
-        AxiomCheck("counit_left", bool(ok), None if ok else int(np.argmax((left != eye).any(axis=0))))
-    )
-    right = np.zeros((n, n), dtype=np.int64)
-    np.add.at(right, (ca, ci), (cc * eps[cb]) % p)
-    right %= p
-    ok = np.array_equal(right, eye)
-    checks.append(
-        AxiomCheck("counit_right", bool(ok), None if ok else int(np.argmax((right != eye).any(axis=0))))
-    )
-
-    # Delta multiplicative: Delta(e_i e_j) = Delta(e_i) Delta(e_j) for all pairs
-    witness = None
-    dmat_t = b.comul.reshape(n, n * n)  # row i = Delta(e_i) flattened
-    use_sparse = n >= 24 and n * (p - 1) ** 2 < 2**63
-    if use_sparse:
-        from scipy import sparse
-    for i in range(n):
-        sel = ci == i
-        rhs = np.zeros((n, n, n), dtype=np.int64)
-        _comul_product_into(b, ca[sel], cb[sel], cc[sel], ci, ca, cb, cc, rhs)
-        rhs %= p
-        mul_i = sparse.csr_matrix(alg.mul[i]) if use_sparse else alg.mul[i]
-        lhs = matmul_mod(mul_i, dmat_t, p).reshape(n, n, n)
-        if not np.array_equal(lhs, rhs):
-            j = int(np.argmax((lhs != rhs).any(axis=(1, 2))))
-            witness = (i, j)
-            break
-    checks.append(AxiomCheck("comul_multiplicative", witness is None, witness))
-
-    # eps multiplicative
-    lhs = tensordot_mod(alg.mul, eps, ([2], [0]), p)
-    rhs = np.outer(eps, eps) % p
-    ok = np.array_equal(lhs, rhs)
-    witness = None if ok else tuple(int(t) for t in np.argwhere(lhs != rhs)[0])
-    checks.append(AxiomCheck("counit_multiplicative", bool(ok), witness))
-
-    # antipode identities
+    # the unit laws have the single witness 0
+    for name, ok in (
+        ("comul_unit", first_difference(contract(unit, d, 1, p), outer(alg.unit, alg.unit)) is None),
+        ("counit_unit", int(matmul_mod(b.counit, alg.unit, p)) == 1),
+    ):
+        checks.append(AxiomCheck(name, ok, None if ok else 0))
+    law("coassociativity", permute(contract(d_ba, d, 1, p), (0, 2, 3, 1)), contract(d, d, 1, p), 1)
+    eye = SparseTensor.from_dense(np.eye(n, dtype=np.int64))
+    law("counit_left", contract(d_ba, eps, 1, p), eye, 1)
+    law("counit_right", contract(d, eps, 1, p), eye, 1)
+    ibcu = contract(d_ba, mul, 1, p)
+    ibujd = contract(permute(ibcu, (0, 1, 3, 2)), permute(d, (1, 0, 2)), 1, p)
+    iujv = contract(permute(ibujd, (0, 2, 3, 1, 4)), mul, 2, p)
+    law("comul_multiplicative", contract(mul, d, 1, p), permute(iujv, (0, 2, 1, 3)), 2)
+    law("counit_multiplicative", contract(mul, eps, 1, p), outer(b.counit, b.counit), 2)
     if b.antipode is not None:
-        s = b.antipode
-        for name, first in (("antipode_left", True), ("antipode_right", False)):
-            witness = None
-            for i in range(n):
-                sel = ci == i
-                acc = np.zeros(n, dtype=np.int64)
-                for a, bb, c in zip(ca[sel], cb[sel], cc[sel]):
-                    if first:
-                        term = matmul_mod(s[:, a], alg.mul[:, bb, :], p)  # S(e_a) * e_b
-                    else:
-                        term = matmul_mod(s[:, bb], alg.mul[a], p)  # e_a * S(e_b)
-                    acc = (acc + c * term) % p
-                if not np.array_equal(acc, (int(eps[i]) * alg.unit) % p):
-                    witness = i
-                    break
-            checks.append(AxiomCheck(name, witness is None, witness))
-
+        s = SparseTensor.from_dense(np.ascontiguousarray(b.antipode.T))  # (a, x): S(e_a)
+        ibx = contract(d_ba, s, 1, p)
+        expected = outer(b.counit, alg.unit)
+        law("antipode_left", contract(permute(ibx, (0, 2, 1)), mul, 2, p), expected, 1)
+        law("antipode_right", contract(contract(d, s, 1, p), mul, 2, p), expected, 1)
     return StructureReport(checks)
 
 
@@ -369,12 +269,8 @@ def convolve(b: BialgebraData, chi: Character, chi2: Character) -> Character:
     when the bialgebra was built); that is not checked again here.
     """
     p = b.field.p
-    ci, ca, cb, cc = b.comul_coo()
-    v1 = chi.vector()
-    v2 = chi2.vector()
-    out = np.zeros(b.dim, dtype=np.int64)
-    np.add.at(out, ci, (cc * v1[ca] % p) * v2[cb] % p)
-    return Character.from_vector(p, out)
+    v1, v2 = (SparseTensor.from_dense(c.vector()) for c in (chi, chi2))
+    return Character.from_vector(p, contract(contract(b.comul, v2, 1, p), v1, 1, p).dense())
 
 
 def convolution_inverse(b: BialgebraData, chi: Character) -> Character:
@@ -401,18 +297,12 @@ def winding(b: BialgebraData, chi: Character, side: str = "right") -> np.ndarray
     antipode it is invertible, its inverse being the winding map of chi o S.
     Neither fact is checked again here.
     """
-    p = b.field.p
-    n = b.dim
-    ci, ca, cb, cc = b.comul_coo()
-    v = chi.vector()
-    mat = np.zeros((n, n), dtype=np.int64)
-    if side == "right":
-        np.add.at(mat, (cb, ci), (cc * v[ca]) % p)
-    elif side == "left":
-        np.add.at(mat, (ca, ci), (cc * v[cb]) % p)
-    else:
+    if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    return mat % p
+    p = b.field.p
+    # chi is contracted with the last leg: x_1 after swapping the legs for 'right'
+    delta = permute(b.comul, (0, 2, 1)) if side == "right" else b.comul
+    return contract(delta, SparseTensor.from_dense(chi.vector()), 1, p).dense().T
 
 
 # -- coideal subalgebras and the character group X ---------------------------
@@ -587,9 +477,8 @@ def adjoint_action(b: BialgebraData, left: np.ndarray, right: np.ndarray) -> np.
         ):
             raise NotABimodule("left and right actions do not commute")
     right_s = tensordot_mod(b.antipode, right, ([0], [0]), p)  # action of S(e_b)
-    ci, ca, cb, cc = b.comul_coo()
     ad = np.zeros((n, m, m), dtype=np.int64)
-    for i, a, bb, c in zip(ci, ca, cb, cc):
+    for i, a, bb, c in b.comul_entries():
         ad[i] = (ad[i] + c * matmul_mod(left[a], right_s[bb], p)) % p
     # ad must itself be a left module structure
     flat_ad = ad.reshape(n, m * m)

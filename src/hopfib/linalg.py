@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over prime fields F_p.
+"""Exact linear algebra over prime fields F_p.
 
 Matrices are plain numpy int64 arrays with entries reduced into [0, p).
 Subspaces are stored as row spans in reduced row echelon form, so two
@@ -15,6 +15,16 @@ exact before its reduction; the reduced limb products are recombined
 Horner-style, ``acc = ((acc << w) + limb_product) % p``. At p = 2**31 - 1
 and inner < 2**16 that is two 16-bit limbs (delayed modular reduction
 over word-size limbs; Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
+
+Structure constants enter the exhaustive axiom checks as
+:class:`SparseTensor`s, the usual sparse form of structure-constant
+tables (de Graaf, Lie Algebras: Theory and Algorithms, 2000, ch. 1). Each
+check compares two :func:`contract`/:func:`permute` chains with
+:func:`first_difference`. A contraction is exact in int64: each product
+of two entries is below 2**62 and is reduced before it is summed, and a
+sum over k <= 2 contracted axes has at most n**k < 2**32 terms while
+n < 2**16. Keys are int64 flat indices, so n**rank < 2**63; rank 5 is the
+largest used.
 """
 
 from __future__ import annotations
@@ -80,7 +90,7 @@ def _limb_product(product, a, b, inner: int, p: int) -> np.ndarray:
 def matmul_mod(a, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p, exact for every odd prime p <= 2**31.
 
-    Entries of a must lie in [0, p); a may be a scipy sparse matrix. With
+    Entries of a must lie in [0, p); a may be any matrix type with @. With
     inner = a.shape[-1], the product is formed directly when
     inner * (p-1)**2 < 2**63 and otherwise from w-bit limbs of b, w the
     largest width with inner * (p-1) * (2**w - 1) < 2**63.
@@ -360,3 +370,91 @@ def joint_kernel(field: FieldSpec, maps: np.ndarray) -> Subspace:
         coeffs = kernel(imgs.T, p)  # combinations of the current basis killed by mat
         current = Subspace(field, current.ambient, matmul_mod(coeffs, current.basis, p))
     return current
+
+
+# -- sparse tensors ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SparseTensor:
+    """A tensor over (n,)*rank: the strictly increasing row-major flat
+    indices (keys) of its nonzero entries and their values (vals) in [1, p).
+
+    The form is canonical, so two tensors are equal iff their arrays are.
+    """
+
+    n: int
+    rank: int
+    keys: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def from_dense(cls, arr: np.ndarray) -> "SparseTensor":
+        """From an array of shape (n,)*rank with entries in [0, p)."""
+        keys = np.flatnonzero(arr)
+        return cls(arr.shape[0], arr.ndim, keys, arr.ravel()[keys])
+
+    @classmethod
+    def from_entries(cls, n: int, rank: int, entries, p: int) -> "SparseTensor":
+        """From (index_1, ..., index_rank, coefficient) rows; repeats add up."""
+        data = np.array(entries, dtype=np.int64).reshape(-1, rank + 1)
+        keys = np.ravel_multi_index(tuple(data[:, :rank].T), (n,) * rank)
+        return _canonical(n, rank, keys, data[:, rank] % p, p)
+
+    def indices(self) -> tuple[np.ndarray, ...]:
+        return np.unravel_index(self.keys, (self.n,) * self.rank)
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.n**self.rank, dtype=np.int64)
+        out[self.keys] = self.vals
+        return out.reshape((self.n,) * self.rank)
+
+
+def _canonical(n: int, rank: int, keys: np.ndarray, vals: np.ndarray, p: int) -> SparseTensor:
+    """Sort, add up the values (in [0, p)) of equal keys mod p, drop zeros."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    vals = np.add.reduceat(vals[order], starts) % p
+    nonzero = vals != 0
+    return SparseTensor(n, rank, keys[starts][nonzero], vals[nonzero])
+
+
+def permute(t: SparseTensor, axes) -> SparseTensor:
+    """Axis q of the result is axis axes[q] of t, as in np.transpose."""
+    idx = t.indices()
+    keys = np.ravel_multi_index(tuple(idx[ax] for ax in axes), (t.n,) * t.rank)
+    order = np.argsort(keys, kind="stable")
+    return SparseTensor(t.n, t.rank, keys[order], t.vals[order])
+
+
+def contract(a: SparseTensor, b: SparseTensor, k: int, p: int) -> SparseTensor:
+    """sum_s a[x, s] b[s, y] mod p over a's last k and b's first k axes, as (x, y).
+
+    Each a entry is joined with the run of b entries (found by
+    searchsorted on b's sorted keys) whose first k indices equal its last k.
+    """
+    tail = a.n ** (b.rank - k)
+    a_outer, a_inner = np.divmod(a.keys, a.n**k)
+    b_inner = b.keys // tail
+    lo = np.searchsorted(b_inner, a_inner, side="left")
+    counts = np.searchsorted(b_inner, a_inner, side="right") - lo
+    rows = np.repeat(np.arange(len(counts)), counts)
+    pos = np.arange(len(rows)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    keys = a_outer[rows] * tail + b.keys[pos] % tail
+    return _canonical(a.n, a.rank + b.rank - 2 * k, keys, a.vals[rows] * b.vals[pos] % p, p)
+
+
+def first_difference(a: SparseTensor, b: SparseTensor) -> tuple[int, ...] | None:
+    """The lexicographically smallest index where a and b differ, or None.
+
+    Both agree below the first position where their arrays part, and
+    differ at the smaller of the two keys there.
+    """
+    m = min(len(a.keys), len(b.keys))
+    same = (a.keys[:m] == b.keys[:m]) & (a.vals[:m] == b.vals[:m])
+    if len(a.keys) == len(b.keys) and same.all():
+        return None
+    at = m if same.all() else int(np.argmin(same))
+    key = min(np.concatenate([a.keys[at : at + 1], b.keys[at : at + 1]]))
+    return tuple(int(i) for i in np.unravel_index(key, (a.n,) * a.rank))

@@ -60,8 +60,15 @@ def criterion(num: int, limit: float):
 # -- direct single-index axiom evaluators (independent of verify_structure) --
 
 
+def _comul_dense(b):
+    comul = np.zeros((b.dim,) * 3, dtype=np.int64)
+    for i, a, bb, c in b.comul_entries():
+        comul[i, a, bb] = c
+    return comul
+
+
 def _delta(b, vec):
-    return np.tensordot(vec, b.comul, axes=([0], [0])) % b.field.p
+    return np.tensordot(vec, _comul_dense(b), axes=([0], [0])) % b.field.p
 
 
 def axiom_fails_at(b: BialgebraData, name: str, witness) -> bool:
@@ -131,6 +138,63 @@ def axiom_fails_at(b: BialgebraData, name: str, witness) -> bool:
     raise AssertionError(f"unknown axiom {name}")
 
 
+def first_failure(b: BialgebraData, name: str) -> tuple[int, ...] | None:
+    """Lexicographically first index at which the named axiom fails.
+
+    A dense evaluation of the whole index space (row by row for Delta
+    multiplicativity), exact in int64 for the small shipped primes.
+    """
+    p = b.field.p
+    n = b.dim
+    assert n * n * (p - 1) ** 2 < 2**40
+    m, d, eps, unit, s = b.alg.mul, _comul_dense(b), b.counit, b.alg.unit, b.antipode
+    eye = np.eye(n, dtype=np.int64)
+
+    def td(x, y, axes):
+        return np.tensordot(x, y, axes=axes) % p
+
+    def first(fails):
+        hits = np.argwhere(fails)
+        return tuple(int(t) for t in hits[0]) if len(hits) else None
+
+    def differ(x, y, keep):  # over the leading `keep` axes
+        return (x != y).reshape(x.shape[:keep] + (-1,)).any(axis=-1)
+
+    if name == "unit":
+        return first(differ(td(unit, m, ([0], [0])), eye, 1) | differ(td(m, unit, ([1], [0])), eye, 1))
+    if name == "associativity":  # (e_i e_j) e_k against e_i (e_j e_k)
+        return first(differ(td(m, m, ([2], [0])), td(m, m, ([2], [1])).transpose(2, 0, 1, 3), 3))
+    if name == "coassociativity":
+        return first(differ(td(d, d, ([1], [0])).transpose(0, 2, 3, 1), td(d, d, ([2], [0])), 1))
+    if name == "counit_left":
+        return first(differ(td(eps, d, ([0], [1])), eye, 1))
+    if name == "counit_right":
+        return first(differ(td(d, eps, ([2], [0])), eye, 1))
+    if name == "comul_multiplicative":
+        lhs = td(m, d, ([2], [0]))  # Delta(e_i e_j), axes (i, j, u, v)
+        for i in range(n):
+            x = td(d[i], m, ([0], [0]))  # (b, c, u)
+            x = td(x, d, ([1], [1]))  # (b, u, j, d)
+            rhs = td(x, m, ([0, 3], [0, 1])).transpose(1, 0, 2)  # (j, u, v)
+            j = first(differ(lhs[i], rhs, 1))
+            if j is not None:
+                return (i, *j)
+        return None
+    if name == "counit_multiplicative":
+        return first(td(m, eps, ([2], [0])) != np.outer(eps, eps) % p)
+    if name in ("antipode_left", "antipode_right"):
+        if name == "antipode_left":  # sum d[i,a,b] S(e_a) e_b
+            act = td(td(d, s, ([1], [1])), m, ([2, 1], [0, 1]))
+        else:  # sum d[i,a,b] e_a S(e_b)
+            act = td(td(d, s, ([2], [1])), m, ([1, 2], [0, 1]))
+        return first(differ(act, np.outer(eps, unit) % p, 1))
+    if name == "comul_unit":
+        return (0,) if differ(td(unit, d, ([0], [0])), np.outer(unit, unit) % p, 0) else None
+    if name == "counit_unit":
+        return (0,) if int(eps @ unit % p) != 1 else None
+    raise AssertionError(f"unknown axiom {name}")
+
+
 def _mutated_fails_with_correct_witness(inst, mutate):
     """Apply a single-coefficient mutation and demand a pinpointing witness."""
     from hopfib.algebra import _check_associative, _check_unit
@@ -166,6 +230,8 @@ def _mutated_fails_with_correct_witness(inst, mutate):
     for name, witness in failures:
         assert witness is not None
         assert axiom_fails_at(b, name, witness), (name, witness)
+        # and no lexicographically smaller index fails
+        assert first_failure(b, name) == (witness if isinstance(witness, tuple) else (witness,))
 
 
 def test_criterion_1_axiom_suite_and_mutations(corpus):

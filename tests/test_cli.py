@@ -90,6 +90,42 @@ class TestAxiomsCommand:
         assert code == 2
 
 
+class TestMalformedEntries:
+    """Instance files are outside input: entries are checked before use."""
+
+    @pytest.mark.parametrize("command", ["verify", "axioms"])
+    @pytest.mark.parametrize("key", ["mul", "comul", "antipode"])
+    @pytest.mark.parametrize("index", ["dim", -1])
+    def test_index_outside_the_basis_exits_2(self, q8_file, tmp_path, capsys, command, key, index):
+        data = json.loads(q8_file.read_text())
+        data[key][0][1] = data["dim"] if index == "dim" else index
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = main([command, "--input", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("command", ["verify", "axioms"])
+    @pytest.mark.parametrize("key", ["mul", "comul", "antipode", "unit", "counit", "subalgebra_A"])
+    def test_coefficient_is_read_mod_p(self, q8_file, tmp_path, capsys, command, key):
+        # p = 7 divides 7 * 2**64, so the shifted coefficient is the same
+        # field element, far outside int64
+        data = json.loads(q8_file.read_text())
+        assert data["field"]["p"] == 7
+        vectors = {"unit": data["unit"], "counit": data["counit"],
+                   "subalgebra_A": data["subalgebra_A"]["basis_vectors"][0]}
+        row = vectors[key] if key in vectors else data[key][0]
+        row[-1] += 7 * 2**64
+        shifted = tmp_path / "shifted.json"
+        shifted.write_text(json.dumps(data))
+        code, report = run(capsys, command, "--input", str(shifted))
+        code0, report0 = run(capsys, command, "--input", str(q8_file))
+        assert (code, report["results"]) == (code0, report0["results"])
+
+
 class TestCharactersCommand:
     def test_q8_characters(self, q8_file, capsys):
         code, report = run(capsys, "characters", "--input", str(q8_file))

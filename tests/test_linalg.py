@@ -11,12 +11,16 @@ from scipy import sparse
 from hopfib.errors import NoSuchRoot
 from hopfib.linalg import (
     FieldSpec,
+    SparseTensor,
     Subspace,
+    contract,
     find_root_of_unity,
+    first_difference,
     invert,
     kernel,
     matmul_mod,
     modinv,
+    permute,
     rref,
     solve,
     tensordot_mod,
@@ -150,6 +154,49 @@ def field_arrays(draw, shape_a, shape_b):
 dims = st.integers(min_value=1, max_value=5)
 
 
+class TestSparseTensor:
+    """The sparse layer against dense Python-int references."""
+
+    @staticmethod
+    def random_dense(rng, n, rank, p, density=0.35):
+        vals = rng.integers(1, p, size=(n,) * rank, dtype=np.int64)
+        return vals * (rng.random((n,) * rank) < density)
+
+    @pytest.mark.parametrize("density", [0.35, 1.0])
+    @pytest.mark.parametrize("p", [7, 2**31 - 1])
+    def test_contract_and_permute_match_dense(self, p, density):
+        # at density 1 and p = 2**31 - 1 a sum of 16 products passes 2**63
+        rng = np.random.default_rng(5)
+        n = 4
+        for rank_a, rank_b, k in [(3, 3, 1), (3, 3, 2), (4, 3, 2), (1, 3, 1), (3, 1, 1), (2, 2, 2)]:
+            a = self.random_dense(rng, n, rank_a, p, density)
+            b = self.random_dense(rng, n, rank_b, p, density)
+            axes = (list(range(rank_a - k, rank_a)), list(range(k)))
+            ref = np.tensordot(a.astype(object), b.astype(object), axes=axes) % p
+            got = contract(SparseTensor.from_dense(a), SparseTensor.from_dense(b), k, p)
+            assert got.rank == rank_a + rank_b - 2 * k
+            assert np.all(np.diff(got.keys) > 0) and np.all(got.vals > 0)
+            assert np.array_equal(got.dense(), np.array(ref, dtype=np.int64))
+            order = tuple(rng.permutation(rank_a))
+            assert np.array_equal(permute(SparseTensor.from_dense(a), order).dense(), a.transpose(order))
+
+    def test_from_entries_adds_repeats_and_drops_zeros(self):
+        t = SparseTensor.from_entries(3, 2, [(2, 1, 5), (0, 2, 3), (2, 1, 4), (1, 1, 7)], 7)
+        assert t.keys.tolist() == [2, 7] and t.vals.tolist() == [3, 2]
+
+    def test_first_difference_is_the_smallest_differing_index(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            a = self.random_dense(rng, 3, 3, 5)
+            b = a.copy()
+            for idx in rng.integers(0, 3, size=(int(rng.integers(0, 3)), 3)):
+                b[tuple(idx)] = rng.integers(0, 5)
+            hits = np.argwhere(a != b)
+            expected = tuple(int(i) for i in hits[0]) if len(hits) else None
+            got = first_difference(SparseTensor.from_dense(a), SparseTensor.from_dense(b))
+            assert got == expected
+
+
 class TestProductKernel:
     @settings(max_examples=80, deadline=None)
     @given(st.data(), dims, dims, dims, st.booleans(), st.booleans())
@@ -265,7 +312,7 @@ def _is_object_dtype(node) -> bool:
 
 
 def lint_products(tree: ast.AST, allow_products: bool) -> list[tuple[int, str]]:
-    """Raw products of field data and Python-object arrays, by line."""
+    """Raw products of field data, Python-object arrays and scipy imports, by line."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
@@ -279,24 +326,33 @@ def lint_products(tree: ast.AST, allow_products: bool) -> list[tuple[int, str]]:
                 dtypes += node.args[:1]
             if any(_is_object_dtype(d) for d in dtypes):
                 found.append((node.lineno, "object dtype"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            if any(m and m.split(".")[0] == "scipy" for m in modules):
+                found.append((node.lineno, "scipy import"))
     if allow_products:
-        found = [f for f in found if f[1] == "object dtype"]
+        found = [f for f in found if f[1] in ("object dtype", "scipy import")]
     return found
 
 
 class TestEveryProductGoesThroughLinalg:
-    """Outside linalg.py a raw int64 product can wrap for p near 2**31."""
+    """Outside linalg.py a raw int64 product can wrap for p near 2**31.
+
+    scipy is rejected everywhere: the exhaustive checks have one sparse
+    path, linalg's SparseTensor, and a second one must not come back.
+    """
 
     def test_lint_flags_each_pattern(self):
         bad = ast.parse(
             "x = a @ b\nx @= b\nnp.dot(a, b)\nnp.matmul(a, b)\nnp.tensordot(a, b, 1)\n"
             "np.einsum('ij,jk', a, b)\na.astype(object)\nnp.array(a, dtype=object)\n"
+            "import scipy.sparse\nfrom scipy import sparse\n"
         )
         def lines(allow_products):
             return sorted(line for line, _ in lint_products(bad, allow_products))
 
-        assert lines(allow_products=False) == list(range(1, 9))
-        assert lines(allow_products=True) == [7, 8]
+        assert lines(allow_products=False) == list(range(1, 11))
+        assert lines(allow_products=True) == [7, 8, 9, 10]
 
     def test_no_raw_product_or_object_array_in_the_package(self):
         files = sorted(SRC.glob("*.py"))
