@@ -104,28 +104,45 @@ def _antipode_matrix(d, n):
     return s
 
 
+def _integer(x, what: str) -> int:
+    """x itself if it is a JSON integer; floats (2.0 too), strings and booleans
+    raise DimensionMismatch instead of being truncated or coerced."""
+    if type(x) is not int:
+        raise DimensionMismatch(f"{what} {x!r} is not an integer")
+    return x
+
+
 def _checked_entries(d: dict) -> dict:
-    """d with mul, comul and antipode entries checked to have the right arity
-    and indices in [0, dim) (DimensionMismatch otherwise), and coefficients,
-    unit and counit reduced mod p while they are Python ints.
+    """d with every number checked to be an integer, mul, comul and antipode
+    entries checked to have the right arity and indices in [0, dim)
+    (DimensionMismatch otherwise), and coefficients, unit, counit and A's
+    basis vectors reduced mod p while they are Python ints.
     """
     if d.get("schema") != SCHEMA:
         raise HopfibError(f"unsupported schema {d.get('schema')!r}; expected {SCHEMA}")
-    p = int(d["field"]["p"])
-    n = int(d["dim"])
+    p = _integer(d["field"]["p"], "field.p")
+    n = _integer(d["dim"], "dim")
+
+    def vector(key, v):
+        if not isinstance(v, list):
+            raise DimensionMismatch(f"{key} {v!r} is not a list of integers")
+        return [_integer(x, f"{key} entry") % p for x in v]
 
     def entries(key, arity):
         for e in d.get(key, []):
             shaped = isinstance(e, list) and len(e) == arity
-            if not (shaped and all(0 <= int(i) < n for i in e[:-1])):
+            if not (shaped and all(0 <= _integer(i, f"{key} index") < n for i in e[:-1])):
                 raise DimensionMismatch(
                     f"{key} entry {e!r} is not {arity - 1} indices in [0, {n}) and a coefficient")
-        return [(*(int(i) for i in e[:-1]), int(e[-1]) % p) for e in d.get(key, [])]
+        return [(*e[:-1], _integer(e[-1], f"{key} coefficient") % p) for e in d.get(key, [])]
 
-    out = dict(d, unit=[int(x) % p for x in d["unit"]], counit=[int(x) % p for x in d["counit"]],
+    out = dict(d, unit=vector("unit", d["unit"]), counit=vector("counit", d["counit"]),
                mul=entries("mul", 4), comul=entries("comul", 4))
     if "antipode" in d:
         out["antipode"] = entries("antipode", 3)
+    if "subalgebra_A" in d:
+        rows = d["subalgebra_A"]["basis_vectors"]
+        out["subalgebra_A"] = {"basis_vectors": [vector("subalgebra_A", row) for row in rows]}
     return out
 
 
@@ -138,8 +155,7 @@ def instance_from_dict(d: dict) -> CorpusInstance:
     alg = build_algebra(field, n, d["unit"], d["mul"], labels)
     b = build_bialgebra(alg, d["comul"], d["counit"], _antipode_matrix(d, n))
     if "subalgebra_A" in d:
-        rows = [[int(x) % field.p for x in row] for row in d["subalgebra_A"]["basis_vectors"]]
-        a_space = Subspace(field, n, rows)
+        a_space = Subspace(field, n, d["subalgebra_A"]["basis_vectors"])
     else:
         a_space = Subspace(field, n, [alg.unit])
     a = coideal_subalgebra(b, a_space)

@@ -25,14 +25,28 @@ of two entries is below 2**62 and is reduced before it is summed, and a
 sum over k <= 2 contracted axes has at most n**k < 2**32 terms while
 n < 2**16. Keys are int64 flat indices, so n**rank < 2**63; rank 5 is the
 largest used.
+
+Polynomials over F_p are lists of Python ints, highest degree first.
+:func:`factor_poly` is the standard finite-field factoriser: squarefree
+decomposition (with p-th roots, since a minimal polynomial may have degree
+>= p), distinct-degree factorisation through one Frobenius matrix per
+squarefree part (von zur Gathen and Shoup, Comput. Complexity 2, 1992),
+and Cantor-Zassenhaus equal-degree splitting (Math. Comp. 36, 1981).
+Products are Kronecker substitutions: the coefficients are packed into one
+Python int, multiplied once and unpacked. The splitting step is
+randomised with its own fixed-seed generator, but factorisation in F_p[x]
+is unique and the factors are returned sorted, so the output does not
+depend on that seed. :func:`is_prime` is deterministic Miller-Rabin with
+bases 2, 3, 5 and 7, which is exact below 3,215,031,751 and so for every
+modulus up to 2**31.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from .errors import DimensionMismatch, NoSuchRoot
 
@@ -45,6 +59,47 @@ def modinv(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
+MILLER_RABIN_BOUND = 3_215_031_751  # least strong pseudoprime to bases 2, 3, 5 and 7
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with bases 2, 3, 5, 7, exact for n < 3,215,031,751."""
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"is_prime is exact only below {MILLER_RABIN_BOUND}, got {n}")
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_factors(m: int) -> list[int]:
+    """The distinct prime divisors of m >= 1, increasing, by trial division."""
+    out = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    return out + [m] if m > 1 else out
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """The prime field F_p for an odd prime p <= 2**31."""
@@ -55,7 +110,7 @@ class FieldSpec:
         p = self.p
         if not isinstance(p, int) or p < 3 or p > 2**31 or p % 2 == 0:
             raise ValueError(f"modulus must be an odd prime <= 2**31, got {p!r}")
-        if not sympy.isprime(p):
+        if not is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
 
     def inv(self, a: int) -> int:
@@ -217,7 +272,7 @@ def find_root_of_unity(field: FieldSpec, m: int) -> int:
     p = field.p
     if (p - 1) % m != 0:
         raise NoSuchRoot(f"no element of order {m} in F_{p}: {m} does not divide {p - 1}")
-    prime_divs = sympy.primefactors(m)
+    prime_divs = prime_factors(m)
     for x in range(1, p):
         if pow(x, m, p) != 1:
             continue
@@ -458,3 +513,202 @@ def first_difference(a: SparseTensor, b: SparseTensor) -> tuple[int, ...] | None
     at = m if same.all() else int(np.argmin(same))
     key = min(np.concatenate([a.keys[at : at + 1], b.keys[at : at + 1]]))
     return tuple(int(i) for i in np.unravel_index(key, (a.n,) * a.rank))
+
+
+# -- polynomials over F_p ------------------------------------------------------
+# A polynomial is a list of ints in [0, p), highest degree first, with a
+# nonzero leading coefficient; [] is zero.
+
+
+def _strip(a: list[int]) -> list[int]:
+    i = 0
+    while i < len(a) and a[i] == 0:
+        i += 1
+    return a[i:]
+
+
+def _sub(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    a, b = [0] * (n - len(a)) + a, [0] * (n - len(b)) + b
+    return _strip([(x - y) % p for x, y in zip(a, b)])
+
+
+def _monic(a: list[int], p: int) -> list[int]:
+    if not a or a[0] == 1:
+        return a
+    inv = pow(a[0], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _divmod(a: list[int], f: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a monic f; reductions are delayed to the lead."""
+    n = len(f) - 1
+    a, tail, q = list(a), f[1:], []
+    for i in range(len(a) - n):
+        c = a[i] % p
+        q.append(c)
+        if c:
+            a[i + 1 : i + n + 1] = [x - c * y for x, y in zip(a[i + 1 : i + n + 1], tail)]
+    return q, _strip([c % p for c in a[max(len(a) - n, 0) :]])
+
+
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd."""
+    while b:
+        b = _monic(b, p)
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
+
+
+def _pack(a: list[int], w: int) -> int:
+    return int.from_bytes(b"".join(c.to_bytes(w, "big") for c in a), "big")
+
+
+def _unpack(v: int, n: int, w: int, p: int) -> list[int]:
+    """The n lowest w-byte slots of v mod p, highest slot first."""
+    raw = v.to_bytes(n * w, "big")
+    return [int.from_bytes(raw[i : i + w], "big") % p for i in range(0, n * w, w)]
+
+
+class _Quotient:
+    """F_p[x]/(f) for a monic f of degree n >= 1; elements are polynomials of
+    degree < n.
+
+    A product is one Kronecker substitution: both factors are packed into
+    w-byte slots of one Python int and multiplied once. Its upper n - 1
+    coefficients are folded back with the packed rows x**k mod f, k in
+    [n, 2n-2]. Every slot then holds fewer than 2n products of two
+    elements of [0, p), which w is sized for, so no slot carries.
+    """
+
+    def __init__(self, f: list[int], p: int):
+        self.f, self.n, self.p = f, len(f) - 1, p
+        self.w = ((2 * self.n) * (p - 1) ** 2).bit_length() // 8 + 1
+        row, fold = _divmod([1] + [0] * self.n, f, p)[1], []  # x**n mod f
+        for _ in range(self.n - 1):
+            fold.append(_pack(row, self.w))
+            row = _divmod(row + [0], f, p)[1]
+        self.fold = fold[::-1]
+        self._frob = None
+
+    def _combine(self, low: int, coeffs: list[int], rows: list[int]) -> list[int]:
+        """low + sum_i coeffs[i] * rows[i], unpacked and reduced."""
+        packed = low + sum(c * r for c, r in zip(coeffs, rows))
+        return _strip(_unpack(packed, self.n, self.w, self.p))
+
+    def mul(self, a: list[int], b: list[int]) -> list[int]:
+        w, shift = self.w, 8 * self.w * self.n
+        packed = _pack(a, w)
+        prod = packed * (packed if b is a else _pack(b, w))
+        high = _unpack(prod >> shift, self.n - 1, w, self.p)  # x**(2n-2), ..., x**n
+        return self._combine(prod & ((1 << shift) - 1), high, self.fold)
+
+    def pow(self, a: list[int], e: int) -> list[int]:
+        out = [1]
+        for bit in bin(e)[2:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
+
+    def frobenius(self, r: list[int]) -> list[int]:
+        """r**p, as one vector-matrix product with the packed rows x**(i*p), i < n,
+        since r(x)**p = sum_i r_i x**(i*p) over F_p. The rows are built on the
+        first call from one x**p.
+        """
+        if self._frob is None:
+            xp = self.pow(_divmod([1, 0], self.f, self.p)[1], self.p)
+            rows = [[1]]
+            for _ in range(self.n - 1):
+                rows.append(self.mul(rows[-1], xp))
+            self._frob = [_pack(row, self.w) for row in rows]
+        return self._combine(0, r[::-1], self._frob)
+
+
+def _squarefree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Pairwise coprime squarefree monic g with multiplicities, f = prod g**m.
+
+    In characteristic p the derivative misses factors whose multiplicity is a
+    multiple of p; they are left over as a p-th power, whose root is
+    recursed on.
+    """
+    n = len(f) - 1
+    out, mult = [], 1
+    df = _strip([c * (n - i) % p for i, c in enumerate(f[:-1])])
+    c = _gcd(f, df, p) if df else f
+    w = _divmod(f, c, p)[0]
+    while len(w) > 1:
+        y = _gcd(w, c, p)
+        z = _divmod(w, y, p)[0]
+        if len(z) > 1:
+            out.append((z, mult))
+        mult, w, c = mult + 1, y, _divmod(c, y, p)[0]
+    if len(c) > 1:
+        out += [(g, m * p) for g, m in _squarefree(c[::p], p)]  # c(x) = c[::p](x)**p
+    return out
+
+
+def _distinct_degree(ring: _Quotient) -> list[tuple[list[int], int]]:
+    """(product of all irreducible factors of degree k, k) for a squarefree modulus."""
+    p = ring.p
+    out, g, h, k = [], ring.f, [1, 0], 0
+    while 2 * (k + 1) <= len(g) - 1:
+        k += 1
+        h = ring.frobenius(h)  # x**(p**k) mod f
+        d = _gcd(g, _sub(h, [1, 0], p), p)
+        if len(d) > 1:
+            out.append((d, k))
+            g = _divmod(g, d, p)[0]
+    if len(g) > 1:
+        out.append((g, len(g) - 1))
+    return out
+
+
+def _equal_degree(f: list[int], k: int, big: _Quotient, rng: random.Random) -> list[list[int]]:
+    """The irreducible factors of a squarefree monic f whose factors all have degree k.
+
+    f divides big's modulus, whose Frobenius map serves f too. For random r,
+    the norm t = r * r**p * ... * r**(p**(k-1)) lies in F_p in each residue
+    field of f, so t**((p-1)/2) is 0 or +-1 there, and gcd(t**((p-1)/2) - 1, f)
+    splits f with probability at least 4/9 (the worst case is p = 3, k = 1,
+    two factors). 64 failures in a row (chance below 10**-16) mean f is not
+    of the promised form.
+    """
+    p, n = big.p, len(f) - 1
+    if n == k:
+        return [f]
+    ring = _Quotient(f, p)
+    for _ in range(64):
+        r = _strip([rng.randrange(p) for _ in range(n)])
+        t = s = r
+        for _ in range(k - 1):
+            s = _divmod(big.frobenius(s), f, p)[1]
+            t = ring.mul(t, s)
+        g = _gcd(f, _sub(ring.pow(t, (p - 1) // 2), [1], p), p)
+        if 1 < len(g) < len(f):
+            return (_equal_degree(g, k, big, rng)
+                    + _equal_degree(_divmod(f, g, p)[0], k, big, rng))
+    raise ArithmeticError(f"no equal-degree split of a degree-{n} polynomial into degree {k}")
+
+
+def factor_poly(coeffs_desc: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
+    """Monic irreducible factors of a nonzero polynomial over F_p, p an odd
+    prime, with multiplicities.
+
+    Input and factors are coefficient sequences, highest degree first; the
+    leading coefficient is dropped, so a constant has no factors. Factors
+    are sorted by (degree, coefficients). The algorithm is squarefree
+    decomposition, distinct-degree factorisation with one Frobenius matrix
+    per squarefree part, and Cantor-Zassenhaus equal-degree splitting. The
+    splitting step draws from its own generator with a fixed seed; the
+    output does not depend on that seed, because factorisation in F_p[x] is
+    unique and the factors are sorted.
+    """
+    f = _monic(_strip([int(c) % p for c in coeffs_desc]), p)
+    rng = random.Random(0)
+    out = []
+    for g, mult in _squarefree(f, p) if len(f) > 1 else []:
+        ring = _Quotient(g, p)
+        for d, k in _distinct_degree(ring):
+            out += [(tuple(h), mult) for h in _equal_degree(d, k, ring, rng)]
+    return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))

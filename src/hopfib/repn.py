@@ -18,12 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor
 
 from .algebra import StructureConstantAlgebra
 from .errors import BudgetExceeded, DifferentAlgebras, DimensionMismatch
-from .linalg import Subspace, asmat, complement_projection, kernel, matmul_mod, solve, tensordot_mod
+from .linalg import (
+    Subspace,
+    asmat,
+    complement_projection,
+    factor_poly,
+    kernel,
+    matmul_mod,
+    solve,
+    tensordot_mod,
+)
 
 
 @dataclass
@@ -128,14 +135,6 @@ def minpoly_on_vector(theta: np.ndarray, v: np.ndarray, p: int) -> list[int]:
             coeffs = [1] + [int(-sol.particular[k - 1 - i]) % p for i in range(k)]
             return coeffs
         rows.append(nxt)
-
-
-def factor_poly(coeffs_desc: list[int], p: int):
-    """Irreducible factors over F_p, deterministically ordered."""
-    lc, factors = gf_factor([int(c) % p for c in coeffs_desc], p, ZZ)
-    out = [(tuple(int(c) for c in f), int(mult)) for f, mult in factors]
-    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return out
 
 
 def poly_eval_matrix(coeffs_desc, theta: np.ndarray, p: int) -> np.ndarray:

@@ -126,6 +126,39 @@ class TestMalformedEntries:
         assert (code, report["results"]) == (code0, report0["results"])
 
 
+    NUMBERS = {  # where an integer sits: (container, key) in the parsed file
+        "field.p": lambda d: (d["field"], "p"),
+        "dim": lambda d: (d, "dim"),
+        "mul index": lambda d: (d["mul"][0], 1),
+        "mul coefficient": lambda d: (d["mul"][0], 3),
+        "comul index": lambda d: (d["comul"][0], 0),
+        "comul coefficient": lambda d: (d["comul"][0], 3),
+        "antipode index": lambda d: (d["antipode"][0], 1),
+        "antipode coefficient": lambda d: (d["antipode"][0], 2),
+        "unit": lambda d: (d["unit"], 0),
+        "counit": lambda d: (d["counit"], 0),
+        "subalgebra_A": lambda d: (d["subalgebra_A"]["basis_vectors"][0], 0),
+    }
+
+    @pytest.mark.parametrize("command", ["verify", "axioms"])
+    @pytest.mark.parametrize("where", sorted(NUMBERS))
+    @pytest.mark.parametrize("spell", [lambda x: x + 0.9, float, str, bool],
+                             ids=["float", "integral float", "string", "boolean"])
+    def test_non_integer_exits_2(self, q8_file, tmp_path, capsys, command, where, spell):
+        # int() would truncate 1.9 to 1 and accept "1"; the format is integers only
+        data = json.loads(q8_file.read_text())
+        container, key = self.NUMBERS[where](data)
+        container[key] = spell(container[key])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = main([command, "--input", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 class TestCharactersCommand:
     def test_q8_characters(self, q8_file, capsys):
         code, report = run(capsys, "characters", "--input", str(q8_file))

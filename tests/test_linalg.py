@@ -1,4 +1,8 @@
 import ast
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,20 +11,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
+from sympy import isprime, primefactors
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor
 
+from hopfib import linalg
 from hopfib.errors import NoSuchRoot
 from hopfib.linalg import (
+    MILLER_RABIN_BOUND,
     FieldSpec,
     SparseTensor,
     Subspace,
     contract,
+    factor_poly,
     find_root_of_unity,
     first_difference,
     invert,
+    is_prime,
     kernel,
     matmul_mod,
     modinv,
     permute,
+    prime_factors,
     rref,
     solve,
     tensordot_mod,
@@ -59,6 +71,129 @@ class TestFieldSpec:
     def test_inverse_p2_standalone(self):
         # modinv itself is not restricted to odd p
         assert (1 * modinv(1, 2)) % 2 == 1
+
+
+def sieve(limit: int) -> list[bool]:
+    flags = [False, False] + [True] * (limit - 2)
+    for q in range(2, int(limit**0.5) + 1):
+        if flags[q]:
+            flags[q * q :: q] = [False] * len(range(q * q, limit, q))
+    return flags
+
+
+class TestPrimeHelpers:
+    """is_prime and prime_factors against a sieve and sympy."""
+
+    def test_is_prime_matches_a_sieve_below_200000(self):
+        flags = sieve(200_000)
+        assert [n for n in range(200_000) if is_prime(n) != flags[n]] == []
+
+    def test_is_prime_matches_sympy_on_random_n_below_2_31(self):
+        rng = random.Random(11)
+        ns = [rng.randrange(2**31) for _ in range(3000)] + [2**31 - 1, 2**31 + 11]
+        assert [n for n in ns if is_prime(n) != isprime(n)] == []
+
+    @pytest.mark.parametrize("n", [2047, 1_373_653, 25_326_001])
+    def test_rejects_strong_pseudoprimes(self, n):
+        # strong pseudoprimes to bases 2; 2, 3; and 2, 3, 5
+        assert not isprime(n)
+        assert not is_prime(n)
+
+    def test_refuses_n_past_the_bound(self):
+        # the least strong pseudoprime to bases 2, 3, 5 and 7
+        assert not isprime(MILLER_RABIN_BOUND)
+        with pytest.raises(ValueError):
+            is_prime(MILLER_RABIN_BOUND)
+
+    def test_prime_factors_match_sympy(self):
+        rng = random.Random(12)
+        ms = list(range(1, 3000)) + [rng.randrange(1, 2**31) for _ in range(300)] + [2**31 - 2]
+        assert [m for m in ms if prime_factors(m) != primefactors(m)] == []
+
+
+FACTOR_PRIMES = [3, 5, 7, 65521, 2**31 - 1]
+
+
+def poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def check_factorisation(f, p):
+    """factor_poly(f) equals sympy's gf_factor and multiplies back to monic f."""
+    got = factor_poly(f, p)
+    lead, expected = gf_factor([c % p for c in f], p, ZZ)
+    expected = sorted(((tuple(int(c) for c in g), int(m)) for g, m in expected),
+                      key=lambda gm: (len(gm[0]), gm[0]))
+    assert got == expected
+    product = [1]
+    for g, m in got:
+        assert g[0] == 1
+        for _ in range(m):
+            product = poly_mul(product, list(g), p)
+    assert [c * int(lead) % p for c in product] == [c % p for c in f]
+    return got
+
+
+@st.composite
+def monic_polys(draw, p, min_degree, max_degree):
+    degree = draw(st.integers(min_value=min_degree, max_value=max_degree))
+    return [1] + draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))
+
+
+class TestFactorPoly:
+    """The F_p factoriser against sympy's gf_factor, an independent oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(FACTOR_PRIMES))
+    def test_random_monic(self, data, p):
+        check_factorisation(data.draw(monic_polys(p, 1, 40)), p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(FACTOR_PRIMES))
+    def test_products_with_repeated_factors(self, data, p):
+        parts = data.draw(st.lists(st.tuples(monic_polys(p, 1, 5), st.integers(1, 4)),
+                                   min_size=1, max_size=4))
+        parts.append((data.draw(monic_polys(p, 1, 3)), data.draw(st.integers(2, 4))))
+        f = [1]
+        for g, m in parts:
+            for _ in range(m):
+                f = poly_mul(f, g, p)
+        got = check_factorisation(f, p)
+        assert max(m for _, m in got) > 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from([3, 5, 7]))
+    def test_polynomials_in_x_to_the_p(self, data, p):
+        # g(x**p) h(x): its derivative misses the p-th-power part, and deg >= p
+        g = data.draw(monic_polys(p, 1, 3))
+        g_of_xp = [c for coeff in g for c in [coeff] + [0] * (p - 1)][: (len(g) - 1) * p + 1]
+        f = poly_mul(g_of_xp, data.draw(monic_polys(p, 0, 6)), p)
+        assert len(f) - 1 >= p
+        check_factorisation(f, p)
+
+    @pytest.mark.parametrize("p", FACTOR_PRIMES)
+    def test_constants_and_linear(self, p):
+        assert factor_poly([1], p) == [] and factor_poly([p - 1], p) == []
+        assert factor_poly([0, 0, 3], p) == []
+        assert factor_poly([1, 0], p) == [((1, 0), 1)]
+        assert factor_poly([2, 4], p) == [((1, 2), 1)]
+        assert factor_poly([0, 2, 2 * (p - 1)], p) == [((1, p - 1), 1)]
+        for f in ([1, 0], [2, 4], [p - 1, 1], [1, 2 * p + 1]):
+            check_factorisation(f, p)
+
+    @pytest.mark.parametrize("p", [7, 2**31 - 1])
+    def test_output_does_not_depend_on_the_splitting_seed(self, p, monkeypatch):
+        rng = random.Random(13)
+        polys = [[1] + [rng.randrange(p) for _ in range(12)] for _ in range(10)]
+        expected = [factor_poly(f, p) for f in polys]
+        fixed_seed = random.Random
+        for seed in (1, 2, 3):
+            monkeypatch.setattr(linalg.random, "Random", lambda _s, seed=seed: fixed_seed(seed))
+            assert [factor_poly(f, p) for f in polys] == expected
 
 
 class TestRootOfUnity:
@@ -303,6 +438,7 @@ class TestSubspace:
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopfib"
 RAW_PRODUCTS = {"dot", "matmul", "tensordot", "einsum"}
+BANNED_IMPORTS = {"scipy", "sympy"}
 
 
 def _is_object_dtype(node) -> bool:
@@ -312,7 +448,7 @@ def _is_object_dtype(node) -> bool:
 
 
 def lint_products(tree: ast.AST, allow_products: bool) -> list[tuple[int, str]]:
-    """Raw products of field data, Python-object arrays and scipy imports, by line."""
+    """Raw products of field data, Python-object arrays and scipy or sympy imports, by line."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
@@ -328,10 +464,10 @@ def lint_products(tree: ast.AST, allow_products: bool) -> list[tuple[int, str]]:
                 found.append((node.lineno, "object dtype"))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
-            if any(m and m.split(".")[0] == "scipy" for m in modules):
-                found.append((node.lineno, "scipy import"))
+            roots = {m.split(".")[0] for m in modules if m} & BANNED_IMPORTS
+            found += [(node.lineno, f"{root} import") for root in sorted(roots)]
     if allow_products:
-        found = [f for f in found if f[1] in ("object dtype", "scipy import")]
+        found = [f for f in found if f[1] == "object dtype" or f[1].endswith(" import")]
     return found
 
 
@@ -340,6 +476,9 @@ class TestEveryProductGoesThroughLinalg:
 
     scipy is rejected everywhere: the exhaustive checks have one sparse
     path, linalg's SparseTensor, and a second one must not come back.
+    sympy is rejected everywhere too: linalg factors polynomials and tests
+    primes itself, and importing sympy would more than double the start-up
+    time of every CLI call.
     """
 
     def test_lint_flags_each_pattern(self):
@@ -347,12 +486,13 @@ class TestEveryProductGoesThroughLinalg:
             "x = a @ b\nx @= b\nnp.dot(a, b)\nnp.matmul(a, b)\nnp.tensordot(a, b, 1)\n"
             "np.einsum('ij,jk', a, b)\na.astype(object)\nnp.array(a, dtype=object)\n"
             "import scipy.sparse\nfrom scipy import sparse\n"
+            "import sympy\nfrom sympy.polys.galoistools import gf_factor\n"
         )
         def lines(allow_products):
             return sorted(line for line, _ in lint_products(bad, allow_products))
 
-        assert lines(allow_products=False) == list(range(1, 11))
-        assert lines(allow_products=True) == [7, 8, 9, 10]
+        assert lines(allow_products=False) == list(range(1, 13))
+        assert lines(allow_products=True) == [7, 8, 9, 10, 11, 12]
 
     def test_no_raw_product_or_object_array_in_the_package(self):
         files = sorted(SRC.glob("*.py"))
@@ -363,3 +503,9 @@ class TestEveryProductGoesThroughLinalg:
             for line, what in lint_products(ast.parse(path.read_text()), path.name == "linalg.py")
         ]
         assert offences == []
+
+    def test_cli_import_does_not_load_sympy(self):
+        # sympy is a test-only oracle; a transitive import would bring back its start-up cost
+        code = "import hopfib.cli, sys; assert 'sympy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
