@@ -11,10 +11,13 @@ The algebra file format (schema 1) stores everything as integers:
       "mul": [[i, j, k, c], ...],          # e_i e_j contains c e_k
       "comul": [[i, a, b, c], ...],        # Delta(e_i) contains c e_a (x) e_b
       "counit": [1, ...],
-      "antipode": [[i, j, c], ...],        # optional, matrix entries S[i, j] = c
+      "antipode": [[i, j, c], ...],        # optional, S[i, j] gets c added
       "subalgebra_A": {"basis_vectors": [[...], ...]},   # optional
       "provenance": {...}, "expected": {...}             # optional
     }
+
+Repeated mul, comul and antipode entries add up. A missing required key,
+or any key of the wrong JSON type, is a DimensionMismatch naming it.
 
 Sparse entry arrays are sorted lexicographically and JSON is emitted with
 sorted keys and fixed indentation, so serialization is canonical:
@@ -33,7 +36,7 @@ from .algebra import StructureConstantAlgebra, build_algebra, dense_mul_tensor, 
 from .corpus import CorpusInstance
 from .errors import DimensionMismatch, HopfibError
 from .hopf import BialgebraData, build_bialgebra, coideal_subalgebra
-from .linalg import FieldSpec, Subspace
+from .linalg import FieldSpec, SparseTensor, Subspace
 
 SCHEMA = 1
 
@@ -83,10 +86,10 @@ def corpus_instance_to_dict(inst: CorpusInstance) -> dict:
 def raw_bialgebra_from_dict(d: dict) -> BialgebraData:
     """Shape the data without running any verification (for axiom reports)."""
     d = _checked_entries(d)
-    field = FieldSpec(int(d["field"]["p"]))
-    n = int(d["dim"])
+    field = FieldSpec(d["field"]["p"])
+    n = d["dim"]
     alg = _raw_algebra(field, n, d)
-    return BialgebraData(alg, d["comul"], d["counit"], _antipode_matrix(d, n))
+    return BialgebraData(alg, d["comul"], d["counit"], _antipode_matrix(d, n, field.p))
 
 
 def _raw_algebra(field, n, d):
@@ -95,53 +98,67 @@ def _raw_algebra(field, n, d):
     return StructureConstantAlgebra(field, n, d["unit"], mul, labels)
 
 
-def _antipode_matrix(d, n):
-    if "antipode" not in d:
-        return None
-    s = np.zeros((n, n), dtype=np.int64)
-    for i, j, c in d["antipode"]:
-        s[i, j] = c
-    return s
+def _antipode_matrix(d, n, p):
+    return SparseTensor.from_entries(n, 2, d["antipode"], p).dense() if "antipode" in d else None
 
 
-def _integer(x, what: str) -> int:
-    """x itself if it is a JSON integer; floats (2.0 too), strings and booleans
-    raise DimensionMismatch instead of being truncated or coerced."""
-    if type(x) is not int:
-        raise DimensionMismatch(f"{what} {x!r} is not an integer")
+_JSON_TYPES = {int: "an integer", list: "a list", dict: "an object"}
+# the JSON type of each top-level key; the required ones must be present
+_REQUIRED = {"field": dict, "dim": int, "unit": list, "mul": list, "comul": list, "counit": list}
+_OPTIONAL = {"basis_labels": list, "antipode": list, "subalgebra_A": dict,
+             "provenance": dict, "expected": dict}
+
+
+def _typed(x, kind: type, what: str):
+    """x itself if its JSON type is kind; a float (2.0 too), string or boolean
+    is not an integer, and raises DimensionMismatch instead of being coerced."""
+    if type(x) is not kind:
+        raise DimensionMismatch(f"{what} {x!r} is not {_JSON_TYPES[kind]}")
     return x
 
 
+def _member(d: dict, key: str, kind: type, what: str):
+    """d[key], which must be present with JSON type kind."""
+    if key not in d:
+        raise DimensionMismatch(f"required key {what!r} is missing")
+    return _typed(d[key], kind, what)
+
+
 def _checked_entries(d: dict) -> dict:
-    """d with every number checked to be an integer, mul, comul and antipode
-    entries checked to have the right arity and indices in [0, dim)
+    """d with every key of the format checked to have its JSON type and the
+    required ones to be present, every number to be an integer, mul, comul
+    and antipode entries to have the right arity and indices in [0, dim)
     (DimensionMismatch otherwise), and coefficients, unit, counit and A's
     basis vectors reduced mod p while they are Python ints.
     """
-    if d.get("schema") != SCHEMA:
-        raise HopfibError(f"unsupported schema {d.get('schema')!r}; expected {SCHEMA}")
-    p = _integer(d["field"]["p"], "field.p")
-    n = _integer(d["dim"], "dim")
+    schema = d.get("schema") if type(d) is dict else None
+    if schema != SCHEMA:
+        raise HopfibError(f"unsupported schema {schema!r}; expected {SCHEMA}")
+    for key, kind in _REQUIRED.items():
+        _member(d, key, kind, key)
+    for key, kind in _OPTIONAL.items():
+        if key in d:
+            _typed(d[key], kind, key)
+    p = _member(d["field"], "p", int, "field.p")
+    n = d["dim"]
 
     def vector(key, v):
-        if not isinstance(v, list):
-            raise DimensionMismatch(f"{key} {v!r} is not a list of integers")
-        return [_integer(x, f"{key} entry") % p for x in v]
+        return [_typed(x, int, f"{key} entry") % p for x in _typed(v, list, key)]
 
     def entries(key, arity):
-        for e in d.get(key, []):
+        for e in d[key]:
             shaped = isinstance(e, list) and len(e) == arity
-            if not (shaped and all(0 <= _integer(i, f"{key} index") < n for i in e[:-1])):
+            if not (shaped and all(0 <= _typed(i, int, f"{key} index") < n for i in e[:-1])):
                 raise DimensionMismatch(
                     f"{key} entry {e!r} is not {arity - 1} indices in [0, {n}) and a coefficient")
-        return [(*e[:-1], _integer(e[-1], f"{key} coefficient") % p) for e in d.get(key, [])]
+        return [(*e[:-1], _typed(e[-1], int, f"{key} coefficient") % p) for e in d[key]]
 
     out = dict(d, unit=vector("unit", d["unit"]), counit=vector("counit", d["counit"]),
                mul=entries("mul", 4), comul=entries("comul", 4))
     if "antipode" in d:
         out["antipode"] = entries("antipode", 3)
     if "subalgebra_A" in d:
-        rows = d["subalgebra_A"]["basis_vectors"]
+        rows = _member(d["subalgebra_A"], "basis_vectors", list, "subalgebra_A.basis_vectors")
         out["subalgebra_A"] = {"basis_vectors": [vector("subalgebra_A", row) for row in rows]}
     return out
 
@@ -149,11 +166,11 @@ def _checked_entries(d: dict) -> dict:
 def instance_from_dict(d: dict) -> CorpusInstance:
     """Parse and fully verify an instance; A defaults to the scalars."""
     d = _checked_entries(d)
-    field = FieldSpec(int(d["field"]["p"]))
-    n = int(d["dim"])
+    field = FieldSpec(d["field"]["p"])
+    n = d["dim"]
     labels = tuple(d.get("basis_labels") or ())
     alg = build_algebra(field, n, d["unit"], d["mul"], labels)
-    b = build_bialgebra(alg, d["comul"], d["counit"], _antipode_matrix(d, n))
+    b = build_bialgebra(alg, d["comul"], d["counit"], _antipode_matrix(d, n, field.p))
     if "subalgebra_A" in d:
         a_space = Subspace(field, n, d["subalgebra_A"]["basis_vectors"])
     else:

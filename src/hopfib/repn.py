@@ -33,12 +33,10 @@ from .linalg import (
 )
 
 
-@dataclass
-class ChopConfig:
-    """Attempt budget for the randomized splitting search."""
-
-    max_attempts: int = 256
-    spin_vectors_per_kernel: int = 8
+# random elements one chop call may draw before it gives up (BudgetExceeded)
+MAX_ATTEMPTS = 256
+# kernel vectors spun per irreducible factor before the dual criterion decides
+SPIN_VECTORS_PER_KERNEL = 8
 
 
 class ModuleRep:
@@ -163,7 +161,7 @@ def quotient_action(action: np.ndarray, sub: Subspace, p: int) -> np.ndarray:
     return matmul_mod(proj, tmp, p)  # broadcasts to (n, q, q)
 
 
-def _try_split(action, field, rng, budget, config):
+def _try_split(action, field, rng, budget):
     """Return a proper nonzero invariant subspace, or None if certified simple."""
     p = field.p
     n, m, _ = action.shape
@@ -185,7 +183,7 @@ def _try_split(action, field, rng, budget, config):
             nullsp = kernel(gtheta, p)
             if nullsp.shape[0] == 0:
                 continue
-            for w in nullsp[: config.spin_vectors_per_kernel]:
+            for w in nullsp[:SPIN_VECTORS_PER_KERNEL]:
                 w_spun = spin(action, [w], field)
                 if 0 < w_spun.dim < m:
                     return w_spun
@@ -199,14 +197,13 @@ def _try_split(action, field, rng, budget, config):
                     return perp
                 return None
     raise BudgetExceeded(
-        f"no decisive splitting element found for a module of dimension {m} over "
-        f"F_{p}; this usually signals a composition factor that only splits over "
-        "an extension field"
+        f"the attempt budget of {MAX_ATTEMPTS} random elements (repn.MAX_ATTEMPTS) ran "
+        f"out before a decisive splitting element was found for a module of "
+        f"dimension {m} over F_{p}"
     )
 
 
-def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0,
-         config: ChopConfig | None = None) -> list[SimpleRecord]:
+def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0) -> list[SimpleRecord]:
     """Composition factors with annihilators and multiplicities, canonically ordered.
 
     Every leaf of the split tree is a subquotient of the input module, so its
@@ -218,9 +215,8 @@ def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0,
     """
     if module.alg.digest() != alg.digest():
         raise DifferentAlgebras("module is not over the given algebra")
-    config = config or ChopConfig()
     rng = np.random.default_rng(seed)
-    budget = [config.max_attempts]
+    budget = [MAX_ATTEMPTS]
     field = alg.field
     p = field.p
     leaves: list[np.ndarray] = []
@@ -228,7 +224,7 @@ def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0,
     stack = [module.action]
     while stack:
         act = stack.pop()
-        w = _try_split(act, field, rng, budget, config)
+        w = _try_split(act, field, rng, budget)
         if w is None:
             leaves.append(act)
             continue
@@ -258,8 +254,7 @@ def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0,
 _SIMPLES_CACHE: dict[tuple, list] = {}
 
 
-def simples(alg: StructureConstantAlgebra, seed: int = 0,
-            config: ChopConfig | None = None) -> list[SimpleRecord]:
+def simples(alg: StructureConstantAlgebra, seed: int = 0) -> list[SimpleRecord]:
     """All simple modules of the algebra, via the regular module.
 
     Results are cached per (algebra, seed): algebras are immutable and the
@@ -267,10 +262,9 @@ def simples(alg: StructureConstantAlgebra, seed: int = 0,
     """
     import hashlib
 
-    key = (hashlib.sha256(alg.digest()).hexdigest(), seed,
-           None if config is None else (config.max_attempts, config.spin_vectors_per_kernel))
+    key = (hashlib.sha256(alg.digest()).hexdigest(), seed)
     if key not in _SIMPLES_CACHE:
-        _SIMPLES_CACHE[key] = chop(alg, regular_module(alg), seed=seed, config=config)
+        _SIMPLES_CACHE[key] = chop(alg, regular_module(alg), seed=seed)
     return _SIMPLES_CACHE[key]
 
 

@@ -16,7 +16,9 @@ The four conditions of the equivalence being verified:
   cond_iv  the same on prime ideals (equal to cond_iii here).
 
 For bialgebras without an antipode only the two-sided orbit experiment is
-run and reported as such.
+run and reported as such. Both modes compare fibers with orbits through
+one helper, and the character group X is built by the same
+hopf.character_group_X for bialgebras and Hopf algebras.
 """
 
 from __future__ import annotations
@@ -40,14 +42,14 @@ from .errors import (
     NotAPermutation,
 )
 from .hopf import (
+    BialgebraData,
     Character,
     CoidealSubalgebra,
-    character_group_bialgebra,
     character_group_X,
     enumerate_characters,
     fiber_quotient,
 )
-from .linalg import Subspace, matmul_mod
+from .linalg import Subspace, kernel, matmul_mod
 from .repn import simples
 
 
@@ -58,7 +60,6 @@ class PrimItem:
     annihilator: Subspace
     simple_dim: int
     character: Character | None
-    module: object = None  # the defining simple, kept for witnesses
 
 
 def prim_enumerate(alg: StructureConstantAlgebra, seed: int = 0) -> list[PrimItem]:
@@ -68,7 +69,7 @@ def prim_enumerate(alg: StructureConstantAlgebra, seed: int = 0) -> list[PrimIte
         char = None
         if rec.module.dim == 1:
             char = Character.from_vector(alg.field.p, rec.module.action[:, 0, 0])
-        items.append(PrimItem(rec.annihilator, rec.module.dim, char, rec.module))
+        items.append(PrimItem(rec.annihilator, rec.module.dim, char))
     return items
 
 
@@ -102,37 +103,24 @@ def contraction_is_maximal(alg: StructureConstantAlgebra, prim: PrimItem,
     power = np.eye(q.dim, dtype=np.int64)
     for _ in range(q.dim):
         power = matmul_mod(power, frob, p)
-    from .linalg import kernel
-
     nilradical_dim = kernel(power, p).shape[0]
     fixed_dim = kernel((frob - np.eye(q.dim, dtype=np.int64)) % p, p).shape[0]
     return nilradical_dim == 0 and fixed_dim == 1
 
 
 @dataclass
-class FiberPartition:
+class Partition:
+    """Blocks of indices into a list of primitive ideals; fibers are labelled
+    by their contraction."""
+
     blocks: list[list[int]]
-    labels: list[Subspace]
+    labels: list[Subspace] | None = None
 
     def sizes(self):
         return sorted(len(b) for b in self.blocks)
 
-    def as_sets(self):
-        return {frozenset(b) for b in self.blocks}
 
-
-@dataclass
-class OrbitPartition:
-    blocks: list[list[int]]
-
-    def sizes(self):
-        return sorted(len(b) for b in self.blocks)
-
-    def as_sets(self):
-        return {frozenset(b) for b in self.blocks}
-
-
-def fibers(prims: list[PrimItem], a: CoidealSubalgebra) -> FiberPartition:
+def fibers(prims: list[PrimItem], a: CoidealSubalgebra) -> Partition:
     """Group primitive ideals by identical contraction subspaces."""
     groups: dict[bytes, list[int]] = {}
     labels: dict[bytes, Subspace] = {}
@@ -141,10 +129,10 @@ def fibers(prims: list[PrimItem], a: CoidealSubalgebra) -> FiberPartition:
         groups.setdefault(cont.key(), []).append(idx)
         labels[cont.key()] = cont
     keys = sorted(groups)
-    return FiberPartition([sorted(groups[k]) for k in keys], [labels[k] for k in keys])
+    return Partition([sorted(groups[k]) for k in keys], [labels[k] for k in keys])
 
 
-def orbits(prims: list[PrimItem], maps: list[np.ndarray]) -> OrbitPartition:
+def orbits(prims: list[PrimItem], maps: list[np.ndarray]) -> Partition:
     """Orbits of the group generated by the maps acting on annihilators.
 
     Each map must permute the annihilator list; a missing image raises
@@ -184,10 +172,10 @@ def orbits(prims: list[PrimItem], maps: list[np.ndarray]) -> OrbitPartition:
                     work.append(nxt)
         blocks.append(sorted(block))
     blocks.sort(key=lambda b: b[0])
-    return OrbitPartition(blocks)
+    return Partition(blocks)
 
 
-def refinement_holds(fib: FiberPartition, orb: OrbitPartition) -> bool:
+def refinement_holds(fib: Partition, orb: Partition) -> bool:
     """Every fiber block must be an exact union of orbit blocks."""
     for fblock in fib.blocks:
         fset = set(fblock)
@@ -255,14 +243,16 @@ def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0
     h = instance.h
     a = instance.a
     p = h.field.p
-    if h.antipode is None:
-        return _experiment_verdict(instance, seed)
     x = character_group_X(h, a, seed=seed)
+    if h.antipode is None:
+        maps = x.winding_matrices(h, side="right") + x.winding_matrices(h, side="left")
+        cond_iii, witnesses = _fibers_against_orbits(h, a, maps, seed)
+        witnesses.update({"x_order": x.order, "action": "two-sided"})
+        return Verdict("experiment", False, x.order, None, None, cond_iii, None, True, witnesses)
     eps_a = Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p))
     fq = fiber_quotient(h, a, eps_a, x_group=x)
 
     fiber_recs = simples(fq.algebra, seed=seed)
-    dims = sorted(r.module.dim for r in fiber_recs for _ in range(r.multiplicity))
     cond_i = all(r.module.dim == 1 for r in fiber_recs)
 
     fiber_prims = prim_enumerate(fq.algebra, seed=seed)
@@ -273,74 +263,43 @@ def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0
         "x_order": x.order,
         "fiber_algebra_dim": fq.algebra.dim,
         "fiber_algebra_simple_dims": [r.module.dim for r in fiber_recs],
-        "failing_simple_dims": sorted({d for d in dims if d != 1}),
+        "failing_simple_dims": sorted({r.module.dim for r in fiber_recs} - {1}),
         "counit_fiber_orbit_sizes": fiber_orbits.sizes(),
     }
-
-    if fq.bialgebra is not None:
-        # the quotient's own characters must correspond one-to-one with X
-        q_chars = enumerate_characters(fq.bialgebra, seed=seed)
-        lifted = sorted(
-            tuple(int(v) for v in matmul_mod(c.vector(), fq.projection, p)) for c in q_chars
-        )
-        x_keys = sorted(c.values for c in x.chars)
-        if lifted != x_keys:
-            raise HopfibError("fiber-algebra characters do not biject with X")
-
     cond_iii = cond_iv = None
     if mode == "global":
-        prims = prim_enumerate(h.alg, seed=seed)
-        fib = fibers(prims, a)
-        orb = orbits(prims, x.winding_matrices(h, side="right"))
-        if not refinement_holds(fib, orb):
-            raise HopfibError("a fiber failed to be a union of winding orbits")
-        cond_iii = fib.as_sets() == orb.as_sets()
+        cond_iii, partitions = _fibers_against_orbits(h, a, x.winding_matrices(h), seed)
         cond_iv = cond_iii  # prime = primitive in finite dimension
-        witnesses.update(
-            {
-                "prim_count": len(prims),
-                "prim_simple_dims": [it.simple_dim for it in prims],
-                "fiber_sizes": fib.sizes(),
-                "orbit_sizes": orb.sizes(),
-            }
-        )
-        if cond_iii is False:
-            mismatch = _first_mismatch(fib, orb)
-            if mismatch:
-                witnesses["mismatch_fiber_vs_orbits"] = mismatch
+        witnesses.update(partitions)
     agree = _applicable_agree([cond_i, cond_ii, cond_iii, cond_iv])
     return Verdict(mode, True, x.order, cond_i, cond_ii, cond_iii, cond_iv, agree, witnesses)
 
 
-def _first_mismatch(fib: FiberPartition, orb: OrbitPartition):
-    for fblock in fib.blocks:
-        parts = [ob for ob in orb.blocks if set(ob) & set(fblock)]
-        if len(parts) != 1 or set(parts[0]) != set(fblock):
-            return {"fiber_block": fblock, "orbit_blocks": parts}
-    return None
+def _fibers_against_orbits(h: BialgebraData, a: CoidealSubalgebra, maps, seed: int):
+    """Do the contraction fibers on Prim(H) equal the orbits of the maps?
 
-
-def _experiment_verdict(instance: CorpusInstance, seed: int) -> Verdict:
-    """Two-sided winding orbit experiment for bialgebras without antipode."""
-    h = instance.h
-    a = instance.a
-    x = character_group_bialgebra(h, a, seed=seed)
+    Returns that verdict and the partition witnesses; when it is False they
+    include the first fiber block that is not a single orbit. Every fiber
+    must be a union of orbits (HopfibError otherwise), so a fiber block is
+    an orbit exactly when it meets only one.
+    """
     prims = prim_enumerate(h.alg, seed=seed)
     fib = fibers(prims, a)
-    maps = x.winding_matrices(h, side="right") + x.winding_matrices(h, side="left")
     orb = orbits(prims, maps)
     if not refinement_holds(fib, orb):
-        raise HopfibError("a fiber failed to be a union of two-sided winding orbits")
-    cond_iii = fib.as_sets() == orb.as_sets()
+        raise HopfibError("a fiber failed to be a union of winding orbits")
     witnesses = {
-        "x_order": x.order,
         "prim_count": len(prims),
         "prim_simple_dims": [it.simple_dim for it in prims],
         "fiber_sizes": fib.sizes(),
         "orbit_sizes": orb.sizes(),
-        "action": "two-sided",
     }
-    return Verdict("experiment", False, x.order, None, None, cond_iii, None, True, witnesses)
+    for fblock in fib.blocks:
+        parts = [ob for ob in orb.blocks if set(ob) & set(fblock)]
+        if len(parts) != 1:
+            witnesses["mismatch_fiber_vs_orbits"] = {"fiber_block": fblock, "orbit_blocks": parts}
+            return False, witnesses
+    return True, witnesses
 
 
 # -- the counit is not special: per-character fiber reports -------------------
@@ -388,11 +347,12 @@ def remark_uniform_fibers(instance: CorpusInstance, seed: int = 0) -> FiberUnifo
         tuple(int(t) for t in matmul_mod(a.subspace.basis, c.vector(), p))
         for c in enumerate_characters(h, seed=seed)
     }
+    x = character_group_X(h, a, seed=seed)
     entries = []
     for xi in a_chars:
         extends = xi.values in restrictions
         try:
-            fq = fiber_quotient(h, a, xi)
+            fq = fiber_quotient(h, a, xi, x_group=x)
             recs = simples(fq.algebra, seed=seed)
             entry = FiberReportEntry(
                 xi.values,

@@ -26,15 +26,15 @@ def rebased_big_p(instances):
 
     Group algebras have structure constants 0 and 1, so the same integers
     define the same Hopf algebra, with the same A, over any prime; the
-    seeded change of basis then makes every coefficient a large field
-    element.
+    change of basis, seeded by `seed`, then makes every coefficient a large
+    field element.
     """
 
-    def get(name):
+    def get(name, seed=1):
         d = corpus_instance_to_dict(instances(name))
         d["field"] = {"p": P_BIG}
         d["provenance"] = dict(d["provenance"], p=P_BIG)
-        return random_change_of_basis(d, seed=1)
+        return random_change_of_basis(d, seed=seed)
 
     return get
 

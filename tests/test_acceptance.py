@@ -25,7 +25,7 @@ from hopfib.hopf import (
     winding,
 )
 from hopfib.linalg import FieldSpec, rref
-from hopfib.repn import simples
+from hopfib.repn import ModuleRep, simples
 from hopfib.specmap import (
     fibers,
     orbits,
@@ -329,6 +329,7 @@ def test_criterion_3_adjoint_identity(corpus):
             h = corpus[name].h
             p = h.field.p
             ad = adjoint_action(h, h.alg.left_regular(), h.alg.right_regular())
+            ModuleRep(h.alg, ad)  # ad is built unchecked: it must be a left module
             found = ad_one_dim_submodules(h, ad)
             assert found  # at least the counit eigenvector (the unit element)
             for chi, eigenspace in found:

@@ -159,6 +159,75 @@ class TestMalformedEntries:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+    # where a key sits: (container, key) in the parsed file
+    KEYS = {
+        "field": lambda d: (d, "field"),
+        "field.p": lambda d: (d["field"], "p"),
+        "dim": lambda d: (d, "dim"),
+        "unit": lambda d: (d, "unit"),
+        "mul": lambda d: (d, "mul"),
+        "comul": lambda d: (d, "comul"),
+        "counit": lambda d: (d, "counit"),
+        "antipode": lambda d: (d, "antipode"),
+        "subalgebra_A": lambda d: (d, "subalgebra_A"),
+        "subalgebra_A.basis_vectors": lambda d: (d["subalgebra_A"], "basis_vectors"),
+        "basis_labels": lambda d: (d, "basis_labels"),
+        "provenance": lambda d: (d, "provenance"),
+        "expected": lambda d: (d, "expected"),
+    }
+    REQUIRED = ["field", "field.p", "dim", "unit", "mul", "comul", "counit",
+                "subalgebra_A.basis_vectors"]
+
+    def _exits_2_naming(self, data, key, q8_file, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = main([command, "--input", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
+
+    @pytest.mark.parametrize("command", ["verify", "axioms"])
+    @pytest.mark.parametrize("key", REQUIRED)
+    def test_missing_required_key_exits_2(self, q8_file, tmp_path, capsys, command, key):
+        data = json.loads(q8_file.read_text())
+        container, leaf = self.KEYS[key](data)
+        del container[leaf]
+        self._exits_2_naming(data, key, q8_file, tmp_path, capsys, command)
+
+    @pytest.mark.parametrize("command", ["verify", "axioms"])
+    @pytest.mark.parametrize("key", sorted(KEYS))
+    def test_key_of_the_wrong_json_type_exits_2(self, q8_file, tmp_path, capsys, command, key):
+        # a list where an object belongs and an object where anything else
+        # does ("expected" is optional and absent from this file)
+        data = json.loads(q8_file.read_text())
+        container, leaf = self.KEYS[key](data)
+        value = container.get(leaf, {})
+        container[leaf] = [value] if isinstance(value, dict) else {"value": value}
+        self._exits_2_naming(data, key, q8_file, tmp_path, capsys, command)
+
+    @pytest.mark.parametrize("key", ["mul", "comul", "antipode"])
+    def test_repeated_entries_add_up(self, q8_file, tmp_path, capsys, key):
+        data = json.loads(q8_file.read_text())
+        p = data["field"]["p"]
+        first, rest = data[key][0], data[key][1:]
+        code0, report0 = run(capsys, "axioms", "--input", str(q8_file))
+        assert code0 == 0
+        # the first coefficient c written as c + 1 and p - 1 is the same data
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(
+            dict(data, **{key: [first[:-1] + [first[-1] + 1], first[:-1] + [p - 1], *rest]})))
+        code, report = run(capsys, "axioms", "--input", str(split))
+        assert (code, report["results"]) == (code0, report0["results"])
+        # the first entry written twice doubles its coefficient
+        doubled = tmp_path / "doubled.json"
+        doubled.write_text(json.dumps(dict(data, **{key: [first, first, *rest]})))
+        code, report = run(capsys, "axioms", "--input", str(doubled))
+        assert code == 1
+        assert not report["results"]["passed"]
+
+
 class TestCharactersCommand:
     def test_q8_characters(self, q8_file, capsys):
         code, report = run(capsys, "characters", "--input", str(q8_file))

@@ -3,15 +3,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hopfib.algebra import _check_associative, _check_unit, build_algebra, subalgebra_as_algebra
+from hopfib.algebra import (
+    _check_associative,
+    _check_unit,
+    build_algebra,
+    multiply_rows_by_basis,
+    subalgebra_as_algebra,
+)
 from hopfib.corpus import SHIPPED_NAMES, builtin_group
-from hopfib.errors import NoAntipode
+from hopfib.errors import HopfibError, ImproperIdeal, NoAntipode
 from hopfib.fileio import instance_from_dict
 from hopfib.hopf import (
     BialgebraData,
     Character,
     ad_one_dim_submodules,
     adjoint_action,
+    build_bialgebra,
     character_group_X,
     coideal_subalgebra,
     convolution_inverse,
@@ -24,10 +31,17 @@ from hopfib.hopf import (
     verify_structure,
     winding,
 )
-from hopfib.linalg import FieldSpec, Subspace
+from hopfib.linalg import FieldSpec, Subspace, kernel, matmul_mod
 from hopfib.repn import simples
 
 F7 = FieldSpec(7)
+
+
+def counit_fiber(inst):
+    """fiber_quotient over the counit of A, the fiber verify_theorem studies."""
+    h, a = inst.h, inst.a
+    p = h.field.p
+    return fiber_quotient(h, a, Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p)))
 
 
 class TestVerifyStructure:
@@ -98,6 +112,20 @@ class TestCharacters:
         m2 = build_algebra(F7, 4, [1, 0, 0, 1], entries)
         assert enumerate_characters(m2) == []
 
+    def test_enumerated_characters_are_characters(self, instances):
+        # enumerate_characters reads characters off the 1-dim simples without
+        # re-checking them; hold that on H, on A and on the counit fiber
+        # algebra of every shipped instance
+        for name in SHIPPED_NAMES:
+            inst = instances(name)
+            h = inst.h
+            asub = subalgebra_as_algebra(h.alg, inst.a.subspace)[0]
+            for alg in (h.alg, asub, counit_fiber(inst).algebra):
+                chars = enumerate_characters(alg)
+                assert chars
+                for ch in chars:
+                    assert is_character(alg, ch.vector())
+
 
 class TestConvolution:
     def test_counit_is_neutral(self, q8_pair):
@@ -116,12 +144,22 @@ class TestConvolution:
                 expected = tuple(a * b % 7 for a, b in zip(c1.values, c2.values))
                 assert prod.values == expected
 
-    def test_inverse_via_antipode(self, q8_pair):
-        h = q8_pair.h
-        eps = counit_character(h)
-        for ch in enumerate_characters(h):
-            inv = convolution_inverse(h, ch)
-            assert convolve(h, ch, inv) == eps
+    def test_inverse_via_antipode(self, instances, rebased_big_p):
+        # convolution_inverse does not re-check chi * (chi o S) = eps, and X
+        # reads its inverses from the convolution table: both must agree
+        hopf = [instances(name) for name in SHIPPED_NAMES]
+        hopf = [inst for inst in hopf if inst.h.antipode is not None]
+        hopf.append(instance_from_dict(rebased_big_p("q8")))
+        assert len(hopf) == 7
+        for inst in hopf:
+            h = inst.h
+            eps = counit_character(h)
+            for ch in enumerate_characters(h):
+                inv = convolution_inverse(h, ch)
+                assert convolve(h, ch, inv) == eps == convolve(h, inv, ch)
+            x = character_group_X(h, inst.a)
+            for i, ch in enumerate(x.chars):
+                assert x.chars[x.inverse[i]] == convolution_inverse(h, ch)
 
     def test_convolutions_are_characters(self, instances, rebased_big_p):
         # convolve does not re-check multiplicativity (it follows from the
@@ -230,12 +268,34 @@ class TestCharacterGroupX:
         g = non_identity[0]
         assert x.table[g, g] != x.identity_index  # order 3, not 2
 
-    def test_windings_fix_a_pointwise(self, q8_pair):
-        h = q8_pair.h
-        x = character_group_X(h, q8_pair.a)
-        basis_t = q8_pair.a.subspace.basis.T
-        for mat in x.winding_matrices(h):
-            assert np.array_equal((mat @ basis_t) % 7, basis_t)
+    def test_windings_fix_a_pointwise(self, instances):
+        # the windings of X fix A pointwise and those of no other character
+        # do (the fixed-subalgebra criterion, which character_group_X does
+        # not re-check); qm2 has no antipode, so its X is a group through
+        # the convolution table alone
+        for name in SHIPPED_NAMES:
+            inst = instances(name)
+            h = inst.h
+            p = h.field.p
+            x = character_group_X(h, inst.a)
+            members = {c.values for c in x.chars}
+            basis_t = inst.a.subspace.basis.T
+            for ch in enumerate_characters(h):
+                fixes = np.array_equal(matmul_mod(winding(h, ch), basis_t, p), basis_t)
+                assert fixes == (ch.values in members)
+            for i, j in enumerate(x.inverse):
+                assert x.table[i, j] == x.table[j, i] == x.identity_index
+            assert x.order == inst.expected["x_order"]
+
+    def test_bialgebra_character_without_inverse_is_refused(self):
+        # F_7 of the monoid {1, z} with z z = z: both elements group-like, so
+        # the character z -> 0 has no convolution inverse
+        alg = build_algebra(F7, 2, [1, 0], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1)])
+        b = build_bialgebra(alg, [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1])
+        a = coideal_subalgebra(b, Subspace(F7, 2, [alg.unit]))
+        with pytest.raises(HopfibError, match="no convolution inverse"):
+            character_group_X(b, a)
+
 
 
 class TestAdjoint:
@@ -348,6 +408,46 @@ class TestFiberQuotient:
             for alg in (fq.algebra, subalgebra_as_algebra(h.alg, a.subspace)[0]):
                 _check_unit(alg.field, alg.dim, alg.unit, alg.mul)
                 _check_associative(alg.field, alg.dim, alg.mul)
+
+    def test_fiber_ideals_are_two_sided_and_preserved_by_x(self, instances):
+        # fiber_quotient takes B*K as the ideal (K*B is the same, A being
+        # central) and pushes the X windings down without re-checking that
+        # they preserve it; hold both for every fiber of every shipped instance
+        for name in SHIPPED_NAMES:
+            inst = instances(name)
+            h, a = inst.h, inst.a
+            p = h.field.p
+            x = character_group_X(h, a)
+            asub, embedding = subalgebra_as_algebra(h.alg, a.subspace)
+            proper = 0
+            for xi in enumerate_characters(asub):
+                try:
+                    fq = fiber_quotient(h, a, xi, x_group=x)
+                except ImproperIdeal:
+                    continue
+                proper += 1
+                k = matmul_mod(kernel(xi.vector()[None, :], p), embedding, p)
+                right = Subspace(h.field, h.dim, np.vstack([k, multiply_rows_by_basis(h.alg, k, "right")]))
+                assert right == fq.ideal
+                assert fq.x_chars == x.chars
+                for mat, down in zip(x.winding_matrices(h), fq.descended_winding, strict=True):
+                    assert fq.ideal.image_under(mat) == fq.ideal
+                    assert np.array_equal(matmul_mod(down, fq.projection, p),
+                                          matmul_mod(fq.projection, mat, p))
+            assert proper >= 1
+
+    def test_fiber_characters_biject_with_x(self, instances):
+        # characters of the counit fiber bialgebra, lifted along the
+        # projection, are exactly X (verify_theorem relies on this unchecked)
+        for name in SHIPPED_NAMES:
+            inst = instances(name)
+            p = inst.h.field.p
+            fq = counit_fiber(inst)
+            lifted = sorted(
+                tuple(int(v) for v in matmul_mod(c.vector(), fq.projection, p))
+                for c in enumerate_characters(fq.bialgebra)
+            )
+            assert lifted == [c.values for c in character_group_X(inst.h, inst.a).chars]
 
     def test_windings_descend(self, q8_pair):
         h = q8_pair.h

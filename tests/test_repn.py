@@ -152,12 +152,13 @@ class TestSimples:
 
 
 class TestBudget:
-    def test_exhausted_budget_raises(self, s3):
+    def test_exhausted_budget_raises(self, s3, monkeypatch):
+        from hopfib import repn
         from hopfib.errors import BudgetExceeded
-        from hopfib.repn import ChopConfig
 
-        with pytest.raises(BudgetExceeded):
-            chop(s3, regular_module(s3), seed=0, config=ChopConfig(max_attempts=0))
+        monkeypatch.setattr(repn, "MAX_ATTEMPTS", 0)
+        with pytest.raises(BudgetExceeded, match=r"attempt budget of 0 .*repn\.MAX_ATTEMPTS"):
+            chop(s3, regular_module(s3), seed=0)
 
     def test_non_split_simple_is_still_certified(self):
         # F_7[C5]: x^5 - 1 = (x - 1) * (irreducible quartic) over F_7, so the

@@ -3,9 +3,11 @@ import pytest
 
 from hopfib.algebra import build_algebra
 from hopfib.errors import NotAHopfSubalgebra, NotAPermutation
+from hopfib.fileio import instance_from_dict
 from hopfib.hopf import character_group_X, counit_character, winding
 from hopfib.linalg import FieldSpec, Subspace
 from hopfib.specmap import (
+    _fibers_against_orbits,
     contract,
     contraction_is_maximal,
     fibers,
@@ -152,6 +154,17 @@ class TestOrbits:
         )
         assert sizes == [1, 2]
 
+    def test_first_fiber_that_is_not_one_orbit_is_the_witness(self, q8_pair):
+        # with only the counit's winding every orbit is a singleton, so the
+        # 4-element fiber is the mismatch
+        h = q8_pair.h
+        same, witnesses = _fibers_against_orbits(h, q8_pair.a, [winding(h, counit_character(h))], 0)
+        assert same is False
+        assert witnesses["fiber_sizes"] == [1, 4] and witnesses["orbit_sizes"] == [1] * 5
+        block = witnesses["mismatch_fiber_vs_orbits"]["fiber_block"]
+        assert len(block) == 4
+        assert witnesses["mismatch_fiber_vs_orbits"]["orbit_blocks"] == [[i] for i in block]
+
     def test_bad_map_raises_not_a_permutation(self, q8_pair):
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
         with pytest.raises(NotAPermutation):
@@ -211,6 +224,25 @@ class TestVerifyTheorem:
         a = verify_theorem(q8_pair, mode="global", seed=3).to_json()
         b = verify_theorem(q8_pair, mode="global", seed=3).to_json()
         assert a == b
+
+    @pytest.mark.parametrize("name", ["q8", "s3c2"])
+    def test_verdict_invariant_under_basis_and_seed_at_the_largest_prime(
+        self, name, instances, rebased_big_p
+    ):
+        # three random bases of F_p[G] at p = 2**31 - 1, two seeds each: the
+        # verdict, |X| and the fiber and orbit sizes are those of the shipped
+        # instance every time
+        expected = instances(name).expected
+        outcomes = set()
+        for basis_seed in (1, 2, 3):
+            inst = instance_from_dict(rebased_big_p(name, seed=basis_seed))
+            for seed in (0, 5):
+                v = verify_theorem(inst, mode="global", seed=seed)
+                outcomes.add((v.agree, tuple(v.conditions().values()), v.x_order,
+                              tuple(v.witnesses["fiber_sizes"]), tuple(v.witnesses["orbit_sizes"])))
+        assert outcomes == {(True, (expected["conditions"],) * 4, expected["x_order"],
+                             tuple(sorted(expected["fiber_sizes"])),
+                             tuple(sorted(expected["orbit_sizes"])))}
 
     def test_conditions_stable_across_seeds(self, s3c2_pair):
         outcomes = {
