@@ -41,7 +41,7 @@ from .hopf import (
 )
 from .algebra import is_central_subalgebra
 from .linalg import FieldSpec, Subspace, find_root_of_unity, modinv
-from .rewrite import Presentation, complete_check, extract_bialgebra
+from .rewrite import Presentation, extract_bialgebra
 
 
 # -- finite groups -----------------------------------------------------------
@@ -315,8 +315,6 @@ def quantum_sl2_kernel(ell: int, p: int) -> CorpusInstance:
     qi = modinv(q, p)
     A, B, C = 0, 1, 2
     pres = quantum_sl2_presentation(ell, p)
-    report = complete_check(pres)
-    assert report.confluent, "quantum SL2 kernel presentation must be confluent"
     # d = a^(l-1) + q a^(l-1) b c  (from the quantum determinant a d - q b c = 1)
     d_poly = {(A,) * (ell - 1): 1, (A,) * (ell - 1) + (B, C): q}
     comul = [
@@ -372,8 +370,6 @@ def small_quantum_sl2(ell: int, p: int) -> CorpusInstance:
     field, q = _check_odd_order_params(ell, p, "small_quantum_sl2")
     F, K, E = 0, 1, 2
     pres = small_quantum_sl2_presentation(ell, p)
-    report = complete_check(pres)
-    assert report.confluent, "small quantum sl2 presentation must be confluent"
     comul = [
         {((F,), (K,) * (ell - 1)): 1, ((), (F,)): 1},  # Delta(F) = F (x) K^-1 + 1 (x) F
         {((K,), (K,)): 1},
@@ -430,8 +426,6 @@ def quantum_m2_kernel(t: int, p: int) -> CorpusInstance:
     field, q = _check_odd_order_params(t, p, "quantum_m2_kernel")
     A, B, C, D = 0, 1, 2, 3
     pres = quantum_m2_presentation(t, p)
-    report = complete_check(pres)
-    assert report.confluent, "quantum matrix kernel presentation must be confluent"
     comul = [
         {((A,), (A,)): 1, ((B,), (C,)): 1},
         {((A,), (B,)): 1, ((B,), (D,)): 1},

@@ -77,11 +77,6 @@ class ModuleRep:
                     f"action is not an algebra homomorphism at basis pair ({i}, {j})"
                 )
 
-    def act(self, algebra_vec, module_vec) -> np.ndarray:
-        p = self.alg.field.p
-        mat = tensordot_mod(asmat(algebra_vec, p), self.action, ([0], [0]), p)
-        return matmul_mod(mat, asmat(module_vec, p), p)
-
     def __repr__(self):
         return f"ModuleRep(dim={self.dim}, alg_dim={self.alg.dim})"
 

@@ -3,15 +3,18 @@
 A presentation fixes an ordered list of generators, optional per-generator
 degree weights, and rules `leading word -> linear combination of strictly
 smaller words` in the weighted degree-lexicographic order (weight, then
-length, then left-to-right comparison of generator indices). Every rule
-application strictly decreases that order, so rewriting terminates; an
-explicit guard asserts the decrease on every step.
+length, then left-to-right comparison of generator indices). That order is
+monomial (u < v implies a.u.b < a.v.b), so the per-rule check when the
+presentation is built proves that every rewrite step decreases it and that
+rewriting terminates; steps are not compared again.
 
-Confluence is certified by resolving all overlap and containment
-ambiguities between pairs of rules to identical normal forms. Once a
-presentation is certified, normal forms are independent of the reduction
-strategy, irreducible words within the length bound form a basis, and a
-finitely presented algebra can be materialized as structure constants.
+Normal forms are leftmost (first position, then first rule in declaration
+order) and cached per word. Confluence is certified once, in
+enumerate_basis, by resolving all overlap and containment ambiguities
+between pairs of rules to identical normal forms. Then normal forms do not
+depend on the strategy, irreducible words within the length bound form a
+basis, and multiplying normal forms is associative (Bergman's diamond
+lemma), so extract_bialgebra builds the algebra without re-checking it.
 
 Text format, one directive per line ('#' starts a comment):
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from .algebra import StructureConstantAlgebra, dense_mul_tensor
 from .errors import BoundExceeded, HopfibError, InfiniteBasis
 from .hopf import BialgebraData, build_bialgebra
 from .linalg import FieldSpec
@@ -85,6 +89,8 @@ class Presentation:
             terms.sort(key=lambda t: self.order_key(t[0]))
             norm_rules.append(Rule(lhs, tuple(terms)))
         self.rules = tuple(norm_rules)
+        self.rules_by_head = {g: tuple(r for r in self.rules if r.lhs[0] == g)
+                              for g in {r.lhs[0] for r in self.rules}}
         self._nf_cache: dict[Word, Poly] = {}
         self._certified = False
 
@@ -116,15 +122,6 @@ class Presentation:
                 parts.append(f"{c}*{self.word_str(w)}")
         return " + ".join(parts)
 
-    def word_from_names(self, names: str) -> Word:
-        if names in ("1", ""):
-            return ()
-        index = {g: i for i, g in enumerate(self.generators)}
-        try:
-            return tuple(index[t] for t in names.split("."))
-        except KeyError as exc:
-            raise HopfibError(f"unknown generator in word {names!r}") from exc
-
     def __repr__(self):
         return (
             f"Presentation({len(self.generators)} generators, "
@@ -132,13 +129,11 @@ class Presentation:
         )
 
 
-def _find_reduction(pres: Presentation, word: Word, strategy: str):
-    positions = range(len(word))
-    if strategy == "rightmost":
-        positions = reversed(positions)
-    for pos in positions:
-        rules = pres.rules if strategy != "rightmost" else tuple(reversed(pres.rules))
-        for rule in rules:
+def _find_reduction(pres: Presentation, word: Word):
+    """The leftmost position where a leading word occurs, and the first rule
+    (in declaration order) whose leading word occurs there."""
+    for pos, g in enumerate(word):
+        for rule in pres.rules_by_head.get(g, ()):
             if word[pos : pos + len(rule.lhs)] == rule.lhs:
                 return pos, rule
     return None
@@ -154,14 +149,12 @@ def _apply_rule_at(pres: Presentation, word: Word, rule: Rule, pos: int) -> Poly
             raise BoundExceeded(
                 f"intermediate word of length {len(new)} exceeds bound {pres.word_bound}"
             )
-        if not pres.word_less(new, word):
-            raise HopfibError("rewrite step failed to decrease the term order")
         out[new] = (out.get(new, 0) + rc) % p
     return {w: c for w, c in out.items() if c}
 
 
 def _normal_form_word(pres: Presentation, word: Word) -> Poly:
-    """Cached leftmost-strategy normal form of a single word."""
+    """Cached leftmost normal form of a single word."""
     cache = pres._nf_cache
     hit = cache.get(word)
     if hit is not None:
@@ -173,7 +166,7 @@ def _normal_form_word(pres: Presentation, word: Word) -> Poly:
         if cur in cache:
             stack.pop()
             continue
-        red = _find_reduction(pres, cur, "leftmost")
+        red = _find_reduction(pres, cur)
         if red is None:
             cache[cur] = {cur: 1}
             stack.pop()
@@ -193,34 +186,17 @@ def _normal_form_word(pres: Presentation, word: Word) -> Poly:
     return cache[word]
 
 
-def normalize(pres: Presentation, poly: Poly, strategy: str = "leftmost") -> Poly:
-    """Fully reduce a polynomial; result is strategy-independent once
+def normalize(pres: Presentation, poly: Poly) -> Poly:
+    """Leftmost normal form of a polynomial; the unique normal form once
     the presentation is certified confluent."""
     p = pres.field.p
     out: Poly = {}
-    if strategy == "leftmost":
-        for word, coeff in poly.items():
-            coeff %= p
-            if coeff == 0:
-                continue
-            for w2, c2 in _normal_form_word(pres, word).items():
-                out[w2] = (out.get(w2, 0) + coeff * c2) % p
-        return {w: c for w, c in out.items() if c}
-    # uncached path used to cross-check reduction strategies
-    work = [(w, c % p) for w, c in poly.items() if c % p]
-    while work:
-        word, coeff = work.pop()
-        red = _find_reduction(pres, word, strategy)
-        if red is None:
-            val = (out.get(word, 0) + coeff) % p
-            if val:
-                out[word] = val
-            else:
-                out.pop(word, None)
+    for word, coeff in poly.items():
+        coeff %= p
+        if coeff == 0:
             continue
-        pos, rule = red
-        for w2, c2 in _apply_rule_at(pres, word, rule, pos).items():
-            work.append((w2, coeff * c2 % p))
+        for w2, c2 in _normal_form_word(pres, word).items():
+            out[w2] = (out.get(w2, 0) + coeff * c2) % p
     return {w: c for w, c in out.items() if c}
 
 
@@ -301,10 +277,8 @@ def enumerate_basis(pres: Presentation) -> list[Word]:
     a pure power rule (otherwise its powers alone are an infinite
     irreducible family).
     """
-    if not pres._certified:
-        report = complete_check(pres)
-        if not report.confluent:
-            raise HopfibError("presentation is not confluent; basis undefined")
+    if not pres._certified and not complete_check(pres).confluent:
+        raise HopfibError("presentation is not confluent; basis undefined")
     for g in range(len(pres.generators)):
         if not any(set(r.lhs) == {g} for r in pres.rules):
             raise InfiniteBasis(
@@ -374,15 +348,16 @@ def extract_bialgebra(
 ) -> BialgebraData:
     """Materialize the presented algebra with its bialgebra structure.
 
-    Multiplication is read off by normalizing all products of basis words;
-    the comultiplication, counit and antipode are extended from the given
-    generator images as algebra maps (anti-map for the antipode). The
-    result must pass every structure axiom; a failure raises
+    Multiplication is read off by normalizing all products of basis words.
+    enumerate_basis certifies the presentation confluent, so by the diamond
+    lemma that multiplication is associative with the empty word as unit;
+    the algebra axioms are not checked again. The comultiplication, counit
+    and antipode are extended from the given generator images as algebra
+    maps (anti-map for the antipode). Whether they respect the relations is
+    not a theorem, so every bialgebra axiom is checked; a failure raises
     StructureCheckFailed, which signals a wrong relation or coproduct
     convention.
     """
-    from .algebra import build_algebra
-
     p = pres.field.p
     basis = enumerate_basis(pres)
     index = {w: i for i, w in enumerate(basis)}
@@ -396,7 +371,7 @@ def extract_bialgebra(
     unit[index[()]] = 1
     if labels is None:
         labels = tuple(pres.word_str(w) for w in basis)
-    alg = build_algebra(pres.field, n, unit, entries, labels)
+    alg = StructureConstantAlgebra(pres.field, n, unit, dense_mul_tensor(n, entries, p), tuple(labels))
 
     one_tensor: TensorPoly = {((), ()): 1}
     comul_entries = []

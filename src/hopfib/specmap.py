@@ -268,7 +268,7 @@ def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0
     }
     cond_iii = cond_iv = None
     if mode == "global":
-        cond_iii, partitions = _fibers_against_orbits(h, a, x.winding_matrices(h), seed)
+        cond_iii, partitions = _fibers_against_orbits(h, a, fq.winding, seed)
         cond_iv = cond_iii  # prime = primitive in finite dimension
         witnesses.update(partitions)
     agree = _applicable_agree([cond_i, cond_ii, cond_iii, cond_iv])

@@ -144,6 +144,33 @@ def is_algebra_endomorphism(alg: StructureConstantAlgebra, mat: np.ndarray, gens
     return True
 
 
+def rightmost_normal_form(pres, poly: dict) -> dict:
+    """Normal form of a polynomial by uncached rightmost reduction.
+
+    Each step rewrites the rightmost position where a leading word occurs,
+    trying the rules in reverse declaration order: the opposite choices to
+    the library's cached leftmost path. On a confluent presentation both
+    give the same normal form (Bergman's diamond lemma).
+    """
+    p = pres.field.p
+    out: dict = {}
+    work = [(w, c % p) for w, c in poly.items() if c % p]
+    while work:
+        word, coeff = work.pop()
+        red = next(
+            ((pos, rule) for pos in reversed(range(len(word))) for rule in reversed(pres.rules)
+             if word[pos : pos + len(rule.lhs)] == rule.lhs),
+            None,
+        )
+        if red is None:
+            out[word] = (out.get(word, 0) + coeff) % p
+            continue
+        pos, rule = red
+        for rw, rc in rule.rhs:
+            work.append((word[:pos] + rw + word[pos + len(rule.lhs) :], coeff * rc % p))
+    return {w: c for w, c in out.items() if c}
+
+
 def _inverse_mod(t, p):
     """Inverse of an invertible list-of-lists matrix over F_p, by Gauss-Jordan."""
     n = len(t)

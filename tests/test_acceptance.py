@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from hopfib.algebra import _check_associative, _check_unit
 from hopfib.corpus import SHIPPED_NAMES, builtin_group, group_algebra, quotient_group
 from hopfib.hopf import (
     BialgebraData,
@@ -239,6 +240,11 @@ def test_criterion_1_axiom_suite_and_mutations(corpus):
         for name in SHIPPED_NAMES:
             report = verify_structure(corpus[name].h)
             assert report.passed, f"{name} fails {report.failed()}"
+            # the rewriting families build their algebra unchecked (the
+            # diamond lemma); hold the algebra axioms for every instance
+            alg = corpus[name].h.alg
+            _check_unit(alg.field, alg.dim, alg.unit, alg.mul)
+            _check_associative(alg.field, alg.dim, alg.mul)
             if name != "qm2":
                 assert corpus[name].h.antipode is not None
 

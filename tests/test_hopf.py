@@ -409,6 +409,22 @@ class TestFiberQuotient:
                 _check_unit(alg.field, alg.dim, alg.unit, alg.mul)
                 _check_associative(alg.field, alg.dim, alg.mul)
 
+    def test_counit_fiber_ideal_is_a_coideal(self, instances, rebased_big_p):
+        # fiber_quotient does not re-check that eps and (pi x pi)Delta kill
+        # I = B*A+: both follow from A being a central right coideal
+        # subalgebra, since Delta(a) lies in 1 (x) a + A+ (x) B for a in A+
+        insts = [instances(name) for name in SHIPPED_NAMES]
+        insts.append(instance_from_dict(rebased_big_p("q8")))
+        for inst in insts:
+            h = inst.h
+            p = h.field.p
+            fq = counit_fiber(inst)
+            assert fq.bialgebra is not None
+            assert not matmul_mod(fq.ideal.basis, h.counit, p).any()
+            for v in fq.ideal.basis:
+                m = h.comul_of(v)
+                assert not matmul_mod(matmul_mod(fq.projection, m, p), fq.projection.T, p).any()
+
     def test_fiber_ideals_are_two_sided_and_preserved_by_x(self, instances):
         # fiber_quotient takes B*K as the ideal (K*B is the same, A being
         # central) and pushes the X windings down without re-checking that
@@ -430,7 +446,8 @@ class TestFiberQuotient:
                 right = Subspace(h.field, h.dim, np.vstack([k, multiply_rows_by_basis(h.alg, k, "right")]))
                 assert right == fq.ideal
                 assert fq.x_chars == x.chars
-                for mat, down in zip(x.winding_matrices(h), fq.descended_winding, strict=True):
+                assert all(np.array_equal(u, v) for u, v in zip(fq.winding, x.winding_matrices(h), strict=True))
+                for mat, down in zip(fq.winding, fq.descended_winding, strict=True):
                     assert fq.ideal.image_under(mat) == fq.ideal
                     assert np.array_equal(matmul_mod(down, fq.projection, p),
                                           matmul_mod(fq.projection, mat, p))

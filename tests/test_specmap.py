@@ -189,6 +189,23 @@ class TestVerifyTheorem:
         assert v.witnesses["orbit_sizes"] == [1, 4]
         assert v.x_order == 4
 
+    def test_global_verify_builds_each_x_winding_once(self, q8_pair, monkeypatch):
+        # fiber_quotient builds the right windings of X and verify_theorem
+        # reuses them for the orbit comparison
+        import hopfib.hopf
+
+        calls = []
+        real = hopfib.hopf.winding
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hopfib.hopf, "winding", counted)
+        v = verify_theorem(q8_pair, mode="global")
+        assert v.x_order == 4 and v.cond_iii is True
+        assert len(calls) == v.x_order == len(set(calls))
+
     def test_s3c2_all_conditions_false_with_witnesses(self, s3c2_pair):
         v = verify_theorem(s3c2_pair, mode="global", seed=7)
         assert (v.cond_i, v.cond_ii, v.cond_iii, v.cond_iv) == (False, False, False, False)
