@@ -30,7 +30,7 @@ shipped corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -348,13 +348,31 @@ class XGroup:
     table: np.ndarray  # table[i, j] = index of chars[i] * chars[j]
     inverse: list[int]
     identity_index: int
+    _windings: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def order(self):
         return len(self.chars)
 
     def winding_matrices(self, b: BialgebraData, side: str = "right") -> list[np.ndarray]:
-        return [winding(b, chi, side=side) for chi in self.chars]
+        """Winding maps of all of X on b, in chars order, built once per side."""
+        if self._windings.get(side, (None,))[0] is not b:
+            mats = np.stack([winding(b, chi, side=side) for chi in self.chars])
+            mats.setflags(write=False)  # shared by every caller
+            self._windings[side] = (b, mats)
+        return list(self._windings[side][1])
+
+    def generators(self) -> list[int]:
+        """Indices of a generating set of X, chosen greedily in index order.
+        On either side W_chi o W_psi is the winding map of a convolution of chi
+        and psi (Delta is coassociative), so these members' maps generate X's."""
+        gens, reached = [], np.arange(self.order) == self.identity_index
+        for i in range(self.order):
+            if not reached[i]:
+                gens.append(i)
+                while not reached[self.table[np.ix_(reached, gens)]].all():
+                    reached[self.table[np.ix_(reached, gens)]] = True
+        return gens
 
 
 def restricts_to_counit(b: BialgebraData, chi: Character, a: Subspace) -> bool:

@@ -3,11 +3,13 @@
 The decomposition ("chop") follows the standard randomized strategy for
 modules over small finite fields: draw random elements of the acting
 algebra's image, split off kernels of irreducible factors of their minimal
-polynomials, and spin up submodules. Irreducibility is certified by the
-dual-module (Norton) criterion, which needs an element whose chosen
-irreducible factor has kernel dimension equal to its degree; the search
-retries with fresh random elements until one is found or the attempt
-budget runs out.
+polynomials, and spin up submodules, each with one product (see spin).
+Irreducibility is certified by the dual-module (Norton) criterion, which
+needs an element whose chosen irreducible factor has kernel dimension
+equal to its degree; the search retries with fresh random elements until
+one is found or the attempt budget runs out. Spun subspaces and their
+Norton complements are invariant, which restriction and quotient do not
+re-check (the tests do, against the checked helpers in tests/oracles.py).
 
 All randomness is confined to one seeded generator per chop call, and all
 public outputs are canonically ordered, so results are reproducible.
@@ -24,7 +26,6 @@ from .errors import BudgetExceeded, DifferentAlgebras, DimensionMismatch
 from .linalg import (
     Subspace,
     asmat,
-    complement_projection,
     factor_poly,
     kernel,
     matmul_mod,
@@ -96,24 +97,13 @@ def regular_module(alg: StructureConstantAlgebra) -> ModuleRep:
 
 
 def spin(action: np.ndarray, seed_rows, field) -> Subspace:
-    """Smallest action-invariant subspace containing the seed rows."""
-    p = field.p
+    """Smallest action-invariant subspace containing the seed rows: with a
+    matrix A_b per basis element b of a unital algebra, span{A_b w} holds w
+    (b = 1) and is invariant (A_c A_b = A_cb), so no loop re-checks it. The
+    same holds for the dual (transposed) stack."""
     m = action.shape[1]
-    sub = Subspace(field, m, seed_rows)
-    new = sub.basis
-    while new.shape[0] and sub.dim < m:
-        imgs = matmul_mod(action, new.T, p)  # (n, m, k)
-        imgs = imgs.transpose(0, 2, 1).reshape(-1, m)
-        resid = sub.reduce_rows(imgs)
-        resid = resid[resid.any(axis=1)]
-        if resid.shape[0] == 0:
-            break
-        grown = Subspace(field, m, np.vstack([sub.basis, resid]))
-        if grown.dim == sub.dim:
-            break
-        sub = grown
-        new = resid
-    return sub
+    imgs = matmul_mod(action, asmat(seed_rows, field.p).T, field.p)  # (n, m, k)
+    return Subspace(field, m, imgs.transpose(0, 2, 1).reshape(-1, m))
 
 
 def minpoly_on_vector(theta: np.ndarray, v: np.ndarray, p: int) -> list[int]:
@@ -140,20 +130,18 @@ def poly_eval_matrix(coeffs_desc, theta: np.ndarray, p: int) -> np.ndarray:
 
 
 def restrict_action(action: np.ndarray, sub: Subspace, p: int) -> np.ndarray:
-    """Action matrices on an invariant subspace, in its RREF basis."""
-    m = action.shape[1]
-    imgs = matmul_mod(action, sub.basis.T, p)  # (n, m, k)
-    resid = sub.reduce_rows(imgs.transpose(0, 2, 1).reshape(-1, m))
-    if resid.any():
-        raise DimensionMismatch("subspace is not invariant under the action")
-    piv = list(sub.pivots)
-    return imgs[:, piv, :]
+    """Action matrices on an invariant subspace, in its RREF basis: the pivot
+    rows of the image. Invariance is not re-checked; chop passes spun
+    subspaces (see spin) and their Norton complements, invariant by duality."""
+    return matmul_mod(action[:, list(sub.pivots), :], sub.basis.T, p)
 
 
 def quotient_action(action: np.ndarray, sub: Subspace, p: int) -> np.ndarray:
-    proj, section, _ = complement_projection(sub)
-    tmp = matmul_mod(action, section, p)  # (n, m, q)
-    return matmul_mod(proj, tmp, p)  # broadcasts to (n, q, q)
+    """Action on the quotient by an invariant subspace, in the standard vectors
+    at the other columns: x mod sub is x[rest] - basis[:, rest]^T x[pivots]."""
+    rest = sorted(set(range(sub.ambient)).difference(sub.pivots))
+    cols = action[:, :, rest]  # (n, m, q): images of the quotient basis
+    return (cols[:, rest] - matmul_mod(sub.basis[:, rest].T, cols[:, list(sub.pivots)], p)) % p
 
 
 def _try_split(action, field, rng, budget):
@@ -162,7 +150,6 @@ def _try_split(action, field, rng, budget):
     n, m, _ = action.shape
     if m == 1:
         return None
-    dual_action = action.transpose(0, 2, 1)
     while budget[0] > 0:
         budget[0] -= 1
         coeffs = rng.integers(0, p, size=n)
@@ -185,7 +172,7 @@ def _try_split(action, field, rng, budget):
             if nullsp.shape[0] == len(g) - 1:
                 # good element: the dual criterion is decisive
                 dual_null = kernel(poly_eval_matrix(g, theta.T % p, p), p)
-                u_spun = spin(dual_action, [dual_null[0]], field)
+                u_spun = spin(action.transpose(0, 2, 1), [dual_null[0]], field)
                 if u_spun.dim < m:
                     perp = Subspace(field, m, kernel(u_spun.basis, p))
                     assert 0 < perp.dim < m
@@ -202,7 +189,8 @@ def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0) -> lis
     """Composition factors with annihilators and multiplicities, canonically ordered.
 
     Every leaf of the split tree is a subquotient of the input module, so its
-    action is an algebra map by exactness and is not checked again. Leaves
+    action is an algebra map by exactness and is not checked again, nor is
+    the invariance of the subspaces it splits along (see spin). Leaves
     are merged by (dimension, annihilator), which is the isomorphism test of
     :func:`iso_simple`, and the records are sorted by that key. The multiset
     of factors is independent of the seed; the attempt budget guards the

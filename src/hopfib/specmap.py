@@ -48,6 +48,7 @@ from .hopf import (
     character_group_X,
     enumerate_characters,
     fiber_quotient,
+    winding,
 )
 from .linalg import Subspace, kernel, matmul_mod
 from .repn import simples
@@ -136,7 +137,8 @@ def orbits(prims: list[PrimItem], maps: list[np.ndarray]) -> Partition:
     """Orbits of the group generated by the maps acting on annihilators.
 
     Each map must permute the annihilator list; a missing image raises
-    NotAPermutation (an invalid character set or winding side).
+    NotAPermutation (an invalid character set or winding side). Callers pass
+    the maps of XGroup.generators(), which generate X's and so give its orbits.
     """
     index = {prim.annihilator.key(): i for i, prim in enumerate(prims)}
     n = len(prims)
@@ -244,8 +246,9 @@ def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0
     a = instance.a
     p = h.field.p
     x = character_group_X(h, a, seed=seed)
+    gens = x.generators()
     if h.antipode is None:
-        maps = x.winding_matrices(h, side="right") + x.winding_matrices(h, side="left")
+        maps = [winding(h, x.chars[i], side) for side in ("right", "left") for i in gens]
         cond_iii, witnesses = _fibers_against_orbits(h, a, maps, seed)
         witnesses.update({"x_order": x.order, "action": "two-sided"})
         return Verdict("experiment", False, x.order, None, None, cond_iii, None, True, witnesses)
@@ -256,7 +259,7 @@ def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0
     cond_i = all(r.module.dim == 1 for r in fiber_recs)
 
     fiber_prims = prim_enumerate(fq.algebra, seed=seed)
-    fiber_orbits = orbits(fiber_prims, fq.descended_winding)
+    fiber_orbits = orbits(fiber_prims, [fq.descended_winding[i] for i in gens])
     cond_ii = len(fiber_orbits.blocks) == 1
 
     witnesses = {
@@ -268,7 +271,7 @@ def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0
     }
     cond_iii = cond_iv = None
     if mode == "global":
-        cond_iii, partitions = _fibers_against_orbits(h, a, fq.winding, seed)
+        cond_iii, partitions = _fibers_against_orbits(h, a, [fq.winding[i] for i in gens], seed)
         cond_iv = cond_iii  # prime = primitive in finite dimension
         witnesses.update(partitions)
     agree = _applicable_agree([cond_i, cond_ii, cond_iii, cond_iv])

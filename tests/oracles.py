@@ -6,7 +6,8 @@ import random
 import numpy as np
 
 from hopfib.algebra import StructureConstantAlgebra, subalgebra_closure
-from hopfib.linalg import Subspace, kernel, matmul_mod, solve
+from hopfib.errors import DimensionMismatch
+from hopfib.linalg import Subspace, complement_projection, kernel, matmul_mod, solve
 
 
 def greedy_generating_set(alg: StructureConstantAlgebra) -> list[int]:
@@ -142,6 +143,45 @@ def is_algebra_endomorphism(alg: StructureConstantAlgebra, mat: np.ndarray, gens
         if not np.array_equal(f_of_g_times, f_g_times_f):
             return False
     return True
+
+
+def fixed_point_spin(action: np.ndarray, seed_rows, field) -> Subspace:
+    """Smallest invariant subspace containing the seed rows, by iterating.
+
+    Images of the newest basis vectors are added until none is new, so it
+    needs neither a unit nor a full basis of the acting algebra.
+    """
+    p = field.p
+    m = action.shape[1]
+    sub = Subspace(field, m, seed_rows)
+    new = sub.basis
+    while new.shape[0] and sub.dim < m:
+        imgs = matmul_mod(action, new.T, p).transpose(0, 2, 1).reshape(-1, m)
+        resid = sub.reduce_rows(imgs)
+        resid = resid[resid.any(axis=1)]
+        if resid.shape[0] == 0:
+            break
+        grown = Subspace(field, m, np.vstack([sub.basis, resid]))
+        if grown.dim == sub.dim:
+            break
+        sub = grown
+        new = resid
+    return sub
+
+
+def checked_restrict_action(action: np.ndarray, sub: Subspace, p: int) -> np.ndarray:
+    """Action on `sub` from the full image; DimensionMismatch unless `sub` is invariant."""
+    m = action.shape[1]
+    imgs = matmul_mod(action, sub.basis.T, p)  # (n, m, k)
+    if sub.reduce_rows(imgs.transpose(0, 2, 1).reshape(-1, m)).any():
+        raise DimensionMismatch("subspace is not invariant under the action")
+    return imgs[:, list(sub.pivots), :]
+
+
+def product_quotient_action(action: np.ndarray, sub: Subspace, p: int) -> np.ndarray:
+    """Action on the quotient by `sub` as projection @ action @ section."""
+    proj, section, _ = complement_projection(sub)
+    return matmul_mod(proj, matmul_mod(action, section, p), p)
 
 
 def rightmost_normal_form(pres, poly: dict) -> dict:

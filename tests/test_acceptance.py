@@ -395,14 +395,27 @@ def test_criterion_7_quantum_negative_case(corpus):
 
 
 def test_criterion_8_fibers_are_unions_of_orbits(corpus):
+    # verify_theorem hands orbits only the winding maps of X's generators;
+    # here every member's map must permute the ideals, and the generators'
+    # orbits must be those of all of X, on Prim(H) and on the counit fiber
     with criterion(8, 10.0):
-        for name in HOPF_NAMES:
+        for name in SHIPPED_NAMES:
             inst = corpus[name]
-            prims = prim_enumerate(inst.h.alg, seed=0)
-            x = character_group_X(inst.h, inst.a)
-            fib = fibers(prims, inst.a)
-            orb = orbits(prims, x.winding_matrices(inst.h))
-            assert refinement_holds(fib, orb)
+            h = inst.h
+            p = h.field.p
+            x = character_group_X(h, inst.a)
+            gens = x.generators()
+            sides = ("right",) if h.antipode is not None else ("right", "left")
+            every = [x.winding_matrices(h, side) for side in sides]
+            prims = prim_enumerate(h.alg, seed=0)
+            orb = orbits(prims, [mat for mats in every for mat in mats])
+            assert orb == orbits(prims, [mats[i] for mats in every for i in gens])
+            assert refinement_holds(fibers(prims, inst.a), orb)
+            eps_a = Character.from_vector(p, (inst.a.subspace.basis @ h.counit) % p)
+            fq = fiber_quotient(h, inst.a, eps_a, x_group=x)
+            fiber_prims = prim_enumerate(fq.algebra, seed=0)
+            assert orbits(fiber_prims, fq.descended_winding) == orbits(
+                fiber_prims, [fq.descended_winding[i] for i in gens])
             # consistency gate: all applicable conditions agree on every instance
             v = verify_theorem(inst, mode="global", seed=0)
             assert v.agree

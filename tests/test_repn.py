@@ -2,17 +2,25 @@ import numpy as np
 import pytest
 
 from hopfib.algebra import build_algebra
+from hopfib.corpus import SHIPPED_NAMES
 from hopfib.errors import DifferentAlgebras
-from hopfib.linalg import FieldSpec
+from hopfib.fileio import instance_from_dict
+from hopfib.linalg import FieldSpec, Subspace, factor_poly, kernel, matmul_mod, tensordot_mod
 from hopfib.repn import (
     ModuleRep,
     annihilator,
     chop,
     iso_simple,
+    minpoly_on_vector,
+    poly_eval_matrix,
+    quotient_action,
     regular_module,
+    restrict_action,
     simples,
     spin,
 )
+
+from oracles import checked_restrict_action, fixed_point_spin, product_quotient_action
 
 F7 = FieldSpec(7)
 
@@ -86,6 +94,72 @@ class TestModuleRep:
         # the all-ones vector spans the trivial submodule of a group algebra
         triv = spin(reg.action, [[1, 1, 1]], F7)
         assert triv.dim == 1
+
+
+class TestSplitHelpersMatchOracles:
+    """spin, restrict_action and quotient_action skip work their answers do
+    not need; each must match the checked helper it replaced bit for bit."""
+
+    @staticmethod
+    def _seeds(stack, field, rng):
+        """Random vectors and, as chop draws them, vectors killed by g(theta)
+        for the irreducible factors g of a random element's minimal polynomial."""
+        p = field.p
+        n, m, _ = stack.shape
+        seeds = [rng.integers(0, p, size=(k, m)) for k in (1, 2)]
+        theta = tensordot_mod(rng.integers(0, p, size=n), stack, ([0], [0]), p)
+        f = minpoly_on_vector(theta, rng.integers(1, p, size=m), p)
+        for g, _mult in factor_poly(f, p)[:4]:
+            nullsp = kernel(poly_eval_matrix(g, theta, p), p)
+            if nullsp.shape[0]:
+                seeds.append(matmul_mod(rng.integers(0, p, size=(1, nullsp.shape[0])), nullsp, p))
+        return seeds
+
+    @staticmethod
+    def _check_split(stack, sub, p):
+        # the oracle re-checks invariance: it must accept every subspace here
+        assert np.array_equal(restrict_action(stack, sub, p), checked_restrict_action(stack, sub, p))
+        assert np.array_equal(quotient_action(stack, sub, p), product_quotient_action(stack, sub, p))
+
+    def test_regular_modules_of_the_corpus_and_q8_at_the_largest_prime(
+            self, instances, rebased_big_p):
+        algebras = [instances(name).h.alg for name in SHIPPED_NAMES]
+        algebras.append(instance_from_dict(rebased_big_p("q8")).h.alg)
+        for k, alg in enumerate(algebras):
+            field, p = alg.field, alg.field.p
+            action = regular_module(alg).action
+            m = action.shape[1]
+            rng = np.random.default_rng(k)
+            splits = perps = 0
+            for stack in (action, action.transpose(0, 2, 1)):
+                for seeds in self._seeds(stack, field, rng):
+                    sub = spin(stack, seeds, field)
+                    oracle = fixed_point_spin(stack, seeds, field)
+                    assert np.array_equal(sub.basis, oracle.basis) and sub.pivots == oracle.pivots
+                    if not 0 < sub.dim < m:
+                        continue
+                    self._check_split(stack, sub, p)
+                    splits += 1
+                    if stack is not action:
+                        # the Norton complement is invariant under the action
+                        self._check_split(action, Subspace(field, m, kernel(sub.basis, p)), p)
+                        perps += 1
+            assert splits >= 2 and perps >= 1
+
+    def test_one_spin_is_one_product(self, s3, monkeypatch):
+        from hopfib import repn
+
+        calls = []
+        real = repn.matmul_mod
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repn, "matmul_mod", counted)
+        # 1 - t for a transposition t generates a proper left ideal of F_7[S3]
+        sub = spin(regular_module(s3).action, [[1, 6, 0, 0, 0, 0]], F7)
+        assert len(calls) == 1 and sub.dim == 3
 
 
 class TestChop:

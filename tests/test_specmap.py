@@ -206,6 +206,22 @@ class TestVerifyTheorem:
         assert v.x_order == 4 and v.cond_iii is True
         assert len(calls) == v.x_order == len(set(calls))
 
+    def test_orbits_see_only_the_generators_of_x(self, qm2_pair, monkeypatch):
+        # one image_under per primitive ideal and generator winding map (right
+        # and left here): X = Z3 x Z3 has two generators, not nine members
+        calls = []
+        real = Subspace.image_under
+
+        def counted(self, mat):
+            calls.append(1)
+            return real(self, mat)
+
+        monkeypatch.setattr(Subspace, "image_under", counted)
+        v = verify_theorem(qm2_pair, mode="global")
+        gens = character_group_X(qm2_pair.h, qm2_pair.a).generators()
+        assert v.x_order == 9 and len(gens) == 2
+        assert len(calls) == v.witnesses["prim_count"] * 2 * len(gens) == 36
+
     def test_s3c2_all_conditions_false_with_witnesses(self, s3c2_pair):
         v = verify_theorem(s3c2_pair, mode="global", seed=7)
         assert (v.cond_i, v.cond_ii, v.cond_iii, v.cond_iv) == (False, False, False, False)
@@ -278,6 +294,22 @@ class TestRemarkUniformFibers:
         sign = by_values[(1, 6)]
         assert not sign.extends_to_h
         assert sign.ideal_proper and sign.all_one_dim is False
+
+    def test_builds_each_x_winding_once(self, q8_pair, monkeypatch):
+        # every fiber_quotient call reuses the winding maps X has built
+        import hopfib.hopf
+
+        calls = []
+        real = hopfib.hopf.winding
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hopfib.hopf, "winding", counted)
+        rep = remark_uniform_fibers(q8_pair, seed=0)
+        assert len(rep.entries) == 2
+        assert len(calls) == len(set(calls)) == 4  # |X| = 4
 
     def test_c4c2_both_characters_extend_and_agree(self, c4c2_pair):
         rep = remark_uniform_fibers(c4c2_pair, seed=0)
