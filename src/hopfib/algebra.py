@@ -1,12 +1,19 @@
 """Finite-dimensional associative unital algebras given by structure constants.
 
-An algebra of dimension n over F_p is stored as a dense tensor
-``mul[i, j, k]`` meaning e_i * e_j = sum_k mul[i, j, k] e_k, together with
-the coefficient vector of the unit. Associativity and the unit axioms are
-checked exhaustively once, when :func:`build_algebra` reads the data, so
-everything downstream can assume a genuine algebra. Algebras derived from
-a checked one (quotients by a checked ideal, checked subalgebras) inherit
-the axioms and are built without checking them again.
+An algebra of dimension n over F_p is stored as the canonical rank-3
+:class:`~hopfib.linalg.SparseTensor` ``mul``, whose entry (i, j, k) is the
+coefficient of e_k in e_i * e_j, together with the coefficient vector of
+the unit. Products, multiplication matrices and the exhaustive axiom
+checks are sparse contractions of ``mul``. The only dense views are the
+regular module's action stacks :meth:`StructureConstantAlgebra.left_regular`
+and :meth:`~StructureConstantAlgebra.right_regular`, built on demand for
+the stacked products of ``chop``, ``center`` and the closures.
+
+Associativity and the unit axioms are checked exhaustively once, when
+:func:`build_algebra` reads the data, so everything downstream can assume
+a genuine algebra. Algebras derived from a checked one (quotients by a
+checked ideal, checked subalgebras) inherit the axioms and are built
+without checking them again.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .linalg import (
     joint_kernel,
     matmul_mod,
     permute,
-    tensordot_mod,
 )
 
 
@@ -49,51 +55,47 @@ class StructureConstantAlgebra:
     field: FieldSpec
     dim: int
     unit: np.ndarray
-    mul: np.ndarray  # dense (dim, dim, dim) tensor
+    mul: SparseTensor  # rank 3: (i, j, k) holds the coefficient of e_k in e_i e_j
     labels: tuple[str, ...]
 
     def __post_init__(self):
         self.unit = asmat(self.unit, self.field.p)
-        self.mul = asmat(self.mul, self.field.p)
         if self.unit.shape != (self.dim,):
             raise DimensionMismatch("unit vector has wrong length")
-        if self.mul.shape != (self.dim, self.dim, self.dim):
+        if (self.mul.n, self.mul.rank) != (self.dim, 3):
             raise DimensionMismatch("multiplication tensor has wrong shape")
         if not self.labels:
             self.labels = tuple(f"e{i}" for i in range(self.dim))
-        self.unit.setflags(write=False)
-        self.mul.setflags(write=False)
+        for arr in (self.unit, self.mul.keys, self.mul.vals):
+            arr.setflags(write=False)
 
     # -- arithmetic ------------------------------------------------------
 
+    def _sparse(self, v) -> SparseTensor:
+        v = asmat(v, self.field.p)
+        if v.shape != (self.dim,):
+            raise DimensionMismatch(f"vector of shape {v.shape} in an algebra of dimension {self.dim}")
+        return SparseTensor.from_dense(v)
+
     def multiply(self, u, v) -> np.ndarray:
-        p = self.field.p
-        u = asmat(u, p)
-        v = asmat(v, p)
-        uv = matmul_mod(u, self.mul.reshape(self.dim, self.dim * self.dim), p)
-        return matmul_mod(v, uv.reshape(self.dim, self.dim), p)
+        return matmul_mod(self.left_mult_matrix(u), asmat(v, self.field.p), self.field.p)
 
     def left_mult_matrix(self, v) -> np.ndarray:
         """Matrix of x -> v * x acting on column vectors."""
-        p = self.field.p
-        v = asmat(v, p)
-        # (v*e_j)_k = sum_i v_i mul[i, j, k]
-        m = matmul_mod(v, self.mul.reshape(self.dim, self.dim * self.dim), p)
-        return m.reshape(self.dim, self.dim).T
+        return contract(self._sparse(v), self.mul, 1, self.field.p).dense().T
 
     def right_mult_matrix(self, v) -> np.ndarray:
         """Matrix of x -> x * v acting on column vectors."""
         p = self.field.p
-        v = asmat(v, p)
-        m = tensordot_mod(self.mul, v, ([1], [0]), p)  # (i, k)
-        return m.T
+        return contract(permute(self.mul, (0, 2, 1)), self._sparse(v), 1, p).dense().T
 
     def left_regular(self) -> np.ndarray:
         """Stack of left multiplication matrices, one per basis element."""
-        return self.mul.transpose(0, 2, 1).copy()
+        return permute(self.mul, (0, 2, 1)).dense()
 
     def right_regular(self) -> np.ndarray:
-        return self.mul.transpose(1, 2, 0).copy()
+        """Stack of right multiplication matrices, one per basis element."""
+        return permute(self.mul, (1, 2, 0)).dense()
 
     def element_power(self, v, k: int) -> np.ndarray:
         out = self.unit.copy()
@@ -106,28 +108,19 @@ class StructureConstantAlgebra:
         return out
 
     def digest(self) -> bytes:
-        return self.unit.tobytes() + self.mul.tobytes() + str(self.field.p).encode()
+        head = f"{self.dim},{self.field.p},".encode()
+        return head + self.unit.tobytes() + self.mul.keys.tobytes() + self.mul.vals.tobytes()
 
     def __repr__(self):
         return f"StructureConstantAlgebra(dim={self.dim}, p={self.field.p})"
 
 
-def mul_entries(alg: StructureConstantAlgebra) -> list[tuple[int, int, int, int]]:
-    """Sorted sparse (i, j, k, c) entries of the multiplication tensor."""
-    idx = np.argwhere(alg.mul != 0)
-    return [(int(i), int(j), int(k), int(alg.mul[i, j, k])) for i, j, k in idx]
-
-
-def dense_mul_tensor(dim: int, entries, p: int) -> np.ndarray:
-    return SparseTensor.from_entries(dim, 3, entries, p).dense()
-
-
 def _check_unit(field, dim, unit, mul):
     """1 e_i = e_i for every i, then e_i 1 = e_i; the witness is the first failing i."""
     p = field.p
-    m, u = SparseTensor.from_dense(mul), SparseTensor.from_dense(unit)
+    u = SparseTensor.from_dense(unit)
     eye = SparseTensor.from_dense(np.eye(dim, dtype=np.int64))
-    sides = (("left", contract(u, m, 1, p)), ("right", contract(permute(m, (0, 2, 1)), u, 1, p)))
+    sides = (("left", contract(u, mul, 1, p)), ("right", contract(permute(mul, (0, 2, 1)), u, 1, p)))
     for side, prod in sides:
         at = first_difference(prod, eye)
         if at is not None:
@@ -145,9 +138,8 @@ def _check_associative(field, dim, mul):
     witness is the lexicographically smallest failing triple.
     """
     p = field.p
-    m = SparseTensor.from_dense(mul)
-    lhs = contract(m, m, 1, p)
-    rhs = permute(contract(m, permute(m, (1, 0, 2)), 1, p), (2, 0, 1, 3))
+    lhs = contract(mul, mul, 1, p)
+    rhs = permute(contract(mul, permute(mul, (1, 0, 2)), 1, p), (2, 0, 1, 3))
     at = first_difference(lhs, rhs)
     if at is not None:
         raise NotAssociative(*at[:3])
@@ -159,7 +151,7 @@ def build_algebra(field: FieldSpec, dim: int, unit, entries, labels=()) -> Struc
     Raises NotAssociative or UnitAxiomFails with a witness when the data
     does not define an associative unital algebra.
     """
-    mul = dense_mul_tensor(dim, entries, field.p)
+    mul = SparseTensor.from_entries(dim, 3, entries, field.p)
     unit = asmat(unit, field.p)
     if unit.shape != (dim,):
         raise DimensionMismatch("unit vector has wrong length")
@@ -172,18 +164,11 @@ def build_algebra(field: FieldSpec, dim: int, unit, entries, labels=()) -> Struc
 
 
 def multiply_rows_by_basis(alg, rows, side) -> np.ndarray:
-    """All products e_i * v (side='left') or v * e_i (side='right'), as rows."""
-    p = alg.field.p
-    rows = asmat(rows, p)
-    if rows.shape[0] == 0:
-        return np.zeros((0, alg.dim), dtype=np.int64)
-    if side == "left":
-        # out[i, r, k] = sum_j mul[i, j, k] * rows[r, j]
-        prods = tensordot_mod(alg.mul, rows, ([1], [1]), p)  # (i, k, r)
-        return prods.transpose(0, 2, 1).reshape(-1, alg.dim)
-    # out[r, i, k] = sum_j rows[r, j] * mul[j, i, k]
-    prods = tensordot_mod(rows, alg.mul, ([1], [0]), p)  # (r, i, k)
-    return prods.reshape(-1, alg.dim)
+    """All products e_i * v (side='left') or v * e_i (side='right'), as rows
+    in no particular order."""
+    stack = alg.left_regular() if side == "left" else alg.right_regular()
+    imgs = matmul_mod(stack, asmat(rows, alg.field.p).T, alg.field.p)  # (i, k, r)
+    return imgs.transpose(0, 2, 1).reshape(-1, alg.dim)
 
 
 def ideal_closure(alg: StructureConstantAlgebra, seed: Subspace) -> Subspace:
@@ -244,7 +229,7 @@ def is_central_subalgebra(alg: StructureConstantAlgebra, a: Subspace) -> bool:
 
 
 def is_commutative(alg: StructureConstantAlgebra) -> bool:
-    return np.array_equal(alg.mul, alg.mul.transpose(1, 0, 2))
+    return first_difference(alg.mul, permute(alg.mul, (1, 0, 2))) is None
 
 
 # -- quotients -------------------------------------------------------------
@@ -286,12 +271,9 @@ def quotient_algebra(alg: StructureConstantAlgebra, ideal: Subspace) -> Quotient
     qdim = n - ideal.dim
     proj, section, nonpivot = complement_projection(ideal)
     assert len(nonpivot) == qdim
-    # structure constants on the chosen representatives
-    qmul = np.zeros((qdim, qdim, qdim), dtype=np.int64)
-    for a in range(qdim):
-        for b in range(qdim):
-            prod = alg.mul[nonpivot[a], nonpivot[b]]
-            qmul[a, b] = matmul_mod(proj, prod, p)
+    # products of the representatives, [a, k, b] = mul[nonpivot[a], nonpivot[b], k], projected
+    reps = alg.left_regular()[nonpivot][:, :, nonpivot]
+    qmul = SparseTensor.from_dense(matmul_mod(proj, reps, p).transpose(0, 2, 1))
     qunit = matmul_mod(proj, alg.unit, p)
     qlabels = tuple(alg.labels[c] for c in nonpivot)
     qalg = StructureConstantAlgebra(alg.field, qdim, qunit, qmul, qlabels)
@@ -309,14 +291,12 @@ def subalgebra_as_algebra(alg: StructureConstantAlgebra, a: Subspace):
     if not is_subalgebra(alg, a):
         raise NotASubalgebra("subspace is not a unital subalgebra")
     p = alg.field.p
-    k = a.dim
+    n, k = alg.dim, a.dim
     basis = a.basis
     piv = list(a.pivots)
-    sub_mul = np.zeros((k, k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            prod = alg.multiply(basis[i], basis[j])
-            sub_mul[i, j] = prod[piv]  # coordinates w.r.t. an RREF basis
+    # coordinates w.r.t. an RREF basis are the pivot entries: [r, t, j] = (b_r e_j)[piv[t]]
+    lefts = matmul_mod(basis, alg.left_regular()[:, piv].reshape(n, k * n), p).reshape(k, k, n)
+    sub_mul = SparseTensor.from_dense(matmul_mod(lefts, basis.T, p).transpose(0, 2, 1))
     unit_coords = alg.unit[piv]
     sub = StructureConstantAlgebra(alg.field, k, unit_coords, sub_mul,
                                    tuple(f"a{i}" for i in range(k)))

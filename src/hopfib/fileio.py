@@ -29,10 +29,8 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
-
 from . import __version__
-from .algebra import StructureConstantAlgebra, build_algebra, dense_mul_tensor, mul_entries
+from .algebra import StructureConstantAlgebra, build_algebra
 from .corpus import CorpusInstance
 from .errors import DimensionMismatch, HopfibError
 from .hopf import BialgebraData, build_bialgebra, coideal_subalgebra
@@ -58,16 +56,12 @@ def instance_to_dict(b: BialgebraData, a_subspace: Subspace | None = None,
         "dim": n,
         "basis_labels": list(b.alg.labels),
         "unit": [int(x) for x in b.alg.unit],
-        "mul": [list(e) for e in sorted(mul_entries(b.alg))],
-        "comul": [list(e) for e in sorted(b.comul_entries())],
+        "mul": [list(e) for e in b.alg.mul.entries()],
+        "comul": [list(e) for e in b.comul.entries()],
         "counit": [int(x) for x in b.counit],
     }
     if b.antipode is not None:
-        entries = [
-            [int(i), int(j), int(b.antipode[i, j])]
-            for i, j in np.argwhere(b.antipode != 0)
-        ]
-        out["antipode"] = sorted(entries)
+        out["antipode"] = [list(e) for e in SparseTensor.from_dense(b.antipode).entries()]
     if a_subspace is not None:
         out["subalgebra_A"] = {
             "basis_vectors": [[int(x) for x in row] for row in a_subspace.basis]
@@ -88,14 +82,9 @@ def raw_bialgebra_from_dict(d: dict) -> BialgebraData:
     d = _checked_entries(d)
     field = FieldSpec(d["field"]["p"])
     n = d["dim"]
-    alg = _raw_algebra(field, n, d)
+    mul = SparseTensor.from_entries(n, 3, d["mul"], field.p)
+    alg = StructureConstantAlgebra(field, n, d["unit"], mul, tuple(d.get("basis_labels") or ()))
     return BialgebraData(alg, d["comul"], d["counit"], _antipode_matrix(d, n, field.p))
-
-
-def _raw_algebra(field, n, d):
-    mul = dense_mul_tensor(n, d["mul"], field.p)
-    labels = tuple(d.get("basis_labels") or ())
-    return StructureConstantAlgebra(field, n, d["unit"], mul, labels)
 
 
 def _antipode_matrix(d, n, p):

@@ -126,10 +126,6 @@ class BialgebraData:
     def dim(self):
         return self.alg.dim
 
-    def comul_entries(self) -> list[tuple[int, int, int, int]]:
-        """Sorted (i, a, b, coeff) entries of the comultiplication."""
-        return list(zip(*(x.tolist() for x in (*self.comul.indices(), self.comul.vals))))
-
     def comul_of(self, vec) -> np.ndarray:
         """Delta(vec) as an (n, n) matrix over the tensor-square legs."""
         p = self.field.p
@@ -168,9 +164,8 @@ def is_character(alg: StructureConstantAlgebra, values) -> bool:
         return False
     if int(matmul_mod(v, alg.unit, p)) != 1:
         return False
-    lhs = tensordot_mod(alg.mul, v, ([2], [0]), p)
-    rhs = np.outer(v, v) % p
-    return bool(np.array_equal(lhs, rhs))
+    lhs = contract(alg.mul, SparseTensor.from_dense(v), 1, p)  # (i, j): chi(e_i e_j)
+    return first_difference(lhs, SparseTensor.from_dense(np.outer(v, v) % p)) is None
 
 
 # -- axiom verification ----------------------------------------------------
@@ -196,8 +191,7 @@ def verify_structure(b: BialgebraData) -> StructureReport:
     alg = b.alg
     eps = SparseTensor.from_dense(b.counit)
     unit = SparseTensor.from_dense(alg.unit)
-    mul = SparseTensor.from_dense(alg.mul)
-    d = b.comul
+    mul, d = alg.mul, b.comul
     d_ba = permute(d, (0, 2, 1))  # (i, b, a)
     checks: list[AxiomCheck] = []
 
@@ -439,15 +433,16 @@ def adjoint_action(b: BialgebraData, left: np.ndarray, right: np.ndarray) -> np.
         raise NotABimodule("unit does not act as identity on the right")
     flat_l = left.reshape(n, m * m)
     flat_r = right.reshape(n, m * m)
+    regular = b.alg.left_regular()  # regular[i].T[j, k] = coefficient of e_k in e_i e_j
     for i in range(n):
         if not np.array_equal(
             matmul_mod(left[i], left, p),
-            matmul_mod(b.alg.mul[i], flat_l, p).reshape(n, m, m),
+            matmul_mod(regular[i].T, flat_l, p).reshape(n, m, m),
         ):
             raise NotABimodule("left action is not an algebra homomorphism")
         if not np.array_equal(
             matmul_mod(right, right[i], p),
-            matmul_mod(b.alg.mul[i], flat_r, p).reshape(n, m, m),
+            matmul_mod(regular[i].T, flat_r, p).reshape(n, m, m),
         ):
             raise NotABimodule("right action is not an algebra anti-homomorphism")
         if not np.array_equal(
@@ -456,7 +451,7 @@ def adjoint_action(b: BialgebraData, left: np.ndarray, right: np.ndarray) -> np.
             raise NotABimodule("left and right actions do not commute")
     right_s = tensordot_mod(b.antipode, right, ([0], [0]), p)  # action of S(e_b)
     ad = np.zeros((n, m, m), dtype=np.int64)
-    for i, a, bb, c in b.comul_entries():
+    for i, a, bb, c in b.comul.entries():
         ad[i] = (ad[i] + c * matmul_mod(left[a], right_s[bb], p)) % p
     return ad
 
@@ -539,16 +534,14 @@ def fiber_quotient(b: BialgebraData, a: CoidealSubalgebra, xi: Character,
     if xi == eps_on_a and (
         b.antipode is None or ideal.contains_rows(matmul_mod(ideal.basis, b.antipode.T, p))
     ):
-        entries = []
-        for r in range(qd.algebra.dim):
-            mq = matmul_mod(matmul_mod(proj, b.comul_of(section[:, r]), p), proj.T, p)
-            for u, v in np.argwhere(mq):
-                entries.append((r, int(u), int(v), int(mq[u, v])))
+        q_comul = np.stack([matmul_mod(matmul_mod(proj, b.comul_of(col), p), proj.T, p)
+                            for col in section.T])
         q_counit = matmul_mod(b.counit, section, p)
         q_antipode = None
         if b.antipode is not None:
             q_antipode = matmul_mod(matmul_mod(proj, b.antipode, p), section, p)
-        quotient_b = BialgebraData(qd.algebra, entries, q_counit, q_antipode)
+        quotient_b = BialgebraData(qd.algebra, SparseTensor.from_dense(q_comul).entries(),
+                                   q_counit, q_antipode)
         quotient_b.hopf_flag = q_antipode is not None
     return FiberQuotient(qd.algebra, proj, section, ideal, quotient_b, x_group.chars,
                          windings, descended)

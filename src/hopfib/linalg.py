@@ -16,11 +16,14 @@ Horner-style, ``acc = ((acc << w) + limb_product) % p``. At p = 2**31 - 1
 and inner < 2**16 that is two 16-bit limbs (delayed modular reduction
 over word-size limbs; Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
 
-Structure constants enter the exhaustive axiom checks as
-:class:`SparseTensor`s, the usual sparse form of structure-constant
-tables (de Graaf, Lie Algebras: Theory and Algorithms, 2000, ch. 1). Each
-check compares two :func:`contract`/:func:`permute` chains with
-:func:`first_difference`. A contraction is exact in int64: each product
+Structure constants are stored only as :class:`SparseTensor`s, the usual
+sparse form of structure-constant tables (de Graaf, Lie Algebras: Theory
+and Algorithms, 2000, ch. 1): the multiplication and the comultiplication
+are canonical rank-3 tensors, read from and written back to (index...,
+coefficient) rows by :meth:`SparseTensor.from_entries` and
+:meth:`SparseTensor.entries`. Products with vectors and each exhaustive
+axiom check are :func:`contract`/:func:`permute` chains; a check compares
+two of them with :func:`first_difference`. A contraction is exact in int64: each product
 of two entries is below 2**62 and is reduced before it is summed, and a
 sum over k <= 2 contracted axes has at most n**k < 2**32 terms while
 n < 2**16. Keys are int64 flat indices, so n**rank < 2**63; rank 5 is the
@@ -455,6 +458,11 @@ class SparseTensor:
         data = np.array(entries, dtype=np.int64).reshape(-1, rank + 1)
         keys = np.ravel_multi_index(tuple(data[:, :rank].T), (n,) * rank)
         return _canonical(n, rank, keys, data[:, rank] % p, p)
+
+    def entries(self) -> list[tuple[int, ...]]:
+        """The (index_1, ..., index_rank, value) rows, sorted, as Python ints;
+        from_entries reads them back to the same tensor."""
+        return list(zip(*(x.tolist() for x in (*self.indices(), self.vals))))
 
     def indices(self) -> tuple[np.ndarray, ...]:
         return np.unravel_index(self.keys, (self.n,) * self.rank)

@@ -29,7 +29,7 @@ from .linalg import (
     factor_poly,
     kernel,
     matmul_mod,
-    solve,
+    rref,
     tensordot_mod,
 )
 
@@ -69,9 +69,10 @@ class ModuleRep:
         if not np.array_equal(unit_action, np.eye(m, dtype=np.int64)):
             raise DimensionMismatch("unit does not act as the identity")
         flat = self.action.reshape(self.alg.dim, m * m)
+        regular = self.alg.left_regular()  # regular[i].T[j, k] = coefficient of e_k in e_i e_j
         for i in range(self.alg.dim):
             actual = matmul_mod(self.action[i], self.action, p)
-            expected = matmul_mod(self.alg.mul[i], flat, p).reshape(self.alg.dim, m, m)
+            expected = matmul_mod(regular[i].T, flat, p).reshape(self.alg.dim, m, m)
             if not np.array_equal(actual, expected):
                 j = int(np.argmax((actual != expected).any(axis=(1, 2))))
                 raise DimensionMismatch(
@@ -107,17 +108,18 @@ def spin(action: np.ndarray, seed_rows, field) -> Subspace:
 
 
 def minpoly_on_vector(theta: np.ndarray, v: np.ndarray, p: int) -> list[int]:
-    """Monic minimal polynomial of theta at v, dense descending coefficients."""
-    rows = [v % p]
-    while True:
-        nxt = matmul_mod(theta, rows[-1], p)
-        krylov = np.array(rows, dtype=np.int64)
-        sol = solve(krylov.T, nxt, p)
-        if sol.consistent:
-            k = len(rows)
-            coeffs = [1] + [int(-sol.particular[k - 1 - i]) % p for i in range(k)]
-            return coeffs
-        rows.append(nxt)
+    """Monic minimal polynomial of theta at v, dense descending coefficients.
+
+    The Krylov vectors v, theta v, ..., theta^m v are the columns of one
+    matrix. theta^d v is the first that depends on those before it, so the
+    rank d is the first non-pivot column of the RREF, and that column holds
+    theta^d v in the basis v, ..., theta^(d-1) v.
+    """
+    krylov = [asmat(v, p)]
+    for _ in range(theta.shape[0]):
+        krylov.append(matmul_mod(theta, krylov[-1], p))
+    r, d, _ = rref(np.array(krylov).T, p)
+    return [1] + [int(-c) % p for c in r[:d, d][::-1]]
 
 
 def poly_eval_matrix(coeffs_desc, theta: np.ndarray, p: int) -> np.ndarray:

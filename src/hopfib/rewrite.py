@@ -34,10 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import StructureConstantAlgebra, dense_mul_tensor
+from .algebra import StructureConstantAlgebra
 from .errors import BoundExceeded, HopfibError, InfiniteBasis
 from .hopf import BialgebraData, build_bialgebra
-from .linalg import FieldSpec
+from .linalg import FieldSpec, SparseTensor
 
 Word = tuple[int, ...]
 Poly = dict[Word, int]
@@ -371,7 +371,8 @@ def extract_bialgebra(
     unit[index[()]] = 1
     if labels is None:
         labels = tuple(pres.word_str(w) for w in basis)
-    alg = StructureConstantAlgebra(pres.field, n, unit, dense_mul_tensor(n, entries, p), tuple(labels))
+    alg = StructureConstantAlgebra(pres.field, n, unit, SparseTensor.from_entries(n, 3, entries, p),
+                                  tuple(labels))
 
     one_tensor: TensorPoly = {((), ()): 1}
     comul_entries = []

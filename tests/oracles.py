@@ -37,6 +37,11 @@ def brute_force_characters(alg: StructureConstantAlgebra) -> list[tuple[int, ...
     """
     p = alg.field.p
     n = alg.dim
+    mul = alg.mul.dense()  # products here are raw int64: p is small enough to enumerate F_p
+
+    def product(u, v):
+        return np.tensordot(np.tensordot(u, mul, axes=([0], [0])), v, axes=([0], [0])) % p
+
     gens = greedy_generating_set(alg)
     eye = np.eye(n, dtype=np.int64)
     found = set()
@@ -54,7 +59,7 @@ def brute_force_characters(alg: StructureConstantAlgebra) -> list[tuple[int, ...
             count = len(rows)
             for i in range(count):
                 for j in range(count):
-                    prod = alg.multiply(rows[i], rows[j])
+                    prod = product(rows[i], rows[j])
                     if not span.contains_vector(prod):
                         rows.append(prod)
                         vals.append(vals[i] * vals[j] % p)
@@ -66,7 +71,7 @@ def brute_force_characters(alg: StructureConstantAlgebra) -> list[tuple[int, ...
         if not sol.consistent or sol.kernel.shape[0] != 0:
             continue
         cand = sol.particular
-        lhs = np.tensordot(alg.mul, cand, axes=([2], [0])) % p
+        lhs = np.tensordot(mul, cand, axes=([2], [0])) % p
         if np.array_equal(lhs, np.outer(cand, cand) % p) and int(cand @ alg.unit % p) == 1:
             found.add(tuple(int(x) for x in cand))
     return sorted(found)
@@ -182,6 +187,56 @@ def product_quotient_action(action: np.ndarray, sub: Subspace, p: int) -> np.nda
     """Action on the quotient by `sub` as projection @ action @ section."""
     proj, section, _ = complement_projection(sub)
     return matmul_mod(proj, matmul_mod(action, section, p), p)
+
+
+def krylov_solve_minpoly(theta: np.ndarray, v: np.ndarray, p: int) -> list[int]:
+    """Minimal polynomial of theta at v, solving the Krylov system again for
+    every new vector theta^k v until it depends on the ones before it."""
+    rows = [v % p]
+    while True:
+        nxt = matmul_mod(theta, rows[-1], p)
+        sol = solve(np.array(rows, dtype=np.int64).T, nxt, p)
+        if sol.consistent:
+            k = len(rows)
+            return [1] + [int(-sol.particular[k - 1 - i]) % p for i in range(k)]
+        rows.append(nxt)
+
+
+def pairwise_quotient_mul(alg: StructureConstantAlgebra, ideal: Subspace) -> np.ndarray:
+    """Dense structure constants of alg/ideal on the standard vectors at the
+    ideal's non-pivot columns, one projected product per pair."""
+    p = alg.field.p
+    proj, _, nonpivot = complement_projection(ideal)
+    mul = alg.mul.dense()
+    q = len(nonpivot)
+    qmul = np.zeros((q, q, q), dtype=np.int64)
+    for a in range(q):
+        for b in range(q):
+            qmul[a, b] = matmul_mod(proj, mul[nonpivot[a], nonpivot[b]], p)
+    return qmul
+
+
+def pairwise_subalgebra_mul(alg: StructureConstantAlgebra, a: Subspace) -> np.ndarray:
+    """Dense structure constants of a subalgebra in its RREF basis, one
+    product per pair; coordinates are the pivot entries."""
+    k = a.dim
+    piv = list(a.pivots)
+    sub_mul = np.zeros((k, k, k), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            sub_mul[i, j] = alg.multiply(a.basis[i], a.basis[j])[piv]
+    return sub_mul
+
+
+def first_nonassociative_triple(cayley) -> tuple[int, int, int] | None:
+    """The first (i, j, k) in lexicographic order with (ij)k != i(jk), by looping."""
+    n = len(cayley)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if cayley[cayley[i][j]][k] != cayley[i][cayley[j][k]]:
+                    return (i, j, k)
+    return None
 
 
 def rightmost_normal_form(pres, poly: dict) -> dict:

@@ -63,7 +63,7 @@ def criterion(num: int, limit: float):
 
 def _comul_dense(b):
     comul = np.zeros((b.dim,) * 3, dtype=np.int64)
-    for i, a, bb, c in b.comul_entries():
+    for i, a, bb, c in b.comul.entries():
         comul[i, a, bb] = c
     return comul
 
@@ -148,7 +148,7 @@ def first_failure(b: BialgebraData, name: str) -> tuple[int, ...] | None:
     p = b.field.p
     n = b.dim
     assert n * n * (p - 1) ** 2 < 2**40
-    m, d, eps, unit, s = b.alg.mul, _comul_dense(b), b.counit, b.alg.unit, b.antipode
+    m, d, eps, unit, s = b.alg.mul.dense(), _comul_dense(b), b.counit, b.alg.unit, b.antipode
     eye = np.eye(n, dtype=np.int64)
 
     def td(x, y, axes):
@@ -203,17 +203,17 @@ def _mutated_fails_with_correct_witness(inst, mutate):
 
     h = inst.h
     p = h.field.p
-    mul_entries_ = [list(e) for e in np.argwhere(h.alg.mul)]
-    mul = [(i, j, k, int(h.alg.mul[i, j, k])) for i, j, k in mul_entries_]
-    comul = h.comul_entries()
+    mul = h.alg.mul.entries()
+    comul = h.comul.entries()
     counit = h.counit.copy()
     antipode = None if h.antipode is None else h.antipode.copy()
     mul, comul, counit, antipode = mutate(p, mul, comul, counit, antipode)
     raw = BialgebraData.__new__(BialgebraData)
-    from hopfib.algebra import StructureConstantAlgebra, dense_mul_tensor
+    from hopfib.algebra import StructureConstantAlgebra
+    from hopfib.linalg import SparseTensor
 
     alg = StructureConstantAlgebra(
-        h.field, h.dim, h.alg.unit.copy(), dense_mul_tensor(h.dim, mul, p), h.alg.labels
+        h.field, h.dim, h.alg.unit.copy(), SparseTensor.from_entries(h.dim, 3, mul, p), h.alg.labels
     )
     b = BialgebraData(alg, comul, counit, antipode)
     failures = []
@@ -439,7 +439,7 @@ def test_criterion_9_oracle_equivalences(corpus):
         ga = group_algebra(FieldSpec(p), q)
         perm = [int(mapping[np.argmax(fq.section[:, r])]) for r in range(4)]
         assert sorted(perm) == [0, 1, 2, 3]
-        assert np.array_equal(fq.algebra.mul, ga.alg.mul[np.ix_(perm, perm, perm)])
+        assert np.array_equal(fq.algebra.mul.dense(), ga.alg.mul.dense()[np.ix_(perm, perm, perm)])
         # dimension accounting and seed independence on every instance
         for name in SHIPPED_NAMES:
             inst = corpus[name]

@@ -10,9 +10,16 @@ from hopfib.algebra import (
     is_subalgebra,
     quotient_algebra,
     subalgebra_as_algebra,
+    subalgebra_closure,
 )
+from hopfib.corpus import SHIPPED_NAMES
 from hopfib.errors import ImproperIdeal, NotAnIdeal, NotAssociative, NotASubalgebra, UnitAxiomFails
-from hopfib.linalg import FieldSpec, Subspace
+from hopfib.fileio import corpus_instance_to_dict, instance_from_dict, raw_bialgebra_from_dict
+from hopfib.hopf import character_group_X, enumerate_characters, fiber_quotient
+from hopfib.linalg import FieldSpec, SparseTensor, Subspace
+from hopfib.repn import simples
+
+from oracles import pairwise_quotient_mul, pairwise_subalgebra_mul
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
@@ -85,7 +92,7 @@ class TestRegularModule:
         for i in range(m2.dim):
             for j in range(m2.dim):
                 prod = (left[i] @ left[j]) % 7
-                expected = np.tensordot(m2.mul[i, j], left, axes=([0], [0])) % 7
+                expected = np.tensordot(m2.mul.dense()[i, j], left, axes=([0], [0])) % 7
                 assert np.array_equal(prod, expected)
 
 
@@ -120,7 +127,7 @@ class TestQuotient:
     def test_quotient_by_zero_ideal_is_identity_copy(self, c3):
         q = quotient_algebra(c3, Subspace.zero(F7, 3))
         assert q.algebra.dim == 3
-        assert np.array_equal(q.algebra.mul, c3.mul)
+        assert np.array_equal(q.algebra.mul.dense(), c3.mul.dense())
         assert np.array_equal(q.algebra.unit, c3.unit)
 
     def test_c4_mod_g2_minus_1_is_c2(self):
@@ -130,7 +137,7 @@ class TestQuotient:
         q = quotient_algebra(c4, ideal)
         c2 = build_algebra(F5, 2, [1, 0], cyclic_entries(2))
         assert q.algebra.dim == 2
-        assert np.array_equal(q.algebra.mul, c2.mul)
+        assert np.array_equal(q.algebra.mul.dense(), c2.mul.dense())
         assert np.array_equal(q.algebra.unit, c2.unit)
 
     def test_quotient_by_ideal_containing_unit_rejected(self, c3):
@@ -153,7 +160,7 @@ class TestQuotient:
         # projection is an algebra map
         for i in range(4):
             for j in range(4):
-                lhs = (q.projection @ c4.mul[i, j]) % 5
+                lhs = (q.projection @ c4.mul.dense()[i, j]) % 5
                 rhs = q.algebra.multiply(q.projection[:, i], q.projection[:, j])
                 assert np.array_equal(lhs, rhs)
 
@@ -192,3 +199,70 @@ class TestCenter:
         diag = Subspace(F7, 4, [[1, 0, 0, 0], [0, 0, 0, 1]])
         assert is_subalgebra(m2, diag)
         assert not is_central_subalgebra(m2, diag)
+
+
+def assert_canonical_mul(alg):
+    """alg.mul is a canonical rank-3 SparseTensor that round-trips through entries()."""
+    mul, p = alg.mul, alg.field.p
+    assert isinstance(mul, SparseTensor) and (mul.n, mul.rank) == (alg.dim, 3)
+    assert (np.diff(mul.keys) > 0).all() and ((0 < mul.vals) & (mul.vals < p)).all()
+    back = SparseTensor.from_entries(alg.dim, 3, mul.entries(), p)
+    assert np.array_equal(back.keys, mul.keys) and np.array_equal(back.vals, mul.vals)
+
+
+def fiber_quotients(inst):
+    """fiber_quotient for every character of A whose fiber ideal is proper."""
+    asub = subalgebra_as_algebra(inst.h.alg, inst.a.subspace)[0]
+    x = character_group_X(inst.h, inst.a)
+    out = []
+    for xi in enumerate_characters(asub):
+        try:
+            out.append(fiber_quotient(inst.h, inst.a, xi, x_group=x))
+        except ImproperIdeal:
+            pass
+    return out
+
+
+class TestSparseMul:
+    """The multiplication is stored once, as a canonical sparse tensor, on
+    every path that makes an algebra."""
+
+    def test_every_algebra_path_stores_a_canonical_sparse_mul(self, c3, m2, instances, rebased_big_p):
+        assert_canonical_mul(c3)  # build_algebra
+        assert_canonical_mul(m2)
+        assert_canonical_mul(instance_from_dict(rebased_big_p("q8")).h.alg)  # the file reader
+        for name in SHIPPED_NAMES:  # build_algebra for groups, extract_bialgebra for the rest
+            inst = instances(name)
+            alg = inst.h.alg
+            assert_canonical_mul(alg)
+            raw = raw_bialgebra_from_dict(corpus_instance_to_dict(inst)).alg
+            assert_canonical_mul(raw)
+            assert raw.mul.entries() == alg.mul.entries()
+            assert_canonical_mul(subalgebra_as_algebra(alg, inst.a.subspace)[0])
+            quotients = fiber_quotients(inst)
+            assert quotients
+            for fq in quotients:
+                assert_canonical_mul(fq.algebra)
+
+    def test_quotients_and_subalgebras_match_the_pairwise_oracles(self, instances, rebased_big_p):
+        # fiber ideals and primitive ideals; A, the center, the whole algebra
+        # (not commutative for q8, s3c2, usl2 and qm2) and the subalgebra
+        # generated by the last two basis vectors
+        cases = [instances(name) for name in SHIPPED_NAMES]
+        cases.append(instance_from_dict(rebased_big_p("q8")))
+        checked = 0
+        for inst in cases:
+            alg = inst.h.alg
+            gens = Subspace(alg.field, alg.dim, np.eye(alg.dim, dtype=np.int64)[-2:])
+            subs = (inst.a.subspace, center(alg), Subspace.full(alg.field, alg.dim),
+                    subalgebra_closure(alg, gens))
+            for sub in subs:
+                got = subalgebra_as_algebra(alg, sub)[0].mul.dense()
+                assert np.array_equal(got, pairwise_subalgebra_mul(alg, sub))
+            ideals = [fq.ideal for fq in fiber_quotients(inst)]
+            ideals += [rec.annihilator for rec in simples(alg)]
+            for ideal in ideals:
+                got = quotient_algebra(alg, ideal).algebra.mul.dense()
+                assert np.array_equal(got, pairwise_quotient_mul(alg, ideal))
+                checked += got.shape[0] > 1
+        assert checked >= 15  # quotients of dimension above 1

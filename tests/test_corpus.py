@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from hopfib.algebra import ideal_closure, is_central_subalgebra
 from hopfib.corpus import (
     SHIPPED_NAMES,
+    GroupTable,
     builtin_group,
     cyclic_group,
+    direct_product,
     group_algebra,
     group_algebra_pair,
     quantum_m2_kernel,
@@ -26,7 +29,12 @@ from hopfib.hopf import (
 from hopfib.linalg import FieldSpec, Subspace, invert, rref
 from hopfib.repn import ModuleRep, annihilator, iso_simple, simples, spin
 
-from oracles import brute_force_characters, highest_weight_module_small_sl2, intertwiner_exists
+from oracles import (
+    brute_force_characters,
+    first_nonassociative_triple,
+    highest_weight_module_small_sl2,
+    intertwiner_exists,
+)
 
 F7 = FieldSpec(7)
 
@@ -60,8 +68,36 @@ class TestGroups:
         with pytest.raises(NotCentral):
             quotient_group(g, [g.identity, two])
 
+    def test_associativity_witness_matches_the_loop_oracle(self):
+        # S3 x S3, with one entry off the identity's row and column changed
+        s3 = builtin_group("s3")
+        g = direct_product(s3, s3)
+        assert g.identity == 0 and first_nonassociative_triple(g.cayley.tolist()) is None
+        rng = np.random.default_rng(0)
+        witnesses = set()
+        for _ in range(30):
+            table = g.cayley.copy()
+            i, j = rng.integers(1, g.order, size=2)
+            table[i, j] = (table[i, j] + rng.integers(1, g.order)) % g.order
+            expected = first_nonassociative_triple(table.tolist())
+            message = "not associative at ({},{},{})".format(*expected)
+            with pytest.raises(NotASubgroup, match=re.escape(message)):
+                GroupTable.from_cayley(table)
+            witnesses.add(expected)
+        assert len(witnesses) > 10
+
 
 class TestGroupAlgebraPair:
+    def test_span_of_z_is_central_in_the_group_algebra(self, instances):
+        # group_algebra_pair checks only that Z is central in G; span(Z) is
+        # then central in F_p[G] by linearity
+        pairs = [instances(name) for name in ("c3", "c4c2", "q8", "s3c2")]
+        s3 = builtin_group("s3")
+        s3s3 = direct_product(s3, s3)
+        pairs.append(group_algebra_pair(FieldSpec(2**31 - 1), s3s3, s3s3.center()))
+        for inst in pairs:
+            assert is_central_subalgebra(inst.h.alg, inst.a.subspace)
+
     def test_q8_pair_shape(self, q8_pair):
         assert q8_pair.dim == 8
         assert q8_pair.a.dim == 2
@@ -92,7 +128,7 @@ class TestGroupAlgebraPair:
             ga = group_algebra(FieldSpec(p), q)
             perm = [int(mapping[np.argmax(fq.section[:, r])]) for r in range(q.order)]
             assert sorted(perm) == list(range(q.order))
-            assert np.array_equal(fq.algebra.mul, ga.alg.mul[np.ix_(perm, perm, perm)])
+            assert np.array_equal(fq.algebra.mul.dense(), ga.alg.mul.dense()[np.ix_(perm, perm, perm)])
 
     def test_expected_records_present(self, instances):
         for name in ("c3", "c4c2", "q8", "s3c2"):
@@ -288,5 +324,5 @@ class TestIdealClosureOnCorpus:
         flat = left.reshape(27, 27 * 27)
         for i in range(27):
             actual = (left[i] @ left) % 7
-            expected = ((alg.mul[i] @ flat) % 7).reshape(27, 27, 27)
+            expected = ((alg.mul.dense()[i] @ flat) % 7).reshape(27, 27, 27)
             assert np.array_equal(actual, expected)

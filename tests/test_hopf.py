@@ -55,7 +55,7 @@ class TestVerifyStructure:
 
     def test_perturbed_comultiplication_fails_with_witness(self, q8_pair):
         h = q8_pair.h
-        entries = h.comul_entries()
+        entries = h.comul.entries()
         # add a spurious term to the coproduct of a non-identity group-like
         g = 2
         entries.append((g, 0, 3, 1))
@@ -350,9 +350,9 @@ class TestFiberQuotient:
         eps_a = Character.from_vector(7, (a.subspace.basis @ h.counit) % 7)
         fq = fiber_quotient(h, a, eps_a)
         assert fq.algebra.dim == h.dim
-        assert np.array_equal(fq.algebra.mul, h.alg.mul)
+        assert np.array_equal(fq.algebra.mul.dense(), h.alg.mul.dense())
         assert fq.bialgebra is not None
-        assert fq.bialgebra.comul_entries() == h.comul_entries()
+        assert fq.bialgebra.comul.entries() == h.comul.entries()
 
     def test_q8_counit_fiber_is_klein_group_algebra(self, q8_pair):
         h = q8_pair.h
@@ -371,8 +371,8 @@ class TestFiberQuotient:
         perm = [int(mapping[np.argmax(fq.section[:, r])]) for r in range(4)]
         assert sorted(perm) == [0, 1, 2, 3]
         inv = np.argsort(perm)
-        permuted = ga.alg.mul[np.ix_(perm, perm, perm)]
-        assert np.array_equal(fq.algebra.mul, permuted)
+        permuted = ga.alg.mul.dense()[np.ix_(perm, perm, perm)]
+        assert np.array_equal(fq.algebra.mul.dense(), permuted)
 
     def test_q8_sign_fiber_has_two_dim_simple(self, q8_pair):
         h = q8_pair.h

@@ -471,6 +471,51 @@ def lint_products(tree: ast.AST, allow_products: bool) -> list[tuple[int, str]]:
     return found
 
 
+DENSIFIERS = {"array", "asarray", "ascontiguousarray", "asmat"}
+
+
+def _is_mul(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "mul"
+
+
+def lint_dense_mul(tree: ast.AST) -> list[int]:
+    """Lines that subscript or densify a multiplication tensor ``x.mul``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and _is_mul(node.value):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "dense" and _is_mul(node.value):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+            if func in DENSIFIERS and any(_is_mul(arg) for arg in node.args):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+class TestOnlyAlgebraDensifiesMul:
+    """The multiplication is stored once, as a sparse tensor; algebra.py alone
+    builds dense views of it (the regular module's action stacks)."""
+
+    def test_lint_flags_each_pattern(self):
+        bad = ast.parse(
+            "x = alg.mul[0]\ny = alg.mul.dense()\nz = np.asarray(alg.mul)\n"
+            "w = asmat(b.alg.mul, p)\nq = np.array(alg.mul, dtype=np.int64)\n"
+            "ok = contract(alg.mul, v, 1, p)\nok = self.mul(a, b)\nok = alg.left_regular()[0]\n"
+        )
+        assert lint_dense_mul(bad) == [1, 2, 3, 4, 5]
+
+    def test_only_algebra_densifies_or_subscripts_mul(self):
+        files = sorted(SRC.glob("*.py"))
+        assert SRC / "algebra.py" in files
+        offences = [
+            f"{path.name}:{line}"
+            for path in files if path.name != "algebra.py"
+            for line in lint_dense_mul(ast.parse(path.read_text()))
+        ]
+        assert offences == []
+
+
 class TestEveryProductGoesThroughLinalg:
     """Outside linalg.py a raw int64 product can wrap for p near 2**31.
 

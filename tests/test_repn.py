@@ -20,7 +20,12 @@ from hopfib.repn import (
     spin,
 )
 
-from oracles import checked_restrict_action, fixed_point_spin, product_quotient_action
+from oracles import (
+    checked_restrict_action,
+    fixed_point_spin,
+    krylov_solve_minpoly,
+    product_quotient_action,
+)
 
 F7 = FieldSpec(7)
 
@@ -145,6 +150,30 @@ class TestSplitHelpersMatchOracles:
                         self._check_split(action, Subspace(field, m, kernel(sub.basis, p)), p)
                         perps += 1
             assert splits >= 2 and perps >= 1
+
+    def test_minpoly_matches_the_krylov_solve_oracle(self, instances, rebased_big_p):
+        # random elements of the regular modules, as chop draws them, at random
+        # nonzero vectors, standard vectors and vectors killed by a factor
+        algebras = [instances(name).h.alg for name in SHIPPED_NAMES]
+        algebras.append(instance_from_dict(rebased_big_p("q8")).h.alg)
+        degrees = set()
+        for k, alg in enumerate(algebras):
+            p = alg.field.p
+            action = regular_module(alg).action
+            n, m, _ = action.shape
+            rng = np.random.default_rng(k)
+            for _ in range(3):
+                theta = tensordot_mod(rng.integers(0, p, size=n), action, ([0], [0]), p)
+                vectors = [rng.integers(1, p, size=m), np.eye(m, dtype=np.int64)[rng.integers(m)]]
+                for g, _mult in factor_poly(minpoly_on_vector(theta, vectors[0], p), p)[:2]:
+                    nullsp = kernel(poly_eval_matrix(g, theta, p), p)
+                    vectors += list(nullsp[:1])
+                for v in vectors:
+                    f = minpoly_on_vector(theta, v, p)
+                    assert f == krylov_solve_minpoly(theta, v, p)
+                    degrees.add(len(f) - 1)
+            assert minpoly_on_vector(theta, np.zeros(m, dtype=np.int64), p) == [1]
+        assert min(degrees) == 1 and max(degrees) > 10
 
     def test_one_spin_is_one_product(self, s3, monkeypatch):
         from hopfib import repn
