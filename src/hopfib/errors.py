@@ -59,10 +59,12 @@ class DifferentAlgebras(HopfibError):
 
 
 class BudgetExceeded(HopfibError):
-    """Randomized module splitting ran out of attempts.
+    """A named budget ran out: chop attempts (repn.MAX_ATTEMPTS) or the term
+    pairs of one sparse contraction (linalg.MAX_JOIN_TERMS).
 
-    Usually indicates a splitting-field problem: some composition factor is
-    irreducible over F_p but would split over an extension field.
+    Running out of attempts usually indicates a splitting-field problem: some
+    composition factor is irreducible over F_p but would split over an
+    extension field.
     """
 
 

@@ -27,31 +27,34 @@ two of them with :func:`first_difference`. A contraction is exact in int64: each
 of two entries is below 2**62 and is reduced before it is summed, and a
 sum over k <= 2 contracted axes has at most n**k < 2**32 terms while
 n < 2**16. Keys are int64 flat indices, so n**rank < 2**63; rank 5 is the
-largest used.
+largest used. A join of more than MAX_JOIN_TERMS term pairs raises BudgetExceeded.
 
 Polynomials over F_p are lists of Python ints, highest degree first.
-:func:`factor_poly` is the standard finite-field factoriser: squarefree
-decomposition (with p-th roots, since a minimal polynomial may have degree
->= p), distinct-degree factorisation through one Frobenius matrix per
-squarefree part (von zur Gathen and Shoup, Comput. Complexity 2, 1992),
-and Cantor-Zassenhaus equal-degree splitting (Math. Comp. 36, 1981).
-Products are Kronecker substitutions: the coefficients are packed into one
-Python int, multiplied once and unpacked. The splitting step is
-randomised with its own fixed-seed generator, but factorisation in F_p[x]
-is unique and the factors are returned sorted, so the output does not
-depend on that seed. :func:`is_prime` is deterministic Miller-Rabin with
-bases 2, 3, 5 and 7, which is exact below 3,215,031,751 and so for every
-modulus up to 2**31.
+:func:`irreducible_factors` is the standard finite-field factoriser as a
+stream, lowest degree first, computed only as far as it is read:
+squarefree decomposition (with p-th roots, since a minimal polynomial may
+have degree >= p), distinct-degree factorisation one degree at a time
+(von zur Gathen and Shoup, Comput. Complexity 2, 1992; degree 1 needs only
+x**p, the Frobenius rows are built at degree 2), and depth-first
+Cantor-Zassenhaus splitting (Math. Comp. 36, 1981). Products are Kronecker
+substitutions: the coefficients are packed into one Python int,
+multiplied once and unpacked; powers take sliding windows sized to the
+exponent. The splitting is randomised with a fixed-seed generator per
+stream; :func:`factor_poly` sorts the stream, so, factorisation in F_p[x]
+being unique, its output does not depend on that seed. :func:`is_prime` is
+deterministic Miller-Rabin with bases 2, 3, 5 and 7, which is exact below
+3,215,031,751 and so for every modulus up to 2**31.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoSuchRoot
+from .errors import BudgetExceeded, DimensionMismatch, NoSuchRoot
 
 
 def modinv(a: int, p: int) -> int:
@@ -491,17 +494,26 @@ def permute(t: SparseTensor, axes) -> SparseTensor:
     return SparseTensor(t.n, t.rank, keys[order], t.vals[order])
 
 
+# term pairs one contract may join; each holds 64 bytes in flight, so 8 GB at the budget
+MAX_JOIN_TERMS = 125_000_000
+
+
 def contract(a: SparseTensor, b: SparseTensor, k: int, p: int) -> SparseTensor:
     """sum_s a[x, s] b[s, y] mod p over a's last k and b's first k axes, as (x, y).
 
     Each a entry is joined with the run of b entries (found by
-    searchsorted on b's sorted keys) whose first k indices equal its last k.
+    searchsorted on b's sorted keys) whose first k indices equal its last k;
+    past MAX_JOIN_TERMS pairs it raises BudgetExceeded before allocating them.
     """
     tail = a.n ** (b.rank - k)
     a_outer, a_inner = np.divmod(a.keys, a.n**k)
     b_inner = b.keys // tail
     lo = np.searchsorted(b_inner, a_inner, side="left")
     counts = np.searchsorted(b_inner, a_inner, side="right") - lo
+    if counts.sum() > MAX_JOIN_TERMS:
+        raise BudgetExceeded(
+            f"a sparse contraction at dimension {a.n} would join {counts.sum()} term pairs, "
+            f"more than the budget of {MAX_JOIN_TERMS} (linalg.MAX_JOIN_TERMS)")
     rows = np.repeat(np.arange(len(counts)), counts)
     pos = np.arange(len(rows)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
     keys = a_outer[rows] * tail + b.keys[pos] % tail
@@ -597,7 +609,7 @@ class _Quotient:
             fold.append(_pack(row, self.w))
             row = _divmod(row + [0], f, p)[1]
         self.fold = fold[::-1]
-        self._frob = None
+        self._xp = self._frob = None
 
     def _combine(self, low: int, coeffs: list[int], rows: list[int]) -> list[int]:
         """low + sum_i coeffs[i] * rows[i], unpacked and reduced."""
@@ -612,23 +624,42 @@ class _Quotient:
         return self._combine(prod & ((1 << shift) - 1), high, self.fold)
 
     def pow(self, a: list[int], e: int) -> list[int]:
-        out = [1]
-        for bit in bin(e)[2:]:
-            out = self.mul(out, out)
-            if bit == "1":
-                out = self.mul(out, a)
+        """a**e, e >= 1, left to right over windows of at most k bits from 1 to 1,
+        each one product with a tabled a**j, j odd; k = 1 (the binary ladder
+        from a) up to 12 bits of e, and k = 3 for the 30 of (p-1)/2 at 2**31-1,
+        where the table costs fewer products than it saves."""
+        bits = bin(e)[2:]
+        k = 1 + sum(len(bits) > b for b in (12, 24, 80))
+        odd, a2 = [a], self.mul(a, a) if k > 1 else None
+        for _ in range(2 ** (k - 1) - 1):
+            odd.append(self.mul(odd[-1], a2))
+        out, i = None, 0
+        while i < len(bits):
+            if bits[i] == "0":
+                out, i = self.mul(out, out), i + 1
+                continue
+            j = bits.rfind("1", i, i + k) + 1
+            for _ in range(j - i if out is not None else 0):
+                out = self.mul(out, out)
+            window = odd[int(bits[i:j], 2) >> 1]
+            out, i = window if out is None else self.mul(out, window), j
         return out
+
+    def xp(self) -> list[int]:
+        """x**p, computed on the first call."""
+        if self._xp is None:
+            self._xp = self.pow(_divmod([1, 0], self.f, self.p)[1], self.p)
+        return self._xp
 
     def frobenius(self, r: list[int]) -> list[int]:
         """r**p, as one vector-matrix product with the packed rows x**(i*p), i < n,
-        since r(x)**p = sum_i r_i x**(i*p) over F_p. The rows are built on the
-        first call from one x**p.
+        since r(x)**p = sum_i r_i x**(i*p) over F_p. The rows are built from
+        x**p on the first call.
         """
         if self._frob is None:
-            xp = self.pow(_divmod([1, 0], self.f, self.p)[1], self.p)
             rows = [[1]]
             for _ in range(self.n - 1):
-                rows.append(self.mul(rows[-1], xp))
+                rows.append(self.mul(rows[-1], self.xp()))
             self._frob = [_pack(row, self.w) for row in rows]
         return self._combine(0, r[::-1], self._frob)
 
@@ -656,24 +687,28 @@ def _squarefree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-def _distinct_degree(ring: _Quotient) -> list[tuple[list[int], int]]:
-    """(product of all irreducible factors of degree k, k) for a squarefree modulus."""
-    p = ring.p
-    out, g, h, k = [], ring.f, [1, 0], 0
+def _distinct_degree(g: list[int], mult: int, p: int):
+    """Yields (k, product of g's irreducible factors of degree k, ring, mult)
+    for a squarefree monic g, k = 1, 2, ..., one step per read; the product
+    is [1] where there are none. The cofactor left once 2k exceeds its
+    degree is irreducible and comes last."""
+    ring = _Quotient(g, p)
+    h, k = [1, 0], 0
     while 2 * (k + 1) <= len(g) - 1:
         k += 1
-        h = ring.frobenius(h)  # x**(p**k) mod f
+        h = ring.xp() if k == 1 else ring.frobenius(h)  # x**(p**k) mod ring.f
         d = _gcd(g, _sub(h, [1, 0], p), p)
+        yield k, d, ring, mult
         if len(d) > 1:
-            out.append((d, k))
             g = _divmod(g, d, p)[0]
     if len(g) > 1:
-        out.append((g, len(g) - 1))
-    return out
+        yield len(g) - 1, g, ring, mult
 
 
-def _equal_degree(f: list[int], k: int, big: _Quotient, rng: random.Random) -> list[list[int]]:
-    """The irreducible factors of a squarefree monic f whose factors all have degree k.
+def _equal_degree(f: list[int], k: int, big: _Quotient, rng: random.Random):
+    """Yields the irreducible factors of a squarefree monic f whose factors all
+    have degree k, depth first: each split recurses into its smaller part
+    first, so the first factor takes at most log2(deg f / k) successful splits.
 
     f divides big's modulus, whose Frobenius map serves f too. For random r,
     the norm t = r * r**p * ... * r**(p**(k-1)) lies in F_p in each residue
@@ -684,7 +719,8 @@ def _equal_degree(f: list[int], k: int, big: _Quotient, rng: random.Random) -> l
     """
     p, n = big.p, len(f) - 1
     if n == k:
-        return [f]
+        yield f
+        return
     ring = _Quotient(f, p)
     for _ in range(64):
         r = _strip([rng.randrange(p) for _ in range(n)])
@@ -694,29 +730,32 @@ def _equal_degree(f: list[int], k: int, big: _Quotient, rng: random.Random) -> l
             t = ring.mul(t, s)
         g = _gcd(f, _sub(ring.pow(t, (p - 1) // 2), [1], p), p)
         if 1 < len(g) < len(f):
-            return (_equal_degree(g, k, big, rng)
-                    + _equal_degree(_divmod(f, g, p)[0], k, big, rng))
+            for part in sorted((g, _divmod(f, g, p)[0]), key=len):
+                yield from _equal_degree(part, k, big, rng)
+            return
     raise ArithmeticError(f"no equal-degree split of a degree-{n} polynomial into degree {k}")
 
 
-def factor_poly(coeffs_desc: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
-    """Monic irreducible factors of a nonzero polynomial over F_p, p an odd
-    prime, with multiplicities.
-
-    Input and factors are coefficient sequences, highest degree first; the
-    leading coefficient is dropped, so a constant has no factors. Factors
-    are sorted by (degree, coefficients). The algorithm is squarefree
-    decomposition, distinct-degree factorisation with one Frobenius matrix
-    per squarefree part, and Cantor-Zassenhaus equal-degree splitting. The
-    splitting step draws from its own generator with a fixed seed; the
-    output does not depend on that seed, because factorisation in F_p[x] is
-    unique and the factors are sorted.
-    """
+def irreducible_factors(coeffs_desc: list[int], p: int):
+    """Yields each monic irreducible factor (a tuple, highest degree first) of
+    a nonzero polynomial over F_p, p an odd prime, once, with its
+    multiplicity, degrees never decreasing, computing only as far as it is
+    read; a constant has none. The squarefree parts are found up front;
+    their distinct-degree steps are merged on the degree, and splitting uses
+    one fixed-seed generator per call, so the stream is deterministic."""
     f = _monic(_strip([int(c) % p for c in coeffs_desc]), p)
     rng = random.Random(0)
-    out = []
-    for g, mult in _squarefree(f, p) if len(f) > 1 else []:
-        ring = _Quotient(g, p)
-        for d, k in _distinct_degree(ring):
-            out += [(tuple(h), mult) for h in _equal_degree(d, k, ring, rng)]
-    return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
+    parts = [_distinct_degree(g, mult, p) for g, mult in _squarefree(f, p)] if len(f) > 1 else []
+    for k, d, ring, mult in heapq.merge(*parts, key=lambda step: step[0]):
+        if len(d) > 1:
+            for h in _equal_degree(d, k, ring, rng):
+                yield tuple(h), mult
+
+
+def factor_poly(coeffs_desc: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
+    """All of :func:`irreducible_factors`, sorted by (degree, coefficients).
+
+    The output does not depend on the splitting generator's seed, because
+    factorisation in F_p[x] is unique and the factors are sorted.
+    """
+    return sorted(irreducible_factors(coeffs_desc, p), key=lambda fm: (len(fm[0]), fm[0]))

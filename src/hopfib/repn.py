@@ -4,6 +4,8 @@ The decomposition ("chop") follows the standard randomized strategy for
 modules over small finite fields: draw random elements of the acting
 algebra's image, split off kernels of irreducible factors of their minimal
 polynomials, and spin up submodules, each with one product (see spin).
+The factors are drawn lazily, lowest degree first
+(linalg.irreducible_factors), and no more are computed once one decides.
 Irreducibility is certified by the dual-module (Norton) criterion, which
 needs an element whose chosen irreducible factor has kernel dimension
 equal to its degree; the search retries with fresh random elements until
@@ -26,7 +28,7 @@ from .errors import BudgetExceeded, DifferentAlgebras, DimensionMismatch
 from .linalg import (
     Subspace,
     asmat,
-    factor_poly,
+    irreducible_factors,
     kernel,
     matmul_mod,
     rref,
@@ -162,7 +164,7 @@ def _try_split(action, field, rng, budget):
         f = minpoly_on_vector(theta, v, p)
         if len(f) <= 1:
             continue
-        for g, _mult in factor_poly(f, p):
+        for g, _mult in irreducible_factors(f, p):
             gtheta = poly_eval_matrix(g, theta, p)
             nullsp = kernel(gtheta, p)
             if nullsp.shape[0] == 0:

@@ -202,6 +202,17 @@ def krylov_solve_minpoly(theta: np.ndarray, v: np.ndarray, p: int) -> list[int]:
         rows.append(nxt)
 
 
+def binary_ladder_pow(ring, a: list[int], e: int) -> list[int]:
+    """a**e in a linalg._Quotient ring by the plain binary ladder from 1: one
+    squaring per bit of e and one product per 1 bit."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = ring.mul(out, out)
+        if bit == "1":
+            out = ring.mul(out, a)
+    return out
+
+
 def pairwise_quotient_mul(alg: StructureConstantAlgebra, ideal: Subspace) -> np.ndarray:
     """Dense structure constants of alg/ideal on the standard vectors at the
     ideal's non-pivot columns, one projected product per pair."""

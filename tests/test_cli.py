@@ -1,9 +1,17 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from hopfib.cli import main
 from hopfib.fileio import canonical_json, corpus_instance_to_dict, instance_from_dict
+
+from oracles import random_change_of_basis
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -88,6 +96,20 @@ class TestAxiomsCommand:
         code = main(["axioms", "--input", str(path)])
         capsys.readouterr()
         assert code == 2
+
+    def test_dense_basis_at_dim_27_exits_2_naming_the_join_budget(self, instances, tmp_path):
+        # qsl2 with every structure constant nonzero: the exhaustive checks'
+        # sparse joins pass 10**8 pairs, which would take gigabytes, so the
+        # run must stop at linalg.MAX_JOIN_TERMS (in its own process, so a
+        # regression costs that process and not the test session)
+        path = tmp_path / "qsl2_dense.json"
+        d = random_change_of_basis(corpus_instance_to_dict(instances("qsl2")), seed=2)
+        path.write_text(json.dumps(d))
+        proc = subprocess.run([sys.executable, "-m", "hopfib.cli", "axioms", "--input", str(path)],
+                              capture_output=True, text=True, timeout=30,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 2
+        assert "linalg.MAX_JOIN_TERMS" in proc.stderr and proc.stdout == ""
 
 
 class TestMalformedEntries:

@@ -13,10 +13,10 @@ from hypothesis.extra.numpy import arrays
 from scipy import sparse
 from sympy import isprime, primefactors
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor
+from sympy.polys.galoistools import gf_factor, gf_irreducible_p
 
 from hopfib import linalg
-from hopfib.errors import NoSuchRoot
+from hopfib.errors import BudgetExceeded, NoSuchRoot
 from hopfib.linalg import (
     MILLER_RABIN_BOUND,
     FieldSpec,
@@ -27,6 +27,7 @@ from hopfib.linalg import (
     find_root_of_unity,
     first_difference,
     invert,
+    irreducible_factors,
     is_prime,
     kernel,
     matmul_mod,
@@ -37,6 +38,8 @@ from hopfib.linalg import (
     solve,
     tensordot_mod,
 )
+
+from oracles import binary_ladder_pow
 
 F7 = FieldSpec(7)
 
@@ -122,20 +125,38 @@ def poly_mul(a, b, p):
     return out
 
 
+def factor_key(gm):
+    return (len(gm[0]), gm[0])
+
+
+def sympy_factors(f, p):
+    """(leading coefficient, sorted monic factors with multiplicities) from gf_factor."""
+    lead, factors = gf_factor([c % p for c in f], p, ZZ)
+    return int(lead), sorted(((tuple(int(c) for c in g), int(m)) for g, m in factors), key=factor_key)
+
+
 def check_factorisation(f, p):
     """factor_poly(f) equals sympy's gf_factor and multiplies back to monic f."""
     got = factor_poly(f, p)
-    lead, expected = gf_factor([c % p for c in f], p, ZZ)
-    expected = sorted(((tuple(int(c) for c in g), int(m)) for g, m in expected),
-                      key=lambda gm: (len(gm[0]), gm[0]))
+    lead, expected = sympy_factors(f, p)
     assert got == expected
     product = [1]
     for g, m in got:
         assert g[0] == 1
         for _ in range(m):
             product = poly_mul(product, list(g), p)
-    assert [c * int(lead) % p for c in product] == [c % p for c in f]
+    assert [c * lead % p for c in product] == [c % p for c in f]
     return got
+
+
+def check_stream(f, p):
+    """irreducible_factors(f) yields each of gf_factor's factors exactly once,
+    with its multiplicity, and its degrees never decrease."""
+    stream = list(irreducible_factors(f, p))
+    degrees = [len(g) - 1 for g, _ in stream]
+    assert degrees == sorted(degrees)
+    assert len({g for g, _ in stream}) == len(stream)
+    assert sorted(stream, key=factor_key) == sympy_factors(f, p)[1]
 
 
 @st.composite
@@ -150,7 +171,9 @@ class TestFactorPoly:
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.sampled_from(FACTOR_PRIMES))
     def test_random_monic(self, data, p):
-        check_factorisation(data.draw(monic_polys(p, 1, 40)), p)
+        f = data.draw(monic_polys(p, 1, 40))
+        check_factorisation(f, p)
+        check_stream(f, p)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.sampled_from(FACTOR_PRIMES))
@@ -163,6 +186,7 @@ class TestFactorPoly:
             for _ in range(m):
                 f = poly_mul(f, g, p)
         got = check_factorisation(f, p)
+        check_stream(f, p)
         assert max(m for _, m in got) > 1
 
     @settings(max_examples=60, deadline=None)
@@ -174,6 +198,7 @@ class TestFactorPoly:
         f = poly_mul(g_of_xp, data.draw(monic_polys(p, 0, 6)), p)
         assert len(f) - 1 >= p
         check_factorisation(f, p)
+        check_stream(f, p)
 
     @pytest.mark.parametrize("p", FACTOR_PRIMES)
     def test_constants_and_linear(self, p):
@@ -182,8 +207,10 @@ class TestFactorPoly:
         assert factor_poly([1, 0], p) == [((1, 0), 1)]
         assert factor_poly([2, 4], p) == [((1, 2), 1)]
         assert factor_poly([0, 2, 2 * (p - 1)], p) == [((1, p - 1), 1)]
+        assert list(irreducible_factors([p - 1], p)) == []
         for f in ([1, 0], [2, 4], [p - 1, 1], [1, 2 * p + 1]):
             check_factorisation(f, p)
+            check_stream(f, p)
 
     @pytest.mark.parametrize("p", [7, 2**31 - 1])
     def test_output_does_not_depend_on_the_splitting_seed(self, p, monkeypatch):
@@ -194,6 +221,72 @@ class TestFactorPoly:
         for seed in (1, 2, 3):
             monkeypatch.setattr(linalg.random, "Random", lambda _s, seed=seed: fixed_seed(seed))
             assert [factor_poly(f, p) for f in polys] == expected
+            assert [sorted(irreducible_factors(f, p), key=factor_key) for f in polys] == expected
+
+    def test_first_factor_is_read_without_the_rest(self, monkeypatch):
+        # (x-1)(x-2)...(x-12) q with q an irreducible quartic: the first linear
+        # factor needs x**p and a few splits, not the Frobenius rows
+        p = 2**31 - 1
+        q = next([1, 0, 0, 1, c] for c in range(1, p) if gf_irreducible_p([1, 0, 0, 1, c], p, ZZ))
+        f = q
+        for a in range(1, 13):
+            f = poly_mul(f, [1, p - a], p)
+        calls, rings = [], []
+        real_mul, real_init = linalg._Quotient.mul, linalg._Quotient.__init__
+
+        def counted_mul(ring, a, b):
+            calls.append(1)
+            return real_mul(ring, a, b)
+
+        def recorded_init(ring, *args):
+            rings.append(ring)
+            real_init(ring, *args)
+
+        monkeypatch.setattr(linalg._Quotient, "mul", counted_mul)
+        monkeypatch.setattr(linalg._Quotient, "__init__", recorded_init)
+        g, mult = next(irreducible_factors(f, p))
+        first = len(calls)
+        assert len(g) == 2 and mult == 1
+        assert rings and all(ring._frob is None for ring in rings)
+        calls.clear()
+        assert factor_poly(f, p)[-1] == (tuple(q), 1)
+        assert any(ring._frob is not None for ring in rings)
+        assert first < len(calls) / 2
+
+
+class TestQuotientPow:
+    """The windowed power against the binary ladder it replaced."""
+
+    @pytest.mark.parametrize("p", FACTOR_PRIMES)
+    def test_matches_the_binary_ladder(self, p):
+        rng = random.Random(p)
+        exponents = [1, 2, 3, p, (p - 1) // 2] + [2**k + d for k in range(1, 34) for d in (-1, 1)]
+        for n in (1, 2, 5, 12):
+            ring = linalg._Quotient([1] + [rng.randrange(p) for _ in range(n)], p)
+            elements = [[], [1], linalg._strip([rng.randrange(p) for _ in range(n)])]
+            for a in elements:
+                for e in exponents:
+                    assert ring.pow(a, e) == binary_ladder_pow(ring, a, e), (n, a, e)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_never_more_products_than_the_ladder_at_small_p(self, p, monkeypatch):
+        calls = []
+        real_mul = linalg._Quotient.mul
+
+        def counted_mul(ring, a, b):
+            calls.append(1)
+            return real_mul(ring, a, b)
+
+        monkeypatch.setattr(linalg._Quotient, "mul", counted_mul)
+        # every exponent below 2**10, so every one a factorisation at p <= 7 raises to
+        ring = linalg._Quotient([1, 2, 1], p)
+        for e in range(1, 2**10):
+            calls.clear()
+            ring.pow([1, 1], e)
+            windowed = len(calls)
+            calls.clear()
+            binary_ladder_pow(ring, [1, 1], e)
+            assert windowed <= len(calls), e
 
 
 class TestRootOfUnity:
@@ -314,6 +407,17 @@ class TestSparseTensor:
             assert np.array_equal(got.dense(), np.array(ref, dtype=np.int64))
             order = tuple(rng.permutation(rank_a))
             assert np.array_equal(permute(SparseTensor.from_dense(a), order).dense(), a.transpose(order))
+
+    def test_join_past_the_budget_names_the_limit(self, monkeypatch):
+        # e_i (x) e_i with every (i, j) entry: the rank-1 by rank-2 join pairs each of
+        # the 3 a entries with the 3 b entries in its row, 9 pairs in all
+        a = SparseTensor.from_entries(3, 1, [(i, 1) for i in range(3)], 7)
+        b = SparseTensor.from_entries(3, 2, [(i, j, 1) for i in range(3) for j in range(3)], 7)
+        monkeypatch.setattr(linalg, "MAX_JOIN_TERMS", 9)
+        assert contract(a, b, 1, 7).vals.tolist() == [3, 3, 3]
+        monkeypatch.setattr(linalg, "MAX_JOIN_TERMS", 8)
+        with pytest.raises(BudgetExceeded, match=r"join 9 term pairs, more than .* of 8 \(linalg\.MAX_JOIN_TERMS\)"):
+            contract(a, b, 1, 7)
 
     def test_from_entries_adds_repeats_and_drops_zeros(self):
         t = SparseTensor.from_entries(3, 2, [(2, 1, 5), (0, 2, 3), (2, 1, 4), (1, 1, 7)], 7)

@@ -1,11 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hopfib.algebra import build_algebra
-from hopfib.corpus import SHIPPED_NAMES
+from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra_pair
 from hopfib.errors import DifferentAlgebras
 from hopfib.fileio import instance_from_dict
-from hopfib.linalg import FieldSpec, Subspace, factor_poly, kernel, matmul_mod, tensordot_mod
+from hopfib.linalg import (
+    FieldSpec,
+    Subspace,
+    irreducible_factors,
+    kernel,
+    matmul_mod,
+    tensordot_mod,
+)
 from hopfib.repn import (
     ModuleRep,
     annihilator,
@@ -36,8 +45,6 @@ def cyclic_entries(n):
 
 def s3_table():
     """Cayley table of S3 as permutations of {0,1,2} in a fixed listing."""
-    import itertools
-
     perms = sorted(itertools.permutations(range(3)))
     index = {q: i for i, q in enumerate(perms)}
     table = np.zeros((6, 6), dtype=np.int64)
@@ -114,7 +121,7 @@ class TestSplitHelpersMatchOracles:
         seeds = [rng.integers(0, p, size=(k, m)) for k in (1, 2)]
         theta = tensordot_mod(rng.integers(0, p, size=n), stack, ([0], [0]), p)
         f = minpoly_on_vector(theta, rng.integers(1, p, size=m), p)
-        for g, _mult in factor_poly(f, p)[:4]:
+        for g, _mult in itertools.islice(irreducible_factors(f, p), 4):
             nullsp = kernel(poly_eval_matrix(g, theta, p), p)
             if nullsp.shape[0]:
                 seeds.append(matmul_mod(rng.integers(0, p, size=(1, nullsp.shape[0])), nullsp, p))
@@ -165,7 +172,8 @@ class TestSplitHelpersMatchOracles:
             for _ in range(3):
                 theta = tensordot_mod(rng.integers(0, p, size=n), action, ([0], [0]), p)
                 vectors = [rng.integers(1, p, size=m), np.eye(m, dtype=np.int64)[rng.integers(m)]]
-                for g, _mult in factor_poly(minpoly_on_vector(theta, vectors[0], p), p)[:2]:
+                f = minpoly_on_vector(theta, vectors[0], p)
+                for g, _mult in itertools.islice(irreducible_factors(f, p), 2):
                     nullsp = kernel(poly_eval_matrix(g, theta, p), p)
                     vectors += list(nullsp[:1])
                 for v in vectors:
@@ -272,6 +280,28 @@ class TestBudget:
         assert [r.module.dim for r in recs] == [1, 4]
         # non-split: annihilator codimension is dim * degree, not dim**2
         assert 5 - recs[1].annihilator.dim == 4
+
+    def test_chop_reads_factors_only_until_one_decides(self, monkeypatch):
+        # F_p[S3 x S3] at p = 2**31 - 1: when every minimal polynomial was
+        # factored completely, simples(seed=0) made 11,460 products in the
+        # quotient rings F_p[x]/(f) of the factoriser
+        from hopfib import linalg, repn
+
+        s3 = builtin_group("s3")
+        g = direct_product(s3, s3)
+        alg = group_algebra_pair(FieldSpec(2**31 - 1), g, g.center()).h.alg
+        calls = []
+        real_mul = linalg._Quotient.mul
+
+        def counted_mul(ring, a, b):
+            calls.append(1)
+            return real_mul(ring, a, b)
+
+        monkeypatch.setattr(linalg._Quotient, "mul", counted_mul)
+        monkeypatch.setattr(repn, "_SIMPLES_CACHE", {})
+        recs = simples(alg, seed=0)
+        assert sorted(r.module.dim for r in recs) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
+        assert 0 < len(calls) <= 11_460 // 2
 
 
 class TestIsoSimple:
