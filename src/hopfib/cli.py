@@ -34,7 +34,7 @@ from .fileio import (
     report_dict,
     write_instance,
 )
-from .hopf import enumerate_characters, verify_structure
+from .hopf import character_group_X, enumerate_characters, verify_structure
 from .linalg import FieldSpec
 from .repn import simples
 from .specmap import remark_uniform_fibers, verify_theorem
@@ -146,10 +146,11 @@ def cmd_simples(args) -> int:
 def cmd_verify(args) -> int:
     raw, d = _read_input(args.input)
     inst = instance_from_dict(d)
-    verdict = verify_theorem(inst, mode=args.mode, seed=args.seed)
+    x = character_group_X(inst.h, inst.a, seed=args.seed)  # shared with --uniform-fibers
+    verdict = verify_theorem(inst, mode=args.mode, seed=args.seed, x_group=x)
     results = verdict.to_dict()
     if args.uniform_fibers:
-        rep = remark_uniform_fibers(inst, seed=args.seed)
+        rep = remark_uniform_fibers(inst, seed=args.seed, x_group=x)
         results["uniform_fibers"] = {
             "consistent": rep.consistent,
             "entries": [

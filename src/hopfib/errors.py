@@ -59,12 +59,12 @@ class DifferentAlgebras(HopfibError):
 
 
 class BudgetExceeded(HopfibError):
-    """A named budget ran out: chop attempts (repn.MAX_ATTEMPTS) or the term
-    pairs of one sparse contraction (linalg.MAX_JOIN_TERMS).
+    """A named budget ran out: the random elements chop draws for one module
+    (repn.MAX_ATTEMPTS) or the term pairs of one sparse contraction
+    (linalg.MAX_JOIN_TERMS).
 
-    Running out of attempts usually indicates a splitting-field problem: some
-    composition factor is irreducible over F_p but would split over an
-    extension field.
+    It is not a sign of a splitting-field problem: a module that is simple
+    over F_p but splits over an extension field is certified like any other.
     """
 
 

@@ -342,6 +342,7 @@ class XGroup:
     table: np.ndarray  # table[i, j] = index of chars[i] * chars[j]
     inverse: list[int]
     identity_index: int
+    all_chars: list[Character]  # every character of the bialgebra, X's among them
     _windings: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -385,8 +386,8 @@ def character_group_X(b: BialgebraData, a: CoidealSubalgebra, seed: int = 0) -> 
     fixed-subalgebra criterion, chi lies in X exactly when its right winding
     map fixes A pointwise; that theorem is not checked again here.
     """
-    members = [c for c in enumerate_characters(b, seed=seed)
-               if restricts_to_counit(b, c, a.subspace)]
+    all_chars = enumerate_characters(b, seed=seed)
+    members = [c for c in all_chars if restricts_to_counit(b, c, a.subspace)]
     index = {c.values: i for i, c in enumerate(members)}
     k = len(members)
     table = np.zeros((k, k), dtype=np.int64)
@@ -405,7 +406,7 @@ def character_group_X(b: BialgebraData, a: CoidealSubalgebra, seed: int = 0) -> 
         if not hits.size:
             raise HopfibError("character has no convolution inverse in the set")
         inverse.append(int(hits[0]))
-    return XGroup(members, table, inverse, ident)
+    return XGroup(members, table, inverse, ident, all_chars)
 
 
 # -- adjoint action ----------------------------------------------------------

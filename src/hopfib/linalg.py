@@ -272,19 +272,34 @@ def invert(m, p: int) -> np.ndarray:
 
 
 def find_root_of_unity(field: FieldSpec, m: int) -> int:
-    """Smallest element of F_p with multiplicative order exactly m."""
+    """Smallest element of F_p with multiplicative order exactly m.
+
+    The elements of order m are the powers x^k, gcd(k, m) = 1, of any one
+    of them, x. For h = 2, 3, ... the power h^((p-1)/m) has order dividing
+    m, and order exactly m for a generator h of F_p^*, so the search stops.
+    Comparing the powers of x takes m products. The residues 2, 3, ... are
+    tested alongside; the first one of order m is the answer, which ends
+    the search early when m is large.
+    """
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
     p = field.p
     if (p - 1) % m != 0:
         raise NoSuchRoot(f"no element of order {m} in F_{p}: {m} does not divide {p - 1}")
     prime_divs = prime_factors(m)
-    for x in range(1, p):
-        if pow(x, m, p) != 1:
-            continue
-        if all(pow(x, m // q, p) != 1 for q in prime_divs):
-            return x
-    raise NoSuchRoot(f"no element of order {m} in F_{p}")  # unreachable for m | p-1
+
+    def has_order_m(x: int) -> bool:
+        return pow(x, m, p) == 1 and all(pow(x, m // q, p) != 1 for q in prime_divs)
+
+    x = next(x for x in (pow(h, (p - 1) // m, p) for h in range(2, p)) if has_order_m(x))
+    best, y = x, x
+    for k in range(2, m):
+        if has_order_m(k):  # no smaller residue has order m
+            return k
+        y = y * x % p
+        if y < best and all(k % q for q in prime_divs):
+            best = y
+    return best
 
 
 def complement_projection(sub: "Subspace"):

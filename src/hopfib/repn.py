@@ -36,7 +36,8 @@ from .linalg import (
 )
 
 
-# random elements one chop call may draw before it gives up (BudgetExceeded)
+# random elements chop may draw for one module of its split tree before it
+# gives up (BudgetExceeded)
 MAX_ATTEMPTS = 256
 # kernel vectors spun per irreducible factor before the dual criterion decides
 SPIN_VECTORS_PER_KERNEL = 8
@@ -148,14 +149,14 @@ def quotient_action(action: np.ndarray, sub: Subspace, p: int) -> np.ndarray:
     return (cols[:, rest] - matmul_mod(sub.basis[:, rest].T, cols[:, list(sub.pivots)], p)) % p
 
 
-def _try_split(action, field, rng, budget):
-    """Return a proper nonzero invariant subspace, or None if certified simple."""
+def _try_split(action, field, rng):
+    """Return a proper nonzero invariant subspace, or None if certified simple,
+    within MAX_ATTEMPTS random elements."""
     p = field.p
     n, m, _ = action.shape
     if m == 1:
         return None
-    while budget[0] > 0:
-        budget[0] -= 1
+    for _ in range(MAX_ATTEMPTS):
         coeffs = rng.integers(0, p, size=n)
         theta = tensordot_mod(coeffs, action, ([0], [0]), p)
         v = rng.integers(0, p, size=m)
@@ -198,12 +199,11 @@ def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0) -> lis
     are merged by (dimension, annihilator), which is the isomorphism test of
     :func:`iso_simple`, and the records are sorted by that key. The multiset
     of factors is independent of the seed; the attempt budget guards the
-    randomized search.
+    randomized search for each module of the split tree.
     """
     if module.alg.digest() != alg.digest():
         raise DifferentAlgebras("module is not over the given algebra")
     rng = np.random.default_rng(seed)
-    budget = [MAX_ATTEMPTS]
     field = alg.field
     p = field.p
     leaves: list[np.ndarray] = []
@@ -211,7 +211,7 @@ def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0) -> lis
     stack = [module.action]
     while stack:
         act = stack.pop()
-        w = _try_split(act, field, rng, budget)
+        w = _try_split(act, field, rng)
         if w is None:
             leaves.append(act)
             continue

@@ -15,6 +15,20 @@ between pairs of rules to identical normal forms. Then normal forms do not
 depend on the strategy, irreducible words within the length bound form a
 basis, and multiplying normal forms is associative (Bergman's diamond
 lemma), so extract_bialgebra builds the algebra without re-checking it.
+Associativity also lets it form the multiplication table from the
+generators' left actions: it normalizes only the words g.w of a generator
+g and a basis word w, never the concatenation of two basis words.
+
+The word-length bound guards termination searches. complete_check,
+enumerate_basis and normalize raise BoundExceeded when an overlap word, an
+irreducible word or an intermediate word of a reduction passes it. The
+words g.w are at most one letter longer than the longest basis word, so
+the multiplication table raises BoundExceeded only when one of their
+reductions passes the bound, and not for a product of two basis words
+whose leftmost reduction would. (The comultiplication and antipode still
+normalize products of basis words with the words of the given generator
+images.) An uncertified presentation is refused, by enumerate_basis,
+before any table is built.
 
 Text format, one directive per line ('#' starts a comment):
 
@@ -348,10 +362,13 @@ def extract_bialgebra(
 ) -> BialgebraData:
     """Materialize the presented algebra with its bialgebra structure.
 
-    Multiplication is read off by normalizing all products of basis words.
     enumerate_basis certifies the presentation confluent, so by the diamond
-    lemma that multiplication is associative with the empty word as unit;
-    the algebra axioms are not checked again. The comultiplication, counit
+    lemma the product of normal forms is associative with the empty word as
+    unit; the algebra axioms are not checked again. Associativity is also
+    what builds the table: with w_i = g.w', e_i e_j = g.(e_{w'} e_j), so
+    the products of each basis word follow from those of its suffix and the
+    left action of g, which takes one normal form per generator and basis
+    word instead of one per pair of basis words. The comultiplication, counit
     and antipode are extended from the given generator images as algebra
     maps (anti-map for the antipode). Whether they respect the relations is
     not a theorem, so every bialgebra axiom is checked; a failure raises
@@ -362,11 +379,27 @@ def extract_bialgebra(
     basis = enumerate_basis(pres)
     index = {w: i for i, w in enumerate(basis)}
     n = len(basis)
-    entries = []
-    for i, wi in enumerate(basis):
-        for j, wj in enumerate(basis):
-            for w, c in _normal_form_word(pres, wi + wj).items():
-                entries.append((i, j, index[w], c))
+    # left action of each generator g on the basis: e_j -> NF(g.w_j)
+    left = [[{index[w]: c for w, c in _normal_form_word(pres, (g,) + wj).items()} for wj in basis]
+            for g in range(len(pres.generators))]
+    # rows[i][j] = e_i e_j; for w_i = g.w', e_i e_j = g.(e_{w'} e_j), and the
+    # irreducible suffix w' comes earlier in the term order
+    rows: list[list[dict[int, int]]] = []
+    for wi in basis:
+        if not wi:
+            rows.append([{j: 1} for j in range(n)])
+            continue
+        act = left[wi[0]]
+        row = []
+        for prod in rows[index[wi[1:]]]:
+            out: dict[int, int] = {}
+            for k, c in prod.items():
+                for k2, c2 in act[k].items():
+                    out[k2] = (out.get(k2, 0) + c * c2) % p
+            row.append({k: c for k, c in out.items() if c})
+        rows.append(row)
+    entries = [(i, j, k, c) for i, row in enumerate(rows)
+               for j, prod in enumerate(row) for k, c in prod.items()]
     unit = [0] * n
     unit[index[()]] = 1
     if labels is None:

@@ -45,6 +45,7 @@ from .hopf import (
     BialgebraData,
     Character,
     CoidealSubalgebra,
+    XGroup,
     character_group_X,
     enumerate_characters,
     fiber_quotient,
@@ -234,18 +235,20 @@ def _applicable_agree(values) -> bool:
     return len(set(applicable)) <= 1
 
 
-def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0) -> Verdict:
+def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0,
+                   x_group: XGroup | None = None) -> Verdict:
     """Check the equivalence conditions on a concrete instance.
 
     Global mode additionally compares the full fiber partition with the
     full orbit partition on all primitive ideals. Bialgebras without an
     antipode fall back to the two-sided orbit experiment (third condition
-    only, against the combined left/right winding action).
+    only, against the combined left/right winding action). X is built here
+    unless x_group, built with the same seed, is given.
     """
     h = instance.h
     a = instance.a
     p = h.field.p
-    x = character_group_X(h, a, seed=seed)
+    x = x_group if x_group is not None else character_group_X(h, a, seed=seed)
     gens = x.generators()
     if h.antipode is None:
         maps = [winding(h, x.chars[i], side) for side in ("right", "left") for i in gens]
@@ -323,13 +326,15 @@ class FiberUniformityReport:
     consistent: bool
 
 
-def remark_uniform_fibers(instance: CorpusInstance, seed: int = 0) -> FiberUniformityReport:
+def remark_uniform_fibers(instance: CorpusInstance, seed: int = 0,
+                          x_group: XGroup | None = None) -> FiberUniformityReport:
     """For every character xi of a Hopf subalgebra A, chop H/H*ker(xi).
 
     Characters of A that are restrictions of characters of H must all give
     the same one-dimensionality verdict (winding by a lift carries one
     fiber ideal onto another); characters that do not extend are reported
-    without entering the consistency claim.
+    without entering the consistency claim. H's characters and X come from
+    x_group when it is given (built with the same seed, as by verify).
     """
     h = instance.h
     a = instance.a
@@ -346,11 +351,11 @@ def remark_uniform_fibers(instance: CorpusInstance, seed: int = 0) -> FiberUnifo
 
     asub, _embedding = subalgebra_as_algebra(h.alg, a.subspace)
     a_chars = enumerate_characters(asub, seed=seed)
+    x = x_group if x_group is not None else character_group_X(h, a, seed=seed)
     restrictions = {
         tuple(int(t) for t in matmul_mod(a.subspace.basis, c.vector(), p))
-        for c in enumerate_characters(h, seed=seed)
+        for c in x.all_chars
     }
-    x = character_group_X(h, a, seed=seed)
     entries = []
     for xi in a_chars:
         extends = xi.values in restrictions

@@ -1,6 +1,6 @@
 import pytest
 
-from hopfib.corpus import shipped_instance
+from hopfib.corpus import quantum_m2_kernel, quantum_sl2_kernel, shipped_instance, small_quantum_sl2
 from hopfib.fileio import corpus_instance_to_dict
 from oracles import random_change_of_basis
 
@@ -20,20 +20,31 @@ def instances():
     return get
 
 
+QUANTUM_FAMILIES = {"qsl2": quantum_sl2_kernel, "usl2": small_quantum_sl2, "qm2": quantum_m2_kernel}
+
+
 @pytest.fixture(scope="session")
 def rebased_big_p(instances):
-    """A shipped group-algebra instance dict at p = 2**31 - 1 in a random basis.
+    """A shipped instance dict at p = 2**31 - 1 in a random basis.
 
     Group algebras have structure constants 0 and 1, so the same integers
     define the same Hopf algebra, with the same A, over any prime; the
     change of basis, seeded by `seed`, then makes every coefficient a large
-    field element.
+    field element. The quantum instances depend on a root of unity q, so
+    they are built again at that prime, and their random basis is monomial
+    (random_change_of_basis with dense=False): in a dense basis their
+    load-time axiom checks pass linalg.MAX_JOIN_TERMS.
     """
 
     def get(name, seed=1):
+        prov = instances(name).provenance
+        if name in QUANTUM_FAMILIES:
+            order = prov["ell"] if "ell" in prov else prov["t"]
+            d = corpus_instance_to_dict(QUANTUM_FAMILIES[name](order, P_BIG))
+            return random_change_of_basis(d, seed=seed, dense=False)
         d = corpus_instance_to_dict(instances(name))
         d["field"] = {"p": P_BIG}
-        d["provenance"] = dict(d["provenance"], p=P_BIG)
+        d["provenance"] = dict(prov, p=P_BIG)
         return random_change_of_basis(d, seed=seed)
 
     return get

@@ -7,7 +7,8 @@ import numpy as np
 
 from hopfib.algebra import StructureConstantAlgebra, subalgebra_closure
 from hopfib.errors import DimensionMismatch
-from hopfib.linalg import Subspace, complement_projection, kernel, matmul_mod, solve
+from hopfib.linalg import SparseTensor, Subspace, complement_projection, kernel, matmul_mod, solve
+from hopfib.rewrite import enumerate_basis, normalize
 
 
 def greedy_generating_set(alg: StructureConstantAlgebra) -> list[int]:
@@ -277,6 +278,16 @@ def rightmost_normal_form(pres, poly: dict) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
+def multiplication_by_normal_forms(pres) -> SparseTensor:
+    """The multiplication of a certified presentation by the normal form of
+    every one of the n**2 concatenations of two basis words."""
+    basis = enumerate_basis(pres)
+    index = {w: i for i, w in enumerate(basis)}
+    entries = [(i, j, index[w], c) for i, wi in enumerate(basis) for j, wj in enumerate(basis)
+               for w, c in normalize(pres, {wi + wj: 1}).items()]
+    return SparseTensor.from_entries(len(basis), 3, entries, pres.field.p)
+
+
 def _inverse_mod(t, p):
     """Inverse of an invertible list-of-lists matrix over F_p, by Gauss-Jordan."""
     n = len(t)
@@ -303,19 +314,28 @@ def _transform3(entries, m0, m1, m2, p):
             if cx:
                 for y in range(n):
                     acc[x][y][w] += cx * m1[y][v]
-    return [
-        [[sum(row[w] * m2[w][z] for w in range(n)) % p for z in range(n)] for row in plane]
-        for plane in acc
-    ]
+    m2_rows = [[(z, b) for z, b in enumerate(row) if b] for row in m2]
+    out = []
+    for plane in acc:
+        out.append([])
+        for row in plane:
+            orow = [0] * n
+            for w, a in enumerate(row):
+                for z, b in m2_rows[w] if a else ():
+                    orow[z] += a * b
+            out[-1].append([c % p for c in orow])
+    return out
 
 
-def random_change_of_basis(d: dict, seed: int) -> dict:
+def random_change_of_basis(d: dict, seed: int, dense: bool = True) -> dict:
     """The instance dict d rewritten in a seeded random basis, in Python ints.
 
     The new basis is f_i = sum_j T[i][j] e_j with T = P D (I + N): P a
     random permutation, D a random invertible diagonal and N strictly upper
     triangular with every entry above the diagonal random, so T is dense
     and so, in general, are mul, comul and the antipode in the new basis.
+    With dense=False, N = 0: T is monomial and the tensors keep their
+    sparsity, while their nonzero coefficients still become random.
     Old coordinates x become T^-T x: the unit and A's basis rows transform
     so, the counit as T eps, mul and comul multilinearly, and the antipode
     matrix (column j is S(e_j)) as S' = T^-T S T^T. Every entry stays a
@@ -330,7 +350,7 @@ def random_change_of_basis(d: dict, seed: int) -> dict:
     t = [[0] * n for _ in range(n)]
     for i in range(n):
         t[perm[i]][i] = scale[i]
-        for j in range(i + 1, n):
+        for j in range(i + 1, n) if dense else ():
             t[perm[i]][j] = scale[i] * rng.randrange(1, p) % p
     tinv = _inverse_mod(t, p)
     tinv_t = [list(col) for col in zip(*tinv)]

@@ -303,6 +303,25 @@ class TestVerifyCommand:
         assert uf["consistent"] is True
         assert len(uf["entries"]) == 2
 
+    def test_uniform_fibers_reuses_the_characters_of_verify(self, q8_file, capsys, monkeypatch):
+        # H's characters and X are built once for both reports: one
+        # enumeration on H and one on A
+        import hopfib.hopf
+        import hopfib.specmap
+
+        calls = []
+        real = hopfib.hopf.enumerate_characters
+
+        def counted(alg, seed=0):
+            calls.append(alg.dim)
+            return real(alg, seed=seed)
+
+        monkeypatch.setattr(hopfib.hopf, "enumerate_characters", counted)
+        monkeypatch.setattr(hopfib.specmap, "enumerate_characters", counted)
+        code, report = run(capsys, "verify", "--input", str(q8_file), "--uniform-fibers")
+        assert code == 0 and len(report["results"]["uniform_fibers"]["entries"]) == 2
+        assert sorted(calls) == [2, 8]  # A = F_7[Z(Q8)] and H = F_7[Q8]
+
     def test_input_digest_present(self, q8_file, capsys):
         _, report = run(capsys, "characters", "--input", str(q8_file))
         assert report["input_digest"].startswith("sha256:")

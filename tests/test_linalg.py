@@ -309,6 +309,27 @@ class TestRootOfUnity:
         x = find_root_of_unity(FieldSpec(p), m)
         assert brute_force_order(x, p) == m
 
+    def test_smallest_of_its_order_for_every_prime_below_200(self):
+        # oracle: the linear scan for the smallest element of each order
+        for p in (q for q in range(3, 200) if all(q % d for d in range(2, q))):
+            smallest = {}
+            for x in range(1, p):
+                smallest.setdefault(brute_force_order(x, p), x)
+            for m in (d for d in range(1, p) if (p - 1) % d == 0):
+                assert find_root_of_unity(FieldSpec(p), m) == smallest[m], (p, m)
+
+    def test_cube_root_and_primitive_root_at_the_largest_prime(self):
+        # the linear scan passes 634,005,910 residues before the cube root;
+        # the primitive root (m = p - 1) has 2**31 - 3 powers to compare
+        p = 2**31 - 1
+        x = find_root_of_unity(FieldSpec(p), 3)
+        assert x == 634005911
+        assert pow(x, 3, p) == 1 and x != 1
+        assert find_root_of_unity(FieldSpec(p), p - 1) == 7
+        # p - 1 = 2 * 3**2 * 7 * 11 * 31 * 151 * 331: 2, ..., 6 are not generators
+        assert all(any(pow(y, (p - 1) // q, p) == 1 for q in (2, 3, 7, 11, 31, 151, 331))
+                   for y in range(2, 7))
+
 
 class TestRref:
     def test_identity_fixed(self):

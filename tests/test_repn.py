@@ -271,6 +271,37 @@ class TestBudget:
         with pytest.raises(BudgetExceeded, match=r"attempt budget of 0 .*repn\.MAX_ATTEMPTS"):
             chop(s3, regular_module(s3), seed=0)
 
+    def test_budget_bounds_each_module_not_the_whole_chop(self, instances, monkeypatch):
+        # each attempt forms one random element with one tensordot_mod; a
+        # budget below qsl2's total but at least its largest per-module use
+        # gives the same records, since the draws do not depend on it
+        from hopfib import repn
+
+        alg = instances("qsl2").h.alg
+        per_call = []
+        real_try, real_dot = repn._try_split, repn.tensordot_mod
+
+        def counted_dot(*args):
+            per_call[-1] += 1
+            return real_dot(*args)
+
+        def counted_try(*args):
+            per_call.append(0)
+            return real_try(*args)
+
+        monkeypatch.setattr(repn, "_SIMPLES_CACHE", {})
+        monkeypatch.setattr(repn, "tensordot_mod", counted_dot)
+        monkeypatch.setattr(repn, "_try_split", counted_try)
+        expected = simples(alg, seed=0)
+        largest, total = max(per_call), sum(per_call)
+        assert largest < total
+
+        monkeypatch.setattr(repn, "_SIMPLES_CACHE", {})
+        monkeypatch.setattr(repn, "MAX_ATTEMPTS", largest)
+        again = simples(alg, seed=0)
+        assert [(r.module.dim, r.multiplicity, r.annihilator.key()) for r in again] == \
+            [(r.module.dim, r.multiplicity, r.annihilator.key()) for r in expected]
+
     def test_non_split_simple_is_still_certified(self):
         # F_7[C5]: x^5 - 1 = (x - 1) * (irreducible quartic) over F_7, so the
         # regular module has a 4-dim factor whose endomorphisms are a field

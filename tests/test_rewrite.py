@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from hopfib import rewrite
 from hopfib.corpus import (
+    quantum_m2_kernel,
     quantum_m2_presentation,
+    quantum_sl2_kernel,
     quantum_sl2_presentation,
+    small_quantum_sl2,
     small_quantum_sl2_presentation,
 )
 from hopfib.errors import BoundExceeded, HopfibError, InfiniteBasis
@@ -18,7 +22,7 @@ from hopfib.rewrite import (
     render_presentation,
 )
 
-from oracles import rightmost_normal_form
+from oracles import multiplication_by_normal_forms, rightmost_normal_form
 
 F7 = FieldSpec(7)
 
@@ -171,6 +175,56 @@ class TestPolyMul:
         assert yx == {(0, 1): 2}
         yxx = poly_mul(pres, yx, {(0,): 1})
         assert yxx == {(0, 0, 1): 4}
+
+
+class TestExtractBialgebra:
+    @pytest.mark.parametrize("build,presentation,args", [
+        (quantum_sl2_kernel, quantum_sl2_presentation, (3, 7)),
+        (small_quantum_sl2, small_quantum_sl2_presentation, (3, 7)),
+        (quantum_m2_kernel, quantum_m2_presentation, (3, 7)),
+        (small_quantum_sl2, small_quantum_sl2_presentation, (5, 11)),
+    ])
+    def test_table_equals_the_normal_forms_of_all_products(self, build, presentation, args):
+        # the table is formed from the generators' left actions; the oracle
+        # normalizes every concatenation of two basis words
+        mul = build(*args).h.alg.mul
+        oracle = multiplication_by_normal_forms(presentation(*args))
+        assert np.array_equal(mul.keys, oracle.keys)
+        assert np.array_equal(mul.vals, oracle.vals)
+
+    def test_qm2_build_normalizes_few_words(self, monkeypatch):
+        # normalizing all 81**2 products of basis words makes 44,666 reduction searches
+        calls = []
+        real = rewrite._find_reduction
+
+        def counted(pres, word):
+            calls.append(word)
+            return real(pres, word)
+
+        monkeypatch.setattr(rewrite, "_find_reduction", counted)
+        quantum_m2_kernel(3, 7)
+        assert len(calls) <= 2000
+
+    def test_table_normalizes_one_letter_past_the_longest_basis_word(self):
+        # F_3[x, y]/(x^3, y^3) with x and y primitive: the longest basis word
+        # x.x.y.y has length 4, so bound 5 is enough for the table, though
+        # normalizing the product of two basis words passes the bound
+        with pytest.raises(BoundExceeded):
+            normalize(quantum_plane(q=1, p=3, bound=5), {(0, 0, 1, 1) * 2: 1})
+        primitive = [{((g,), ()): 1, ((), (g,)): 1} for g in (0, 1)]
+        h = rewrite.extract_bialgebra(quantum_plane(q=1, p=3, bound=5), primitive, [0, 0])
+        assert h.dim == 9
+        oracle = multiplication_by_normal_forms(quantum_plane(q=1, p=3, bound=8))
+        assert np.array_equal(h.alg.mul.keys, oracle.keys)
+        assert np.array_equal(h.alg.mul.vals, oracle.vals)
+
+    def test_uncertified_presentation_refused_before_the_table(self, monkeypatch):
+        # ba -> a and ab -> b do not resolve bab (see the engineered clash);
+        # the left-action table is only sound on a confluent presentation
+        pres = Presentation(F7, ("a", "b"), [((1, 0), {(0,): 1}), ((0, 1), {(1,): 1})], 10)
+        monkeypatch.setattr(rewrite, "SparseTensor", None)  # no table may be formed
+        with pytest.raises(HopfibError, match="not confluent"):
+            rewrite.extract_bialgebra(pres, [{}, {}], [0, 0])
 
 
 class TestTextFormat:

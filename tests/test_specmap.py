@@ -277,6 +277,25 @@ class TestVerifyTheorem:
                              tuple(sorted(expected["fiber_sizes"])),
                              tuple(sorted(expected["orbit_sizes"])))}
 
+    @pytest.mark.parametrize("name", ["qsl2", "usl2", "qm2"])
+    def test_quantum_verdict_invariant_under_basis_and_seed_at_the_largest_prime(
+        self, name, instances, rebased_big_p
+    ):
+        # the quantum instances built at p = 2**31 - 1, in three random
+        # monomial bases, two seeds each: the conditions, |X| and the fiber
+        # and orbit sizes are those of the shipped instance every time
+        def outcome(v):
+            return (v.agree, tuple(v.conditions().values()), v.x_order,
+                    tuple(v.witnesses["fiber_sizes"]), tuple(v.witnesses["orbit_sizes"]))
+
+        outcomes = set()
+        for basis_seed in (1, 2, 3):
+            inst = instance_from_dict(rebased_big_p(name, seed=basis_seed))
+            assert inst.h.field.p == 2**31 - 1
+            for seed in (0, 5):
+                outcomes.add(outcome(verify_theorem(inst, mode="global", seed=seed)))
+        assert outcomes == {outcome(verify_theorem(instances(name), mode="global", seed=0))}
+
     def test_conditions_stable_across_seeds(self, s3c2_pair):
         outcomes = {
             tuple(verify_theorem(s3c2_pair, mode="global", seed=s).conditions().items())
