@@ -3,22 +3,34 @@
 An algebra of dimension n over F_p is stored as the canonical rank-3
 :class:`~hopfib.linalg.SparseTensor` ``mul``, whose entry (i, j, k) is the
 coefficient of e_k in e_i * e_j, together with the coefficient vector of
-the unit. Products, multiplication matrices and the exhaustive axiom
-checks are sparse contractions of ``mul``. The only dense views are the
+the unit. Products, multiplication matrices and the axiom checks are
+sparse contractions of ``mul``. The only dense views are the
 regular module's action stacks :meth:`StructureConstantAlgebra.left_regular`
 and :meth:`~StructureConstantAlgebra.right_regular`, built on demand for
 the stacked products of ``chop``, ``center`` and the closures.
 
-Associativity and the unit axioms are checked exhaustively once, when
-:func:`build_algebra` reads the data, so everything downstream can assume
-a genuine algebra. Algebras derived from a checked one (quotients by a
-checked ideal, checked subalgebras) inherit the axioms and are built
+The unit laws and associativity are checked once, when :func:`build_algebra`
+reads the data, and recorded as ``certified``, so everything downstream can
+assume a genuine algebra. Algebras derived from a checked one (quotients by
+a checked ideal, checked subalgebras) inherit the axioms and are built
 without checking them again.
+
+Associativity is checked on a generating set. :attr:`StructureConstantAlgebra.generators`
+is a greedy set G of basis indices whose left-normed words
+g_1(g_2(...(g_k 1))) span the algebra. The left nucleus
+{x : (xy)z = x(yz) for all y, z} of a unital bilinear product is a subspace
+that holds 1 and is closed under the product; that needs no associativity
+(Schafer, An Introduction to Nonassociative Algebras, 1966, ch. II). So
+once the unit laws hold, associativity holds iff it holds with the first
+factor in G. :func:`first_failure` runs a law's chain on G and reruns it
+over the whole basis only on a failure there, so a witness is always the
+lexicographically smallest failing index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +53,8 @@ from .linalg import (
     joint_kernel,
     matmul_mod,
     permute,
+    restrict_first,
+    rref,
 )
 
 
@@ -48,8 +62,10 @@ from .linalg import (
 class StructureConstantAlgebra:
     """Associative unital algebra over F_p with an explicit basis.
 
-    Do not call the constructor directly unless the data is already known
-    to satisfy the axioms; use :func:`build_algebra`, which verifies them.
+    The constructor only shapes the data. ``certified`` records that the
+    unit laws and associativity hold: :func:`build_algebra` sets it after
+    checking them, and builders whose output inherits the axioms (quotients,
+    subalgebras, rewriting, group tables) pass it.
     """
 
     field: FieldSpec
@@ -57,6 +73,7 @@ class StructureConstantAlgebra:
     unit: np.ndarray
     mul: SparseTensor  # rank 3: (i, j, k) holds the coefficient of e_k in e_i e_j
     labels: tuple[str, ...]
+    certified: bool = False
 
     def __post_init__(self):
         self.unit = asmat(self.unit, self.field.p)
@@ -107,6 +124,53 @@ class StructureConstantAlgebra:
             k >>= 1
         return out
 
+    @cached_property
+    def generators(self) -> tuple[int, ...] | None:
+        """Basis indices G whose left-normed words g_1(g_2(...(g_k 1))) span
+        the algebra, chosen greedily; None if there is no such G, which
+        needs a failing unit law.
+
+        G grows by the smallest i with e_i outside the span of the words so
+        far, and that span is closed under x -> e_g x for g in G. Each batch
+        of images is reduced against the current reduced echelon rows; only
+        the residual goes through rref, and the old rows are then cleared at
+        its pivots. Only left products are taken, so associativity is not
+        assumed. Computed once per algebra.
+        """
+        p, n = self.field.p, self.dim
+        rows, pivots = np.zeros((0, n), dtype=np.int64), []
+
+        def times(a, b):  # a @ b mod p over the nonzero rows and columns of a
+            out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+            r, c = np.flatnonzero(a.any(axis=1)), np.flatnonzero(a.any(axis=0))
+            out[r] = matmul_mod(a[np.ix_(r, c)], b[c], p)
+            return out
+
+        def extend(images):  # the new echelon rows the images add to the span
+            nonlocal rows
+            resid = (images - times(images[:, pivots], rows)) % p
+            new, rank, piv = rref(resid[resid.any(axis=1)], p)
+            new = new[:rank]
+            rows = np.vstack([(rows - times(rows[:, list(piv)], new)) % p, new])
+            pivots.extend(piv)
+            return new
+
+        gens, maps = [], []
+        fresh = extend(self.unit[None, :])  # rows not yet multiplied by every generator
+        while True:
+            while len(fresh) and maps:
+                fresh = extend(np.vstack([times(fresh, m) for m in maps]))
+            if len(pivots) == n:
+                return tuple(gens)
+            # e_i is in the span iff i is a pivot whose row is e_i
+            inside = {pivots[r] for r in np.flatnonzero(np.count_nonzero(rows, axis=1) == 1)}
+            g = min(set(range(n)) - inside)
+            if g in gens:
+                return None
+            gens.append(g)
+            maps.append(contract(self._sparse(np.eye(n, dtype=np.int64)[g]), self.mul, 1, p).dense())
+            fresh = extend(times(rows, maps[-1]))
+
     def digest(self) -> bytes:
         head = f"{self.dim},{self.field.p},".encode()
         return head + self.unit.tobytes() + self.mul.keys.tobytes() + self.mul.vals.tobytes()
@@ -115,34 +179,61 @@ class StructureConstantAlgebra:
         return f"StructureConstantAlgebra(dim={self.dim}, p={self.field.p})"
 
 
-def _check_unit(field, dim, unit, mul):
+def first_failure(chain, gens):
+    """The witness of a law, or None where it holds.
+
+    chain(first) checks the law with its first factor in the index array
+    first (None: every basis element) and returns the lexicographically
+    smallest failing index there. With gens, a set on which a pass implies
+    the law (see the module docstring), the chain runs on gens first; a
+    failure there, or gens None, runs it over the whole basis.
+    """
+    if gens is not None and chain(np.asarray(gens)) is None:
+        return None
+    return chain(None)
+
+
+def _check_unit(alg):
     """1 e_i = e_i for every i, then e_i 1 = e_i; the witness is the first failing i."""
-    p = field.p
-    u = SparseTensor.from_dense(unit)
-    eye = SparseTensor.from_dense(np.eye(dim, dtype=np.int64))
-    sides = (("left", contract(u, mul, 1, p)), ("right", contract(permute(mul, (0, 2, 1)), u, 1, p)))
+    p = alg.field.p
+    u = SparseTensor.from_dense(alg.unit)
+    eye = SparseTensor.from_dense(np.eye(alg.dim, dtype=np.int64))
+    sides = (("left", contract(u, alg.mul, 1, p)),
+             ("right", contract(permute(alg.mul, (0, 2, 1)), u, 1, p)))
     for side, prod in sides:
         at = first_difference(prod, eye)
         if at is not None:
             raise UnitAxiomFails(at[0], side)
 
 
-def _check_associative(field, dim, mul):
-    """Exhaustive check of (e_i e_j) e_k = e_i (e_j e_k) for all triples.
+def _check_associative(alg, gens=None):
+    """Check (e_i e_j) e_k = e_i (e_j e_k) for i in gens, else for all triples.
+
+    gens may be alg.generators once the unit laws hold: the left nucleus
+    then contains the span of the left-normed words in gens, which is the
+    whole algebra (see the module docstring). A failure on gens reruns the
+    check on every triple, so the witness is the lexicographically
+    smallest failing triple.
 
     Both sides are sparse rank-4 tensors over (i, j, k, t), t indexing the
     coefficient of e_t: (e_i e_j) e_k = sum_s m[i,j,s] m[s,k,t] is one
-    contraction of the multiplication tensor m with itself, and
-    e_i (e_j e_k) = sum_s m[j,k,s] m[i,s,t] is m contracted with m
-    permuted to (s, i, t), then permuted back from (j, k, i, t). The
-    witness is the lexicographically smallest failing triple.
+    contraction of the multiplication tensor m, restricted to the i in
+    question, with m, and e_i (e_j e_k) = sum_s m[j,k,s] m[i,s,t] is m
+    contracted with the restricted m permuted to (s, i, t), then permuted
+    back from (j, k, i, t).
     """
-    p = field.p
-    lhs = contract(mul, mul, 1, p)
-    rhs = permute(contract(mul, permute(mul, (1, 0, 2)), 1, p), (2, 0, 1, 3))
-    at = first_difference(lhs, rhs)
+    p, mul = alg.field.p, alg.mul
+
+    def chain(first):
+        left = restrict_first(mul, first)
+        lhs = contract(left, mul, 1, p)
+        rhs = permute(contract(mul, permute(left, (1, 0, 2)), 1, p), (2, 0, 1, 3))
+        at = first_difference(lhs, rhs)
+        return None if at is None else at[:3]
+
+    at = first_failure(chain, gens)
     if at is not None:
-        raise NotAssociative(*at[:3])
+        raise NotAssociative(*at)
 
 
 def build_algebra(field: FieldSpec, dim: int, unit, entries, labels=()) -> StructureConstantAlgebra:
@@ -151,13 +242,12 @@ def build_algebra(field: FieldSpec, dim: int, unit, entries, labels=()) -> Struc
     Raises NotAssociative or UnitAxiomFails with a witness when the data
     does not define an associative unital algebra.
     """
-    mul = SparseTensor.from_entries(dim, 3, entries, field.p)
-    unit = asmat(unit, field.p)
-    if unit.shape != (dim,):
-        raise DimensionMismatch("unit vector has wrong length")
-    _check_unit(field, dim, unit, mul)
-    _check_associative(field, dim, mul)
-    return StructureConstantAlgebra(field, dim, unit, mul, tuple(labels))
+    alg = StructureConstantAlgebra(field, dim, unit, SparseTensor.from_entries(dim, 3, entries, field.p),
+                                   tuple(labels))
+    _check_unit(alg)
+    _check_associative(alg, alg.generators)
+    alg.certified = True
+    return alg
 
 
 # -- subspaces of an algebra ---------------------------------------------
@@ -184,21 +274,6 @@ def ideal_closure(alg: StructureConstantAlgebra, seed: Subspace) -> Subspace:
                 multiply_rows_by_basis(alg, current.basis, "right"),
             ]
         )
-        bigger = Subspace(alg.field, alg.dim, rows)
-        if bigger.dim == current.dim:
-            return bigger
-        current = bigger
-
-
-def subalgebra_closure(alg: StructureConstantAlgebra, seed: Subspace) -> Subspace:
-    """Smallest unital subalgebra containing the seed subspace."""
-    current = Subspace(alg.field, alg.dim, np.vstack([seed.basis, alg.unit[None, :]]))
-    while True:
-        prods = []
-        for v in current.basis:
-            lm = alg.left_mult_matrix(v)
-            prods.append(matmul_mod(current.basis, lm.T, alg.field.p))
-        rows = np.vstack([current.basis] + prods)
         bigger = Subspace(alg.field, alg.dim, rows)
         if bigger.dim == current.dim:
             return bigger
@@ -276,7 +351,7 @@ def quotient_algebra(alg: StructureConstantAlgebra, ideal: Subspace) -> Quotient
     qmul = SparseTensor.from_dense(matmul_mod(proj, reps, p).transpose(0, 2, 1))
     qunit = matmul_mod(proj, alg.unit, p)
     qlabels = tuple(alg.labels[c] for c in nonpivot)
-    qalg = StructureConstantAlgebra(alg.field, qdim, qunit, qmul, qlabels)
+    qalg = StructureConstantAlgebra(alg.field, qdim, qunit, qmul, qlabels, certified=True)
     return QuotientData(qalg, proj, section, ideal)
 
 
@@ -299,5 +374,5 @@ def subalgebra_as_algebra(alg: StructureConstantAlgebra, a: Subspace):
     sub_mul = SparseTensor.from_dense(matmul_mod(lefts, basis.T, p).transpose(0, 2, 1))
     unit_coords = alg.unit[piv]
     sub = StructureConstantAlgebra(alg.field, k, unit_coords, sub_mul,
-                                   tuple(f"a{i}" for i in range(k)))
+                                   tuple(f"a{i}" for i in range(k)), certified=True)
     return sub, basis

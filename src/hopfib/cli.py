@@ -16,7 +16,6 @@ import os
 import sys
 import time
 
-from .algebra import _check_associative, _check_unit
 from .corpus import (
     GroupTable,
     builtin_group,
@@ -26,7 +25,7 @@ from .corpus import (
     quantum_sl2_kernel,
     small_quantum_sl2,
 )
-from .errors import HopfibError, NotAssociative, UnitAxiomFails
+from .errors import HopfibError
 from .fileio import (
     canonical_json,
     instance_from_dict,
@@ -34,7 +33,7 @@ from .fileio import (
     report_dict,
     write_instance,
 )
-from .hopf import character_group_X, enumerate_characters, verify_structure
+from .hopf import axiom_checks, character_group_X, enumerate_characters
 from .linalg import FieldSpec
 from .repn import simples
 from .specmap import remark_uniform_fibers, verify_theorem
@@ -88,28 +87,12 @@ def cmd_corpus(args) -> int:
 
 def cmd_axioms(args) -> int:
     raw, d = _read_input(args.input)
-    b = raw_bialgebra_from_dict(d)
-    checks = []
-    algebra_ok = True
-    try:
-        _check_unit(b.field, b.dim, b.alg.unit, b.alg.mul)
-        checks.append({"name": "unit", "passed": True, "witness": None})
-    except UnitAxiomFails as exc:
-        checks.append({"name": "unit", "passed": False, "witness": exc.witness})
-        algebra_ok = False
-    try:
-        _check_associative(b.field, b.dim, b.alg.mul)
-        checks.append({"name": "associativity", "passed": True, "witness": None})
-    except NotAssociative as exc:
-        checks.append({"name": "associativity", "passed": False, "witness": list(exc.witness)})
-        algebra_ok = False
-    report = verify_structure(b)
-    for c in report.checks:
-        witness = list(c.witness) if isinstance(c.witness, tuple) else c.witness
-        checks.append({"name": c.name, "passed": c.passed, "witness": witness})
-    passed = algebra_ok and report.passed
-    _emit(report_dict("axioms", None, raw, {"passed": passed, "checks": checks}), args.report)
-    return 0 if passed else 1
+    report = axiom_checks(raw_bialgebra_from_dict(d))
+    checks = [{"name": c.name, "passed": c.passed,
+               "witness": list(c.witness) if isinstance(c.witness, tuple) else c.witness}
+              for c in report.checks]
+    _emit(report_dict("axioms", None, raw, {"passed": report.passed, "checks": checks}), args.report)
+    return 0 if report.passed else 1
 
 
 def cmd_characters(args) -> int:

@@ -68,6 +68,17 @@ class BudgetExceeded(HopfibError):
     """
 
 
+class NotSplit(HopfibError):
+    """F_p is not a splitting field: a simple module S of the named algebra
+    has End(S) = F_{p^e} with e = (dim S)**2 / codim ann(S) > 1."""
+
+    def __init__(self, algebra, index, dim, degree):
+        self.witness = (algebra, index, dim, degree)
+        super().__init__(
+            f"F_p does not split {algebra}: simple record {index} has dim S = {dim} and "
+            f"e = (dim S)^2 / codim P = {degree} > 1")
+
+
 class BoundExceeded(HopfibError):
     pass
 

@@ -5,16 +5,27 @@ whose key (i*n + a)*n + b holds the coefficient of e_a (x) e_b in
 Delta(e_i). The tensor square B (x) B is identified with F_p**(n*n)
 through the flat index a*n + b.
 
-verify_structure checks every axiom exhaustively on basis elements and
-reports a witness index for each failure, the lexicographically smallest
-failing one:
+verify_structure checks every axiom on basis elements and reports a
+witness index for each failure, the lexicographically smallest failing one:
 
   * Delta(1) = 1 (x) 1 and eps(1) = 1
-  * coassociativity on every basis element
-  * both counit laws on every basis element
+  * coassociativity and both counit laws on every basis element
   * Delta and eps multiplicative on every basis pair
   * both antipode identities on every basis element (when an antipode is
     present)
+
+Most laws need only their first factor in the algebra's generating set G
+(algebra.StructureConstantAlgebra.generators), by a subalgebra argument.
+Once the algebra is certified (unit laws and associativity) and
+Delta(1) = 1 (x) 1 and eps(1) = 1 hold, the x with Delta(xy) = Delta(x)Delta(y)
+for all y form a unital subalgebra, and likewise for eps; so both
+multiplicativity laws need x in G only. Once both are multiplicative as
+well, both sides of coassociativity and of each counit law are algebra
+maps, and the set where two algebra maps agree is a unital subalgebra; so
+those laws need x in G only. The antipode laws stay exhaustive: nothing
+makes S anti-multiplicative before they hold. A law whose prerequisites
+were not established, or that fails on G, is checked on every basis
+element (algebra.first_failure), so witnesses do not depend on G.
 
 Each law is two sparse contractions of the structure constants compared
 by linalg.first_difference. Convolution, winding maps and the character
@@ -36,6 +47,9 @@ import numpy as np
 
 from .algebra import (
     StructureConstantAlgebra,
+    _check_associative,
+    _check_unit,
+    first_failure,
     is_central_subalgebra,
     is_subalgebra,
     multiply_rows_by_basis,
@@ -50,8 +64,10 @@ from .errors import (
     NotABimodule,
     NotACoideal,
     NotASubalgebra,
+    NotAssociative,
     NotCentral,
     StructureCheckFailed,
+    UnitAxiomFails,
 )
 from .linalg import (
     SparseTensor,
@@ -63,6 +79,7 @@ from .linalg import (
     kernel,
     matmul_mod,
     permute,
+    restrict_first,
     tensordot_mod,
 )
 from .repn import simples as _simples
@@ -172,12 +189,15 @@ def is_character(alg: StructureConstantAlgebra, values) -> bool:
 
 
 def verify_structure(b: BialgebraData) -> StructureReport:
-    """Exhaustive bialgebra/Hopf axiom report with failure witnesses.
+    """Bialgebra/Hopf axiom report with failure witnesses.
 
     Each law compares two sparse tensors whose leading axes index the basis
     elements it is checked on; the witness is that prefix of the first
-    index where the two sides differ. With m the multiplication tensor
-    (i, j, k) and d = Delta (i, a, b):
+    index where the two sides differ. Each is one chain over an index set
+    for its first factor: the algebra's generators where the module
+    docstring's prerequisites hold, which must then pass, else every basis
+    element. With m the multiplication tensor (i, j, k) and d = Delta
+    (i, a, b), first factor i:
 
       * coassociativity: sum_a d[i,a,z] d[a,x,y] against sum_b d[i,x,b] d[b,y,z];
       * Delta multiplicative: sum_m m[i,j,m] d[m,u,v] against
@@ -193,12 +213,14 @@ def verify_structure(b: BialgebraData) -> StructureReport:
     unit = SparseTensor.from_dense(alg.unit)
     mul, d = alg.mul, b.comul
     d_ba = permute(d, (0, 2, 1))  # (i, b, a)
-    checks: list[AxiomCheck] = []
+    gens = alg.generators if alg.certified else None
+    checks: dict[str, AxiomCheck] = {}
 
-    def law(name, lhs, rhs, prefix):
-        at = first_difference(lhs, rhs)
+    def law(name, chain, on_gens, prefix=1):
+        at = first_failure(chain, gens if on_gens else None)
         witness = None if at is None else (at[0] if prefix == 1 else at[:prefix])
-        checks.append(AxiomCheck(name, at is None, witness))
+        checks[name] = AxiomCheck(name, at is None, witness)
+        return at is None
 
     def outer(u, v):
         return SparseTensor.from_dense(np.outer(u, v) % p)
@@ -208,23 +230,62 @@ def verify_structure(b: BialgebraData) -> StructureReport:
         ("comul_unit", first_difference(contract(unit, d, 1, p), outer(alg.unit, alg.unit)) is None),
         ("counit_unit", int(matmul_mod(b.counit, alg.unit, p)) == 1),
     ):
-        checks.append(AxiomCheck(name, ok, None if ok else 0))
-    law("coassociativity", permute(contract(d_ba, d, 1, p), (0, 2, 3, 1)), contract(d, d, 1, p), 1)
+        checks[name] = AxiomCheck(name, ok, None if ok else 0)
+    units = checks["comul_unit"].passed and checks["counit_unit"].passed
+
+    def comul_multiplicative(first):
+        ibcu = contract(restrict_first(d_ba, first), mul, 1, p)
+        ibujd = contract(permute(ibcu, (0, 1, 3, 2)), permute(d, (1, 0, 2)), 1, p)
+        iujv = contract(permute(ibujd, (0, 2, 3, 1, 4)), mul, 2, p)
+        lhs = contract(restrict_first(mul, first), d, 1, p)
+        return first_difference(lhs, permute(iujv, (0, 2, 1, 3)))
+
+    def counit_multiplicative(first):
+        lhs = contract(restrict_first(mul, first), eps, 1, p)
+        return first_difference(lhs, restrict_first(outer(b.counit, b.counit), first))
+
+    multiplicative = [law("comul_multiplicative", comul_multiplicative, units, 2),
+                      law("counit_multiplicative", counit_multiplicative, units, 2)]
     eye = SparseTensor.from_dense(np.eye(n, dtype=np.int64))
-    law("counit_left", contract(d_ba, eps, 1, p), eye, 1)
-    law("counit_right", contract(d, eps, 1, p), eye, 1)
-    ibcu = contract(d_ba, mul, 1, p)
-    ibujd = contract(permute(ibcu, (0, 1, 3, 2)), permute(d, (1, 0, 2)), 1, p)
-    iujv = contract(permute(ibujd, (0, 2, 3, 1, 4)), mul, 2, p)
-    law("comul_multiplicative", contract(mul, d, 1, p), permute(iujv, (0, 2, 1, 3)), 2)
-    law("counit_multiplicative", contract(mul, eps, 1, p), outer(b.counit, b.counit), 2)
+    coalgebra = units and all(multiplicative)
+    law("coassociativity", lambda first: first_difference(
+        permute(contract(restrict_first(d_ba, first), d, 1, p), (0, 2, 3, 1)),
+        contract(restrict_first(d, first), d, 1, p)), coalgebra)
+    law("counit_left", lambda first: first_difference(
+        contract(restrict_first(d_ba, first), eps, 1, p), restrict_first(eye, first)), coalgebra)
+    law("counit_right", lambda first: first_difference(
+        contract(restrict_first(d, first), eps, 1, p), restrict_first(eye, first)), coalgebra)
     if b.antipode is not None:
         s = SparseTensor.from_dense(np.ascontiguousarray(b.antipode.T))  # (a, x): S(e_a)
         ibx = contract(d_ba, s, 1, p)
         expected = outer(b.counit, alg.unit)
-        law("antipode_left", contract(permute(ibx, (0, 2, 1)), mul, 2, p), expected, 1)
-        law("antipode_right", contract(contract(d, s, 1, p), mul, 2, p), expected, 1)
-    return StructureReport(checks)
+        law("antipode_left", lambda _: first_difference(
+            contract(permute(ibx, (0, 2, 1)), mul, 2, p), expected), False)
+        law("antipode_right", lambda _: first_difference(
+            contract(contract(d, s, 1, p), mul, 2, p), expected), False)
+    order = ("comul_unit", "counit_unit", "coassociativity", "counit_left", "counit_right",
+             "comul_multiplicative", "counit_multiplicative", "antipode_left", "antipode_right")
+    return StructureReport([checks[name] for name in order if name in checks])
+
+
+def axiom_checks(b: BialgebraData) -> StructureReport:
+    """Every axiom of possibly-broken data: the unit laws (witness: the
+    first failing basis index), associativity (the first failing triple, on
+    the generators once the unit laws hold), then verify_structure's laws.
+    The algebra is certified when the first two hold."""
+    alg = b.alg
+    try:
+        _check_unit(alg)
+        unit = AxiomCheck("unit", True)
+    except UnitAxiomFails as exc:
+        unit = AxiomCheck("unit", False, exc.witness)
+    try:
+        _check_associative(alg, alg.generators if unit.passed else None)
+        assoc = AxiomCheck("associativity", True)
+    except NotAssociative as exc:
+        assoc = AxiomCheck("associativity", False, exc.witness)
+    alg.certified = unit.passed and assoc.passed
+    return StructureReport([unit, assoc] + verify_structure(b).checks)
 
 
 def build_bialgebra(alg, comul_entries, counit, antipode=None) -> BialgebraData:

@@ -21,8 +21,8 @@ sparse form of structure-constant tables (de Graaf, Lie Algebras: Theory
 and Algorithms, 2000, ch. 1): the multiplication and the comultiplication
 are canonical rank-3 tensors, read from and written back to (index...,
 coefficient) rows by :meth:`SparseTensor.from_entries` and
-:meth:`SparseTensor.entries`. Products with vectors and each exhaustive
-axiom check are :func:`contract`/:func:`permute` chains; a check compares
+:meth:`SparseTensor.entries`. Products with vectors and each axiom
+check are :func:`contract`/:func:`permute` chains; a check compares
 two of them with :func:`first_difference`. A contraction is exact in int64: each product
 of two entries is below 2**62 and is reduced before it is summed, and a
 sum over k <= 2 contracted axes has at most n**k < 2**32 terms while
@@ -507,6 +507,14 @@ def permute(t: SparseTensor, axes) -> SparseTensor:
     keys = np.ravel_multi_index(tuple(idx[ax] for ax in axes), (t.n,) * t.rank)
     order = np.argsort(keys, kind="stable")
     return SparseTensor(t.n, t.rank, keys[order], t.vals[order])
+
+
+def restrict_first(t: SparseTensor, index) -> SparseTensor:
+    """The entries of t whose first index lies in index; all of t if index is None."""
+    if index is None:
+        return t
+    keep = np.isin(t.keys // t.n ** (t.rank - 1), index)
+    return SparseTensor(t.n, t.rank, t.keys[keep], t.vals[keep])
 
 
 # term pairs one contract may join; each holds 64 bytes in flight, so 8 GB at the budget

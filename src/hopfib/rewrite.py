@@ -405,7 +405,7 @@ def extract_bialgebra(
     if labels is None:
         labels = tuple(pres.word_str(w) for w in basis)
     alg = StructureConstantAlgebra(pres.field, n, unit, SparseTensor.from_entries(n, 3, entries, p),
-                                  tuple(labels))
+                                  tuple(labels), certified=True)
 
     one_tensor: TensorPoly = {((), ()): 1}
     comul_entries = []

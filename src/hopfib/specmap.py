@@ -15,6 +15,12 @@ The four conditions of the equivalence being verified:
            ideals are exactly the X-orbits;
   cond_iv  the same on prime ideals (equal to cond_iii here).
 
+The conditions are about simple modules over a splitting field, so a
+verdict needs F_p to split H and the counit fiber algebra. A simple module S
+with annihilator P has H/P = M_d(F_{p^e}) (Wedderburn), dim S = d e and
+codim P = d^2 e, so e = (dim S)^2 / codim P; verify_theorem raises NotSplit
+unless e = 1 for every simple module of both algebras.
+
 For bialgebras without an antipode only the two-sided orbit experiment is
 run and reported as such. Both modes compare fibers with orbits through
 one helper, and the character group X is built by the same
@@ -40,6 +46,7 @@ from .errors import (
     ImproperIdeal,
     NotAHopfSubalgebra,
     NotAPermutation,
+    NotSplit,
 )
 from .hopf import (
     BialgebraData,
@@ -235,6 +242,14 @@ def _applicable_agree(values) -> bool:
     return len(set(applicable)) <= 1
 
 
+def _require_split(name: str, alg: StructureConstantAlgebra, recs) -> None:
+    """NotSplit naming the first simple record of alg with e = (dim S)^2 / codim P > 1."""
+    for index, rec in enumerate(recs):
+        codim = alg.dim - rec.annihilator.dim
+        if rec.module.dim ** 2 != codim:
+            raise NotSplit(name, index, rec.module.dim, rec.module.dim ** 2 // codim)
+
+
 def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0,
                    x_group: XGroup | None = None) -> Verdict:
     """Check the equivalence conditions on a concrete instance.
@@ -243,11 +258,13 @@ def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0
     full orbit partition on all primitive ideals. Bialgebras without an
     antipode fall back to the two-sided orbit experiment (third condition
     only, against the combined left/right winding action). X is built here
-    unless x_group, built with the same seed, is given.
+    unless x_group, built with the same seed, is given. NotSplit if F_p does
+    not split H or the counit fiber algebra.
     """
     h = instance.h
     a = instance.a
     p = h.field.p
+    _require_split("H", h.alg, simples(h.alg, seed=seed))
     x = x_group if x_group is not None else character_group_X(h, a, seed=seed)
     gens = x.generators()
     if h.antipode is None:
@@ -259,6 +276,7 @@ def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0
     fq = fiber_quotient(h, a, eps_a, x_group=x)
 
     fiber_recs = simples(fq.algebra, seed=seed)
+    _require_split("the counit fiber algebra", fq.algebra, fiber_recs)
     cond_i = all(r.module.dim == 1 for r in fiber_recs)
 
     fiber_prims = prim_enumerate(fq.algebra, seed=seed)

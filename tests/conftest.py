@@ -33,7 +33,7 @@ def rebased_big_p(instances):
     field element. The quantum instances depend on a root of unity q, so
     they are built again at that prime, and their random basis is monomial
     (random_change_of_basis with dense=False): in a dense basis their
-    load-time axiom checks pass linalg.MAX_JOIN_TERMS.
+    load-time axiom checks take seconds and more than a gigabyte each.
     """
 
     def get(name, seed=1):

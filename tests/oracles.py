@@ -5,14 +5,32 @@ import random
 
 import numpy as np
 
-from hopfib.algebra import StructureConstantAlgebra, subalgebra_closure
+from hopfib.algebra import StructureConstantAlgebra
 from hopfib.errors import DimensionMismatch
 from hopfib.linalg import SparseTensor, Subspace, complement_projection, kernel, matmul_mod, solve
 from hopfib.rewrite import enumerate_basis, normalize
 
 
+def subalgebra_closure(alg: StructureConstantAlgebra, seed: Subspace) -> Subspace:
+    """Smallest unital subalgebra containing the seed subspace, closing the
+    span under all pairwise products of its basis until it stops growing."""
+    current = Subspace(alg.field, alg.dim, np.vstack([seed.basis, alg.unit[None, :]]))
+    while True:
+        prods = []
+        for v in current.basis:
+            lm = alg.left_mult_matrix(v)
+            prods.append(matmul_mod(current.basis, lm.T, alg.field.p))
+        rows = np.vstack([current.basis] + prods)
+        bigger = Subspace(alg.field, alg.dim, rows)
+        if bigger.dim == current.dim:
+            return bigger
+        current = bigger
+
+
 def greedy_generating_set(alg: StructureConstantAlgebra) -> list[int]:
-    """Small set of basis indices generating the algebra as a unital algebra."""
+    """Small set of basis indices generating the algebra as a unital algebra:
+    the smallest index outside the subalgebra generated so far, each time.
+    Independent of StructureConstantAlgebra.generators, which it checks."""
     gens: list[int] = []
     current = subalgebra_closure(alg, Subspace.zero(alg.field, alg.dim))
     while current.dim < alg.dim:
@@ -24,6 +42,20 @@ def greedy_generating_set(alg: StructureConstantAlgebra) -> list[int]:
         rows = np.eye(alg.dim, dtype=np.int64)[gens]
         current = subalgebra_closure(alg, Subspace(alg.field, alg.dim, rows))
     return gens
+
+
+def left_normed_span(alg: StructureConstantAlgebra, gens) -> Subspace:
+    """Span of the left-normed words g_1(g_2(...(g_k 1))) in gens, growing the
+    words one letter at a time with alg.multiply until the span stops growing."""
+    eye = np.eye(alg.dim, dtype=np.int64)
+    span, words = Subspace(alg.field, alg.dim, [alg.unit]), [alg.unit]
+    while words:
+        longer, words = [alg.multiply(eye[g], w) for g in gens for w in words], []
+        for w in longer:  # keep the words that are new to the span
+            if not span.contains_vector(w):
+                span = Subspace(alg.field, alg.dim, np.vstack([span.basis, w]))
+                words.append(w)
+    return span
 
 
 def brute_force_characters(alg: StructureConstantAlgebra) -> list[tuple[int, ...]]:

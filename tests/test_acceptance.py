@@ -5,19 +5,22 @@ enforces its stated wall-clock budget. Instance construction happens once
 in a module fixture; the budgets cover the checks themselves.
 """
 
+import random
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from hopfib.algebra import _check_associative, _check_unit
-from hopfib.corpus import SHIPPED_NAMES, builtin_group, group_algebra, quotient_group
+from hopfib.algebra import StructureConstantAlgebra, _check_associative, _check_unit
+from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra, quotient_group
+from hopfib.errors import NotAssociative, UnitAxiomFails
 from hopfib.hopf import (
     BialgebraData,
     Character,
     ad_one_dim_submodules,
     adjoint_action,
+    axiom_checks,
     character_group_X,
     convolve,
     enumerate_characters,
@@ -25,7 +28,7 @@ from hopfib.hopf import (
     verify_structure,
     winding,
 )
-from hopfib.linalg import FieldSpec, rref
+from hopfib.linalg import FieldSpec, SparseTensor, rref
 from hopfib.repn import ModuleRep, simples
 from hopfib.specmap import (
     fibers,
@@ -196,40 +199,108 @@ def first_failure(b: BialgebraData, name: str) -> tuple[int, ...] | None:
     raise AssertionError(f"unknown axiom {name}")
 
 
-def _mutated_fails_with_correct_witness(inst, mutate):
-    """Apply a single-coefficient mutation and demand a pinpointing witness."""
-    from hopfib.algebra import _check_associative, _check_unit
-    from hopfib.errors import NotAssociative, UnitAxiomFails
+def bump_mul(at):
+    def act(p, mul, comul, counit, antipode):
+        i, j, k, c = mul[at]
+        mul[at] = (i, j, k, (c + 1) % p)
+        return mul, comul, counit, antipode
+    return act
 
+
+def add_comul_term(i, a, bb):
+    def act(p, mul, comul, counit, antipode):
+        comul = comul + [(i, a, bb, 1)]
+        return mul, comul, counit, antipode
+    return act
+
+
+def bump_comul(at):
+    def act(p, mul, comul, counit, antipode):
+        i, a, bb, c = comul[at]
+        comul[at] = (i, a, bb, (c + 1) % p)
+        return mul, comul, counit, antipode
+    return act
+
+
+def bump_counit(idx):
+    def act(p, mul, comul, counit, antipode):
+        counit[idx] = (counit[idx] + 1) % p
+        return mul, comul, counit, antipode
+    return act
+
+
+def bump_antipode(i, j):
+    def act(p, mul, comul, counit, antipode):
+        antipode[i, j] = (antipode[i, j] + 1) % p
+        return mul, comul, counit, antipode
+    return act
+
+
+def unchanged(p, mul, comul, counit, antipode):
+    return mul, comul, counit, antipode
+
+
+def twist_comul(group, x):
+    """Delta(g) = g (x) x g x^-1 on F_p[G]: still multiplicative, since
+    conjugation (inversion when x is None, G abelian) is an automorphism, but
+    neither coassociative nor left counital where the twist moves g."""
+    g = builtin_group(group)
+
+    def act(p, mul, comul, counit, antipode):
+        twist = g.inverse if x is None else g.cayley[g.cayley[x], g.inverse[x]]
+        return mul, [(i, i, int(twist[i]), 1) for i in range(g.order)], counit, antipode
+    return act
+
+
+CRITERION_1_MUTATIONS = [
+    ("c3", bump_mul(4)),
+    ("q8", add_comul_term(2, 0, 3)),
+    ("c4c2", bump_counit(1)),
+    ("q8", bump_antipode(2, 3)),
+    ("s3c2", bump_mul(7)),
+    ("qsl2", bump_comul(5)),
+    ("usl2", bump_antipode(0, 1)),
+    ("usl2", add_comul_term(3, 0, 2)),
+    ("qsl2", bump_mul(11)),
+    ("s3c2", bump_comul(3)),
+]
+
+
+def mutated(inst, mutate) -> BialgebraData:
+    """A fresh, unverified and uncertified copy of inst.h with the mutation applied."""
     h = inst.h
     p = h.field.p
-    mul = h.alg.mul.entries()
-    comul = h.comul.entries()
-    counit = h.counit.copy()
     antipode = None if h.antipode is None else h.antipode.copy()
-    mul, comul, counit, antipode = mutate(p, mul, comul, counit, antipode)
-    raw = BialgebraData.__new__(BialgebraData)
-    from hopfib.algebra import StructureConstantAlgebra
-    from hopfib.linalg import SparseTensor
+    mul, comul, counit, antipode = mutate(p, h.alg.mul.entries(), h.comul.entries(),
+                                          h.counit.copy(), antipode)
+    alg = StructureConstantAlgebra(h.field, h.dim, h.alg.unit.copy(),
+                                   SparseTensor.from_entries(h.dim, 3, mul, p), h.alg.labels)
+    return BialgebraData(alg, comul, counit, antipode)
 
-    alg = StructureConstantAlgebra(
-        h.field, h.dim, h.alg.unit.copy(), SparseTensor.from_entries(h.dim, 3, mul, p), h.alg.labels
-    )
-    b = BialgebraData(alg, comul, counit, antipode)
-    failures = []
+
+def exhaustive_witnesses(b: BialgebraData) -> dict:
+    """Each law's witness (None where it holds), every law over the whole
+    basis: no generators are passed, and b's algebra stays uncertified."""
+    out = {"unit": None, "associativity": None}
     try:
-        _check_unit(h.field, h.dim, alg.unit, alg.mul)
+        _check_unit(b.alg)
     except UnitAxiomFails as exc:
-        failures.append(("unit", exc.witness))
+        out["unit"] = exc.witness
     try:
-        _check_associative(h.field, h.dim, alg.mul)
+        _check_associative(b.alg)
     except NotAssociative as exc:
-        failures.append(("associativity", exc.witness))
-    report = verify_structure(b)
-    failures.extend((c.name, c.witness) for c in report.failed())
+        out["associativity"] = exc.witness
+    assert not b.alg.certified
+    out.update((c.name, c.witness) for c in verify_structure(b).checks)
+    return out
+
+
+def _mutated_fails_with_correct_witness(inst, mutate):
+    """Apply a single-coefficient mutation and demand a pinpointing witness."""
+    b = mutated(inst, mutate)
+    failures = [(name, w) for name, w in exhaustive_witnesses(b).items() if w is not None]
     assert failures, "mutation was not detected"
     for name, witness in failures:
-        assert witness is not None
         assert axiom_fails_at(b, name, witness), (name, witness)
         # and no lexicographically smaller index fails
         assert first_failure(b, name) == (witness if isinstance(witness, tuple) else (witness,))
@@ -240,61 +311,80 @@ def test_criterion_1_axiom_suite_and_mutations(corpus):
         for name in SHIPPED_NAMES:
             report = verify_structure(corpus[name].h)
             assert report.passed, f"{name} fails {report.failed()}"
-            # the rewriting families build their algebra unchecked (the
-            # diamond lemma); hold the algebra axioms for every instance
+            # the rewriting families (the diamond lemma) and the group
+            # algebras (a certified Cayley table) build their algebra
+            # unchecked; hold the algebra axioms, on every triple, for every
+            # instance and for F_p[S3 x S3] at p = 2**31 - 1
             alg = corpus[name].h.alg
-            _check_unit(alg.field, alg.dim, alg.unit, alg.mul)
-            _check_associative(alg.field, alg.dim, alg.mul)
+            _check_unit(alg)
+            _check_associative(alg)
             if name != "qm2":
                 assert corpus[name].h.antipode is not None
-
-        def bump_mul(at):
-            def act(p, mul, comul, counit, antipode):
-                i, j, k, c = mul[at]
-                mul[at] = (i, j, k, (c + 1) % p)
-                return mul, comul, counit, antipode
-            return act
-
-        def add_comul_term(i, a, bb):
-            def act(p, mul, comul, counit, antipode):
-                comul = comul + [(i, a, bb, 1)]
-                return mul, comul, counit, antipode
-            return act
-
-        def bump_comul(at):
-            def act(p, mul, comul, counit, antipode):
-                i, a, bb, c = comul[at]
-                comul[at] = (i, a, bb, (c + 1) % p)
-                return mul, comul, counit, antipode
-            return act
-
-        def bump_counit(idx):
-            def act(p, mul, comul, counit, antipode):
-                counit[idx] = (counit[idx] + 1) % p
-                return mul, comul, counit, antipode
-            return act
-
-        def bump_antipode(i, j):
-            def act(p, mul, comul, counit, antipode):
-                antipode[i, j] = (antipode[i, j] + 1) % p
-                return mul, comul, counit, antipode
-            return act
-
-        mutations = [
-            ("c3", bump_mul(4)),
-            ("q8", add_comul_term(2, 0, 3)),
-            ("c4c2", bump_counit(1)),
-            ("q8", bump_antipode(2, 3)),
-            ("s3c2", bump_mul(7)),
-            ("qsl2", bump_comul(5)),
-            ("usl2", bump_antipode(0, 1)),
-            ("usl2", add_comul_term(3, 0, 2)),
-            ("qsl2", bump_mul(11)),
-            ("s3c2", bump_comul(3)),
-        ]
-        assert len(mutations) == 10
-        for name, mutate in mutations:
+        s3 = builtin_group("s3")
+        alg = group_algebra(FieldSpec(2**31 - 1), direct_product(s3, s3)).alg
+        _check_unit(alg)
+        _check_associative(alg)
+        assert len(CRITERION_1_MUTATIONS) == 10
+        for name, mutate in CRITERION_1_MUTATIONS:
             _mutated_fails_with_correct_witness(corpus[name], mutate)
+
+
+def _seeded_mutations(names, per_instance):
+    """Single-entry mutations: a seeded bump of one mul, comul, counit or
+    antipode coefficient, several per instance."""
+    out = []
+    for name in names:
+        for k in range(per_instance):
+            rng = random.Random(f"{name}-{k}")
+            kind = rng.choice(["mul", "comul", "counit"] + (["antipode"] if name != "qm2" else []))
+            at = rng.randrange(10**6)
+
+            def act(p, mul, comul, counit, antipode, kind=kind, at=at):
+                if kind == "counit":
+                    return bump_counit(at % len(counit))(p, mul, comul, counit, antipode)
+                if kind == "antipode":
+                    i, j = divmod(at % antipode.size, len(antipode))
+                    return bump_antipode(i, j)(p, mul, comul, counit, antipode)
+                bump = bump_mul if kind == "mul" else bump_comul
+                return bump(at % len(mul if kind == "mul" else comul))(p, mul, comul, counit, antipode)
+
+            out.append((name, act))
+    return out
+
+
+GENERATOR_LAWS = ("associativity", "comul_multiplicative", "counit_multiplicative",
+                  "coassociativity", "counit_left", "counit_right")
+
+
+@pytest.fixture(scope="module")
+def witnesses_both_ways(corpus):
+    """(on the generators, exhaustively) witness dicts for every shipped
+    instance, criterion 1's mutations, four seeded mutations per instance and
+    three twisted coproducts, which fail coassociativity and a counit law
+    with Delta and eps multiplicative."""
+    cases = [(name, unchanged) for name in SHIPPED_NAMES] + CRITERION_1_MUTATIONS
+    cases += _seeded_mutations(SHIPPED_NAMES, 4)
+    cases += [("c3", twist_comul("c3", None)), ("q8", twist_comul("q8", 2)),
+              ("s3c2", twist_comul("s3c2", 4))]
+    out = []
+    for name, mutate in cases:
+        report = axiom_checks(mutated(corpus[name], mutate))
+        out.append(({c.name: c.witness for c in report.checks},
+                    exhaustive_witnesses(mutated(corpus[name], mutate))))
+    return out
+
+
+@pytest.mark.parametrize("law", GENERATOR_LAWS)
+def test_generator_checks_match_the_exhaustive_chains(witnesses_both_ways, law):
+    # the axioms report checks law with its first factor on the generators
+    # where the lemma allows and reruns it over every basis element on a
+    # failure; it must agree with the exhaustive chain, and the cases must
+    # include failures of law
+    failed = 0
+    for on_gens, everywhere in witnesses_both_ways:
+        assert on_gens[law] == everywhere[law]
+        failed += everywhere[law] is not None
+    assert failed
 
 
 def test_criterion_2_winding_group_law(corpus):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hopfib.algebra import (
+    StructureConstantAlgebra,
+    _check_associative,
     build_algebra,
     center,
     ideal_closure,
@@ -10,16 +12,21 @@ from hopfib.algebra import (
     is_subalgebra,
     quotient_algebra,
     subalgebra_as_algebra,
-    subalgebra_closure,
 )
-from hopfib.corpus import SHIPPED_NAMES
+from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra
 from hopfib.errors import ImproperIdeal, NotAnIdeal, NotAssociative, NotASubalgebra, UnitAxiomFails
 from hopfib.fileio import corpus_instance_to_dict, instance_from_dict, raw_bialgebra_from_dict
 from hopfib.hopf import character_group_X, enumerate_characters, fiber_quotient
 from hopfib.linalg import FieldSpec, SparseTensor, Subspace
 from hopfib.repn import simples
 
-from oracles import pairwise_quotient_mul, pairwise_subalgebra_mul
+from oracles import (
+    greedy_generating_set,
+    left_normed_span,
+    pairwise_quotient_mul,
+    pairwise_subalgebra_mul,
+    subalgebra_closure,
+)
 
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
@@ -266,3 +273,51 @@ class TestSparseMul:
                 assert np.array_equal(got, pairwise_quotient_mul(alg, ideal))
                 checked += got.shape[0] > 1
         assert checked >= 15  # quotients of dimension above 1
+
+
+class TestGenerators:
+    """StructureConstantAlgebra.generators: basis indices G, chosen greedily,
+    whose left-normed words g_1(g_2(...(g_k 1))) span the algebra."""
+
+    def test_matches_the_greedy_oracle_and_spans(self, m2, instances, rebased_big_p):
+        # in an associative algebra the left-normed words in G span the
+        # subalgebra G generates, so the greedy choices are the oracle's
+        s3 = builtin_group("s3")
+        algs = [m2, group_algebra(FieldSpec(2**31 - 1), direct_product(s3, s3)).alg,
+                instance_from_dict(rebased_big_p("s3c2")).h.alg]
+        for name in SHIPPED_NAMES:
+            inst = instances(name)
+            algs += [inst.h.alg, subalgebra_as_algebra(inst.h.alg, inst.a.subspace)[0]]
+            algs += [fq.algebra for fq in fiber_quotients(inst)[:2]]
+        for alg in algs:
+            assert alg.generators == tuple(greedy_generating_set(alg))
+            assert left_normed_span(alg, alg.generators).dim == alg.dim
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_spans_and_certifies_associativity_without_assuming_it(self, seed):
+        # random unital products with e_0 as the unit, mostly not
+        # associative: the words in G span, and associativity checked on G
+        # has the exhaustive check's outcome and witness
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 7))
+        table = rng.integers(0, 7, size=(n, n, n)) * (rng.random((n, n, n)) < 0.3)
+        table[0], table[:, 0] = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+        alg = StructureConstantAlgebra(F7, n, np.eye(n, dtype=np.int64)[0],
+                                       SparseTensor.from_dense(table % 7), ())
+        assert alg.generators is not None
+        assert left_normed_span(alg, alg.generators).dim == n
+
+        def witness(gens):
+            try:
+                _check_associative(alg, gens)
+            except NotAssociative as exc:
+                return exc.witness
+            return None
+
+        assert witness(alg.generators) == witness(None)
+
+    def test_none_when_the_words_cannot_span(self):
+        # e_1 posing as the unit of F_7[C3]: the words in e_0 stay in span{e_1}
+        alg = StructureConstantAlgebra(F7, 3, [0, 1, 0],
+                                       SparseTensor.from_entries(3, 3, cyclic_entries(3), 7), ())
+        assert alg.generators is None

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -97,13 +98,17 @@ class TestAxiomsCommand:
         capsys.readouterr()
         assert code == 2
 
-    def test_dense_basis_at_dim_27_exits_2_naming_the_join_budget(self, instances, tmp_path):
-        # qsl2 with every structure constant nonzero: the exhaustive checks'
-        # sparse joins pass 10**8 pairs, which would take gigabytes, so the
-        # run must stop at linalg.MAX_JOIN_TERMS (in its own process, so a
-        # regression costs that process and not the test session)
+    def test_mutated_dense_basis_at_dim_27_exits_2_naming_the_join_budget(self, instances, tmp_path):
+        # qsl2 in a dense random basis, with one seeded multiplication
+        # coefficient bumped: associativity fails, so Delta-multiplicativity
+        # cannot be checked on the generators and reruns over every basis
+        # pair, whose sparse joins pass 10**8 pairs and would take
+        # gigabytes. The run must stop at linalg.MAX_JOIN_TERMS (in its own
+        # process, so a regression costs that process and not the session)
         path = tmp_path / "qsl2_dense.json"
         d = random_change_of_basis(corpus_instance_to_dict(instances("qsl2")), seed=2)
+        at = random.Random(0).randrange(len(d["mul"]))
+        d["mul"][at][3] = (d["mul"][at][3] + 1) % d["field"]["p"]
         path.write_text(json.dumps(d))
         proc = subprocess.run([sys.executable, "-m", "hopfib.cli", "axioms", "--input", str(path)],
                               capture_output=True, text=True, timeout=30,
@@ -285,6 +290,18 @@ class TestVerifyCommand:
         assert code == 0  # conditions all false but they agree
         conds = report["results"]["conditions"]
         assert all(conds[k] is False for k in ("cond_i", "cond_ii", "cond_iii", "cond_iv"))
+
+    def test_non_split_prime_exits_2_naming_e(self, tmp_path, capsys):
+        # F_5[C3]: x^2 + x + 1 is irreducible over F_5, so F_5 does not split
+        # the algebra and no verdict is given
+        path = tmp_path / "c3p5.json"
+        assert main(["corpus", "--family", "group", "--group", "c3", "--p", "5",
+                     "-o", str(path)]) == 0
+        capsys.readouterr()
+        code = main(["verify", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "does not split H" in captured.err and "= 2 > 1" in captured.err
 
     def test_report_bytes_deterministic(self, q8_file, tmp_path, capsys):
         r1 = tmp_path / "r1.json"

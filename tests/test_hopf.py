@@ -406,8 +406,8 @@ class TestFiberQuotient:
             assert fq.bialgebra.hopf_flag == (h.antipode is not None)
             assert verify_structure(fq.bialgebra).passed
             for alg in (fq.algebra, subalgebra_as_algebra(h.alg, a.subspace)[0]):
-                _check_unit(alg.field, alg.dim, alg.unit, alg.mul)
-                _check_associative(alg.field, alg.dim, alg.mul)
+                _check_unit(alg)
+                _check_associative(alg)
 
     def test_counit_fiber_ideal_is_a_coideal(self, instances, rebased_big_p):
         # fiber_quotient does not re-check that eps and (pi x pi)Delta kill

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from hopfib.algebra import build_algebra
-from hopfib.errors import NotAHopfSubalgebra, NotAPermutation
+from hopfib.corpus import builtin_group, group_algebra_pair
+from hopfib.errors import NotAHopfSubalgebra, NotAPermutation, NotSplit
 from hopfib.fileio import instance_from_dict
 from hopfib.hopf import character_group_X, counit_character, winding
 from hopfib.linalg import FieldSpec, Subspace
+from hopfib.repn import simples
 from hopfib.specmap import (
     _fibers_against_orbits,
     contract,
@@ -252,6 +254,21 @@ class TestVerifyTheorem:
         assert v.x_order == 9
         assert v.witnesses["fiber_sizes"] == [9]
         assert v.witnesses["orbit_sizes"] == [9]
+
+    @pytest.mark.parametrize("group, p", [("c3", 5), ("c4", 2**31 - 1)])
+    def test_non_split_prime_is_refused_naming_the_degree(self, group, p):
+        # x^2 + x + 1 (C3) and x^2 + 1 (C4) are irreducible over F_p for
+        # p = 2 mod 3 and p = 3 mod 4: F_p[G] has a 2-dimensional simple
+        # module with annihilator of codimension 2, so e = 4 / 2 = 2
+        inst = group_algebra_pair(FieldSpec(p), builtin_group(group), [0])
+        for mode in ("global", "local"):
+            with pytest.raises(NotSplit) as exc:
+                verify_theorem(inst, mode=mode)
+            algebra, index, dim, degree = exc.value.witness
+            assert (algebra, dim, degree) == ("H", 2, 2)
+            rec = simples(inst.h.alg)[index]
+            assert rec.module.dim == 2 and inst.dim - rec.annihilator.dim == 2
+            assert "e = (dim S)^2 / codim P = 2" in str(exc.value)
 
     def test_determinism_same_seed_same_bytes(self, q8_pair):
         a = verify_theorem(q8_pair, mode="global", seed=3).to_json()
