@@ -45,7 +45,7 @@ from .hopf import (
     winding,
 )
 from .linalg import FieldSpec, Subspace, find_root_of_unity, modinv, rref, solve
-from .repn import ModuleRep, SimpleRecord, annihilator, chop, iso_simple, regular_module, simples
+from .repn import ModuleRep, SimpleRecord, annihilator, chop, regular_module, simples
 from .rewrite import Presentation, complete_check, enumerate_basis, extract_bialgebra, normalize
 from .specmap import (
     PrimItem,
@@ -97,7 +97,6 @@ __all__ = [
     "ideal_closure",
     "is_central_subalgebra",
     "is_right_coideal",
-    "iso_simple",
     "modinv",
     "normalize",
     "orbits",

@@ -3,11 +3,11 @@
 An algebra of dimension n over F_p is stored as the canonical rank-3
 :class:`~hopfib.linalg.SparseTensor` ``mul``, whose entry (i, j, k) is the
 coefficient of e_k in e_i * e_j, together with the coefficient vector of
-the unit. Products, multiplication matrices and the axiom checks are
-sparse contractions of ``mul``. The only dense views are the
-regular module's action stacks :meth:`StructureConstantAlgebra.left_regular`
-and :meth:`~StructureConstantAlgebra.right_regular`, built on demand for
-the stacked products of ``chop``, ``center`` and the closures.
+the unit. Products, multiplication matrices, the axiom checks and the
+structure constants of quotients and subalgebras (:func:`induced_constants`)
+are sparse contractions of ``mul``. The only dense view is the regular
+module's action stack :meth:`StructureConstantAlgebra.left_regular`, built
+on demand for ``repn.regular_module``, which ``chop`` reads.
 
 The unit laws and associativity are checked once, when :func:`build_algebra`
 reads the data, and recorded as ``certified``, so everything downstream can
@@ -25,6 +25,14 @@ once the unit laws hold, associativity holds iff it holds with the first
 factor in G. :func:`first_failure` runs a law's chain on G and reruns it
 over the whole basis only on a failure there, so a witness is always the
 lexicographically smallest failing index.
+
+The same argument bounds the closures. In a certified algebra the
+elements that commute with a given z, and those whose left (or right)
+products map a given subspace into itself, form unital subalgebras; so
+:func:`center` and :func:`ideal_closure` need the multiplication maps of
+G only, and on uncertified data they take every basis element instead
+(:func:`closing_maps`). ``repn.ModuleRep`` checks the homomorphism law on
+G for the same reason.
 """
 
 from __future__ import annotations
@@ -109,10 +117,6 @@ class StructureConstantAlgebra:
     def left_regular(self) -> np.ndarray:
         """Stack of left multiplication matrices, one per basis element."""
         return permute(self.mul, (0, 2, 1)).dense()
-
-    def right_regular(self) -> np.ndarray:
-        """Stack of right multiplication matrices, one per basis element."""
-        return permute(self.mul, (1, 2, 0)).dense()
 
     def element_power(self, v, k: int) -> np.ndarray:
         out = self.unit.copy()
@@ -253,28 +257,28 @@ def build_algebra(field: FieldSpec, dim: int, unit, entries, labels=()) -> Struc
 # -- subspaces of an algebra ---------------------------------------------
 
 
-def multiply_rows_by_basis(alg, rows, side) -> np.ndarray:
-    """All products e_i * v (side='left') or v * e_i (side='right'), as rows
-    in no particular order."""
-    stack = alg.left_regular() if side == "left" else alg.right_regular()
-    imgs = matmul_mod(stack, asmat(rows, alg.field.p).T, alg.field.p)  # (i, k, r)
-    return imgs.transpose(0, 2, 1).reshape(-1, alg.dim)
+def closing_maps(alg: StructureConstantAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of the matrices of x -> e_g x and of x -> x e_g, for g in G when
+    the algebra is certified (see the module docstring), else for every
+    basis index."""
+    gens = alg.generators if alg.certified else None
+    index = range(alg.dim) if gens is None else gens
+    eye = np.eye(alg.dim, dtype=np.int64)
+    shape = (len(index), alg.dim, alg.dim)
+    return (np.array([alg.left_mult_matrix(eye[g]) for g in index]).reshape(shape),
+            np.array([alg.right_mult_matrix(eye[g]) for g in index]).reshape(shape))
 
 
 def ideal_closure(alg: StructureConstantAlgebra, seed: Subspace) -> Subspace:
-    """Smallest two-sided ideal containing the seed subspace."""
+    """Smallest two-sided ideal containing the seed subspace: its closure
+    under the maps of closing_maps."""
     if seed.ambient != alg.dim:
         raise DimensionMismatch("seed lives in the wrong ambient space")
+    maps = np.concatenate(closing_maps(alg))
     current = seed
     while True:
-        rows = np.vstack(
-            [
-                current.basis,
-                multiply_rows_by_basis(alg, current.basis, "left"),
-                multiply_rows_by_basis(alg, current.basis, "right"),
-            ]
-        )
-        bigger = Subspace(alg.field, alg.dim, rows)
+        imgs = matmul_mod(maps, current.basis.T, alg.field.p).transpose(0, 2, 1)  # (map, row, coordinate)
+        bigger = Subspace(alg.field, alg.dim, np.vstack([current.basis, imgs.reshape(-1, alg.dim)]))
         if bigger.dim == current.dim:
             return bigger
         current = bigger
@@ -293,8 +297,9 @@ def is_subalgebra(alg: StructureConstantAlgebra, a: Subspace) -> bool:
 
 
 def center(alg: StructureConstantAlgebra) -> Subspace:
-    """Joint kernel of the commutator maps v -> e_i v - v e_i."""
-    return joint_kernel(alg.field, (alg.left_regular() - alg.right_regular()) % alg.field.p)
+    """Joint kernel of the commutator maps v -> e_g v - v e_g of closing_maps."""
+    lefts, rights = closing_maps(alg)
+    return joint_kernel(alg.field, (lefts - rights) % alg.field.p)
 
 
 def is_central_subalgebra(alg: StructureConstantAlgebra, a: Subspace) -> bool:
@@ -308,6 +313,17 @@ def is_commutative(alg: StructureConstantAlgebra) -> bool:
 
 
 # -- quotients -------------------------------------------------------------
+
+
+def induced_constants(t: SparseTensor, mats, p: int) -> SparseTensor:
+    """sum_{i,j,k} m0[a, i] m1[b, j] m2[c, k] t[i, j, k] over (d,)*3, for a
+    rank-3 t over (n,)*3 and (d, n) matrices (m0, m1, m2): each leg of t read
+    through its matrix, one sparse contraction per leg."""
+    for m in mats:
+        at = np.nonzero(m)
+        leg = SparseTensor.from_entries(t.n, 2, np.column_stack([*at, m[at]]), p)
+        t = permute(contract(leg, t, 1, p), (1, 2, 0))
+    return SparseTensor.from_entries(len(mats[0]), 3, np.column_stack([*t.indices(), t.vals]), p)
 
 
 @dataclass
@@ -342,16 +358,12 @@ def quotient_algebra(alg: StructureConstantAlgebra, ideal: Subspace) -> Quotient
         raise NotAnIdeal("subspace is not a two-sided ideal")
     if ideal.contains_vector(alg.unit):
         raise ImproperIdeal("ideal contains the unit")
-    n = alg.dim
-    qdim = n - ideal.dim
     proj, section, nonpivot = complement_projection(ideal)
-    assert len(nonpivot) == qdim
-    # products of the representatives, [a, k, b] = mul[nonpivot[a], nonpivot[b], k], projected
-    reps = alg.left_regular()[nonpivot][:, :, nonpivot]
-    qmul = SparseTensor.from_dense(matmul_mod(proj, reps, p).transpose(0, 2, 1))
+    # products of the representatives e_c, c in nonpivot, projected
+    qmul = induced_constants(alg.mul, (section.T, section.T, proj), p)
     qunit = matmul_mod(proj, alg.unit, p)
     qlabels = tuple(alg.labels[c] for c in nonpivot)
-    qalg = StructureConstantAlgebra(alg.field, qdim, qunit, qmul, qlabels, certified=True)
+    qalg = StructureConstantAlgebra(alg.field, len(nonpivot), qunit, qmul, qlabels, certified=True)
     return QuotientData(qalg, proj, section, ideal)
 
 
@@ -365,14 +377,9 @@ def subalgebra_as_algebra(alg: StructureConstantAlgebra, a: Subspace):
     """
     if not is_subalgebra(alg, a):
         raise NotASubalgebra("subspace is not a unital subalgebra")
-    p = alg.field.p
-    n, k = alg.dim, a.dim
-    basis = a.basis
-    piv = list(a.pivots)
-    # coordinates w.r.t. an RREF basis are the pivot entries: [r, t, j] = (b_r e_j)[piv[t]]
-    lefts = matmul_mod(basis, alg.left_regular()[:, piv].reshape(n, k * n), p).reshape(k, k, n)
-    sub_mul = SparseTensor.from_dense(matmul_mod(lefts, basis.T, p).transpose(0, 2, 1))
-    unit_coords = alg.unit[piv]
-    sub = StructureConstantAlgebra(alg.field, k, unit_coords, sub_mul,
-                                   tuple(f"a{i}" for i in range(k)), certified=True)
+    basis, piv = a.basis, list(a.pivots)
+    # coordinates w.r.t. an RREF basis are the pivot entries
+    sub_mul = induced_constants(alg.mul, (basis, basis, np.eye(alg.dim, dtype=np.int64)[piv]), alg.field.p)
+    sub = StructureConstantAlgebra(alg.field, a.dim, alg.unit[piv], sub_mul,
+                                   tuple(f"a{i}" for i in range(a.dim)), certified=True)
     return sub, basis

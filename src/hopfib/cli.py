@@ -25,7 +25,7 @@ from .corpus import (
     quantum_sl2_kernel,
     small_quantum_sl2,
 )
-from .errors import HopfibError
+from .errors import BadParameters, HopfibError
 from .fileio import (
     canonical_json,
     instance_from_dict,
@@ -63,7 +63,10 @@ def cmd_corpus(args) -> int:
         field = FieldSpec(args.p)
         if args.cayley_file:
             with open(args.cayley_file, "r", encoding="utf-8") as fh:
-                g = GroupTable.from_cayley(json.load(fh)["cayley"])
+                data = json.load(fh)
+            if not isinstance(data, dict) or "cayley" not in data:
+                raise BadParameters(f"{args.cayley_file} has no 'cayley' key")
+            g = GroupTable.from_cayley(data["cayley"])
         else:
             g = builtin_group(args.group)
         z = named_central_subgroup(g, args.central_subgroup)
@@ -72,14 +75,12 @@ def cmd_corpus(args) -> int:
             provenance={"family": "group", "group": args.group or "custom",
                         "z": args.central_subgroup, "p": args.p},
         )
-    elif args.family == "qsl2":
-        inst = quantum_sl2_kernel(args.ell, args.p)
-    elif args.family == "usl2":
-        inst = small_quantum_sl2(args.ell, args.p)
-    elif args.family == "qm2":
-        inst = quantum_m2_kernel(args.t, args.p)
     else:
-        raise HopfibError(f"unknown family {args.family!r}")
+        flag, build = {"qsl2": ("ell", quantum_sl2_kernel), "usl2": ("ell", small_quantum_sl2),
+                       "qm2": ("t", quantum_m2_kernel)}[args.family]
+        if getattr(args, flag) is None:
+            raise BadParameters(f"--family {args.family} needs --{flag}")
+        inst = build(getattr(args, flag), args.p)
     data = write_instance(args.output, inst)
     _log(f"wrote {args.output} ({len(data)} bytes, dim {inst.dim})")
     return 0

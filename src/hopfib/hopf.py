@@ -50,9 +50,10 @@ from .algebra import (
     _check_associative,
     _check_unit,
     first_failure,
+    ideal_closure,
+    induced_constants,
     is_central_subalgebra,
     is_subalgebra,
-    multiply_rows_by_basis,
     quotient_algebra,
     subalgebra_as_algebra,
 )
@@ -75,14 +76,13 @@ from .linalg import (
     asmat,
     contract,
     first_difference,
-    joint_kernel,
     kernel,
     matmul_mod,
     permute,
     restrict_first,
     tensordot_mod,
 )
-from .repn import simples as _simples
+from .repn import ModuleRep, simples as _simples
 
 
 # -- data ------------------------------------------------------------------
@@ -476,10 +476,13 @@ def character_group_X(b: BialgebraData, a: CoidealSubalgebra, seed: int = 0) -> 
 def adjoint_action(b: BialgebraData, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """ad matrices of a bimodule: ad(h) v = sum h_1 . v . S(h_2).
 
-    `left` and `right` are stacks of commuting left/right action matrices;
-    the left action must be an algebra map and the right action an
-    anti-map (checked). The result is then a left module structure, since
-    Delta is multiplicative and S anti-multiplicative; that is not checked.
+    `left` and `right` are stacks of commuting left/right action matrices.
+    The left action must be an algebra map and the right action an
+    anti-map, that is, its transposed stack an algebra map: both are
+    repn.ModuleRep's check (on the generating set), re-raised as
+    NotABimodule, and the commutation is checked on every basis element.
+    The result is then a left module structure, since Delta is
+    multiplicative and S anti-multiplicative; that is not checked.
     """
     if b.antipode is None:
         raise NoAntipode("the adjoint action requires an antipode")
@@ -487,54 +490,19 @@ def adjoint_action(b: BialgebraData, left: np.ndarray, right: np.ndarray) -> np.
     n = b.dim
     left = asmat(left, p)
     right = asmat(right, p)
-    m = left.shape[1]
-    eye = np.eye(m, dtype=np.int64)
-    if not np.array_equal(tensordot_mod(b.alg.unit, left, ([0], [0]), p), eye):
-        raise NotABimodule("unit does not act as identity on the left")
-    if not np.array_equal(tensordot_mod(b.alg.unit, right, ([0], [0]), p), eye):
-        raise NotABimodule("unit does not act as identity on the right")
-    flat_l = left.reshape(n, m * m)
-    flat_r = right.reshape(n, m * m)
-    regular = b.alg.left_regular()  # regular[i].T[j, k] = coefficient of e_k in e_i e_j
+    for side, stack in (("left", left), ("right", right.transpose(0, 2, 1))):
+        try:
+            ModuleRep(b.alg, stack)
+        except DimensionMismatch as exc:
+            raise NotABimodule(f"{side} action: {exc}") from exc
     for i in range(n):
-        if not np.array_equal(
-            matmul_mod(left[i], left, p),
-            matmul_mod(regular[i].T, flat_l, p).reshape(n, m, m),
-        ):
-            raise NotABimodule("left action is not an algebra homomorphism")
-        if not np.array_equal(
-            matmul_mod(right, right[i], p),
-            matmul_mod(regular[i].T, flat_r, p).reshape(n, m, m),
-        ):
-            raise NotABimodule("right action is not an algebra anti-homomorphism")
-        if not np.array_equal(
-            matmul_mod(left[i], right, p), matmul_mod(right, left[i], p)
-        ):
+        if not np.array_equal(matmul_mod(left[i], right, p), matmul_mod(right, left[i], p)):
             raise NotABimodule("left and right actions do not commute")
     right_s = tensordot_mod(b.antipode, right, ([0], [0]), p)  # action of S(e_b)
-    ad = np.zeros((n, m, m), dtype=np.int64)
+    ad = np.zeros((n, left.shape[1], left.shape[1]), dtype=np.int64)
     for i, a, bb, c in b.comul.entries():
         ad[i] = (ad[i] + c * matmul_mod(left[a], right_s[bb], p)) % p
     return ad
-
-
-def ad_one_dim_submodules(b: BialgebraData, ad: np.ndarray, chars=None):
-    """Joint eigenspaces of the adjoint action, one per character.
-
-    Every vector of a returned eigenspace spans a one-dimensional
-    ad-submodule with the given character as its eigenvalue system.
-    """
-    p = b.field.p
-    eye = np.eye(ad.shape[1], dtype=np.int64)
-    if chars is None:
-        chars = enumerate_characters(b)
-    found = []
-    for chi in chars:
-        shifted = (ad - chi.vector()[:, None, None] * eye) % p
-        current = joint_kernel(b.field, shifted)
-        if current.dim > 0:
-            found.append((chi, current))
-    return found
 
 
 # -- fiber quotients ----------------------------------------------------------
@@ -559,15 +527,18 @@ def fiber_quotient(b: BialgebraData, a: CoidealSubalgebra, xi: Character,
     """Quotient by B*ker(xi|A), with induced structure where it exists.
 
     xi is a character of the subalgebra A in the coordinates of its
-    canonical basis. Since A is central, B*K = K*B is the ideal I. When xi
-    agrees with the counit on A, eps(I) = 0 and (pi x pi)Delta(I) = 0 follow
-    from A being a right coideal subalgebra (Delta(a) lies in
-    1 (x) a + A+ (x) B for a in A+); only S(I) in I is checked. Then the
-    quotient bialgebra/Hopf structure is induced; its axioms are images of
-    the verified axioms of b and are not checked again. Otherwise only the
-    algebra quotient is returned. The right winding maps of X (built here
-    unless x_group is given) fix A pointwise, so they preserve the ideal;
-    they are returned with their unchecked descents to the quotient.
+    canonical basis. Since A is central, B*K = K*B is the ideal I, so it is
+    algebra.ideal_closure of K. When xi agrees with the counit on A,
+    eps(I) = 0 and (pi x pi)Delta(I) = 0 follow from A being a right coideal
+    subalgebra (Delta(a) lies in 1 (x) a + A+ (x) B for a in A+); only
+    S(I) in I is checked. Then the quotient bialgebra/Hopf structure is
+    induced; its axioms are images of the verified axioms of b and are not
+    checked again. The induced coproduct is one sparse chain on Delta
+    (algebra.induced_constants): its first leg read at the section's
+    standard vectors, both others projected. Otherwise only the algebra
+    quotient is returned. The right winding maps of X (built here unless
+    x_group is given) fix A pointwise, so they preserve the ideal; they are
+    returned with their unchecked descents to the quotient.
     """
     alg = b.alg
     p = alg.field.p
@@ -578,9 +549,7 @@ def fiber_quotient(b: BialgebraData, a: CoidealSubalgebra, xi: Character,
         raise HopfibError("xi is not a character of the subalgebra")
     # K = ker xi inside A, expressed in ambient coordinates
     kcoords = kernel(xi.vector()[None, :], p)
-    k_ambient = matmul_mod(kcoords, embedding, p)
-    rows = np.vstack([k_ambient, multiply_rows_by_basis(alg, k_ambient, "left")])
-    ideal = Subspace(alg.field, alg.dim, rows)
+    ideal = ideal_closure(alg, Subspace(alg.field, alg.dim, matmul_mod(kcoords, embedding, p)))
     if ideal.contains_vector(alg.unit):
         raise ImproperIdeal("xi does not extend: the induced ideal is everything")
     qd = quotient_algebra(alg, ideal)
@@ -596,14 +565,12 @@ def fiber_quotient(b: BialgebraData, a: CoidealSubalgebra, xi: Character,
     if xi == eps_on_a and (
         b.antipode is None or ideal.contains_rows(matmul_mod(ideal.basis, b.antipode.T, p))
     ):
-        q_comul = np.stack([matmul_mod(matmul_mod(proj, b.comul_of(col), p), proj.T, p)
-                            for col in section.T])
+        q_comul = induced_constants(b.comul, (section.T, proj, proj), p)
         q_counit = matmul_mod(b.counit, section, p)
         q_antipode = None
         if b.antipode is not None:
             q_antipode = matmul_mod(matmul_mod(proj, b.antipode, p), section, p)
-        quotient_b = BialgebraData(qd.algebra, SparseTensor.from_dense(q_comul).entries(),
-                                   q_counit, q_antipode)
+        quotient_b = BialgebraData(qd.algebra, q_comul.entries(), q_counit, q_antipode)
         quotient_b.hopf_flag = q_antipode is not None
     return FiberQuotient(qd.algebra, proj, section, ideal, quotient_b, x_group.chars,
                          windings, descended)

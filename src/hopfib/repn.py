@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StructureConstantAlgebra
+from .algebra import StructureConstantAlgebra, first_failure
 from .errors import BudgetExceeded, DifferentAlgebras, DimensionMismatch
 from .linalg import (
     Subspace,
@@ -66,21 +66,30 @@ class ModuleRep:
             self._verify()
 
     def _verify(self):
-        p = self.alg.field.p
-        m = self.dim
-        unit_action = tensordot_mod(self.alg.unit, self.action, ([0], [0]), p)
+        """The unit acts as the identity, then rho(e_i) rho(e_j) = rho(e_i e_j)
+        for i in G (algebra.first_failure; the i on which rho is
+        multiplicative form a unital subalgebra of a certified algebra); the
+        witness is the smallest failing pair."""
+        alg, p, m = self.alg, self.alg.field.p, self.dim
+        unit_action = tensordot_mod(alg.unit, self.action, ([0], [0]), p)
         if not np.array_equal(unit_action, np.eye(m, dtype=np.int64)):
             raise DimensionMismatch("unit does not act as the identity")
-        flat = self.action.reshape(self.alg.dim, m * m)
-        regular = self.alg.left_regular()  # regular[i].T[j, k] = coefficient of e_k in e_i e_j
-        for i in range(self.alg.dim):
-            actual = matmul_mod(self.action[i], self.action, p)
-            expected = matmul_mod(regular[i].T, flat, p).reshape(self.alg.dim, m, m)
-            if not np.array_equal(actual, expected):
-                j = int(np.argmax((actual != expected).any(axis=(1, 2))))
-                raise DimensionMismatch(
-                    f"action is not an algebra homomorphism at basis pair ({i}, {j})"
-                )
+        flat = self.action.reshape(alg.dim, m * m)
+        eye = np.eye(alg.dim, dtype=np.int64)
+
+        def chain(first):
+            for i in range(alg.dim) if first is None else first:
+                actual = matmul_mod(self.action[i], self.action, p)
+                # left_mult_matrix(e_i).T[j, k] = coefficient of e_k in e_i e_j
+                expected = matmul_mod(alg.left_mult_matrix(eye[i]).T, flat, p).reshape(actual.shape)
+                bad = np.flatnonzero((actual != expected).any(axis=(1, 2)))
+                if bad.size:
+                    return int(i), int(bad[0])
+            return None
+
+        at = first_failure(chain, alg.generators if alg.certified else None)
+        if at is not None:
+            raise DimensionMismatch(f"action is not an algebra homomorphism at basis pair {at}")
 
     def __repr__(self):
         return f"ModuleRep(dim={self.dim}, alg_dim={self.alg.dim})"
@@ -196,8 +205,9 @@ def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0) -> lis
     Every leaf of the split tree is a subquotient of the input module, so its
     action is an algebra map by exactness and is not checked again, nor is
     the invariance of the subspaces it splits along (see spin). Leaves
-    are merged by (dimension, annihilator), which is the isomorphism test of
-    :func:`iso_simple`, and the records are sorted by that key. The multiset
+    are merged by (dimension, annihilator), which decides isomorphism: two
+    simples with one annihilator P are both the simple module of the simple
+    artinian B/P. The records are sorted by that key. The multiset
     of factors is independent of the seed; the attempt budget guards the
     randomized search for each module of the split tree.
     """
@@ -253,21 +263,6 @@ def simples(alg: StructureConstantAlgebra, seed: int = 0) -> list[SimpleRecord]:
     if key not in _SIMPLES_CACHE:
         _SIMPLES_CACHE[key] = chop(alg, regular_module(alg), seed=seed)
     return _SIMPLES_CACHE[key]
-
-
-def iso_simple(m1: ModuleRep, m2: ModuleRep) -> bool:
-    """True iff two simple modules over the same algebra are isomorphic.
-
-    Criterion: equal dimensions and equal annihilators. The annihilator P of
-    a simple module S is a primitive ideal; B/P is a finite-dimensional
-    primitive algebra, hence simple artinian (Wedderburn), and a simple
-    artinian algebra has exactly one simple module up to isomorphism. So two
-    simples with the same annihilator are both that module of B/P. Both
-    arguments must be simple; this is not checked.
-    """
-    if m1.alg.digest() != m2.alg.digest():
-        raise DifferentAlgebras("modules live over different algebras")
-    return m1.dim == m2.dim and annihilator(m1.alg, m1) == annihilator(m1.alg, m2)
 
 
 def annihilator(alg: StructureConstantAlgebra, module: ModuleRep) -> Subspace:

@@ -1,7 +1,17 @@
 import pytest
 
-from hopfib.corpus import quantum_m2_kernel, quantum_sl2_kernel, shipped_instance, small_quantum_sl2
-from hopfib.fileio import corpus_instance_to_dict
+from hopfib.corpus import (
+    SHIPPED_NAMES,
+    builtin_group,
+    direct_product,
+    group_algebra_pair,
+    quantum_m2_kernel,
+    quantum_sl2_kernel,
+    shipped_instance,
+    small_quantum_sl2,
+)
+from hopfib.fileio import corpus_instance_to_dict, instance_from_dict
+from hopfib.linalg import FieldSpec
 from oracles import random_change_of_basis
 
 P_BIG = 2**31 - 1  # the largest prime the verifier accepts
@@ -48,6 +58,18 @@ def rebased_big_p(instances):
         return random_change_of_basis(d, seed=seed)
 
     return get
+
+
+@pytest.fixture(scope="session")
+def oracle_cases(instances, rebased_big_p):
+    """The pairs on which the checks restricted to a generating set are held
+    against their exhaustive oracles: the shipped instances, each again at
+    p = 2**31 - 1 in a random basis, and F_p[S3 x S3] at that prime with A
+    its centre."""
+    s3s3 = direct_product(builtin_group("s3"), builtin_group("s3"))
+    return ([instances(name) for name in SHIPPED_NAMES]
+            + [instance_from_dict(rebased_big_p(name)) for name in SHIPPED_NAMES]
+            + [group_algebra_pair(FieldSpec(P_BIG), s3s3, s3s3.center())])
 
 
 @pytest.fixture(scope="session")

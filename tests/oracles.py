@@ -6,8 +6,20 @@ import random
 import numpy as np
 
 from hopfib.algebra import StructureConstantAlgebra
-from hopfib.errors import DimensionMismatch
-from hopfib.linalg import SparseTensor, Subspace, complement_projection, kernel, matmul_mod, solve
+from hopfib.errors import DifferentAlgebras, DimensionMismatch
+from hopfib.hopf import enumerate_characters
+from hopfib.linalg import (
+    SparseTensor,
+    Subspace,
+    asmat,
+    complement_projection,
+    joint_kernel,
+    kernel,
+    matmul_mod,
+    solve,
+    tensordot_mod,
+)
+from hopfib.repn import annihilator
 from hopfib.rewrite import enumerate_basis, normalize
 
 
@@ -181,6 +193,96 @@ def is_algebra_endomorphism(alg: StructureConstantAlgebra, mat: np.ndarray, gens
         if not np.array_equal(f_of_g_times, f_g_times_f):
             return False
     return True
+
+
+def right_regular(alg: StructureConstantAlgebra) -> np.ndarray:
+    """Stack of the matrices of x -> x e_i, one per basis element, read from
+    the dense table."""
+    return alg.mul.dense().transpose(1, 2, 0)
+
+
+def exhaustive_center(alg: StructureConstantAlgebra) -> Subspace:
+    """Joint kernel of the commutator maps v -> e_i v - v e_i over every basis element."""
+    return joint_kernel(alg.field, (alg.left_regular() - right_regular(alg)) % alg.field.p)
+
+
+def multiply_rows_by_basis(alg: StructureConstantAlgebra, rows, side) -> np.ndarray:
+    """All products e_i * v (side='left') or v * e_i (side='right'), as rows
+    in no particular order."""
+    stack = alg.left_regular() if side == "left" else right_regular(alg)
+    imgs = matmul_mod(stack, asmat(rows, alg.field.p).T, alg.field.p)  # (i, k, r)
+    return imgs.transpose(0, 2, 1).reshape(-1, alg.dim)
+
+
+def exhaustive_ideal_closure(alg: StructureConstantAlgebra, seed: Subspace) -> Subspace:
+    """Smallest two-sided ideal containing the seed, closing under left and
+    right multiplication by every basis element until the span stops growing."""
+    current = seed
+    while True:
+        rows = np.vstack([current.basis, multiply_rows_by_basis(alg, current.basis, "left"),
+                          multiply_rows_by_basis(alg, current.basis, "right")])
+        bigger = Subspace(alg.field, alg.dim, rows)
+        if bigger.dim == current.dim:
+            return bigger
+        current = bigger
+
+
+def per_vector_fiber_comul(b, fq) -> np.ndarray:
+    """Dense induced coproduct of a fiber quotient: projection Delta(s) projection^T
+    for each section column s, two dense products per quotient basis vector."""
+    p, proj = b.field.p, fq.projection
+    return np.stack([matmul_mod(matmul_mod(proj, b.comul_of(col), p), proj.T, p) for col in fq.section.T])
+
+
+def all_pairs_module_witness(alg: StructureConstantAlgebra, action: np.ndarray):
+    """"unit" if the unit does not act as the identity, else the smallest pair
+    (i, j) with rho(e_i) rho(e_j) != rho(e_i e_j) over every pair, or None;
+    one stacked product per i, over every j."""
+    p, n = alg.field.p, alg.dim
+    action = asmat(action, p)
+    m = action.shape[1]
+    if not np.array_equal(tensordot_mod(alg.unit, action, ([0], [0]), p), np.eye(m, dtype=np.int64)):
+        return "unit"
+    mul, flat = alg.mul.dense(), action.reshape(n, m * m)
+    for i in range(n):
+        actual = matmul_mod(action[i], action, p)
+        expected = matmul_mod(mul[i], flat, p).reshape(n, m, m)  # mul[i][j, k]: e_k in e_i e_j
+        bad = np.flatnonzero((actual != expected).any(axis=(1, 2)))
+        if bad.size:
+            return i, int(bad[0])
+    return None
+
+
+def ad_one_dim_submodules(b, ad: np.ndarray, chars=None):
+    """Joint eigenspaces of the adjoint action, one per character (every
+    character of b by default) with a nonzero one: every vector of a
+    returned eigenspace spans a one-dimensional ad-submodule with that
+    character as its eigenvalues."""
+    p = b.field.p
+    eye = np.eye(ad.shape[1], dtype=np.int64)
+    if chars is None:
+        chars = enumerate_characters(b)
+    found = []
+    for chi in chars:
+        current = joint_kernel(b.field, (ad - chi.vector()[:, None, None] * eye) % p)
+        if current.dim > 0:
+            found.append((chi, current))
+    return found
+
+
+def iso_simple(m1, m2) -> bool:
+    """True iff two simple modules over the same algebra are isomorphic.
+
+    Criterion: equal dimensions and equal annihilators. The annihilator P of
+    a simple module S is a primitive ideal; B/P is a finite-dimensional
+    primitive algebra, hence simple artinian (Wedderburn), and a simple
+    artinian algebra has exactly one simple module up to isomorphism. So two
+    simples with the same annihilator are both that module of B/P. Both
+    arguments must be simple; this is not checked.
+    """
+    if m1.alg.digest() != m2.alg.digest():
+        raise DifferentAlgebras("modules live over different algebras")
+    return m1.dim == m2.dim and annihilator(m1.alg, m1) == annihilator(m1.alg, m2)
 
 
 def fixed_point_spin(action: np.ndarray, seed_rows, field) -> Subspace:

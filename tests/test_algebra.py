@@ -6,6 +6,7 @@ from hopfib.algebra import (
     _check_associative,
     build_algebra,
     center,
+    closing_maps,
     ideal_closure,
     is_central_subalgebra,
     is_commutative,
@@ -21,6 +22,8 @@ from hopfib.linalg import FieldSpec, SparseTensor, Subspace
 from hopfib.repn import simples
 
 from oracles import (
+    exhaustive_center,
+    exhaustive_ideal_closure,
     greedy_generating_set,
     left_normed_span,
     pairwise_quotient_mul,
@@ -230,6 +233,51 @@ def fiber_quotients(inst):
     return out
 
 
+def random_unital_product(seed: int) -> StructureConstantAlgebra:
+    """A random unital product over F_7 with e_0 as the unit, mostly not
+    associative, and not certified."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    table = rng.integers(0, 7, size=(n, n, n)) * (rng.random((n, n, n)) < 0.3)
+    table[0], table[:, 0] = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+    return StructureConstantAlgebra(F7, n, np.eye(n, dtype=np.int64)[0],
+                                    SparseTensor.from_dense(table % 7), ())
+
+
+class TestClosuresOnGenerators:
+    """center and ideal_closure read the multiplication maps of G only
+    (closing_maps); their versions over every basis element are the oracles."""
+
+    def test_center_and_ideal_closure_match_the_exhaustive_oracles(self, oracle_cases):
+        # H, A and the fiber algebras of each case; seeds: two basis vectors and a random vector
+        rng = np.random.default_rng(0)
+        proper = 0
+        for inst in oracle_cases:
+            algs = [inst.h.alg, subalgebra_as_algebra(inst.h.alg, inst.a.subspace)[0]]
+            algs += [fq.algebra for fq in fiber_quotients(inst)]
+            for alg in algs:
+                n = alg.dim
+                assert len(closing_maps(alg)[0]) == len(alg.generators)
+                assert center(alg) == exhaustive_center(alg)
+                eye = np.eye(n, dtype=np.int64)
+                for rows in (eye[[n - 1]], eye[[n // 2]], rng.integers(0, alg.field.p, size=(1, n))):
+                    seed = Subspace(alg.field, n, rows)
+                    got = ideal_closure(alg, seed)
+                    assert got == exhaustive_ideal_closure(alg, seed)
+                    proper += 0 < got.dim < n
+        assert proper >= 20
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_uncertified_data_takes_every_basis_element(self, seed):
+        alg = random_unital_product(seed)
+        lefts, rights = closing_maps(alg)
+        assert len(lefts) == len(rights) == alg.dim
+        assert center(alg) == exhaustive_center(alg)
+        rows = np.random.default_rng(seed).integers(0, 7, size=(1, alg.dim))
+        seed_space = Subspace(F7, alg.dim, rows)
+        assert ideal_closure(alg, seed_space) == exhaustive_ideal_closure(alg, seed_space)
+
+
 class TestSparseMul:
     """The multiplication is stored once, as a canonical sparse tensor, on
     every path that makes an algebra."""
@@ -298,14 +346,9 @@ class TestGenerators:
         # random unital products with e_0 as the unit, mostly not
         # associative: the words in G span, and associativity checked on G
         # has the exhaustive check's outcome and witness
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 7))
-        table = rng.integers(0, 7, size=(n, n, n)) * (rng.random((n, n, n)) < 0.3)
-        table[0], table[:, 0] = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
-        alg = StructureConstantAlgebra(F7, n, np.eye(n, dtype=np.int64)[0],
-                                       SparseTensor.from_dense(table % 7), ())
+        alg = random_unital_product(seed)
         assert alg.generators is not None
-        assert left_normed_span(alg, alg.generators).dim == n
+        assert left_normed_span(alg, alg.generators).dim == alg.dim
 
         def witness(gens):
             try:

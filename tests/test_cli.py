@@ -55,6 +55,28 @@ class TestCorpusCommand:
         assert code == 2
         assert "odd" in err
 
+    @pytest.mark.parametrize("argv, missing", [
+        (["--family", "qsl2", "--p", "7"], "--ell"),
+        (["--family", "usl2", "--p", "7"], "--ell"),
+        (["--family", "qm2", "--p", "7"], "--t"),
+    ])
+    def test_missing_family_parameter_exits_2_naming_it(self, tmp_path, capsys, argv, missing):
+        code = main(["corpus", *argv, "-o", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and missing in err and "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("content", [{"table": [[0]]}, [[0]]])
+    def test_cayley_file_without_the_key_exits_2_naming_it(self, tmp_path, capsys, content):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(content))
+        code = main(["corpus", "--family", "group", "--cayley-file", str(gpath), "--p", "7",
+                     "-o", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "'cayley'" in err
+
     def test_custom_cayley_table(self, tmp_path, capsys):
         cayley = {"cayley": [[(i + j) % 5 for j in range(5)] for i in range(5)]}
         gpath = tmp_path / "c5.json"

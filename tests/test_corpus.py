@@ -27,13 +27,14 @@ from hopfib.hopf import (
     verify_structure,
 )
 from hopfib.linalg import FieldSpec, Subspace, invert, rref
-from hopfib.repn import ModuleRep, annihilator, iso_simple, simples, spin
+from hopfib.repn import ModuleRep, annihilator, simples, spin
 
 from oracles import (
     brute_force_characters,
     first_nonassociative_triple,
     highest_weight_module_small_sl2,
     intertwiner_exists,
+    iso_simple,
 )
 
 F7 = FieldSpec(7)

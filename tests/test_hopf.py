@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,16 +8,14 @@ from hopfib.algebra import (
     _check_associative,
     _check_unit,
     build_algebra,
-    multiply_rows_by_basis,
     subalgebra_as_algebra,
 )
 from hopfib.corpus import SHIPPED_NAMES, builtin_group
-from hopfib.errors import HopfibError, ImproperIdeal, NoAntipode
+from hopfib.errors import HopfibError, ImproperIdeal, NoAntipode, NotABimodule
 from hopfib.fileio import instance_from_dict
 from hopfib.hopf import (
     BialgebraData,
     Character,
-    ad_one_dim_submodules,
     adjoint_action,
     build_bialgebra,
     character_group_X,
@@ -33,6 +32,15 @@ from hopfib.hopf import (
 )
 from hopfib.linalg import FieldSpec, Subspace, kernel, matmul_mod
 from hopfib.repn import simples
+
+from oracles import (
+    ad_one_dim_submodules,
+    all_pairs_module_witness,
+    iso_simple,
+    multiply_rows_by_basis,
+    per_vector_fiber_comul,
+    right_regular,
+)
 
 F7 = FieldSpec(7)
 
@@ -301,7 +309,7 @@ class TestCharacterGroupX:
 class TestAdjoint:
     def test_regular_bimodule_ad_on_unit(self, q8_pair):
         h = q8_pair.h
-        ad = adjoint_action(h, h.alg.left_regular(), h.alg.right_regular())
+        ad = adjoint_action(h, h.alg.left_regular(), right_regular(h.alg))
         one = h.alg.unit
         for i in range(h.dim):
             assert np.array_equal((ad[i] @ one) % 7, (h.counit[i] * one) % 7)
@@ -309,7 +317,7 @@ class TestAdjoint:
     def test_group_algebra_ad_is_conjugation(self, q8_pair):
         h = q8_pair.h
         g = builtin_group("q8")
-        ad = adjoint_action(h, h.alg.left_regular(), h.alg.right_regular())
+        ad = adjoint_action(h, h.alg.left_regular(), right_regular(h.alg))
         for i in range(8):
             expected = np.zeros((8, 8), dtype=np.int64)
             for v in range(8):
@@ -320,7 +328,7 @@ class TestAdjoint:
         # if ad(h) n = chi(h) n for all h then right-multiplication by n
         # equals left-multiplication by n composed with the winding map
         h = q8_pair.h
-        ad = adjoint_action(h, h.alg.left_regular(), h.alg.right_regular())
+        ad = adjoint_action(h, h.alg.left_regular(), right_regular(h.alg))
         found = ad_one_dim_submodules(h, ad)
         assert found, "central group-likes must give ad-eigenvectors"
         for chi, eigenspace in found:
@@ -332,7 +340,7 @@ class TestAdjoint:
 
     def test_central_group_likes_are_trivial_eigenvectors(self, q8_pair):
         h = q8_pair.h
-        ad = adjoint_action(h, h.alg.left_regular(), h.alg.right_regular())
+        ad = adjoint_action(h, h.alg.left_regular(), right_regular(h.alg))
         found = dict(
             (chi.values, space) for chi, space in ad_one_dim_submodules(h, ad)
         )
@@ -343,7 +351,28 @@ class TestAdjoint:
         assert found[eps].contains(q8_pair.a.subspace)
 
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_bad_stack_names_the_side_and_the_all_pairs_witness(self, q8_pair, side):
+        # both stacks go through ModuleRep's check on G, the right one transposed
+        h = q8_pair.h
+        stacks = {"left": h.alg.left_regular().copy(), "right": right_regular(h.alg).copy()}
+        stacks[side][3, 0, 1] = (stacks[side][3, 0, 1] + 1) % 7
+        as_module = stacks[side] if side == "left" else stacks[side].transpose(0, 2, 1)
+        at = all_pairs_module_witness(h.alg, as_module)
+        assert isinstance(at, tuple)
+        message = f"{side} action: action is not an algebra homomorphism at basis pair {at}"
+        with pytest.raises(NotABimodule, match=re.escape(message)):
+            adjoint_action(h, stacks["left"], stacks["right"])
+
+
 class TestFiberQuotient:
+    def test_induced_coproduct_matches_the_per_vector_oracle(self, oracle_cases):
+        # one sparse contraction of Delta against proj Delta(s) proj^T for each section vector s
+        for inst in oracle_cases:
+            fq = counit_fiber(inst)
+            assert fq.bialgebra is not None
+            assert np.array_equal(fq.bialgebra.comul.dense(), per_vector_fiber_comul(inst.h, fq))
+
     def test_scalar_subalgebra_quotient_is_whole_algebra(self, qsl2_pair):
         h = qsl2_pair.h
         a = qsl2_pair.a
@@ -386,7 +415,7 @@ class TestFiberQuotient:
         assert [(r.module.dim, r.multiplicity) for r in recs] == [(2, 2)]
         # cross-check: pulling the quotient simple back along the projection
         # recovers the 2-dimensional simple of the group algebra
-        from hopfib.repn import ModuleRep, iso_simple
+        from hopfib.repn import ModuleRep
 
         action_pulled = np.tensordot(fq.projection, recs[0].module.action, axes=([0], [0])) % 7
         pulled_mod = ModuleRep(h.alg, action_pulled)

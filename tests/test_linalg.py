@@ -618,9 +618,29 @@ def lint_dense_mul(tree: ast.AST) -> list[int]:
     return sorted(found)
 
 
+def lint_regular_stack_reads(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, enclosing function) of each read of a ``.left_regular`` attribute."""
+    found, scope = [], []
+
+    class Reads(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        def visit_Attribute(self, node):
+            if node.attr == "left_regular":
+                found.append((node.lineno, ".".join(scope)))
+            self.generic_visit(node)
+
+    Reads().visit(tree)
+    return found
+
+
 class TestOnlyAlgebraDensifiesMul:
     """The multiplication is stored once, as a sparse tensor; algebra.py alone
-    builds dense views of it (the regular module's action stacks)."""
+    builds a dense view of it (the regular module's action stack), and only
+    repn.regular_module, which chop reads, asks for that view."""
 
     def test_lint_flags_each_pattern(self):
         bad = ast.parse(
@@ -639,6 +659,22 @@ class TestOnlyAlgebraDensifiesMul:
             for line in lint_dense_mul(ast.parse(path.read_text()))
         ]
         assert offences == []
+
+    def test_lint_finds_each_regular_stack_read(self):
+        tree = ast.parse(
+            "x = alg.left_regular()\ndef f(alg):\n    return alg.left_regular()[0]\n"
+            "def g(alg):\n    stack = alg.left_regular\n    return stack()\n"
+            "def left_regular(alg):\n    return alg.mul\n"
+        )
+        assert lint_regular_stack_reads(tree) == [(1, ""), (3, "f"), (5, "g")]
+
+    def test_only_the_regular_module_reads_the_dense_stack(self):
+        reads = {
+            (path.name, scope): line
+            for path in sorted(SRC.glob("*.py"))
+            for line, scope in lint_regular_stack_reads(ast.parse(path.read_text()))
+        }
+        assert list(reads) == [("repn.py", "regular_module")]
 
 
 class TestEveryProductGoesThroughLinalg:

@@ -1,11 +1,13 @@
 import itertools
+import random
+import re
 
 import numpy as np
 import pytest
 
 from hopfib.algebra import build_algebra
 from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra_pair
-from hopfib.errors import DifferentAlgebras
+from hopfib.errors import DifferentAlgebras, DimensionMismatch
 from hopfib.fileio import instance_from_dict
 from hopfib.linalg import (
     FieldSpec,
@@ -19,7 +21,6 @@ from hopfib.repn import (
     ModuleRep,
     annihilator,
     chop,
-    iso_simple,
     minpoly_on_vector,
     poly_eval_matrix,
     quotient_action,
@@ -30,8 +31,10 @@ from hopfib.repn import (
 )
 
 from oracles import (
+    all_pairs_module_witness,
     checked_restrict_action,
     fixed_point_spin,
+    iso_simple,
     krylov_solve_minpoly,
     product_quotient_action,
 )
@@ -106,6 +109,44 @@ class TestModuleRep:
         # the all-ones vector spans the trivial submodule of a group algebra
         triv = spin(reg.action, [[1, 1, 1]], F7)
         assert triv.dim == 1
+
+
+def module_witness(alg, action):
+    """ModuleRep's witness against action: "unit", the failing pair, or None."""
+    try:
+        ModuleRep(alg, action)
+    except DimensionMismatch as exc:
+        if str(exc) == "unit does not act as the identity":
+            return "unit"
+        pair = re.fullmatch(r"action is not an algebra homomorphism at basis pair \((\d+), (\d+)\)", str(exc))
+        return int(pair[1]), int(pair[2])
+    return None
+
+
+class TestModuleCheckOnGenerators:
+    """ModuleRep checks the homomorphism law with its first factor in G and
+    reruns every pair only on a failure there; the all-pairs check is the
+    oracle for its verdict and witness."""
+
+    def test_seeded_bad_actions_give_the_all_pairs_witness(self, oracle_cases):
+        # the simples of each case and its regular module up to dimension 36,
+        # each intact and with one entry bumped at a seeded place
+        rng = random.Random(0)
+        pairs = 0
+        for inst in oracle_cases:
+            alg, p = inst.h.alg, inst.h.field.p
+            actions = [rec.module.action for rec in simples(alg)]
+            actions += [alg.left_regular()] if alg.dim <= 36 else []
+            for action in actions:
+                assert module_witness(alg, action) is None is all_pairs_module_witness(alg, action)
+                for _ in range(2):
+                    bad = action.copy()
+                    at = tuple(rng.randrange(s) for s in bad.shape)
+                    bad[at] = (bad[at] + rng.randrange(1, p)) % p
+                    expected = all_pairs_module_witness(alg, bad)
+                    assert module_witness(alg, bad) == expected
+                    pairs += isinstance(expected, tuple)
+        assert pairs >= 40
 
 
 class TestSplitHelpersMatchOracles:
