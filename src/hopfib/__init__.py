@@ -32,11 +32,9 @@ from .hopf import (
     BialgebraData,
     Character,
     CoidealSubalgebra,
-    adjoint_action,
     build_bialgebra,
     character_group_X,
     coideal_subalgebra,
-    convolution_inverse,
     convolve,
     enumerate_characters,
     fiber_quotient,
@@ -44,7 +42,7 @@ from .hopf import (
     verify_structure,
     winding,
 )
-from .linalg import FieldSpec, Subspace, find_root_of_unity, modinv, rref, solve
+from .linalg import FieldSpec, Subspace, find_root_of_unity, modinv, rref
 from .repn import ModuleRep, SimpleRecord, annihilator, chop, regular_module, simples
 from .rewrite import Presentation, complete_check, enumerate_basis, extract_bialgebra, normalize
 from .specmap import (
@@ -73,7 +71,6 @@ __all__ = [
     "StructureConstantAlgebra",
     "Subspace",
     "Verdict",
-    "adjoint_action",
     "annihilator",
     "build_algebra",
     "build_bialgebra",
@@ -84,7 +81,6 @@ __all__ = [
     "coideal_subalgebra",
     "complete_check",
     "contract",
-    "convolution_inverse",
     "convolve",
     "enumerate_basis",
     "enumerate_characters",
@@ -110,7 +106,6 @@ __all__ = [
     "shipped_instance",
     "simples",
     "small_quantum_sl2",
-    "solve",
     "verify_structure",
     "verify_theorem",
     "winding",

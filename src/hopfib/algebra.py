@@ -102,9 +102,6 @@ class StructureConstantAlgebra:
             raise DimensionMismatch(f"vector of shape {v.shape} in an algebra of dimension {self.dim}")
         return SparseTensor.from_dense(v)
 
-    def multiply(self, u, v) -> np.ndarray:
-        return matmul_mod(self.left_mult_matrix(u), asmat(v, self.field.p), self.field.p)
-
     def left_mult_matrix(self, v) -> np.ndarray:
         """Matrix of x -> v * x acting on column vectors."""
         return contract(self._sparse(v), self.mul, 1, self.field.p).dense().T
@@ -117,16 +114,6 @@ class StructureConstantAlgebra:
     def left_regular(self) -> np.ndarray:
         """Stack of left multiplication matrices, one per basis element."""
         return permute(self.mul, (0, 2, 1)).dense()
-
-    def element_power(self, v, k: int) -> np.ndarray:
-        out = self.unit.copy()
-        base = asmat(v, self.field.p)
-        while k:
-            if k & 1:
-                out = self.multiply(out, base)
-            base = self.multiply(base, base)
-            k >>= 1
-        return out
 
     @cached_property
     def generators(self) -> tuple[int, ...] | None:
@@ -306,10 +293,6 @@ def is_central_subalgebra(alg: StructureConstantAlgebra, a: Subspace) -> bool:
     if not is_subalgebra(alg, a):
         raise NotASubalgebra("subspace is not a unital subalgebra")
     return center(alg).contains(a)
-
-
-def is_commutative(alg: StructureConstantAlgebra) -> bool:
-    return first_difference(alg.mul, permute(alg.mul, (1, 0, 2))) is None
 
 
 # -- quotients -------------------------------------------------------------

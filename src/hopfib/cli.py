@@ -67,6 +67,8 @@ def cmd_corpus(args) -> int:
             if not isinstance(data, dict) or "cayley" not in data:
                 raise BadParameters(f"{args.cayley_file} has no 'cayley' key")
             g = GroupTable.from_cayley(data["cayley"])
+        elif args.group is None:
+            raise BadParameters("--family group needs --group or --cayley-file")
         else:
             g = builtin_group(args.group)
         z = named_central_subgroup(g, args.central_subgroup)

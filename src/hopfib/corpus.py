@@ -150,34 +150,6 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     return GroupTable.from_cayley(table)
 
 
-def quotient_group(g: GroupTable, z_indices) -> tuple[GroupTable, np.ndarray]:
-    """Quotient by a central subgroup; cosets ordered by least member.
-
-    Returns the quotient table and the index map element -> coset.
-    """
-    z = sorted(set(int(i) for i in z_indices))
-    if not g.is_subgroup(z):
-        raise NotASubgroup("subset is not a subgroup")
-    if not g.is_central_subset(z):
-        raise NotCentral("subgroup is not central")
-    seen = {}
-    cosets = []
-    for x in range(g.order):
-        if x in seen:
-            continue
-        coset = sorted(int(g.cayley[x, s]) for s in z)
-        for y in coset:
-            seen[y] = len(cosets)
-        cosets.append(coset)
-    k = len(cosets)
-    table = np.zeros((k, k), dtype=np.int64)
-    for a in range(k):
-        for b in range(k):
-            table[a, b] = seen[int(g.cayley[cosets[a][0], cosets[b][0]])]
-    mapping = np.array([seen[x] for x in range(g.order)], dtype=np.int64)
-    return GroupTable.from_cayley(table), mapping
-
-
 _BUILTIN_GROUPS = {}
 
 
@@ -256,6 +228,9 @@ def group_algebra_pair(field: FieldSpec, g: GroupTable, z_indices,
                        provenance: dict | None = None) -> CorpusInstance:
     """The pair A = F_p[Z] inside H = F_p[G] for a central subgroup Z."""
     z = sorted(set(int(i) for i in z_indices))
+    for i in z:
+        if not 0 <= i < g.order:
+            raise BadParameters(f"central subgroup index {i} is not in [0, |G|) = [0, {g.order})")
     if not g.is_subgroup(z):
         raise NotASubgroup("Z is not a subgroup")
     if not g.is_central_subset(z):

@@ -46,14 +46,6 @@ class NotCentral(HopfibError):
     pass
 
 
-class NoAntipode(HopfibError):
-    pass
-
-
-class NotABimodule(HopfibError):
-    pass
-
-
 class DifferentAlgebras(HopfibError):
     pass
 
@@ -90,8 +82,8 @@ class InfiniteBasis(HopfibError):
 class StructureCheckFailed(HopfibError):
     def __init__(self, report):
         self.report = report
-        failed = [c.name for c in report.checks if not c.passed]
-        super().__init__(f"structure axioms failed: {', '.join(failed)}")
+        failed = ", ".join(c.name for c in report.failed())
+        super().__init__(f"structure axioms failed: {failed}")
 
 
 class BadParameters(HopfibError):

@@ -17,7 +17,8 @@ The algebra file format (schema 1) stores everything as integers:
     }
 
 Repeated mul, comul and antipode entries add up. A missing required key,
-or any key of the wrong JSON type, is a DimensionMismatch naming it.
+any key of the wrong JSON type, or basis_labels other than dim strings, is
+a DimensionMismatch naming it.
 
 Sparse entry arrays are sorted lexicographically and JSON is emitted with
 sorted keys and fixed indentation, so serialization is canonical:
@@ -115,10 +116,11 @@ def _member(d: dict, key: str, kind: type, what: str):
 
 def _checked_entries(d: dict) -> dict:
     """d with every key of the format checked to have its JSON type and the
-    required ones to be present, every number to be an integer, mul, comul
-    and antipode entries to have the right arity and indices in [0, dim)
-    (DimensionMismatch otherwise), and coefficients, unit, counit and A's
-    basis vectors reduced mod p while they are Python ints.
+    required ones to be present, every number to be an integer, basis_labels
+    to be dim strings, mul, comul and antipode entries to have the right
+    arity and indices in [0, dim) (DimensionMismatch otherwise), and
+    coefficients, unit, counit and A's basis vectors reduced mod p while
+    they are Python ints.
     """
     schema = d.get("schema") if type(d) is dict else None
     if schema != SCHEMA:
@@ -130,6 +132,10 @@ def _checked_entries(d: dict) -> dict:
             _typed(d[key], kind, key)
     p = _member(d["field"], "p", int, "field.p")
     n = d["dim"]
+    if "basis_labels" in d:
+        labels = d["basis_labels"]
+        if len(labels) != n or any(type(x) is not str for x in labels):
+            raise DimensionMismatch(f"basis_labels must be {n} strings, one per basis element")
 
     def vector(key, v):
         return [_typed(x, int, f"{key} entry") % p for x in _typed(v, list, key)]

@@ -31,12 +31,12 @@ Each law is two sparse contractions of the structure constants compared
 by linalg.first_difference. Convolution, winding maps and the character
 group restricting trivially to a coideal subalgebra are built on the same
 sparse data. Those derived objects are built once from the verified
-axioms and not re-proved: products of characters are characters, chi o S
-is the convolution inverse of chi, winding maps are algebra maps, the
-winding maps of X fix A pointwise and preserve every fiber ideal, the
-counit fiber ideal B*A+ is killed by eps and by (pi x pi)Delta, and the
-adjoint action is a module structure. The tests hold each of these on the
-shipped corpus.
+axioms and not re-proved: products of characters are characters, winding
+maps are algebra maps, the winding maps of X fix A pointwise and preserve
+every fiber ideal, and the counit fiber ideal B*A+ is killed by eps and by
+(pi x pi)Delta. The tests hold each of these on the shipped corpus, and
+two facts the verifier does not use: chi o S is the convolution inverse
+of chi, and the adjoint action (tests/oracles.py) is a module structure.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ from .errors import (
     DimensionMismatch,
     HopfibError,
     ImproperIdeal,
-    NoAntipode,
-    NotABimodule,
     NotACoideal,
     NotASubalgebra,
     NotAssociative,
@@ -80,9 +78,8 @@ from .linalg import (
     matmul_mod,
     permute,
     restrict_first,
-    tensordot_mod,
 )
-from .repn import ModuleRep, simples as _simples
+from .repn import simples as _simples
 
 
 # -- data ------------------------------------------------------------------
@@ -116,7 +113,7 @@ class BialgebraData:
     verified bialgebra (:func:`fiber_quotient`).
     """
 
-    __slots__ = ("alg", "comul", "counit", "antipode", "hopf_flag")
+    __slots__ = ("alg", "comul", "counit", "antipode")
 
     def __init__(self, alg: StructureConstantAlgebra, comul_entries, counit, antipode=None):
         p = alg.field.p
@@ -133,7 +130,6 @@ class BialgebraData:
                 raise DimensionMismatch("antipode matrix has wrong shape")
             antipode.setflags(write=False)
         self.antipode = antipode
-        self.hopf_flag = False
 
     @property
     def field(self):
@@ -166,9 +162,6 @@ class Character:
 
     def vector(self) -> np.ndarray:
         return np.array(self.values, dtype=np.int64)
-
-    def of(self, vec) -> int:
-        return int(matmul_mod(self.vector(), asmat(vec, self.p), self.p))
 
     def key(self) -> tuple[int, ...]:
         return self.values
@@ -294,7 +287,6 @@ def build_bialgebra(alg, comul_entries, counit, antipode=None) -> BialgebraData:
     report = verify_structure(b)
     if not report.passed:
         raise StructureCheckFailed(report)
-    b.hopf_flag = antipode is not None
     return b
 
 
@@ -329,18 +321,6 @@ def convolve(b: BialgebraData, chi: Character, chi2: Character) -> Character:
     p = b.field.p
     v1, v2 = (SparseTensor.from_dense(c.vector()) for c in (chi, chi2))
     return Character.from_vector(p, contract(contract(b.comul, v2, 1, p), v1, 1, p).dense())
-
-
-def convolution_inverse(b: BialgebraData, chi: Character) -> Character:
-    """chi composed with the antipode, the two-sided convolution inverse of chi.
-
-    That follows from the antipode axioms, checked when the bialgebra was
-    built, and is not checked again here.
-    """
-    if b.antipode is None:
-        raise NoAntipode("convolution inverse requires an antipode")
-    p = b.field.p
-    return Character.from_vector(p, matmul_mod(chi.vector(), b.antipode, p))
 
 
 # -- winding maps ------------------------------------------------------------
@@ -470,41 +450,6 @@ def character_group_X(b: BialgebraData, a: CoidealSubalgebra, seed: int = 0) -> 
     return XGroup(members, table, inverse, ident, all_chars)
 
 
-# -- adjoint action ----------------------------------------------------------
-
-
-def adjoint_action(b: BialgebraData, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """ad matrices of a bimodule: ad(h) v = sum h_1 . v . S(h_2).
-
-    `left` and `right` are stacks of commuting left/right action matrices.
-    The left action must be an algebra map and the right action an
-    anti-map, that is, its transposed stack an algebra map: both are
-    repn.ModuleRep's check (on the generating set), re-raised as
-    NotABimodule, and the commutation is checked on every basis element.
-    The result is then a left module structure, since Delta is
-    multiplicative and S anti-multiplicative; that is not checked.
-    """
-    if b.antipode is None:
-        raise NoAntipode("the adjoint action requires an antipode")
-    p = b.field.p
-    n = b.dim
-    left = asmat(left, p)
-    right = asmat(right, p)
-    for side, stack in (("left", left), ("right", right.transpose(0, 2, 1))):
-        try:
-            ModuleRep(b.alg, stack)
-        except DimensionMismatch as exc:
-            raise NotABimodule(f"{side} action: {exc}") from exc
-    for i in range(n):
-        if not np.array_equal(matmul_mod(left[i], right, p), matmul_mod(right, left[i], p)):
-            raise NotABimodule("left and right actions do not commute")
-    right_s = tensordot_mod(b.antipode, right, ([0], [0]), p)  # action of S(e_b)
-    ad = np.zeros((n, left.shape[1], left.shape[1]), dtype=np.int64)
-    for i, a, bb, c in b.comul.entries():
-        ad[i] = (ad[i] + c * matmul_mod(left[a], right_s[bb], p)) % p
-    return ad
-
-
 # -- fiber quotients ----------------------------------------------------------
 
 
@@ -571,6 +516,5 @@ def fiber_quotient(b: BialgebraData, a: CoidealSubalgebra, xi: Character,
         if b.antipode is not None:
             q_antipode = matmul_mod(matmul_mod(proj, b.antipode, p), section, p)
         quotient_b = BialgebraData(qd.algebra, q_comul.entries(), q_counit, q_antipode)
-        quotient_b.hopf_flag = q_antipode is not None
     return FiberQuotient(qd.algebra, proj, section, ideal, quotient_b, x_group.chars,
                          windings, descended)

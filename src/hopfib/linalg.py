@@ -40,10 +40,10 @@ Cantor-Zassenhaus splitting (Math. Comp. 36, 1981). Products are Kronecker
 substitutions: the coefficients are packed into one Python int,
 multiplied once and unpacked; powers take sliding windows sized to the
 exponent. The splitting is randomised with a fixed-seed generator per
-stream; :func:`factor_poly` sorts the stream, so, factorisation in F_p[x]
-being unique, its output does not depend on that seed. :func:`is_prime` is
-deterministic Miller-Rabin with bases 2, 3, 5 and 7, which is exact below
-3,215,031,751 and so for every modulus up to 2**31.
+stream, so the stream is deterministic; factorisation in F_p[x] being
+unique, the set of factors it yields does not depend on that seed.
+:func:`is_prime` is deterministic Miller-Rabin with bases 2, 3, 5 and 7,
+which is exact below 3,215,031,751 and so for every modulus up to 2**31.
 """
 
 from __future__ import annotations
@@ -227,50 +227,6 @@ def kernel(m, p: int) -> np.ndarray:
     return canon[:krank]
 
 
-@dataclass
-class LinearSolution:
-    """Result of a linear solve; `particular` is None when inconsistent."""
-
-    consistent: bool
-    particular: np.ndarray | None
-    kernel: np.ndarray
-
-
-def solve(m, rhs, p: int) -> LinearSolution:
-    """Solve m @ x = rhs exactly over F_p.
-
-    `rhs` may be a vector or a matrix of stacked right-hand-side columns;
-    the kernel rows span all homogeneous solutions.
-    """
-    m = asmat(m, p)
-    rhs = asmat(rhs, p)
-    vector_rhs = rhs.ndim == 1
-    if vector_rhs:
-        rhs = rhs[:, None]
-    if rhs.shape[0] != m.shape[0]:
-        raise DimensionMismatch(f"rhs rows {rhs.shape[0]} != matrix rows {m.shape[0]}")
-    ncols = m.shape[1]
-    aug, _, pivots = rref(np.hstack([m, rhs]), p)
-    if any(c >= ncols for c in pivots):
-        return LinearSolution(False, None, kernel(m, p))
-    part = np.zeros((ncols, rhs.shape[1]), dtype=np.int64)
-    for rr, pc in enumerate(pivots):
-        part[pc] = aug[rr, ncols:]
-    if vector_rhs:
-        part = part[:, 0]
-    return LinearSolution(True, part, kernel(m, p))
-
-
-def invert(m, p: int) -> np.ndarray:
-    """Inverse of a square matrix; raises if singular."""
-    m = asmat(m, p)
-    n = m.shape[0]
-    sol = solve(m, identity(n), p)
-    if not sol.consistent or sol.kernel.shape[0] != 0:
-        raise DimensionMismatch("matrix is singular")
-    return sol.particular
-
-
 def find_root_of_unity(field: FieldSpec, m: int) -> int:
     """Smallest element of F_p with multiplicative order exactly m.
 
@@ -364,9 +320,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
     def key(self) -> bytes:
         return self.basis.tobytes()
@@ -774,11 +727,3 @@ def irreducible_factors(coeffs_desc: list[int], p: int):
             for h in _equal_degree(d, k, ring, rng):
                 yield tuple(h), mult
 
-
-def factor_poly(coeffs_desc: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
-    """All of :func:`irreducible_factors`, sorted by (degree, coefficients).
-
-    The output does not depend on the splitting generator's seed, because
-    factorisation in F_p[x] is unique and the factors are sorted.
-    """
-    return sorted(irreducible_factors(coeffs_desc, p), key=lambda fm: (len(fm[0]), fm[0]))

@@ -30,7 +30,7 @@ normalize products of basis words with the words of the given generator
 images.) An uncertified presentation is refused, by enumerate_basis,
 before any table is built.
 
-Text format, one directive per line ('#' starts a comment):
+Text format written by render_presentation, one directive per line:
 
     field 7
     bound 24
@@ -450,65 +450,6 @@ def extract_bialgebra(
 
 
 # -- text format --------------------------------------------------------------
-
-
-def parse_poly(pres_names: tuple[str, ...], text: str, p: int) -> Poly:
-    index = {g: i for i, g in enumerate(pres_names)}
-    text = text.strip()
-    if text == "0":
-        return {}
-    out: Poly = {}
-    for term in text.split("+"):
-        term = term.strip()
-        if "*" in term:
-            coeff_s, word_s = term.split("*", 1)
-            coeff = int(coeff_s) % p
-            word = tuple(index[t] for t in word_s.strip().split("."))
-        elif term == "1" or term.isdigit() or term.startswith("-"):
-            coeff = int(term) % p
-            word = ()
-        else:
-            coeff = 1
-            word = tuple(index[t] for t in term.split("."))
-        out[word] = (out.get(word, 0) + coeff) % p
-    return {w: c for w, c in out.items() if c}
-
-
-def parse_presentation(text: str) -> Presentation:
-    field = None
-    bound = None
-    gens: tuple[str, ...] = ()
-    weights = None
-    raw_rules: list[tuple[str, str]] = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "field":
-            field = FieldSpec(int(rest))
-        elif head == "bound":
-            bound = int(rest)
-        elif head == "generators":
-            gens = tuple(rest.split())
-        elif head == "weights":
-            weights = tuple(int(t) for t in rest.split())
-        elif head == "rule":
-            lhs_s, arrow, rhs_s = rest.partition("->")
-            if not arrow:
-                raise HopfibError(f"malformed rule line: {line!r}")
-            raw_rules.append((lhs_s.strip(), rhs_s.strip()))
-        else:
-            raise HopfibError(f"unknown directive {head!r}")
-    if field is None or bound is None or not gens:
-        raise HopfibError("presentation needs field, bound and generators")
-    index = {g: i for i, g in enumerate(gens)}
-    rules = []
-    for lhs_s, rhs_s in raw_rules:
-        lhs = tuple(index[t] for t in lhs_s.split("."))
-        rules.append((lhs, parse_poly(gens, rhs_s, field.p)))
-    return Presentation(field, gens, rules, bound, weights)
 
 
 def render_presentation(pres: Presentation) -> str:

@@ -29,17 +29,11 @@ hopf.character_group_X for bialgebras and Hopf algebras.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import (
-    StructureConstantAlgebra,
-    is_commutative,
-    quotient_algebra,
-    subalgebra_as_algebra,
-)
+from .algebra import StructureConstantAlgebra, subalgebra_as_algebra
 from .corpus import CorpusInstance
 from .errors import (
     HopfibError,
@@ -58,7 +52,7 @@ from .hopf import (
     fiber_quotient,
     winding,
 )
-from .linalg import Subspace, kernel, matmul_mod
+from .linalg import Subspace, matmul_mod
 from .repn import simples
 
 
@@ -85,36 +79,6 @@ def prim_enumerate(alg: StructureConstantAlgebra, seed: int = 0) -> list[PrimIte
 def contract(prim: PrimItem, a: CoidealSubalgebra) -> Subspace:
     """The contraction P intersect A, canonical in ambient coordinates."""
     return prim.annihilator.intersect(a.subspace)
-
-
-def contraction_is_maximal(alg: StructureConstantAlgebra, prim: PrimItem,
-                           a: CoidealSubalgebra) -> bool:
-    """Is A/(P intersect A) a field? Decided through the p-power map.
-
-    The quotient is a field iff the iterated p-power map has zero kernel
-    (no nilpotents) and its fixed space is one-dimensional (one factor).
-    Only defined for commutative A. P intersect A is an ideal of A because
-    P is an ideal; quotient_algebra checks that once (NotAnIdeal).
-    """
-    asub, _embedding = subalgebra_as_algebra(alg, a.subspace)
-    if not is_commutative(asub):
-        raise HopfibError("maximality diagnostic requires a commutative subalgebra")
-    p = alg.field.p
-    cont = contract(prim, a)
-    coords = cont.basis[:, list(a.subspace.pivots)]
-    ideal_in_a = Subspace(alg.field, asub.dim, coords)
-    q = quotient_algebra(asub, ideal_in_a).algebra
-    frob = np.zeros((q.dim, q.dim), dtype=np.int64)
-    for i in range(q.dim):
-        e = np.zeros(q.dim, dtype=np.int64)
-        e[i] = 1
-        frob[:, i] = q.element_power(e, p)
-    power = np.eye(q.dim, dtype=np.int64)
-    for _ in range(q.dim):
-        power = matmul_mod(power, frob, p)
-    nilradical_dim = kernel(power, p).shape[0]
-    fixed_dim = kernel((frob - np.eye(q.dim, dtype=np.int64)) % p, p).shape[0]
-    return nilradical_dim == 0 and fixed_dim == 1
 
 
 @dataclass
@@ -232,9 +196,6 @@ class Verdict:
             "agree": self.agree,
             "witnesses": self.witnesses,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _applicable_agree(values) -> bool:

@@ -2,25 +2,190 @@
 
 import itertools
 import random
+from collections import namedtuple
 
 import numpy as np
 
-from hopfib.algebra import StructureConstantAlgebra
-from hopfib.errors import DifferentAlgebras, DimensionMismatch
+from hopfib.algebra import StructureConstantAlgebra, quotient_algebra, subalgebra_as_algebra
+from hopfib.corpus import GroupTable
+from hopfib.errors import (
+    DifferentAlgebras,
+    DimensionMismatch,
+    HopfibError,
+    NotASubgroup,
+    NotCentral,
+)
 from hopfib.hopf import enumerate_characters
 from hopfib.linalg import (
+    FieldSpec,
     SparseTensor,
     Subspace,
     asmat,
     complement_projection,
+    first_difference,
     joint_kernel,
     kernel,
     matmul_mod,
-    solve,
+    permute,
+    rref,
     tensordot_mod,
 )
-from hopfib.repn import annihilator
-from hopfib.rewrite import enumerate_basis, normalize
+from hopfib.repn import ModuleRep, annihilator
+from hopfib.rewrite import Presentation, enumerate_basis, normalize
+from hopfib.specmap import contract
+
+
+LinearSolution = namedtuple("LinearSolution", "consistent particular kernel")
+
+
+def solve(m, rhs, p: int) -> LinearSolution:
+    """Solve m @ x = rhs for a vector rhs over F_p from the reduced echelon
+    form of [m | rhs]; particular is None when inconsistent, and the kernel
+    rows span the homogeneous solutions."""
+    m = asmat(m, p)
+    ncols = m.shape[1]
+    aug, rank, pivots = rref(np.column_stack([m, asmat(rhs, p)]), p)
+    if ncols in pivots:
+        return LinearSolution(False, None, kernel(m, p))
+    part = np.zeros(ncols, dtype=np.int64)
+    part[list(pivots)] = aug[:rank, ncols]
+    return LinearSolution(True, part, kernel(m, p))
+
+
+def multiply(alg: StructureConstantAlgebra, u, v) -> np.ndarray:
+    """The product u v, through the left multiplication matrix of u."""
+    return matmul_mod(alg.left_mult_matrix(u), asmat(v, alg.field.p), alg.field.p)
+
+
+def element_power(alg: StructureConstantAlgebra, v, k: int) -> np.ndarray:
+    """v**k by the binary ladder from the unit."""
+    out, base = alg.unit.copy(), asmat(v, alg.field.p)
+    while k:
+        if k & 1:
+            out = multiply(alg, out, base)
+        base = multiply(alg, base, base)
+        k >>= 1
+    return out
+
+
+def is_commutative(alg: StructureConstantAlgebra) -> bool:
+    return first_difference(alg.mul, permute(alg.mul, (1, 0, 2))) is None
+
+
+def character_of(chi, vec) -> int:
+    """The value of a character on a coefficient vector."""
+    return int(matmul_mod(chi.vector(), asmat(vec, chi.p), chi.p))
+
+
+def contraction_is_maximal(alg: StructureConstantAlgebra, prim, a) -> bool:
+    """Is A/(P intersect A) a field? Decided through the p-power map.
+
+    The quotient is a field iff the iterated p-power map has zero kernel
+    (no nilpotents) and its fixed space is one-dimensional (one factor).
+    Only defined for commutative A. P intersect A is an ideal of A because
+    P is an ideal; quotient_algebra checks that once (NotAnIdeal).
+    """
+    asub, _embedding = subalgebra_as_algebra(alg, a.subspace)
+    if not is_commutative(asub):
+        raise HopfibError("maximality diagnostic requires a commutative subalgebra")
+    p = alg.field.p
+    coords = contract(prim, a).basis[:, list(a.subspace.pivots)]
+    q = quotient_algebra(asub, Subspace(alg.field, asub.dim, coords)).algebra
+    eye = np.eye(q.dim, dtype=np.int64)
+    frob = np.stack([element_power(q, e, p) for e in eye], axis=1)
+    power = eye
+    for _ in range(q.dim):
+        power = matmul_mod(power, frob, p)
+    nilradical_dim = kernel(power, p).shape[0]
+    fixed_dim = kernel((frob - eye) % p, p).shape[0]
+    return nilradical_dim == 0 and fixed_dim == 1
+
+
+def quotient_group(g: GroupTable, z_indices) -> tuple[GroupTable, np.ndarray]:
+    """Quotient by a central subgroup; cosets ordered by least member.
+
+    Returns the quotient table and the index map element -> coset.
+    """
+    z = sorted(set(int(i) for i in z_indices))
+    if not g.is_subgroup(z):
+        raise NotASubgroup("subset is not a subgroup")
+    if not g.is_central_subset(z):
+        raise NotCentral("subgroup is not central")
+    seen, cosets = {}, []
+    for x in range(g.order):
+        if x not in seen:
+            coset = sorted(int(g.cayley[x, s]) for s in z)
+            seen.update((y, len(cosets)) for y in coset)
+            cosets.append(coset)
+    table = [[seen[int(g.cayley[a[0], b[0]])] for b in cosets] for a in cosets]
+    mapping = np.array([seen[x] for x in range(g.order)], dtype=np.int64)
+    return GroupTable.from_cayley(table), mapping
+
+
+class NotABimodule(Exception):
+    pass
+
+
+def adjoint_action(b, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """ad matrices of a bimodule: ad(h) v = sum h_1 . v . S(h_2), from stacks
+    of commuting left and right action matrices. Both stacks go through
+    ModuleRep's check, the right one transposed (an anti-map), re-raised as
+    NotABimodule; the commutation is checked on every basis element."""
+    if b.antipode is None:
+        raise ValueError("the adjoint action requires an antipode")
+    p, n = b.field.p, b.dim
+    left, right = asmat(left, p), asmat(right, p)
+    for side, stack in (("left", left), ("right", right.transpose(0, 2, 1))):
+        try:
+            ModuleRep(b.alg, stack)
+        except DimensionMismatch as exc:
+            raise NotABimodule(f"{side} action: {exc}") from exc
+    for i in range(n):
+        if not np.array_equal(matmul_mod(left[i], right, p), matmul_mod(right, left[i], p)):
+            raise NotABimodule("left and right actions do not commute")
+    right_s = tensordot_mod(b.antipode, right, ([0], [0]), p)  # action of S(e_b)
+    ad = np.zeros((n, left.shape[1], left.shape[1]), dtype=np.int64)
+    for i, a, bb, c in b.comul.entries():
+        ad[i] = (ad[i] + c * matmul_mod(left[a], right_s[bb], p)) % p
+    return ad
+
+
+def parse_poly(names: tuple[str, ...], text: str, p: int) -> dict:
+    """A polynomial written by Presentation.poly_str: terms joined by '+',
+    each 'c*word', 'word' or an integer c (a multiple of the empty word)."""
+    index = {g: i for i, g in enumerate(names)}
+    out: dict = {}
+    for term in text.split("+") if text.strip() != "0" else ():
+        coeff_s, star, word_s = term.strip().rpartition("*")
+        if not star and word_s.lstrip("-").isdigit():
+            coeff_s, word_s = word_s, ""
+        word = tuple(index[t] for t in word_s.split(".")) if word_s else ()
+        out[word] = (out.get(word, 0) + int(coeff_s or 1)) % p
+    return {w: c for w, c in out.items() if c}
+
+
+def parse_presentation(text: str) -> Presentation:
+    """The presentation in rewrite's text format ('#' starts a comment)."""
+    fields: dict = {"weights": None}
+    rules = []
+    for line in text.splitlines():
+        head, _, rest = line.split("#", 1)[0].strip().partition(" ")
+        if head == "rule":
+            lhs, arrow, rhs = rest.partition("->")
+            if not arrow:
+                raise ValueError(f"malformed rule line: {line!r}")
+            rules.append((lhs.strip(), rhs))
+        elif head in ("field", "bound", "generators", "weights"):
+            fields[head] = rest.split()
+        elif head:
+            raise ValueError(f"unknown directive {head!r}")
+    gens, p = tuple(fields["generators"]), int(fields["field"][0])
+    index = {g: i for i, g in enumerate(gens)}
+    weights = fields["weights"] and tuple(int(w) for w in fields["weights"])
+    return Presentation(
+        FieldSpec(p), gens,
+        [(tuple(index[t] for t in lhs.split(".")), parse_poly(gens, rhs, p)) for lhs, rhs in rules],
+        int(fields["bound"][0]), weights)
 
 
 def subalgebra_closure(alg: StructureConstantAlgebra, seed: Subspace) -> Subspace:
@@ -58,11 +223,11 @@ def greedy_generating_set(alg: StructureConstantAlgebra) -> list[int]:
 
 def left_normed_span(alg: StructureConstantAlgebra, gens) -> Subspace:
     """Span of the left-normed words g_1(g_2(...(g_k 1))) in gens, growing the
-    words one letter at a time with alg.multiply until the span stops growing."""
+    words one letter at a time with multiply until the span stops growing."""
     eye = np.eye(alg.dim, dtype=np.int64)
     span, words = Subspace(alg.field, alg.dim, [alg.unit]), [alg.unit]
     while words:
-        longer, words = [alg.multiply(eye[g], w) for g in gens for w in words], []
+        longer, words = [multiply(alg, eye[g], w) for g in gens for w in words], []
         for w in longer:  # keep the words that are new to the span
             if not span.contains_vector(w):
                 span = Subspace(alg.field, alg.dim, np.vstack([span.basis, w]))
@@ -370,7 +535,7 @@ def pairwise_subalgebra_mul(alg: StructureConstantAlgebra, a: Subspace) -> np.nd
     sub_mul = np.zeros((k, k, k), dtype=np.int64)
     for i in range(k):
         for j in range(k):
-            sub_mul[i, j] = alg.multiply(a.basis[i], a.basis[j])[piv]
+            sub_mul[i, j] = multiply(alg, a.basis[i], a.basis[j])[piv]
     return sub_mul
 
 
@@ -422,7 +587,7 @@ def multiplication_by_normal_forms(pres) -> SparseTensor:
     return SparseTensor.from_entries(len(basis), 3, entries, pres.field.p)
 
 
-def _inverse_mod(t, p):
+def inverse_mod(t, p):
     """Inverse of an invertible list-of-lists matrix over F_p, by Gauss-Jordan."""
     n = len(t)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(t)]
@@ -486,7 +651,7 @@ def random_change_of_basis(d: dict, seed: int, dense: bool = True) -> dict:
         t[perm[i]][i] = scale[i]
         for j in range(i + 1, n) if dense else ():
             t[perm[i]][j] = scale[i] * rng.randrange(1, p) % p
-    tinv = _inverse_mod(t, p)
+    tinv = inverse_mod(t, p)
     tinv_t = [list(col) for col in zip(*tinv)]
 
     def coords(x):  # T^-T x

@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 
 from hopfib.algebra import StructureConstantAlgebra, _check_associative, _check_unit
-from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra, quotient_group
+from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra
 from hopfib.errors import NotAssociative, UnitAxiomFails
 from hopfib.hopf import (
     BialgebraData,
     Character,
-    adjoint_action,
     axiom_checks,
     character_group_X,
     convolve,
@@ -39,9 +38,12 @@ from hopfib.specmap import (
 
 from oracles import (
     ad_one_dim_submodules,
+    adjoint_action,
     brute_force_characters,
     greedy_generating_set,
     is_algebra_endomorphism,
+    multiply,
+    quotient_group,
     right_regular,
 )
 
@@ -87,14 +89,14 @@ def axiom_fails_at(b: BialgebraData, name: str, witness) -> bool:
     eye = np.eye(n, dtype=np.int64)
     if name == "associativity":
         i, j, k = witness
-        lhs = b.alg.multiply(b.alg.multiply(eye[i], eye[j]), eye[k])
-        rhs = b.alg.multiply(eye[i], b.alg.multiply(eye[j], eye[k]))
+        lhs = multiply(b.alg, multiply(b.alg, eye[i], eye[j]), eye[k])
+        rhs = multiply(b.alg, eye[i], multiply(b.alg, eye[j], eye[k]))
         return not np.array_equal(lhs, rhs)
     if name == "unit":
         i = witness
         return not (
-            np.array_equal(b.alg.multiply(b.alg.unit, eye[i]), eye[i])
-            and np.array_equal(b.alg.multiply(eye[i], b.alg.unit), eye[i])
+            np.array_equal(multiply(b.alg, b.alg.unit, eye[i]), eye[i])
+            and np.array_equal(multiply(b.alg, eye[i], b.alg.unit), eye[i])
         )
     if name == "coassociativity":
         i = witness
@@ -115,19 +117,19 @@ def axiom_fails_at(b: BialgebraData, name: str, witness) -> bool:
         return not np.array_equal(out, eye[j])
     if name == "comul_multiplicative":
         i, j = witness
-        lhs = _delta(b, b.alg.multiply(eye[i], eye[j]))
+        lhs = _delta(b, multiply(b.alg, eye[i], eye[j]))
         di, dj = _delta(b, eye[i]), _delta(b, eye[j])
         rhs = np.zeros((n, n), dtype=np.int64)
         for a, bb in np.argwhere(di):
             for c, dd in np.argwhere(dj):
                 term = np.outer(
-                    b.alg.multiply(eye[a], eye[c]), b.alg.multiply(eye[bb], eye[dd])
+                    multiply(b.alg, eye[a], eye[c]), multiply(b.alg, eye[bb], eye[dd])
                 )
                 rhs = (rhs + di[a, bb] * dj[c, dd] * term) % p
         return not np.array_equal(lhs, rhs)
     if name == "counit_multiplicative":
         i, j = witness
-        lhs = int(b.counit @ b.alg.multiply(eye[i], eye[j]) % p)
+        lhs = int(b.counit @ multiply(b.alg, eye[i], eye[j]) % p)
         return lhs != int(b.counit[i]) * int(b.counit[j]) % p
     if name in ("antipode_left", "antipode_right"):
         i = witness
@@ -135,9 +137,9 @@ def axiom_fails_at(b: BialgebraData, name: str, witness) -> bool:
         acc = np.zeros(n, dtype=np.int64)
         for a, bb in np.argwhere(d):
             if name == "antipode_left":
-                term = b.alg.multiply(b.antipode[:, a], eye[bb])
+                term = multiply(b.alg, b.antipode[:, a], eye[bb])
             else:
-                term = b.alg.multiply(eye[a], b.antipode[:, bb])
+                term = multiply(b.alg, eye[a], b.antipode[:, bb])
             acc = (acc + d[a, bb] * term) % p
         return not np.array_equal(acc, int(b.counit[i]) * b.alg.unit % p)
     if name == "comul_unit":

@@ -9,7 +9,6 @@ from hopfib.algebra import (
     closing_maps,
     ideal_closure,
     is_central_subalgebra,
-    is_commutative,
     is_subalgebra,
     quotient_algebra,
     subalgebra_as_algebra,
@@ -25,7 +24,9 @@ from oracles import (
     exhaustive_center,
     exhaustive_ideal_closure,
     greedy_generating_set,
+    is_commutative,
     left_normed_span,
+    multiply,
     pairwise_quotient_mul,
     pairwise_subalgebra_mul,
     subalgebra_closure,
@@ -82,8 +83,8 @@ class TestBuild:
 
     def test_multiply_matches_table(self, c3):
         g = np.array([0, 1, 0])
-        assert np.array_equal(c3.multiply(g, g), [0, 0, 1])
-        assert np.array_equal(c3.multiply(c3.multiply(g, g), g), [1, 0, 0])
+        assert np.array_equal(multiply(c3, g, g), [0, 0, 1])
+        assert np.array_equal(multiply(c3, multiply(c3, g, g), g), [1, 0, 0])
 
 
 class TestRegularModule:
@@ -112,7 +113,7 @@ class TestIdealClosure:
         assert ideal_closure(c3, seed).dim == 3
 
     def test_closure_of_zero_is_zero(self, c3):
-        assert ideal_closure(c3, Subspace.zero(F7, 3)).is_zero()
+        assert ideal_closure(c3, Subspace.zero(F7, 3)).dim == 0
 
     def test_m2_is_simple(self, m2):
         # brute force over a spanning set of nonzero elements: every single
@@ -171,7 +172,7 @@ class TestQuotient:
         for i in range(4):
             for j in range(4):
                 lhs = (q.projection @ c4.mul.dense()[i, j]) % 5
-                rhs = q.algebra.multiply(q.projection[:, i], q.projection[:, j])
+                rhs = multiply(q.algebra, q.projection[:, i], q.projection[:, j])
                 assert np.array_equal(lhs, rhs)
 
 
@@ -189,7 +190,7 @@ class TestCenter:
             for i in range(4):
                 e = np.zeros(4, dtype=np.int64)
                 e[i] = 1
-                assert np.array_equal(m2.multiply(v, e), m2.multiply(e, v))
+                assert np.array_equal(multiply(m2, v, e), multiply(m2, e, v))
 
     def test_center_is_commutative_unital_subalgebra(self, m2):
         z = center(m2)

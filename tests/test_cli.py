@@ -55,10 +55,21 @@ class TestCorpusCommand:
         assert code == 2
         assert "odd" in err
 
+    @pytest.mark.parametrize("subgroup, index", [("0,99", "99"), ("0,-3", "-3")])
+    def test_central_subgroup_index_outside_the_group_exits_2(self, tmp_path, capsys, subgroup, index):
+        # an index numpy would wrap to an element, and one it would reject
+        code = main(["corpus", "--family", "group", "--group", "c3", "--central-subgroup", subgroup,
+                     "--p", "7", "-o", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and f"index {index} " in err and "[0, 3)" in err
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("argv, missing", [
         (["--family", "qsl2", "--p", "7"], "--ell"),
         (["--family", "usl2", "--p", "7"], "--ell"),
         (["--family", "qm2", "--p", "7"], "--t"),
+        (["--family", "group", "--p", "7"], "--group or --cayley-file"),
     ])
     def test_missing_family_parameter_exits_2_naming_it(self, tmp_path, capsys, argv, missing):
         code = main(["corpus", *argv, "-o", str(tmp_path / "x.json")])
@@ -255,6 +266,14 @@ class TestMalformedEntries:
         value = container.get(leaf, {})
         container[leaf] = [value] if isinstance(value, dict) else {"value": value}
         self._exits_2_naming(data, key, q8_file, tmp_path, capsys, command)
+
+    @pytest.mark.parametrize("command", ["verify", "axioms"])
+    @pytest.mark.parametrize("labels", [["a"], list(range(8)), ["g"] * 9])
+    def test_basis_labels_other_than_dim_strings_exit_2(self, q8_file, tmp_path, capsys, command,
+                                                        labels):
+        data = json.loads(q8_file.read_text())
+        data["basis_labels"] = labels
+        self._exits_2_naming(data, "basis_labels", q8_file, tmp_path, capsys, command)
 
     @pytest.mark.parametrize("key", ["mul", "comul", "antipode"])
     def test_repeated_entries_add_up(self, q8_file, tmp_path, capsys, key):

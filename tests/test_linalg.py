@@ -23,10 +23,8 @@ from hopfib.linalg import (
     SparseTensor,
     Subspace,
     contract,
-    factor_poly,
     find_root_of_unity,
     first_difference,
-    invert,
     irreducible_factors,
     is_prime,
     kernel,
@@ -35,11 +33,10 @@ from hopfib.linalg import (
     permute,
     prime_factors,
     rref,
-    solve,
     tensordot_mod,
 )
 
-from oracles import binary_ladder_pow
+from oracles import binary_ladder_pow, inverse_mod, solve
 
 F7 = FieldSpec(7)
 
@@ -129,6 +126,10 @@ def factor_key(gm):
     return (len(gm[0]), gm[0])
 
 
+def sorted_factors(f, p):
+    return sorted(irreducible_factors(f, p), key=factor_key)
+
+
 def sympy_factors(f, p):
     """(leading coefficient, sorted monic factors with multiplicities) from gf_factor."""
     lead, factors = gf_factor([c % p for c in f], p, ZZ)
@@ -136,8 +137,8 @@ def sympy_factors(f, p):
 
 
 def check_factorisation(f, p):
-    """factor_poly(f) equals sympy's gf_factor and multiplies back to monic f."""
-    got = factor_poly(f, p)
+    """The sorted factors of f equal sympy's gf_factor and multiply back to monic f."""
+    got = sorted_factors(f, p)
     lead, expected = sympy_factors(f, p)
     assert got == expected
     product = [1]
@@ -202,11 +203,11 @@ class TestFactorPoly:
 
     @pytest.mark.parametrize("p", FACTOR_PRIMES)
     def test_constants_and_linear(self, p):
-        assert factor_poly([1], p) == [] and factor_poly([p - 1], p) == []
-        assert factor_poly([0, 0, 3], p) == []
-        assert factor_poly([1, 0], p) == [((1, 0), 1)]
-        assert factor_poly([2, 4], p) == [((1, 2), 1)]
-        assert factor_poly([0, 2, 2 * (p - 1)], p) == [((1, p - 1), 1)]
+        assert sorted_factors([1], p) == [] and sorted_factors([p - 1], p) == []
+        assert sorted_factors([0, 0, 3], p) == []
+        assert sorted_factors([1, 0], p) == [((1, 0), 1)]
+        assert sorted_factors([2, 4], p) == [((1, 2), 1)]
+        assert sorted_factors([0, 2, 2 * (p - 1)], p) == [((1, p - 1), 1)]
         assert list(irreducible_factors([p - 1], p)) == []
         for f in ([1, 0], [2, 4], [p - 1, 1], [1, 2 * p + 1]):
             check_factorisation(f, p)
@@ -216,12 +217,11 @@ class TestFactorPoly:
     def test_output_does_not_depend_on_the_splitting_seed(self, p, monkeypatch):
         rng = random.Random(13)
         polys = [[1] + [rng.randrange(p) for _ in range(12)] for _ in range(10)]
-        expected = [factor_poly(f, p) for f in polys]
+        expected = [sorted_factors(f, p) for f in polys]
         fixed_seed = random.Random
         for seed in (1, 2, 3):
             monkeypatch.setattr(linalg.random, "Random", lambda _s, seed=seed: fixed_seed(seed))
-            assert [factor_poly(f, p) for f in polys] == expected
-            assert [sorted(irreducible_factors(f, p), key=factor_key) for f in polys] == expected
+            assert [sorted_factors(f, p) for f in polys] == expected
 
     def test_first_factor_is_read_without_the_rest(self, monkeypatch):
         # (x-1)(x-2)...(x-12) q with q an irreducible quartic: the first linear
@@ -249,7 +249,7 @@ class TestFactorPoly:
         assert len(g) == 2 and mult == 1
         assert rings and all(ring._frob is None for ring in rings)
         calls.clear()
-        assert factor_poly(f, p)[-1] == (tuple(q), 1)
+        assert sorted_factors(f, p)[-1] == (tuple(q), 1)
         assert any(ring._frob is not None for ring in rings)
         assert first < len(calls) / 2
 
@@ -371,7 +371,7 @@ class TestSolve:
 
     def test_matrix_rhs(self):
         m = np.array([[1, 2], [3, 4]], dtype=np.int64)
-        inv = invert(m, 7)
+        inv = np.array(inverse_mod(m.tolist(), 7))
         assert np.array_equal((m @ inv) % 7, np.eye(2, dtype=np.int64))
 
     def test_overflow_safe_matmul_large_prime(self):
@@ -524,7 +524,7 @@ class TestSubspace:
     def test_intersect_coordinate_lines(self):
         e1 = Subspace(F7, 3, [[1, 0, 0]])
         e2 = Subspace(F7, 3, [[0, 1, 0]])
-        assert e1.intersect(e2).is_zero()
+        assert e1.intersect(e2).dim == 0
 
     def test_dimension_formula_1000_seeded_pairs(self):
         rng = np.random.default_rng(3)
@@ -715,3 +715,64 @@ class TestEveryProductGoesThroughLinalg:
         code = "import hopfib.cli, sys; assert 'sympy' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], check=True,
                        env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names_read(nodes) -> set[str]:
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for node in nodes for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def dead_definitions(modules: dict[str, ast.Module], roots) -> list[str]:
+    """Top-level defs and classes of `modules`, and their classes' non-dunder
+    methods, that no live code reads ("module.name", "module.Class.method").
+    Live code is `roots`, the module-level statements that are not
+    definitions, and the code of each live definition (for a class, all but
+    its non-dunder methods). A definition is live once live code reads its
+    name as an ast.Name or ast.Attribute, to a fixed point; imports and
+    reads inside a definition's own code do not count."""
+    pending = {}  # key -> (name, the code that becomes live with it)
+    live_code = list(roots)
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, DEFINITIONS):
+                live_code.append(node)
+                continue
+            own = [node]
+            if isinstance(node, ast.ClassDef):
+                methods = [s for s in node.body if isinstance(s, DEFINITIONS[:2])
+                           and not (s.name.startswith("__") and s.name.endswith("__"))]
+                pending.update((f"{mod}.{node.name}.{m.name}", (m.name, [m])) for m in methods)
+                own = node.bases + node.decorator_list + [s for s in node.body if s not in methods]
+            pending[f"{mod}.{node.name}"] = (node.name, own)
+    read = _names_read(live_code)
+    while woken := [key for key, (name, _) in pending.items() if name in read]:
+        for key in woken:
+            read |= _names_read(pending.pop(key)[1])
+    return sorted(pending)
+
+
+class TestEveryDefinitionIsReached:
+    """Every definition in the package is reached from the CLI (cli.py) or
+    scripts/*.py; code that only tests call belongs in tests/oracles.py."""
+
+    def test_lint_flags_a_chain_that_nothing_reaches(self):
+        # f calls g and only a dead method calls f; h calls only itself; C's
+        # body reaches k; a dunder method is never flagged
+        module = ast.parse(
+            "def f():\n    return g()\n\ndef g():\n    return 1\n\ndef h():\n    return h()\n\n"
+            "def k():\n    return 2\n\nclass C:\n    size = k()\n"
+            "    def __init__(self):\n        self.x = 0\n"
+            "    def used(self):\n        return 0\n    def unused(self):\n        return f()\n"
+        )
+        assert dead_definitions({"m": module}, [ast.parse("C().used()")]) == [
+            "m.C.unused", "m.f", "m.g", "m.h"]
+
+    def test_the_cli_and_the_scripts_reach_every_definition(self):
+        modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+        roots = [modules.pop("cli")]
+        roots += [ast.parse(path.read_text()) for path in sorted((SRC.parents[1] / "scripts").glob("*.py"))]
+        assert len(roots) >= 3 and "specmap" in modules
+        assert dead_definitions(modules, roots) == []

@@ -34,6 +34,7 @@ from oracles import (
     all_pairs_module_witness,
     checked_restrict_action,
     fixed_point_spin,
+    inverse_mod,
     iso_simple,
     krylov_solve_minpoly,
     product_quotient_action,
@@ -288,7 +289,7 @@ class TestSimples:
         recs = simples(m2, seed=0)
         assert len(recs) == 1
         assert recs[0].module.dim == 2
-        assert recs[0].annihilator.is_zero()
+        assert recs[0].annihilator.dim == 0
 
     def test_irreducibility_certificates_by_exhaustive_search(self, s3):
         # independent check: no nonzero proper invariant subspace, found by
@@ -395,9 +396,7 @@ class TestIsoSimple:
         recs = simples(m2, seed=0)
         act = recs[0].module.action
         g = np.array([[1, 2], [3, 1]], dtype=np.int64)  # det = 1-6 = 2 mod 7, invertible
-        from hopfib.linalg import invert
-
-        ginv = invert(g, 7)
+        ginv = np.array(inverse_mod(g.tolist(), 7))
         conj = np.stack([(g @ a @ ginv) % 7 for a in act])
         other = ModuleRep(m2, conj)
         assert iso_simple(recs[0].module, other)
@@ -405,7 +404,7 @@ class TestIsoSimple:
 
 class TestAnnihilator:
     def test_regular_module_is_faithful(self, s3):
-        assert annihilator(s3, regular_module(s3)).is_zero()
+        assert annihilator(s3, regular_module(s3)).dim == 0
 
     def test_character_kernel_has_codim_one(self, c3):
         recs = simples(c3, seed=0)

@@ -17,12 +17,11 @@ from hopfib.rewrite import (
     complete_check,
     enumerate_basis,
     normalize,
-    parse_presentation,
     poly_mul,
     render_presentation,
 )
 
-from oracles import multiplication_by_normal_forms, rightmost_normal_form
+from oracles import multiplication_by_normal_forms, parse_presentation, rightmost_normal_form
 
 F7 = FieldSpec(7)
 

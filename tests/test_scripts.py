@@ -13,7 +13,8 @@ from hopfib.corpus import (
     small_quantum_sl2_presentation,
 )
 from hopfib.fileio import instance_from_dict
-from hopfib.rewrite import parse_presentation
+
+from oracles import parse_presentation
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 

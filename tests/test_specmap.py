@@ -4,14 +4,13 @@ import pytest
 from hopfib.algebra import build_algebra
 from hopfib.corpus import builtin_group, group_algebra_pair
 from hopfib.errors import NotAHopfSubalgebra, NotAPermutation, NotSplit
-from hopfib.fileio import instance_from_dict
+from hopfib.fileio import canonical_json, instance_from_dict
 from hopfib.hopf import character_group_X, counit_character, winding
 from hopfib.linalg import FieldSpec, Subspace
 from hopfib.repn import simples
 from hopfib.specmap import (
     _fibers_against_orbits,
     contract,
-    contraction_is_maximal,
     fibers,
     orbits,
     prim_enumerate,
@@ -19,6 +18,8 @@ from hopfib.specmap import (
     remark_uniform_fibers,
     verify_theorem,
 )
+
+from oracles import contraction_is_maximal
 
 F7 = FieldSpec(7)
 
@@ -44,7 +45,7 @@ class TestPrimEnumerate:
         m2 = build_algebra(F7, 4, [1, 0, 0, 1], entries)
         prims = prim_enumerate(m2, seed=0)
         assert len(prims) == 1
-        assert prims[0].annihilator.is_zero()
+        assert prims[0].annihilator.dim == 0
 
     def test_s3c2_six_primitives(self, s3c2_pair):
         prims = prim_enumerate(s3c2_pair.h.alg, seed=0)
@@ -85,7 +86,7 @@ class TestContract:
         prims = prim_enumerate(qsl2_pair.h.alg, seed=0)
         for it in prims:
             cont = contract(it, qsl2_pair.a)
-            assert cont.is_zero()
+            assert cont.dim == 0
             assert contraction_is_maximal(qsl2_pair.h.alg, it, qsl2_pair.a)
 
     def test_contraction_invariant_under_x_windings(self, instances):
@@ -271,8 +272,8 @@ class TestVerifyTheorem:
             assert "e = (dim S)^2 / codim P = 2" in str(exc.value)
 
     def test_determinism_same_seed_same_bytes(self, q8_pair):
-        a = verify_theorem(q8_pair, mode="global", seed=3).to_json()
-        b = verify_theorem(q8_pair, mode="global", seed=3).to_json()
+        a = canonical_json(verify_theorem(q8_pair, mode="global", seed=3).to_dict())
+        b = canonical_json(verify_theorem(q8_pair, mode="global", seed=3).to_dict())
         assert a == b
 
     @pytest.mark.parametrize("name", ["q8", "s3c2"])
