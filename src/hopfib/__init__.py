@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .algebra import (
     StructureConstantAlgebra,
     build_algebra,
-    center,
     ideal_closure,
     is_central_subalgebra,
     quotient_algebra,
@@ -75,7 +74,6 @@ __all__ = [
     "build_algebra",
     "build_bialgebra",
     "builtin_group",
-    "center",
     "character_group_X",
     "chop",
     "coideal_subalgebra",

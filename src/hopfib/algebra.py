@@ -29,10 +29,11 @@ lexicographically smallest failing index.
 The same argument bounds the closures. In a certified algebra the
 elements that commute with a given z, and those whose left (or right)
 products map a given subspace into itself, form unital subalgebras; so
-:func:`center` and :func:`ideal_closure` need the multiplication maps of
-G only, and on uncertified data they take every basis element instead
-(:func:`closing_maps`). ``repn.ModuleRep`` checks the homomorphism law on
-G for the same reason.
+:func:`is_central_subalgebra` and :func:`ideal_closure` need the
+multiplication maps of G only, and on uncertified data they take every
+basis element instead (:func:`closing_maps`). ``repn.ModuleRep`` checks the
+homomorphism law on G for the same reason. :func:`quotient_algebra` takes
+the ideal a seed generates, so an ideal is closed once and never re-proved.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     ImproperIdeal,
-    NotAnIdeal,
     NotAssociative,
     NotASubalgebra,
     UnitAxiomFails,
@@ -58,7 +58,6 @@ from .linalg import (
     complement_projection,
     contract,
     first_difference,
-    joint_kernel,
     matmul_mod,
     permute,
     restrict_first,
@@ -283,16 +282,14 @@ def is_subalgebra(alg: StructureConstantAlgebra, a: Subspace) -> bool:
     return True
 
 
-def center(alg: StructureConstantAlgebra) -> Subspace:
-    """Joint kernel of the commutator maps v -> e_g v - v e_g of closing_maps."""
-    lefts, rights = closing_maps(alg)
-    return joint_kernel(alg.field, (lefts - rights) % alg.field.p)
-
-
 def is_central_subalgebra(alg: StructureConstantAlgebra, a: Subspace) -> bool:
+    """A unital subalgebra (else NotASubalgebra) that every commutator map
+    v -> e_g v - v e_g of closing_maps kills."""
     if not is_subalgebra(alg, a):
         raise NotASubalgebra("subspace is not a unital subalgebra")
-    return center(alg).contains(a)
+    lefts, rights = closing_maps(alg)
+    p = alg.field.p
+    return not matmul_mod((lefts - rights) % p, a.basis.T, p).any()
 
 
 # -- quotients -------------------------------------------------------------
@@ -316,29 +313,25 @@ class QuotientData:
     ``projection`` maps ambient coordinates onto quotient coordinates (a
     (q, n) matrix acting on column vectors) and ``section`` embeds quotient
     basis vectors back as ambient standard vectors ((n, q) matrix), so
-    projection @ section = identity.
+    projection @ section = identity. The ideal is the projection's kernel.
     """
 
     algebra: StructureConstantAlgebra
     projection: np.ndarray
     section: np.ndarray
-    ideal: Subspace
 
 
-def quotient_algebra(alg: StructureConstantAlgebra, ideal: Subspace) -> QuotientData:
-    """Quotient by a proper two-sided ideal.
+def quotient_algebra(alg: StructureConstantAlgebra, seed: Subspace) -> QuotientData:
+    """Quotient by the two-sided ideal the seed subspace generates.
 
-    The quotient basis consists of the images of the standard vectors at
-    the non-pivot columns of the ideal's canonical basis, which makes the
-    construction deterministic. The ideal is checked (NotAnIdeal,
-    ImproperIdeal); the quotient's unit and associativity then follow from
-    the algebra's and are not checked again.
+    The ideal is one ideal_closure of the seed; ImproperIdeal if it holds
+    the unit. The quotient basis consists of the images of the standard
+    vectors at the non-pivot columns of the ideal's canonical basis, which
+    makes the construction deterministic. The quotient's unit and
+    associativity follow from the algebra's and are not checked again.
     """
     p = alg.field.p
-    if ideal.ambient != alg.dim:
-        raise DimensionMismatch("ideal lives in the wrong ambient space")
-    if ideal_closure(alg, ideal) != ideal:
-        raise NotAnIdeal("subspace is not a two-sided ideal")
+    ideal = ideal_closure(alg, seed)
     if ideal.contains_vector(alg.unit):
         raise ImproperIdeal("ideal contains the unit")
     proj, section, nonpivot = complement_projection(ideal)
@@ -347,7 +340,7 @@ def quotient_algebra(alg: StructureConstantAlgebra, ideal: Subspace) -> Quotient
     qunit = matmul_mod(proj, alg.unit, p)
     qlabels = tuple(alg.labels[c] for c in nonpivot)
     qalg = StructureConstantAlgebra(alg.field, len(nonpivot), qunit, qmul, qlabels, certified=True)
-    return QuotientData(qalg, proj, section, ideal)
+    return QuotientData(qalg, proj, section)
 
 
 def subalgebra_as_algebra(alg: StructureConstantAlgebra, a: Subspace):

@@ -33,7 +33,7 @@ from .fileio import (
     report_dict,
     write_instance,
 )
-from .hopf import axiom_checks, character_group_X, enumerate_characters
+from .hopf import axiom_checks, enumerate_characters
 from .linalg import FieldSpec
 from .repn import simples
 from .specmap import remark_uniform_fibers, verify_theorem
@@ -61,6 +61,8 @@ def _read_input(path: str) -> tuple[bytes, dict]:
 def cmd_corpus(args) -> int:
     if args.family == "group":
         field = FieldSpec(args.p)
+        if args.cayley_file and args.group is not None:
+            raise BadParameters("--group and --cayley-file exclude each other")
         if args.cayley_file:
             with open(args.cayley_file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -132,11 +134,10 @@ def cmd_simples(args) -> int:
 def cmd_verify(args) -> int:
     raw, d = _read_input(args.input)
     inst = instance_from_dict(d)
-    x = character_group_X(inst.h, inst.a, seed=args.seed)  # shared with --uniform-fibers
-    verdict = verify_theorem(inst, mode=args.mode, seed=args.seed, x_group=x)
+    verdict = verify_theorem(inst, mode=args.mode, seed=args.seed)
     results = verdict.to_dict()
     if args.uniform_fibers:
-        rep = remark_uniform_fibers(inst, seed=args.seed, x_group=x)
+        rep = remark_uniform_fibers(inst, seed=args.seed)
         results["uniform_fibers"] = {
             "consistent": rep.consistent,
             "entries": [

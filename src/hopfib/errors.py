@@ -26,10 +26,6 @@ class UnitAxiomFails(HopfibError):
         super().__init__(f"unit axiom fails on basis element {i} ({side} side)")
 
 
-class NotAnIdeal(HopfibError):
-    pass
-
-
 class ImproperIdeal(HopfibError):
     pass
 

@@ -355,10 +355,6 @@ class Subspace:
     def contains_rows(self, rows) -> bool:
         return not self.reduce_rows(rows).any()
 
-    def contains(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        return self.contains_rows(other.basis)
-
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         return Subspace(self.field, self.ambient, np.vstack([self.basis, other.basis]))
@@ -386,19 +382,6 @@ class Subspace:
                 f"subspace ambient/field mismatch: ({self.ambient}, {self.field.p})"
                 f" vs ({other.ambient}, {other.field.p})"
             )
-
-
-def joint_kernel(field: FieldSpec, maps: np.ndarray) -> Subspace:
-    """Common kernel of a stack of (m, m) matrices acting on column vectors."""
-    p = field.p
-    current = Subspace.full(field, maps.shape[-1])
-    for mat in maps:
-        if current.dim == 0:
-            break
-        imgs = matmul_mod(current.basis, mat.T, p)
-        coeffs = kernel(imgs.T, p)  # combinations of the current basis killed by mat
-        current = Subspace(field, current.ambient, matmul_mod(coeffs, current.basis, p))
-    return current
 
 
 # -- sparse tensors ------------------------------------------------------------

@@ -291,8 +291,16 @@ def enumerate_basis(pres: Presentation) -> list[Word]:
     a pure power rule (otherwise its powers alone are an infinite
     irreducible family).
     """
-    if not pres._certified and not complete_check(pres).confluent:
-        raise HopfibError("presentation is not confluent; basis undefined")
+    if not pres._certified:
+        report = complete_check(pres)
+        if not report.confluent:
+            amb = report.unresolved[0]
+            la, lb = (pres.word_str(pres.rules[i].lhs) for i in (amb.rule_a, amb.rule_b))
+            raise HopfibError(
+                f"presentation is not confluent; basis undefined: {len(report.unresolved)} of "
+                f"{report.checked} ambiguities do not resolve; the first, rules {amb.rule_a} ({la}) "
+                f"and {amb.rule_b} ({lb}) on {pres.word_str(amb.word)}, gives "
+                f"{pres.poly_str(amb.nf_a)} and {pres.poly_str(amb.nf_b)}")
     for g in range(len(pres.generators)):
         if not any(set(r.lhs) == {g} for r in pres.rules):
             raise InfiniteBasis(

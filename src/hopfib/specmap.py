@@ -21,10 +21,18 @@ with annihilator P has H/P = M_d(F_{p^e}) (Wedderburn), dim S = d e and
 codim P = d^2 e, so e = (dim S)^2 / codim P; verify_theorem raises NotSplit
 unless e = 1 for every simple module of both algebras.
 
-For bialgebras without an antipode only the two-sided orbit experiment is
-run and reported as such. Both modes compare fibers with orbits through
-one helper, and the character group X is built by the same
-hopf.character_group_X for bialgebras and Hopf algebras.
+The equivalence is about centralizing extensions, so both verify_theorem
+and remark_uniform_fibers first check, once, that A is central
+(algebra.is_central_subalgebra, on the generating set G); NotCentral
+otherwise. For bialgebras without an antipode only the two-sided orbit
+experiment is run and reported as such. Both modes compare fibers with
+orbits through one helper, and the character group X is built once per
+run, by the same hopf.character_group_X for bialgebras and Hopf
+algebras. The right winding maps W of its generators are built once too.
+They act on Prim(H) as they are; they fix A pointwise, so they preserve
+the counit fiber ideal (not checked again) and act on the counit fiber
+algebra as projection . W . section. hopf.fiber_quotient builds that
+fiber as an algebra only.
 """
 
 from __future__ import annotations
@@ -33,20 +41,20 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import StructureConstantAlgebra, subalgebra_as_algebra
+from .algebra import StructureConstantAlgebra, is_central_subalgebra, subalgebra_as_algebra
 from .corpus import CorpusInstance
 from .errors import (
     HopfibError,
     ImproperIdeal,
     NotAHopfSubalgebra,
     NotAPermutation,
+    NotCentral,
     NotSplit,
 )
 from .hopf import (
     BialgebraData,
     Character,
     CoidealSubalgebra,
-    XGroup,
     character_group_X,
     enumerate_characters,
     fiber_quotient,
@@ -62,18 +70,11 @@ class PrimItem:
 
     annihilator: Subspace
     simple_dim: int
-    character: Character | None
 
 
 def prim_enumerate(alg: StructureConstantAlgebra, seed: int = 0) -> list[PrimItem]:
     """All primitive ideals, ordered by (simple dimension, annihilator)."""
-    items = []
-    for rec in simples(alg, seed=seed):
-        char = None
-        if rec.module.dim == 1:
-            char = Character.from_vector(alg.field.p, rec.module.action[:, 0, 0])
-        items.append(PrimItem(rec.annihilator, rec.module.dim, char))
-    return items
+    return [PrimItem(rec.annihilator, rec.module.dim) for rec in simples(alg, seed=seed)]
 
 
 def contract(prim: PrimItem, a: CoidealSubalgebra) -> Subspace:
@@ -83,26 +84,21 @@ def contract(prim: PrimItem, a: CoidealSubalgebra) -> Subspace:
 
 @dataclass
 class Partition:
-    """Blocks of indices into a list of primitive ideals; fibers are labelled
-    by their contraction."""
+    """Blocks of indices into a list of primitive ideals."""
 
     blocks: list[list[int]]
-    labels: list[Subspace] | None = None
 
     def sizes(self):
         return sorted(len(b) for b in self.blocks)
 
 
 def fibers(prims: list[PrimItem], a: CoidealSubalgebra) -> Partition:
-    """Group primitive ideals by identical contraction subspaces."""
+    """Group primitive ideals by identical contraction subspaces, in the
+    order of the contractions' canonical keys."""
     groups: dict[bytes, list[int]] = {}
-    labels: dict[bytes, Subspace] = {}
     for idx, prim in enumerate(prims):
-        cont = contract(prim, a)
-        groups.setdefault(cont.key(), []).append(idx)
-        labels[cont.key()] = cont
-    keys = sorted(groups)
-    return Partition([sorted(groups[k]) for k in keys], [labels[k] for k in keys])
+        groups.setdefault(contract(prim, a).key(), []).append(idx)
+    return Partition([groups[k] for k in sorted(groups)])
 
 
 def orbits(prims: list[PrimItem], maps: list[np.ndarray]) -> Partition:
@@ -211,37 +207,43 @@ def _require_split(name: str, alg: StructureConstantAlgebra, recs) -> None:
             raise NotSplit(name, index, rec.module.dim, rec.module.dim ** 2 // codim)
 
 
-def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0,
-                   x_group: XGroup | None = None) -> Verdict:
+def _require_central(h: BialgebraData, a: CoidealSubalgebra) -> None:
+    if not is_central_subalgebra(h.alg, a.subspace):
+        raise NotCentral("the subalgebra must be central")
+
+
+def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0) -> Verdict:
     """Check the equivalence conditions on a concrete instance.
 
     Global mode additionally compares the full fiber partition with the
     full orbit partition on all primitive ideals. Bialgebras without an
     antipode fall back to the two-sided orbit experiment (third condition
-    only, against the combined left/right winding action). X is built here
-    unless x_group, built with the same seed, is given. NotSplit if F_p does
-    not split H or the counit fiber algebra.
+    only, against the combined left/right winding action). NotCentral
+    unless A is central; NotSplit if F_p does not split H or the counit
+    fiber algebra.
     """
     h = instance.h
     a = instance.a
     p = h.field.p
+    _require_central(h, a)
     _require_split("H", h.alg, simples(h.alg, seed=seed))
-    x = x_group if x_group is not None else character_group_X(h, a, seed=seed)
+    x = character_group_X(h, a, seed=seed)
     gens = x.generators()
     if h.antipode is None:
         maps = [winding(h, x.chars[i], side) for side in ("right", "left") for i in gens]
         cond_iii, witnesses = _fibers_against_orbits(h, a, maps, seed)
         witnesses.update({"x_order": x.order, "action": "two-sided"})
         return Verdict("experiment", False, x.order, None, None, cond_iii, None, True, witnesses)
+    maps = [winding(h, x.chars[i]) for i in gens]
     eps_a = Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p))
-    fq = fiber_quotient(h, a, eps_a, x_group=x)
+    fq = fiber_quotient(h, a, eps_a)
 
     fiber_recs = simples(fq.algebra, seed=seed)
     _require_split("the counit fiber algebra", fq.algebra, fiber_recs)
     cond_i = all(r.module.dim == 1 for r in fiber_recs)
 
-    fiber_prims = prim_enumerate(fq.algebra, seed=seed)
-    fiber_orbits = orbits(fiber_prims, [fq.descended_winding[i] for i in gens])
+    descended = [matmul_mod(matmul_mod(fq.projection, mat, p), fq.section, p) for mat in maps]
+    fiber_orbits = orbits(prim_enumerate(fq.algebra, seed=seed), descended)
     cond_ii = len(fiber_orbits.blocks) == 1
 
     witnesses = {
@@ -253,7 +255,7 @@ def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0
     }
     cond_iii = cond_iv = None
     if mode == "global":
-        cond_iii, partitions = _fibers_against_orbits(h, a, [fq.winding[i] for i in gens], seed)
+        cond_iii, partitions = _fibers_against_orbits(h, a, maps, seed)
         cond_iv = cond_iii  # prime = primitive in finite dimension
         witnesses.update(partitions)
     agree = _applicable_agree([cond_i, cond_ii, cond_iii, cond_iv])
@@ -305,15 +307,16 @@ class FiberUniformityReport:
     consistent: bool
 
 
-def remark_uniform_fibers(instance: CorpusInstance, seed: int = 0,
-                          x_group: XGroup | None = None) -> FiberUniformityReport:
-    """For every character xi of a Hopf subalgebra A, chop H/H*ker(xi).
+def remark_uniform_fibers(instance: CorpusInstance, seed: int = 0) -> FiberUniformityReport:
+    """For every character xi of a central Hopf subalgebra A, chop H/H*ker(xi).
 
     Characters of A that are restrictions of characters of H must all give
     the same one-dimensionality verdict (winding by a lift carries one
     fiber ideal onto another); characters that do not extend are reported
-    without entering the consistency claim. H's characters and X come from
-    x_group when it is given (built with the same seed, as by verify).
+    without entering the consistency claim. A character of H kills
+    H*ker(xi) iff it restricts to xi, ker(xi) having codimension 1 in A; so
+    xi extends iff H/H*ker(xi) is proper and has a 1-dimensional simple
+    module.
     """
     h = instance.h
     a = instance.a
@@ -327,29 +330,18 @@ def remark_uniform_fibers(instance: CorpusInstance, seed: int = 0,
         raise NotAHopfSubalgebra("A Hopf subalgebra needs an ambient antipode")
     if not a.subspace.contains_rows(matmul_mod(a.subspace.basis, h.antipode.T, p)):
         raise NotAHopfSubalgebra("antipode does not preserve A")
+    _require_central(h, a)
 
     asub, _embedding = subalgebra_as_algebra(h.alg, a.subspace)
-    a_chars = enumerate_characters(asub, seed=seed)
-    x = x_group if x_group is not None else character_group_X(h, a, seed=seed)
-    restrictions = {
-        tuple(int(t) for t in matmul_mod(a.subspace.basis, c.vector(), p))
-        for c in x.all_chars
-    }
     entries = []
-    for xi in a_chars:
-        extends = xi.values in restrictions
+    for xi in enumerate_characters(asub, seed=seed):
         try:
-            fq = fiber_quotient(h, a, xi, x_group=x)
-            recs = simples(fq.algebra, seed=seed)
-            entry = FiberReportEntry(
-                xi.values,
-                extends,
-                True,
-                fq.algebra.dim,
-                all(r.module.dim == 1 for r in recs),
-            )
+            fq = fiber_quotient(h, a, xi)
         except ImproperIdeal:
-            entry = FiberReportEntry(xi.values, extends, False, None, None)
-        entries.append(entry)
+            entries.append(FiberReportEntry(xi.values, False, False, None, None))
+            continue
+        dims = [r.module.dim for r in simples(fq.algebra, seed=seed)]
+        entries.append(FiberReportEntry(xi.values, 1 in dims, True, fq.algebra.dim,
+                                        all(d == 1 for d in dims)))
     verdicts = {e.all_one_dim for e in entries if e.extends_to_h and e.ideal_proper}
     return FiberUniformityReport(entries, len(verdicts) <= 1)

@@ -105,3 +105,20 @@ def usl2_pair(instances):
 @pytest.fixture(scope="session")
 def qm2_pair(instances):
     return instances("qm2")
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(name, *owners) puts a wrapper of owners[0].name on every owner and
+    returns the list of each call's positional arguments."""
+    def install(name, *owners):
+        real, calls = getattr(owners[0], name), []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for owner in owners:
+            monkeypatch.setattr(owner, name, wrapper)
+        return calls
+    return install

@@ -6,7 +6,12 @@ from collections import namedtuple
 
 import numpy as np
 
-from hopfib.algebra import StructureConstantAlgebra, quotient_algebra, subalgebra_as_algebra
+from hopfib.algebra import (
+    StructureConstantAlgebra,
+    induced_constants,
+    quotient_algebra,
+    subalgebra_as_algebra,
+)
 from hopfib.corpus import GroupTable
 from hopfib.errors import (
     DifferentAlgebras,
@@ -15,7 +20,7 @@ from hopfib.errors import (
     NotASubgroup,
     NotCentral,
 )
-from hopfib.hopf import enumerate_characters
+from hopfib.hopf import BialgebraData, enumerate_characters
 from hopfib.linalg import (
     FieldSpec,
     SparseTensor,
@@ -23,7 +28,6 @@ from hopfib.linalg import (
     asmat,
     complement_projection,
     first_difference,
-    joint_kernel,
     kernel,
     matmul_mod,
     permute,
@@ -83,7 +87,7 @@ def contraction_is_maximal(alg: StructureConstantAlgebra, prim, a) -> bool:
     The quotient is a field iff the iterated p-power map has zero kernel
     (no nilpotents) and its fixed space is one-dimensional (one factor).
     Only defined for commutative A. P intersect A is an ideal of A because
-    P is an ideal; quotient_algebra checks that once (NotAnIdeal).
+    P is an ideal, so quotient_algebra's closure of it adds nothing.
     """
     asub, _embedding = subalgebra_as_algebra(alg, a.subspace)
     if not is_commutative(asub):
@@ -364,6 +368,53 @@ def right_regular(alg: StructureConstantAlgebra) -> np.ndarray:
     """Stack of the matrices of x -> x e_i, one per basis element, read from
     the dense table."""
     return alg.mul.dense().transpose(1, 2, 0)
+
+
+def joint_kernel(field: FieldSpec, maps: np.ndarray) -> Subspace:
+    """Common kernel of a stack of (m, m) matrices acting on column vectors."""
+    p = field.p
+    current = Subspace.full(field, maps.shape[-1])
+    for mat in maps:
+        if current.dim == 0:
+            break
+        imgs = matmul_mod(current.basis, mat.T, p)
+        coeffs = kernel(imgs.T, p)  # combinations of the current basis killed by mat
+        current = Subspace(field, current.ambient, matmul_mod(coeffs, current.basis, p))
+    return current
+
+
+def is_character(alg: StructureConstantAlgebra, values) -> bool:
+    """chi(1) = 1 and chi(e_i e_j) = chi(e_i) chi(e_j) for every pair, read
+    from the dense table."""
+    p = alg.field.p
+    v = asmat(values, p)
+    if v.shape != (alg.dim,) or int(matmul_mod(v, alg.unit, p)) != 1:
+        return False
+    return np.array_equal(matmul_mod(alg.mul.dense(), v, p), np.outer(v, v) % p)
+
+
+def quotient_ideal(q) -> Subspace:
+    """The ideal a quotient divides by: the kernel of its projection."""
+    field = q.algebra.field
+    return Subspace(field, q.projection.shape[1], kernel(q.projection, field.p))
+
+
+def fiber_bialgebra(b, a, q):
+    """The bialgebra (Hopf algebra) the fiber quotient q = H/I inherits if I
+    holds A+ (for proper I = H*ker(xi): xi is the counit on A) and S(I);
+    else None. Delta is read at the section's vectors and projected twice."""
+    p = b.field.p
+    basis = a.subspace.basis
+    a_plus = matmul_mod(kernel(matmul_mod(basis, b.counit, p)[None, :], p), basis, p)
+    ideal = quotient_ideal(q)
+    if not ideal.contains_rows(a_plus):
+        return None
+    if b.antipode is not None and not ideal.contains_rows(matmul_mod(ideal.basis, b.antipode.T, p)):
+        return None
+    proj, section = q.projection, q.section
+    comul = induced_constants(b.comul, (section.T, proj, proj), p)
+    antipode = None if b.antipode is None else matmul_mod(matmul_mod(proj, b.antipode, p), section, p)
+    return BialgebraData(q.algebra, comul.entries(), matmul_mod(b.counit, section, p), antipode)
 
 
 def exhaustive_center(alg: StructureConstantAlgebra) -> Subspace:

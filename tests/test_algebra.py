@@ -5,7 +5,6 @@ from hopfib.algebra import (
     StructureConstantAlgebra,
     _check_associative,
     build_algebra,
-    center,
     closing_maps,
     ideal_closure,
     is_central_subalgebra,
@@ -14,10 +13,10 @@ from hopfib.algebra import (
     subalgebra_as_algebra,
 )
 from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra
-from hopfib.errors import ImproperIdeal, NotAnIdeal, NotAssociative, NotASubalgebra, UnitAxiomFails
+from hopfib.errors import ImproperIdeal, NotAssociative, NotASubalgebra, UnitAxiomFails
 from hopfib.fileio import corpus_instance_to_dict, instance_from_dict, raw_bialgebra_from_dict
-from hopfib.hopf import character_group_X, enumerate_characters, fiber_quotient
-from hopfib.linalg import FieldSpec, SparseTensor, Subspace
+from hopfib.hopf import enumerate_characters, fiber_quotient
+from hopfib.linalg import FieldSpec, SparseTensor, Subspace, kernel
 from hopfib.repn import simples
 
 from oracles import (
@@ -29,6 +28,7 @@ from oracles import (
     multiply,
     pairwise_quotient_mul,
     pairwise_subalgebra_mul,
+    quotient_ideal,
     subalgebra_closure,
 )
 
@@ -130,7 +130,7 @@ class TestIdealClosure:
         for _ in range(50):
             seed = Subspace(F7, 4, rng.integers(0, 7, size=(2, 4)))
             closed = ideal_closure(m2, seed)
-            assert closed.contains(seed)
+            assert closed.contains_rows(seed.basis)
             assert ideal_closure(m2, closed) == closed
 
 
@@ -155,17 +155,22 @@ class TestQuotient:
         with pytest.raises(ImproperIdeal):
             quotient_algebra(c3, Subspace.full(F7, 3))
 
-    def test_non_ideal_rejected(self, m2):
-        sub = Subspace(F7, 4, [[0, 1, 0, 0]])  # e01 alone is not an ideal
-        with pytest.raises(NotAnIdeal):
-            quotient_algebra(m2, sub)
+    def test_non_ideal_seed_gives_the_quotient_by_its_closure(self, m2):
+        c4 = build_algebra(F5, 4, [1, 0, 0, 0], cyclic_entries(4))
+        seed = Subspace(F5, 4, [[-1 % 5, 0, 1, 0]])  # g^2 - 1 alone spans no ideal
+        ideal = ideal_closure(c4, seed)
+        assert ideal.dim == 2
+        q = quotient_algebra(c4, seed)
+        assert quotient_ideal(q) == ideal
+        assert np.array_equal(q.algebra.mul.dense(), quotient_algebra(c4, ideal).algebra.mul.dense())
+        # e01 alone is not an ideal, and it generates all of the simple algebra M_2
+        with pytest.raises(ImproperIdeal):
+            quotient_algebra(m2, Subspace(F7, 4, [[0, 1, 0, 0]]))
 
     def test_projection_kernel_is_ideal(self):
         c4 = build_algebra(F5, 4, [1, 0, 0, 0], cyclic_entries(4))
         ideal = ideal_closure(c4, Subspace(F5, 4, [[-1 % 5, 0, 1, 0]]))
         q = quotient_algebra(c4, ideal)
-        from hopfib.linalg import kernel
-
         ker = Subspace(F5, 4, kernel(q.projection, 5))
         assert ker == ideal
         # projection is an algebra map
@@ -178,11 +183,11 @@ class TestQuotient:
 
 class TestCenter:
     def test_commutative_algebra_center_is_everything(self, c3):
-        assert center(c3).dim == 3
+        assert exhaustive_center(c3).dim == 3
         assert is_commutative(c3)
 
     def test_center_of_m2_is_scalars(self, m2):
-        z = center(m2)
+        z = exhaustive_center(m2)
         assert z.dim == 1
         assert z.contains_vector(m2.unit)
         # cross-check by brute force: every center vector commutes with all basis
@@ -193,7 +198,7 @@ class TestCenter:
                 assert np.array_equal(multiply(m2, v, e), multiply(m2, e, v))
 
     def test_center_is_commutative_unital_subalgebra(self, m2):
-        z = center(m2)
+        z = exhaustive_center(m2)
         assert is_subalgebra(m2, z)
         sub, _ = subalgebra_as_algebra(m2, z)
         assert is_commutative(sub)
@@ -224,11 +229,10 @@ def assert_canonical_mul(alg):
 def fiber_quotients(inst):
     """fiber_quotient for every character of A whose fiber ideal is proper."""
     asub = subalgebra_as_algebra(inst.h.alg, inst.a.subspace)[0]
-    x = character_group_X(inst.h, inst.a)
     out = []
     for xi in enumerate_characters(asub):
         try:
-            out.append(fiber_quotient(inst.h, inst.a, xi, x_group=x))
+            out.append(fiber_quotient(inst.h, inst.a, xi))
         except ImproperIdeal:
             pass
     return out
@@ -245,35 +249,48 @@ def random_unital_product(seed: int) -> StructureConstantAlgebra:
                                     SparseTensor.from_dense(table % 7), ())
 
 
+def central_by_the_oracle(alg, subs):
+    """is_central_subalgebra against the exhaustive centre on each subalgebra."""
+    z = exhaustive_center(alg)
+    outcomes = [is_central_subalgebra(alg, sub) for sub in subs]
+    assert outcomes == [z.contains_rows(sub.basis) for sub in subs]
+    return set(outcomes)
+
+
 class TestClosuresOnGenerators:
-    """center and ideal_closure read the multiplication maps of G only
-    (closing_maps); their versions over every basis element are the oracles."""
+    """is_central_subalgebra and ideal_closure read the multiplication maps of
+    G only (closing_maps); the exhaustive centre and closure are the oracles."""
 
     def test_center_and_ideal_closure_match_the_exhaustive_oracles(self, oracle_cases):
-        # H, A and the fiber algebras of each case; seeds: two basis vectors and a random vector
+        # H, A and the fiber algebras of each case; subalgebras: the scalars,
+        # the centre, the whole algebra and the one the last basis vector
+        # generates; seeds: two basis vectors and a random vector
         rng = np.random.default_rng(0)
         proper = 0
+        central = set()
         for inst in oracle_cases:
             algs = [inst.h.alg, subalgebra_as_algebra(inst.h.alg, inst.a.subspace)[0]]
             algs += [fq.algebra for fq in fiber_quotients(inst)]
             for alg in algs:
                 n = alg.dim
                 assert len(closing_maps(alg)[0]) == len(alg.generators)
-                assert center(alg) == exhaustive_center(alg)
                 eye = np.eye(n, dtype=np.int64)
+                central |= central_by_the_oracle(alg, [
+                    Subspace(alg.field, n, [alg.unit]), exhaustive_center(alg), Subspace.full(alg.field, n),
+                    subalgebra_closure(alg, Subspace(alg.field, n, eye[[n - 1]]))])
                 for rows in (eye[[n - 1]], eye[[n // 2]], rng.integers(0, alg.field.p, size=(1, n))):
                     seed = Subspace(alg.field, n, rows)
                     got = ideal_closure(alg, seed)
                     assert got == exhaustive_ideal_closure(alg, seed)
                     proper += 0 < got.dim < n
-        assert proper >= 20
+        assert proper >= 20 and central == {True, False}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_uncertified_data_takes_every_basis_element(self, seed):
         alg = random_unital_product(seed)
         lefts, rights = closing_maps(alg)
         assert len(lefts) == len(rights) == alg.dim
-        assert center(alg) == exhaustive_center(alg)
+        assert central_by_the_oracle(alg, [Subspace(F7, alg.dim, [alg.unit]), Subspace.full(F7, alg.dim)])
         rows = np.random.default_rng(seed).integers(0, 7, size=(1, alg.dim))
         seed_space = Subspace(F7, alg.dim, rows)
         assert ideal_closure(alg, seed_space) == exhaustive_ideal_closure(alg, seed_space)
@@ -310,12 +327,12 @@ class TestSparseMul:
         for inst in cases:
             alg = inst.h.alg
             gens = Subspace(alg.field, alg.dim, np.eye(alg.dim, dtype=np.int64)[-2:])
-            subs = (inst.a.subspace, center(alg), Subspace.full(alg.field, alg.dim),
+            subs = (inst.a.subspace, exhaustive_center(alg), Subspace.full(alg.field, alg.dim),
                     subalgebra_closure(alg, gens))
             for sub in subs:
                 got = subalgebra_as_algebra(alg, sub)[0].mul.dense()
                 assert np.array_equal(got, pairwise_subalgebra_mul(alg, sub))
-            ideals = [fq.ideal for fq in fiber_quotients(inst)]
+            ideals = [quotient_ideal(fq) for fq in fiber_quotients(inst)]
             ideals += [rec.annihilator for rec in simples(alg)]
             for ideal in ideals:
                 got = quotient_algebra(alg, ideal).algebra.mul.dense()

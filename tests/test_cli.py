@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from hopfib.cli import main
+from hopfib.corpus import quantum_m2_kernel
 from hopfib.fileio import canonical_json, corpus_instance_to_dict, instance_from_dict
 
 from oracles import random_change_of_basis
@@ -87,6 +88,16 @@ class TestCorpusCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "'cayley'" in err
+
+    def test_group_and_cayley_file_together_exit_2_naming_both(self, tmp_path, capsys):
+        gpath = tmp_path / "c5.json"
+        gpath.write_text(json.dumps({"cayley": [[(i + j) % 5 for j in range(5)] for i in range(5)]}))
+        code = main(["corpus", "--family", "group", "--group", "q8", "--cayley-file", str(gpath),
+                     "--p", "7", "-o", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "--group" in err and "--cayley-file" in err
+        assert not (tmp_path / "x.json").exists()
 
     def test_custom_cayley_table(self, tmp_path, capsys):
         cayley = {"cayley": [[(i + j) % 5 for j in range(5)] for i in range(5)]}
@@ -344,6 +355,22 @@ class TestVerifyCommand:
         assert code == 2 and captured.out == ""
         assert "does not split H" in captured.err and "= 2 > 1" in captured.err
 
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_non_central_coideal_subalgebra_without_antipode_exits_2(self, tmp_path, capsys, mode):
+        # the span of the nine words in a and b of the quantum 2x2 matrices
+        # is a right coideal subalgebra (Delta(a) = a (x) a + b (x) c,
+        # Delta(b) = a (x) b + b (x) d), but a and b do not commute
+        d = corpus_instance_to_dict(quantum_m2_kernel(3, 7))
+        words = [i for i, label in enumerate(d["basis_labels"]) if set(label.split(".")) <= {"1", "a", "b"}]
+        assert len(words) == 9
+        d["subalgebra_A"] = {"basis_vectors": [[int(j == i) for j in range(d["dim"])] for i in words]}
+        path = tmp_path / "qm2_ab.json"
+        path.write_text(canonical_json(d))
+        code = main(["verify", "--input", str(path), "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "the subalgebra must be central" in captured.err
+
     def test_report_bytes_deterministic(self, q8_file, tmp_path, capsys):
         r1 = tmp_path / "r1.json"
         r2 = tmp_path / "r2.json"
@@ -361,24 +388,16 @@ class TestVerifyCommand:
         assert uf["consistent"] is True
         assert len(uf["entries"]) == 2
 
-    def test_uniform_fibers_reuses_the_characters_of_verify(self, q8_file, capsys, monkeypatch):
+    def test_uniform_fibers_reuses_the_characters_of_verify(self, q8_file, capsys, spy):
         # H's characters and X are built once for both reports: one
         # enumeration on H and one on A
         import hopfib.hopf
         import hopfib.specmap
 
-        calls = []
-        real = hopfib.hopf.enumerate_characters
-
-        def counted(alg, seed=0):
-            calls.append(alg.dim)
-            return real(alg, seed=seed)
-
-        monkeypatch.setattr(hopfib.hopf, "enumerate_characters", counted)
-        monkeypatch.setattr(hopfib.specmap, "enumerate_characters", counted)
+        calls = spy("enumerate_characters", hopfib.hopf, hopfib.specmap)
         code, report = run(capsys, "verify", "--input", str(q8_file), "--uniform-fibers")
         assert code == 0 and len(report["results"]["uniform_fibers"]["entries"]) == 2
-        assert sorted(calls) == [2, 8]  # A = F_7[Z(Q8)] and H = F_7[Q8]
+        assert sorted(args[0].dim for args in calls) == [2, 8]  # A = F_7[Z(Q8)] and H = F_7[Q8]
 
     def test_input_digest_present(self, q8_file, capsys):
         _, report = run(capsys, "characters", "--input", str(q8_file))

@@ -537,9 +537,9 @@ class TestSubspace:
     @given(random_subspace(), random_subspace())
     def test_sum_contains_both(self, u, v):
         s = u + v
-        assert s.contains(u) and s.contains(v)
+        assert s.contains_rows(u.basis) and s.contains_rows(v.basis)
         w = u.intersect(v)
-        assert u.contains(w) and v.contains(w)
+        assert u.contains_rows(w.basis) and v.contains_rows(w.basis)
 
     @settings(max_examples=60, deadline=None)
     @given(random_subspace())
@@ -721,18 +721,22 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _names_read(nodes) -> set[str]:
-    return {sub.id if isinstance(sub, ast.Name) else sub.attr
-            for node in nodes for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+    """Every ast.Name id and ast.Attribute attr in the nodes, each attr also as ".attr"."""
+    subs = [sub for node in nodes for sub in ast.walk(node)]
+    return ({sub.id for sub in subs if isinstance(sub, ast.Name)}
+            | {n for sub in subs if isinstance(sub, ast.Attribute) for n in (sub.attr, "." + sub.attr)})
 
 
 def dead_definitions(modules: dict[str, ast.Module], roots) -> list[str]:
-    """Top-level defs and classes of `modules`, and their classes' non-dunder
-    methods, that no live code reads ("module.name", "module.Class.method").
-    Live code is `roots`, the module-level statements that are not
-    definitions, and the code of each live definition (for a class, all but
-    its non-dunder methods). A definition is live once live code reads its
-    name as an ast.Name or ast.Attribute, to a fixed point; imports and
-    reads inside a definition's own code do not count."""
+    """Top-level defs and classes of `modules`, their classes' non-dunder
+    methods and their annotated class-body names (dataclass fields) that no
+    live code reads ("module.name", "module.Class.member"). Live code is
+    `roots`, the module-level statements that are not definitions, and the
+    code of each live definition (for a class, all but its non-dunder
+    methods). A definition is live once live code reads its name as an
+    ast.Name or ast.Attribute, a field once live code reads it as an
+    ast.Attribute (.name), to a fixed point; imports and reads inside a
+    definition's own code do not count."""
     pending = {}  # key -> (name, the code that becomes live with it)
     live_code = list(roots)
     for mod, tree in modules.items():
@@ -745,6 +749,9 @@ def dead_definitions(modules: dict[str, ast.Module], roots) -> list[str]:
                 methods = [s for s in node.body if isinstance(s, DEFINITIONS[:2])
                            and not (s.name.startswith("__") and s.name.endswith("__"))]
                 pending.update((f"{mod}.{node.name}.{m.name}", (m.name, [m])) for m in methods)
+                pending.update((f"{mod}.{node.name}.{s.target.id}", ("." + s.target.id, []))
+                               for s in node.body
+                               if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name))
                 own = node.bases + node.decorator_list + [s for s in node.body if s not in methods]
             pending[f"{mod}.{node.name}"] = (node.name, own)
     read = _names_read(live_code)
@@ -760,15 +767,18 @@ class TestEveryDefinitionIsReached:
 
     def test_lint_flags_a_chain_that_nothing_reaches(self):
         # f calls g and only a dead method calls f; h calls only itself; C's
-        # body reaches k; a dunder method is never flagged
+        # body reaches k; a dunder method is never flagged; a field is live
+        # once read as an attribute, and a bare name of the same spelling
+        # does not count
         module = ast.parse(
             "def f():\n    return g()\n\ndef g():\n    return 1\n\ndef h():\n    return h()\n\n"
-            "def k():\n    return 2\n\nclass C:\n    size = k()\n"
+            "def k():\n    return 2\n\nclass C:\n    size = k()\n    seen: int = 0\n    unseen: int = 0\n"
             "    def __init__(self):\n        self.x = 0\n"
             "    def used(self):\n        return 0\n    def unused(self):\n        return f()\n"
         )
-        assert dead_definitions({"m": module}, [ast.parse("C().used()")]) == [
-            "m.C.unused", "m.f", "m.g", "m.h"]
+        roots = [ast.parse("C().used() + C().seen\nprint(unseen)")]
+        assert dead_definitions({"m": module}, roots) == [
+            "m.C.unseen", "m.C.unused", "m.f", "m.g", "m.h"]
 
     def test_the_cli_and_the_scripts_reach_every_definition(self):
         modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}

@@ -225,17 +225,10 @@ class TestSplitHelpersMatchOracles:
             assert minpoly_on_vector(theta, np.zeros(m, dtype=np.int64), p) == [1]
         assert min(degrees) == 1 and max(degrees) > 10
 
-    def test_one_spin_is_one_product(self, s3, monkeypatch):
+    def test_one_spin_is_one_product(self, s3, spy):
         from hopfib import repn
 
-        calls = []
-        real = repn.matmul_mod
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(repn, "matmul_mod", counted)
+        calls = spy("matmul_mod", repn)
         # 1 - t for a transposition t generates a proper left ideal of F_7[S3]
         sub = spin(regular_module(s3).action, [[1, 6, 0, 0, 0, 0]], F7)
         assert len(calls) == 1 and sub.dim == 3

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,11 @@ class TestCompleteCheck:
         amb = report.unresolved[0]
         assert amb.word == (1, 0, 1)
         assert {tuple(sorted(amb.nf_a)), tuple(sorted(amb.nf_b))} == {((1,),), ((1, 1),)}
+        # enumerate_basis refuses it naming that ambiguity: both rules, the word and both forms
+        with pytest.raises(HopfibError, match=re.escape(
+                "2 of 2 ambiguities do not resolve; the first, rules 0 (b.a) and 1 (a.b) "
+                "on b.a.b, gives b and b.b")):
+            enumerate_basis(Presentation(F7, ("a", "b"), [((1, 0), {(0,): 1}), ((0, 1), {(1,): 1})], 10))
 
 
 class TestEnumerateBasis:
@@ -191,16 +198,9 @@ class TestExtractBialgebra:
         assert np.array_equal(mul.keys, oracle.keys)
         assert np.array_equal(mul.vals, oracle.vals)
 
-    def test_qm2_build_normalizes_few_words(self, monkeypatch):
+    def test_qm2_build_normalizes_few_words(self, spy):
         # normalizing all 81**2 products of basis words makes 44,666 reduction searches
-        calls = []
-        real = rewrite._find_reduction
-
-        def counted(pres, word):
-            calls.append(word)
-            return real(pres, word)
-
-        monkeypatch.setattr(rewrite, "_find_reduction", counted)
+        calls = spy("_find_reduction", rewrite)
         quantum_m2_kernel(3, 7)
         assert len(calls) <= 2000
 

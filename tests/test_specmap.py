@@ -53,14 +53,14 @@ class TestPrimEnumerate:
 
     def test_characters_attached_to_linear_items(self, q8_pair):
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
-        for it in prims:
+        recs = simples(q8_pair.h.alg, seed=0)
+        for it, rec in zip(prims, recs, strict=True):
+            assert it.simple_dim == rec.module.dim
             if it.simple_dim == 1:
-                assert it.character is not None
                 # annihilator is exactly the kernel of the character
+                character = rec.module.action[:, 0, 0]
                 assert it.annihilator.dim == 7
-                assert not (it.annihilator.basis @ it.character.vector() % 7).any()
-            else:
-                assert it.character is None
+                assert not (it.annihilator.basis @ character % 7).any()
 
 
 class TestContract:
@@ -94,7 +94,7 @@ class TestContract:
             inst = instances(name)
             prims = prim_enumerate(inst.h.alg, seed=0)
             x = character_group_X(inst.h, inst.a)
-            for mat in x.winding_matrices(inst.h):
+            for mat in [winding(inst.h, c) for c in x.chars]:
                 for it in prims:
                     moved = it.annihilator.image_under(mat)
                     assert moved.intersect(inst.a.subspace) == contract(it, inst.a)
@@ -129,7 +129,7 @@ class TestOrbits:
     def test_q8_orbit_sizes(self, q8_pair):
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
         x = character_group_X(q8_pair.h, q8_pair.a)
-        orb = orbits(prims, x.winding_matrices(q8_pair.h))
+        orb = orbits(prims, [winding(q8_pair.h, c) for c in x.chars])
         assert orb.sizes() == [1, 4]
 
     def test_counit_winding_gives_singletons(self, q8_pair):
@@ -142,12 +142,12 @@ class TestOrbits:
         prims = prim_enumerate(s3c2_pair.h.alg, seed=0)
         x = character_group_X(s3c2_pair.h, s3c2_pair.a)
         fib = fibers(prims, s3c2_pair.a)
-        orb = orbits(prims, x.winding_matrices(s3c2_pair.h))
+        orb = orbits(prims, [winding(s3c2_pair.h, c) for c in x.chars])
         assert orb.sizes() == [1, 1, 2, 2]
         # the fiber over the augmentation ideal splits into orbits of 2 and 1
         counit_kernel = [
-            b for b, lab in zip(fib.blocks, fib.labels)
-            if not (lab.basis @ s3c2_pair.h.counit % 7).any()
+            b for b in fib.blocks
+            if not (contract(prims[b[0]], s3c2_pair.a).basis @ s3c2_pair.h.counit % 7).any()
         ]
         assert len(counit_kernel) == 1
         sizes = sorted(
@@ -179,7 +179,7 @@ class TestOrbits:
             prims = prim_enumerate(inst.h.alg, seed=0)
             x = character_group_X(inst.h, inst.a)
             fib = fibers(prims, inst.a)
-            orb = orbits(prims, x.winding_matrices(inst.h))
+            orb = orbits(prims, [winding(inst.h, c) for c in x.chars])
             assert refinement_holds(fib, orb)
 
 
@@ -192,34 +192,32 @@ class TestVerifyTheorem:
         assert v.witnesses["orbit_sizes"] == [1, 4]
         assert v.x_order == 4
 
-    def test_global_verify_builds_each_x_winding_once(self, q8_pair, monkeypatch):
-        # fiber_quotient builds the right windings of X and verify_theorem
-        # reuses them for the orbit comparison
+    def test_global_verify_builds_each_x_winding_once(self, q8_pair, spy):
+        # verify_theorem builds the right windings of X's generators once and
+        # uses them on H and, descended, on the counit fiber
+        import hopfib.specmap
+
+        calls = spy("winding", hopfib.specmap)
+        v = verify_theorem(q8_pair, mode="global")
+        gens = character_group_X(q8_pair.h, q8_pair.a).generators()
+        assert v.x_order == 4 and v.cond_iii is True
+        assert len(calls) == len({args[1] for args in calls}) == len(gens) == 2
+
+    def test_fiber_quotient_closes_its_ideal_once(self, q8_pair, spy):
+        # counted under every name the package binds ideal_closure to
+        import hopfib.algebra
         import hopfib.hopf
 
-        calls = []
-        real = hopfib.hopf.winding
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(hopfib.hopf, "winding", counted)
+        owners = [m for m in (hopfib.algebra, hopfib.hopf) if hasattr(m, "ideal_closure")]
+        calls = spy("ideal_closure", *owners)
         v = verify_theorem(q8_pair, mode="global")
-        assert v.x_order == 4 and v.cond_iii is True
-        assert len(calls) == v.x_order == len(set(calls))
+        assert v.witnesses["fiber_algebra_dim"] == 4
+        assert len(calls) == 1
 
-    def test_orbits_see_only_the_generators_of_x(self, qm2_pair, monkeypatch):
+    def test_orbits_see_only_the_generators_of_x(self, qm2_pair, spy):
         # one image_under per primitive ideal and generator winding map (right
         # and left here): X = Z3 x Z3 has two generators, not nine members
-        calls = []
-        real = Subspace.image_under
-
-        def counted(self, mat):
-            calls.append(1)
-            return real(self, mat)
-
-        monkeypatch.setattr(Subspace, "image_under", counted)
+        calls = spy("image_under", Subspace)
         v = verify_theorem(qm2_pair, mode="global")
         gens = character_group_X(qm2_pair.h, qm2_pair.a).generators()
         assert v.x_order == 9 and len(gens) == 2
@@ -332,21 +330,16 @@ class TestRemarkUniformFibers:
         assert not sign.extends_to_h
         assert sign.ideal_proper and sign.all_one_dim is False
 
-    def test_builds_each_x_winding_once(self, q8_pair, monkeypatch):
-        # every fiber_quotient call reuses the winding maps X has built
+    def test_builds_each_x_winding_once(self, q8_pair, spy):
+        # the fiber quotients are algebras only, and whether xi extends is
+        # read from their simples: the remark needs no winding map at all
         import hopfib.hopf
+        import hopfib.specmap
 
-        calls = []
-        real = hopfib.hopf.winding
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(hopfib.hopf, "winding", counted)
+        calls = spy("winding", hopfib.hopf, hopfib.specmap)
         rep = remark_uniform_fibers(q8_pair, seed=0)
         assert len(rep.entries) == 2
-        assert len(calls) == len(set(calls)) == 4  # |X| = 4
+        assert calls == []
 
     def test_c4c2_both_characters_extend_and_agree(self, c4c2_pair):
         rep = remark_uniform_fibers(c4c2_pair, seed=0)
