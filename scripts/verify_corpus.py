@@ -33,8 +33,11 @@ def main() -> int:
         mode = args.mode if inst.h.antipode is not None else "local"
         v = verify_theorem(inst, mode=mode, seed=args.seed)
         elapsed = time.monotonic() - t0
-        fib = v.witnesses.get("fiber_sizes", v.witnesses.get("counit_fiber_orbit_sizes"))
-        orb = v.witnesses.get("orbit_sizes", "-")
+        if "fiber_sizes" in v.witnesses:
+            fib, orb = v.witnesses["fiber_sizes"], v.witnesses["orbit_sizes"]
+        else:  # local mode: the counit fiber alone
+            fib = [len(v.witnesses["fiber_algebra_simple_dims"])]
+            orb = v.witnesses["counit_fiber_orbit_sizes"]
         print(
             f"{name:8s} {inst.dim:4d} {v.x_order:4d}  "
             f"{fmt(v.cond_i)}  {fmt(v.cond_ii)}  {fmt(v.cond_iii)}   {fmt(v.cond_iv)}  "

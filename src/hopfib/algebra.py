@@ -33,7 +33,11 @@ products map a given subspace into itself, form unital subalgebras; so
 multiplication maps of G only, and on uncertified data they take every
 basis element instead (:func:`closing_maps`). ``repn.ModuleRep`` checks the
 homomorphism law on G for the same reason. :func:`quotient_algebra` takes
-the ideal a seed generates, so an ideal is closed once and never re-proved.
+the ideal a seed generates, so an ideal is closed once and never re-proved,
+and returns the quotient algebra alone. :func:`is_central_subalgebra` and
+:func:`subalgebra_as_algebra` take a subspace already proved a unital
+subalgebra (``hopf.coideal_subalgebra`` does so at load) and do not check
+it again.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .errors import (
     DimensionMismatch,
     ImproperIdeal,
     NotAssociative,
-    NotASubalgebra,
     UnitAxiomFails,
 )
 from .linalg import (
@@ -283,10 +286,8 @@ def is_subalgebra(alg: StructureConstantAlgebra, a: Subspace) -> bool:
 
 
 def is_central_subalgebra(alg: StructureConstantAlgebra, a: Subspace) -> bool:
-    """A unital subalgebra (else NotASubalgebra) that every commutator map
-    v -> e_g v - v e_g of closing_maps kills."""
-    if not is_subalgebra(alg, a):
-        raise NotASubalgebra("subspace is not a unital subalgebra")
+    """Does every commutator map v -> e_g v - v e_g of closing_maps kill the
+    subspace a? a must be a unital subalgebra (see the module docstring)."""
     lefts, rights = closing_maps(alg)
     p = alg.field.p
     return not matmul_mod((lefts - rights) % p, a.basis.T, p).any()
@@ -306,22 +307,7 @@ def induced_constants(t: SparseTensor, mats, p: int) -> SparseTensor:
     return SparseTensor.from_entries(len(mats[0]), 3, np.column_stack([*t.indices(), t.vals]), p)
 
 
-@dataclass
-class QuotientData:
-    """Quotient algebra together with the projection and a linear section.
-
-    ``projection`` maps ambient coordinates onto quotient coordinates (a
-    (q, n) matrix acting on column vectors) and ``section`` embeds quotient
-    basis vectors back as ambient standard vectors ((n, q) matrix), so
-    projection @ section = identity. The ideal is the projection's kernel.
-    """
-
-    algebra: StructureConstantAlgebra
-    projection: np.ndarray
-    section: np.ndarray
-
-
-def quotient_algebra(alg: StructureConstantAlgebra, seed: Subspace) -> QuotientData:
+def quotient_algebra(alg: StructureConstantAlgebra, seed: Subspace) -> StructureConstantAlgebra:
     """Quotient by the two-sided ideal the seed subspace generates.
 
     The ideal is one ideal_closure of the seed; ImproperIdeal if it holds
@@ -339,20 +325,17 @@ def quotient_algebra(alg: StructureConstantAlgebra, seed: Subspace) -> QuotientD
     qmul = induced_constants(alg.mul, (section.T, section.T, proj), p)
     qunit = matmul_mod(proj, alg.unit, p)
     qlabels = tuple(alg.labels[c] for c in nonpivot)
-    qalg = StructureConstantAlgebra(alg.field, len(nonpivot), qunit, qmul, qlabels, certified=True)
-    return QuotientData(qalg, proj, section)
+    return StructureConstantAlgebra(alg.field, len(nonpivot), qunit, qmul, qlabels, certified=True)
 
 
 def subalgebra_as_algebra(alg: StructureConstantAlgebra, a: Subspace):
     """Present a unital multiplicatively closed subspace as its own algebra.
 
     Returns (algebra, embedding) where embedding rows are the chosen basis
-    of the subspace inside the ambient algebra. The subspace is checked to
-    be a unital subalgebra (NotASubalgebra); its unit and associativity are
-    inherited from the ambient algebra and are not checked again.
+    of the subspace inside the ambient algebra. The subspace must be a
+    unital subalgebra (see the module docstring); its unit and
+    associativity are inherited from the ambient algebra.
     """
-    if not is_subalgebra(alg, a):
-        raise NotASubalgebra("subspace is not a unital subalgebra")
     basis, piv = a.basis, list(a.pivots)
     # coordinates w.r.t. an RREF basis are the pivot entries
     sub_mul = induced_constants(alg.mul, (basis, basis, np.eye(alg.dim, dtype=np.int64)[piv]), alg.field.p)

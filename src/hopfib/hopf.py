@@ -33,8 +33,11 @@ group restricting trivially to a coideal subalgebra are built on the same
 sparse data. Those derived objects are built once from the verified
 axioms and not re-proved: products of characters are characters, winding
 maps are algebra maps, and the winding maps of X fix A pointwise and
-preserve every fiber ideal. A fiber quotient is only an algebra: the
-coproduct and antipode that the counit fiber inherits are a test oracle
+preserve every fiber ideal. coideal_subalgebra proves A a unital
+subalgebra once, at load. character_kernel carries ker(xi) into H, both
+for specmap, which reads the fiber over xi off Prim(H), and for
+fiber_quotient, which is only an algebra: the coproduct and antipode that
+the counit fiber inherits are a test oracle
 (tests/oracles.py::fiber_bialgebra). The tests hold each of these facts on
 the shipped corpus, and two the verifier does not use: chi o S is the
 convolution inverse of chi, and the adjoint action (tests/oracles.py) is a
@@ -51,7 +54,6 @@ from .algebra import (
     StructureConstantAlgebra,
     _check_associative,
     _check_unit,
-    QuotientData,
     first_failure,
     is_subalgebra,
     quotient_algebra,
@@ -365,7 +367,6 @@ class XGroup:
 
     chars: list[Character]
     table: np.ndarray  # table[i, j] = index of chars[i] * chars[j]
-    inverse: list[int]
     identity_index: int
 
     @property
@@ -395,11 +396,12 @@ def restricts_to_counit(b: BialgebraData, chi: Character, a: Subspace) -> bool:
 def character_group_X(b: BialgebraData, a: CoidealSubalgebra, seed: int = 0) -> XGroup:
     """Characters agreeing with the counit on A, with their group structure.
 
-    Serves bialgebras and Hopf algebras alike: products and inverses are
-    read from the convolution table. With an antipode the inverse of chi is
-    chi o S; a bialgebra may lack inverses, which raises HopfibError. By the
-    fixed-subalgebra criterion, chi lies in X exactly when its right winding
-    map fixes A pointwise; that theorem is not checked again here.
+    Serves bialgebras and Hopf algebras alike: products are read from the
+    convolution table, and every member must have an inverse there. With an
+    antipode the inverse of chi is chi o S; a bialgebra may lack inverses,
+    which raises HopfibError. By the fixed-subalgebra criterion, chi lies in
+    X exactly when its right winding map fixes A pointwise; that theorem is
+    not checked again here.
     """
     members = [c for c in enumerate_characters(b, seed=seed) if restricts_to_counit(b, c, a.subspace)]
     index = {c.values: i for i, c in enumerate(members)}
@@ -414,23 +416,25 @@ def character_group_X(b: BialgebraData, a: CoidealSubalgebra, seed: int = 0) -> 
     ident = index.get(counit_character(b).values)
     if ident is None:
         raise HopfibError("counit is missing from the character set")
-    inverse = []
-    for i in range(k):
-        hits = np.flatnonzero((table[i] == ident) & (table[:, i] == ident))
-        if not hits.size:
-            raise HopfibError("character has no convolution inverse in the set")
-        inverse.append(int(hits[0]))
-    return XGroup(members, table, inverse, ident)
+    if not ((table == ident) & (table.T == ident)).any(axis=1).all():
+        raise HopfibError("character has no convolution inverse in the set")
+    return XGroup(members, table, ident)
 
 
 # -- fiber quotients ----------------------------------------------------------
 
 
-def fiber_quotient(b: BialgebraData, a: CoidealSubalgebra, xi: Character) -> QuotientData:
-    """The algebra H/H*ker(xi), for xi a character of A in the coordinates of
-    its canonical basis: algebra.quotient_algebra by the ideal that
-    K = ker(xi) generates (ImproperIdeal if that is all of H). Since A is
-    central (specmap checks that once per run), H*K = K*H is that ideal."""
+def character_kernel(b: BialgebraData, a: CoidealSubalgebra, xi: Character) -> Subspace:
+    """ker(xi) in H's coordinates, for xi a character of A in the coordinates
+    of its canonical basis. A primitive ideal P holds it iff P meets A in
+    exactly ker(xi), as P intersect A is a proper ideal of A and ker(xi) has
+    codimension 1; and iff P holds the ideal H*ker(xi) it generates."""
     p = b.field.p
-    kcoords = kernel(xi.vector()[None, :], p)
-    return quotient_algebra(b.alg, Subspace(b.field, b.dim, matmul_mod(kcoords, a.subspace.basis, p)))
+    return Subspace(b.field, b.dim, matmul_mod(kernel(xi.vector()[None, :], p), a.subspace.basis, p))
+
+
+def fiber_quotient(b: BialgebraData, a: CoidealSubalgebra, xi: Character) -> StructureConstantAlgebra:
+    """The algebra H/H*ker(xi): algebra.quotient_algebra by the ideal that
+    character_kernel generates (ImproperIdeal if that is all of H). Since A
+    is central (specmap checks that once per run), H*K = K*H is that ideal."""
+    return quotient_algebra(b.alg, character_kernel(b, a, xi))

@@ -9,30 +9,34 @@ The four conditions of the equivalence being verified:
 
   cond_i   every simple module of the counit fiber algebra H/HA+ is
            one-dimensional;
-  cond_ii  the primitive ideals of the fiber algebra form a single orbit
-           under the winding action of the character group X;
+  cond_ii  the primitive ideals of H over the counit of A form a single
+           orbit under the winding action of the character group X;
   cond_iii the fibers of the contraction P -> P intersect A on primitive
            ideals are exactly the X-orbits;
   cond_iv  the same on prime ideals (equal to cond_iii here).
 
+Every fiber is read from the one list of primitive ideals of H: the fiber
+over a character xi of A is the set of P containing ker(xi), the P with
+P intersect A = ker(xi) (fiber_over). It is Prim(H/H*ker(xi)), with the
+same simple dimensions, so no fiber algebra is chopped.
+
 The conditions are about simple modules over a splitting field, so a
-verdict needs F_p to split H and the counit fiber algebra. A simple module S
-with annihilator P has H/P = M_d(F_{p^e}) (Wedderburn), dim S = d e and
-codim P = d^2 e, so e = (dim S)^2 / codim P; verify_theorem raises NotSplit
-unless e = 1 for every simple module of both algebras.
+verdict needs F_p to split H. A simple module S with annihilator P has
+H/P = M_d(F_{p^e}) (Wedderburn), dim S = d e and codim P = d^2 e, so
+e = (dim S)^2 / codim P; verify_theorem raises NotSplit unless e = 1 for
+every P. A quotient of H needs no check of its own: its simple modules
+are simple modules of H, with the same endomorphisms.
 
 The equivalence is about centralizing extensions, so both verify_theorem
 and remark_uniform_fibers first check, once, that A is central
 (algebra.is_central_subalgebra, on the generating set G); NotCentral
 otherwise. For bialgebras without an antipode only the two-sided orbit
-experiment is run and reported as such. Both modes compare fibers with
-orbits through one helper, and the character group X is built once per
-run, by the same hopf.character_group_X for bialgebras and Hopf
-algebras. The right winding maps W of its generators are built once too.
-They act on Prim(H) as they are; they fix A pointwise, so they preserve
-the counit fiber ideal (not checked again) and act on the counit fiber
-algebra as projection . W . section. hopf.fiber_quotient builds that
-fiber as an algebra only.
+experiment is run and reported as such. Once per run, and alike for
+bialgebras and Hopf algebras, verify_theorem builds X
+(hopf.character_group_X), the right winding maps of its generators and
+one orbit partition: of Prim(H) in global and experiment modes, of the
+counit fiber in local mode. The windings fix A pointwise, so they
+preserve every fiber (not checked again).
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .hopf import (
     Character,
     CoidealSubalgebra,
     character_group_X,
+    character_kernel,
     enumerate_characters,
     fiber_quotient,
     winding,
@@ -145,22 +150,6 @@ def orbits(prims: list[PrimItem], maps: list[np.ndarray]) -> Partition:
     return Partition(blocks)
 
 
-def refinement_holds(fib: Partition, orb: Partition) -> bool:
-    """Every fiber block must be an exact union of orbit blocks."""
-    for fblock in fib.blocks:
-        fset = set(fblock)
-        covered: set[int] = set()
-        for oblock in orb.blocks:
-            oset = set(oblock)
-            if oset & fset:
-                if not oset <= fset:
-                    return False
-                covered |= oset
-        if covered != fset:
-            return False
-    return True
-
-
 @dataclass
 class Verdict:
     """Outcome of the fiber/orbit equivalence check on one instance."""
@@ -194,22 +183,24 @@ class Verdict:
         }
 
 
-def _applicable_agree(values) -> bool:
-    applicable = [v for v in values if v is not None]
-    return len(set(applicable)) <= 1
-
-
-def _require_split(name: str, alg: StructureConstantAlgebra, recs) -> None:
-    """NotSplit naming the first simple record of alg with e = (dim S)^2 / codim P > 1."""
-    for index, rec in enumerate(recs):
-        codim = alg.dim - rec.annihilator.dim
-        if rec.module.dim ** 2 != codim:
-            raise NotSplit(name, index, rec.module.dim, rec.module.dim ** 2 // codim)
+def _require_split(alg: StructureConstantAlgebra, prims: list[PrimItem]) -> None:
+    """NotSplit naming the first P in prims with e = (dim S)^2 / codim P > 1."""
+    for index, prim in enumerate(prims):
+        codim = alg.dim - prim.annihilator.dim
+        if prim.simple_dim ** 2 != codim:
+            raise NotSplit("H", index, prim.simple_dim, prim.simple_dim ** 2 // codim)
 
 
 def _require_central(h: BialgebraData, a: CoidealSubalgebra) -> None:
     if not is_central_subalgebra(h.alg, a.subspace):
         raise NotCentral("the subalgebra must be central")
+
+
+def fiber_over(h: BialgebraData, prims: list[PrimItem], a: CoidealSubalgebra, xi: Character) -> list[int]:
+    """Indices of the P in prims over the character xi of A: those that hold
+    ker(xi) (hopf.character_kernel), that is, meet A in ker(xi)."""
+    kernel = character_kernel(h, a, xi).basis
+    return [i for i, prim in enumerate(prims) if prim.annihilator.contains_rows(kernel)]
 
 
 def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0) -> Verdict:
@@ -219,61 +210,62 @@ def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0
     full orbit partition on all primitive ideals. Bialgebras without an
     antipode fall back to the two-sided orbit experiment (third condition
     only, against the combined left/right winding action). NotCentral
-    unless A is central; NotSplit if F_p does not split H or the counit
-    fiber algebra.
+    unless A is central; NotSplit if F_p does not split H.
     """
     h = instance.h
     a = instance.a
     p = h.field.p
     _require_central(h, a)
-    _require_split("H", h.alg, simples(h.alg, seed=seed))
+    prims = prim_enumerate(h.alg, seed=seed)
+    _require_split(h.alg, prims)
     x = character_group_X(h, a, seed=seed)
     gens = x.generators()
     if h.antipode is None:
         maps = [winding(h, x.chars[i], side) for side in ("right", "left") for i in gens]
-        cond_iii, witnesses = _fibers_against_orbits(h, a, maps, seed)
+        cond_iii, witnesses = _fibers_against_orbits(prims, a, orbits(prims, maps))
         witnesses.update({"x_order": x.order, "action": "two-sided"})
         return Verdict("experiment", False, x.order, None, None, cond_iii, None, True, witnesses)
     maps = [winding(h, x.chars[i]) for i in gens]
     eps_a = Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p))
-    fq = fiber_quotient(h, a, eps_a)
-
-    fiber_recs = simples(fq.algebra, seed=seed)
-    _require_split("the counit fiber algebra", fq.algebra, fiber_recs)
-    cond_i = all(r.module.dim == 1 for r in fiber_recs)
-
-    descended = [matmul_mod(matmul_mod(fq.projection, mat, p), fq.section, p) for mat in maps]
-    fiber_orbits = orbits(prim_enumerate(fq.algebra, seed=seed), descended)
-    cond_ii = len(fiber_orbits.blocks) == 1
+    fiber = fiber_over(h, prims, a, eps_a)
+    dims = [prims[i].simple_dim for i in fiber]
+    cond_i = all(d == 1 for d in dims)
+    # the fiber is X-stable, so its X-orbits are the orbit blocks within it
+    if mode == "global":
+        orb = orbits(prims, maps)
+        fiber_orbits = [b for b in orb.blocks if b[0] in fiber]
+    else:
+        fiber_orbits = orbits([prims[i] for i in fiber], maps).blocks
+    cond_ii = len(fiber_orbits) == 1
 
     witnesses = {
         "x_order": x.order,
-        "fiber_algebra_dim": fq.algebra.dim,
-        "fiber_algebra_simple_dims": [r.module.dim for r in fiber_recs],
-        "failing_simple_dims": sorted({r.module.dim for r in fiber_recs} - {1}),
-        "counit_fiber_orbit_sizes": fiber_orbits.sizes(),
+        "fiber_algebra_dim": fiber_quotient(h, a, eps_a).dim,
+        "fiber_algebra_simple_dims": dims,
+        "failing_simple_dims": sorted(set(dims) - {1}),
+        "counit_fiber_orbit_sizes": sorted(len(b) for b in fiber_orbits),
     }
     cond_iii = cond_iv = None
     if mode == "global":
-        cond_iii, partitions = _fibers_against_orbits(h, a, maps, seed)
+        cond_iii, partitions = _fibers_against_orbits(prims, a, orb)
         cond_iv = cond_iii  # prime = primitive in finite dimension
         witnesses.update(partitions)
-    agree = _applicable_agree([cond_i, cond_ii, cond_iii, cond_iv])
+    agree = len({c for c in (cond_i, cond_ii, cond_iii, cond_iv) if c is not None}) <= 1
     return Verdict(mode, True, x.order, cond_i, cond_ii, cond_iii, cond_iv, agree, witnesses)
 
 
-def _fibers_against_orbits(h: BialgebraData, a: CoidealSubalgebra, maps, seed: int):
-    """Do the contraction fibers on Prim(H) equal the orbits of the maps?
+def _fibers_against_orbits(prims: list[PrimItem], a: CoidealSubalgebra, orb: Partition):
+    """Do the contraction fibers on Prim(H) equal the orbit partition orb?
 
     Returns that verdict and the partition witnesses; when it is False they
     include the first fiber block that is not a single orbit. Every fiber
-    must be a union of orbits (HopfibError otherwise), so a fiber block is
-    an orbit exactly when it meets only one.
+    must be a union of orbits, that is, every orbit must meet one fiber
+    only (HopfibError otherwise), so a fiber block is an orbit exactly when
+    it meets only one.
     """
-    prims = prim_enumerate(h.alg, seed=seed)
     fib = fibers(prims, a)
-    orb = orbits(prims, maps)
-    if not refinement_holds(fib, orb):
+    meets = [[ob for ob in orb.blocks if set(ob) & set(fblock)] for fblock in fib.blocks]
+    if sum(map(len, meets)) != len(orb.blocks):
         raise HopfibError("a fiber failed to be a union of winding orbits")
     witnesses = {
         "prim_count": len(prims),
@@ -281,8 +273,7 @@ def _fibers_against_orbits(h: BialgebraData, a: CoidealSubalgebra, maps, seed: i
         "fiber_sizes": fib.sizes(),
         "orbit_sizes": orb.sizes(),
     }
-    for fblock in fib.blocks:
-        parts = [ob for ob in orb.blocks if set(ob) & set(fblock)]
+    for fblock, parts in zip(fib.blocks, meets):
         if len(parts) != 1:
             witnesses["mismatch_fiber_vs_orbits"] = {"fiber_block": fblock, "orbit_blocks": parts}
             return False, witnesses
@@ -308,23 +299,25 @@ class FiberUniformityReport:
 
 
 def remark_uniform_fibers(instance: CorpusInstance, seed: int = 0) -> FiberUniformityReport:
-    """For every character xi of a central Hopf subalgebra A, chop H/H*ker(xi).
+    """For every character xi of a central Hopf subalgebra A, the fiber over xi.
 
     Characters of A that are restrictions of characters of H must all give
     the same one-dimensionality verdict (winding by a lift carries one
     fiber ideal onto another); characters that do not extend are reported
-    without entering the consistency claim. A character of H kills
-    H*ker(xi) iff it restricts to xi, ker(xi) having codimension 1 in A; so
-    xi extends iff H/H*ker(xi) is proper and has a 1-dimensional simple
-    module.
+    without entering the consistency claim. The fiber is read from Prim(H)
+    (fiber_over); fiber_quotient gives the dimension of H/H*ker(xi), or
+    ImproperIdeal when that ideal is all of H and the fiber is empty. A
+    character of H kills H*ker(xi) iff it restricts to xi, ker(xi) having
+    codimension 1 in A; so xi extends iff the fiber has a 1-dimensional
+    simple module.
     """
     h = instance.h
     a = instance.a
     p = h.field.p
-    # A must be a Hopf subalgebra: Delta(A) in A (x) A and S(A) in A
+    # A must be a Hopf subalgebra: Delta(A) in A (x) A and S(A) in A. The
+    # left legs lie in A since A is a right coideal (checked at load).
     for v in a.subspace.basis:
-        m = h.comul_of(v)
-        if not (a.subspace.contains_rows(m.T) and a.subspace.contains_rows(m)):
+        if not a.subspace.contains_rows(h.comul_of(v)):
             raise NotAHopfSubalgebra("Delta(A) is not contained in A (x) A")
     if h.antipode is None:
         raise NotAHopfSubalgebra("A Hopf subalgebra needs an ambient antipode")
@@ -332,16 +325,17 @@ def remark_uniform_fibers(instance: CorpusInstance, seed: int = 0) -> FiberUnifo
         raise NotAHopfSubalgebra("antipode does not preserve A")
     _require_central(h, a)
 
+    prims = prim_enumerate(h.alg, seed=seed)
     asub, _embedding = subalgebra_as_algebra(h.alg, a.subspace)
     entries = []
     for xi in enumerate_characters(asub, seed=seed):
         try:
-            fq = fiber_quotient(h, a, xi)
+            quotient_dim = fiber_quotient(h, a, xi).dim
         except ImproperIdeal:
             entries.append(FiberReportEntry(xi.values, False, False, None, None))
             continue
-        dims = [r.module.dim for r in simples(fq.algebra, seed=seed)]
-        entries.append(FiberReportEntry(xi.values, 1 in dims, True, fq.algebra.dim,
+        dims = [prims[i].simple_dim for i in fiber_over(h, prims, a, xi)]
+        entries.append(FiberReportEntry(xi.values, 1 in dims, True, quotient_dim,
                                         all(d == 1 for d in dims)))
     verdicts = {e.all_one_dim for e in entries if e.extends_to_h and e.ideal_proper}
     return FiberUniformityReport(entries, len(verdicts) <= 1)

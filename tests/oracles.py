@@ -8,6 +8,7 @@ import numpy as np
 
 from hopfib.algebra import (
     StructureConstantAlgebra,
+    ideal_closure,
     induced_constants,
     quotient_algebra,
     subalgebra_as_algebra,
@@ -17,10 +18,19 @@ from hopfib.errors import (
     DifferentAlgebras,
     DimensionMismatch,
     HopfibError,
+    ImproperIdeal,
     NotASubgroup,
     NotCentral,
 )
-from hopfib.hopf import BialgebraData, enumerate_characters
+from hopfib.hopf import (
+    BialgebraData,
+    Character,
+    character_group_X,
+    character_kernel,
+    enumerate_characters,
+    fiber_quotient,
+    winding,
+)
 from hopfib.linalg import (
     FieldSpec,
     SparseTensor,
@@ -36,7 +46,7 @@ from hopfib.linalg import (
 )
 from hopfib.repn import ModuleRep, annihilator
 from hopfib.rewrite import Presentation, enumerate_basis, normalize
-from hopfib.specmap import contract
+from hopfib.specmap import contract, orbits, prim_enumerate
 
 
 LinearSolution = namedtuple("LinearSolution", "consistent particular kernel")
@@ -94,7 +104,7 @@ def contraction_is_maximal(alg: StructureConstantAlgebra, prim, a) -> bool:
         raise HopfibError("maximality diagnostic requires a commutative subalgebra")
     p = alg.field.p
     coords = contract(prim, a).basis[:, list(a.subspace.pivots)]
-    q = quotient_algebra(asub, Subspace(alg.field, asub.dim, coords)).algebra
+    q = quotient_algebra(asub, Subspace(alg.field, asub.dim, coords))
     eye = np.eye(q.dim, dtype=np.int64)
     frob = np.stack([element_power(q, e, p) for e in eye], axis=1)
     power = eye
@@ -393,14 +403,99 @@ def is_character(alg: StructureConstantAlgebra, values) -> bool:
     return np.array_equal(matmul_mod(alg.mul.dense(), v, p), np.outer(v, v) % p)
 
 
+def refinement_holds(fib, orb) -> bool:
+    """Every fiber block must be an exact union of orbit blocks."""
+    for fblock in fib.blocks:
+        fset = set(fblock)
+        covered: set[int] = set()
+        for oblock in orb.blocks:
+            oset = set(oblock)
+            if oset & fset:
+                if not oset <= fset:
+                    return False
+                covered |= oset
+        if covered != fset:
+            return False
+    return True
+
+
+def quotient_maps(alg: StructureConstantAlgebra, seed: Subspace):
+    """The projection onto alg/I, a (q, n) matrix acting on column vectors,
+    and a section back, an (n, q) matrix with projection @ section = 1, for I
+    the ideal the seed generates: the maps that algebra.quotient_algebra
+    reads its quotient through, on the standard vectors at the non-pivot
+    columns of I."""
+    proj, section, _ = complement_projection(ideal_closure(alg, seed))
+    return proj, section
+
+
+MappedQuotient = namedtuple("MappedQuotient", "algebra projection section")
+
+
+def mapped_fiber(b, a, xi) -> MappedQuotient:
+    """fiber_quotient(b, a, xi) with the projection and section of quotient_maps."""
+    return MappedQuotient(fiber_quotient(b, a, xi), *quotient_maps(b.alg, character_kernel(b, a, xi)))
+
+
 def quotient_ideal(q) -> Subspace:
-    """The ideal a quotient divides by: the kernel of its projection."""
+    """The ideal a MappedQuotient divides by: the kernel of its projection."""
     field = q.algebra.field
     return Subspace(field, q.projection.shape[1], kernel(q.projection, field.p))
 
 
+ChoppedFiber = namedtuple("ChoppedFiber", "dim simple_dims orbits")
+
+
+def chopped_fiber(b, a, xi, maps, seed: int = 0):
+    """The fiber over xi by chopping its own algebra: the primitive ideals of
+    H/H*ker(xi), acted on by each map W descended as projection . W . section
+    (quotient_maps). Returns the quotient's dimension, its simple dimensions
+    and the orbit partition, or None when H*ker(xi) is all of H."""
+    p = b.field.p
+    kernel_h = character_kernel(b, a, xi)
+    try:
+        q = quotient_algebra(b.alg, kernel_h)
+    except ImproperIdeal:
+        return None
+    proj, section = quotient_maps(b.alg, kernel_h)
+    prims = prim_enumerate(q, seed=seed)
+    descended = [matmul_mod(matmul_mod(proj, mat, p), section, p) for mat in maps]
+    return ChoppedFiber(q.dim, [it.simple_dim for it in prims], orbits(prims, descended))
+
+
+def chopped_counit_fiber(inst, seed: int = 0) -> dict:
+    """cond_i, cond_ii and their witnesses from the chopped counit fiber
+    algebra, under the right windings of every member of X."""
+    h, a = inst.h, inst.a
+    p = h.field.p
+    maps = [winding(h, c) for c in character_group_X(h, a, seed=seed).chars]
+    eps_a = Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p))
+    fiber = chopped_fiber(h, a, eps_a, maps, seed)
+    return {"cond_i": all(d == 1 for d in fiber.simple_dims),
+            "cond_ii": len(fiber.orbits.blocks) == 1,
+            "fiber_algebra_dim": fiber.dim,
+            "fiber_algebra_simple_dims": fiber.simple_dims,
+            "counit_fiber_orbit_sizes": fiber.orbits.sizes()}
+
+
+def chopped_uniform_fibers(inst, seed: int = 0) -> list[tuple]:
+    """(xi, extends_to_h, ideal_proper, quotient_dim, all_one_dim) for every
+    character xi of A, each from its chopped fiber algebra."""
+    h, a = inst.h, inst.a
+    entries = []
+    for xi in enumerate_characters(subalgebra_as_algebra(h.alg, a.subspace)[0], seed=seed):
+        fiber = chopped_fiber(h, a, xi, [], seed)
+        if fiber is None:
+            entries.append((xi.values, False, False, None, None))
+        else:
+            dims = fiber.simple_dims
+            entries.append((xi.values, 1 in dims, True, fiber.dim, all(d == 1 for d in dims)))
+    return entries
+
+
 def fiber_bialgebra(b, a, q):
-    """The bialgebra (Hopf algebra) the fiber quotient q = H/I inherits if I
+    """The bialgebra (Hopf algebra) the fiber quotient q = H/I (a
+    MappedQuotient) inherits if I
     holds A+ (for proper I = H*ker(xi): xi is the counit on A) and S(I);
     else None. Delta is read at the section's vectors and projected twice."""
     p = b.field.p

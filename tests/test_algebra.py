@@ -13,9 +13,9 @@ from hopfib.algebra import (
     subalgebra_as_algebra,
 )
 from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra
-from hopfib.errors import ImproperIdeal, NotAssociative, NotASubalgebra, UnitAxiomFails
+from hopfib.errors import ImproperIdeal, NotAssociative, UnitAxiomFails
 from hopfib.fileio import corpus_instance_to_dict, instance_from_dict, raw_bialgebra_from_dict
-from hopfib.hopf import enumerate_characters, fiber_quotient
+from hopfib.hopf import enumerate_characters
 from hopfib.linalg import FieldSpec, SparseTensor, Subspace, kernel
 from hopfib.repn import simples
 
@@ -28,7 +28,9 @@ from oracles import (
     multiply,
     pairwise_quotient_mul,
     pairwise_subalgebra_mul,
+    mapped_fiber,
     quotient_ideal,
+    quotient_maps,
     subalgebra_closure,
 )
 
@@ -137,9 +139,9 @@ class TestIdealClosure:
 class TestQuotient:
     def test_quotient_by_zero_ideal_is_identity_copy(self, c3):
         q = quotient_algebra(c3, Subspace.zero(F7, 3))
-        assert q.algebra.dim == 3
-        assert np.array_equal(q.algebra.mul.dense(), c3.mul.dense())
-        assert np.array_equal(q.algebra.unit, c3.unit)
+        assert q.dim == 3
+        assert np.array_equal(q.mul.dense(), c3.mul.dense())
+        assert np.array_equal(q.unit, c3.unit)
 
     def test_c4_mod_g2_minus_1_is_c2(self):
         c4 = build_algebra(F5, 4, [1, 0, 0, 0], cyclic_entries(4))
@@ -147,9 +149,9 @@ class TestQuotient:
         ideal = ideal_closure(c4, seed)
         q = quotient_algebra(c4, ideal)
         c2 = build_algebra(F5, 2, [1, 0], cyclic_entries(2))
-        assert q.algebra.dim == 2
-        assert np.array_equal(q.algebra.mul.dense(), c2.mul.dense())
-        assert np.array_equal(q.algebra.unit, c2.unit)
+        assert q.dim == 2
+        assert np.array_equal(q.mul.dense(), c2.mul.dense())
+        assert np.array_equal(q.unit, c2.unit)
 
     def test_quotient_by_ideal_containing_unit_rejected(self, c3):
         with pytest.raises(ImproperIdeal):
@@ -161,8 +163,9 @@ class TestQuotient:
         ideal = ideal_closure(c4, seed)
         assert ideal.dim == 2
         q = quotient_algebra(c4, seed)
-        assert quotient_ideal(q) == ideal
-        assert np.array_equal(q.algebra.mul.dense(), quotient_algebra(c4, ideal).algebra.mul.dense())
+        assert q.dim == 4 - ideal.dim
+        assert np.array_equal(q.mul.dense(), pairwise_quotient_mul(c4, ideal))
+        assert np.array_equal(q.mul.dense(), quotient_algebra(c4, ideal).mul.dense())
         # e01 alone is not an ideal, and it generates all of the simple algebra M_2
         with pytest.raises(ImproperIdeal):
             quotient_algebra(m2, Subspace(F7, 4, [[0, 1, 0, 0]]))
@@ -171,13 +174,14 @@ class TestQuotient:
         c4 = build_algebra(F5, 4, [1, 0, 0, 0], cyclic_entries(4))
         ideal = ideal_closure(c4, Subspace(F5, 4, [[-1 % 5, 0, 1, 0]]))
         q = quotient_algebra(c4, ideal)
-        ker = Subspace(F5, 4, kernel(q.projection, 5))
+        proj, _section = quotient_maps(c4, ideal)
+        ker = Subspace(F5, 4, kernel(proj, 5))
         assert ker == ideal
-        # projection is an algebra map
+        # projection is an algebra map onto the quotient
         for i in range(4):
             for j in range(4):
-                lhs = (q.projection @ c4.mul.dense()[i, j]) % 5
-                rhs = multiply(q.algebra, q.projection[:, i], q.projection[:, j])
+                lhs = (proj @ c4.mul.dense()[i, j]) % 5
+                rhs = multiply(q, proj[:, i], proj[:, j])
                 assert np.array_equal(lhs, rhs)
 
 
@@ -206,10 +210,12 @@ class TestCenter:
     def test_is_central_subalgebra(self, m2):
         scalars = Subspace(F7, 4, [m2.unit])
         assert is_central_subalgebra(m2, scalars)
-        # span{1, e01, e10} is not closed: e01*e10 = e00 lies outside
+        # span{1, e01, e10} is not closed (e01*e10 = e00 lies outside), which
+        # is_central_subalgebra leaves to coideal_subalgebra at load; it is
+        # not central either, as e00 e01 != e01 e00
         offdiag = Subspace(F7, 4, [m2.unit, [0, 1, 0, 0], [0, 0, 1, 0]])
-        with pytest.raises(NotASubalgebra):
-            is_central_subalgebra(m2, offdiag)
+        assert not is_subalgebra(m2, offdiag)
+        assert is_central_subalgebra(m2, offdiag) is False
 
     def test_non_central_subalgebra_detected(self, m2):
         diag = Subspace(F7, 4, [[1, 0, 0, 0], [0, 0, 0, 1]])
@@ -227,12 +233,12 @@ def assert_canonical_mul(alg):
 
 
 def fiber_quotients(inst):
-    """fiber_quotient for every character of A whose fiber ideal is proper."""
+    """mapped_fiber for every character of A whose fiber ideal is proper."""
     asub = subalgebra_as_algebra(inst.h.alg, inst.a.subspace)[0]
     out = []
     for xi in enumerate_characters(asub):
         try:
-            out.append(fiber_quotient(inst.h, inst.a, xi))
+            out.append(mapped_fiber(inst.h, inst.a, xi))
         except ImproperIdeal:
             pass
     return out
@@ -335,7 +341,7 @@ class TestSparseMul:
             ideals = [quotient_ideal(fq) for fq in fiber_quotients(inst)]
             ideals += [rec.annihilator for rec in simples(alg)]
             for ideal in ideals:
-                got = quotient_algebra(alg, ideal).algebra.mul.dense()
+                got = quotient_algebra(alg, ideal).mul.dense()
                 assert np.array_equal(got, pairwise_quotient_mul(alg, ideal))
                 checked += got.shape[0] > 1
         assert checked >= 15  # quotients of dimension above 1

@@ -399,6 +399,19 @@ class TestVerifyCommand:
         assert code == 0 and len(report["results"]["uniform_fibers"]["entries"]) == 2
         assert sorted(args[0].dim for args in calls) == [2, 8]  # A = F_7[Z(Q8)] and H = F_7[Q8]
 
+    def test_uniform_fibers_proves_a_subalgebra_once(self, q8_file, capsys, spy):
+        # coideal_subalgebra proves A a unital subalgebra at load; the
+        # centrality check and the remark take that as given. Counted under
+        # every module that binds is_subalgebra
+        import hopfib.algebra
+        import hopfib.hopf
+
+        owners = [m for m in (hopfib.algebra, hopfib.hopf) if hasattr(m, "is_subalgebra")]
+        calls = spy("is_subalgebra", *owners)
+        code, report = run(capsys, "verify", "--input", str(q8_file), "--uniform-fibers")
+        assert code == 0 and report["results"]["uniform_fibers"]["consistent"] is True
+        assert len(calls) == 1
+
     def test_input_digest_present(self, q8_file, capsys):
         _, report = run(capsys, "characters", "--input", str(q8_file))
         assert report["input_digest"].startswith("sha256:")

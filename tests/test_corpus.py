@@ -36,6 +36,7 @@ from oracles import (
     intertwiner_exists,
     inverse_mod,
     iso_simple,
+    mapped_fiber,
     quotient_group,
 )
 
@@ -124,7 +125,7 @@ class TestGroupAlgebraPair:
             h, a = inst.h, inst.a
             p = h.field.p
             eps_a = Character.from_vector(p, (a.subspace.basis @ h.counit) % p)
-            fq = fiber_quotient(h, a, eps_a)
+            fq = mapped_fiber(h, a, eps_a)
             g = builtin_group(group_name)
             z = [int(np.argmax(row)) for row in a.subspace.basis]
             q, mapping = quotient_group(g, z)
@@ -280,7 +281,7 @@ class TestIrreducibilityCertificates:
             h, a = inst.h, inst.a
             p = h.field.p
             eps_a = Character.from_vector(p, (a.subspace.basis @ h.counit) % p)
-            for alg in (h.alg, fiber_quotient(h, a, eps_a).algebra):
+            for alg in (h.alg, fiber_quotient(h, a, eps_a)):
                 recs = simples(alg, seed=0)
                 for rec in recs:
                     ModuleRep(alg, rec.module.action)

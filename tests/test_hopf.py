@@ -10,7 +10,7 @@ from hopfib.algebra import (
     build_algebra,
     subalgebra_as_algebra,
 )
-from hopfib.corpus import SHIPPED_NAMES, builtin_group
+from hopfib.corpus import SHIPPED_NAMES, builtin_group, group_algebra
 from hopfib.errors import HopfibError, ImproperIdeal
 from hopfib.fileio import instance_from_dict
 from hopfib.hopf import (
@@ -18,6 +18,7 @@ from hopfib.hopf import (
     Character,
     build_bialgebra,
     character_group_X,
+    character_kernel,
     coideal_subalgebra,
     convolve,
     counit_character,
@@ -29,6 +30,7 @@ from hopfib.hopf import (
 )
 from hopfib.linalg import FieldSpec, Subspace, kernel, matmul_mod
 from hopfib.repn import simples
+from hopfib.specmap import contract, prim_enumerate
 
 from oracles import (
     NotABimodule,
@@ -38,6 +40,7 @@ from oracles import (
     fiber_bialgebra,
     is_character,
     iso_simple,
+    mapped_fiber,
     multiply_rows_by_basis,
     per_vector_fiber_comul,
     quotient_group,
@@ -49,10 +52,16 @@ F7 = FieldSpec(7)
 
 
 def counit_fiber(inst):
-    """fiber_quotient over the counit of A, the fiber verify_theorem studies."""
+    """The fiber quotient over the counit of A, with its projection and
+    section (mapped_fiber)."""
     h, a = inst.h, inst.a
     p = h.field.p
-    return fiber_quotient(h, a, Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p)))
+    return mapped_fiber(h, a, Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p)))
+
+
+def inverses(x):
+    """The index of each member's inverse, read from the row of X's table."""
+    return [int(np.flatnonzero(row == x.identity_index)[0]) for row in x.table]
 
 
 class TestVerifyStructure:
@@ -175,7 +184,7 @@ class TestConvolution:
                 assert convolve(h, ch, inv) == eps == convolve(h, inv, ch)
             x = character_group_X(h, inst.a)
             for i, ch in enumerate(x.chars):
-                assert x.chars[x.inverse[i]] == chi_s(ch)
+                assert x.chars[inverses(x)[i]] == chi_s(ch)
 
     def test_convolutions_are_characters(self, instances, rebased_big_p):
         # convolve does not re-check multiplicativity (it follows from the
@@ -270,7 +279,7 @@ class TestCharacterGroupX:
         # every element squares to the identity
         for i in range(4):
             assert x.table[i, i] == x.identity_index
-            assert x.inverse[i] == i
+            assert inverses(x)[i] == i
 
     def test_qsl2_x_is_cyclic_of_order_three(self, qsl2_pair):
         x = character_group_X(qsl2_pair.h, qsl2_pair.a)
@@ -294,7 +303,7 @@ class TestCharacterGroupX:
             for ch in enumerate_characters(h):
                 fixes = np.array_equal(matmul_mod(winding(h, ch), basis_t, p), basis_t)
                 assert fixes == (ch.values in members)
-            for i, j in enumerate(x.inverse):
+            for i, j in enumerate(inverses(x)):
                 assert x.table[i, j] == x.table[j, i] == x.identity_index
             assert x.order == inst.expected["x_order"]
 
@@ -369,6 +378,34 @@ class TestAdjoint:
 
 
 class TestFiberQuotient:
+    @pytest.mark.parametrize("name", ["c4c2", "q8", "s3c2", "s3 over c3"])
+    def test_improper_exactly_when_no_primitive_ideal_lies_over_xi(self, name, instances):
+        # H*ker(xi) is all of H iff no primitive ideal of H contains it, that
+        # is, iff none meets A in ker(xi). For a central A that never happens
+        # (H is a finite faithful A-module, so each maximal ideal of A lies
+        # under a primitive ideal: Nakayama), so the improper case is the
+        # normal, not central, A = F_7[C3] in F_7[S3]: the characters of A
+        # that send the 3-cycles to a primitive cube root of unity
+        if name == "s3 over c3":
+            g = builtin_group("s3")
+            h = group_algebra(F7, g)
+            c3 = [i for i in range(g.order) if g.cayley[g.cayley[i, i], i] == g.identity]
+            a = coideal_subalgebra(h, Subspace(F7, g.order, np.eye(g.order, dtype=np.int64)[c3]))
+        else:
+            h, a = instances(name).h, instances(name).a
+        prims = prim_enumerate(h.alg)
+        outcomes = []
+        for xi in enumerate_characters(subalgebra_as_algebra(h.alg, a.subspace)[0]):
+            over = [P for P in prims if contract(P, a) == character_kernel(h, a, xi)]
+            try:
+                fiber_quotient(h, a, xi)
+                improper = False
+            except ImproperIdeal:
+                improper = True
+            assert improper == (not over)
+            outcomes.append(improper)
+        assert sorted(outcomes) == ([False, True, True] if name == "s3 over c3" else [False] * a.dim)
+
     def test_induced_coproduct_matches_the_per_vector_oracle(self, oracle_cases):
         # one sparse contraction of Delta against proj Delta(s) proj^T for each section vector s
         for inst in oracle_cases:
@@ -381,7 +418,7 @@ class TestFiberQuotient:
         h = qsl2_pair.h
         a = qsl2_pair.a
         eps_a = Character.from_vector(7, (a.subspace.basis @ h.counit) % 7)
-        fq = fiber_quotient(h, a, eps_a)
+        fq = mapped_fiber(h, a, eps_a)
         assert fq.algebra.dim == h.dim
         assert np.array_equal(fq.algebra.mul.dense(), h.alg.mul.dense())
         qb = fiber_bialgebra(h, a, fq)
@@ -392,7 +429,7 @@ class TestFiberQuotient:
         h = q8_pair.h
         a = q8_pair.a
         eps_a = Character.from_vector(7, (a.subspace.basis @ h.counit) % 7)
-        fq = fiber_quotient(h, a, eps_a)
+        fq = mapped_fiber(h, a, eps_a)
         assert fq.algebra.dim == 4
         assert fiber_bialgebra(h, a, fq) is not None
         # compare against the independently built group algebra of Q8/{±1}
@@ -413,7 +450,7 @@ class TestFiberQuotient:
         a = q8_pair.a
         # xi sends the central group-like z to -1: values on basis (1, z)
         xi = Character.from_vector(7, [1, 6])
-        fq = fiber_quotient(h, a, xi)
+        fq = mapped_fiber(h, a, xi)
         assert fq.algebra.dim == 4
         assert fiber_bialgebra(h, a, fq) is None  # xi != counit, no induced coproduct
         recs = simples(fq.algebra, seed=0)
@@ -437,7 +474,7 @@ class TestFiberQuotient:
             h, a = inst.h, inst.a
             p = h.field.p
             eps_a = Character.from_vector(p, (a.subspace.basis @ h.counit) % p)
-            fq = fiber_quotient(h, a, eps_a)
+            fq = mapped_fiber(h, a, eps_a)
             qb = fiber_bialgebra(h, a, fq)
             assert (qb.antipode is not None) == (h.antipode is not None)
             assert verify_structure(qb).passed
@@ -464,9 +501,10 @@ class TestFiberQuotient:
 
     def test_fiber_ideals_are_two_sided_and_preserved_by_x(self, instances):
         # fiber_quotient takes B*K as the ideal (K*B is the same, A being
-        # central) and verify_theorem pushes the X windings down as
-        # projection . W . section without re-checking that they preserve
-        # it; hold both for every fiber of every shipped instance
+        # central), and the X windings preserve it, so that verify_theorem
+        # may read every fiber off Prim(H) and the oracle may push the
+        # windings down as projection . W . section; hold both for every
+        # fiber of every shipped instance
         for name in SHIPPED_NAMES:
             inst = instances(name)
             h, a = inst.h, inst.a
@@ -476,7 +514,7 @@ class TestFiberQuotient:
             proper = 0
             for xi in enumerate_characters(asub):
                 try:
-                    fq = fiber_quotient(h, a, xi)
+                    fq = mapped_fiber(h, a, xi)
                 except ImproperIdeal:
                     continue
                 proper += 1
@@ -508,12 +546,12 @@ class TestFiberQuotient:
         h = q8_pair.h
         a = q8_pair.a
         eps_a = Character.from_vector(7, (a.subspace.basis @ h.counit) % 7)
-        fq = fiber_quotient(h, a, eps_a)
+        fq = mapped_fiber(h, a, eps_a)
         qb = fiber_bialgebra(h, a, fq)
         x = character_group_X(h, a)
         assert x.order == 4
         for chi, mat in zip(x.chars, [winding(h, c) for c in x.chars], strict=True):
-            # the map verify_theorem descends agrees with the quotient's own winding map
+            # the map the chopped-fiber oracle descends agrees with the quotient's own winding map
             down = matmul_mod(matmul_mod(fq.projection, mat, 7), fq.section, 7)
             chi_q = Character.from_vector(7, (chi.vector() @ fq.section) % 7)
             assert np.array_equal(down, winding(qb, chi_q, side="right"))

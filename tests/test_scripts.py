@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import pathlib
 import subprocess
 import sys
@@ -50,3 +51,19 @@ def test_verify_corpus_prints_seven_agreeing_rows():
     assert header.split()[7] == "agree"
     assert [row.split()[0] for row in rows] == list(SHIPPED_NAMES)
     assert all(row.split()[7] == "True" for row in rows)
+
+
+def fibers_and_orbits(out):
+    """The fibers/orbits column of verify_corpus.py's table, by instance."""
+    return {row.split()[0]: re.search(r"(\[[\d, ]*\])\s*/(\[[\d, ]*\]|-)", row).groups()
+            for row in out.splitlines()[1:]}
+
+
+def test_verify_corpus_local_mode_prints_the_counit_fiber_and_its_orbits():
+    # local mode reads the counit fiber alone: its size over its X-orbit sizes
+    local = fibers_and_orbits(run_script("verify_corpus.py", "--seed", "0", "--mode", "local").stdout)
+    assert list(local) == list(SHIPPED_NAMES)
+    assert local["s3c2"] == ("[3]", "[1, 2]")
+    assert local["usl2"] == ("[3]", "[1, 1, 1]")
+    assert local["q8"] == ("[4]", "[4]")
+    assert local["qm2"] == ("[9]", "[9]")  # no antipode: the experiment, as in global mode

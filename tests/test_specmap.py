@@ -1,25 +1,26 @@
 import numpy as np
 import pytest
 
+import hopfib.repn
 from hopfib.algebra import build_algebra
 from hopfib.corpus import builtin_group, group_algebra_pair
-from hopfib.errors import NotAHopfSubalgebra, NotAPermutation, NotSplit
+from hopfib.errors import HopfibError, NotAHopfSubalgebra, NotAPermutation, NotSplit
 from hopfib.fileio import canonical_json, instance_from_dict
 from hopfib.hopf import character_group_X, counit_character, winding
 from hopfib.linalg import FieldSpec, Subspace
 from hopfib.repn import simples
 from hopfib.specmap import (
+    Partition,
     _fibers_against_orbits,
     contract,
     fibers,
     orbits,
     prim_enumerate,
-    refinement_holds,
     remark_uniform_fibers,
     verify_theorem,
 )
 
-from oracles import contraction_is_maximal
+from oracles import chopped_counit_fiber, chopped_uniform_fibers, contraction_is_maximal, refinement_holds
 
 F7 = FieldSpec(7)
 
@@ -161,12 +162,41 @@ class TestOrbits:
         # with only the counit's winding every orbit is a singleton, so the
         # 4-element fiber is the mismatch
         h = q8_pair.h
-        same, witnesses = _fibers_against_orbits(h, q8_pair.a, [winding(h, counit_character(h))], 0)
+        prims = prim_enumerate(h.alg, seed=0)
+        orb = orbits(prims, [winding(h, counit_character(h))])
+        same, witnesses = _fibers_against_orbits(prims, q8_pair.a, orb)
         assert same is False
         assert witnesses["fiber_sizes"] == [1, 4] and witnesses["orbit_sizes"] == [1] * 5
         block = witnesses["mismatch_fiber_vs_orbits"]["fiber_block"]
         assert len(block) == 4
         assert witnesses["mismatch_fiber_vs_orbits"]["orbit_blocks"] == [[i] for i in block]
+
+    def test_a_fiber_that_is_not_a_union_of_orbits_raises(self, q8_pair):
+        # against refinement_holds, on every set partition of q8's five
+        # primitive ideals standing in for the orbits
+        prims = prim_enumerate(q8_pair.h.alg, seed=0)
+        fib = fibers(prims, q8_pair.a)
+
+        def set_partitions(items):
+            if not items:
+                yield []
+                return
+            first, rest = items[0], items[1:]
+            for part in set_partitions(rest):
+                yield [[first]] + part
+                for k in range(len(part)):
+                    yield part[:k] + [[first] + part[k]] + part[k + 1:]
+
+        raised = []
+        for blocks in set_partitions(list(range(len(prims)))):
+            orb = Partition(sorted(sorted(b) for b in blocks))
+            try:
+                _fibers_against_orbits(prims, q8_pair.a, orb)
+                raised.append(False)
+            except HopfibError:
+                raised.append(True)
+            assert raised[-1] == (not refinement_holds(fib, orb))
+        assert len(raised) == 52 and 0 < sum(raised) < 52
 
     def test_bad_map_raises_not_a_permutation(self, q8_pair):
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
@@ -194,7 +224,7 @@ class TestVerifyTheorem:
 
     def test_global_verify_builds_each_x_winding_once(self, q8_pair, spy):
         # verify_theorem builds the right windings of X's generators once and
-        # uses them on H and, descended, on the counit fiber
+        # uses them on Prim(H), the counit fiber included
         import hopfib.specmap
 
         calls = spy("winding", hopfib.specmap)
@@ -213,6 +243,28 @@ class TestVerifyTheorem:
         v = verify_theorem(q8_pair, mode="global")
         assert v.witnesses["fiber_algebra_dim"] == 4
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, images", [("q8", 10), ("s3c2", 6), ("c4c2", 4)])
+    def test_global_verify_chops_h_alone_and_takes_one_orbit_partition(
+        self, name, images, instances, spy, monkeypatch
+    ):
+        # every fiber is read from Prim(H): one chop, and one image per
+        # primitive ideal of H and generator of X (prim_count x |gens|)
+        inst = instances(name)
+        gens = character_group_X(inst.h, inst.a).generators()
+        monkeypatch.setattr(hopfib.repn, "_SIMPLES_CACHE", {})
+        chops = spy("chop", hopfib.repn)
+        moved = spy("image_under", Subspace)
+        v = verify_theorem(inst, mode="global")
+        assert len(chops) == 1
+        assert len(moved) == images == v.witnesses["prim_count"] * len(gens)
+
+    def test_verify_then_remark_chop_h_and_a_once_each(self, q8_pair, spy, monkeypatch):
+        monkeypatch.setattr(hopfib.repn, "_SIMPLES_CACHE", {})
+        chops = spy("chop", hopfib.repn)
+        verify_theorem(q8_pair, mode="global")
+        remark_uniform_fibers(q8_pair)
+        assert sorted(args[0].dim for args in chops) == [2, 8]
 
     def test_orbits_see_only_the_generators_of_x(self, qm2_pair, spy):
         # one image_under per primitive ideal and generator winding map (right
@@ -318,6 +370,33 @@ class TestVerifyTheorem:
             for s in (0, 1, 2)
         }
         assert len(outcomes) == 1
+
+
+HOPF_CASES = [(name, None) for name in HOPF_NAMES] + [("q8", 1), ("s3c2", 1)]
+
+
+class TestAgainstTheChoppedFibers:
+    """verify_theorem and remark_uniform_fibers read every fiber off Prim(H);
+    the oracle chops each fiber algebra H/H*ker(xi) and descends the
+    windings into it. qm2 has no antipode: its verdict is the two-sided
+    experiment, which has neither a counit fiber condition nor a remark."""
+
+    @pytest.mark.parametrize("name, basis_seed", HOPF_CASES)
+    def test_counit_fiber_conditions_match(self, name, basis_seed, instances, rebased_big_p):
+        inst = instances(name) if basis_seed is None else instance_from_dict(rebased_big_p(name, basis_seed))
+        want = chopped_counit_fiber(inst)
+        for mode in ("global", "local"):
+            v = verify_theorem(inst, mode=mode)
+            got = dict(v.witnesses, cond_i=v.cond_i, cond_ii=v.cond_ii)
+            assert {k: got[k] for k in want} == want
+
+    @pytest.mark.parametrize("name, basis_seed", HOPF_CASES)
+    def test_uniform_fiber_entries_match(self, name, basis_seed, instances, rebased_big_p):
+        inst = instances(name) if basis_seed is None else instance_from_dict(rebased_big_p(name, basis_seed))
+        rep = remark_uniform_fibers(inst)
+        got = [(e.xi_values, e.extends_to_h, e.ideal_proper, e.quotient_dim, e.all_one_dim)
+               for e in rep.entries]
+        assert got == chopped_uniform_fibers(inst)
 
 
 class TestRemarkUniformFibers:
