@@ -47,7 +47,6 @@ from .rewrite import Presentation, complete_check, enumerate_basis, extract_bial
 from .specmap import (
     PrimItem,
     Verdict,
-    contract,
     fibers,
     orbits,
     prim_enumerate,
@@ -78,7 +77,6 @@ __all__ = [
     "chop",
     "coideal_subalgebra",
     "complete_check",
-    "contract",
     "convolve",
     "enumerate_basis",
     "enumerate_characters",

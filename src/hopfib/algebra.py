@@ -29,9 +29,11 @@ lexicographically smallest failing index.
 The same argument bounds the closures. In a certified algebra the
 elements that commute with a given z, and those whose left (or right)
 products map a given subspace into itself, form unital subalgebras; so
-:func:`is_central_subalgebra` and :func:`ideal_closure` need the
-multiplication maps of G only, and on uncertified data they take every
-basis element instead (:func:`closing_maps`). ``repn.ModuleRep`` checks the
+the centre (:attr:`StructureConstantAlgebra.centre`, computed once per
+algebra and read by :func:`is_central_subalgebra` and ``repn.chop``) and
+:func:`ideal_closure` need the multiplication maps of G only, and on
+uncertified data they take every basis element instead
+(:func:`closing_maps`). ``repn.ModuleRep`` checks the
 homomorphism law on G for the same reason. :func:`quotient_algebra` takes
 the ideal a seed generates, so an ideal is closed once and never re-proved,
 and returns the quotient algebra alone. :func:`is_central_subalgebra` and
@@ -61,6 +63,7 @@ from .linalg import (
     complement_projection,
     contract,
     first_difference,
+    kernel,
     matmul_mod,
     permute,
     restrict_first,
@@ -163,6 +166,14 @@ class StructureConstantAlgebra:
             gens.append(g)
             maps.append(contract(self._sparse(np.eye(n, dtype=np.int64)[g]), self.mul, 1, p).dense())
             fresh = extend(times(rows, maps[-1]))
+
+    @cached_property
+    def centre(self) -> Subspace:
+        """The centre: the joint kernel of the commutator maps
+        v -> e_g v - v e_g of closing_maps. Computed once per algebra."""
+        lefts, rights = closing_maps(self)
+        p = self.field.p
+        return Subspace(self.field, self.dim, kernel(((lefts - rights) % p).reshape(-1, self.dim), p))
 
     def digest(self) -> bytes:
         head = f"{self.dim},{self.field.p},".encode()
@@ -286,11 +297,9 @@ def is_subalgebra(alg: StructureConstantAlgebra, a: Subspace) -> bool:
 
 
 def is_central_subalgebra(alg: StructureConstantAlgebra, a: Subspace) -> bool:
-    """Does every commutator map v -> e_g v - v e_g of closing_maps kill the
-    subspace a? a must be a unital subalgebra (see the module docstring)."""
-    lefts, rights = closing_maps(alg)
-    p = alg.field.p
-    return not matmul_mod((lefts - rights) % p, a.basis.T, p).any()
+    """Is the subspace a inside the centre? a must be a unital subalgebra
+    (see the module docstring)."""
+    return alg.centre.contains_rows(a.basis)
 
 
 # -- quotients -------------------------------------------------------------

@@ -424,17 +424,18 @@ def character_group_X(b: BialgebraData, a: CoidealSubalgebra, seed: int = 0) -> 
 # -- fiber quotients ----------------------------------------------------------
 
 
-def character_kernel(b: BialgebraData, a: CoidealSubalgebra, xi: Character) -> Subspace:
+def character_kernel(a: CoidealSubalgebra, xi: Character) -> Subspace:
     """ker(xi) in H's coordinates, for xi a character of A in the coordinates
     of its canonical basis. A primitive ideal P holds it iff P meets A in
     exactly ker(xi), as P intersect A is a proper ideal of A and ker(xi) has
     codimension 1; and iff P holds the ideal H*ker(xi) it generates."""
-    p = b.field.p
-    return Subspace(b.field, b.dim, matmul_mod(kernel(xi.vector()[None, :], p), a.subspace.basis, p))
+    field = a.subspace.field
+    rows = matmul_mod(kernel(xi.vector()[None, :], field.p), a.subspace.basis, field.p)
+    return Subspace(field, a.subspace.ambient, rows)
 
 
 def fiber_quotient(b: BialgebraData, a: CoidealSubalgebra, xi: Character) -> StructureConstantAlgebra:
     """The algebra H/H*ker(xi): algebra.quotient_algebra by the ideal that
     character_kernel generates (ImproperIdeal if that is all of H). Since A
     is central (specmap checks that once per run), H*K = K*H is that ideal."""
-    return quotient_algebra(b.alg, character_kernel(b, a, xi))
+    return quotient_algebra(b.alg, character_kernel(a, xi))

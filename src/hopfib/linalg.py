@@ -210,21 +210,23 @@ def rref(m, p: int):
 
 
 def kernel(m, p: int) -> np.ndarray:
-    """RREF row basis of the right null space {x : m @ x = 0}."""
+    """RREF row basis of the right null space {x : m @ x = 0}, from one
+    elimination.
+
+    The RREF of m with its columns reversed gives one null vector per free
+    column f: 1 at f, the negated entries of column f at the pivots, all
+    left of f. Read back in the original column order, each vector's first
+    nonzero entry is its 1, at a column where every other vector is 0; so
+    the vectors, in reverse order of f, are already in RREF.
+    """
     m = np.asarray(m, dtype=np.int64)
-    _, ncols = m.shape
-    r, rank, pivots = rref(m, p)
-    free = [c for c in range(ncols) if c not in set(pivots)]
+    ncols = m.shape[1]
+    r, rank, pivots = rref(m[:, ::-1], p)
+    free = [c for c in range(ncols) if c not in set(pivots)][::-1]
     basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for idx, fc in enumerate(free):
-        basis[idx, fc] = 1
-        for rr, pc in enumerate(pivots):
-            basis[idx, pc] = (-r[rr, fc]) % p
-    if len(free) == 0:
-        return basis
-    canon, krank, _ = rref(basis, p)
-    assert krank == len(free)
-    return canon[:krank]
+    basis[np.arange(len(free)), free] = 1
+    basis[:, list(pivots)] = (-r[:rank, free]).T % p
+    return basis[:, ::-1].copy()
 
 
 def find_root_of_unity(field: FieldSpec, m: int) -> int:
@@ -310,10 +312,6 @@ class Subspace:
         self.pivots = pivots
 
     @classmethod
-    def zero(cls, field: FieldSpec, ambient: int) -> "Subspace":
-        return cls(field, ambient)
-
-    @classmethod
     def full(cls, field: FieldSpec, ambient: int) -> "Subspace":
         return cls(field, ambient, identity(ambient))
 
@@ -358,18 +356,6 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         return Subspace(self.field, self.ambient, np.vstack([self.basis, other.basis]))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked bases."""
-        self._check_compatible(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient)
-        p = self.field.p
-        stacked = np.vstack([self.basis, (-other.basis) % p]).T  # ambient x (d1+d2)
-        ker = kernel(stacked, p)
-        coeffs = ker[:, : self.dim]
-        rows = matmul_mod(coeffs, self.basis, p)
-        return Subspace(self.field, self.ambient, rows)
 
     def image_under(self, matrix: np.ndarray) -> "Subspace":
         """Subspace spanned by matrix @ v for v in self (column convention)."""

@@ -1,6 +1,23 @@
 """Modules over structure-constant algebras and their composition factors.
 
-The decomposition ("chop") follows the standard randomized strategy for
+The decomposition ("chop") first splits the module along its centre. It
+draws one random element z of the centre Z (StructureConstantAlgebra.centre)
+and takes the minimal polynomial of z, from the action of z on Z. For each
+irreducible factor g, with multiplicity e, the piece is ker g(rho(z))^e,
+the generalized eigenspace of g; e <= dim Z / deg g, since F_p[z] lies in
+Z, and ker g(rho(z))^j is the same for every j >= e, so chop takes the
+smallest power of two j >= e. rho(z) commutes with every rho(h), so each
+piece is a submodule; the pieces of distinct factors are independent, and
+they fill the module because the minimal polynomial kills rho(z), so the
+module is their direct sum and its composition factors are those of the
+pieces together (Jordan-Hoelder). The pieces are used only if their
+dimensions add up to the module's, which fails only where Z is not closed
+under the product (data that is not a certified algebra); the whole module
+is then one piece. Each piece is a sum of blocks of the algebra; z keeps
+two blocks together only where its components there share a factor, which
+a random z rarely does at a large prime.
+
+Each piece then goes through the standard randomized strategy for
 modules over small finite fields: draw random elements of the acting
 algebra's image, split off kernels of irreducible factors of their minimal
 polynomials, and spin up submodules, each with one product (see spin).
@@ -199,36 +216,50 @@ def _try_split(action, field, rng):
     )
 
 
-def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0) -> list[SimpleRecord]:
-    """Composition factors with annihilators and multiplicities, canonically ordered.
+def _central_pieces(alg: StructureConstantAlgebra, action: np.ndarray, rng) -> list[np.ndarray]:
+    """The module split along a random central element z: the action on each
+    nonzero generalized eigenspace of rho(z), or the whole module in one
+    piece when z does not split it (see the module docstring)."""
+    centre, p = alg.centre, alg.field.p
+    if centre.dim <= 1:
+        return [action]
+    z = matmul_mod(rng.integers(0, p, size=centre.dim), centre.basis, p)
+    # z times the basis of Z, in Z's coordinates: the pivot entries of an RREF basis
+    piv = list(centre.pivots)
+    on_centre = matmul_mod(alg.left_mult_matrix(z), centre.basis.T, p)[piv]
+    factors = list(irreducible_factors(minpoly_on_vector(on_centre, alg.unit[piv], p), p))
+    if len(factors) < 2:
+        return [action]
+    theta = tensordot_mod(z, action, ([0], [0]), p)
+    pieces = []
+    for g, mult in factors:
+        power = poly_eval_matrix(g, theta, p)
+        for _ in range((mult - 1).bit_length()):  # g(theta)^(2^s) with 2^s >= mult
+            power = matmul_mod(power, power, p)
+        piece = Subspace(alg.field, action.shape[1], kernel(power, p))
+        if piece.dim:
+            pieces.append(restrict_action(action, piece, p))
+    if sum(piece.shape[1] for piece in pieces) != action.shape[1]:
+        return [action]
+    return pieces
 
-    Every leaf of the split tree is a subquotient of the input module, so its
-    action is an algebra map by exactness and is not checked again, nor is
-    the invariance of the subspaces it splits along (see spin). Leaves
-    are merged by (dimension, annihilator), which decides isomorphism: two
-    simples with one annihilator P are both the simple module of the simple
-    artinian B/P. The records are sorted by that key. The multiset
-    of factors is independent of the seed; the attempt budget guards the
-    randomized search for each module of the split tree.
-    """
-    if module.alg.digest() != alg.digest():
-        raise DifferentAlgebras("module is not over the given algebra")
-    rng = np.random.default_rng(seed)
-    field = alg.field
-    p = field.p
-    leaves: list[np.ndarray] = []
 
-    stack = [module.action]
+def _split_to_simples(stack: list[np.ndarray], field, rng) -> list[np.ndarray]:
+    """Leaves of the MeatAxe split tree over each action stack in the list."""
+    leaves = []
     while stack:
         act = stack.pop()
         w = _try_split(act, field, rng)
         if w is None:
             leaves.append(act)
             continue
-        stack.append(restrict_action(act, w, p))
-        stack.append(quotient_action(act, w, p))
+        stack.append(restrict_action(act, w, field.p))
+        stack.append(quotient_action(act, w, field.p))
+    return leaves
 
-    assert sum(a.shape[1] for a in leaves) == module.dim
+
+def _merge_leaves(alg: StructureConstantAlgebra, leaves: list[np.ndarray]) -> list[SimpleRecord]:
+    """Simple records, one per (dimension, annihilator), sorted by that key."""
     # cheap first pass: identical action stacks are identical modules (the
     # byte length fixes the dimension; 1-dim actions are canonical scalars)
     by_bytes: dict[bytes, tuple[np.ndarray, int]] = {}
@@ -246,6 +277,28 @@ def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0) -> lis
         else:
             classes[key] = SimpleRecord(rep, ann, count)
     return [classes[key] for key in sorted(classes)]
+
+
+def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0) -> list[SimpleRecord]:
+    """Composition factors with annihilators and multiplicities, canonically ordered.
+
+    The module is first split into its central pieces (_central_pieces);
+    each piece then seeds the split stack. Every leaf of the split tree is a
+    subquotient of the input module, so its action is an algebra map by
+    exactness and is not checked again, nor is the invariance of the
+    subspaces it splits along (see spin). Leaves are merged by (dimension,
+    annihilator), which decides isomorphism: two simples with one
+    annihilator P are both the simple module of the simple artinian B/P.
+    The records are sorted by that key. The multiset of factors is
+    independent of the seed; the attempt budget guards the randomized
+    search for each module of the split tree.
+    """
+    if module.alg.digest() != alg.digest():
+        raise DifferentAlgebras("module is not over the given algebra")
+    rng = np.random.default_rng(seed)
+    leaves = _split_to_simples(_central_pieces(alg, module.action, rng), alg.field, rng)
+    assert sum(a.shape[1] for a in leaves) == module.dim
+    return _merge_leaves(alg, leaves)
 
 
 _SIMPLES_CACHE: dict[tuple, list] = {}

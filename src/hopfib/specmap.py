@@ -18,7 +18,12 @@ The four conditions of the equivalence being verified:
 Every fiber is read from the one list of primitive ideals of H: the fiber
 over a character xi of A is the set of P containing ker(xi), the P with
 P intersect A = ker(xi) (fiber_over). It is Prim(H/H*ker(xi)), with the
-same simple dimensions, so no fiber algebra is chopped.
+same simple dimensions, so no fiber algebra is chopped. With A central
+and H split, A acts on the simple module of P through a character xi_P
+(Schur), so the fiber partition groups the P by xi_P (fibers), and no P
+is intersected with A. The orbits match each winding image through the
+codim P dimensional annihilator of P in the dual of H (orbits), not
+through P itself.
 
 The conditions are about simple modules over a splitting field, so a
 verdict needs F_p to split H. A simple module S with annihilator P has
@@ -29,7 +34,8 @@ are simple modules of H, with the same endomorphisms.
 
 The equivalence is about centralizing extensions, so both verify_theorem
 and remark_uniform_fibers first check, once, that A is central
-(algebra.is_central_subalgebra, on the generating set G); NotCentral
+(algebra.is_central_subalgebra: A inside the centre of H, which chop
+reads too); NotCentral
 otherwise. For bialgebras without an antipode only the two-sided orbit
 experiment is run and reported as such. Once per run, and alike for
 bialgebras and Hopf algebras, verify_theorem builds X
@@ -71,20 +77,27 @@ from .repn import simples
 
 @dataclass
 class PrimItem:
-    """A primitive ideal: annihilator of a simple module."""
+    """A primitive ideal: annihilator of a simple module, with that module's
+    action stack (one matrix per basis element of H)."""
 
     annihilator: Subspace
-    simple_dim: int
+    action: np.ndarray
+
+    @property
+    def simple_dim(self) -> int:
+        return self.action.shape[1]
 
 
 def prim_enumerate(alg: StructureConstantAlgebra, seed: int = 0) -> list[PrimItem]:
     """All primitive ideals, ordered by (simple dimension, annihilator)."""
-    return [PrimItem(rec.annihilator, rec.module.dim) for rec in simples(alg, seed=seed)]
+    return [PrimItem(rec.annihilator, rec.module.action) for rec in simples(alg, seed=seed)]
 
 
-def contract(prim: PrimItem, a: CoidealSubalgebra) -> Subspace:
-    """The contraction P intersect A, canonical in ambient coordinates."""
-    return prim.annihilator.intersect(a.subspace)
+def _dual(prim: PrimItem) -> Subspace:
+    """The annihilator of P in the dual of H: the row space of the action
+    flattened to (d^2, n), of dimension codim P."""
+    n, d = prim.action.shape[:2]
+    return Subspace(prim.annihilator.field, n, prim.action.reshape(n, d * d).T)
 
 
 @dataclass
@@ -98,34 +111,44 @@ class Partition:
 
 
 def fibers(prims: list[PrimItem], a: CoidealSubalgebra) -> Partition:
-    """Group primitive ideals by identical contraction subspaces, in the
-    order of the contractions' canonical keys."""
-    groups: dict[bytes, list[int]] = {}
+    """Group primitive ideals by the character xi_P of A on their simple
+    module, in the order of the canonical keys of the kernels ker(xi_P).
+
+    A is central and F_p splits H (verify_theorem checks both first), so
+    each a in A acts on the simple module of P by a scalar xi_P(a) (Schur),
+    read off one entry of its matrix, and P intersect A = ker(xi_P).
+    """
+    p = a.subspace.field.p
+    groups: dict[Character, list[int]] = {}
     for idx, prim in enumerate(prims):
-        groups.setdefault(contract(prim, a).key(), []).append(idx)
-    return Partition([groups[k] for k in sorted(groups)])
+        xi = Character.from_vector(p, matmul_mod(a.subspace.basis, prim.action[:, 0, 0], p))
+        groups.setdefault(xi, []).append(idx)
+    return Partition([groups[xi] for xi in sorted(groups, key=lambda xi: character_kernel(a, xi).key())])
 
 
 def orbits(prims: list[PrimItem], maps: list[np.ndarray]) -> Partition:
     """Orbits of the group generated by the maps acting on annihilators.
 
-    Each map must permute the annihilator list; a missing image raises
-    NotAPermutation (an invalid character set or winding side). Callers pass
-    the maps of XGroup.generators(), which generate X's and so give its orbits.
+    An invertible map W sends P_i onto P_j iff the duals (_dual) satisfy
+    P_j^perp W = P_i^perp, so each map is matched through the small duals
+    (codim P rows) rather than the annihilators themselves. Each map must
+    permute the annihilator list; a missing image raises NotAPermutation
+    (an invalid character set or winding side). Callers pass the maps of
+    XGroup.generators(), which generate X's and so give its orbits.
     """
-    index = {prim.annihilator.key(): i for i, prim in enumerate(prims)}
+    duals = [_dual(prim) for prim in prims]
+    index = {dual.key(): i for i, dual in enumerate(duals)}
     n = len(prims)
     perms = []
     for mat in maps:
-        perm = []
-        for prim in prims:
-            image = prim.annihilator.image_under(mat)
-            target = index.get(image.key())
-            if target is None:
+        perm = []  # perm[j] = i with W(P_i) = P_j; W^-1 has the same orbits
+        for dual in duals:
+            source = index.get(dual.image_under(mat.T).key())
+            if source is None:
                 raise NotAPermutation(
                     "winding image of a primitive ideal matches no primitive ideal"
                 )
-            perm.append(target)
+            perm.append(source)
         if len(set(perm)) != n:
             raise NotAPermutation("winding action on primitive ideals is not injective")
         perms.append(perm)
@@ -196,10 +219,10 @@ def _require_central(h: BialgebraData, a: CoidealSubalgebra) -> None:
         raise NotCentral("the subalgebra must be central")
 
 
-def fiber_over(h: BialgebraData, prims: list[PrimItem], a: CoidealSubalgebra, xi: Character) -> list[int]:
+def fiber_over(prims: list[PrimItem], a: CoidealSubalgebra, xi: Character) -> list[int]:
     """Indices of the P in prims over the character xi of A: those that hold
     ker(xi) (hopf.character_kernel), that is, meet A in ker(xi)."""
-    kernel = character_kernel(h, a, xi).basis
+    kernel = character_kernel(a, xi).basis
     return [i for i, prim in enumerate(prims) if prim.annihilator.contains_rows(kernel)]
 
 
@@ -227,7 +250,7 @@ def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0
         return Verdict("experiment", False, x.order, None, None, cond_iii, None, True, witnesses)
     maps = [winding(h, x.chars[i]) for i in gens]
     eps_a = Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p))
-    fiber = fiber_over(h, prims, a, eps_a)
+    fiber = fiber_over(prims, a, eps_a)
     dims = [prims[i].simple_dim for i in fiber]
     cond_i = all(d == 1 for d in dims)
     # the fiber is X-stable, so its X-orbits are the orbit blocks within it
@@ -334,7 +357,7 @@ def remark_uniform_fibers(instance: CorpusInstance, seed: int = 0) -> FiberUnifo
         except ImproperIdeal:
             entries.append(FiberReportEntry(xi.values, False, False, None, None))
             continue
-        dims = [prims[i].simple_dim for i in fiber_over(h, prims, a, xi)]
+        dims = [prims[i].simple_dim for i in fiber_over(prims, a, xi)]
         entries.append(FiberReportEntry(xi.values, 1 in dims, True, quotient_dim,
                                         all(d == 1 for d in dims)))
     verdicts = {e.all_one_dim for e in entries if e.extends_to_h and e.ideal_proper}

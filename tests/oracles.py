@@ -6,6 +6,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from hopfib import repn
 from hopfib.algebra import (
     StructureConstantAlgebra,
     ideal_closure,
@@ -46,7 +47,7 @@ from hopfib.linalg import (
 )
 from hopfib.repn import ModuleRep, annihilator
 from hopfib.rewrite import Presentation, enumerate_basis, normalize
-from hopfib.specmap import contract, orbits, prim_enumerate
+from hopfib.specmap import orbits, prim_enumerate
 
 
 LinearSolution = namedtuple("LinearSolution", "consistent particular kernel")
@@ -89,6 +90,20 @@ def is_commutative(alg: StructureConstantAlgebra) -> bool:
 def character_of(chi, vec) -> int:
     """The value of a character on a coefficient vector."""
     return int(matmul_mod(chi.vector(), asmat(vec, chi.p), chi.p))
+
+
+def intersect(u: Subspace, v: Subspace) -> Subspace:
+    """u intersect v, via the kernel of the stacked bases."""
+    if u.dim == 0 or v.dim == 0:
+        return Subspace(u.field, u.ambient)
+    p = u.field.p
+    ker = kernel(np.vstack([u.basis, (-v.basis) % p]).T, p)  # ambient x (d1+d2)
+    return Subspace(u.field, u.ambient, matmul_mod(ker[:, : u.dim], u.basis, p))
+
+
+def contract(prim, a) -> Subspace:
+    """The contraction P intersect A, canonical in ambient coordinates."""
+    return intersect(prim.annihilator, a.subspace)
 
 
 def contraction_is_maximal(alg: StructureConstantAlgebra, prim, a) -> bool:
@@ -223,7 +238,7 @@ def greedy_generating_set(alg: StructureConstantAlgebra) -> list[int]:
     the smallest index outside the subalgebra generated so far, each time.
     Independent of StructureConstantAlgebra.generators, which it checks."""
     gens: list[int] = []
-    current = subalgebra_closure(alg, Subspace.zero(alg.field, alg.dim))
+    current = subalgebra_closure(alg, Subspace(alg.field, alg.dim))
     while current.dim < alg.dim:
         nxt = next(
             i for i in range(alg.dim)
@@ -434,7 +449,7 @@ MappedQuotient = namedtuple("MappedQuotient", "algebra projection section")
 
 def mapped_fiber(b, a, xi) -> MappedQuotient:
     """fiber_quotient(b, a, xi) with the projection and section of quotient_maps."""
-    return MappedQuotient(fiber_quotient(b, a, xi), *quotient_maps(b.alg, character_kernel(b, a, xi)))
+    return MappedQuotient(fiber_quotient(b, a, xi), *quotient_maps(b.alg, character_kernel(a, xi)))
 
 
 def quotient_ideal(q) -> Subspace:
@@ -452,7 +467,7 @@ def chopped_fiber(b, a, xi, maps, seed: int = 0):
     (quotient_maps). Returns the quotient's dimension, its simple dimensions
     and the orbit partition, or None when H*ker(xi) is all of H."""
     p = b.field.p
-    kernel_h = character_kernel(b, a, xi)
+    kernel_h = character_kernel(a, xi)
     try:
         q = quotient_algebra(b.alg, kernel_h)
     except ImproperIdeal:
@@ -515,6 +530,18 @@ def fiber_bialgebra(b, a, q):
 def exhaustive_center(alg: StructureConstantAlgebra) -> Subspace:
     """Joint kernel of the commutator maps v -> e_i v - v e_i over every basis element."""
     return joint_kernel(alg.field, (alg.left_regular() - right_regular(alg)) % alg.field.p)
+
+
+def brute_force_centre(alg: StructureConstantAlgebra) -> Subspace:
+    """{z : z e_i = e_i z for every i}, solved from the structure constants
+    entry by entry: sum_j z_j (m[j, i, k] - m[i, j, k]) = 0 for all i, k."""
+    n, p = alg.dim, alg.field.p
+    system = [[0] * n for _ in range(n * n)]
+    for i, j, k, c in alg.mul.entries():  # e_i e_j holds c e_k
+        system[j * n + k][i] += c  # in z e_j, from z_i
+        system[i * n + k][j] -= c  # in e_i z, from z_j
+    rows = [[x % p for x in row] for row in system]
+    return Subspace(alg.field, n, kernel(np.array(rows, dtype=np.int64), p))
 
 
 def multiply_rows_by_basis(alg: StructureConstantAlgebra, rows, side) -> np.ndarray:
@@ -594,6 +621,32 @@ def iso_simple(m1, m2) -> bool:
     if m1.alg.digest() != m2.alg.digest():
         raise DifferentAlgebras("modules live over different algebras")
     return m1.dim == m2.dim and annihilator(m1.alg, m1) == annihilator(m1.alg, m2)
+
+
+def whole_module_chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0) -> list:
+    """repn.chop without its central split: the whole module seeds the split
+    stack, and the leaves are merged as chop merges them."""
+    rng = np.random.default_rng(seed)
+    return repn._merge_leaves(alg, repn._split_to_simples([module.action], alg.field, rng))
+
+
+def two_elimination_kernel(m, p: int) -> np.ndarray:
+    """RREF row basis of {x : m @ x = 0}: one null vector per free column of
+    rref(m), then a second rref to bring the vectors to canonical form."""
+    m = np.asarray(m, dtype=np.int64)
+    ncols = m.shape[1]
+    r, _rank, pivots = rref(m, p)
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    for idx, fc in enumerate(free):
+        basis[idx, fc] = 1
+        for rr, pc in enumerate(pivots):
+            basis[idx, pc] = (-r[rr, fc]) % p
+    if not free:
+        return basis
+    canon, krank, _ = rref(basis, p)
+    assert krank == len(free)
+    return canon[:krank]
 
 
 def fixed_point_spin(action: np.ndarray, seed_rows, field) -> Subspace:

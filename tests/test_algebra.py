@@ -20,6 +20,7 @@ from hopfib.linalg import FieldSpec, SparseTensor, Subspace, kernel
 from hopfib.repn import simples
 
 from oracles import (
+    brute_force_centre,
     exhaustive_center,
     exhaustive_ideal_closure,
     greedy_generating_set,
@@ -115,7 +116,7 @@ class TestIdealClosure:
         assert ideal_closure(c3, seed).dim == 3
 
     def test_closure_of_zero_is_zero(self, c3):
-        assert ideal_closure(c3, Subspace.zero(F7, 3)).dim == 0
+        assert ideal_closure(c3, Subspace(F7, 3)).dim == 0
 
     def test_m2_is_simple(self, m2):
         # brute force over a spanning set of nonzero elements: every single
@@ -138,7 +139,7 @@ class TestIdealClosure:
 
 class TestQuotient:
     def test_quotient_by_zero_ideal_is_identity_copy(self, c3):
-        q = quotient_algebra(c3, Subspace.zero(F7, 3))
+        q = quotient_algebra(c3, Subspace(F7, 3))
         assert q.dim == 3
         assert np.array_equal(q.mul.dense(), c3.mul.dense())
         assert np.array_equal(q.unit, c3.unit)
@@ -253,6 +254,39 @@ def random_unital_product(seed: int) -> StructureConstantAlgebra:
     table[0], table[:, 0] = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
     return StructureConstantAlgebra(F7, n, np.eye(n, dtype=np.int64)[0],
                                     SparseTensor.from_dense(table % 7), ())
+
+
+class TestCentre:
+    """StructureConstantAlgebra.centre, read from the commutator maps of G,
+    against the centre solved entry by entry from the structure constants."""
+
+    def test_matches_the_brute_force_centre(self, oracle_cases):
+        for inst in oracle_cases:
+            assert inst.h.alg.centre == brute_force_centre(inst.h.alg)
+
+    def test_group_algebra_centre_is_spanned_by_the_class_sums(self):
+        g = direct_product(builtin_group("s3"), builtin_group("s3"))
+        alg = group_algebra(FieldSpec(2**31 - 1), g).alg
+        classes = {frozenset(int(g.cayley[g.cayley[h, x], g.inverse[h]]) for h in range(g.order))
+                   for x in range(g.order)}
+        sums = np.zeros((len(classes), g.order), dtype=np.int64)
+        for row, cls in zip(sums, classes):
+            row[list(cls)] = 1
+        assert alg.centre.dim == len(classes) == 9
+        assert alg.centre == Subspace(alg.field, alg.dim, sums) == brute_force_centre(alg)
+
+    def test_qsl2_centre_has_dimension_three(self, qsl2_pair):
+        alg = qsl2_pair.h.alg
+        assert alg.centre.dim == 3 and alg.centre == brute_force_centre(alg)
+
+    def test_centrality_and_the_chop_build_the_commutator_maps_once(self, spy):
+        import hopfib.algebra
+
+        alg = group_algebra(F7, builtin_group("s3c2")).alg
+        calls = spy("closing_maps", hopfib.algebra)
+        assert is_central_subalgebra(alg, Subspace(F7, alg.dim, [alg.unit]))
+        simples(alg, seed=0)
+        assert len(calls) == 1
 
 
 def central_by_the_oracle(alg, subs):

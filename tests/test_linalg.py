@@ -36,7 +36,7 @@ from hopfib.linalg import (
     tensordot_mod,
 )
 
-from oracles import binary_ladder_pow, inverse_mod, solve
+from oracles import binary_ladder_pow, intersect, inverse_mod, solve, two_elimination_kernel
 
 F7 = FieldSpec(7)
 
@@ -351,6 +351,55 @@ class TestRref:
             assert np.array_equal(r1, r2) and rank1 == rank2 and piv1 == piv2
 
 
+class TestKernel:
+    """kernel reads its RREF null basis off one elimination of the
+    column-reversed matrix; the two-elimination kernel is the oracle."""
+
+    PRIMES = (3, 7, 65521, 2**31 - 1)
+
+    @staticmethod
+    def one_elimination(m, p):
+        calls, real = [], linalg.rref
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "rref", counted)
+            got = kernel(m, p)
+        assert len(calls) == 1
+        return got
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PRIMES), st.integers(0, 6), st.integers(1, 7), st.integers(0, 7), st.data())
+    def test_matches_the_two_elimination_kernel(self, p, nrows, ncols, rank, data):
+        # m = a @ b has rank at most `rank`, so wide kernels are common at every p
+        entries = st.integers(0, p - 1)
+        a = data.draw(st.lists(st.lists(entries, min_size=rank, max_size=rank), min_size=nrows, max_size=nrows))
+        b = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=rank, max_size=rank))
+        m = np.array([[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] if rank else [0] * ncols
+                      for row in a], dtype=np.int64).reshape(nrows, ncols)
+        got = self.one_elimination(m, p)
+        assert np.array_equal(got, two_elimination_kernel(m, p))
+        assert all(sum(int(x) * int(y) for x, y in zip(row, v)) % p == 0 for row in m for v in got)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_zero_full_rank_no_rows_and_one_column(self, p):
+        rng = np.random.default_rng(p % 1000)
+        cases = {
+            "zero": (np.zeros((3, 5), dtype=np.int64), 5),
+            "full rank": (np.eye(4, dtype=np.int64)[::-1] * 2 % p, 0),
+            "no rows": (np.zeros((0, 4), dtype=np.int64), 4),
+            "one column": (rng.integers(1, p, size=(3, 1)), 0),
+            "zero column": (np.zeros((2, 1), dtype=np.int64), 1),
+        }
+        for name, (m, nullity) in cases.items():
+            got = self.one_elimination(m, p)
+            assert got.shape == (nullity, m.shape[1]), name
+            assert np.array_equal(got, two_elimination_kernel(m, p)), name
+
+
 class TestSolve:
     def test_inconsistent_zero_matrix(self):
         sol = solve(np.zeros((2, 2), dtype=np.int64), [1, 0], 7)
@@ -519,26 +568,26 @@ class TestSubspace:
     def test_intersect_idempotent(self):
         rng = np.random.default_rng(2)
         u = Subspace(F7, 6, rng.integers(0, 7, size=(3, 6)))
-        assert u.intersect(u) == u
+        assert intersect(u, u) == u
 
     def test_intersect_coordinate_lines(self):
         e1 = Subspace(F7, 3, [[1, 0, 0]])
         e2 = Subspace(F7, 3, [[0, 1, 0]])
-        assert e1.intersect(e2).dim == 0
+        assert intersect(e1, e2).dim == 0
 
     def test_dimension_formula_1000_seeded_pairs(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
             u = Subspace(F7, 6, rng.integers(0, 7, size=(rng.integers(0, 5), 6)))
             v = Subspace(F7, 6, rng.integers(0, 7, size=(rng.integers(0, 5), 6)))
-            assert (u + v).dim + u.intersect(v).dim == u.dim + v.dim
+            assert (u + v).dim + intersect(u, v).dim == u.dim + v.dim
 
     @settings(max_examples=60, deadline=None)
     @given(random_subspace(), random_subspace())
     def test_sum_contains_both(self, u, v):
         s = u + v
         assert s.contains_rows(u.basis) and s.contains_rows(v.basis)
-        w = u.intersect(v)
+        w = intersect(u, v)
         assert u.contains_rows(w.basis) and v.contains_rows(w.basis)
 
     @settings(max_examples=60, deadline=None)
@@ -720,11 +769,29 @@ class TestEveryProductGoesThroughLinalg:
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _names_read(nodes) -> set[str]:
-    """Every ast.Name id and ast.Attribute attr in the nodes, each attr also as ".attr"."""
-    subs = [sub for node in nodes for sub in ast.walk(node)]
-    return ({sub.id for sub in subs if isinstance(sub, ast.Name)}
-            | {n for sub in subs if isinstance(sub, ast.Attribute) for n in (sub.attr, "." + sub.attr)})
+def _names_read(nodes, related, cls=None) -> set[str]:
+    """Every ast.Name id and ast.Attribute attr in the nodes, each attr also
+    as ".attr"; in the code of a class C (cls, for nodes taken from its
+    body), a read self.attr counts only as "K.attr" for each K in
+    related(C)."""
+    found = set()
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            if cls and isinstance(node.value, ast.Name) and node.value.id == "self":
+                found.update(f"{k}.{node.attr}" for k in related(cls))
+            else:
+                found.update((node.attr, "." + node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    for node in nodes:
+        visit(node, cls)
+    return found
 
 
 def dead_definitions(modules: dict[str, ast.Module], roots) -> list[str]:
@@ -736,28 +803,51 @@ def dead_definitions(modules: dict[str, ast.Module], roots) -> list[str]:
     methods). A definition is live once live code reads its name as an
     ast.Name or ast.Attribute, a field once live code reads it as an
     ast.Attribute (.name), to a fixed point; imports and reads inside a
-    definition's own code do not count."""
-    pending = {}  # key -> (name, the code that becomes live with it)
+    definition's own code do not count. A read self.name in the code of a
+    class C keeps alive only the member name of C, of C's ancestors and of
+    its descendants (by base-class name), not a member that another class
+    spells the same way."""
+    classes = [node for tree in modules.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    bases = {c.name: {b.id if isinstance(b, ast.Name) else getattr(b, "attr", "") for b in c.bases}
+             for c in classes}
+
+    def lineage(cls, step):  # cls and every class reached by repeated steps
+        seen, todo = {cls}, [cls]
+        while todo:
+            new = set(step(todo.pop())) - seen
+            seen |= new
+            todo += new
+        return seen
+
+    def related(cls):
+        return (lineage(cls, lambda k: bases.get(k, ()))
+                | lineage(cls, lambda k: [c for c, bs in bases.items() if k in bs]))
+
+    pending = {}  # key -> (the names that wake it, the code that becomes live with it, its class)
     live_code = list(roots)
     for mod, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, DEFINITIONS):
                 live_code.append(node)
                 continue
-            own = [node]
+            own, cls = [node], None
             if isinstance(node, ast.ClassDef):
+                cls = node.name
                 methods = [s for s in node.body if isinstance(s, DEFINITIONS[:2])
                            and not (s.name.startswith("__") and s.name.endswith("__"))]
-                pending.update((f"{mod}.{node.name}.{m.name}", (m.name, [m])) for m in methods)
-                pending.update((f"{mod}.{node.name}.{s.target.id}", ("." + s.target.id, []))
+                pending.update((f"{mod}.{node.name}.{m.name}", ({m.name, f"{node.name}.{m.name}"}, [m], node.name))
+                               for m in methods)
+                pending.update((f"{mod}.{node.name}.{s.target.id}",
+                                ({"." + s.target.id, f"{node.name}.{s.target.id}"}, [], node.name))
                                for s in node.body
                                if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name))
                 own = node.bases + node.decorator_list + [s for s in node.body if s not in methods]
-            pending[f"{mod}.{node.name}"] = (node.name, own)
-    read = _names_read(live_code)
-    while woken := [key for key, (name, _) in pending.items() if name in read]:
+            pending[f"{mod}.{node.name}"] = ({node.name}, own, cls)
+    read = _names_read(live_code, related)
+    while woken := [key for key, (names, _, _) in pending.items() if names & read]:
         for key in woken:
-            read |= _names_read(pending.pop(key)[1])
+            _, code, cls = pending.pop(key)
+            read |= _names_read(code, related, cls)
     return sorted(pending)
 
 
@@ -779,6 +869,18 @@ class TestEveryDefinitionIsReached:
         roots = [ast.parse("C().used() + C().seen\nprint(unseen)")]
         assert dead_definitions({"m": module}, roots) == [
             "m.C.unseen", "m.C.unused", "m.f", "m.g", "m.h"]
+
+    def test_a_self_read_keeps_only_its_own_class_field_alive(self):
+        # A and B both declare x; only A's methods read self.x, and B's read
+        # self.y. Sub inherits z from Base and reads it through self.
+        module = ast.parse(
+            "class A:\n    x: int = 0\n    def get(self):\n        return self.x\n\n"
+            "class B:\n    x: int = 0\n    y: int = 0\n    def get(self):\n        return self.y\n\n"
+            "class Base:\n    z: int = 0\n    w: int = 0\n\n"
+            "class Sub(Base):\n    def run(self):\n        return self.z\n"
+        )
+        roots = [ast.parse("A().get() + B().get() + Sub().run()")]
+        assert dead_definitions({"m": module}, roots) == ["m.B.x", "m.Base.w"]
 
     def test_the_cli_and_the_scripts_reach_every_definition(self):
         modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}

@@ -38,6 +38,7 @@ from oracles import (
     iso_simple,
     krylov_solve_minpoly,
     product_quotient_action,
+    whole_module_chop,
 )
 
 F7 = FieldSpec(7)
@@ -269,6 +270,80 @@ class TestChop:
             assert sum(r.module.dim * r.multiplicity for r in factors) == 6
             shapes.add(tuple((r.module.dim, r.multiplicity) for r in factors))
         assert len(shapes) == 1
+
+
+def big_p_s3s3():
+    g = direct_product(builtin_group("s3"), builtin_group("s3"))
+    return group_algebra_pair(FieldSpec(2**31 - 1), g, g.center()).h.alg
+
+
+def records(recs):
+    return [(r.module.dim, r.multiplicity, r.annihilator.key()) for r in recs]
+
+
+class TestCentralSplit:
+    """chop splits the regular module along a random central element before
+    the split stack; the whole-module chop is the oracle."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, instances, rebased_big_p):
+        algs = {name: instances(name).h.alg for name in SHIPPED_NAMES}
+        algs["s3s3-bigp"] = big_p_s3s3()
+        for name in ("q8", "s3c2"):
+            algs[f"{name}-bigp-rebased"] = instance_from_dict(rebased_big_p(name)).h.alg
+        return algs
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_records_match_the_whole_module_chop(self, cases, seed, monkeypatch):
+        from hopfib import repn
+
+        assert len(cases) == 10
+        for name, alg in cases.items():
+            monkeypatch.setattr(repn, "_SIMPLES_CACHE", {})
+            want = records(whole_module_chop(alg, regular_module(alg), seed=seed))
+            assert records(simples(alg, seed=seed)) == want, name
+
+    def pieces_and_first_split(self, alg, monkeypatch):
+        from hopfib import repn
+
+        pieces, tried = [], []
+        real_pieces, real_try = repn._central_pieces, repn._try_split
+
+        def counted_pieces(*args):
+            out = real_pieces(*args)
+            pieces.extend(a.shape[1] for a in out)
+            return out
+
+        def counted_try(action, *args):
+            tried.append((len(pieces), action.shape[1]))
+            return real_try(action, *args)
+
+        monkeypatch.setattr(repn, "_SIMPLES_CACHE", {})
+        monkeypatch.setattr(repn, "_central_pieces", counted_pieces)
+        monkeypatch.setattr(repn, "_try_split", counted_try)
+        return simples(alg, seed=0), pieces, tried
+
+    def test_s3s3_is_split_into_central_pieces_before_any_random_element(self, monkeypatch):
+        alg = big_p_s3s3()
+        recs, pieces, tried = self.pieces_and_first_split(alg, monkeypatch)
+        assert len(pieces) >= 2 and sum(pieces) == alg.dim == 36
+        # every random element is drawn for a piece, never for the whole module
+        assert tried[0][0] == len(pieces) and max(dim for _, dim in tried) < 36
+        assert sorted(r.module.dim for r in recs) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
+
+    def test_a_centre_with_nilpotents_splits_into_generalized_eigenspaces(self, qm2_pair, monkeypatch):
+        # qm2's centre is not semisimple, so the pieces fill the module only
+        # as generalized eigenspaces, not as eigenspaces
+        recs, pieces, _ = self.pieces_and_first_split(qm2_pair.h.alg, monkeypatch)
+        assert len(pieces) >= 2 and sum(pieces) == 81
+        assert [(r.module.dim, r.multiplicity) for r in recs] == [(1, 9)] * 9
+
+    def test_a_local_centre_leaves_one_piece(self, qsl2_pair, monkeypatch):
+        alg = qsl2_pair.h.alg
+        assert alg.centre.dim == 3
+        recs, pieces, _ = self.pieces_and_first_split(alg, monkeypatch)
+        assert pieces == [27]
+        assert [(r.module.dim, r.multiplicity) for r in recs] == [(1, 9), (1, 9), (1, 9)]
 
 
 class TestSimples:

@@ -3,7 +3,7 @@ import pytest
 
 import hopfib.repn
 from hopfib.algebra import build_algebra
-from hopfib.corpus import builtin_group, group_algebra_pair
+from hopfib.corpus import SHIPPED_NAMES, builtin_group, group_algebra_pair
 from hopfib.errors import HopfibError, NotAHopfSubalgebra, NotAPermutation, NotSplit
 from hopfib.fileio import canonical_json, instance_from_dict
 from hopfib.hopf import character_group_X, counit_character, winding
@@ -12,7 +12,6 @@ from hopfib.repn import simples
 from hopfib.specmap import (
     Partition,
     _fibers_against_orbits,
-    contract,
     fibers,
     orbits,
     prim_enumerate,
@@ -20,7 +19,14 @@ from hopfib.specmap import (
     verify_theorem,
 )
 
-from oracles import chopped_counit_fiber, chopped_uniform_fibers, contraction_is_maximal, refinement_holds
+from oracles import (
+    chopped_counit_fiber,
+    chopped_uniform_fibers,
+    contract,
+    contraction_is_maximal,
+    intersect,
+    refinement_holds,
+)
 
 F7 = FieldSpec(7)
 
@@ -98,7 +104,7 @@ class TestContract:
             for mat in [winding(inst.h, c) for c in x.chars]:
                 for it in prims:
                     moved = it.annihilator.image_under(mat)
-                    assert moved.intersect(inst.a.subspace) == contract(it, inst.a)
+                    assert intersect(moved, inst.a.subspace) == contract(it, inst.a)
 
 
 class TestFibers:
@@ -116,6 +122,22 @@ class TestFibers:
         prims = prim_enumerate(usl2_pair.h.alg, seed=0)
         fib = fibers(prims, usl2_pair.a)
         assert fib.sizes() == [3]
+
+    def test_blocks_match_the_contractions_in_order(self, instances, rebased_big_p):
+        # fibers groups by the character of A on each simple module; the
+        # oracle intersects each P with A and orders the blocks by P ∩ A
+        cases = [instances(name) for name in SHIPPED_NAMES]
+        cases += [instance_from_dict(rebased_big_p(name)) for name in ("q8", "s3c2")]
+        for inst in cases:
+            prims = prim_enumerate(inst.h.alg, seed=0)
+            groups = {}
+            for idx, prim in enumerate(prims):
+                groups.setdefault(contract(prim, inst.a).key(), []).append(idx)
+            assert fibers(prims, inst.a).blocks == [groups[k] for k in sorted(groups)]
+
+    def test_s3c2_mismatch_witness(self, s3c2_pair):
+        v = verify_theorem(s3c2_pair, mode="global", seed=0)
+        assert v.witnesses["mismatch_fiber_vs_orbits"] == {"fiber_block": [1, 2, 5], "orbit_blocks": [[1, 2], [5]]}
 
     def test_fibers_finite_and_nonempty(self, instances):
         for name in HOPF_NAMES:
