@@ -271,17 +271,19 @@ def closing_maps(alg: StructureConstantAlgebra) -> tuple[np.ndarray, np.ndarray]
 
 def ideal_closure(alg: StructureConstantAlgebra, seed: Subspace) -> Subspace:
     """Smallest two-sided ideal containing the seed subspace: its closure
-    under the maps of closing_maps."""
+    under the maps of closing_maps. Each round maps only the rows the last
+    round added (modulo the span so far), since the images of the older rows
+    are already in that span."""
     if seed.ambient != alg.dim:
         raise DimensionMismatch("seed lives in the wrong ambient space")
     maps = np.concatenate(closing_maps(alg))
-    current = seed
+    current, new = seed, seed.basis
     while True:
-        imgs = matmul_mod(maps, current.basis.T, alg.field.p).transpose(0, 2, 1)  # (map, row, coordinate)
-        bigger = Subspace(alg.field, alg.dim, np.vstack([current.basis, imgs.reshape(-1, alg.dim)]))
-        if bigger.dim == current.dim:
-            return bigger
-        current = bigger
+        imgs = matmul_mod(maps, new.T, alg.field.p).transpose(0, 2, 1)  # (map, row, coordinate)
+        added = Subspace(alg.field, alg.dim, current.reduce_rows(imgs.reshape(-1, alg.dim)))
+        if added.dim == 0:
+            return current
+        current, new = current + added, added.basis
 
 
 def is_subalgebra(alg: StructureConstantAlgebra, a: Subspace) -> bool:

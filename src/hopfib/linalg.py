@@ -199,11 +199,13 @@ def rref(m, p: int):
             continue
         if piv != row:
             r[[row, piv]] = r[[piv, row]]
-        r[row] = (r[row] * modinv(int(r[row, col]), p)) % p
-        mask = r[:, col] != 0
-        mask[row] = False
-        if mask.any():
-            r[mask] = (r[mask] - np.outer(r[mask, col], r[row])) % p
+        # the pivot row is zero left of col, so only the columns from col on change
+        tail = r[:, col:]
+        tail[row] = (tail[row] * modinv(int(tail[row, 0]), p)) % p
+        rows = np.flatnonzero(tail[:, 0])
+        rows = rows[rows != row]
+        if rows.size:
+            tail[rows] = (tail[rows] - np.outer(tail[rows, 0], tail[row])) % p
         pivots.append(col)
         row += 1
     return r, row, tuple(pivots)

@@ -18,17 +18,22 @@ two blocks together only where its components there share a factor, which
 a random z rarely does at a large prime.
 
 Each piece then goes through the standard randomized strategy for
-modules over small finite fields: draw random elements of the acting
-algebra's image, split off kernels of irreducible factors of their minimal
-polynomials, and spin up submodules, each with one product (see spin).
-The factors are drawn lazily, lowest degree first
-(linalg.irreducible_factors), and no more are computed once one decides.
-Irreducibility is certified by the dual-module (Norton) criterion, which
-needs an element whose chosen irreducible factor has kernel dimension
-equal to its degree; the search retries with fresh random elements until
-one is found or the attempt budget runs out. Spun subspaces and their
-Norton complements are invariant, which restriction and quotient do not
-re-check (the tests do, against the checked helpers in tests/oracles.py).
+modules over small finite fields: take an element theta = rho(h) of the
+acting algebra's image, split off kernels of irreducible factors g of its
+minimal polynomial, and spin up submodules, each with one product (see
+spin). Irreducibility is certified by the dual-module (Norton) criterion,
+which needs a factor g whose kernel dimension equals its degree. Both hold
+for any element and any irreducible g, and rho(h) still acts on the
+children of a module it split; so each child first tries the h and g that
+split its parent, draws random elements only when they do not decide, and
+hands its own deciding h and g down. Other factors are not handed down: a
+g(theta) invertible on a module is invertible on its children. A random
+element's factors, of its minimal polynomial at a random vector, are drawn
+lazily, lowest degree first (linalg.irreducible_factors), until one
+decides. MAX_ATTEMPTS bounds the elements tried per module, the inherited
+one included. Spun subspaces and their Norton complements are invariant,
+which restriction and quotient do not re-check (the tests do, against the
+checked helpers in tests/oracles.py).
 
 All randomness is confined to one seeded generator per chop call, and all
 public outputs are canonically ordered, so results are reproducible.
@@ -53,8 +58,8 @@ from .linalg import (
 )
 
 
-# random elements chop may draw for one module of its split tree before it
-# gives up (BudgetExceeded)
+# elements chop may try for one module of its split tree, the one inherited
+# from its parent included, before it gives up (BudgetExceeded)
 MAX_ATTEMPTS = 256
 # kernel vectors spun per irreducible factor before the dual criterion decides
 SPIN_VECTORS_PER_KERNEL = 8
@@ -175,23 +180,28 @@ def quotient_action(action: np.ndarray, sub: Subspace, p: int) -> np.ndarray:
     return (cols[:, rest] - matmul_mod(sub.basis[:, rest].T, cols[:, list(sub.pivots)], p)) % p
 
 
-def _try_split(action, field, rng):
-    """Return a proper nonzero invariant subspace, or None if certified simple,
-    within MAX_ATTEMPTS random elements."""
+def _try_split(action, field, rng, inherited=None):
+    """(a proper nonzero invariant subspace, or None if certified simple; the
+    deciding element as (coefficients h, factor g)), within MAX_ATTEMPTS
+    elements. The inherited (h, g), from the split of the parent, is tried
+    first; then random elements."""
     p = field.p
     n, m, _ = action.shape
     if m == 1:
-        return None
-    for _ in range(MAX_ATTEMPTS):
-        coeffs = rng.integers(0, p, size=n)
-        theta = tensordot_mod(coeffs, action, ([0], [0]), p)
-        v = rng.integers(0, p, size=m)
-        if not v.any():
-            continue
-        f = minpoly_on_vector(theta, v, p)
-        if len(f) <= 1:
-            continue
-        for g, _mult in irreducible_factors(f, p):
+        return None, None
+    for attempt in range(MAX_ATTEMPTS):
+        if attempt == 0 and inherited is not None:
+            coeffs, g = inherited
+            theta = tensordot_mod(coeffs, action, ([0], [0]), p)
+            factors = [g]
+        else:
+            coeffs = rng.integers(0, p, size=n)
+            theta = tensordot_mod(coeffs, action, ([0], [0]), p)
+            v = rng.integers(0, p, size=m)
+            if not v.any():
+                continue
+            factors = (g for g, _mult in irreducible_factors(minpoly_on_vector(theta, v, p), p))
+        for g in factors:
             gtheta = poly_eval_matrix(g, theta, p)
             nullsp = kernel(gtheta, p)
             if nullsp.shape[0] == 0:
@@ -199,7 +209,7 @@ def _try_split(action, field, rng):
             for w in nullsp[:SPIN_VECTORS_PER_KERNEL]:
                 w_spun = spin(action, [w], field)
                 if 0 < w_spun.dim < m:
-                    return w_spun
+                    return w_spun, (coeffs, g)
             if nullsp.shape[0] == len(g) - 1:
                 # good element: the dual criterion is decisive
                 dual_null = kernel(poly_eval_matrix(g, theta.T % p, p), p)
@@ -207,10 +217,10 @@ def _try_split(action, field, rng):
                 if u_spun.dim < m:
                     perp = Subspace(field, m, kernel(u_spun.basis, p))
                     assert 0 < perp.dim < m
-                    return perp
-                return None
+                    return perp, (coeffs, g)
+                return None, (coeffs, g)
     raise BudgetExceeded(
-        f"the attempt budget of {MAX_ATTEMPTS} random elements (repn.MAX_ATTEMPTS) ran "
+        f"the attempt budget of {MAX_ATTEMPTS} elements (repn.MAX_ATTEMPTS) ran "
         f"out before a decisive splitting element was found for a module of "
         f"dimension {m} over F_{p}"
     )
@@ -245,16 +255,18 @@ def _central_pieces(alg: StructureConstantAlgebra, action: np.ndarray, rng) -> l
 
 
 def _split_to_simples(stack: list[np.ndarray], field, rng) -> list[np.ndarray]:
-    """Leaves of the MeatAxe split tree over each action stack in the list."""
+    """Leaves of the MeatAxe split tree over each action stack in the list;
+    both children of a split first try the element that split their parent."""
+    stack = [(act, None) for act in stack]
     leaves = []
     while stack:
-        act = stack.pop()
-        w = _try_split(act, field, rng)
+        act, inherited = stack.pop()
+        w, decider = _try_split(act, field, rng, inherited)
         if w is None:
             leaves.append(act)
             continue
-        stack.append(restrict_action(act, w, field.p))
-        stack.append(quotient_action(act, w, field.p))
+        stack.append((restrict_action(act, w, field.p), decider))
+        stack.append((quotient_action(act, w, field.p), decider))
     return leaves
 
 

@@ -9,6 +9,7 @@ import numpy as np
 from hopfib import repn
 from hopfib.algebra import (
     StructureConstantAlgebra,
+    closing_maps,
     ideal_closure,
     induced_constants,
     quotient_algebra,
@@ -16,6 +17,7 @@ from hopfib.algebra import (
 )
 from hopfib.corpus import GroupTable
 from hopfib.errors import (
+    BudgetExceeded,
     DifferentAlgebras,
     DimensionMismatch,
     HopfibError,
@@ -39,8 +41,10 @@ from hopfib.linalg import (
     asmat,
     complement_projection,
     first_difference,
+    irreducible_factors,
     kernel,
     matmul_mod,
+    modinv,
     permute,
     rref,
     tensordot_mod,
@@ -323,9 +327,6 @@ def highest_weight_module_small_sl2(instance):
     of the chop machinery: K v_i = w q^(-2i) v_i, F v_i = v_{i+1},
     E v_i = [i] (w q^(1-i) - w^-1 q^(i-1)) / (q - q^-1) v_{i-1}.
     """
-    from hopfib.linalg import modinv
-    from hopfib.repn import ModuleRep
-
     p = instance.h.field.p
     ell = instance.provenance["ell"]
     q = instance.provenance["q"]
@@ -565,6 +566,46 @@ def exhaustive_ideal_closure(alg: StructureConstantAlgebra, seed: Subspace) -> S
         current = bigger
 
 
+def whole_basis_ideal_closure(alg: StructureConstantAlgebra, seed: Subspace) -> Subspace:
+    """Smallest two-sided ideal containing the seed, mapping the whole basis
+    of the span under every map of closing_maps on each round until the span
+    stops growing."""
+    maps = np.concatenate(closing_maps(alg))
+    current = seed
+    while True:
+        imgs = matmul_mod(maps, current.basis.T, alg.field.p).transpose(0, 2, 1)
+        bigger = Subspace(alg.field, alg.dim, np.vstack([current.basis, imgs.reshape(-1, alg.dim)]))
+        if bigger.dim == current.dim:
+            return bigger
+        current = bigger
+
+
+def masked_rref(m, p: int, dtype=np.int64):
+    """linalg.rref as it eliminated before: every row with a nonzero entry in
+    the pivot column, gathered and scattered through a boolean mask, over all
+    columns. With dtype=object the arithmetic is on Python ints, exact."""
+    r = np.array(m, dtype=np.int64).astype(dtype) % p
+    nrows, ncols = r.shape
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        piv = row + int(np.argmax(r[row:, col] != 0))
+        if r[piv, col] == 0:
+            continue
+        if piv != row:
+            r[[row, piv]] = r[[piv, row]]
+        r[row] = (r[row] * modinv(int(r[row, col]), p)) % p
+        mask = r[:, col] != 0
+        mask[row] = False
+        if mask.any():
+            r[mask] = (r[mask] - np.outer(r[mask, col], r[row])) % p
+        pivots.append(col)
+        row += 1
+    return r, row, tuple(pivots)
+
+
 def per_vector_fiber_comul(b, fq) -> np.ndarray:
     """Dense induced coproduct of a fiber quotient: projection Delta(s) projection^T
     for each section column s, two dense products per quotient basis vector."""
@@ -623,11 +664,57 @@ def iso_simple(m1, m2) -> bool:
     return m1.dim == m2.dim and annihilator(m1.alg, m1) == annihilator(m1.alg, m2)
 
 
+def fresh_element_try_split(action, field, rng):
+    """A proper nonzero invariant subspace, or None if certified simple, from
+    a fresh random element per attempt, every factor of its minimal
+    polynomial at a random vector tried in turn, within repn.MAX_ATTEMPTS
+    attempts."""
+    p = field.p
+    n, m, _ = action.shape
+    if m == 1:
+        return None
+    for _ in range(repn.MAX_ATTEMPTS):
+        coeffs = rng.integers(0, p, size=n)
+        theta = tensordot_mod(coeffs, action, ([0], [0]), p)
+        v = rng.integers(0, p, size=m)
+        if not v.any():
+            continue
+        f = repn.minpoly_on_vector(theta, v, p)
+        if len(f) <= 1:
+            continue
+        for g, _mult in irreducible_factors(f, p):
+            nullsp = kernel(repn.poly_eval_matrix(g, theta, p), p)
+            if nullsp.shape[0] == 0:
+                continue
+            for w in nullsp[:repn.SPIN_VECTORS_PER_KERNEL]:
+                w_spun = repn.spin(action, [w], field)
+                if 0 < w_spun.dim < m:
+                    return w_spun
+            if nullsp.shape[0] == len(g) - 1:
+                # the dual (Norton) criterion is decisive
+                dual_null = kernel(repn.poly_eval_matrix(g, theta.T % p, p), p)
+                u_spun = repn.spin(action.transpose(0, 2, 1), [dual_null[0]], field)
+                if u_spun.dim < m:
+                    return Subspace(field, m, kernel(u_spun.basis, p))
+                return None
+    raise BudgetExceeded(f"no decisive element for a module of dimension {m}")
+
+
 def whole_module_chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0) -> list:
-    """repn.chop without its central split: the whole module seeds the split
-    stack, and the leaves are merged as chop merges them."""
+    """repn.chop without its central split and without handing splitting
+    elements down: the whole module seeds the split stack, each module of the
+    split tree draws its own elements (fresh_element_try_split), and the
+    leaves are merged as chop merges them."""
     rng = np.random.default_rng(seed)
-    return repn._merge_leaves(alg, repn._split_to_simples([module.action], alg.field, rng))
+    stack, leaves = [module.action], []
+    while stack:
+        act = stack.pop()
+        w = fresh_element_try_split(act, alg.field, rng)
+        if w is None:
+            leaves.append(act)
+            continue
+        stack += [repn.restrict_action(act, w, alg.field.p), repn.quotient_action(act, w, alg.field.p)]
+    return repn._merge_leaves(alg, leaves)
 
 
 def two_elimination_kernel(m, p: int) -> np.ndarray:

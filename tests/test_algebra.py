@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hopfib import algebra
 from hopfib.algebra import (
     StructureConstantAlgebra,
     _check_associative,
@@ -15,7 +16,7 @@ from hopfib.algebra import (
 from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra
 from hopfib.errors import ImproperIdeal, NotAssociative, UnitAxiomFails
 from hopfib.fileio import corpus_instance_to_dict, instance_from_dict, raw_bialgebra_from_dict
-from hopfib.hopf import enumerate_characters
+from hopfib.hopf import character_kernel, enumerate_characters
 from hopfib.linalg import FieldSpec, SparseTensor, Subspace, kernel
 from hopfib.repn import simples
 
@@ -33,6 +34,7 @@ from oracles import (
     quotient_ideal,
     quotient_maps,
     subalgebra_closure,
+    whole_basis_ideal_closure,
 )
 
 F5 = FieldSpec(5)
@@ -334,6 +336,47 @@ class TestClosuresOnGenerators:
         rows = np.random.default_rng(seed).integers(0, 7, size=(1, alg.dim))
         seed_space = Subspace(F7, alg.dim, rows)
         assert ideal_closure(alg, seed_space) == exhaustive_ideal_closure(alg, seed_space)
+
+
+class TestSemiNaiveClosure:
+    """ideal_closure maps only the rows the last round added; the loop that
+    maps the whole span on every round is the oracle."""
+
+    @staticmethod
+    def closure_and_rows_mapped(alg, seed, spy):
+        calls = spy("matmul_mod", algebra)
+        got = ideal_closure(alg, seed)
+        return got, sum(args[1].shape[1] for args in calls if np.ndim(args[0]) == 3)
+
+    def test_every_oracle_case_maps_each_row_once(self, oracle_cases, spy, monkeypatch):
+        rng = np.random.default_rng(1)
+        grew = 0
+        for inst in oracle_cases:
+            for alg in (inst.h.alg, subalgebra_as_algebra(inst.h.alg, inst.a.subspace)[0]):
+                n = alg.dim
+                eye = np.eye(n, dtype=np.int64)
+                for rows in (eye[[n - 1]], eye[[n // 2]], rng.integers(0, alg.field.p, size=(2, n)), None):
+                    seed = Subspace(alg.field, n, rows)
+                    got, mapped = self.closure_and_rows_mapped(alg, seed, spy)
+                    monkeypatch.undo()
+                    assert got == whole_basis_ideal_closure(alg, seed)
+                    # one round per growth step, each mapping only the new rows
+                    assert mapped == got.dim
+                    grew += got.dim > seed.dim
+        assert grew >= 20
+
+    @pytest.mark.parametrize("name", ["c4c2", "q8", "s3c2"])
+    def test_fiber_seeds(self, instances, name, spy, monkeypatch):
+        inst = instances(name)
+        asub = subalgebra_as_algebra(inst.h.alg, inst.a.subspace)[0]
+        chars = enumerate_characters(asub)
+        assert len(chars) >= 2
+        for xi in chars:
+            seed = character_kernel(inst.a, xi)
+            got, mapped = self.closure_and_rows_mapped(inst.h.alg, seed, spy)
+            monkeypatch.undo()
+            assert got == whole_basis_ideal_closure(inst.h.alg, seed)
+            assert mapped == got.dim
 
 
 class TestSparseMul:

@@ -36,7 +36,7 @@ from hopfib.linalg import (
     tensordot_mod,
 )
 
-from oracles import binary_ladder_pow, intersect, inverse_mod, solve, two_elimination_kernel
+from oracles import binary_ladder_pow, intersect, inverse_mod, masked_rref, solve, two_elimination_kernel
 
 F7 = FieldSpec(7)
 
@@ -349,6 +349,39 @@ class TestRref:
             r1, rank1, piv1 = rref(m, 7)
             r2, rank2, piv2 = rref(r1, 7)
             assert np.array_equal(r1, r2) and rank1 == rank2 and piv1 == piv2
+
+    PRIMES = (3, 7, 65521, 2**31 - 1)
+
+    @staticmethod
+    def assert_matches_the_masked_rref(m, p):
+        # the masked elimination in int64 and in exact Python ints: equal
+        # results mean no int64 product or difference wrapped around
+        got = rref(m, p)
+        assert got[0].dtype == np.int64
+        for dtype in (np.int64, object):
+            want = masked_rref(m, p, dtype)
+            assert got[0].shape == want[0].shape
+            assert np.array_equal(got[0], want[0].astype(np.int64)) and got[1:] == want[1:]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PRIMES), st.integers(0, 8), st.integers(0, 9), st.integers(0, 8), st.data())
+    def test_matches_the_masked_rref_bit_for_bit(self, p, nrows, ncols, rank, data):
+        # m = a @ b has rank at most `rank`; entries near p - 1 are drawn often
+        entries = st.one_of(st.integers(0, p - 1), st.integers(max(0, p - 3), p - 1))
+        a = data.draw(st.lists(st.lists(entries, min_size=rank, max_size=rank), min_size=nrows, max_size=nrows))
+        b = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=rank, max_size=rank))
+        m = np.array([[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] if rank else [0] * ncols
+                      for row in a], dtype=np.int64).reshape(nrows, ncols)
+        self.assert_matches_the_masked_rref(m, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_zero_empty_and_all_top_entries(self, p):
+        cases = [np.zeros((3, 5), dtype=np.int64), np.zeros((0, 4), dtype=np.int64),
+                 np.zeros((3, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64),
+                 np.full((4, 6), p - 1, dtype=np.int64),
+                 (np.arange(30, dtype=np.int64).reshape(5, 6) * (p - 1)) % p]
+        for m in cases:
+            self.assert_matches_the_masked_rref(m, p)
 
 
 class TestKernel:

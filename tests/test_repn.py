@@ -283,7 +283,9 @@ def records(recs):
 
 class TestCentralSplit:
     """chop splits the regular module along a random central element before
-    the split stack; the whole-module chop is the oracle."""
+    the split stack, whose children first try the element that split their
+    parent; the whole-module chop, which draws fresh elements for every
+    module of its split tree, is the oracle."""
 
     @pytest.fixture(scope="class")
     def cases(self, instances, rebased_big_p):
@@ -344,6 +346,63 @@ class TestCentralSplit:
         recs, pieces, _ = self.pieces_and_first_split(alg, monkeypatch)
         assert pieces == [27]
         assert [(r.module.dim, r.multiplicity) for r in recs] == [(1, 9), (1, 9), (1, 9)]
+
+
+class TestInheritedElement:
+    """Both children of a split first try the element that split their
+    parent, on the factor that decided there, and draw fresh elements only
+    when it does not decide."""
+
+    def test_s3s3_factors_fewer_minimal_polynomials(self, spy, monkeypatch):
+        # a fresh element for every module factored 22, 24, 24 and 20 minimal
+        # polynomials per chop at seeds 0-3, the central element's included
+        from hopfib import repn
+
+        alg = big_p_s3s3()
+        counts = []
+        for seed in range(4):
+            calls = spy("irreducible_factors", repn)
+            recs = chop(alg, regular_module(alg), seed=seed)
+            monkeypatch.undo()
+            assert sorted(r.module.dim for r in recs) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
+            counts.append(len(calls))
+        assert all(0 < count < before for count, before in zip(counts, (22, 24, 24, 20)))
+        assert sum(counts) <= (22 + 24 + 24 + 20) // 2
+
+    def test_an_element_without_kernel_on_the_child_gives_way_to_a_fresh_draw(self, spy):
+        # F_7[C5]: the generator acts on the quartic factor by a root of the
+        # irreducible x^4 + x^3 + x^2 + x + 1, so x - 1 has no kernel there
+        from hopfib import repn
+
+        c5 = build_algebra(F7, 5, [1, 0, 0, 0, 0], cyclic_entries(5))
+        quartic = [r.module.action for r in simples(c5, seed=0) if r.module.dim == 4][0]
+        inherited = (np.eye(5, dtype=np.int64)[1], (1, 6))
+        draws = spy("minpoly_on_vector", repn)
+        sub, decider = repn._try_split(quartic, F7, np.random.default_rng(0), inherited)
+        # certified simple by the dual criterion at a quartic factor of a fresh element
+        assert sub is None and len(draws) >= 1
+        assert not np.array_equal(decider[0], inherited[0]) and len(decider[1]) == 5
+
+    def test_qm2_children_decide_with_and_without_a_fresh_draw(self, qm2_pair, spy, monkeypatch):
+        from hopfib import repn
+
+        alg = qm2_pair.h.alg
+        draws = spy("minpoly_on_vector", repn)
+        real_try, tries = repn._try_split, []
+
+        def counted_try(action, field, rng, inherited=None):
+            before = len(draws)
+            out = real_try(action, field, rng, inherited)
+            tries.append((inherited is not None, len(draws) > before))
+            return out
+
+        monkeypatch.setattr(repn, "_try_split", counted_try)
+        recs = chop(alg, regular_module(alg), seed=0)
+        monkeypatch.undo()
+        assert records(recs) == records(whole_module_chop(alg, regular_module(alg), seed=0))
+        # (inherited, drew fresh): children the inherited element decides,
+        # and children it cannot decide that certify through a fresh draw
+        assert {(True, False), (True, True)} <= set(tries)
 
 
 class TestSimples:
