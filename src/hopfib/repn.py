@@ -61,7 +61,8 @@ from .linalg import (
 # elements chop may try for one module of its split tree, the one inherited
 # from its parent included, before it gives up (BudgetExceeded)
 MAX_ATTEMPTS = 256
-# kernel vectors spun per irreducible factor before the dual criterion decides
+# kernel vectors spun per linear factor before the dual criterion decides (one
+# per factor of higher degree; see _try_split)
 SPIN_VECTORS_PER_KERNEL = 8
 
 
@@ -206,7 +207,11 @@ def _try_split(action, field, rng, inherited=None):
             nullsp = kernel(gtheta, p)
             if nullsp.shape[0] == 0:
                 continue
-            for w in nullsp[:SPIN_VECTORS_PER_KERNEL]:
+            # one spin is enough for g of degree > 1: where ker g has dimension
+            # deg g every nonzero vector of it spins to the same submodule, and
+            # on S + S the vectors of ker g that spin to a copy of S are rare
+            # when S is split and are all of them when End(S) is a larger field
+            for w in nullsp[:SPIN_VECTORS_PER_KERNEL if len(g) == 2 else 1]:
                 w_spun = spin(action, [w], field)
                 if 0 < w_spun.dim < m:
                     return w_spun, (coeffs, g)
