@@ -564,10 +564,6 @@ class _Quotient:
         return _strip(_unpack(packed, self.n, self.w, self.p))
 
     def mul(self, a: list[int], b: list[int]) -> list[int]:
-        if self.n == 2:  # (a1 x + a0)(b1 x + b0) with x**2 = -f1 x - f0, no packing
-            (a1, a0), (b1, b0), (_, f1, f0) = ([0, 0] + a)[-2:], ([0, 0] + b)[-2:], self.f
-            hi = a1 * b1
-            return _strip([(a1 * b0 + a0 * b1 - hi * f1) % self.p, (a0 * b0 - hi * f0) % self.p])
         w, shift = self.w, 8 * self.w * self.n
         packed = _pack(a, w)
         prod = packed * (packed if b is a else _pack(b, w))

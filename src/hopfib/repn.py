@@ -24,10 +24,12 @@ minimal polynomial, and spin up submodules, each with one product (see
 spin). Irreducibility is certified by the dual-module (Norton) criterion,
 which needs a factor g whose kernel dimension equals its degree. Both hold
 for any element and any irreducible g, and rho(h) still acts on the
-children of a module it split; so each child first tries the h and g that
+children of a module it split; so a child first tries the h and g that
 split its parent, draws random elements only when they do not decide, and
-hands its own deciding h and g down. Other factors are not handed down: a
-g(theta) invertible on a module is invertible on its children. A random
+hands its own deciding h and g down. The submodule child always inherits;
+the quotient child only when the submodule is at least a third of it (see
+_split_to_simples). Other factors are not handed down: a g(theta)
+invertible on a module is invertible on its children. A random
 element's factors, of its minimal polynomial at a random vector, are drawn
 lazily, lowest degree first (linalg.irreducible_factors), until one
 decides. MAX_ATTEMPTS bounds the elements tried per module, the inherited
@@ -61,8 +63,7 @@ from .linalg import (
 # elements chop may try for one module of its split tree, the one inherited
 # from its parent included, before it gives up (BudgetExceeded)
 MAX_ATTEMPTS = 256
-# kernel vectors spun per linear factor before the dual criterion decides (one
-# per factor of higher degree; see _try_split)
+# kernel vectors spun per irreducible factor before the dual criterion decides
 SPIN_VECTORS_PER_KERNEL = 8
 
 
@@ -207,11 +208,7 @@ def _try_split(action, field, rng, inherited=None):
             nullsp = kernel(gtheta, p)
             if nullsp.shape[0] == 0:
                 continue
-            # one spin is enough for g of degree > 1: where ker g has dimension
-            # deg g every nonzero vector of it spins to the same submodule, and
-            # on S + S the vectors of ker g that spin to a copy of S are rare
-            # when S is split and are all of them when End(S) is a larger field
-            for w in nullsp[:SPIN_VECTORS_PER_KERNEL if len(g) == 2 else 1]:
+            for w in nullsp[:SPIN_VECTORS_PER_KERNEL]:
                 w_spun = spin(action, [w], field)
                 if 0 < w_spun.dim < m:
                     return w_spun, (coeffs, g)
@@ -260,8 +257,13 @@ def _central_pieces(alg: StructureConstantAlgebra, action: np.ndarray, rng) -> l
 
 
 def _split_to_simples(stack: list[np.ndarray], field, rng) -> list[np.ndarray]:
-    """Leaves of the MeatAxe split tree over each action stack in the list;
-    both children of a split first try the element that split their parent."""
+    """Leaves of the MeatAxe split tree over each action stack in the list.
+    The submodule child of a split first tries the element that split its
+    parent; the quotient child does so only when the submodule is at least a
+    third of the quotient. That element tends to split the quotient again
+    into a submodule of about the same size, and each split pays
+    quotient_action's copy of the whole quotient, so on a much larger
+    quotient it would peel off small submodules one copy at a time."""
     stack = [(act, None) for act in stack]
     leaves = []
     while stack:
@@ -271,7 +273,7 @@ def _split_to_simples(stack: list[np.ndarray], field, rng) -> list[np.ndarray]:
             leaves.append(act)
             continue
         stack.append((restrict_action(act, w, field.p), decider))
-        stack.append((quotient_action(act, w, field.p), decider))
+        stack.append((quotient_action(act, w, field.p), decider if 3 * w.dim >= w.ambient - w.dim else None))
     return leaves
 
 

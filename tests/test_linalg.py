@@ -255,8 +255,7 @@ class TestFactorPoly:
 
 
 class TestQuotientPow:
-    """The windowed power against the binary ladder it replaced, and the
-    ring product modulo a quadratic against the schoolbook remainder."""
+    """The windowed power against the binary ladder it replaced."""
 
     @pytest.mark.parametrize("p", FACTOR_PRIMES)
     def test_matches_the_binary_ladder(self, p):
@@ -268,20 +267,6 @@ class TestQuotientPow:
             for a in elements:
                 for e in exponents:
                     assert ring.pow(a, e) == binary_ladder_pow(ring, a, e), (n, a, e)
-
-    @pytest.mark.parametrize("p", FACTOR_PRIMES)
-    def test_products_modulo_a_quadratic_match_the_schoolbook_remainder(self, p):
-        # degree-2 moduli multiply without Kronecker packing
-        rng = random.Random(p)
-        tops = [0, 1, p - 1]
-        for _ in range(20):
-            ring = linalg._Quotient([1, rng.randrange(p), rng.randrange(p)], p)
-            elements = [[], [1], [rng.randrange(1, p)], [rng.choice(tops) or 1, rng.choice(tops)],
-                        linalg._strip([rng.randrange(p), rng.randrange(p)])]
-            for a in elements:
-                for b in elements:
-                    want = linalg._divmod(poly_mul(a, b, p), ring.f, p)[1] if a and b else []
-                    assert ring.mul(a, b) == want, (ring.f, a, b)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_never_more_products_than_the_ladder_at_small_p(self, p, monkeypatch):

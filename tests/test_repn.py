@@ -349,9 +349,10 @@ class TestCentralSplit:
 
 
 class TestInheritedElement:
-    """Both children of a split first try the element that split their
-    parent, on the factor that decided there, and draw fresh elements only
-    when it does not decide."""
+    """A child of a split first tries the element that split its parent, on
+    the factor that decided there, and draws fresh elements only when it
+    does not decide: the submodule child always, the quotient child when the
+    submodule is at least a third of it."""
 
     def test_s3s3_factors_fewer_minimal_polynomials(self, spy, monkeypatch):
         # a fresh element for every module factored 22, 24, 24 and 20 minimal
@@ -367,7 +368,6 @@ class TestInheritedElement:
             assert sorted(r.module.dim for r in recs) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
             counts.append(len(calls))
         assert all(0 < count < before for count, before in zip(counts, (22, 24, 24, 20)))
-        assert sum(counts) <= (22 + 24 + 24 + 20) // 2
 
     def test_an_element_without_kernel_on_the_child_gives_way_to_a_fresh_draw(self, spy):
         # F_7[C5]: the generator acts on the quartic factor by a root of the
@@ -403,6 +403,40 @@ class TestInheritedElement:
         # (inherited, drew fresh): children the inherited element decides,
         # and children it cannot decide that certify through a fresh draw
         assert {(True, False), (True, True)} <= set(tries)
+
+
+    def test_a_quotient_inherits_only_from_a_submodule_a_third_its_size(self, qm2_pair, monkeypatch):
+        from hopfib import repn
+
+        alg = qm2_pair.h.alg
+        made = {}  # id of a child's action -> (that action, side, parent's dimension)
+        real = {name: getattr(repn, name) for name in ("restrict_action", "quotient_action", "_try_split")}
+
+        def child(name, side):
+            def wrapper(action, sub, p):
+                out = real[name](action, sub, p)
+                made[id(out)] = (out, side, action.shape[1])
+                return out
+            return wrapper
+
+        tries = []
+
+        def tried(action, field, rng, inherited=None):
+            if id(action) in made:
+                _, side, parent = made[id(action)]
+                tries.append((side, 3 * (parent - action.shape[1]) >= action.shape[1], inherited is not None))
+            return real["_try_split"](action, field, rng, inherited)
+
+        pieces = repn._central_pieces
+        monkeypatch.setattr(repn, "_central_pieces", lambda *args: [p.copy() for p in pieces(*args)])
+        monkeypatch.setattr(repn, "restrict_action", child("restrict_action", "sub"))
+        monkeypatch.setattr(repn, "quotient_action", child("quotient_action", "quo"))
+        monkeypatch.setattr(repn, "_try_split", tried)
+        chop(alg, regular_module(alg), seed=0)
+        monkeypatch.undo()
+        assert all(inherited == (side == "sub" or big_sub) for side, big_sub, inherited in tries)
+        # qm2's split tree has quotients on both sides of the mark
+        assert {("quo", True, True), ("quo", False, False)} <= set(tries)
 
 
 class TestSimples:
