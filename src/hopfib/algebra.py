@@ -36,10 +36,9 @@ uncertified data they take every basis element instead
 (:func:`closing_maps`). ``repn.ModuleRep`` checks the
 homomorphism law on G for the same reason. :func:`quotient_algebra` takes
 the ideal a seed generates, so an ideal is closed once and never re-proved,
-and returns the quotient algebra alone. :func:`is_central_subalgebra` and
-:func:`subalgebra_as_algebra` take a subspace already proved a unital
-subalgebra (``hopf.coideal_subalgebra`` does so at load) and do not check
-it again.
+and returns the quotient algebra alone. :func:`is_central_subalgebra`
+takes a subspace already proved a unital subalgebra
+(``hopf.coideal_subalgebra`` does so at load) and does not check it again.
 """
 
 from __future__ import annotations
@@ -337,19 +336,3 @@ def quotient_algebra(alg: StructureConstantAlgebra, seed: Subspace) -> Structure
     qunit = matmul_mod(proj, alg.unit, p)
     qlabels = tuple(alg.labels[c] for c in nonpivot)
     return StructureConstantAlgebra(alg.field, len(nonpivot), qunit, qmul, qlabels, certified=True)
-
-
-def subalgebra_as_algebra(alg: StructureConstantAlgebra, a: Subspace):
-    """Present a unital multiplicatively closed subspace as its own algebra.
-
-    Returns (algebra, embedding) where embedding rows are the chosen basis
-    of the subspace inside the ambient algebra. The subspace must be a
-    unital subalgebra (see the module docstring); its unit and
-    associativity are inherited from the ambient algebra.
-    """
-    basis, piv = a.basis, list(a.pivots)
-    # coordinates w.r.t. an RREF basis are the pivot entries
-    sub_mul = induced_constants(alg.mul, (basis, basis, np.eye(alg.dim, dtype=np.int64)[piv]), alg.field.p)
-    sub = StructureConstantAlgebra(alg.field, a.dim, alg.unit[piv], sub_mul,
-                                   tuple(f"a{i}" for i in range(a.dim)), certified=True)
-    return sub, basis

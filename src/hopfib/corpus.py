@@ -150,25 +150,20 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     return GroupTable.from_cayley(table)
 
 
-_BUILTIN_GROUPS = {}
-
-
 def builtin_group(name: str) -> GroupTable:
     """Named standard groups: c2, c3, c4, c2c2, q8, s3, s3c2."""
-    if name not in _BUILTIN_GROUPS:
-        builders = {
-            "c2": lambda: cyclic_group(2),
-            "c3": lambda: cyclic_group(3),
-            "c4": lambda: cyclic_group(4),
-            "c2c2": lambda: direct_product(cyclic_group(2), cyclic_group(2)),
-            "q8": quaternion_group,
-            "s3": symmetric_group_3,
-            "s3c2": lambda: direct_product(symmetric_group_3(), cyclic_group(2)),
-        }
-        if name not in builders:
-            raise BadParameters(f"unknown builtin group {name!r}")
-        _BUILTIN_GROUPS[name] = builders[name]()
-    return _BUILTIN_GROUPS[name]
+    builders = {
+        "c2": lambda: cyclic_group(2),
+        "c3": lambda: cyclic_group(3),
+        "c4": lambda: cyclic_group(4),
+        "c2c2": lambda: direct_product(cyclic_group(2), cyclic_group(2)),
+        "q8": quaternion_group,
+        "s3": symmetric_group_3,
+        "s3c2": lambda: direct_product(symmetric_group_3(), cyclic_group(2)),
+    }
+    if name not in builders:
+        raise BadParameters(f"unknown builtin group {name!r}")
+    return builders[name]()
 
 
 def named_central_subgroup(g: GroupTable, spec: str) -> list[int]:

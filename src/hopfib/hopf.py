@@ -34,9 +34,10 @@ sparse data. Those derived objects are built once from the verified
 axioms and not re-proved: products of characters are characters, winding
 maps are algebra maps, and the winding maps of X fix A pointwise and
 preserve every fiber ideal. coideal_subalgebra proves A a unital
-subalgebra once, at load. character_kernel carries ker(xi) into H, both
-for specmap, which reads the fiber over xi off Prim(H), and for
-fiber_quotient, which is only an algebra: the coproduct and antipode that
+subalgebra once, at load. character_group_X takes the characters of H
+from its caller, who reads them off simple modules (one_dim_characters).
+character_kernel carries ker(xi) into H, both for specmap.fibers, which
+orders the fibers by its key, and for fiber_quotient, which is only an algebra: the coproduct and antipode that
 the counit fiber inherits are a test oracle
 (tests/oracles.py::fiber_bialgebra). The tests hold each of these facts on
 the shipped corpus, and two the verifier does not use: chi o S is the
@@ -280,19 +281,19 @@ def build_bialgebra(alg, comul_entries, counit, antipode=None) -> BialgebraData:
 # -- characters and convolution ---------------------------------------------
 
 
-def enumerate_characters(b_or_alg, seed: int = 0) -> list[Character]:
-    """All algebra maps onto F_p, via 1-dim factors of the regular module.
+def one_dim_characters(p: int, actions) -> list[Character]:
+    """The characters among simple modules given by their action stacks: a
+    1-dim module is an algebra map onto F_p (not checked again). Sorted
+    lexicographically by value vector."""
+    return sorted((Character.from_vector(p, act[:, 0, 0]) for act in actions if act.shape[1] == 1),
+                  key=lambda c: c.values)
 
-    Complete because every simple module occurs in the regular module, and
-    each one is a character because a 1-dim module is an algebra map onto
-    F_p (not checked again); output sorted lexicographically by value vector.
-    """
+
+def enumerate_characters(b_or_alg, seed: int = 0) -> list[Character]:
+    """All algebra maps onto F_p, via 1-dim factors of the regular module:
+    complete because every simple module occurs in the regular module."""
     alg = b_or_alg.alg if isinstance(b_or_alg, BialgebraData) else b_or_alg
-    p = alg.field.p
-    chars = [Character.from_vector(p, rec.module.action[:, 0, 0])
-             for rec in _simples(alg, seed=seed) if rec.module.dim == 1]
-    chars.sort(key=lambda c: c.values)
-    return chars
+    return one_dim_characters(alg.field.p, [rec.module.action for rec in _simples(alg, seed=seed)])
 
 
 def counit_character(b: BialgebraData) -> Character:
@@ -393,8 +394,9 @@ def restricts_to_counit(b: BialgebraData, chi: Character, a: Subspace) -> bool:
     )
 
 
-def character_group_X(b: BialgebraData, a: CoidealSubalgebra, seed: int = 0) -> XGroup:
-    """Characters agreeing with the counit on A, with their group structure.
+def character_group_X(b: BialgebraData, a: CoidealSubalgebra, chars: list[Character]) -> XGroup:
+    """The members of chars, all the characters of H, that agree with the
+    counit on A, with their group structure.
 
     Serves bialgebras and Hopf algebras alike: products are read from the
     convolution table, and every member must have an inverse there. With an
@@ -403,7 +405,7 @@ def character_group_X(b: BialgebraData, a: CoidealSubalgebra, seed: int = 0) -> 
     X exactly when its right winding map fixes A pointwise; that theorem is
     not checked again here.
     """
-    members = [c for c in enumerate_characters(b, seed=seed) if restricts_to_counit(b, c, a.subspace)]
+    members = [c for c in chars if restricts_to_counit(b, c, a.subspace)]
     index = {c.values: i for i, c in enumerate(members)}
     k = len(members)
     table = np.zeros((k, k), dtype=np.int64)

@@ -39,6 +39,7 @@ checked helpers in tests/oracles.py).
 
 All randomness is confined to one seeded generator per chop call, and all
 public outputs are canonically ordered, so results are reproducible.
+Nothing is cached: a run chops each algebra once and passes the result on.
 """
 
 from __future__ import annotations
@@ -320,21 +321,9 @@ def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0) -> lis
     return _merge_leaves(alg, leaves)
 
 
-_SIMPLES_CACHE: dict[tuple, list] = {}
-
-
 def simples(alg: StructureConstantAlgebra, seed: int = 0) -> list[SimpleRecord]:
-    """All simple modules of the algebra, via the regular module.
-
-    Results are cached per (algebra, seed): algebras are immutable and the
-    output is canonical, so recomputation would be pure waste.
-    """
-    import hashlib
-
-    key = (hashlib.sha256(alg.digest()).hexdigest(), seed)
-    if key not in _SIMPLES_CACHE:
-        _SIMPLES_CACHE[key] = chop(alg, regular_module(alg), seed=seed)
-    return _SIMPLES_CACHE[key]
+    """All simple modules of the algebra: the chop of its regular module."""
+    return chop(alg, regular_module(alg), seed=seed)
 
 
 def annihilator(alg: StructureConstantAlgebra, module: ModuleRep) -> Subspace:

@@ -15,22 +15,23 @@ The four conditions of the equivalence being verified:
            ideals are exactly the X-orbits;
   cond_iv  the same on prime ideals (equal to cond_iii here).
 
-Every fiber is read from the one list of primitive ideals of H: the fiber
-over a character xi of A is the set of P containing ker(xi), the P with
-P intersect A = ker(xi) (fiber_over). It is Prim(H/H*ker(xi)), with the
-same simple dimensions, so no fiber algebra is chopped. With A central
-and H split, A acts on the simple module of P through a character xi_P
-(Schur), so the fiber partition groups the P by xi_P (fibers), and no P
-is intersected with A. The orbits match each winding image through the
-codim P dimensional annihilator of P in the dual of H (orbits), not
-through P itself.
+verify_theorem and remark_uniform_fibers read one spectrum of H, the list
+prims = prim_enumerate(h.alg, seed) that the caller takes once. With A
+central and H split, A acts on the simple module of P through a
+character xi_P (Schur), and the fiber over a character xi of A is the set
+of P with xi_P = xi (fibers): Prim(H/H*ker(xi)), so no fiber algebra is
+chopped. Every character of A is some xi_P, as H is a faithful finite
+A-module (Nakayama), and the characters of H that make up X are the
+1-dimensional members of prims; so nothing but H is chopped. The orbits
+match each winding image through the codim P dimensional annihilator of
+P in the dual of H (orbits), not through P itself.
 
 The conditions are about simple modules over a splitting field, so a
 verdict needs F_p to split H. A simple module S with annihilator P has
 H/P = M_d(F_{p^e}) (Wedderburn), dim S = d e and codim P = d^2 e, so
-e = (dim S)^2 / codim P; verify_theorem raises NotSplit unless e = 1 for
-every P. A quotient of H needs no check of its own: its simple modules
-are simple modules of H, with the same endomorphisms.
+e = (dim S)^2 / codim P; both raise NotSplit unless e = 1 for every P.
+A quotient of H needs no check of its own: its simple modules are simple
+modules of H, with the same endomorphisms.
 
 The equivalence is about centralizing extensions, so both verify_theorem
 and remark_uniform_fibers first check, once, that A is central
@@ -51,11 +52,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import StructureConstantAlgebra, is_central_subalgebra, subalgebra_as_algebra
+from .algebra import StructureConstantAlgebra, is_central_subalgebra
 from .corpus import CorpusInstance
 from .errors import (
     HopfibError,
-    ImproperIdeal,
     NotAHopfSubalgebra,
     NotAPermutation,
     NotCentral,
@@ -67,8 +67,8 @@ from .hopf import (
     CoidealSubalgebra,
     character_group_X,
     character_kernel,
-    enumerate_characters,
     fiber_quotient,
+    one_dim_characters,
     winding,
 )
 from .linalg import Subspace, matmul_mod
@@ -110,12 +110,13 @@ class Partition:
         return sorted(len(b) for b in self.blocks)
 
 
-def fibers(prims: list[PrimItem], a: CoidealSubalgebra) -> Partition:
+def fibers(prims: list[PrimItem], a: CoidealSubalgebra) -> dict[Character, list[int]]:
     """Group primitive ideals by the character xi_P of A on their simple
-    module, in the order of the canonical keys of the kernels ker(xi_P).
+    module: the indices of the fiber over each xi_P, in the order of the
+    canonical keys of the kernels ker(xi_P).
 
-    A is central and F_p splits H (verify_theorem checks both first), so
-    each a in A acts on the simple module of P by a scalar xi_P(a) (Schur),
+    A is central and F_p splits H (the callers check both first), so each
+    a in A acts on the simple module of P by a scalar xi_P(a) (Schur),
     read off one entry of its matrix, and P intersect A = ker(xi_P).
     """
     p = a.subspace.field.p
@@ -123,7 +124,7 @@ def fibers(prims: list[PrimItem], a: CoidealSubalgebra) -> Partition:
     for idx, prim in enumerate(prims):
         xi = Character.from_vector(p, matmul_mod(a.subspace.basis, prim.action[:, 0, 0], p))
         groups.setdefault(xi, []).append(idx)
-    return Partition([groups[xi] for xi in sorted(groups, key=lambda xi: character_kernel(a, xi).key())])
+    return {xi: groups[xi] for xi in sorted(groups, key=lambda xi: character_kernel(a, xi).key())}
 
 
 def orbits(prims: list[PrimItem], maps: list[np.ndarray]) -> Partition:
@@ -219,15 +220,9 @@ def _require_central(h: BialgebraData, a: CoidealSubalgebra) -> None:
         raise NotCentral("the subalgebra must be central")
 
 
-def fiber_over(prims: list[PrimItem], a: CoidealSubalgebra, xi: Character) -> list[int]:
-    """Indices of the P in prims over the character xi of A: those that hold
-    ker(xi) (hopf.character_kernel), that is, meet A in ker(xi)."""
-    kernel = character_kernel(a, xi).basis
-    return [i for i, prim in enumerate(prims) if prim.annihilator.contains_rows(kernel)]
-
-
-def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0) -> Verdict:
-    """Check the equivalence conditions on a concrete instance.
+def verify_theorem(instance: CorpusInstance, prims: list[PrimItem], mode: str = "global") -> Verdict:
+    """Check the equivalence conditions on a concrete instance whose
+    spectrum is prims.
 
     Global mode additionally compares the full fiber partition with the
     full orbit partition on all primitive ideals. Bialgebras without an
@@ -239,18 +234,18 @@ def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0
     a = instance.a
     p = h.field.p
     _require_central(h, a)
-    prims = prim_enumerate(h.alg, seed=seed)
     _require_split(h.alg, prims)
-    x = character_group_X(h, a, seed=seed)
+    x = character_group_X(h, a, one_dim_characters(p, [prim.action for prim in prims]))
+    fib = fibers(prims, a)
     gens = x.generators()
     if h.antipode is None:
         maps = [winding(h, x.chars[i], side) for side in ("right", "left") for i in gens]
-        cond_iii, witnesses = _fibers_against_orbits(prims, a, orbits(prims, maps))
+        cond_iii, witnesses = _fibers_against_orbits(prims, fib, orbits(prims, maps))
         witnesses.update({"x_order": x.order, "action": "two-sided"})
         return Verdict("experiment", False, x.order, None, None, cond_iii, None, True, witnesses)
     maps = [winding(h, x.chars[i]) for i in gens]
     eps_a = Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p))
-    fiber = fiber_over(prims, a, eps_a)
+    fiber = fib[eps_a]
     dims = [prims[i].simple_dim for i in fiber]
     cond_i = all(d == 1 for d in dims)
     # the fiber is X-stable, so its X-orbits are the orbit blocks within it
@@ -270,15 +265,15 @@ def verify_theorem(instance: CorpusInstance, mode: str = "global", seed: int = 0
     }
     cond_iii = cond_iv = None
     if mode == "global":
-        cond_iii, partitions = _fibers_against_orbits(prims, a, orb)
+        cond_iii, partitions = _fibers_against_orbits(prims, fib, orb)
         cond_iv = cond_iii  # prime = primitive in finite dimension
         witnesses.update(partitions)
     agree = len({c for c in (cond_i, cond_ii, cond_iii, cond_iv) if c is not None}) <= 1
     return Verdict(mode, True, x.order, cond_i, cond_ii, cond_iii, cond_iv, agree, witnesses)
 
 
-def _fibers_against_orbits(prims: list[PrimItem], a: CoidealSubalgebra, orb: Partition):
-    """Do the contraction fibers on Prim(H) equal the orbit partition orb?
+def _fibers_against_orbits(prims: list[PrimItem], fib: dict[Character, list[int]], orb: Partition):
+    """Do the fibers on Prim(H) (fibers) equal the orbit partition orb?
 
     Returns that verdict and the partition witnesses; when it is False they
     include the first fiber block that is not a single orbit. Every fiber
@@ -286,17 +281,17 @@ def _fibers_against_orbits(prims: list[PrimItem], a: CoidealSubalgebra, orb: Par
     only (HopfibError otherwise), so a fiber block is an orbit exactly when
     it meets only one.
     """
-    fib = fibers(prims, a)
-    meets = [[ob for ob in orb.blocks if set(ob) & set(fblock)] for fblock in fib.blocks]
+    blocks = list(fib.values())
+    meets = [[ob for ob in orb.blocks if set(ob) & set(fblock)] for fblock in blocks]
     if sum(map(len, meets)) != len(orb.blocks):
         raise HopfibError("a fiber failed to be a union of winding orbits")
     witnesses = {
         "prim_count": len(prims),
         "prim_simple_dims": [it.simple_dim for it in prims],
-        "fiber_sizes": fib.sizes(),
+        "fiber_sizes": Partition(blocks).sizes(),
         "orbit_sizes": orb.sizes(),
     }
-    for fblock, parts in zip(fib.blocks, meets):
+    for fblock, parts in zip(blocks, meets):
         if len(parts) != 1:
             witnesses["mismatch_fiber_vs_orbits"] = {"fiber_block": fblock, "orbit_blocks": parts}
             return False, witnesses
@@ -310,9 +305,9 @@ def _fibers_against_orbits(prims: list[PrimItem], a: CoidealSubalgebra, orb: Par
 class FiberReportEntry:
     xi_values: tuple[int, ...]
     extends_to_h: bool
-    ideal_proper: bool
-    quotient_dim: int | None
-    all_one_dim: bool | None
+    ideal_proper: bool  # always True: each xi is some xi_P
+    quotient_dim: int
+    all_one_dim: bool
 
 
 @dataclass
@@ -321,18 +316,19 @@ class FiberUniformityReport:
     consistent: bool
 
 
-def remark_uniform_fibers(instance: CorpusInstance, seed: int = 0) -> FiberUniformityReport:
-    """For every character xi of a central Hopf subalgebra A, the fiber over xi.
+def remark_uniform_fibers(instance: CorpusInstance, prims: list[PrimItem]) -> FiberUniformityReport:
+    """For every character xi of a central Hopf subalgebra A, the fiber over
+    xi, read off the spectrum prims of H.
 
     Characters of A that are restrictions of characters of H must all give
     the same one-dimensionality verdict (winding by a lift carries one
     fiber ideal onto another); characters that do not extend are reported
-    without entering the consistency claim. The fiber is read from Prim(H)
-    (fiber_over); fiber_quotient gives the dimension of H/H*ker(xi), or
-    ImproperIdeal when that ideal is all of H and the fiber is empty. A
-    character of H kills H*ker(xi) iff it restricts to xi, ker(xi) having
-    codimension 1 in A; so xi extends iff the fiber has a 1-dimensional
-    simple module.
+    without entering the consistency claim. The characters of A are the
+    xi_P (fibers), sorted by value vector; H*ker(xi) lies in every P over
+    xi, so it is proper, and fiber_quotient gives the dimension of
+    H/H*ker(xi). A character of H kills H*ker(xi) iff it restricts to xi,
+    ker(xi) having codimension 1 in A; so xi extends iff the fiber has a
+    1-dimensional simple module. NotSplit unless F_p splits H.
     """
     h = instance.h
     a = instance.a
@@ -347,18 +343,13 @@ def remark_uniform_fibers(instance: CorpusInstance, seed: int = 0) -> FiberUnifo
     if not a.subspace.contains_rows(matmul_mod(a.subspace.basis, h.antipode.T, p)):
         raise NotAHopfSubalgebra("antipode does not preserve A")
     _require_central(h, a)
+    _require_split(h.alg, prims)
 
-    prims = prim_enumerate(h.alg, seed=seed)
-    asub, _embedding = subalgebra_as_algebra(h.alg, a.subspace)
+    fib = fibers(prims, a)
     entries = []
-    for xi in enumerate_characters(asub, seed=seed):
-        try:
-            quotient_dim = fiber_quotient(h, a, xi).dim
-        except ImproperIdeal:
-            entries.append(FiberReportEntry(xi.values, False, False, None, None))
-            continue
-        dims = [prims[i].simple_dim for i in fiber_over(prims, a, xi)]
-        entries.append(FiberReportEntry(xi.values, 1 in dims, True, quotient_dim,
+    for xi in sorted(fib, key=lambda c: c.values):
+        dims = [prims[i].simple_dim for i in fib[xi]]
+        entries.append(FiberReportEntry(xi.values, 1 in dims, True, fiber_quotient(h, a, xi).dim,
                                         all(d == 1 for d in dims)))
-    verdicts = {e.all_one_dim for e in entries if e.extends_to_h and e.ideal_proper}
+    verdicts = {e.all_one_dim for e in entries if e.extends_to_h}
     return FiberUniformityReport(entries, len(verdicts) <= 1)

@@ -13,7 +13,6 @@ from hopfib.algebra import (
     ideal_closure,
     induced_constants,
     quotient_algebra,
-    subalgebra_as_algebra,
 )
 from hopfib.corpus import GroupTable
 from hopfib.errors import (
@@ -219,6 +218,22 @@ def parse_presentation(text: str) -> Presentation:
         FieldSpec(p), gens,
         [(tuple(index[t] for t in lhs.split(".")), parse_poly(gens, rhs, p)) for lhs, rhs in rules],
         int(fields["bound"][0]), weights)
+
+
+def subalgebra_as_algebra(alg: StructureConstantAlgebra, a: Subspace):
+    """Present a unital multiplicatively closed subspace as its own algebra.
+
+    Returns (algebra, embedding) where embedding rows are the chosen basis
+    of the subspace inside the ambient algebra. The subspace must be a
+    unital subalgebra (hopf.coideal_subalgebra proves that at load); its
+    unit and associativity are inherited from the ambient algebra.
+    """
+    basis, piv = a.basis, list(a.pivots)
+    # coordinates w.r.t. an RREF basis are the pivot entries
+    sub_mul = induced_constants(alg.mul, (basis, basis, np.eye(alg.dim, dtype=np.int64)[piv]), alg.field.p)
+    sub = StructureConstantAlgebra(alg.field, a.dim, alg.unit[piv], sub_mul,
+                                   tuple(f"a{i}" for i in range(a.dim)), certified=True)
+    return sub, basis
 
 
 def subalgebra_closure(alg: StructureConstantAlgebra, seed: Subspace) -> Subspace:
@@ -484,7 +499,7 @@ def chopped_counit_fiber(inst, seed: int = 0) -> dict:
     algebra, under the right windings of every member of X."""
     h, a = inst.h, inst.a
     p = h.field.p
-    maps = [winding(h, c) for c in character_group_X(h, a, seed=seed).chars]
+    maps = [winding(h, c) for c in character_group_X(h, a, enumerate_characters(h, seed=seed)).chars]
     eps_a = Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p))
     fiber = chopped_fiber(h, a, eps_a, maps, seed)
     return {"cond_i": all(d == 1 for d in fiber.simple_dims),

@@ -22,12 +22,14 @@ from hopfib.hopf import (
     character_group_X,
     convolve,
     enumerate_characters,
+    one_dim_characters,
     verify_structure,
     winding,
 )
 from hopfib.linalg import FieldSpec, SparseTensor, rref
 from hopfib.repn import ModuleRep, simples
 from hopfib.specmap import (
+    Partition,
     fibers,
     orbits,
     prim_enumerate,
@@ -408,7 +410,7 @@ def test_criterion_2_winding_group_law(corpus):
                     composed = (mats[c1.values] @ mats[c2.values]) % p
                     conv = convolve(h, c2, c1)
                     assert np.array_equal(composed, mats[conv.values])
-            x = character_group_X(h, inst.a)
+            x = character_group_X(h, inst.a, chars)
             members = {c.values for c in x.chars}
             basis_t = inst.a.subspace.basis.T
             for ch in chars:
@@ -446,7 +448,7 @@ def test_criterion_3_adjoint_identity(corpus):
 
 def test_criterion_4_positive_group_case(corpus):
     with criterion(4, 10.0):
-        v = verify_theorem(corpus["q8"], mode="global", seed=7)
+        v = verify_theorem(corpus["q8"], prim_enumerate(corpus["q8"].h.alg, seed=7))
         assert (v.cond_i, v.cond_ii, v.cond_iii, v.cond_iv) == (True, True, True, True)
         assert v.agree
         assert v.x_order == 4
@@ -456,25 +458,25 @@ def test_criterion_4_positive_group_case(corpus):
 
 def test_criterion_5_negative_group_case(corpus):
     with criterion(5, 10.0):
-        v = verify_theorem(corpus["s3c2"], mode="global", seed=7)
+        inst = corpus["s3c2"]
+        prims = prim_enumerate(inst.h.alg, seed=7)
+        v = verify_theorem(inst, prims)
         assert (v.cond_i, v.cond_ii, v.cond_iii, v.cond_iv) == (False, False, False, False)
         assert v.agree
         assert v.witnesses["failing_simple_dims"] == [2]
         # the counit fiber (3 primitives) splits into orbits of sizes 2 and 1
         assert v.witnesses["counit_fiber_orbit_sizes"] == [1, 2]
-        prims = prim_enumerate(corpus["s3c2"].h.alg, seed=7)
-        fib = fibers(prims, corpus["s3c2"].a)
-        assert fib.sizes() == [3, 3]
+        assert sorted(map(len, fibers(prims, inst.a).values())) == [3, 3]
 
 
 def test_criterion_6_quantum_positive_case(corpus):
     with criterion(6, 30.0):
         inst = corpus["qsl2"]
         assert inst.dim == 27
-        recs = simples(inst.h.alg, seed=7)
-        assert len(recs) == 3
-        assert all(r.module.dim == 1 for r in recs)
-        v = verify_theorem(inst, mode="local", seed=7)
+        prims = prim_enumerate(inst.h.alg, seed=7)
+        assert len(prims) == 3
+        assert all(it.simple_dim == 1 for it in prims)
+        v = verify_theorem(inst, prims, mode="local")
         assert v.cond_i is True and v.cond_ii is True and v.agree
         assert v.x_order == 3
         assert v.witnesses["counit_fiber_orbit_sizes"] == [3]
@@ -483,9 +485,9 @@ def test_criterion_6_quantum_positive_case(corpus):
 def test_criterion_7_quantum_negative_case(corpus):
     with criterion(7, 30.0):
         inst = corpus["usl2"]
-        recs = simples(inst.h.alg, seed=7)
-        assert any(r.module.dim == 3 for r in recs)
-        v = verify_theorem(inst, mode="global", seed=7)
+        prims = prim_enumerate(inst.h.alg, seed=7)
+        assert any(it.simple_dim == 3 for it in prims)
+        v = verify_theorem(inst, prims)
         assert v.x_order == 1
         assert v.cond_i is False and v.cond_ii is False and v.agree
         assert v.witnesses["fiber_sizes"] == [3]
@@ -502,19 +504,19 @@ def test_criterion_8_fibers_are_unions_of_orbits(corpus):
             inst = corpus[name]
             h = inst.h
             p = h.field.p
-            x = character_group_X(h, inst.a)
+            prims = prim_enumerate(h.alg, seed=0)
+            x = character_group_X(h, inst.a, one_dim_characters(p, [it.action for it in prims]))
             gens = x.generators()
             sides = ("right",) if h.antipode is not None else ("right", "left")
             every = [[winding(h, c, side) for c in x.chars] for side in sides]
-            prims = prim_enumerate(h.alg, seed=0)
             orb = orbits(prims, [mat for mats in every for mat in mats])
             assert orb == orbits(prims, [mats[i] for mats in every for i in gens])
-            assert refinement_holds(fibers(prims, inst.a), orb)
+            assert refinement_holds(Partition(list(fibers(prims, inst.a).values())), orb)
             eps_a = Character.from_vector(p, (inst.a.subspace.basis @ h.counit) % p)
             every_fiber = chopped_fiber(h, inst.a, eps_a, every[0])
             assert every_fiber.orbits == chopped_fiber(h, inst.a, eps_a, [every[0][i] for i in gens]).orbits
             # consistency gate: all applicable conditions agree on every instance
-            v = verify_theorem(inst, mode="global", seed=0)
+            v = verify_theorem(inst, prims)
             assert v.agree
 
 
@@ -555,7 +557,7 @@ def test_criterion_10_quantum_matrices_experiment(corpus):
         assert inst.h.antipode is None
         chars = enumerate_characters(inst.h)
         assert len(chars) == 9
-        v = verify_theorem(inst, mode="local", seed=7)
+        v = verify_theorem(inst, prim_enumerate(inst.h.alg, seed=7), mode="local")
         assert v.mode == "experiment"  # excluded from the equivalence gate
         assert v.x_order == 9
         assert v.cond_iii is True

@@ -11,7 +11,6 @@ from hopfib.algebra import (
     is_central_subalgebra,
     is_subalgebra,
     quotient_algebra,
-    subalgebra_as_algebra,
 )
 from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra
 from hopfib.errors import ImproperIdeal, NotAssociative, UnitAxiomFails
@@ -33,6 +32,7 @@ from oracles import (
     mapped_fiber,
     quotient_ideal,
     quotient_maps,
+    subalgebra_as_algebra,
     subalgebra_closure,
     whole_basis_ideal_closure,
 )

@@ -389,15 +389,18 @@ class TestVerifyCommand:
         assert len(uf["entries"]) == 2
 
     def test_uniform_fibers_reuses_the_characters_of_verify(self, q8_file, capsys, spy):
-        # H's characters and X are built once for both reports: one
-        # enumeration on H and one on A
+        # both reports read the one spectrum of H: one chop (of H = F_7[Q8]),
+        # no character enumeration, and no chop of A = F_7[Z(Q8)]
+        import hopfib.cli
         import hopfib.hopf
-        import hopfib.specmap
+        import hopfib.repn
 
-        calls = spy("enumerate_characters", hopfib.hopf, hopfib.specmap)
+        enumerations = spy("enumerate_characters", hopfib.hopf, hopfib.cli)
+        chops = spy("chop", hopfib.repn)
         code, report = run(capsys, "verify", "--input", str(q8_file), "--uniform-fibers")
         assert code == 0 and len(report["results"]["uniform_fibers"]["entries"]) == 2
-        assert sorted(args[0].dim for args in calls) == [2, 8]  # A = F_7[Z(Q8)] and H = F_7[Q8]
+        assert enumerations == []
+        assert [args[0].dim for args in chops] == [8]
 
     def test_uniform_fibers_proves_a_subalgebra_once(self, q8_file, capsys, spy):
         # coideal_subalgebra proves A a unital subalgebra at load; the

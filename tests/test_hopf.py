@@ -4,12 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hopfib.algebra import (
-    _check_associative,
-    _check_unit,
-    build_algebra,
-    subalgebra_as_algebra,
-)
+from hopfib.algebra import _check_associative, _check_unit, build_algebra
 from hopfib.corpus import SHIPPED_NAMES, builtin_group, group_algebra
 from hopfib.errors import HopfibError, ImproperIdeal
 from hopfib.fileio import instance_from_dict
@@ -47,6 +42,7 @@ from oracles import (
     quotient_group,
     quotient_ideal,
     right_regular,
+    subalgebra_as_algebra,
 )
 
 F7 = FieldSpec(7)
@@ -180,10 +176,11 @@ class TestConvolution:
             def chi_s(ch):
                 return Character.from_vector(p, matmul_mod(ch.vector(), h.antipode, p))
 
-            for ch in enumerate_characters(h):
+            chars = enumerate_characters(h)
+            for ch in chars:
                 inv = chi_s(ch)
                 assert convolve(h, ch, inv) == eps == convolve(h, inv, ch)
-            x = character_group_X(h, inst.a)
+            x = character_group_X(h, inst.a, chars)
             for i, ch in enumerate(x.chars):
                 assert x.chars[inverses(x)[i]] == chi_s(ch)
 
@@ -270,12 +267,12 @@ class TestCharacterGroupX:
     def test_whole_algebra_gives_trivial_x(self, q8_pair):
         h = q8_pair.h
         a = coideal_subalgebra(h, Subspace.full(F7, h.dim))
-        x = character_group_X(h, a)
+        x = character_group_X(h, a, enumerate_characters(h))
         assert x.order == 1
         assert x.chars[0] == counit_character(h)
 
     def test_q8_x_is_klein_four(self, q8_pair):
-        x = character_group_X(q8_pair.h, q8_pair.a)
+        x = character_group_X(q8_pair.h, q8_pair.a, enumerate_characters(q8_pair.h))
         assert x.order == 4
         # every element squares to the identity
         for i in range(4):
@@ -283,7 +280,7 @@ class TestCharacterGroupX:
             assert inverses(x)[i] == i
 
     def test_qsl2_x_is_cyclic_of_order_three(self, qsl2_pair):
-        x = character_group_X(qsl2_pair.h, qsl2_pair.a)
+        x = character_group_X(qsl2_pair.h, qsl2_pair.a, enumerate_characters(qsl2_pair.h))
         assert x.order == 3
         non_identity = [i for i in range(3) if i != x.identity_index]
         g = non_identity[0]
@@ -298,10 +295,11 @@ class TestCharacterGroupX:
             inst = instances(name)
             h = inst.h
             p = h.field.p
-            x = character_group_X(h, inst.a)
+            chars = enumerate_characters(h)
+            x = character_group_X(h, inst.a, chars)
             members = {c.values for c in x.chars}
             basis_t = inst.a.subspace.basis.T
-            for ch in enumerate_characters(h):
+            for ch in chars:
                 fixes = np.array_equal(matmul_mod(winding(h, ch), basis_t, p), basis_t)
                 assert fixes == (ch.values in members)
             for i, j in enumerate(inverses(x)):
@@ -315,7 +313,7 @@ class TestCharacterGroupX:
         b = build_bialgebra(alg, [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1])
         a = coideal_subalgebra(b, Subspace(F7, 2, [alg.unit]))
         with pytest.raises(HopfibError, match="no convolution inverse"):
-            character_group_X(b, a)
+            character_group_X(b, a, enumerate_characters(b))
 
 
 
@@ -510,7 +508,7 @@ class TestFiberQuotient:
             inst = instances(name)
             h, a = inst.h, inst.a
             p = h.field.p
-            windings = [winding(h, c) for c in character_group_X(h, a).chars]
+            windings = [winding(h, c) for c in character_group_X(h, a, enumerate_characters(h)).chars]
             asub, embedding = subalgebra_as_algebra(h.alg, a.subspace)
             proper = 0
             for xi in enumerate_characters(asub):
@@ -541,7 +539,8 @@ class TestFiberQuotient:
                 tuple(int(v) for v in matmul_mod(c.vector(), fq.projection, p))
                 for c in enumerate_characters(fiber_bialgebra(inst.h, inst.a, fq))
             )
-            assert lifted == [c.values for c in character_group_X(inst.h, inst.a).chars]
+            chars = enumerate_characters(inst.h)
+            assert lifted == [c.values for c in character_group_X(inst.h, inst.a, chars).chars]
 
     def test_windings_descend(self, q8_pair):
         h = q8_pair.h
@@ -549,7 +548,7 @@ class TestFiberQuotient:
         eps_a = Character.from_vector(7, (a.subspace.basis @ h.counit) % 7)
         fq = mapped_fiber(h, a, eps_a)
         qb = fiber_bialgebra(h, a, fq)
-        x = character_group_X(h, a)
+        x = character_group_X(h, a, enumerate_characters(h))
         assert x.order == 4
         for chi, mat in zip(x.chars, [winding(h, c) for c in x.chars], strict=True):
             # the map the chopped-fiber oracle descends agrees with the quotient's own winding map

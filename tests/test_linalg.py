@@ -921,3 +921,77 @@ class TestEveryDefinitionIsReached:
         roots += [ast.parse(path.read_text()) for path in sorted((SRC.parents[1] / "scripts").glob("*.py"))]
         assert len(roots) >= 3 and "specmap" in modules
         assert dead_definitions(modules, roots) == []
+
+
+MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault"}
+
+
+def module_state_writes(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each store, inside a function, into a container the
+    module binds at top level: a subscript assignment, or a call of one of
+    MUTATORS on it. A name the function binds itself (a parameter or an
+    assignment target) is its own and not flagged."""
+    top = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+           for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+           if isinstance(t, ast.Name)}
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = func.args
+        own = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+        own |= {n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        shared = top - own
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.update((node.lineno, t.value.id) for t in targets
+                             if isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name)
+                             and t.value.id in shared)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in shared):
+                found.add((node.lineno, node.func.value.id))
+    return sorted(found)
+
+
+class TestNoModuleLevelMemo:
+    """No function in the package keeps state in a module-level container: a
+    memo shared by every caller in the process hides repeated work and lets
+    one caller's results reach the next. Each run computes what it needs
+    once and passes it on."""
+
+    def test_lint_flags_both_memo_patterns(self):
+        # the chop cache and the builtin-group cache this package once kept,
+        # a list grown through a method, and the local and shadowing stores
+        # that are not module state
+        module = ast.parse(
+            "_SIMPLES_CACHE: dict[tuple, list] = {}\n\n"
+            "def simples(alg, seed=0):\n"
+            "    key = (alg.digest(), seed)\n"
+            "    if key not in _SIMPLES_CACHE:\n"
+            "        _SIMPLES_CACHE[key] = chop(alg, seed)\n"
+            "    return _SIMPLES_CACHE[key]\n\n"
+            "_BUILTIN_GROUPS = {}\n\n"
+            "def builtin_group(name):\n"
+            "    if name not in _BUILTIN_GROUPS:\n"
+            "        _BUILTIN_GROUPS[name] = build(name)\n"
+            "    return _BUILTIN_GROUPS[name]\n\n"
+            "SEEN = []\n\n"
+            "def note(x, table):\n"
+            "    SEEN.append(x)\n"
+            "    groups = {}\n"
+            "    groups.setdefault(x, []).append(x)\n"
+            "    table[x] = 1\n\n"
+            "def shadow(x):\n"
+            "    SEEN = []\n"
+            "    SEEN.append(x)\n"
+            "    return SEEN\n"
+        )
+        assert module_state_writes(module) == [
+            (6, "_SIMPLES_CACHE"), (13, "_BUILTIN_GROUPS"), (19, "SEEN")]
+
+    def test_no_function_in_the_package_stores_into_module_state(self):
+        found = {path.name: writes for path in sorted(SRC.glob("*.py"))
+                 if (writes := module_state_writes(ast.parse(path.read_text())))}
+        assert found == {}

@@ -296,12 +296,9 @@ class TestCentralSplit:
         return algs
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_records_match_the_whole_module_chop(self, cases, seed, monkeypatch):
-        from hopfib import repn
-
+    def test_records_match_the_whole_module_chop(self, cases, seed):
         assert len(cases) == 10
         for name, alg in cases.items():
-            monkeypatch.setattr(repn, "_SIMPLES_CACHE", {})
             want = records(whole_module_chop(alg, regular_module(alg), seed=seed))
             assert records(simples(alg, seed=seed)) == want, name
 
@@ -320,7 +317,6 @@ class TestCentralSplit:
             tried.append((len(pieces), action.shape[1]))
             return real_try(action, *args)
 
-        monkeypatch.setattr(repn, "_SIMPLES_CACHE", {})
         monkeypatch.setattr(repn, "_central_pieces", counted_pieces)
         monkeypatch.setattr(repn, "_try_split", counted_try)
         return simples(alg, seed=0), pieces, tried
@@ -492,14 +488,12 @@ class TestBudget:
             per_call.append(0)
             return real_try(*args)
 
-        monkeypatch.setattr(repn, "_SIMPLES_CACHE", {})
         monkeypatch.setattr(repn, "tensordot_mod", counted_dot)
         monkeypatch.setattr(repn, "_try_split", counted_try)
         expected = simples(alg, seed=0)
         largest, total = max(per_call), sum(per_call)
         assert largest < total
 
-        monkeypatch.setattr(repn, "_SIMPLES_CACHE", {})
         monkeypatch.setattr(repn, "MAX_ATTEMPTS", largest)
         again = simples(alg, seed=0)
         assert [(r.module.dim, r.multiplicity, r.annihilator.key()) for r in again] == \
@@ -519,7 +513,7 @@ class TestBudget:
         # F_p[S3 x S3] at p = 2**31 - 1: when every minimal polynomial was
         # factored completely, simples(seed=0) made 11,460 products in the
         # quotient rings F_p[x]/(f) of the factoriser
-        from hopfib import linalg, repn
+        from hopfib import linalg
 
         s3 = builtin_group("s3")
         g = direct_product(s3, s3)
@@ -532,7 +526,6 @@ class TestBudget:
             return real_mul(ring, a, b)
 
         monkeypatch.setattr(linalg._Quotient, "mul", counted_mul)
-        monkeypatch.setattr(repn, "_SIMPLES_CACHE", {})
         recs = simples(alg, seed=0)
         assert sorted(r.module.dim for r in recs) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
         assert 0 < len(calls) <= 11_460 // 2

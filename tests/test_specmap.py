@@ -6,7 +6,7 @@ from hopfib.algebra import build_algebra
 from hopfib.corpus import SHIPPED_NAMES, builtin_group, group_algebra_pair
 from hopfib.errors import HopfibError, NotAHopfSubalgebra, NotAPermutation, NotSplit
 from hopfib.fileio import canonical_json, instance_from_dict
-from hopfib.hopf import character_group_X, counit_character, winding
+from hopfib.hopf import character_group_X, counit_character, one_dim_characters, winding
 from hopfib.linalg import FieldSpec, Subspace
 from hopfib.repn import simples
 from hopfib.specmap import (
@@ -31,6 +31,22 @@ from oracles import (
 F7 = FieldSpec(7)
 
 HOPF_NAMES = ("c3", "c4c2", "q8", "s3c2", "qsl2", "usl2")
+
+
+def verify(inst, mode="global", seed=0):
+    """verify_theorem on the instance's spectrum at the seed."""
+    return verify_theorem(inst, prim_enumerate(inst.h.alg, seed=seed), mode=mode)
+
+
+def fiber_partition(prims, a):
+    """The fibers as a Partition, in the order fibers gives them."""
+    return Partition(list(fibers(prims, a).values()))
+
+
+def x_of(inst, prims):
+    """X, from the characters among the simple modules of prims."""
+    p = inst.h.field.p
+    return character_group_X(inst.h, inst.a, one_dim_characters(p, [it.action for it in prims]))
 
 
 class TestPrimEnumerate:
@@ -100,7 +116,7 @@ class TestContract:
         for name in HOPF_NAMES:
             inst = instances(name)
             prims = prim_enumerate(inst.h.alg, seed=0)
-            x = character_group_X(inst.h, inst.a)
+            x = x_of(inst, prims)
             for mat in [winding(inst.h, c) for c in x.chars]:
                 for it in prims:
                     moved = it.annihilator.image_under(mat)
@@ -110,17 +126,17 @@ class TestContract:
 class TestFibers:
     def test_q8_fiber_sizes(self, q8_pair):
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
-        fib = fibers(prims, q8_pair.a)
+        fib = fiber_partition(prims, q8_pair.a)
         assert fib.sizes() == [1, 4]
 
     def test_s3c2_fiber_sizes(self, s3c2_pair):
         prims = prim_enumerate(s3c2_pair.h.alg, seed=0)
-        fib = fibers(prims, s3c2_pair.a)
+        fib = fiber_partition(prims, s3c2_pair.a)
         assert fib.sizes() == [3, 3]
 
     def test_scalars_give_single_fiber(self, usl2_pair):
         prims = prim_enumerate(usl2_pair.h.alg, seed=0)
-        fib = fibers(prims, usl2_pair.a)
+        fib = fiber_partition(prims, usl2_pair.a)
         assert fib.sizes() == [3]
 
     def test_blocks_match_the_contractions_in_order(self, instances, rebased_big_p):
@@ -133,17 +149,17 @@ class TestFibers:
             groups = {}
             for idx, prim in enumerate(prims):
                 groups.setdefault(contract(prim, inst.a).key(), []).append(idx)
-            assert fibers(prims, inst.a).blocks == [groups[k] for k in sorted(groups)]
+            assert fiber_partition(prims, inst.a).blocks == [groups[k] for k in sorted(groups)]
 
     def test_s3c2_mismatch_witness(self, s3c2_pair):
-        v = verify_theorem(s3c2_pair, mode="global", seed=0)
+        v = verify(s3c2_pair)
         assert v.witnesses["mismatch_fiber_vs_orbits"] == {"fiber_block": [1, 2, 5], "orbit_blocks": [[1, 2], [5]]}
 
     def test_fibers_finite_and_nonempty(self, instances):
         for name in HOPF_NAMES:
             inst = instances(name)
             prims = prim_enumerate(inst.h.alg, seed=0)
-            fib = fibers(prims, inst.a)
+            fib = fiber_partition(prims, inst.a)
             assert all(len(b) >= 1 for b in fib.blocks)
             assert sum(len(b) for b in fib.blocks) == len(prims)
 
@@ -151,7 +167,7 @@ class TestFibers:
 class TestOrbits:
     def test_q8_orbit_sizes(self, q8_pair):
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
-        x = character_group_X(q8_pair.h, q8_pair.a)
+        x = x_of(q8_pair, prims)
         orb = orbits(prims, [winding(q8_pair.h, c) for c in x.chars])
         assert orb.sizes() == [1, 4]
 
@@ -163,8 +179,8 @@ class TestOrbits:
 
     def test_s3c2_counit_fiber_splits(self, s3c2_pair):
         prims = prim_enumerate(s3c2_pair.h.alg, seed=0)
-        x = character_group_X(s3c2_pair.h, s3c2_pair.a)
-        fib = fibers(prims, s3c2_pair.a)
+        x = x_of(s3c2_pair, prims)
+        fib = fiber_partition(prims, s3c2_pair.a)
         orb = orbits(prims, [winding(s3c2_pair.h, c) for c in x.chars])
         assert orb.sizes() == [1, 1, 2, 2]
         # the fiber over the augmentation ideal splits into orbits of 2 and 1
@@ -186,7 +202,7 @@ class TestOrbits:
         h = q8_pair.h
         prims = prim_enumerate(h.alg, seed=0)
         orb = orbits(prims, [winding(h, counit_character(h))])
-        same, witnesses = _fibers_against_orbits(prims, q8_pair.a, orb)
+        same, witnesses = _fibers_against_orbits(prims, fibers(prims, q8_pair.a), orb)
         assert same is False
         assert witnesses["fiber_sizes"] == [1, 4] and witnesses["orbit_sizes"] == [1] * 5
         block = witnesses["mismatch_fiber_vs_orbits"]["fiber_block"]
@@ -198,6 +214,7 @@ class TestOrbits:
         # primitive ideals standing in for the orbits
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
         fib = fibers(prims, q8_pair.a)
+        partition = Partition(list(fib.values()))
 
         def set_partitions(items):
             if not items:
@@ -213,11 +230,11 @@ class TestOrbits:
         for blocks in set_partitions(list(range(len(prims)))):
             orb = Partition(sorted(sorted(b) for b in blocks))
             try:
-                _fibers_against_orbits(prims, q8_pair.a, orb)
+                _fibers_against_orbits(prims, fib, orb)
                 raised.append(False)
             except HopfibError:
                 raised.append(True)
-            assert raised[-1] == (not refinement_holds(fib, orb))
+            assert raised[-1] == (not refinement_holds(partition, orb))
         assert len(raised) == 52 and 0 < sum(raised) < 52
 
     def test_bad_map_raises_not_a_permutation(self, q8_pair):
@@ -229,15 +246,15 @@ class TestOrbits:
         for name in HOPF_NAMES:
             inst = instances(name)
             prims = prim_enumerate(inst.h.alg, seed=0)
-            x = character_group_X(inst.h, inst.a)
-            fib = fibers(prims, inst.a)
+            x = x_of(inst, prims)
+            fib = fiber_partition(prims, inst.a)
             orb = orbits(prims, [winding(inst.h, c) for c in x.chars])
             assert refinement_holds(fib, orb)
 
 
 class TestVerifyTheorem:
     def test_q8_all_conditions_true(self, q8_pair):
-        v = verify_theorem(q8_pair, mode="global", seed=7)
+        v = verify(q8_pair, seed=7)
         assert (v.cond_i, v.cond_ii, v.cond_iii, v.cond_iv) == (True, True, True, True)
         assert v.agree
         assert v.witnesses["fiber_sizes"] == [1, 4]
@@ -249,9 +266,10 @@ class TestVerifyTheorem:
         # uses them on Prim(H), the counit fiber included
         import hopfib.specmap
 
+        prims = prim_enumerate(q8_pair.h.alg, seed=0)
         calls = spy("winding", hopfib.specmap)
-        v = verify_theorem(q8_pair, mode="global")
-        gens = character_group_X(q8_pair.h, q8_pair.a).generators()
+        v = verify_theorem(q8_pair, prims)
+        gens = x_of(q8_pair, prims).generators()
         assert v.x_order == 4 and v.cond_iii is True
         assert len(calls) == len({args[1] for args in calls}) == len(gens) == 2
 
@@ -261,65 +279,70 @@ class TestVerifyTheorem:
         import hopfib.hopf
 
         owners = [m for m in (hopfib.algebra, hopfib.hopf) if hasattr(m, "ideal_closure")]
+        prims = prim_enumerate(q8_pair.h.alg, seed=0)
         calls = spy("ideal_closure", *owners)
-        v = verify_theorem(q8_pair, mode="global")
+        v = verify_theorem(q8_pair, prims)
         assert v.witnesses["fiber_algebra_dim"] == 4
         assert len(calls) == 1
 
     @pytest.mark.parametrize("name, images", [("q8", 10), ("s3c2", 6), ("c4c2", 4)])
     def test_global_verify_chops_h_alone_and_takes_one_orbit_partition(
-        self, name, images, instances, spy, monkeypatch
+        self, name, images, instances, spy
     ):
-        # every fiber is read from Prim(H): one chop, and one image per
-        # primitive ideal of H and generator of X (prim_count x |gens|)
+        # every fiber is read from Prim(H): one chop, the spectrum's, and one
+        # image per primitive ideal of H and generator of X (prim_count x |gens|)
         inst = instances(name)
-        gens = character_group_X(inst.h, inst.a).generators()
-        monkeypatch.setattr(hopfib.repn, "_SIMPLES_CACHE", {})
         chops = spy("chop", hopfib.repn)
         moved = spy("image_under", Subspace)
-        v = verify_theorem(inst, mode="global")
+        prims = prim_enumerate(inst.h.alg, seed=0)
+        v = verify_theorem(inst, prims)
         assert len(chops) == 1
+        gens = x_of(inst, prims).generators()
         assert len(moved) == images == v.witnesses["prim_count"] * len(gens)
 
-    def test_verify_then_remark_chop_h_and_a_once_each(self, q8_pair, spy, monkeypatch):
-        monkeypatch.setattr(hopfib.repn, "_SIMPLES_CACHE", {})
+    def test_verify_then_remark_chop_h_and_a_once_each(self, q8_pair, spy):
+        # given one spectrum, the verdict and the remark chop nothing more:
+        # one chop, of H (dim 8), and none of A
         chops = spy("chop", hopfib.repn)
-        verify_theorem(q8_pair, mode="global")
-        remark_uniform_fibers(q8_pair)
-        assert sorted(args[0].dim for args in chops) == [2, 8]
+        prims = prim_enumerate(q8_pair.h.alg, seed=0)
+        verify_theorem(q8_pair, prims)
+        remark_uniform_fibers(q8_pair, prims)
+        assert [args[0].dim for args in chops] == [8]
 
     def test_orbits_see_only_the_generators_of_x(self, qm2_pair, spy):
         # one image_under per primitive ideal and generator winding map (right
         # and left here): X = Z3 x Z3 has two generators, not nine members
+        prims = prim_enumerate(qm2_pair.h.alg, seed=0)
         calls = spy("image_under", Subspace)
-        v = verify_theorem(qm2_pair, mode="global")
-        gens = character_group_X(qm2_pair.h, qm2_pair.a).generators()
+        v = verify_theorem(qm2_pair, prims)
+        gens = x_of(qm2_pair, prims).generators()
         assert v.x_order == 9 and len(gens) == 2
         assert len(calls) == v.witnesses["prim_count"] * 2 * len(gens) == 36
 
     def test_s3c2_all_conditions_false_with_witnesses(self, s3c2_pair):
-        v = verify_theorem(s3c2_pair, mode="global", seed=7)
+        v = verify(s3c2_pair, seed=7)
         assert (v.cond_i, v.cond_ii, v.cond_iii, v.cond_iv) == (False, False, False, False)
         assert v.agree
         assert 2 in v.witnesses["failing_simple_dims"]
         assert v.witnesses["mismatch_fiber_vs_orbits"] is not None
 
     def test_qsl2_local_positive(self, qsl2_pair):
-        v = verify_theorem(qsl2_pair, mode="local", seed=7)
+        v = verify(qsl2_pair, "local", seed=7)
         assert v.cond_i is True and v.cond_ii is True
         assert v.cond_iii is None and v.cond_iv is None
         assert v.agree and v.x_order == 3
 
     def test_usl2_negative_in_both_modes(self, usl2_pair):
-        vg = verify_theorem(usl2_pair, mode="global", seed=7)
-        vl = verify_theorem(usl2_pair, mode="local", seed=7)
+        prims = prim_enumerate(usl2_pair.h.alg, seed=7)
+        vg = verify_theorem(usl2_pair, prims, mode="global")
+        vl = verify_theorem(usl2_pair, prims, mode="local")
         assert vg.cond_i is False and vg.cond_ii is False
         assert vg.cond_iii is False and vg.cond_iv is False
         assert vl.cond_i is False and vl.cond_ii is False
         assert vg.agree and vl.agree
 
     def test_qm2_experiment(self, qm2_pair):
-        v = verify_theorem(qm2_pair, mode="local", seed=7)
+        v = verify(qm2_pair, "local", seed=7)
         assert v.mode == "experiment"
         assert not v.hopf
         assert v.cond_i is None and v.cond_ii is None and v.cond_iv is None
@@ -334,9 +357,10 @@ class TestVerifyTheorem:
         # p = 2 mod 3 and p = 3 mod 4: F_p[G] has a 2-dimensional simple
         # module with annihilator of codimension 2, so e = 4 / 2 = 2
         inst = group_algebra_pair(FieldSpec(p), builtin_group(group), [0])
+        prims = prim_enumerate(inst.h.alg, seed=0)
         for mode in ("global", "local"):
             with pytest.raises(NotSplit) as exc:
-                verify_theorem(inst, mode=mode)
+                verify_theorem(inst, prims, mode=mode)
             algebra, index, dim, degree = exc.value.witness
             assert (algebra, dim, degree) == ("H", 2, 2)
             rec = simples(inst.h.alg)[index]
@@ -344,8 +368,8 @@ class TestVerifyTheorem:
             assert "e = (dim S)^2 / codim P = 2" in str(exc.value)
 
     def test_determinism_same_seed_same_bytes(self, q8_pair):
-        a = canonical_json(verify_theorem(q8_pair, mode="global", seed=3).to_dict())
-        b = canonical_json(verify_theorem(q8_pair, mode="global", seed=3).to_dict())
+        a = canonical_json(verify(q8_pair, seed=3).to_dict())
+        b = canonical_json(verify(q8_pair, seed=3).to_dict())
         assert a == b
 
     @pytest.mark.parametrize("name", ["q8", "s3c2"])
@@ -360,7 +384,7 @@ class TestVerifyTheorem:
         for basis_seed in (1, 2, 3):
             inst = instance_from_dict(rebased_big_p(name, seed=basis_seed))
             for seed in (0, 5):
-                v = verify_theorem(inst, mode="global", seed=seed)
+                v = verify(inst, seed=seed)
                 outcomes.add((v.agree, tuple(v.conditions().values()), v.x_order,
                               tuple(v.witnesses["fiber_sizes"]), tuple(v.witnesses["orbit_sizes"])))
         assert outcomes == {(True, (expected["conditions"],) * 4, expected["x_order"],
@@ -383,12 +407,12 @@ class TestVerifyTheorem:
             inst = instance_from_dict(rebased_big_p(name, seed=basis_seed))
             assert inst.h.field.p == 2**31 - 1
             for seed in (0, 5):
-                outcomes.add(outcome(verify_theorem(inst, mode="global", seed=seed)))
-        assert outcomes == {outcome(verify_theorem(instances(name), mode="global", seed=0))}
+                outcomes.add(outcome(verify(inst, seed=seed)))
+        assert outcomes == {outcome(verify(instances(name)))}
 
     def test_conditions_stable_across_seeds(self, s3c2_pair):
         outcomes = {
-            tuple(verify_theorem(s3c2_pair, mode="global", seed=s).conditions().items())
+            tuple(verify(s3c2_pair, seed=s).conditions().items())
             for s in (0, 1, 2)
         }
         assert len(outcomes) == 1
@@ -407,15 +431,16 @@ class TestAgainstTheChoppedFibers:
     def test_counit_fiber_conditions_match(self, name, basis_seed, instances, rebased_big_p):
         inst = instances(name) if basis_seed is None else instance_from_dict(rebased_big_p(name, basis_seed))
         want = chopped_counit_fiber(inst)
+        prims = prim_enumerate(inst.h.alg, seed=0)
         for mode in ("global", "local"):
-            v = verify_theorem(inst, mode=mode)
+            v = verify_theorem(inst, prims, mode=mode)
             got = dict(v.witnesses, cond_i=v.cond_i, cond_ii=v.cond_ii)
             assert {k: got[k] for k in want} == want
 
     @pytest.mark.parametrize("name, basis_seed", HOPF_CASES)
     def test_uniform_fiber_entries_match(self, name, basis_seed, instances, rebased_big_p):
         inst = instances(name) if basis_seed is None else instance_from_dict(rebased_big_p(name, basis_seed))
-        rep = remark_uniform_fibers(inst)
+        rep = remark_uniform_fibers(inst, prim_enumerate(inst.h.alg, seed=0))
         got = [(e.xi_values, e.extends_to_h, e.ideal_proper, e.quotient_dim, e.all_one_dim)
                for e in rep.entries]
         assert got == chopped_uniform_fibers(inst)
@@ -423,7 +448,7 @@ class TestAgainstTheChoppedFibers:
 
 class TestRemarkUniformFibers:
     def test_q8_sign_character_does_not_extend(self, q8_pair):
-        rep = remark_uniform_fibers(q8_pair, seed=0)
+        rep = remark_uniform_fibers(q8_pair, prim_enumerate(q8_pair.h.alg, seed=0))
         assert rep.consistent
         by_values = {e.xi_values: e for e in rep.entries}
         assert by_values[(1, 1)].extends_to_h and by_values[(1, 1)].all_one_dim
@@ -438,21 +463,31 @@ class TestRemarkUniformFibers:
         import hopfib.specmap
 
         calls = spy("winding", hopfib.hopf, hopfib.specmap)
-        rep = remark_uniform_fibers(q8_pair, seed=0)
+        rep = remark_uniform_fibers(q8_pair, prim_enumerate(q8_pair.h.alg, seed=0))
         assert len(rep.entries) == 2
         assert calls == []
 
     def test_c4c2_both_characters_extend_and_agree(self, c4c2_pair):
-        rep = remark_uniform_fibers(c4c2_pair, seed=0)
+        rep = remark_uniform_fibers(c4c2_pair, prim_enumerate(c4c2_pair.h.alg, seed=0))
         assert rep.consistent
         assert len(rep.entries) == 2
         assert all(e.extends_to_h and e.all_one_dim for e in rep.entries)
 
     def test_scalars_vacuously_consistent(self, qsl2_pair):
-        rep = remark_uniform_fibers(qsl2_pair, seed=0)
+        rep = remark_uniform_fibers(qsl2_pair, prim_enumerate(qsl2_pair.h.alg, seed=0))
         assert rep.consistent
         assert len(rep.entries) == 1  # only the counit itself
 
     def test_no_antipode_rejected(self, qm2_pair):
         with pytest.raises(NotAHopfSubalgebra):
-            remark_uniform_fibers(qm2_pair, seed=0)
+            remark_uniform_fibers(qm2_pair, prim_enumerate(qm2_pair.h.alg, seed=0))
+
+    def test_non_split_prime_is_refused(self):
+        # F_5[C3] with A = F_5: a Hopf subalgebra, central, but x^2 + x + 1
+        # is irreducible over F_5, so xi_P cannot be read off one entry of
+        # the 2-dimensional simple module
+        inst = group_algebra_pair(FieldSpec(5), builtin_group("c3"), [0])
+        with pytest.raises(NotSplit) as exc:
+            remark_uniform_fibers(inst, prim_enumerate(inst.h.alg, seed=0))
+        algebra, _index, dim, degree = exc.value.witness
+        assert (algebra, dim, degree) == ("H", 2, 2)
