@@ -42,7 +42,7 @@ from .hopf import (
     winding,
 )
 from .linalg import FieldSpec, Subspace, find_root_of_unity, modinv, rref
-from .repn import ModuleRep, SimpleRecord, annihilator, chop, regular_module, simples
+from .repn import ModuleRep, SimpleRecord, annihilator, chop, simples
 from .rewrite import Presentation, complete_check, enumerate_basis, extract_bialgebra, normalize
 from .specmap import (
     PrimItem,
@@ -96,7 +96,6 @@ __all__ = [
     "quantum_m2_kernel",
     "quantum_sl2_kernel",
     "quotient_algebra",
-    "regular_module",
     "remark_uniform_fibers",
     "rref",
     "shipped_instance",

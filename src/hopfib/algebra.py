@@ -5,9 +5,12 @@ An algebra of dimension n over F_p is stored as the canonical rank-3
 coefficient of e_k in e_i * e_j, together with the coefficient vector of
 the unit. Products, multiplication matrices, the axiom checks and the
 structure constants of quotients and subalgebras (:func:`induced_constants`)
-are sparse contractions of ``mul``. The only dense view is the regular
-module's action stack :meth:`StructureConstantAlgebra.left_regular`, built
-on demand for ``repn.regular_module``, which ``chop`` reads.
+are sparse contractions of ``mul``. So is the action of the algebra on a
+left ideal (:meth:`StructureConstantAlgebra.left_ideal_action`), from which
+``repn.chop`` reads the central pieces of the regular module. The only dense
+view is the regular module's action stack
+:meth:`StructureConstantAlgebra.left_regular`, which chop builds only when
+the centre leaves the regular module in one piece.
 
 The unit laws and associativity are checked once, when :func:`build_algebra`
 reads the data, and recorded as ``certified``, so everything downstream can
@@ -62,8 +65,8 @@ from .linalg import (
     complement_projection,
     contract,
     first_difference,
-    kernel,
     matmul_mod,
+    null_space,
     permute,
     restrict_first,
     rref,
@@ -114,6 +117,28 @@ class StructureConstantAlgebra:
         """Matrix of x -> x * v acting on column vectors."""
         p = self.field.p
         return contract(permute(self.mul, (0, 2, 1)), self._sparse(v), 1, p).dense().T
+
+    def left_ideal_action(self, ideal: Subspace) -> np.ndarray:
+        """Stack of the matrices of x -> e_j x on a left ideal L, one per basis
+        element, in the RREF basis b_k of L (that L is a left ideal is not
+        checked). Entry (j, a, k) is the coefficient of b_a in e_j b_k, which
+        is the entry of e_j b_k at the a-th pivot column; it is read from the
+        entries mul[j, s, t] with t a pivot, each adding mul[j, s, t] b_k[s]
+        for every k. Each term is reduced below p before the sum, and a sum
+        has at most n terms, so it stays below n * 2**31 < 2**47 for n < 2**16."""
+        p, n, d = self.field.p, self.dim, ideal.dim
+        j, s, t = self.mul.indices()
+        slot = np.full(n, -1)
+        slot[list(ideal.pivots)] = np.arange(d)
+        keep = np.flatnonzero(slot[t] >= 0)
+        key = j[keep] * d + slot[t[keep]]
+        order = np.argsort(key, kind="stable")
+        key, keep = key[order], keep[order]
+        terms = self.mul.vals[keep, None] * ideal.basis[:, s[keep]].T % p  # (term, k)
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        out = np.zeros((n * d, d), dtype=np.int64)
+        out[key[starts]] = np.add.reduceat(terms, starts, axis=0) % p
+        return out.reshape(n, d, d)
 
     def left_regular(self) -> np.ndarray:
         """Stack of left multiplication matrices, one per basis element."""
@@ -171,8 +196,7 @@ class StructureConstantAlgebra:
         """The centre: the joint kernel of the commutator maps
         v -> e_g v - v e_g of closing_maps. Computed once per algebra."""
         lefts, rights = closing_maps(self)
-        p = self.field.p
-        return Subspace(self.field, self.dim, kernel(((lefts - rights) % p).reshape(-1, self.dim), p))
+        return null_space(((lefts - rights) % self.field.p).reshape(-1, self.dim), self.field)
 
     def digest(self) -> bytes:
         head = f"{self.dim},{self.field.p},".encode()

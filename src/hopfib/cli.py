@@ -36,7 +36,7 @@ from .fileio import (
 from .hopf import axiom_checks, enumerate_characters
 from .linalg import FieldSpec
 from .repn import simples
-from .specmap import prim_enumerate, remark_uniform_fibers, verify_theorem
+from .specmap import prim_enumerate, remark_uniform_fibers, require_hopf_subalgebra, verify_theorem
 
 
 def _log(msg: str):
@@ -134,6 +134,8 @@ def cmd_simples(args) -> int:
 def cmd_verify(args) -> int:
     raw, d = _read_input(args.input)
     inst = instance_from_dict(d)
+    if args.uniform_fibers:
+        require_hopf_subalgebra(inst)  # refuse before the chop, not after the verdict
     prims = prim_enumerate(inst.h.alg, seed=args.seed)
     verdict = verify_theorem(inst, prims, mode=args.mode)
     results = verdict.to_dict()

@@ -224,11 +224,23 @@ def kernel(m, p: int) -> np.ndarray:
     m = np.asarray(m, dtype=np.int64)
     ncols = m.shape[1]
     r, rank, pivots = rref(m[:, ::-1], p)
-    free = [c for c in range(ncols) if c not in set(pivots)][::-1]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set][::-1]
     basis = np.zeros((len(free), ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, list(pivots)] = (-r[:rank, free]).T % p
     return basis[:, ::-1].copy()
+
+
+def null_space(m, field: FieldSpec) -> "Subspace":
+    """The right null space of m as a Subspace. kernel's rows are already its
+    RREF basis, so they are taken as they are, without a second elimination;
+    each pivot is its row's first nonzero column."""
+    basis = kernel(m, field.p)
+    basis.setflags(write=False)
+    sub = Subspace(field, basis.shape[1])
+    sub.basis, sub.pivots = basis, tuple((basis != 0).argmax(axis=1).tolist())
+    return sub
 
 
 def find_root_of_unity(field: FieldSpec, m: int) -> int:
@@ -273,7 +285,8 @@ def complement_projection(sub: "Subspace"):
     """
     n = sub.ambient
     p = sub.field.p
-    nonpivot = [c for c in range(n) if c not in set(sub.pivots)]
+    pivot_set = set(sub.pivots)
+    nonpivot = [c for c in range(n) if c not in pivot_set]
     q = len(nonpivot)
     proj = np.zeros((q, n), dtype=np.int64)
     for r, c in enumerate(nonpivot):

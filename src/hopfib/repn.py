@@ -17,6 +17,14 @@ is then one piece. Each piece is a sum of blocks of the algebra; z keeps
 two blocks together only where its components there share a factor, which
 a random z rarely does at a large prime.
 
+The regular module (simples) is split from the sparse multiplication
+alone: rho(z) is the left multiplication matrix of z, and each piece is a
+left ideal, whose action is read off mul's entries
+(StructureConstantAlgebra.left_ideal_action: every term reduced below p
+before the sum, at most n terms per sum, so each sum stays below 2**47 for
+n < 2**16). Its dense n x n x n action stack is built only when the centre
+leaves it in one piece (a local centre, as for qsl2).
+
 Each piece then goes through the standard randomized strategy for
 modules over small finite fields: take an element theta = rho(h) of the
 acting algebra's image, split off kernels of irreducible factors g of its
@@ -56,6 +64,7 @@ from .linalg import (
     irreducible_factors,
     kernel,
     matmul_mod,
+    null_space,
     rref,
     tensordot_mod,
 )
@@ -129,11 +138,6 @@ class SimpleRecord:
     multiplicity: int
 
 
-def regular_module(alg: StructureConstantAlgebra) -> ModuleRep:
-    # homomorphism property equals associativity, certified at algebra build
-    return ModuleRep(alg, alg.left_regular(), check=False)
-
-
 def spin(action: np.ndarray, seed_rows, field) -> Subspace:
     """Smallest action-invariant subspace containing the seed rows: with a
     matrix A_b per basis element b of a unital algebra, span{A_b w} holds w
@@ -177,10 +181,15 @@ def restrict_action(action: np.ndarray, sub: Subspace, p: int) -> np.ndarray:
 
 def quotient_action(action: np.ndarray, sub: Subspace, p: int) -> np.ndarray:
     """Action on the quotient by an invariant subspace, in the standard vectors
-    at the other columns: x mod sub is x[rest] - basis[:, rest]^T x[pivots]."""
-    rest = sorted(set(range(sub.ambient)).difference(sub.pivots))
-    cols = action[:, :, rest]  # (n, m, q): images of the quotient basis
-    return (cols[:, rest] - matmul_mod(sub.basis[:, rest].T, cols[:, list(sub.pivots)], p)) % p
+    at the other columns: x mod sub is x[rest] - basis[:, rest]^T x[pivots].
+    Only the rows at rest and at the pivots of the images of the quotient
+    basis are gathered, and the difference is taken in place."""
+    rest = np.array(sorted(set(range(sub.ambient)).difference(sub.pivots)), dtype=np.intp)
+    pivots = np.array(sub.pivots, dtype=np.intp)
+    out = action[:, rest[:, None], rest]  # (n, q, q)
+    out -= matmul_mod(sub.basis[:, rest].T, action[:, pivots[:, None], rest], p)
+    out %= p
+    return out
 
 
 def _try_split(action, field, rng, inherited=None):
@@ -218,7 +227,7 @@ def _try_split(action, field, rng, inherited=None):
                 dual_null = kernel(poly_eval_matrix(g, theta.T % p, p), p)
                 u_spun = spin(action.transpose(0, 2, 1), [dual_null[0]], field)
                 if u_spun.dim < m:
-                    perp = Subspace(field, m, kernel(u_spun.basis, p))
+                    perp = null_space(u_spun.basis, field)
                     assert 0 < perp.dim < m
                     return perp, (coeffs, g)
                 return None, (coeffs, g)
@@ -229,31 +238,34 @@ def _try_split(action, field, rng, inherited=None):
     )
 
 
-def _central_pieces(alg: StructureConstantAlgebra, action: np.ndarray, rng) -> list[np.ndarray]:
+def _central_pieces(alg: StructureConstantAlgebra, action: np.ndarray | None, rng) -> list[np.ndarray]:
     """The module split along a random central element z: the action on each
     nonzero generalized eigenspace of rho(z), or the whole module in one
-    piece when z does not split it (see the module docstring)."""
+    piece when z does not split it (see the module docstring). action None
+    is the regular module: rho(z) is then the left multiplication by z, and
+    each piece, a left ideal, is read from mul; its dense stack is built
+    only for a single piece."""
     centre, p = alg.centre, alg.field.p
-    if centre.dim <= 1:
-        return [action]
-    z = matmul_mod(rng.integers(0, p, size=centre.dim), centre.basis, p)
-    # z times the basis of Z, in Z's coordinates: the pivot entries of an RREF basis
-    piv = list(centre.pivots)
-    on_centre = matmul_mod(alg.left_mult_matrix(z), centre.basis.T, p)[piv]
-    factors = list(irreducible_factors(minpoly_on_vector(on_centre, alg.unit[piv], p), p))
-    if len(factors) < 2:
-        return [action]
-    theta = tensordot_mod(z, action, ([0], [0]), p)
-    pieces = []
-    for g, mult in factors:
-        power = poly_eval_matrix(g, theta, p)
-        for _ in range((mult - 1).bit_length()):  # g(theta)^(2^s) with 2^s >= mult
-            power = matmul_mod(power, power, p)
-        piece = Subspace(alg.field, action.shape[1], kernel(power, p))
-        if piece.dim:
-            pieces.append(restrict_action(action, piece, p))
-    if sum(piece.shape[1] for piece in pieces) != action.shape[1]:
-        return [action]
+    regular = action is None
+    factors, pieces = [], []
+    if centre.dim > 1:
+        z = matmul_mod(rng.integers(0, p, size=centre.dim), centre.basis, p)
+        left_z = alg.left_mult_matrix(z)
+        # z times the basis of Z, in Z's coordinates: the pivot entries of an RREF basis
+        piv = list(centre.pivots)
+        on_centre = matmul_mod(left_z, centre.basis.T, p)[piv]
+        factors = list(irreducible_factors(minpoly_on_vector(on_centre, alg.unit[piv], p), p))
+    if len(factors) > 1:
+        theta = left_z if regular else tensordot_mod(z, action, ([0], [0]), p)
+        for g, mult in factors:
+            power = poly_eval_matrix(g, theta, p)
+            for _ in range((mult - 1).bit_length()):  # g(theta)^(2^s) with 2^s >= mult
+                power = matmul_mod(power, power, p)
+            piece = null_space(power, alg.field)
+            if piece.dim:
+                pieces.append(alg.left_ideal_action(piece) if regular else restrict_action(action, piece, p))
+    if sum(piece.shape[1] for piece in pieces) != (alg.dim if regular else action.shape[1]):
+        return [alg.left_regular() if regular else action]
     return pieces
 
 
@@ -299,31 +311,33 @@ def _merge_leaves(alg: StructureConstantAlgebra, leaves: list[np.ndarray]) -> li
     return [classes[key] for key in sorted(classes)]
 
 
-def chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0) -> list[SimpleRecord]:
+def chop(alg: StructureConstantAlgebra, module: ModuleRep | None, seed: int = 0) -> list[SimpleRecord]:
     """Composition factors with annihilators and multiplicities, canonically ordered.
 
-    The module is first split into its central pieces (_central_pieces);
-    each piece then seeds the split stack. Every leaf of the split tree is a
-    subquotient of the input module, so its action is an algebra map by
-    exactness and is not checked again, nor is the invariance of the
-    subspaces it splits along (see spin). Leaves are merged by (dimension,
-    annihilator), which decides isomorphism: two simples with one
-    annihilator P are both the simple module of the simple artinian B/P.
-    The records are sorted by that key. The multiset of factors is
-    independent of the seed; the attempt budget guards the randomized
-    search for each module of the split tree.
+    module None is the regular module of the algebra, whose central pieces
+    are read from the sparse multiplication. The module is first split into
+    its central pieces (_central_pieces); each piece then seeds the split
+    stack. Every leaf of the split tree is a subquotient of the input
+    module, so its action is an algebra map by exactness and is not checked
+    again, nor is the invariance of the subspaces it splits along (see
+    spin). Leaves are merged by (dimension, annihilator), which decides
+    isomorphism: two simples with one annihilator P are both the simple
+    module of the simple artinian B/P. The records are sorted by that key.
+    The multiset of factors is independent of the seed; the attempt budget
+    guards the randomized search for each module of the split tree.
     """
-    if module.alg.digest() != alg.digest():
+    action, dim = (None, alg.dim) if module is None else (module.action, module.dim)
+    if module is not None and module.alg.digest() != alg.digest():
         raise DifferentAlgebras("module is not over the given algebra")
     rng = np.random.default_rng(seed)
-    leaves = _split_to_simples(_central_pieces(alg, module.action, rng), alg.field, rng)
-    assert sum(a.shape[1] for a in leaves) == module.dim
+    leaves = _split_to_simples(_central_pieces(alg, action, rng), alg.field, rng)
+    assert sum(a.shape[1] for a in leaves) == dim
     return _merge_leaves(alg, leaves)
 
 
 def simples(alg: StructureConstantAlgebra, seed: int = 0) -> list[SimpleRecord]:
     """All simple modules of the algebra: the chop of its regular module."""
-    return chop(alg, regular_module(alg), seed=seed)
+    return chop(alg, None, seed=seed)
 
 
 def annihilator(alg: StructureConstantAlgebra, module: ModuleRep) -> Subspace:
@@ -334,5 +348,4 @@ def annihilator(alg: StructureConstantAlgebra, module: ModuleRep) -> Subspace:
     re-derived here.
     """
     m = module.dim
-    flat = module.action.reshape(alg.dim, m * m).T
-    return Subspace(alg.field, alg.dim, kernel(flat, alg.field.p))
+    return null_space(module.action.reshape(alg.dim, m * m).T, alg.field)

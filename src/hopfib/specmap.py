@@ -316,6 +316,21 @@ class FiberUniformityReport:
     consistent: bool
 
 
+def require_hopf_subalgebra(instance: CorpusInstance) -> None:
+    """NotAHopfSubalgebra unless A is a Hopf subalgebra: Delta(A) in A (x) A,
+    an antipode, and S(A) in A. The left legs of Delta(A) lie in A since A
+    is a right coideal (checked at load). Needs nothing from the spectrum,
+    so verify --uniform-fibers runs it before the chop."""
+    h, a = instance.h, instance.a
+    for v in a.subspace.basis:
+        if not a.subspace.contains_rows(h.comul_of(v)):
+            raise NotAHopfSubalgebra("Delta(A) is not contained in A (x) A")
+    if h.antipode is None:
+        raise NotAHopfSubalgebra("A Hopf subalgebra needs an ambient antipode")
+    if not a.subspace.contains_rows(matmul_mod(a.subspace.basis, h.antipode.T, h.field.p)):
+        raise NotAHopfSubalgebra("antipode does not preserve A")
+
+
 def remark_uniform_fibers(instance: CorpusInstance, prims: list[PrimItem]) -> FiberUniformityReport:
     """For every character xi of a central Hopf subalgebra A, the fiber over
     xi, read off the spectrum prims of H.
@@ -332,16 +347,7 @@ def remark_uniform_fibers(instance: CorpusInstance, prims: list[PrimItem]) -> Fi
     """
     h = instance.h
     a = instance.a
-    p = h.field.p
-    # A must be a Hopf subalgebra: Delta(A) in A (x) A and S(A) in A. The
-    # left legs lie in A since A is a right coideal (checked at load).
-    for v in a.subspace.basis:
-        if not a.subspace.contains_rows(h.comul_of(v)):
-            raise NotAHopfSubalgebra("Delta(A) is not contained in A (x) A")
-    if h.antipode is None:
-        raise NotAHopfSubalgebra("A Hopf subalgebra needs an ambient antipode")
-    if not a.subspace.contains_rows(matmul_mod(a.subspace.basis, h.antipode.T, p)):
-        raise NotAHopfSubalgebra("antipode does not preserve A")
+    require_hopf_subalgebra(instance)
     _require_central(h, a)
     _require_split(h.alg, prims)
 

@@ -715,6 +715,12 @@ def fresh_element_try_split(action, field, rng):
     raise BudgetExceeded(f"no decisive element for a module of dimension {m}")
 
 
+def regular_module(alg: StructureConstantAlgebra) -> ModuleRep:
+    """The regular module from the dense action stack; the homomorphism
+    property is associativity, certified when the algebra was built."""
+    return ModuleRep(alg, alg.left_regular(), check=False)
+
+
 def whole_module_chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0) -> list:
     """repn.chop without its central split and without handing splitting
     elements down: the whole module seeds the split stack, each module of the

@@ -415,6 +415,21 @@ class TestVerifyCommand:
         assert code == 0 and report["results"]["uniform_fibers"]["consistent"] is True
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_uniform_fibers_without_antipode_exits_2_before_any_chop(self, tmp_path, capsys, spy, mode):
+        # qm2 is a bialgebra without an antipode: the remark's Hopf-subalgebra
+        # checks refuse it before H is chopped
+        import hopfib.repn
+
+        path = tmp_path / "qm2.json"
+        path.write_text(canonical_json(corpus_instance_to_dict(quantum_m2_kernel(3, 7))))
+        chops = spy("chop", hopfib.repn)
+        code = main(["verify", "--input", str(path), "--mode", mode, "--uniform-fibers"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: A Hopf subalgebra needs an ambient antipode\n"
+        assert chops == []
+
     def test_input_digest_present(self, q8_file, capsys):
         _, report = run(capsys, "characters", "--input", str(q8_file))
         assert report["input_digest"].startswith("sha256:")

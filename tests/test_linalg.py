@@ -30,6 +30,7 @@ from hopfib.linalg import (
     kernel,
     matmul_mod,
     modinv,
+    null_space,
     permute,
     prime_factors,
     rref,
@@ -432,6 +433,34 @@ class TestKernel:
             assert got.shape == (nullity, m.shape[1]), name
             assert np.array_equal(got, two_elimination_kernel(m, p)), name
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((7, 2**31 - 1)), st.sampled_from(("zero", "full rank", "rank-deficient")),
+           st.integers(1, 7), st.data())
+    def test_output_is_its_own_rref(self, p, kind, ncols, data):
+        # null_space takes kernel's rows as they are, with each row's first
+        # nonzero column as its pivot, so they must already be the RREF of
+        # their span. m = l @ u has rank exactly r: u is in echelon form with
+        # r pivots, l has the identity in its top r rows
+        r = {"zero": 0, "full rank": ncols, "rank-deficient": data.draw(st.integers(0, ncols - 1))}[kind]
+        nrows = data.draw(st.integers(r, 8))
+        entries = st.integers(0, p - 1)
+        piv = sorted(data.draw(st.permutations(range(ncols)))[:r])
+        u = np.array(data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                                        min_size=r, max_size=r)), dtype=np.int64).reshape(r, ncols)
+        for row, c in enumerate(piv):
+            u[row, :c], u[row, c] = 0, 1
+        below = data.draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=nrows - r, max_size=nrows - r))
+        l = np.vstack([np.eye(r, dtype=np.int64), np.array(below, dtype=np.int64).reshape(nrows - r, r)])
+        m = matmul_mod(l, u, p)[data.draw(st.permutations(range(nrows)))]
+        field = FieldSpec(p)
+        basis = kernel(m, p)
+        again, rank, pivots = rref(basis, p)
+        assert basis.shape == (ncols - r, ncols) and rank == ncols - r
+        assert np.array_equal(again[:rank], basis)
+        sub = null_space(m, field)
+        assert np.array_equal(sub.basis, basis) and sub.pivots == pivots
+        assert sub == Subspace(field, ncols, basis)
+
 
 class TestSolve:
     def test_inconsistent_zero_matrix(self):
@@ -722,7 +751,8 @@ def lint_regular_stack_reads(tree: ast.AST) -> list[tuple[int, str]]:
 class TestOnlyAlgebraDensifiesMul:
     """The multiplication is stored once, as a sparse tensor; algebra.py alone
     builds a dense view of it (the regular module's action stack), and only
-    repn.regular_module, which chop reads, asks for that view."""
+    repn._central_pieces asks for that view, when the centre leaves the
+    regular module in one piece."""
 
     def test_lint_flags_each_pattern(self):
         bad = ast.parse(
@@ -756,7 +786,7 @@ class TestOnlyAlgebraDensifiesMul:
             for path in sorted(SRC.glob("*.py"))
             for line, scope in lint_regular_stack_reads(ast.parse(path.read_text()))
         }
-        assert list(reads) == [("repn.py", "regular_module")]
+        assert list(reads) == [("repn.py", "_central_pieces")]
 
 
 class TestEveryProductGoesThroughLinalg:

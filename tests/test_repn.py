@@ -5,12 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from hopfib.algebra import build_algebra
+from hopfib.algebra import StructureConstantAlgebra, build_algebra
 from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra_pair
 from hopfib.errors import DifferentAlgebras, DimensionMismatch
 from hopfib.fileio import instance_from_dict
 from hopfib.linalg import (
     FieldSpec,
+    SparseTensor,
     Subspace,
     irreducible_factors,
     kernel,
@@ -24,7 +25,6 @@ from hopfib.repn import (
     minpoly_on_vector,
     poly_eval_matrix,
     quotient_action,
-    regular_module,
     restrict_action,
     simples,
     spin,
@@ -38,6 +38,7 @@ from oracles import (
     iso_simple,
     krylov_solve_minpoly,
     product_quotient_action,
+    regular_module,
     whole_module_chop,
 )
 
@@ -302,6 +303,37 @@ class TestCentralSplit:
             want = records(whole_module_chop(alg, regular_module(alg), seed=seed))
             assert records(simples(alg, seed=seed)) == want, name
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pieces_read_from_mul_equal_the_restricted_dense_stack(self, cases, seed):
+        # the regular module's pieces come from the sparse mul; the oracle is
+        # the same central split of the dense stack, through restrict_action
+        from hopfib import repn
+
+        for name, alg in cases.items():
+            sparse = repn._central_pieces(alg, None, np.random.default_rng(seed))
+            dense = repn._central_pieces(alg, alg.left_regular(), np.random.default_rng(seed))
+            assert len(sparse) == len(dense), name
+            assert all(np.array_equal(a, b) for a, b in zip(sparse, dense)), name
+
+    def test_left_ideal_action_on_random_left_ideals(self, cases):
+        rng = np.random.default_rng(0)
+        for name, alg in cases.items():
+            p, stack = alg.field.p, alg.left_regular()
+            for _ in range(3):
+                # H v, the span of the e_i v
+                ideal = Subspace(alg.field, alg.dim, alg.right_mult_matrix(rng.integers(0, p, size=alg.dim)).T)
+                assert np.array_equal(alg.left_ideal_action(ideal), restrict_action(stack, ideal, p)), name
+
+    @pytest.mark.parametrize("name, dense_stacks", [("qm2", 0), ("s3c2", 0), ("qsl2", 1)])
+    def test_the_dense_stack_is_built_only_for_a_single_piece(self, instances, spy, name, dense_stacks):
+        # qm2's and s3c2's centres split the regular module; qsl2's is local
+        alg = instances(name).h.alg
+        stacks = spy("left_regular", StructureConstantAlgebra)
+        denses = spy("dense", SparseTensor)
+        simples(alg, seed=0)
+        assert len(stacks) == dense_stacks
+        assert [t.rank for (t,) in denses].count(3) == dense_stacks
+
     def pieces_and_first_split(self, alg, monkeypatch):
         from hopfib import repn
 
@@ -559,6 +591,17 @@ class TestIsoSimple:
 class TestAnnihilator:
     def test_regular_module_is_faithful(self, s3):
         assert annihilator(s3, regular_module(s3)).dim == 0
+
+    def test_one_elimination_per_annihilator(self, s3, spy):
+        # kernel's rows are already the RREF basis of the annihilator, so the
+        # subspace is built without a second elimination
+        from hopfib import linalg
+
+        modules = [rec.module for rec in simples(s3, seed=0)] + [regular_module(s3)]
+        calls = spy("rref", linalg)
+        anns = [annihilator(s3, module) for module in modules]
+        assert len(calls) == len(modules) == 4
+        assert [ann.dim for ann in anns] == [5, 5, 2, 0]
 
     def test_character_kernel_has_codim_one(self, c3):
         recs = simples(c3, seed=0)
