@@ -1,8 +1,8 @@
 """Exact computation with finite-dimensional bialgebras over prime fields.
 
 The package represents bialgebras and Hopf algebras by explicit structure
-constants, computes their characters, winding automorphisms and fiber
-algebras, decomposes modules into composition factors, and checks on
+constants, computes their characters, winding automorphisms, fiber
+algebras and simple modules, and checks on
 concrete instances that the fibers of the primitive-ideal contraction map
 onto a central subalgebra match the orbits of the character-group action.
 """
@@ -42,10 +42,9 @@ from .hopf import (
     winding,
 )
 from .linalg import FieldSpec, Subspace, find_root_of_unity, modinv, rref
-from .repn import ModuleRep, SimpleRecord, annihilator, chop, simples
+from .repn import SimpleRecord, annihilator, chop
 from .rewrite import Presentation, complete_check, enumerate_basis, extract_bialgebra, normalize
 from .specmap import (
-    PrimItem,
     Verdict,
     fibers,
     orbits,
@@ -62,9 +61,7 @@ __all__ = [
     "CorpusInstance",
     "FieldSpec",
     "GroupTable",
-    "ModuleRep",
     "Presentation",
-    "PrimItem",
     "SimpleRecord",
     "StructureConstantAlgebra",
     "Subspace",
@@ -99,7 +96,6 @@ __all__ = [
     "remark_uniform_fibers",
     "rref",
     "shipped_instance",
-    "simples",
     "small_quantum_sl2",
     "verify_structure",
     "verify_theorem",

@@ -7,8 +7,8 @@ the unit. Products, multiplication matrices, the axiom checks and the
 structure constants of quotients and subalgebras (:func:`induced_constants`)
 are sparse contractions of ``mul``. So is the action of the algebra on a
 left ideal (:meth:`StructureConstantAlgebra.left_ideal_action`), from which
-``repn.chop`` reads the central pieces of the regular module. The only dense
-view is the regular module's action stack
+``repn.chop`` reads each central piece of the regular module when its split
+stack reaches it. The only dense view is the regular module's action stack
 :meth:`StructureConstantAlgebra.left_regular`, which chop builds only when
 the centre leaves the regular module in one piece.
 
@@ -36,8 +36,9 @@ the centre (:attr:`StructureConstantAlgebra.centre`, computed once per
 algebra and read by :func:`is_central_subalgebra` and ``repn.chop``) and
 :func:`ideal_closure` need the multiplication maps of G only, and on
 uncertified data they take every basis element instead
-(:func:`closing_maps`). ``repn.ModuleRep`` checks the
-homomorphism law on G for the same reason. :func:`quotient_algebra` takes
+(:func:`closing_maps`). The tests' module-axiom check
+(``checked_module`` in tests/oracles.py) takes the homomorphism law on G
+for the same reason. :func:`quotient_algebra` takes
 the ideal a seed generates, so an ideal is closed once and never re-proved,
 and returns the quotient algebra alone. :func:`is_central_subalgebra`
 takes a subspace already proved a unital subalgebra
@@ -197,10 +198,6 @@ class StructureConstantAlgebra:
         v -> e_g v - v e_g of closing_maps. Computed once per algebra."""
         lefts, rights = closing_maps(self)
         return null_space(((lefts - rights) % self.field.p).reshape(-1, self.dim), self.field)
-
-    def digest(self) -> bytes:
-        head = f"{self.dim},{self.field.p},".encode()
-        return head + self.unit.tobytes() + self.mul.keys.tobytes() + self.mul.vals.tobytes()
 
     def __repr__(self):
         return f"StructureConstantAlgebra(dim={self.dim}, p={self.field.p})"

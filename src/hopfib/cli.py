@@ -35,7 +35,7 @@ from .fileio import (
 )
 from .hopf import axiom_checks, enumerate_characters
 from .linalg import FieldSpec
-from .repn import simples
+from .repn import chop
 from .specmap import prim_enumerate, remark_uniform_fibers, require_hopf_subalgebra, verify_theorem
 
 
@@ -115,11 +115,11 @@ def cmd_characters(args) -> int:
 def cmd_simples(args) -> int:
     raw, d = _read_input(args.input)
     inst = instance_from_dict(d)
-    recs = simples(inst.h.alg, seed=args.seed)
+    recs = chop(inst.h.alg, seed=args.seed)
     results = {
         "records": [
             {
-                "dim": r.module.dim,
+                "dim": r.dim,
                 "multiplicity": r.multiplicity,
                 "annihilator_dim": r.annihilator.dim,
                 "annihilator_basis": [[int(x) for x in row] for row in r.annihilator.basis],

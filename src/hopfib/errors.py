@@ -42,10 +42,6 @@ class NotCentral(HopfibError):
     pass
 
 
-class DifferentAlgebras(HopfibError):
-    pass
-
-
 class BudgetExceeded(HopfibError):
     """A named budget ran out: the random elements chop draws for one module
     (repn.MAX_ATTEMPTS) or the term pairs of one sparse contraction

@@ -79,7 +79,7 @@ from .linalg import (
     permute,
     restrict_first,
 )
-from .repn import simples as _simples
+from .repn import chop
 
 
 # -- data ------------------------------------------------------------------
@@ -293,7 +293,7 @@ def enumerate_characters(b_or_alg, seed: int = 0) -> list[Character]:
     """All algebra maps onto F_p, via 1-dim factors of the regular module:
     complete because every simple module occurs in the regular module."""
     alg = b_or_alg.alg if isinstance(b_or_alg, BialgebraData) else b_or_alg
-    return one_dim_characters(alg.field.p, [rec.module.action for rec in _simples(alg, seed=seed)])
+    return one_dim_characters(alg.field.p, [rec.action for rec in chop(alg, seed=seed)])
 
 
 def counit_character(b: BialgebraData) -> Character:

@@ -1,6 +1,8 @@
-"""Modules over structure-constant algebras and their composition factors.
+"""The simple modules of a structure-constant algebra: the composition
+factors of its regular module.
 
-The decomposition ("chop") first splits the module along its centre. It
+The decomposition ("chop") takes the regular module only: every simple
+module occurs in it. It first splits the module along its centre. It
 draws one random element z of the centre Z (StructureConstantAlgebra.centre)
 and takes the minimal polynomial of z, from the action of z on Z. For each
 irreducible factor g, with multiplicity e, the piece is ker g(rho(z))^e,
@@ -17,13 +19,14 @@ is then one piece. Each piece is a sum of blocks of the algebra; z keeps
 two blocks together only where its components there share a factor, which
 a random z rarely does at a large prime.
 
-The regular module (simples) is split from the sparse multiplication
-alone: rho(z) is the left multiplication matrix of z, and each piece is a
-left ideal, whose action is read off mul's entries
-(StructureConstantAlgebra.left_ideal_action: every term reduced below p
-before the sum, at most n terms per sum, so each sum stays below 2**47 for
-n < 2**16). Its dense n x n x n action stack is built only when the centre
-leaves it in one piece (a local centre, as for qsl2).
+The split reads the sparse multiplication alone: rho(z) is the left
+multiplication matrix of z, and each piece is a left ideal, whose action
+is read off mul's entries (StructureConstantAlgebra.left_ideal_action:
+every term reduced below p before the sum, at most n terms per sum, so
+each sum stays below 2**47 for n < 2**16) when the split stack reaches
+it, so one piece's action is alive at a time. The dense n x n x n action
+stack is built only when the centre leaves the module in one piece (a
+local centre, as for qsl2).
 
 Each piece then goes through the standard randomized strategy for
 modules over small finite fields: take an element theta = rho(h) of the
@@ -56,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StructureConstantAlgebra, first_failure
-from .errors import BudgetExceeded, DifferentAlgebras, DimensionMismatch
+from .algebra import StructureConstantAlgebra
+from .errors import BudgetExceeded
 from .linalg import (
     Subspace,
     asmat,
@@ -77,65 +80,19 @@ MAX_ATTEMPTS = 256
 SPIN_VECTORS_PER_KERNEL = 8
 
 
-class ModuleRep:
-    """Left module given by one action matrix per algebra basis element.
-
-    The action must be an algebra homomorphism (checked at construction
-    unless the caller certifies it, as for submodules and quotients of
-    already-checked modules, which are homomorphisms by exactness).
-    """
-
-    __slots__ = ("alg", "dim", "action")
-
-    def __init__(self, alg: StructureConstantAlgebra, action, check: bool = True):
-        p = alg.field.p
-        action = asmat(action, p)
-        if action.ndim != 3 or action.shape[0] != alg.dim or action.shape[1] != action.shape[2]:
-            raise DimensionMismatch(f"action stack has shape {action.shape}")
-        self.alg = alg
-        self.dim = int(action.shape[1])
-        action.setflags(write=False)
-        self.action = action
-        if check:
-            self._verify()
-
-    def _verify(self):
-        """The unit acts as the identity, then rho(e_i) rho(e_j) = rho(e_i e_j)
-        for i in G (algebra.first_failure; the i on which rho is
-        multiplicative form a unital subalgebra of a certified algebra); the
-        witness is the smallest failing pair."""
-        alg, p, m = self.alg, self.alg.field.p, self.dim
-        unit_action = tensordot_mod(alg.unit, self.action, ([0], [0]), p)
-        if not np.array_equal(unit_action, np.eye(m, dtype=np.int64)):
-            raise DimensionMismatch("unit does not act as the identity")
-        flat = self.action.reshape(alg.dim, m * m)
-        eye = np.eye(alg.dim, dtype=np.int64)
-
-        def chain(first):
-            for i in range(alg.dim) if first is None else first:
-                actual = matmul_mod(self.action[i], self.action, p)
-                # left_mult_matrix(e_i).T[j, k] = coefficient of e_k in e_i e_j
-                expected = matmul_mod(alg.left_mult_matrix(eye[i]).T, flat, p).reshape(actual.shape)
-                bad = np.flatnonzero((actual != expected).any(axis=(1, 2)))
-                if bad.size:
-                    return int(i), int(bad[0])
-            return None
-
-        at = first_failure(chain, alg.generators if alg.certified else None)
-        if at is not None:
-            raise DimensionMismatch(f"action is not an algebra homomorphism at basis pair {at}")
-
-    def __repr__(self):
-        return f"ModuleRep(dim={self.dim}, alg_dim={self.alg.dim})"
-
-
 @dataclass
 class SimpleRecord:
-    """An irreducible module with its annihilator and multiplicity."""
+    """A simple module, by its action stack (one matrix per basis element of
+    the algebra), with its annihilator, a primitive ideal, and its
+    multiplicity in the regular module."""
 
-    module: ModuleRep
+    action: np.ndarray
     annihilator: Subspace
     multiplicity: int
+
+    @property
+    def dim(self) -> int:
+        return self.action.shape[1]
 
 
 def spin(action: np.ndarray, seed_rows, field) -> Subspace:
@@ -164,11 +121,14 @@ def minpoly_on_vector(theta: np.ndarray, v: np.ndarray, p: int) -> list[int]:
 
 
 def poly_eval_matrix(coeffs_desc, theta: np.ndarray, p: int) -> np.ndarray:
-    m = theta.shape[0]
-    out = np.zeros((m, m), dtype=np.int64)
-    eye = np.eye(m, dtype=np.int64)
-    for c in coeffs_desc:
-        out = (matmul_mod(out, theta, p) + (int(c) % p) * eye) % p
+    """g(theta) for a matrix theta reduced mod p, by Horner's rule started at
+    the leading terms c0*theta + c1*I (each entry below 2**62 + 2**31): a
+    polynomial of degree d >= 1 takes d - 1 products, a linear one none."""
+    coeffs = [int(c) % p for c in coeffs_desc]
+    eye = np.eye(theta.shape[0], dtype=np.int64)
+    out = coeffs[0] * eye if len(coeffs) == 1 else (coeffs[0] * theta + coeffs[1] * eye) % p
+    for c in coeffs[2:]:
+        out = (matmul_mod(out, theta, p) + c * eye) % p
     return out
 
 
@@ -238,15 +198,13 @@ def _try_split(action, field, rng, inherited=None):
     )
 
 
-def _central_pieces(alg: StructureConstantAlgebra, action: np.ndarray | None, rng) -> list[np.ndarray]:
-    """The module split along a random central element z: the action on each
-    nonzero generalized eigenspace of rho(z), or the whole module in one
-    piece when z does not split it (see the module docstring). action None
-    is the regular module: rho(z) is then the left multiplication by z, and
-    each piece, a left ideal, is read from mul; its dense stack is built
-    only for a single piece."""
+def _central_pieces(alg: StructureConstantAlgebra, rng) -> list:
+    """The regular module split along a random central element z: the
+    nonzero generalized eigenspaces of rho(z), the left multiplication by z,
+    as subspaces (left ideals, whose actions the split stack reads from mul
+    when it reaches them), or the dense action stack of the whole module in
+    one piece when z does not split it (see the module docstring)."""
     centre, p = alg.centre, alg.field.p
-    regular = action is None
     factors, pieces = [], []
     if centre.dim > 1:
         z = matmul_mod(rng.integers(0, p, size=centre.dim), centre.basis, p)
@@ -256,31 +214,34 @@ def _central_pieces(alg: StructureConstantAlgebra, action: np.ndarray | None, rn
         on_centre = matmul_mod(left_z, centre.basis.T, p)[piv]
         factors = list(irreducible_factors(minpoly_on_vector(on_centre, alg.unit[piv], p), p))
     if len(factors) > 1:
-        theta = left_z if regular else tensordot_mod(z, action, ([0], [0]), p)
         for g, mult in factors:
-            power = poly_eval_matrix(g, theta, p)
-            for _ in range((mult - 1).bit_length()):  # g(theta)^(2^s) with 2^s >= mult
+            power = poly_eval_matrix(g, left_z, p)
+            for _ in range((mult - 1).bit_length()):  # g(rho(z))^(2^s) with 2^s >= mult
                 power = matmul_mod(power, power, p)
             piece = null_space(power, alg.field)
             if piece.dim:
-                pieces.append(alg.left_ideal_action(piece) if regular else restrict_action(action, piece, p))
-    if sum(piece.shape[1] for piece in pieces) != (alg.dim if regular else action.shape[1]):
-        return [alg.left_regular() if regular else action]
+                pieces.append(piece)
+    if sum(piece.dim for piece in pieces) != alg.dim:
+        return [alg.left_regular()]
     return pieces
 
 
-def _split_to_simples(stack: list[np.ndarray], field, rng) -> list[np.ndarray]:
-    """Leaves of the MeatAxe split tree over each action stack in the list.
-    The submodule child of a split first tries the element that split its
-    parent; the quotient child does so only when the submodule is at least a
-    third of the quotient. That element tends to split the quotient again
-    into a submodule of about the same size, and each split pays
-    quotient_action's copy of the whole quotient, so on a much larger
-    quotient it would peel off small submodules one copy at a time."""
-    stack = [(act, None) for act in stack]
+def _split_to_simples(alg: StructureConstantAlgebra, pieces: list, rng) -> list[np.ndarray]:
+    """Leaves of the MeatAxe split tree over each central piece; a piece
+    given as a left ideal gets its action when it is popped. The submodule
+    child of a split first tries the element that split its parent; the
+    quotient child does so only when the submodule is at least a third of
+    the quotient. That element tends to split the quotient again into a
+    submodule of about the same size, and each split pays quotient_action's
+    copy of the whole quotient, so on a much larger quotient it would peel
+    off small submodules one copy at a time."""
+    field = alg.field
+    stack = [(piece, None) for piece in pieces]
     leaves = []
     while stack:
         act, inherited = stack.pop()
+        if isinstance(act, Subspace):
+            act = alg.left_ideal_action(act)
         w, decider = _try_split(act, field, rng, inherited)
         if w is None:
             leaves.append(act)
@@ -301,51 +262,43 @@ def _merge_leaves(alg: StructureConstantAlgebra, leaves: list[np.ndarray]) -> li
         by_bytes[key] = (stack_, count + 1)
     classes: dict[tuple[int, bytes], SimpleRecord] = {}
     for act, count in by_bytes.values():
-        rep = ModuleRep(alg, act, check=False)
-        ann = annihilator(alg, rep)
-        key = (rep.dim, ann.key())
+        ann = annihilator(alg, act)
+        key = (act.shape[1], ann.key())
         if key in classes:
             classes[key].multiplicity += count
         else:
-            classes[key] = SimpleRecord(rep, ann, count)
+            classes[key] = SimpleRecord(act, ann, count)
     return [classes[key] for key in sorted(classes)]
 
 
-def chop(alg: StructureConstantAlgebra, module: ModuleRep | None, seed: int = 0) -> list[SimpleRecord]:
-    """Composition factors with annihilators and multiplicities, canonically ordered.
+def chop(alg: StructureConstantAlgebra, seed: int = 0) -> list[SimpleRecord]:
+    """The simple modules of the algebra, with annihilators and
+    multiplicities: the composition factors of its regular module,
+    canonically ordered.
 
-    module None is the regular module of the algebra, whose central pieces
-    are read from the sparse multiplication. The module is first split into
-    its central pieces (_central_pieces); each piece then seeds the split
-    stack. Every leaf of the split tree is a subquotient of the input
-    module, so its action is an algebra map by exactness and is not checked
-    again, nor is the invariance of the subspaces it splits along (see
-    spin). Leaves are merged by (dimension, annihilator), which decides
-    isomorphism: two simples with one annihilator P are both the simple
-    module of the simple artinian B/P. The records are sorted by that key.
-    The multiset of factors is independent of the seed; the attempt budget
-    guards the randomized search for each module of the split tree.
+    The regular module is first split into its central pieces
+    (_central_pieces); each piece then seeds the split stack. Every leaf of
+    the split tree is a subquotient of the regular module, so its action is
+    an algebra map by exactness and is not checked, nor is the invariance of
+    the subspaces it splits along (see spin). Leaves are merged by
+    (dimension, annihilator), which decides isomorphism: two simples with
+    one annihilator P are both the simple module of the simple artinian
+    B/P. The records are sorted by that key. The multiset of factors is
+    independent of the seed; the attempt budget guards the randomized
+    search for each module of the split tree.
     """
-    action, dim = (None, alg.dim) if module is None else (module.action, module.dim)
-    if module is not None and module.alg.digest() != alg.digest():
-        raise DifferentAlgebras("module is not over the given algebra")
     rng = np.random.default_rng(seed)
-    leaves = _split_to_simples(_central_pieces(alg, action, rng), alg.field, rng)
-    assert sum(a.shape[1] for a in leaves) == dim
+    leaves = _split_to_simples(alg, _central_pieces(alg, rng), rng)
+    assert sum(a.shape[1] for a in leaves) == alg.dim
     return _merge_leaves(alg, leaves)
 
 
-def simples(alg: StructureConstantAlgebra, seed: int = 0) -> list[SimpleRecord]:
-    """All simple modules of the algebra: the chop of its regular module."""
-    return chop(alg, None, seed=seed)
+def annihilator(alg: StructureConstantAlgebra, action: np.ndarray) -> Subspace:
+    """Kernel of the action map of a module, given by its action stack, as a
+    canonical subspace of the algebra.
 
-
-def annihilator(alg: StructureConstantAlgebra, module: ModuleRep) -> Subspace:
-    """Kernel of the action map, as a canonical subspace of the algebra.
-
-    The action map of a module is an algebra homomorphism (checked when the
-    module was built), so its kernel is a two-sided ideal; that is not
-    re-derived here.
+    The action map of a module is an algebra homomorphism, so its kernel is
+    a two-sided ideal; that is not re-derived here.
     """
-    m = module.dim
-    return null_space(module.action.reshape(alg.dim, m * m).T, alg.field)
+    m = action.shape[1]
+    return null_space(action.reshape(alg.dim, m * m).T, alg.field)

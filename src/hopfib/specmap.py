@@ -72,28 +72,16 @@ from .hopf import (
     winding,
 )
 from .linalg import Subspace, matmul_mod
-from .repn import simples
+from .repn import SimpleRecord, chop
 
 
-@dataclass
-class PrimItem:
-    """A primitive ideal: annihilator of a simple module, with that module's
-    action stack (one matrix per basis element of H)."""
-
-    annihilator: Subspace
-    action: np.ndarray
-
-    @property
-    def simple_dim(self) -> int:
-        return self.action.shape[1]
+def prim_enumerate(alg: StructureConstantAlgebra, seed: int = 0) -> list[SimpleRecord]:
+    """All primitive ideals, each the annihilator of a simple module, with
+    that module's action stack; ordered by (simple dimension, annihilator)."""
+    return chop(alg, seed=seed)
 
 
-def prim_enumerate(alg: StructureConstantAlgebra, seed: int = 0) -> list[PrimItem]:
-    """All primitive ideals, ordered by (simple dimension, annihilator)."""
-    return [PrimItem(rec.annihilator, rec.module.action) for rec in simples(alg, seed=seed)]
-
-
-def _dual(prim: PrimItem) -> Subspace:
+def _dual(prim: SimpleRecord) -> Subspace:
     """The annihilator of P in the dual of H: the row space of the action
     flattened to (d^2, n), of dimension codim P."""
     n, d = prim.action.shape[:2]
@@ -110,7 +98,7 @@ class Partition:
         return sorted(len(b) for b in self.blocks)
 
 
-def fibers(prims: list[PrimItem], a: CoidealSubalgebra) -> dict[Character, list[int]]:
+def fibers(prims: list[SimpleRecord], a: CoidealSubalgebra) -> dict[Character, list[int]]:
     """Group primitive ideals by the character xi_P of A on their simple
     module: the indices of the fiber over each xi_P, in the order of the
     canonical keys of the kernels ker(xi_P).
@@ -127,7 +115,7 @@ def fibers(prims: list[PrimItem], a: CoidealSubalgebra) -> dict[Character, list[
     return {xi: groups[xi] for xi in sorted(groups, key=lambda xi: character_kernel(a, xi).key())}
 
 
-def orbits(prims: list[PrimItem], maps: list[np.ndarray]) -> Partition:
+def orbits(prims: list[SimpleRecord], maps: list[np.ndarray]) -> Partition:
     """Orbits of the group generated by the maps acting on annihilators.
 
     An invertible map W sends P_i onto P_j iff the duals (_dual) satisfy
@@ -207,12 +195,12 @@ class Verdict:
         }
 
 
-def _require_split(alg: StructureConstantAlgebra, prims: list[PrimItem]) -> None:
+def _require_split(alg: StructureConstantAlgebra, prims: list[SimpleRecord]) -> None:
     """NotSplit naming the first P in prims with e = (dim S)^2 / codim P > 1."""
     for index, prim in enumerate(prims):
         codim = alg.dim - prim.annihilator.dim
-        if prim.simple_dim ** 2 != codim:
-            raise NotSplit("H", index, prim.simple_dim, prim.simple_dim ** 2 // codim)
+        if prim.dim ** 2 != codim:
+            raise NotSplit("H", index, prim.dim, prim.dim ** 2 // codim)
 
 
 def _require_central(h: BialgebraData, a: CoidealSubalgebra) -> None:
@@ -220,7 +208,7 @@ def _require_central(h: BialgebraData, a: CoidealSubalgebra) -> None:
         raise NotCentral("the subalgebra must be central")
 
 
-def verify_theorem(instance: CorpusInstance, prims: list[PrimItem], mode: str = "global") -> Verdict:
+def verify_theorem(instance: CorpusInstance, prims: list[SimpleRecord], mode: str = "global") -> Verdict:
     """Check the equivalence conditions on a concrete instance whose
     spectrum is prims.
 
@@ -246,7 +234,7 @@ def verify_theorem(instance: CorpusInstance, prims: list[PrimItem], mode: str = 
     maps = [winding(h, x.chars[i]) for i in gens]
     eps_a = Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p))
     fiber = fib[eps_a]
-    dims = [prims[i].simple_dim for i in fiber]
+    dims = [prims[i].dim for i in fiber]
     cond_i = all(d == 1 for d in dims)
     # the fiber is X-stable, so its X-orbits are the orbit blocks within it
     if mode == "global":
@@ -272,7 +260,7 @@ def verify_theorem(instance: CorpusInstance, prims: list[PrimItem], mode: str = 
     return Verdict(mode, True, x.order, cond_i, cond_ii, cond_iii, cond_iv, agree, witnesses)
 
 
-def _fibers_against_orbits(prims: list[PrimItem], fib: dict[Character, list[int]], orb: Partition):
+def _fibers_against_orbits(prims: list[SimpleRecord], fib: dict[Character, list[int]], orb: Partition):
     """Do the fibers on Prim(H) (fibers) equal the orbit partition orb?
 
     Returns that verdict and the partition witnesses; when it is False they
@@ -287,7 +275,7 @@ def _fibers_against_orbits(prims: list[PrimItem], fib: dict[Character, list[int]
         raise HopfibError("a fiber failed to be a union of winding orbits")
     witnesses = {
         "prim_count": len(prims),
-        "prim_simple_dims": [it.simple_dim for it in prims],
+        "prim_simple_dims": [it.dim for it in prims],
         "fiber_sizes": Partition(blocks).sizes(),
         "orbit_sizes": orb.sizes(),
     }
@@ -331,7 +319,7 @@ def require_hopf_subalgebra(instance: CorpusInstance) -> None:
         raise NotAHopfSubalgebra("antipode does not preserve A")
 
 
-def remark_uniform_fibers(instance: CorpusInstance, prims: list[PrimItem]) -> FiberUniformityReport:
+def remark_uniform_fibers(instance: CorpusInstance, prims: list[SimpleRecord]) -> FiberUniformityReport:
     """For every character xi of a central Hopf subalgebra A, the fiber over
     xi, read off the spectrum prims of H.
 
@@ -354,7 +342,7 @@ def remark_uniform_fibers(instance: CorpusInstance, prims: list[PrimItem]) -> Fi
     fib = fibers(prims, a)
     entries = []
     for xi in sorted(fib, key=lambda c: c.values):
-        dims = [prims[i].simple_dim for i in fib[xi]]
+        dims = [prims[i].dim for i in fib[xi]]
         entries.append(FiberReportEntry(xi.values, 1 in dims, True, fiber_quotient(h, a, xi).dim,
                                         all(d == 1 for d in dims)))
     verdicts = {e.all_one_dim for e in entries if e.extends_to_h}

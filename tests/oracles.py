@@ -10,6 +10,7 @@ from hopfib import repn
 from hopfib.algebra import (
     StructureConstantAlgebra,
     closing_maps,
+    first_failure,
     ideal_closure,
     induced_constants,
     quotient_algebra,
@@ -17,7 +18,6 @@ from hopfib.algebra import (
 from hopfib.corpus import GroupTable
 from hopfib.errors import (
     BudgetExceeded,
-    DifferentAlgebras,
     DimensionMismatch,
     HopfibError,
     ImproperIdeal,
@@ -48,7 +48,7 @@ from hopfib.linalg import (
     rref,
     tensordot_mod,
 )
-from hopfib.repn import ModuleRep, annihilator
+from hopfib.repn import annihilator
 from hopfib.rewrite import Presentation, enumerate_basis, normalize
 from hopfib.specmap import orbits, prim_enumerate
 
@@ -161,7 +161,7 @@ class NotABimodule(Exception):
 def adjoint_action(b, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """ad matrices of a bimodule: ad(h) v = sum h_1 . v . S(h_2), from stacks
     of commuting left and right action matrices. Both stacks go through
-    ModuleRep's check, the right one transposed (an anti-map), re-raised as
+    checked_module, the right one transposed (an anti-map), re-raised as
     NotABimodule; the commutation is checked on every basis element."""
     if b.antipode is None:
         raise ValueError("the adjoint action requires an antipode")
@@ -169,7 +169,7 @@ def adjoint_action(b, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     left, right = asmat(left, p), asmat(right, p)
     for side, stack in (("left", left), ("right", right.transpose(0, 2, 1))):
         try:
-            ModuleRep(b.alg, stack)
+            checked_module(b.alg, stack)
         except DimensionMismatch as exc:
             raise NotABimodule(f"{side} action: {exc}") from exc
     for i in range(n):
@@ -336,7 +336,8 @@ def brute_force_characters(alg: StructureConstantAlgebra) -> list[tuple[int, ...
 
 
 def highest_weight_module_small_sl2(instance):
-    """Ladder module of top weight q^(l-1) for the small quantum sl2.
+    """Action stack of the ladder module of top weight q^(l-1) for the small
+    quantum sl2, checked as a module (checked_module).
 
     Built directly from the classical weight/ladder formulas, independent
     of the chop machinery: K v_i = w q^(-2i) v_i, F v_i = v_{i+1},
@@ -367,20 +368,21 @@ def highest_weight_module_small_sl2(instance):
             for letter in label.split("."):
                 mat = (mat @ gen_mats[letter]) % p
         action[idx] = mat
-    return ModuleRep(instance.h.alg, action, check=True)
+    return checked_module(instance.h.alg, action)
 
 
-def intertwiner_exists(m1, m2) -> bool:
-    """True iff a nonzero X with X a1_i = a2_i X for all i exists (equal dims).
+def intertwiner_exists(alg: StructureConstantAlgebra, action1, action2) -> bool:
+    """True iff a nonzero X with X a1_i = a2_i X for all i exists (equal dims),
+    for two modules over alg given by their action stacks.
 
     Solves the linear intertwiner equations directly (Kronecker form), so
     it decides isomorphism of simple modules without using annihilators.
     """
-    p = m1.alg.field.p
-    eye = np.eye(m1.dim, dtype=np.int64)
+    p = alg.field.p
+    eye = np.eye(action1.shape[1], dtype=np.int64)
     blocks = [
         (np.kron(eye, a.T) - np.kron(b, eye)) % p
-        for a, b in zip(m1.action, m2.action)
+        for a, b in zip(action1, action2)
     ]
     return kernel(np.vstack(blocks), p).shape[0] > 0
 
@@ -491,7 +493,7 @@ def chopped_fiber(b, a, xi, maps, seed: int = 0):
     proj, section = quotient_maps(b.alg, kernel_h)
     prims = prim_enumerate(q, seed=seed)
     descended = [matmul_mod(matmul_mod(proj, mat, p), section, p) for mat in maps]
-    return ChoppedFiber(q.dim, [it.simple_dim for it in prims], orbits(prims, descended))
+    return ChoppedFiber(q.dim, [it.dim for it in prims], orbits(prims, descended))
 
 
 def chopped_counit_fiber(inst, seed: int = 0) -> dict:
@@ -664,8 +666,9 @@ def ad_one_dim_submodules(b, ad: np.ndarray, chars=None):
     return found
 
 
-def iso_simple(m1, m2) -> bool:
-    """True iff two simple modules over the same algebra are isomorphic.
+def iso_simple(alg: StructureConstantAlgebra, action1, action2) -> bool:
+    """True iff two simple modules over alg, given by their action stacks,
+    are isomorphic.
 
     Criterion: equal dimensions and equal annihilators. The annihilator P of
     a simple module S is a primitive ideal; B/P is a finite-dimensional
@@ -674,9 +677,7 @@ def iso_simple(m1, m2) -> bool:
     simples with the same annihilator are both that module of B/P. Both
     arguments must be simple; this is not checked.
     """
-    if m1.alg.digest() != m2.alg.digest():
-        raise DifferentAlgebras("modules live over different algebras")
-    return m1.dim == m2.dim and annihilator(m1.alg, m1) == annihilator(m1.alg, m2)
+    return action1.shape[1] == action2.shape[1] and annihilator(alg, action1) == annihilator(alg, action2)
 
 
 def fresh_element_try_split(action, field, rng):
@@ -715,19 +716,14 @@ def fresh_element_try_split(action, field, rng):
     raise BudgetExceeded(f"no decisive element for a module of dimension {m}")
 
 
-def regular_module(alg: StructureConstantAlgebra) -> ModuleRep:
-    """The regular module from the dense action stack; the homomorphism
-    property is associativity, certified when the algebra was built."""
-    return ModuleRep(alg, alg.left_regular(), check=False)
-
-
-def whole_module_chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: int = 0) -> list:
-    """repn.chop without its central split and without handing splitting
-    elements down: the whole module seeds the split stack, each module of the
-    split tree draws its own elements (fresh_element_try_split), and the
-    leaves are merged as chop merges them."""
+def whole_module_chop(alg: StructureConstantAlgebra, action: np.ndarray, seed: int = 0) -> list:
+    """repn.chop of any module, given by its action stack, without the
+    central split and without handing splitting elements down: the whole
+    module seeds the split stack, each module of the split tree draws its
+    own elements (fresh_element_try_split), and the leaves are merged as
+    chop merges them."""
     rng = np.random.default_rng(seed)
-    stack, leaves = [module.action], []
+    stack, leaves = [asmat(action, alg.field.p)], []
     while stack:
         act = stack.pop()
         w = fresh_element_try_split(act, alg.field, rng)
@@ -736,6 +732,79 @@ def whole_module_chop(alg: StructureConstantAlgebra, module: ModuleRep, seed: in
             continue
         stack += [repn.restrict_action(act, w, alg.field.p), repn.quotient_action(act, w, alg.field.p)]
     return repn._merge_leaves(alg, leaves)
+
+
+def dense_central_pieces(alg: StructureConstantAlgebra, rng) -> list[np.ndarray]:
+    """repn._central_pieces on the dense regular stack: the same draw of z,
+    with rho(z) formed from the stack, each generalized eigenspace found by
+    powers of g(rho(z)) from power_sum_poly_eval and its action restricted
+    from the stack (repn.restrict_action); the whole stack when z does not
+    split it."""
+    action, centre, p = alg.left_regular(), alg.centre, alg.field.p
+    factors, pieces = [], []
+    if centre.dim > 1:
+        z = matmul_mod(rng.integers(0, p, size=centre.dim), centre.basis, p)
+        theta = tensordot_mod(z, action, ([0], [0]), p)
+        piv = list(centre.pivots)
+        on_centre = matmul_mod(theta, centre.basis.T, p)[piv]
+        factors = list(irreducible_factors(repn.minpoly_on_vector(on_centre, alg.unit[piv], p), p))
+    if len(factors) > 1:
+        for g, mult in factors:
+            power = g_theta = power_sum_poly_eval(g, theta, p)
+            for _ in range(mult - 1):
+                power = matmul_mod(power, g_theta, p)
+            piece = Subspace(alg.field, alg.dim, kernel(power, p))
+            if piece.dim:
+                pieces.append(repn.restrict_action(action, piece, p))
+    if sum(piece.shape[1] for piece in pieces) != alg.dim:
+        return [action]
+    return pieces
+
+
+def power_sum_poly_eval(coeffs_desc, theta, p: int) -> np.ndarray:
+    """g(theta) as the sum of c_i theta^(d-i) over the powers of theta, in
+    exact Python integers."""
+    theta = np.array(np.asarray(theta) % p, dtype=object)
+    power = np.eye(theta.shape[0], dtype=np.int64).astype(object)
+    out = np.zeros_like(power)
+    for c in reversed(list(coeffs_desc)):
+        out = (out + int(c) * power) % p
+        power = power.dot(theta) % p
+    return out.astype(np.int64)
+
+
+def checked_module(alg: StructureConstantAlgebra, action) -> np.ndarray:
+    """The action stack of a left module over alg, reduced mod p, after the
+    module axioms: a square matrix per basis element, the unit acting as the
+    identity, then rho(e_i) rho(e_j) = rho(e_i e_j) for i in G
+    (algebra.first_failure; the i on which rho is multiplicative form a
+    unital subalgebra of a certified algebra) and over the whole basis only
+    on a failure there, so the witness is the smallest failing pair. Raises
+    DimensionMismatch naming the failure."""
+    p = alg.field.p
+    action = asmat(action, p)
+    if action.ndim != 3 or action.shape[0] != alg.dim or action.shape[1] != action.shape[2]:
+        raise DimensionMismatch(f"action stack has shape {action.shape}")
+    m = action.shape[1]
+    if not np.array_equal(tensordot_mod(alg.unit, action, ([0], [0]), p), np.eye(m, dtype=np.int64)):
+        raise DimensionMismatch("unit does not act as the identity")
+    flat = action.reshape(alg.dim, m * m)
+    eye = np.eye(alg.dim, dtype=np.int64)
+
+    def chain(first):
+        for i in range(alg.dim) if first is None else first:
+            actual = matmul_mod(action[i], action, p)
+            # left_mult_matrix(e_i).T[j, k] = coefficient of e_k in e_i e_j
+            expected = matmul_mod(alg.left_mult_matrix(eye[i]).T, flat, p).reshape(actual.shape)
+            bad = np.flatnonzero((actual != expected).any(axis=(1, 2)))
+            if bad.size:
+                return int(i), int(bad[0])
+        return None
+
+    at = first_failure(chain, alg.generators if alg.certified else None)
+    if at is not None:
+        raise DimensionMismatch(f"action is not an algebra homomorphism at basis pair {at}")
+    return action
 
 
 def two_elimination_kernel(m, p: int) -> np.ndarray:

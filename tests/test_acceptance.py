@@ -27,7 +27,7 @@ from hopfib.hopf import (
     winding,
 )
 from hopfib.linalg import FieldSpec, SparseTensor, rref
-from hopfib.repn import ModuleRep, simples
+from hopfib.repn import chop
 from hopfib.specmap import (
     Partition,
     fibers,
@@ -40,6 +40,7 @@ from oracles import (
     ad_one_dim_submodules,
     adjoint_action,
     brute_force_characters,
+    checked_module,
     chopped_fiber,
     greedy_generating_set,
     is_algebra_endomorphism,
@@ -435,7 +436,7 @@ def test_criterion_3_adjoint_identity(corpus):
             h = corpus[name].h
             p = h.field.p
             ad = adjoint_action(h, h.alg.left_regular(), right_regular(h.alg))
-            ModuleRep(h.alg, ad)  # ad is built unchecked: it must be a left module
+            checked_module(h.alg, ad)  # ad is built unchecked: it must be a left module
             found = ad_one_dim_submodules(h, ad)
             assert found  # at least the counit eigenvector (the unit element)
             for chi, eigenspace in found:
@@ -475,7 +476,7 @@ def test_criterion_6_quantum_positive_case(corpus):
         assert inst.dim == 27
         prims = prim_enumerate(inst.h.alg, seed=7)
         assert len(prims) == 3
-        assert all(it.simple_dim == 1 for it in prims)
+        assert all(it.dim == 1 for it in prims)
         v = verify_theorem(inst, prims, mode="local")
         assert v.cond_i is True and v.cond_ii is True and v.agree
         assert v.x_order == 3
@@ -486,7 +487,7 @@ def test_criterion_7_quantum_negative_case(corpus):
     with criterion(7, 30.0):
         inst = corpus["usl2"]
         prims = prim_enumerate(inst.h.alg, seed=7)
-        assert any(it.simple_dim == 3 for it in prims)
+        assert any(it.dim == 3 for it in prims)
         v = verify_theorem(inst, prims)
         assert v.x_order == 1
         assert v.cond_i is False and v.cond_ii is False and v.agree
@@ -544,9 +545,9 @@ def test_criterion_9_oracle_equivalences(corpus):
             inst = corpus[name]
             outcomes = set()
             for seed in (0, 1, 2):
-                recs = simples(inst.h.alg, seed=seed)
-                assert sum(r.module.dim * r.multiplicity for r in recs) == inst.dim
-                outcomes.add(tuple((r.module.dim, r.multiplicity) for r in recs))
+                recs = chop(inst.h.alg, seed=seed)
+                assert sum(r.dim * r.multiplicity for r in recs) == inst.dim
+                outcomes.add(tuple((r.dim, r.multiplicity) for r in recs))
             assert len(outcomes) == 1
 
 

@@ -17,7 +17,7 @@ from hopfib.errors import ImproperIdeal, NotAssociative, UnitAxiomFails
 from hopfib.fileio import corpus_instance_to_dict, instance_from_dict, raw_bialgebra_from_dict
 from hopfib.hopf import character_kernel, enumerate_characters
 from hopfib.linalg import FieldSpec, SparseTensor, Subspace, kernel
-from hopfib.repn import simples
+from hopfib.repn import chop
 
 from oracles import (
     brute_force_centre,
@@ -287,7 +287,7 @@ class TestCentre:
         alg = group_algebra(F7, builtin_group("s3c2")).alg
         calls = spy("closing_maps", hopfib.algebra)
         assert is_central_subalgebra(alg, Subspace(F7, alg.dim, [alg.unit]))
-        simples(alg, seed=0)
+        chop(alg, seed=0)
         assert len(calls) == 1
 
 
@@ -416,7 +416,7 @@ class TestSparseMul:
                 got = subalgebra_as_algebra(alg, sub)[0].mul.dense()
                 assert np.array_equal(got, pairwise_subalgebra_mul(alg, sub))
             ideals = [quotient_ideal(fq) for fq in fiber_quotients(inst)]
-            ideals += [rec.annihilator for rec in simples(alg)]
+            ideals += [rec.annihilator for rec in chop(alg)]
             for ideal in ideals:
                 got = quotient_algebra(alg, ideal).mul.dense()
                 assert np.array_equal(got, pairwise_quotient_mul(alg, ideal))

@@ -394,9 +394,10 @@ class TestVerifyCommand:
         import hopfib.cli
         import hopfib.hopf
         import hopfib.repn
+        import hopfib.specmap
 
         enumerations = spy("enumerate_characters", hopfib.hopf, hopfib.cli)
-        chops = spy("chop", hopfib.repn)
+        chops = spy("chop", hopfib.repn, hopfib.specmap, hopfib.hopf, hopfib.cli)
         code, report = run(capsys, "verify", "--input", str(q8_file), "--uniform-fibers")
         assert code == 0 and len(report["results"]["uniform_fibers"]["entries"]) == 2
         assert enumerations == []
@@ -419,11 +420,14 @@ class TestVerifyCommand:
     def test_uniform_fibers_without_antipode_exits_2_before_any_chop(self, tmp_path, capsys, spy, mode):
         # qm2 is a bialgebra without an antipode: the remark's Hopf-subalgebra
         # checks refuse it before H is chopped
+        import hopfib.cli
+        import hopfib.hopf
         import hopfib.repn
+        import hopfib.specmap
 
         path = tmp_path / "qm2.json"
         path.write_text(canonical_json(corpus_instance_to_dict(quantum_m2_kernel(3, 7))))
-        chops = spy("chop", hopfib.repn)
+        chops = spy("chop", hopfib.repn, hopfib.specmap, hopfib.hopf, hopfib.cli)
         code = main(["verify", "--input", str(path), "--mode", mode, "--uniform-fibers"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""

@@ -24,7 +24,7 @@ from hopfib.hopf import (
     winding,
 )
 from hopfib.linalg import FieldSpec, Subspace, kernel, matmul_mod
-from hopfib.repn import simples
+from hopfib.repn import chop
 from hopfib.specmap import prim_enumerate
 
 from oracles import (
@@ -32,6 +32,7 @@ from oracles import (
     ad_one_dim_submodules,
     adjoint_action,
     all_pairs_module_witness,
+    checked_module,
     contract,
     fiber_bialgebra,
     is_character,
@@ -364,7 +365,7 @@ class TestAdjoint:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_bad_stack_names_the_side_and_the_all_pairs_witness(self, q8_pair, side):
-        # both stacks go through ModuleRep's check on G, the right one transposed
+        # both stacks go through checked_module on G, the right one transposed
         h = q8_pair.h
         stacks = {"left": h.alg.left_regular().copy(), "right": right_regular(h.alg).copy()}
         stacks[side][3, 0, 1] = (stacks[side][3, 0, 1] + 1) % 7
@@ -452,17 +453,15 @@ class TestFiberQuotient:
         fq = mapped_fiber(h, a, xi)
         assert fq.algebra.dim == 4
         assert fiber_bialgebra(h, a, fq) is None  # xi != counit, no induced coproduct
-        recs = simples(fq.algebra, seed=0)
-        assert [(r.module.dim, r.multiplicity) for r in recs] == [(2, 2)]
+        recs = chop(fq.algebra, seed=0)
+        assert [(r.dim, r.multiplicity) for r in recs] == [(2, 2)]
         # cross-check: pulling the quotient simple back along the projection
         # recovers the 2-dimensional simple of the group algebra
-        from hopfib.repn import ModuleRep
-
-        action_pulled = np.tensordot(fq.projection, recs[0].module.action, axes=([0], [0])) % 7
-        pulled_mod = ModuleRep(h.alg, action_pulled)
-        two_dims = [r for r in simples(h.alg, seed=0) if r.module.dim == 2]
+        action_pulled = np.tensordot(fq.projection, recs[0].action, axes=([0], [0])) % 7
+        pulled = checked_module(h.alg, action_pulled)
+        two_dims = [r for r in chop(h.alg, seed=0) if r.dim == 2]
         assert len(two_dims) == 1
-        assert iso_simple(pulled_mod, two_dims[0].module)
+        assert iso_simple(h.alg, pulled, two_dims[0].action)
 
     def test_derived_algebras_and_counit_fiber_satisfy_the_axioms(self, instances):
         # quotients, subalgebras and the induced fiber bialgebra (an oracle)

@@ -4,10 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfib.algebra import StructureConstantAlgebra, build_algebra
 from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra_pair
-from hopfib.errors import DifferentAlgebras, DimensionMismatch
+from hopfib.errors import DimensionMismatch
 from hopfib.fileio import instance_from_dict
 from hopfib.linalg import (
     FieldSpec,
@@ -19,26 +21,26 @@ from hopfib.linalg import (
     tensordot_mod,
 )
 from hopfib.repn import (
-    ModuleRep,
     annihilator,
     chop,
     minpoly_on_vector,
     poly_eval_matrix,
     quotient_action,
     restrict_action,
-    simples,
     spin,
 )
 
 from oracles import (
     all_pairs_module_witness,
+    checked_module,
     checked_restrict_action,
+    dense_central_pieces,
     fixed_point_spin,
     inverse_mod,
     iso_simple,
     krylov_solve_minpoly,
+    power_sum_poly_eval,
     product_quotient_action,
-    regular_module,
     whole_module_chop,
 )
 
@@ -93,31 +95,32 @@ def m2():
 
 
 class TestModuleRep:
+    """The module-axiom check of the tests (oracles.checked_module)."""
+
     def test_regular_module_valid(self, c3):
-        reg = regular_module(c3)
-        assert reg.dim == 3
+        assert checked_module(c3, c3.left_regular()).shape == (3, 3, 3)
 
     def test_broken_action_rejected(self, c3):
         # g acts by diag(3,1,1) but g*g would then act by diag(2,1,1) != identity
         bad = np.stack(
             [np.eye(3, dtype=np.int64), np.diag([3, 1, 1]), np.eye(3, dtype=np.int64)]
         )
-        with pytest.raises(Exception):
-            ModuleRep(c3, bad)
+        with pytest.raises(DimensionMismatch):
+            checked_module(c3, bad)
 
     def test_spin_of_invariant_vector(self, c3):
-        reg = regular_module(c3)
-        full = spin(reg.action, [[1, 0, 0]], F7)
+        reg = c3.left_regular()
+        full = spin(reg, [[1, 0, 0]], F7)
         assert full.dim == 3
         # the all-ones vector spans the trivial submodule of a group algebra
-        triv = spin(reg.action, [[1, 1, 1]], F7)
+        triv = spin(reg, [[1, 1, 1]], F7)
         assert triv.dim == 1
 
 
 def module_witness(alg, action):
-    """ModuleRep's witness against action: "unit", the failing pair, or None."""
+    """checked_module's witness against action: "unit", the failing pair, or None."""
     try:
-        ModuleRep(alg, action)
+        checked_module(alg, action)
     except DimensionMismatch as exc:
         if str(exc) == "unit does not act as the identity":
             return "unit"
@@ -127,7 +130,7 @@ def module_witness(alg, action):
 
 
 class TestModuleCheckOnGenerators:
-    """ModuleRep checks the homomorphism law with its first factor in G and
+    """checked_module checks the homomorphism law with its first factor in G and
     reruns every pair only on a failure there; the all-pairs check is the
     oracle for its verdict and witness."""
 
@@ -138,7 +141,7 @@ class TestModuleCheckOnGenerators:
         pairs = 0
         for inst in oracle_cases:
             alg, p = inst.h.alg, inst.h.field.p
-            actions = [rec.module.action for rec in simples(alg)]
+            actions = [rec.action for rec in chop(alg)]
             actions += [alg.left_regular()] if alg.dim <= 36 else []
             for action in actions:
                 assert module_witness(alg, action) is None is all_pairs_module_witness(alg, action)
@@ -183,7 +186,7 @@ class TestSplitHelpersMatchOracles:
         algebras.append(instance_from_dict(rebased_big_p("q8")).h.alg)
         for k, alg in enumerate(algebras):
             field, p = alg.field, alg.field.p
-            action = regular_module(alg).action
+            action = alg.left_regular()
             m = action.shape[1]
             rng = np.random.default_rng(k)
             splits = perps = 0
@@ -210,7 +213,7 @@ class TestSplitHelpersMatchOracles:
         degrees = set()
         for k, alg in enumerate(algebras):
             p = alg.field.p
-            action = regular_module(alg).action
+            action = alg.left_regular()
             n, m, _ = action.shape
             rng = np.random.default_rng(k)
             for _ in range(3):
@@ -227,49 +230,72 @@ class TestSplitHelpersMatchOracles:
             assert minpoly_on_vector(theta, np.zeros(m, dtype=np.int64), p) == [1]
         assert min(degrees) == 1 and max(degrees) > 10
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([7, 2**31 - 1]), st.integers(0, 6), st.integers(1, 5), st.data())
+    def test_poly_eval_matches_the_power_sum(self, p, degree, m, data):
+        # the leading coefficient may be any residue, the extreme ones included
+        residues = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1, p - 1]))
+        coeffs = data.draw(st.lists(residues, min_size=degree + 1, max_size=degree + 1))
+        theta = np.array(data.draw(st.lists(st.lists(residues, min_size=m, max_size=m),
+                                            min_size=m, max_size=m)), dtype=np.int64)
+        out = poly_eval_matrix(coeffs, theta, p)
+        assert out.dtype == np.int64 and out.shape == (m, m)
+        assert np.array_equal(out, power_sum_poly_eval(coeffs, theta, p))
+
+    @pytest.mark.parametrize("degree", range(4))
+    def test_poly_eval_of_degree_d_takes_d_minus_one_products(self, s3, spy, degree):
+        from hopfib import repn
+
+        theta = tensordot_mod(np.arange(6), s3.left_regular(), ([0], [0]), 7)
+        calls = spy("matmul_mod", repn)
+        out = poly_eval_matrix([1] + [3] * degree, theta, 7)
+        # a linear factor, the usual one, is theta + c*I with no product
+        assert len(calls) == max(degree - 1, 0)
+        assert np.array_equal(out, power_sum_poly_eval([1] + [3] * degree, theta, 7))
+
     def test_one_spin_is_one_product(self, s3, spy):
         from hopfib import repn
 
         calls = spy("matmul_mod", repn)
         # 1 - t for a transposition t generates a proper left ideal of F_7[S3]
-        sub = spin(regular_module(s3).action, [[1, 6, 0, 0, 0, 0]], F7)
+        sub = spin(s3.left_regular(), [[1, 6, 0, 0, 0, 0]], F7)
         assert len(calls) == 1 and sub.dim == 3
 
 
 class TestChop:
     def test_c3_regular_three_linear_factors(self, c3):
-        factors = chop(c3, regular_module(c3), seed=0)
-        assert [(r.module.dim, r.multiplicity) for r in factors] == [(1, 1), (1, 1), (1, 1)]
+        factors = chop(c3, seed=0)
+        assert [(r.dim, r.multiplicity) for r in factors] == [(1, 1), (1, 1), (1, 1)]
         # factor scalars are exactly the cube roots of unity mod 7
-        scalars = sorted(int(r.module.action[1, 0, 0]) for r in factors)
+        scalars = sorted(int(r.action[1, 0, 0]) for r in factors)
         cube_roots = sorted(x for x in range(1, 7) if pow(x, 3, 7) == 1)
         assert scalars == cube_roots
 
     def test_simple_input_returned_unchanged(self, m2):
-        # the column module of the matrix algebra
+        # the column module of the matrix algebra, through the chop of any
+        # module that the tests keep
         col = np.zeros((4, 2, 2), dtype=np.int64)
         col[0] = [[1, 0], [0, 0]]
         col[1] = [[0, 1], [0, 0]]
         col[2] = [[0, 0], [1, 0]]
         col[3] = [[0, 0], [0, 1]]
-        mod = ModuleRep(m2, col)
-        factors = chop(m2, mod, seed=3)
+        factors = whole_module_chop(m2, checked_module(m2, col), seed=3)
         assert len(factors) == 1
-        rep, mult = factors[0].module, factors[0].multiplicity
-        assert mult == 1 and rep.dim == 2
-        assert np.array_equal(rep.action, col)
+        rec = factors[0]
+        assert rec.multiplicity == 1 and rec.dim == 2
+        assert np.array_equal(rec.action, col)
 
     def test_s3_regular_wedderburn_shape(self, s3):
         # F_7[S3] = F_7 + F_7 + M_2(F_7): factors 1, 1, and 2 twice
-        factors = chop(s3, regular_module(s3), seed=0)
-        assert [(r.module.dim, r.multiplicity) for r in factors] == [(1, 1), (1, 1), (2, 2)]
+        factors = chop(s3, seed=0)
+        assert [(r.dim, r.multiplicity) for r in factors] == [(1, 1), (1, 1), (2, 2)]
 
     def test_dimension_accounting_and_seed_independence(self, s3):
         shapes = set()
         for seed in (0, 1, 2):
-            factors = chop(s3, regular_module(s3), seed=seed)
-            assert sum(r.module.dim * r.multiplicity for r in factors) == 6
-            shapes.add(tuple((r.module.dim, r.multiplicity) for r in factors))
+            factors = chop(s3, seed=seed)
+            assert sum(r.dim * r.multiplicity for r in factors) == 6
+            shapes.add(tuple((r.dim, r.multiplicity) for r in factors))
         assert len(shapes) == 1
 
 
@@ -279,7 +305,7 @@ def big_p_s3s3():
 
 
 def records(recs):
-    return [(r.module.dim, r.multiplicity, r.annihilator.key()) for r in recs]
+    return [(r.dim, r.multiplicity, r.annihilator.key()) for r in recs]
 
 
 class TestCentralSplit:
@@ -300,8 +326,8 @@ class TestCentralSplit:
     def test_records_match_the_whole_module_chop(self, cases, seed):
         assert len(cases) == 10
         for name, alg in cases.items():
-            want = records(whole_module_chop(alg, regular_module(alg), seed=seed))
-            assert records(simples(alg, seed=seed)) == want, name
+            want = records(whole_module_chop(alg, alg.left_regular(), seed=seed))
+            assert records(chop(alg, seed=seed)) == want, name
 
     @pytest.mark.parametrize("seed", range(4))
     def test_pieces_read_from_mul_equal_the_restricted_dense_stack(self, cases, seed):
@@ -310,8 +336,9 @@ class TestCentralSplit:
         from hopfib import repn
 
         for name, alg in cases.items():
-            sparse = repn._central_pieces(alg, None, np.random.default_rng(seed))
-            dense = repn._central_pieces(alg, alg.left_regular(), np.random.default_rng(seed))
+            pieces = repn._central_pieces(alg, np.random.default_rng(seed))
+            sparse = [alg.left_ideal_action(a) if isinstance(a, Subspace) else a for a in pieces]
+            dense = dense_central_pieces(alg, np.random.default_rng(seed))
             assert len(sparse) == len(dense), name
             assert all(np.array_equal(a, b) for a, b in zip(sparse, dense)), name
 
@@ -330,7 +357,7 @@ class TestCentralSplit:
         alg = instances(name).h.alg
         stacks = spy("left_regular", StructureConstantAlgebra)
         denses = spy("dense", SparseTensor)
-        simples(alg, seed=0)
+        chop(alg, seed=0)
         assert len(stacks) == dense_stacks
         assert [t.rank for (t,) in denses].count(3) == dense_stacks
 
@@ -342,7 +369,7 @@ class TestCentralSplit:
 
         def counted_pieces(*args):
             out = real_pieces(*args)
-            pieces.extend(a.shape[1] for a in out)
+            pieces.extend(a.dim if isinstance(a, Subspace) else a.shape[1] for a in out)
             return out
 
         def counted_try(action, *args):
@@ -351,7 +378,25 @@ class TestCentralSplit:
 
         monkeypatch.setattr(repn, "_central_pieces", counted_pieces)
         monkeypatch.setattr(repn, "_try_split", counted_try)
-        return simples(alg, seed=0), pieces, tried
+        return chop(alg, seed=0), pieces, tried
+
+    def test_each_piece_stack_is_built_when_the_split_stack_pops_it(self, qm2_pair, spy, monkeypatch):
+        # qm2's pieces are left ideals; only the one the split stack pops
+        # first has its action stack when the first element is tried
+        from hopfib import repn
+
+        built = spy("left_ideal_action", StructureConstantAlgebra)
+        real_try, built_at_try = repn._try_split, []
+
+        def counted_try(*args):
+            built_at_try.append(len(built))
+            return real_try(*args)
+
+        monkeypatch.setattr(repn, "_try_split", counted_try)
+        recs, pieces, _ = self.pieces_and_first_split(qm2_pair.h.alg, monkeypatch)
+        assert len(pieces) >= 2 and built_at_try[0] == 1
+        assert len(built) == len(pieces) and sorted(ideal.dim for _, ideal in built) == sorted(pieces)
+        assert [(r.dim, r.multiplicity) for r in recs] == [(1, 9)] * 9
 
     def test_s3s3_is_split_into_central_pieces_before_any_random_element(self, monkeypatch):
         alg = big_p_s3s3()
@@ -359,21 +404,21 @@ class TestCentralSplit:
         assert len(pieces) >= 2 and sum(pieces) == alg.dim == 36
         # every random element is drawn for a piece, never for the whole module
         assert tried[0][0] == len(pieces) and max(dim for _, dim in tried) < 36
-        assert sorted(r.module.dim for r in recs) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
+        assert sorted(r.dim for r in recs) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
 
     def test_a_centre_with_nilpotents_splits_into_generalized_eigenspaces(self, qm2_pair, monkeypatch):
         # qm2's centre is not semisimple, so the pieces fill the module only
         # as generalized eigenspaces, not as eigenspaces
         recs, pieces, _ = self.pieces_and_first_split(qm2_pair.h.alg, monkeypatch)
         assert len(pieces) >= 2 and sum(pieces) == 81
-        assert [(r.module.dim, r.multiplicity) for r in recs] == [(1, 9)] * 9
+        assert [(r.dim, r.multiplicity) for r in recs] == [(1, 9)] * 9
 
     def test_a_local_centre_leaves_one_piece(self, qsl2_pair, monkeypatch):
         alg = qsl2_pair.h.alg
         assert alg.centre.dim == 3
         recs, pieces, _ = self.pieces_and_first_split(alg, monkeypatch)
         assert pieces == [27]
-        assert [(r.module.dim, r.multiplicity) for r in recs] == [(1, 9), (1, 9), (1, 9)]
+        assert [(r.dim, r.multiplicity) for r in recs] == [(1, 9), (1, 9), (1, 9)]
 
 
 class TestInheritedElement:
@@ -391,9 +436,9 @@ class TestInheritedElement:
         counts = []
         for seed in range(4):
             calls = spy("irreducible_factors", repn)
-            recs = chop(alg, regular_module(alg), seed=seed)
+            recs = chop(alg, seed=seed)
             monkeypatch.undo()
-            assert sorted(r.module.dim for r in recs) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
+            assert sorted(r.dim for r in recs) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
             counts.append(len(calls))
         assert all(0 < count < before for count, before in zip(counts, (22, 24, 24, 20)))
 
@@ -403,7 +448,7 @@ class TestInheritedElement:
         from hopfib import repn
 
         c5 = build_algebra(F7, 5, [1, 0, 0, 0, 0], cyclic_entries(5))
-        quartic = [r.module.action for r in simples(c5, seed=0) if r.module.dim == 4][0]
+        quartic = [r.action for r in chop(c5, seed=0) if r.dim == 4][0]
         inherited = (np.eye(5, dtype=np.int64)[1], (1, 6))
         draws = spy("minpoly_on_vector", repn)
         sub, decider = repn._try_split(quartic, F7, np.random.default_rng(0), inherited)
@@ -425,9 +470,9 @@ class TestInheritedElement:
             return out
 
         monkeypatch.setattr(repn, "_try_split", counted_try)
-        recs = chop(alg, regular_module(alg), seed=0)
+        recs = chop(alg, seed=0)
         monkeypatch.undo()
-        assert records(recs) == records(whole_module_chop(alg, regular_module(alg), seed=0))
+        assert records(recs) == records(whole_module_chop(alg, alg.left_regular(), seed=0))
         # (inherited, drew fresh): children the inherited element decides,
         # and children it cannot decide that certify through a fresh draw
         assert {(True, False), (True, True)} <= set(tries)
@@ -455,12 +500,10 @@ class TestInheritedElement:
                 tries.append((side, 3 * (parent - action.shape[1]) >= action.shape[1], inherited is not None))
             return real["_try_split"](action, field, rng, inherited)
 
-        pieces = repn._central_pieces
-        monkeypatch.setattr(repn, "_central_pieces", lambda *args: [p.copy() for p in pieces(*args)])
         monkeypatch.setattr(repn, "restrict_action", child("restrict_action", "sub"))
         monkeypatch.setattr(repn, "quotient_action", child("quotient_action", "quo"))
         monkeypatch.setattr(repn, "_try_split", tried)
-        chop(alg, regular_module(alg), seed=0)
+        chop(alg, seed=0)
         monkeypatch.undo()
         assert all(inherited == (side == "sub" or big_sub) for side, big_sub, inherited in tries)
         # qm2's split tree has quotients on both sides of the mark
@@ -469,23 +512,23 @@ class TestInheritedElement:
 
 class TestSimples:
     def test_s3_simples(self, s3):
-        recs = simples(s3, seed=0)
-        assert [r.module.dim for r in recs] == [1, 1, 2]
+        recs = chop(s3, seed=0)
+        assert [r.dim for r in recs] == [1, 1, 2]
         # semisimple: sum of squares of dims equals algebra dim (Wedderburn)
-        assert sum(r.module.dim ** 2 for r in recs) == 6
+        assert sum(r.dim ** 2 for r in recs) == 6
 
     def test_m2_single_simple(self, m2):
-        recs = simples(m2, seed=0)
+        recs = chop(m2, seed=0)
         assert len(recs) == 1
-        assert recs[0].module.dim == 2
+        assert recs[0].dim == 2
         assert recs[0].annihilator.dim == 0
 
     def test_irreducibility_certificates_by_exhaustive_search(self, s3):
         # independent check: no nonzero proper invariant subspace, found by
         # spinning every nonzero vector (dims here are at most 2)
-        for rec in simples(s3, seed=0):
-            act = rec.module.action
-            m = rec.module.dim
+        for rec in chop(s3, seed=0):
+            act = rec.action
+            m = rec.dim
             for coords in np.ndindex(*(7,) * m):
                 v = np.array(coords, dtype=np.int64)
                 if not v.any():
@@ -500,7 +543,7 @@ class TestBudget:
 
         monkeypatch.setattr(repn, "MAX_ATTEMPTS", 0)
         with pytest.raises(BudgetExceeded, match=r"attempt budget of 0 .*repn\.MAX_ATTEMPTS"):
-            chop(s3, regular_module(s3), seed=0)
+            chop(s3, seed=0)
 
     def test_budget_bounds_each_module_not_the_whole_chop(self, instances, monkeypatch):
         # each attempt forms one random element with one tensordot_mod; a
@@ -522,28 +565,27 @@ class TestBudget:
 
         monkeypatch.setattr(repn, "tensordot_mod", counted_dot)
         monkeypatch.setattr(repn, "_try_split", counted_try)
-        expected = simples(alg, seed=0)
+        expected = chop(alg, seed=0)
         largest, total = max(per_call), sum(per_call)
         assert largest < total
 
         monkeypatch.setattr(repn, "MAX_ATTEMPTS", largest)
-        again = simples(alg, seed=0)
-        assert [(r.module.dim, r.multiplicity, r.annihilator.key()) for r in again] == \
-            [(r.module.dim, r.multiplicity, r.annihilator.key()) for r in expected]
+        again = chop(alg, seed=0)
+        assert records(again) == records(expected)
 
     def test_non_split_simple_is_still_certified(self):
         # F_7[C5]: x^5 - 1 = (x - 1) * (irreducible quartic) over F_7, so the
         # regular module has a 4-dim factor whose endomorphisms are a field
         # extension; the certificate must handle it without a split
         c5 = build_algebra(F7, 5, [1, 0, 0, 0, 0], cyclic_entries(5))
-        recs = simples(c5, seed=0)
-        assert [r.module.dim for r in recs] == [1, 4]
+        recs = chop(c5, seed=0)
+        assert [r.dim for r in recs] == [1, 4]
         # non-split: annihilator codimension is dim * degree, not dim**2
         assert 5 - recs[1].annihilator.dim == 4
 
     def test_chop_reads_factors_only_until_one_decides(self, monkeypatch):
         # F_p[S3 x S3] at p = 2**31 - 1: when every minimal polynomial was
-        # factored completely, simples(seed=0) made 11,460 products in the
+        # factored completely, chop(seed=0) made 11,460 products in the
         # quotient rings F_p[x]/(f) of the factoriser
         from hopfib import linalg
 
@@ -558,62 +600,55 @@ class TestBudget:
             return real_mul(ring, a, b)
 
         monkeypatch.setattr(linalg._Quotient, "mul", counted_mul)
-        recs = simples(alg, seed=0)
-        assert sorted(r.module.dim for r in recs) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
+        recs = chop(alg, seed=0)
+        assert sorted(r.dim for r in recs) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
         assert 0 < len(calls) <= 11_460 // 2
 
 
 class TestIsoSimple:
     def test_module_iso_to_itself(self, m2):
-        recs = simples(m2, seed=0)
-        assert iso_simple(recs[0].module, recs[0].module)
+        recs = chop(m2, seed=0)
+        assert iso_simple(m2, recs[0].action, recs[0].action)
 
     def test_distinct_characters_not_iso(self, c3):
-        recs = simples(c3, seed=0)
-        assert not iso_simple(recs[0].module, recs[1].module)
-
-    def test_different_algebras_rejected(self, c3, m2):
-        a = simples(c3, seed=0)[0].module
-        b = simples(m2, seed=0)[0].module
-        with pytest.raises(DifferentAlgebras):
-            iso_simple(a, b)
+        recs = chop(c3, seed=0)
+        assert not iso_simple(c3, recs[0].action, recs[1].action)
 
     def test_conjugated_module_is_iso(self, m2):
-        recs = simples(m2, seed=0)
-        act = recs[0].module.action
+        recs = chop(m2, seed=0)
+        act = recs[0].action
         g = np.array([[1, 2], [3, 1]], dtype=np.int64)  # det = 1-6 = 2 mod 7, invertible
         ginv = np.array(inverse_mod(g.tolist(), 7))
-        conj = np.stack([(g @ a @ ginv) % 7 for a in act])
-        other = ModuleRep(m2, conj)
-        assert iso_simple(recs[0].module, other)
+        conj = checked_module(m2, np.stack([(g @ a @ ginv) % 7 for a in act]))
+        assert iso_simple(m2, act, conj)
 
 
 class TestAnnihilator:
     def test_regular_module_is_faithful(self, s3):
-        assert annihilator(s3, regular_module(s3)).dim == 0
+        assert annihilator(s3, s3.left_regular()).dim == 0
 
     def test_one_elimination_per_annihilator(self, s3, spy):
         # kernel's rows are already the RREF basis of the annihilator, so the
         # subspace is built without a second elimination
         from hopfib import linalg
 
-        modules = [rec.module for rec in simples(s3, seed=0)] + [regular_module(s3)]
+        actions = [rec.action for rec in chop(s3, seed=0)] + [s3.left_regular()]
         calls = spy("rref", linalg)
-        anns = [annihilator(s3, module) for module in modules]
-        assert len(calls) == len(modules) == 4
+        anns = [annihilator(s3, action) for action in actions]
+        assert len(calls) == len(actions) == 4
         assert [ann.dim for ann in anns] == [5, 5, 2, 0]
 
     def test_character_kernel_has_codim_one(self, c3):
-        recs = simples(c3, seed=0)
+        recs = chop(c3, seed=0)
         for rec in recs:
-            if rec.module.dim == 1:
+            if rec.dim == 1:
                 assert rec.annihilator.dim == 2
 
     def test_s3_two_dim_annihilator(self, s3):
-        recs = simples(s3, seed=0)
-        two = [r for r in recs if r.module.dim == 2][0]
+        recs = chop(s3, seed=0)
+        two = [r for r in recs if r.dim == 2][0]
         assert two.annihilator.dim == 2  # 6 - dim M_2 = 2
 
     def test_codim_is_square_of_dim_for_split_simples(self, s3):
-        for rec in simples(s3, seed=0):
-            assert 6 - rec.annihilator.dim == rec.module.dim ** 2
+        for rec in chop(s3, seed=0):
+            assert 6 - rec.annihilator.dim == rec.dim ** 2

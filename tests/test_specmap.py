@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+import hopfib.cli
+import hopfib.hopf
 import hopfib.repn
+import hopfib.specmap
 from hopfib.algebra import build_algebra
 from hopfib.corpus import SHIPPED_NAMES, builtin_group, group_algebra_pair
 from hopfib.errors import HopfibError, NotAHopfSubalgebra, NotAPermutation, NotSplit
 from hopfib.fileio import canonical_json, instance_from_dict
 from hopfib.hopf import character_group_X, counit_character, one_dim_characters, winding
 from hopfib.linalg import FieldSpec, Subspace
-from hopfib.repn import simples
+from hopfib.repn import chop
 from hopfib.specmap import (
     Partition,
     _fibers_against_orbits,
@@ -32,6 +35,9 @@ F7 = FieldSpec(7)
 
 HOPF_NAMES = ("c3", "c4c2", "q8", "s3c2", "qsl2", "usl2")
 
+# every module that binds repn.chop, so a spy sees each call
+CHOP_OWNERS = (hopfib.repn, hopfib.specmap, hopfib.hopf, hopfib.cli)
+
 
 def verify(inst, mode="global", seed=0):
     """verify_theorem on the instance's spectrum at the seed."""
@@ -52,10 +58,10 @@ def x_of(inst, prims):
 class TestPrimEnumerate:
     def test_q8_five_primitives(self, q8_pair):
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
-        assert [it.simple_dim for it in prims] == [1, 1, 1, 1, 2]
+        assert [it.dim for it in prims] == [1, 1, 1, 1, 2]
         # split simples: codimension of the annihilator is the dim squared
         for it in prims:
-            assert 8 - it.annihilator.dim == it.simple_dim ** 2
+            assert 8 - it.annihilator.dim == it.dim ** 2
 
     def test_m2_single_zero_ideal(self):
         idx = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
@@ -72,16 +78,16 @@ class TestPrimEnumerate:
 
     def test_s3c2_six_primitives(self, s3c2_pair):
         prims = prim_enumerate(s3c2_pair.h.alg, seed=0)
-        assert [it.simple_dim for it in prims] == [1, 1, 1, 1, 2, 2]
+        assert [it.dim for it in prims] == [1, 1, 1, 1, 2, 2]
 
     def test_characters_attached_to_linear_items(self, q8_pair):
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
-        recs = simples(q8_pair.h.alg, seed=0)
+        recs = chop(q8_pair.h.alg, seed=0)
         for it, rec in zip(prims, recs, strict=True):
-            assert it.simple_dim == rec.module.dim
-            if it.simple_dim == 1:
+            assert it.dim == rec.dim
+            if it.dim == 1:
                 # annihilator is exactly the kernel of the character
-                character = rec.module.action[:, 0, 0]
+                character = rec.action[:, 0, 0]
                 assert it.annihilator.dim == 7
                 assert not (it.annihilator.basis @ character % 7).any()
 
@@ -91,14 +97,14 @@ class TestContract:
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
         a = q8_pair.a
         for it in prims:
-            if it.simple_dim == 1:
+            if it.dim == 1:
                 cont = contract(it, a)
                 assert cont.dim == a.dim - 1
                 assert contraction_is_maximal(q8_pair.h.alg, it, a)
 
     def test_q8_two_dim_contraction_is_sign_kernel(self, q8_pair):
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
-        two = [it for it in prims if it.simple_dim == 2][0]
+        two = [it for it in prims if it.dim == 2][0]
         cont = contract(two, q8_pair.a)
         # z acts by -1 on the 2-dim simple, so the contraction is span{1 + z}
         expected = Subspace(F7, 8, [[1, 1, 0, 0, 0, 0, 0, 0]])
@@ -292,7 +298,7 @@ class TestVerifyTheorem:
         # every fiber is read from Prim(H): one chop, the spectrum's, and one
         # image per primitive ideal of H and generator of X (prim_count x |gens|)
         inst = instances(name)
-        chops = spy("chop", hopfib.repn)
+        chops = spy("chop", *CHOP_OWNERS)
         moved = spy("image_under", Subspace)
         prims = prim_enumerate(inst.h.alg, seed=0)
         v = verify_theorem(inst, prims)
@@ -303,7 +309,7 @@ class TestVerifyTheorem:
     def test_verify_then_remark_chop_h_and_a_once_each(self, q8_pair, spy):
         # given one spectrum, the verdict and the remark chop nothing more:
         # one chop, of H (dim 8), and none of A
-        chops = spy("chop", hopfib.repn)
+        chops = spy("chop", *CHOP_OWNERS)
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
         verify_theorem(q8_pair, prims)
         remark_uniform_fibers(q8_pair, prims)
@@ -363,8 +369,8 @@ class TestVerifyTheorem:
                 verify_theorem(inst, prims, mode=mode)
             algebra, index, dim, degree = exc.value.witness
             assert (algebra, dim, degree) == ("H", 2, 2)
-            rec = simples(inst.h.alg)[index]
-            assert rec.module.dim == 2 and inst.dim - rec.annihilator.dim == 2
+            rec = chop(inst.h.alg)[index]
+            assert rec.dim == 2 and inst.dim - rec.annihilator.dim == 2
             assert "e = (dim S)^2 / codim P = 2" in str(exc.value)
 
     def test_determinism_same_seed_same_bytes(self, q8_pair):
