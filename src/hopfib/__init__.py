@@ -1,8 +1,8 @@
 """Exact computation with finite-dimensional bialgebras over prime fields.
 
 The package represents bialgebras and Hopf algebras by explicit structure
-constants, computes their characters, winding automorphisms, fiber
-algebras and simple modules, and checks on
+constants, computes their characters, winding automorphisms, simple
+modules and the sizes of their fiber algebras, and checks on
 concrete instances that the fibers of the primitive-ideal contraction map
 onto a central subalgebra match the orbits of the character-group action.
 """
@@ -14,7 +14,6 @@ from .algebra import (
     build_algebra,
     ideal_closure,
     is_central_subalgebra,
-    quotient_algebra,
 )
 from .corpus import (
     CorpusInstance,
@@ -36,7 +35,7 @@ from .hopf import (
     coideal_subalgebra,
     convolve,
     enumerate_characters,
-    fiber_quotient,
+    fiber_dim,
     is_right_coideal,
     verify_structure,
     winding,
@@ -78,7 +77,7 @@ __all__ = [
     "enumerate_basis",
     "enumerate_characters",
     "extract_bialgebra",
-    "fiber_quotient",
+    "fiber_dim",
     "fibers",
     "find_root_of_unity",
     "group_algebra",
@@ -92,7 +91,6 @@ __all__ = [
     "prim_enumerate",
     "quantum_m2_kernel",
     "quantum_sl2_kernel",
-    "quotient_algebra",
     "remark_uniform_fibers",
     "rref",
     "shipped_instance",

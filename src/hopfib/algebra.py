@@ -3,9 +3,8 @@
 An algebra of dimension n over F_p is stored as the canonical rank-3
 :class:`~hopfib.linalg.SparseTensor` ``mul``, whose entry (i, j, k) is the
 coefficient of e_k in e_i * e_j, together with the coefficient vector of
-the unit. Products, multiplication matrices, the axiom checks and the
-structure constants of quotients and subalgebras (:func:`induced_constants`)
-are sparse contractions of ``mul``. So is the action of the algebra on a
+the unit. Products, multiplication matrices and the axiom checks are
+sparse contractions of ``mul``. So is the action of the algebra on a
 left ideal (:meth:`StructureConstantAlgebra.left_ideal_action`), from which
 ``repn.chop`` reads each central piece of the regular module when its split
 stack reaches it. The only dense view is the regular module's action stack
@@ -14,8 +13,8 @@ the centre leaves the regular module in one piece.
 
 The unit laws and associativity are checked once, when :func:`build_algebra`
 reads the data, and recorded as ``certified``, so everything downstream can
-assume a genuine algebra. Algebras derived from a checked one (quotients by
-a checked ideal, checked subalgebras) inherit the axioms and are built
+assume a genuine algebra. Algebras derived from a checked one (the
+rewriting families, group algebras) inherit the axioms and are built
 without checking them again.
 
 Associativity is checked on a generating set. :attr:`StructureConstantAlgebra.generators`
@@ -26,8 +25,9 @@ that holds 1 and is closed under the product; that needs no associativity
 (Schafer, An Introduction to Nonassociative Algebras, 1966, ch. II). So
 once the unit laws hold, associativity holds iff it holds with the first
 factor in G. :func:`first_failure` runs a law's chain on G and reruns it
-over the whole basis only on a failure there, so a witness is always the
-lexicographically smallest failing index.
+over the whole basis only on a failure there, so a witness is the
+lexicographically smallest failing index, unless that rerun would pass
+linalg.MAX_JOIN_TERMS: then the failure on G stands, with a warning.
 
 The same argument bounds the closures. In a certified algebra the
 elements that commute with a given z, and those whose left (or right)
@@ -38,23 +38,24 @@ algebra and read by :func:`is_central_subalgebra` and ``repn.chop``) and
 uncertified data they take every basis element instead
 (:func:`closing_maps`). The tests' module-axiom check
 (``checked_module`` in tests/oracles.py) takes the homomorphism law on G
-for the same reason. :func:`quotient_algebra` takes
-the ideal a seed generates, so an ideal is closed once and never re-proved,
-and returns the quotient algebra alone. :func:`is_central_subalgebra`
+for the same reason. The package builds no quotient algebra: the size of
+a fiber H/H*ker(xi) is read off one :func:`ideal_closure`
+(``hopf.fiber_dim``). :func:`is_central_subalgebra`
 takes a subspace already proved a unital subalgebra
 (``hopf.coideal_subalgebra`` does so at load) and does not check it again.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
-    ImproperIdeal,
     NotAssociative,
     UnitAxiomFails,
 )
@@ -63,7 +64,6 @@ from .linalg import (
     SparseTensor,
     Subspace,
     asmat,
-    complement_projection,
     contract,
     first_difference,
     matmul_mod,
@@ -80,8 +80,8 @@ class StructureConstantAlgebra:
 
     The constructor only shapes the data. ``certified`` records that the
     unit laws and associativity hold: :func:`build_algebra` sets it after
-    checking them, and builders whose output inherits the axioms (quotients,
-    subalgebras, rewriting, group tables) pass it.
+    checking them, and builders whose output inherits the axioms (rewriting,
+    group tables, and the tests' quotients and subalgebras) pass it.
     """
 
     field: FieldSpec
@@ -210,11 +210,22 @@ def first_failure(chain, gens):
     first (None: every basis element) and returns the lexicographically
     smallest failing index there. With gens, a set on which a pass implies
     the law (see the module docstring), the chain runs on gens first; a
-    failure there, or gens None, runs it over the whole basis.
+    failure there, or gens None, runs it over the whole basis. If that rerun
+    would pass linalg.MAX_JOIN_TERMS, the failure on gens, which is genuine,
+    is the witness, with a warning that it may not be the smallest.
     """
-    if gens is not None and chain(np.asarray(gens)) is None:
+    if gens is None:
+        return chain(None)
+    at = chain(np.asarray(gens))
+    if at is None:
         return None
-    return chain(None)
+    try:
+        return chain(None)
+    except BudgetExceeded:
+        warnings.warn(f"the witness is the failure at {tuple(map(int, at))}, found on the generating "
+                      "set G: the rerun over every basis element would pass linalg.MAX_JOIN_TERMS",
+                      stacklevel=2)
+        return at
 
 
 def _check_unit(alg):
@@ -322,38 +333,3 @@ def is_central_subalgebra(alg: StructureConstantAlgebra, a: Subspace) -> bool:
     """Is the subspace a inside the centre? a must be a unital subalgebra
     (see the module docstring)."""
     return alg.centre.contains_rows(a.basis)
-
-
-# -- quotients -------------------------------------------------------------
-
-
-def induced_constants(t: SparseTensor, mats, p: int) -> SparseTensor:
-    """sum_{i,j,k} m0[a, i] m1[b, j] m2[c, k] t[i, j, k] over (d,)*3, for a
-    rank-3 t over (n,)*3 and (d, n) matrices (m0, m1, m2): each leg of t read
-    through its matrix, one sparse contraction per leg."""
-    for m in mats:
-        at = np.nonzero(m)
-        leg = SparseTensor.from_entries(t.n, 2, np.column_stack([*at, m[at]]), p)
-        t = permute(contract(leg, t, 1, p), (1, 2, 0))
-    return SparseTensor.from_entries(len(mats[0]), 3, np.column_stack([*t.indices(), t.vals]), p)
-
-
-def quotient_algebra(alg: StructureConstantAlgebra, seed: Subspace) -> StructureConstantAlgebra:
-    """Quotient by the two-sided ideal the seed subspace generates.
-
-    The ideal is one ideal_closure of the seed; ImproperIdeal if it holds
-    the unit. The quotient basis consists of the images of the standard
-    vectors at the non-pivot columns of the ideal's canonical basis, which
-    makes the construction deterministic. The quotient's unit and
-    associativity follow from the algebra's and are not checked again.
-    """
-    p = alg.field.p
-    ideal = ideal_closure(alg, seed)
-    if ideal.contains_vector(alg.unit):
-        raise ImproperIdeal("ideal contains the unit")
-    proj, section, nonpivot = complement_projection(ideal)
-    # products of the representatives e_c, c in nonpivot, projected
-    qmul = induced_constants(alg.mul, (section.T, section.T, proj), p)
-    qunit = matmul_mod(proj, alg.unit, p)
-    qlabels = tuple(alg.labels[c] for c in nonpivot)
-    return StructureConstantAlgebra(alg.field, len(nonpivot), qunit, qmul, qlabels, certified=True)

@@ -29,20 +29,21 @@ element (algebra.first_failure), so witnesses do not depend on G.
 
 Each law is two sparse contractions of the structure constants compared
 by linalg.first_difference. Convolution, winding maps and the character
-group restricting trivially to a coideal subalgebra are built on the same
-sparse data. Those derived objects are built once from the verified
-axioms and not re-proved: products of characters are characters, winding
-maps are algebra maps, and the winding maps of X fix A pointwise and
-preserve every fiber ideal. coideal_subalgebra proves A a unital
-subalgebra once, at load. character_group_X takes the characters of H
-from its caller, who reads them off simple modules (one_dim_characters).
-character_kernel carries ker(xi) into H, both for specmap.fibers, which
-orders the fibers by its key, and for fiber_quotient, which is only an algebra: the coproduct and antipode that
-the counit fiber inherits are a test oracle
-(tests/oracles.py::fiber_bialgebra). The tests hold each of these facts on
-the shipped corpus, and two the verifier does not use: chi o S is the
-convolution inverse of chi, and the adjoint action (tests/oracles.py) is a
-module structure.
+group X are built on the same sparse data. Those derived objects are built
+once from the verified axioms and not re-proved: products of characters
+are characters, winding maps are algebra maps, and the winding maps of X
+fix A pointwise and preserve every fiber ideal. coideal_subalgebra proves
+A a unital subalgebra once, at load. character_group_X takes X's members
+from its caller, who reads them off the simple modules over the counit of
+A (one_dim_characters), and certifies the group law from the products by
+its generators alone. character_kernel carries ker(xi) into H, both for
+specmap.fibers, which orders the fibers by its key, and for fiber_dim,
+which reads dim H/H*ker(xi) off one ideal closure and builds no quotient.
+The quotient algebras and the coproduct and antipode the counit fiber
+inherits are test oracles (tests/oracles.py). The tests hold each of these
+facts on the shipped corpus, and two the verifier does not use: chi o S is
+the convolution inverse of chi, and the adjoint action (tests/oracles.py)
+is a module structure.
 """
 
 from __future__ import annotations
@@ -56,12 +57,13 @@ from .algebra import (
     _check_associative,
     _check_unit,
     first_failure,
+    ideal_closure,
     is_subalgebra,
-    quotient_algebra,
 )
 from .errors import (
     DimensionMismatch,
     HopfibError,
+    ImproperIdeal,
     NotACoideal,
     NotASubalgebra,
     NotAssociative,
@@ -161,9 +163,6 @@ class Character:
 
     def vector(self) -> np.ndarray:
         return np.array(self.values, dtype=np.int64)
-
-    def key(self) -> tuple[int, ...]:
-        return self.values
 
 
 # -- axiom verification ----------------------------------------------------
@@ -364,66 +363,53 @@ def coideal_subalgebra(b: BialgebraData, a: Subspace) -> CoidealSubalgebra:
 
 @dataclass
 class XGroup:
-    """The group of characters restricting to the counit on a subalgebra."""
+    """The group X of characters restricting to the counit on A, and the
+    indices of its generators."""
 
     chars: list[Character]
-    table: np.ndarray  # table[i, j] = index of chars[i] * chars[j]
-    identity_index: int
+    gens: list[int]
 
     @property
     def order(self):
         return len(self.chars)
 
-    def generators(self) -> list[int]:
-        """Indices of a generating set of X, chosen greedily in index order.
-        On either side W_chi o W_psi is the winding map of a convolution of chi
-        and psi (Delta is coassociative), so these members' maps generate X's."""
-        gens, reached = [], np.arange(self.order) == self.identity_index
-        for i in range(self.order):
-            if not reached[i]:
-                gens.append(i)
-                while not reached[self.table[np.ix_(reached, gens)]].all():
-                    reached[self.table[np.ix_(reached, gens)]] = True
-        return gens
 
+def character_group_X(b: BialgebraData, members: list[Character]) -> XGroup:
+    """X from its members, which the caller reads off the counit fiber.
 
-def restricts_to_counit(b: BialgebraData, chi: Character, a: Subspace) -> bool:
-    p = b.field.p
-    return bool(
-        np.array_equal(matmul_mod(a.basis, chi.vector(), p), matmul_mod(a.basis, b.counit, p))
-    )
-
-
-def character_group_X(b: BialgebraData, a: CoidealSubalgebra, chars: list[Character]) -> XGroup:
-    """The members of chars, all the characters of H, that agree with the
-    counit on A, with their group structure.
-
-    Serves bialgebras and Hopf algebras alike: products are read from the
-    convolution table, and every member must have an inverse there. With an
-    antipode the inverse of chi is chi o S; a bialgebra may lack inverses,
-    which raises HopfibError. By the fixed-subalgebra criterion, chi lies in
-    X exactly when its right winding map fixes A pointwise; that theorem is
-    not checked again here.
+    Each member not yet reached from the counit by right convolution with
+    the generators so far becomes a generator, in index order; each product
+    r * g of a reached member and a generator is formed once (|X| |gens|
+    in all) and must be a member. As Delta is coassociative, X is then
+    closed. Each generator needs some r * g = eps, a left inverse, which in
+    a finite monoid is an inverse; a bialgebra may lack it: HopfibError.
+    The generators' winding maps generate X's, since W_chi o W_psi winds
+    by a convolution of chi and psi.
     """
-    members = [c for c in chars if restricts_to_counit(b, c, a.subspace)]
     index = {c.values: i for i, c in enumerate(members)}
-    k = len(members)
-    table = np.zeros((k, k), dtype=np.int64)
-    for i, c1 in enumerate(members):
-        for j, c2 in enumerate(members):
-            prod = convolve(b, c1, c2)
-            if prod.values not in index:
-                raise HopfibError("character set is not closed under convolution")
-            table[i, j] = index[prod.values]
     ident = index.get(counit_character(b).values)
     if ident is None:
         raise HopfibError("counit is missing from the character set")
-    if not ((table == ident) & (table.T == ident)).any(axis=1).all():
+    reached, gens, product = [ident], [], {}  # product[r, g]: the index of members[r] * members[g]
+    for i in range(len(members)):
+        if i in reached:
+            continue
+        gens.append(i)
+        todo = [(r, i) for r in reached]
+        while todo:
+            r, g = todo.pop()
+            product[r, g] = index.get(convolve(b, members[r], members[g]).values)
+            if product[r, g] is None:
+                raise HopfibError("character set is not closed under convolution")
+            if product[r, g] not in reached:
+                reached.append(product[r, g])
+                todo += [(product[r, g], h) for h in gens]
+    if not all(ident in (product[r, g] for r in reached) for g in gens):
         raise HopfibError("character has no convolution inverse in the set")
-    return XGroup(members, table, ident)
+    return XGroup(members, gens)
 
 
-# -- fiber quotients ----------------------------------------------------------
+# -- fibers over the characters of A ----------------------------------------
 
 
 def character_kernel(a: CoidealSubalgebra, xi: Character) -> Subspace:
@@ -436,8 +422,11 @@ def character_kernel(a: CoidealSubalgebra, xi: Character) -> Subspace:
     return Subspace(field, a.subspace.ambient, rows)
 
 
-def fiber_quotient(b: BialgebraData, a: CoidealSubalgebra, xi: Character) -> StructureConstantAlgebra:
-    """The algebra H/H*ker(xi): algebra.quotient_algebra by the ideal that
-    character_kernel generates (ImproperIdeal if that is all of H). Since A
-    is central (specmap checks that once per run), H*K = K*H is that ideal."""
-    return quotient_algebra(b.alg, character_kernel(a, xi))
+def fiber_dim(b: BialgebraData, a: CoidealSubalgebra, xi: Character) -> int:
+    """dim H/H*ker(xi), read off one ideal_closure of character_kernel;
+    ImproperIdeal if that ideal is all of H. Since A is central (specmap
+    checks that once per run), H*K = K*H is that ideal."""
+    ideal = ideal_closure(b.alg, character_kernel(a, xi))
+    if ideal.contains_vector(b.alg.unit):
+        raise ImproperIdeal("ideal contains the unit")
+    return b.dim - ideal.dim

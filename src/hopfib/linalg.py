@@ -119,9 +119,6 @@ class FieldSpec:
         if not is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
 
-    def inv(self, a: int) -> int:
-        return modinv(a, self.p)
-
 
 def asmat(entries, p: int) -> np.ndarray:
     return np.asarray(entries, dtype=np.int64) % p
@@ -272,31 +269,6 @@ def find_root_of_unity(field: FieldSpec, m: int) -> int:
         if y < best and all(k % q for q in prime_divs):
             best = y
     return best
-
-
-def complement_projection(sub: "Subspace"):
-    """Projection onto a complement of `sub` spanned by standard vectors.
-
-    Returns (projection, section, nonpivot_columns): projection is a
-    (q, n) matrix sending x to the coordinates of x modulo `sub` in the
-    basis of standard vectors at the non-pivot columns, and section is the
-    (n, q) embedding of those standard vectors, so projection @ section is
-    the identity and the kernel of projection is exactly `sub`.
-    """
-    n = sub.ambient
-    p = sub.field.p
-    pivot_set = set(sub.pivots)
-    nonpivot = [c for c in range(n) if c not in pivot_set]
-    q = len(nonpivot)
-    proj = np.zeros((q, n), dtype=np.int64)
-    for r, c in enumerate(nonpivot):
-        proj[r, c] = 1
-    for r, pc in enumerate(sub.pivots):
-        proj[:, pc] = (proj[:, pc] - sub.basis[r][nonpivot]) % p
-    section = np.zeros((n, q), dtype=np.int64)
-    for r, c in enumerate(nonpivot):
-        section[c, r] = 1
-    return proj, section, nonpivot
 
 
 class Subspace:

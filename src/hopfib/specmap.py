@@ -21,8 +21,11 @@ central and H split, A acts on the simple module of P through a
 character xi_P (Schur), and the fiber over a character xi of A is the set
 of P with xi_P = xi (fibers): Prim(H/H*ker(xi)), so no fiber algebra is
 chopped. Every character of A is some xi_P, as H is a faithful finite
-A-module (Nakayama), and the characters of H that make up X are the
-1-dimensional members of prims; so nothing but H is chopped. The orbits
+A-module (Nakayama). X is the characters of H that restrict to the
+counit of A, that is, the 1-dimensional members of the counit fiber; and
+the dimension of H/H*ker(xi) is read off one ideal closure
+(hopf.fiber_dim). So nothing but H is chopped, and no quotient algebra
+is built. The orbits
 match each winding image through the codim P dimensional annihilator of
 P in the dual of H (orbits), not through P itself.
 
@@ -67,7 +70,7 @@ from .hopf import (
     CoidealSubalgebra,
     character_group_X,
     character_kernel,
-    fiber_quotient,
+    fiber_dim,
     one_dim_characters,
     winding,
 )
@@ -123,7 +126,7 @@ def orbits(prims: list[SimpleRecord], maps: list[np.ndarray]) -> Partition:
     (codim P rows) rather than the annihilators themselves. Each map must
     permute the annihilator list; a missing image raises NotAPermutation
     (an invalid character set or winding side). Callers pass the maps of
-    XGroup.generators(), which generate X's and so give its orbits.
+    X's generators (XGroup.gens), which generate X's and so give its orbits.
     """
     duals = [_dual(prim) for prim in prims]
     index = {dual.key(): i for i, dual in enumerate(duals)}
@@ -223,17 +226,16 @@ def verify_theorem(instance: CorpusInstance, prims: list[SimpleRecord], mode: st
     p = h.field.p
     _require_central(h, a)
     _require_split(h.alg, prims)
-    x = character_group_X(h, a, one_dim_characters(p, [prim.action for prim in prims]))
     fib = fibers(prims, a)
-    gens = x.generators()
+    eps_a = Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p))
+    fiber = fib[eps_a]  # X's members are its 1-dimensional primitive ideals
+    x = character_group_X(h, one_dim_characters(p, [prims[i].action for i in fiber]))
     if h.antipode is None:
-        maps = [winding(h, x.chars[i], side) for side in ("right", "left") for i in gens]
+        maps = [winding(h, x.chars[i], side) for side in ("right", "left") for i in x.gens]
         cond_iii, witnesses = _fibers_against_orbits(prims, fib, orbits(prims, maps))
         witnesses.update({"x_order": x.order, "action": "two-sided"})
         return Verdict("experiment", False, x.order, None, None, cond_iii, None, True, witnesses)
-    maps = [winding(h, x.chars[i]) for i in gens]
-    eps_a = Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p))
-    fiber = fib[eps_a]
+    maps = [winding(h, x.chars[i]) for i in x.gens]
     dims = [prims[i].dim for i in fiber]
     cond_i = all(d == 1 for d in dims)
     # the fiber is X-stable, so its X-orbits are the orbit blocks within it
@@ -246,7 +248,7 @@ def verify_theorem(instance: CorpusInstance, prims: list[SimpleRecord], mode: st
 
     witnesses = {
         "x_order": x.order,
-        "fiber_algebra_dim": fiber_quotient(h, a, eps_a).dim,
+        "fiber_algebra_dim": fiber_dim(h, a, eps_a),
         "fiber_algebra_simple_dims": dims,
         "failing_simple_dims": sorted(set(dims) - {1}),
         "counit_fiber_orbit_sizes": sorted(len(b) for b in fiber_orbits),
@@ -328,7 +330,7 @@ def remark_uniform_fibers(instance: CorpusInstance, prims: list[SimpleRecord]) -
     fiber ideal onto another); characters that do not extend are reported
     without entering the consistency claim. The characters of A are the
     xi_P (fibers), sorted by value vector; H*ker(xi) lies in every P over
-    xi, so it is proper, and fiber_quotient gives the dimension of
+    xi, so it is proper, and fiber_dim gives the dimension of
     H/H*ker(xi). A character of H kills H*ker(xi) iff it restricts to xi,
     ker(xi) having codimension 1 in A; so xi extends iff the fiber has a
     1-dimensional simple module. NotSplit unless F_p splits H.
@@ -343,7 +345,7 @@ def remark_uniform_fibers(instance: CorpusInstance, prims: list[SimpleRecord]) -
     entries = []
     for xi in sorted(fib, key=lambda c: c.values):
         dims = [prims[i].dim for i in fib[xi]]
-        entries.append(FiberReportEntry(xi.values, 1 in dims, True, fiber_quotient(h, a, xi).dim,
+        entries.append(FiberReportEntry(xi.values, 1 in dims, True, fiber_dim(h, a, xi),
                                         all(d == 1 for d in dims)))
     verdicts = {e.all_one_dim for e in entries if e.extends_to_h}
     return FiberUniformityReport(entries, len(verdicts) <= 1)

@@ -12,8 +12,6 @@ from hopfib.algebra import (
     closing_maps,
     first_failure,
     ideal_closure,
-    induced_constants,
-    quotient_algebra,
 )
 from hopfib.corpus import GroupTable
 from hopfib.errors import (
@@ -29,8 +27,9 @@ from hopfib.hopf import (
     Character,
     character_group_X,
     character_kernel,
+    convolve,
+    counit_character,
     enumerate_characters,
-    fiber_quotient,
     winding,
 )
 from hopfib.linalg import (
@@ -38,7 +37,6 @@ from hopfib.linalg import (
     SparseTensor,
     Subspace,
     asmat,
-    complement_projection,
     first_difference,
     irreducible_factors,
     kernel,
@@ -48,6 +46,7 @@ from hopfib.linalg import (
     rref,
     tensordot_mod,
 )
+from hopfib.linalg import contract as sparse_contract
 from hopfib.repn import annihilator
 from hopfib.rewrite import Presentation, enumerate_basis, normalize
 from hopfib.specmap import orbits, prim_enumerate
@@ -452,10 +451,67 @@ def refinement_holds(fib, orb) -> bool:
     return True
 
 
+def complement_projection(sub: Subspace):
+    """Projection onto a complement of `sub` spanned by standard vectors.
+
+    Returns (projection, section, nonpivot_columns): projection is a
+    (q, n) matrix sending x to the coordinates of x modulo `sub` in the
+    basis of standard vectors at the non-pivot columns, and section is the
+    (n, q) embedding of those standard vectors, so projection @ section is
+    the identity and the kernel of projection is exactly `sub`.
+    """
+    n = sub.ambient
+    p = sub.field.p
+    pivot_set = set(sub.pivots)
+    nonpivot = [c for c in range(n) if c not in pivot_set]
+    q = len(nonpivot)
+    proj = np.zeros((q, n), dtype=np.int64)
+    for r, c in enumerate(nonpivot):
+        proj[r, c] = 1
+    for r, pc in enumerate(sub.pivots):
+        proj[:, pc] = (proj[:, pc] - sub.basis[r][nonpivot]) % p
+    section = np.zeros((n, q), dtype=np.int64)
+    for r, c in enumerate(nonpivot):
+        section[c, r] = 1
+    return proj, section, nonpivot
+
+
+def induced_constants(t: SparseTensor, mats, p: int) -> SparseTensor:
+    """sum_{i,j,k} m0[a, i] m1[b, j] m2[c, k] t[i, j, k] over (d,)*3, for a
+    rank-3 t over (n,)*3 and (d, n) matrices (m0, m1, m2): each leg of t read
+    through its matrix, one sparse contraction per leg."""
+    for m in mats:
+        at = np.nonzero(m)
+        leg = SparseTensor.from_entries(t.n, 2, np.column_stack([*at, m[at]]), p)
+        t = permute(sparse_contract(leg, t, 1, p), (1, 2, 0))
+    return SparseTensor.from_entries(len(mats[0]), 3, np.column_stack([*t.indices(), t.vals]), p)
+
+
+def quotient_algebra(alg: StructureConstantAlgebra, seed: Subspace) -> StructureConstantAlgebra:
+    """Quotient by the two-sided ideal the seed subspace generates.
+
+    The ideal is one ideal_closure of the seed; ImproperIdeal if it holds
+    the unit. The quotient basis consists of the images of the standard
+    vectors at the non-pivot columns of the ideal's canonical basis, which
+    makes the construction deterministic. The quotient's unit and
+    associativity follow from the algebra's and are not checked again.
+    """
+    p = alg.field.p
+    ideal = ideal_closure(alg, seed)
+    if ideal.contains_vector(alg.unit):
+        raise ImproperIdeal("ideal contains the unit")
+    proj, section, nonpivot = complement_projection(ideal)
+    # products of the representatives e_c, c in nonpivot, projected
+    qmul = induced_constants(alg.mul, (section.T, section.T, proj), p)
+    qunit = matmul_mod(proj, alg.unit, p)
+    qlabels = tuple(alg.labels[c] for c in nonpivot)
+    return StructureConstantAlgebra(alg.field, len(nonpivot), qunit, qmul, qlabels, certified=True)
+
+
 def quotient_maps(alg: StructureConstantAlgebra, seed: Subspace):
     """The projection onto alg/I, a (q, n) matrix acting on column vectors,
     and a section back, an (n, q) matrix with projection @ section = 1, for I
-    the ideal the seed generates: the maps that algebra.quotient_algebra
+    the ideal the seed generates: the maps that quotient_algebra
     reads its quotient through, on the standard vectors at the non-pivot
     columns of I."""
     proj, section, _ = complement_projection(ideal_closure(alg, seed))
@@ -466,8 +522,10 @@ MappedQuotient = namedtuple("MappedQuotient", "algebra projection section")
 
 
 def mapped_fiber(b, a, xi) -> MappedQuotient:
-    """fiber_quotient(b, a, xi) with the projection and section of quotient_maps."""
-    return MappedQuotient(fiber_quotient(b, a, xi), *quotient_maps(b.alg, character_kernel(a, xi)))
+    """The fiber algebra H/H*ker(xi) (quotient_algebra of character_kernel)
+    with the projection and section of quotient_maps."""
+    kernel_h = character_kernel(a, xi)
+    return MappedQuotient(quotient_algebra(b.alg, kernel_h), *quotient_maps(b.alg, kernel_h))
 
 
 def quotient_ideal(q) -> Subspace:
@@ -501,7 +559,7 @@ def chopped_counit_fiber(inst, seed: int = 0) -> dict:
     algebra, under the right windings of every member of X."""
     h, a = inst.h, inst.a
     p = h.field.p
-    maps = [winding(h, c) for c in character_group_X(h, a, enumerate_characters(h, seed=seed)).chars]
+    maps = [winding(h, c) for c in x_members(h, a, enumerate_characters(h, seed=seed))]
     eps_a = Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p))
     fiber = chopped_fiber(h, a, eps_a, maps, seed)
     return {"cond_i": all(d == 1 for d in fiber.simple_dims),
@@ -543,6 +601,51 @@ def fiber_bialgebra(b, a, q):
     comul = induced_constants(b.comul, (section.T, proj, proj), p)
     antipode = None if b.antipode is None else matmul_mod(matmul_mod(proj, b.antipode, p), section, p)
     return BialgebraData(q.algebra, comul.entries(), matmul_mod(b.counit, section, p), antipode)
+
+
+def x_members(b, a, chars) -> list:
+    """The members of chars that agree with the counit on a basis of the
+    coideal subalgebra a: X by its definition, where verify_theorem reads it
+    off the counit fiber."""
+    p, basis = b.field.p, a.subspace.basis
+    eps_a = matmul_mod(basis, b.counit, p)
+    return [c for c in chars if np.array_equal(matmul_mod(basis, c.vector(), p), eps_a)]
+
+
+def x_by_restriction(b, a, chars):
+    """character_group_X of the members of chars that restrict to the counit on a."""
+    return character_group_X(b, x_members(b, a, chars))
+
+
+def convolution_table(b, chars):
+    """The whole convolution table of a character set, by |chars|^2 calls of
+    convolve: table[i, j] is the index of chars[i] * chars[j], and the second
+    value is the index of the counit. HopfibError if a product or the counit
+    is missing from the set."""
+    index = {c.values: i for i, c in enumerate(chars)}
+    table = np.zeros((len(chars), len(chars)), dtype=np.int64)
+    for i, c1 in enumerate(chars):
+        for j, c2 in enumerate(chars):
+            prod = convolve(b, c1, c2).values
+            if prod not in index:
+                raise HopfibError("character set is not closed under convolution")
+            table[i, j] = index[prod]
+    if counit_character(b).values not in index:
+        raise HopfibError("counit is missing from the character set")
+    return table, index[counit_character(b).values]
+
+
+def table_greedy_generators(table, ident) -> list[int]:
+    """Generators of a finite group from its whole table, chosen greedily in
+    index order: each index not yet reached from the identity by right
+    products with the generators so far becomes one."""
+    gens, reached = [], np.arange(len(table)) == ident
+    for i in range(len(table)):
+        if not reached[i]:
+            gens.append(i)
+            while not reached[table[np.ix_(reached, gens)]].all():
+                reached[table[np.ix_(reached, gens)]] = True
+    return gens
 
 
 def exhaustive_center(alg: StructureConstantAlgebra) -> Subspace:

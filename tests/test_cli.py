@@ -160,6 +160,29 @@ class TestAxiomsCommand:
         assert proc.returncode == 2
         assert "linalg.MAX_JOIN_TERMS" in proc.stderr and proc.stdout == ""
 
+    def test_a_rerun_past_the_join_budget_keeps_the_generator_witness(self, instances, tmp_path, capsys,
+                                                                      monkeypatch):
+        # qsl2 with one seeded coproduct coefficient bumped: Delta-multiplicativity
+        # fails on the generators, and its rerun over every basis element joins
+        # up to 16425 term pairs. Under a budget of 2000, above every other join
+        # of the run (1096 at most), the failure found on G stands as the
+        # witness, with a warning, and the run exits 1 for a failed axiom
+        import hopfib.linalg
+
+        path = tmp_path / "qsl2_bad_comul.json"
+        d = corpus_instance_to_dict(instances("qsl2"))
+        at = random.Random(0).randrange(len(d["comul"]))
+        d["comul"][at][3] = (d["comul"][at][3] + 1) % d["field"]["p"]
+        path.write_text(json.dumps(d))
+        code, report = run(capsys, "axioms", "--input", str(path))
+        exhaustive = {c["name"]: c for c in report["results"]["checks"]}
+        assert code == 1 and exhaustive["comul_multiplicative"]["witness"] == [1, 15]
+        monkeypatch.setattr(hopfib.linalg, "MAX_JOIN_TERMS", 2000)
+        with pytest.warns(UserWarning, match=r"failure at \(1, 15, 7, 11\), found on the generating set G.*MAX_JOIN_TERMS"):
+            code, report = run(capsys, "axioms", "--input", str(path))
+        assert code == 1
+        assert {c["name"]: c for c in report["results"]["checks"]} == exhaustive
+
 
 class TestMalformedEntries:
     """Instance files are outside input: entries are checked before use."""
@@ -402,6 +425,26 @@ class TestVerifyCommand:
         assert code == 0 and len(report["results"]["uniform_fibers"]["entries"]) == 2
         assert enumerations == []
         assert [args[0].dim for args in chops] == [8]
+
+    def test_uniform_fibers_builds_no_quotient_algebra(self, q8_file, capsys):
+        # every fiber's size is read off one ideal closure: no function that
+        # builds a quotient algebra, its projection or its induced structure
+        # constants runs. Calls are seen by name through a profile hook, so a
+        # function of that name anywhere is counted
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            code, report = run(capsys, "verify", "--input", str(q8_file), "--uniform-fibers")
+        finally:
+            sys.setprofile(None)
+        assert code == 0 and len(report["results"]["uniform_fibers"]["entries"]) == 2
+        assert {"ideal_closure", "chop"} <= called
+        assert not called & {"quotient_algebra", "complement_projection", "induced_constants"}
 
     def test_uniform_fibers_proves_a_subalgebra_once(self, q8_file, capsys, spy):
         # coideal_subalgebra proves A a unital subalgebra at load; the

@@ -21,7 +21,6 @@ from hopfib.errors import BadParameters, NotASubgroup, NotCentral
 from hopfib.hopf import (
     Character,
     enumerate_characters,
-    fiber_quotient,
     is_right_coideal,
     verify_structure,
 )
@@ -282,7 +281,7 @@ class TestIrreducibilityCertificates:
             h, a = inst.h, inst.a
             p = h.field.p
             eps_a = Character.from_vector(p, (a.subspace.basis @ h.counit) % p)
-            for alg in (h.alg, fiber_quotient(h, a, eps_a)):
+            for alg in (h.alg, mapped_fiber(h, a, eps_a).algebra):
                 recs = chop(alg, seed=0)
                 for rec in recs:
                     checked_module(alg, rec.action)

@@ -18,7 +18,7 @@ from hopfib.hopf import (
     convolve,
     counit_character,
     enumerate_characters,
-    fiber_quotient,
+    fiber_dim,
     is_right_coideal,
     verify_structure,
     winding,
@@ -34,6 +34,7 @@ from oracles import (
     all_pairs_module_witness,
     checked_module,
     contract,
+    convolution_table,
     fiber_bialgebra,
     is_character,
     iso_simple,
@@ -44,6 +45,8 @@ from oracles import (
     quotient_ideal,
     right_regular,
     subalgebra_as_algebra,
+    x_by_restriction,
+    x_members,
 )
 
 F7 = FieldSpec(7)
@@ -57,9 +60,10 @@ def counit_fiber(inst):
     return mapped_fiber(h, a, Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p)))
 
 
-def inverses(x):
-    """The index of each member's inverse, read from the row of X's table."""
-    return [int(np.flatnonzero(row == x.identity_index)[0]) for row in x.table]
+def inverses(table, ident):
+    """The index of each member's inverse, read from its row of a whole
+    convolution table (convolution_table) with identity index ident."""
+    return [int(np.flatnonzero(row == ident)[0]) for row in table]
 
 
 class TestVerifyStructure:
@@ -164,7 +168,7 @@ class TestConvolution:
 
     def test_inverse_via_antipode(self, instances, rebased_big_p):
         # chi o S is the convolution inverse of chi by the antipode axioms,
-        # and X reads its inverses from the convolution table: both must agree
+        # and so must be the inverse read from X's whole convolution table
         hopf = [instances(name) for name in SHIPPED_NAMES]
         hopf = [inst for inst in hopf if inst.h.antipode is not None]
         hopf.append(instance_from_dict(rebased_big_p("q8")))
@@ -181,9 +185,9 @@ class TestConvolution:
             for ch in chars:
                 inv = chi_s(ch)
                 assert convolve(h, ch, inv) == eps == convolve(h, inv, ch)
-            x = character_group_X(h, inst.a, chars)
+            x = x_by_restriction(h, inst.a, chars)
             for i, ch in enumerate(x.chars):
-                assert x.chars[inverses(x)[i]] == chi_s(ch)
+                assert x.chars[inverses(*convolution_table(h, x.chars))[i]] == chi_s(ch)
 
     def test_convolutions_are_characters(self, instances, rebased_big_p):
         # convolve does not re-check multiplicativity (it follows from the
@@ -268,43 +272,46 @@ class TestCharacterGroupX:
     def test_whole_algebra_gives_trivial_x(self, q8_pair):
         h = q8_pair.h
         a = coideal_subalgebra(h, Subspace.full(F7, h.dim))
-        x = character_group_X(h, a, enumerate_characters(h))
+        x = x_by_restriction(h, a, enumerate_characters(h))
         assert x.order == 1
         assert x.chars[0] == counit_character(h)
 
     def test_q8_x_is_klein_four(self, q8_pair):
-        x = character_group_X(q8_pair.h, q8_pair.a, enumerate_characters(q8_pair.h))
+        x = x_by_restriction(q8_pair.h, q8_pair.a, enumerate_characters(q8_pair.h))
         assert x.order == 4
-        # every element squares to the identity
+        # every element squares to the identity, in the whole table
+        table, ident = convolution_table(q8_pair.h, x.chars)
         for i in range(4):
-            assert x.table[i, i] == x.identity_index
-            assert inverses(x)[i] == i
+            assert table[i, i] == ident
+            assert inverses(table, ident)[i] == i
 
     def test_qsl2_x_is_cyclic_of_order_three(self, qsl2_pair):
-        x = character_group_X(qsl2_pair.h, qsl2_pair.a, enumerate_characters(qsl2_pair.h))
+        x = x_by_restriction(qsl2_pair.h, qsl2_pair.a, enumerate_characters(qsl2_pair.h))
         assert x.order == 3
-        non_identity = [i for i in range(3) if i != x.identity_index]
+        table, ident = convolution_table(qsl2_pair.h, x.chars)
+        non_identity = [i for i in range(3) if i != ident]
         g = non_identity[0]
-        assert x.table[g, g] != x.identity_index  # order 3, not 2
+        assert table[g, g] != ident  # order 3, not 2
 
     def test_windings_fix_a_pointwise(self, instances):
         # the windings of X fix A pointwise and those of no other character
         # do (the fixed-subalgebra criterion, which character_group_X does
         # not re-check); qm2 has no antipode, so its X is a group through
-        # the convolution table alone
+        # the convolution table alone, checked here in full
         for name in SHIPPED_NAMES:
             inst = instances(name)
             h = inst.h
             p = h.field.p
             chars = enumerate_characters(h)
-            x = character_group_X(h, inst.a, chars)
+            x = x_by_restriction(h, inst.a, chars)
             members = {c.values for c in x.chars}
             basis_t = inst.a.subspace.basis.T
             for ch in chars:
                 fixes = np.array_equal(matmul_mod(winding(h, ch), basis_t, p), basis_t)
                 assert fixes == (ch.values in members)
-            for i, j in enumerate(inverses(x)):
-                assert x.table[i, j] == x.table[j, i] == x.identity_index
+            table, ident = convolution_table(h, x.chars)
+            for i, j in enumerate(inverses(table, ident)):
+                assert table[i, j] == table[j, i] == ident
             assert x.order == inst.expected["x_order"]
 
     def test_bialgebra_character_without_inverse_is_refused(self):
@@ -314,7 +321,7 @@ class TestCharacterGroupX:
         b = build_bialgebra(alg, [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1])
         a = coideal_subalgebra(b, Subspace(F7, 2, [alg.unit]))
         with pytest.raises(HopfibError, match="no convolution inverse"):
-            character_group_X(b, a, enumerate_characters(b))
+            character_group_X(b, x_members(b, a, enumerate_characters(b)))
 
 
 
@@ -398,7 +405,7 @@ class TestFiberQuotient:
         for xi in enumerate_characters(subalgebra_as_algebra(h.alg, a.subspace)[0]):
             over = [P for P in prims if contract(P, a) == character_kernel(a, xi)]
             try:
-                fiber_quotient(h, a, xi)
+                fiber_dim(h, a, xi)
                 improper = False
             except ImproperIdeal:
                 improper = True
@@ -498,7 +505,7 @@ class TestFiberQuotient:
                 assert not matmul_mod(matmul_mod(fq.projection, m, p), fq.projection.T, p).any()
 
     def test_fiber_ideals_are_two_sided_and_preserved_by_x(self, instances):
-        # fiber_quotient takes B*K as the ideal (K*B is the same, A being
+        # fiber_dim takes B*K as the ideal (K*B is the same, A being
         # central), and the X windings preserve it, so that verify_theorem
         # may read every fiber off Prim(H) and the oracle may push the
         # windings down as projection . W . section; hold both for every
@@ -507,7 +514,7 @@ class TestFiberQuotient:
             inst = instances(name)
             h, a = inst.h, inst.a
             p = h.field.p
-            windings = [winding(h, c) for c in character_group_X(h, a, enumerate_characters(h)).chars]
+            windings = [winding(h, c) for c in x_members(h, a, enumerate_characters(h))]
             asub, embedding = subalgebra_as_algebra(h.alg, a.subspace)
             proper = 0
             for xi in enumerate_characters(asub):
@@ -539,7 +546,7 @@ class TestFiberQuotient:
                 for c in enumerate_characters(fiber_bialgebra(inst.h, inst.a, fq))
             )
             chars = enumerate_characters(inst.h)
-            assert lifted == [c.values for c in character_group_X(inst.h, inst.a, chars).chars]
+            assert lifted == [c.values for c in x_members(inst.h, inst.a, chars)]
 
     def test_windings_descend(self, q8_pair):
         h = q8_pair.h
@@ -547,7 +554,7 @@ class TestFiberQuotient:
         eps_a = Character.from_vector(7, (a.subspace.basis @ h.counit) % 7)
         fq = mapped_fiber(h, a, eps_a)
         qb = fiber_bialgebra(h, a, fq)
-        x = character_group_X(h, a, enumerate_characters(h))
+        x = x_by_restriction(h, a, enumerate_characters(h))
         assert x.order == 4
         for chi, mat in zip(x.chars, [winding(h, c) for c in x.chars], strict=True):
             # the map the chopped-fiber oracle descends agrees with the quotient's own winding map

@@ -65,9 +65,8 @@ class TestFieldSpec:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 31])
     def test_inverse_all_nonzero(self, p):
-        f = FieldSpec(p)
         for x in range(1, p):
-            assert (x * f.inv(x)) % p == 1
+            assert (x * modinv(x, p)) % p == 1
 
     def test_inverse_p2_standalone(self):
         # modinv itself is not restricted to odd p
@@ -898,7 +897,7 @@ def dead_definitions(modules: dict[str, ast.Module], roots) -> list[str]:
                 cls = node.name
                 methods = [s for s in node.body if isinstance(s, DEFINITIONS[:2])
                            and not (s.name.startswith("__") and s.name.endswith("__"))]
-                pending.update((f"{mod}.{node.name}.{m.name}", ({m.name, f"{node.name}.{m.name}"}, [m], node.name))
+                pending.update((f"{mod}.{node.name}.{m.name}", ({"." + m.name, f"{node.name}.{m.name}"}, [m], node.name))
                                for m in methods)
                 pending.update((f"{mod}.{node.name}.{s.target.id}",
                                 ({"." + s.target.id, f"{node.name}.{s.target.id}"}, [], node.name))
@@ -944,6 +943,18 @@ class TestEveryDefinitionIsReached:
         )
         roots = [ast.parse("A().get() + B().get() + Sub().run()")]
         assert dead_definitions({"m": module}, roots) == ["m.B.x", "m.Base.w"]
+
+    def test_a_bare_name_does_not_wake_a_method(self):
+        # a local variable inv spelled like the method F.inv (as in
+        # linalg._monic) does not keep it alive; an attribute read .inv or
+        # F.inv does
+        module = ast.parse(
+            "class F:\n    def inv(self):\n        return 1\n\n"
+            "def monic(a):\n    inv = pow(a, -1, 7)\n    return inv\n"
+        )
+        assert dead_definitions({"m": module}, [ast.parse("monic(3) + F()")]) == ["m.F.inv"]
+        for read in ("F().inv()", "F.inv(F())"):
+            assert dead_definitions({"m": module}, [ast.parse(f"monic(3) + {read}")]) == []
 
     def test_the_cli_and_the_scripts_reach_every_definition(self):
         modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}

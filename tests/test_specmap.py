@@ -27,8 +27,12 @@ from oracles import (
     chopped_uniform_fibers,
     contract,
     contraction_is_maximal,
+    convolution_table,
     intersect,
     refinement_holds,
+    table_greedy_generators,
+    x_by_restriction,
+    x_members,
 )
 
 F7 = FieldSpec(7)
@@ -50,9 +54,10 @@ def fiber_partition(prims, a):
 
 
 def x_of(inst, prims):
-    """X, from the characters among the simple modules of prims."""
+    """X, from the characters among the simple modules of prims that
+    restrict to the counit on A (x_by_restriction)."""
     p = inst.h.field.p
-    return character_group_X(inst.h, inst.a, one_dim_characters(p, [it.action for it in prims]))
+    return x_by_restriction(inst.h, inst.a, one_dim_characters(p, [it.action for it in prims]))
 
 
 class TestPrimEnumerate:
@@ -275,7 +280,7 @@ class TestVerifyTheorem:
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
         calls = spy("winding", hopfib.specmap)
         v = verify_theorem(q8_pair, prims)
-        gens = x_of(q8_pair, prims).generators()
+        gens = x_of(q8_pair, prims).gens
         assert v.x_order == 4 and v.cond_iii is True
         assert len(calls) == len({args[1] for args in calls}) == len(gens) == 2
 
@@ -303,7 +308,7 @@ class TestVerifyTheorem:
         prims = prim_enumerate(inst.h.alg, seed=0)
         v = verify_theorem(inst, prims)
         assert len(chops) == 1
-        gens = x_of(inst, prims).generators()
+        gens = x_of(inst, prims).gens
         assert len(moved) == images == v.witnesses["prim_count"] * len(gens)
 
     def test_verify_then_remark_chop_h_and_a_once_each(self, q8_pair, spy):
@@ -321,9 +326,38 @@ class TestVerifyTheorem:
         prims = prim_enumerate(qm2_pair.h.alg, seed=0)
         calls = spy("image_under", Subspace)
         v = verify_theorem(qm2_pair, prims)
-        gens = x_of(qm2_pair, prims).generators()
+        gens = x_of(qm2_pair, prims).gens
         assert v.x_order == 9 and len(gens) == 2
         assert len(calls) == v.witnesses["prim_count"] * 2 * len(gens) == 36
+
+    def test_x_convolves_each_member_with_each_generator_once(self, qm2_pair, spy):
+        # X = Z3 x Z3 with two generators: |X| |gens| = 18 products, where
+        # its whole table would take 81
+        prims = prim_enumerate(qm2_pair.h.alg, seed=0)
+        calls = spy("convolve", hopfib.hopf)
+        v = verify_theorem(qm2_pair, prims)
+        assert v.x_order == 9
+        assert 0 < len(calls) <= 18
+
+    def test_x_is_the_counit_fiber_with_the_table_greedy_generators(self, oracle_cases, spy):
+        # character_group_X picks X's generators without a table: they must be
+        # the greedy choice from the whole convolution table. verify_theorem
+        # reads X's members off the counit fiber: they must be the characters
+        # of H that restrict to the counit on A (X's definition), wherever
+        # F_p splits H (c4c2 at 2**31 - 1 needs a fourth root of unity)
+        calls, verified = spy("character_group_X", hopfib.specmap), 0
+        for inst in oracle_cases:
+            h = inst.h
+            prims = prim_enumerate(h.alg, seed=0)
+            members = x_members(h, inst.a, one_dim_characters(h.field.p, [it.action for it in prims]))
+            gens = character_group_X(h, members).gens
+            assert gens == table_greedy_generators(*convolution_table(h, members))
+            if all(it.dim ** 2 == h.dim - it.annihilator.dim for it in prims):
+                calls.clear()
+                verify_theorem(inst, prims)
+                assert calls == [(h, members)]
+                verified += 1
+        assert verified == len(oracle_cases) - 1
 
     def test_s3c2_all_conditions_false_with_witnesses(self, s3c2_pair):
         v = verify(s3c2_pair, seed=7)
