@@ -41,9 +41,10 @@ from .hopf import (
     winding,
 )
 from .linalg import FieldSpec, Subspace, find_root_of_unity, modinv, rref
-from .repn import SimpleRecord, annihilator, chop
+from .repn import SimpleRecord, annihilator, chop, spectrum
 from .rewrite import Presentation, complete_check, enumerate_basis, extract_bialgebra, normalize
 from .specmap import (
+    Fibers,
     Verdict,
     fibers,
     orbits,
@@ -59,6 +60,7 @@ __all__ = [
     "CoidealSubalgebra",
     "CorpusInstance",
     "FieldSpec",
+    "Fibers",
     "GroupTable",
     "Presentation",
     "SimpleRecord",
@@ -95,6 +97,7 @@ __all__ = [
     "rref",
     "shipped_instance",
     "small_quantum_sl2",
+    "spectrum",
     "verify_structure",
     "verify_theorem",
     "winding",

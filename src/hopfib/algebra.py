@@ -4,12 +4,14 @@ An algebra of dimension n over F_p is stored as the canonical rank-3
 :class:`~hopfib.linalg.SparseTensor` ``mul``, whose entry (i, j, k) is the
 coefficient of e_k in e_i * e_j, together with the coefficient vector of
 the unit. Products, multiplication matrices and the axiom checks are
-sparse contractions of ``mul``. So is the action of the algebra on a
+sparse contractions of ``mul``. So are the action of the algebra on a
 left ideal (:meth:`StructureConstantAlgebra.left_ideal_action`), from which
 ``repn.chop`` reads each central piece of the regular module when its split
-stack reaches it. The only dense view is the regular module's action stack
-:meth:`StructureConstantAlgebra.left_regular`, which chop builds only when
-the centre leaves the regular module in one piece.
+stack reaches it, and its action on a quotient H/I
+(:meth:`StructureConstantAlgebra.left_quotient_action`), from which
+``repn.spectrum`` reads H/R0 below. The only dense view is the regular
+module's action stack :meth:`StructureConstantAlgebra.left_regular`, which
+chop builds only when the centre leaves the regular module in one piece.
 
 The unit laws and associativity are checked once, when :func:`build_algebra`
 reads the data, and recorded as ``certified``, so everything downstream can
@@ -43,6 +45,29 @@ a fiber H/H*ker(xi) is read off one :func:`ideal_closure`
 (``hopf.fiber_dim``). :func:`is_central_subalgebra`
 takes a subspace already proved a unital subalgebra
 (``hopf.coideal_subalgebra`` does so at load) and does not check it again.
+
+One stack of commutator maps v -> e_g v - v e_g per algebra gives two
+facts at once: its joint kernel is the centre, and its image is [H, H]
+(:attr:`StructureConstantAlgebra.commutator_span`).
+On a certified algebra [G, H] = [H, H]: for a functional f, the x with
+f([x, H]) = 0 form a unital subalgebra, as [xy, h] = [x, yh] + [y, hx], so
+a functional that kills [G, H] kills [H, H].
+
+The algebra also owns the two facts from which ``repn.spectrum`` reads the
+simple modules off a quotient:
+
+* R0 (:attr:`StructureConstantAlgebra.trace_radical`), the radical of the
+  regular trace form (x, y) -> tau(xy), tau(x) = tr(y -> xy). It is a
+  two-sided ideal, since tau(xy) = tau(yx), and it holds J(H), since xy is
+  nilpotent for x in J(H); so H/R0 is semisimple and its simples are simples
+  of H. R0 = J(H) unless p divides a multiplicity [H : S] (the classical
+  test; Cohen, Ivanyos and Wales, J. Pure Appl. Algebra 117-118, 1997, treat
+  that case). R0 = 0 iff H is semisimple, and R0 = H for a modular group
+  algebra, where tau = 0.
+* dim H/T(H) (:attr:`StructureConstantAlgebra.simple_count`), with
+  T(H) = {x : x^(p^N) in [H, H] for some N}: the sum over the simple modules
+  S of the degree e_S of End(S) over F_p (Kuelshammer, J. Algebra 72, 1981).
+  It is at least the number of simples, with equality iff F_p splits H.
 """
 
 from __future__ import annotations
@@ -72,6 +97,10 @@ from .linalg import (
     restrict_first,
     rref,
 )
+
+# entries of a temporary of terms that StructureConstantAlgebra.powers and
+# left_quotient_action hold at once
+PRODUCT_TERMS = 2**12
 
 
 @dataclass
@@ -141,9 +170,74 @@ class StructureConstantAlgebra:
         out[key[starts]] = np.add.reduceat(terms, starts, axis=0) % p
         return out.reshape(n, d, d)
 
+    def left_quotient_action(self, ideal: Subspace) -> np.ndarray:
+        """Stack of the matrices of x -> e_j x on H/I for a left ideal I (not
+        checked), one per basis element, in the classes of the standard
+        vectors e_r at the columns r outside I's pivots, as in
+        repn.quotient_action. x mod I has the coordinates x[rest] minus the
+        sum of x[pivot_i] b_i[rest], so row t of the reduction map is e_t's
+        class: the standard vector at t's slot, or -b_i[rest] at the pivot of
+        b_i. Entry (j, a, k) is the a-th coordinate of e_j e_{r_k} mod I; each
+        entry mul[j, r_k, t] adds mul[j, r_k, t] times row t, every term
+        reduced below p before the sum of at most n terms. The entries are
+        read PRODUCT_TERMS // (n - dim I) at a time, so the terms held at
+        once stay small."""
+        p, n = self.field.p, self.dim
+        rest = ideal.free_columns()
+        q = len(rest)
+        reduction = np.zeros((n, q), dtype=np.int64)
+        reduction[rest, np.arange(q)] = 1
+        reduction[list(ideal.pivots)] = -ideal.basis[:, rest] % p
+        slot = np.full(n, -1)
+        slot[rest] = np.arange(q)
+        j, s, t = self.mul.indices()
+        keep = np.flatnonzero(slot[s] >= 0)
+        key = j[keep] * q + slot[s[keep]]  # non-decreasing: mul's keys are sorted by (j, s)
+        out = np.zeros((n * q, q), dtype=np.int64)
+        step = max(1, PRODUCT_TERMS // max(1, q))
+        for lo in range(0, len(keep), step):
+            part, rows = keep[lo:lo + step], key[lo:lo + step]
+            terms = self.mul.vals[part, None] * reduction[t[part]] % p  # (term, a)
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))
+            out[rows[starts]] = (out[rows[starts]] + np.add.reduceat(terms, starts, axis=0)) % p
+        return out.reshape(n, q, q).transpose(0, 2, 1)
+
     def left_regular(self) -> np.ndarray:
         """Stack of left multiplication matrices, one per basis element."""
         return permute(self.mul, (0, 2, 1)).dense()
+
+    def powers(self, rows: np.ndarray, e: int) -> np.ndarray:
+        """Row i is rows_i ** e, e >= 1, by squaring and multiplying, each
+        step one batched product of the rows u_i v_i: each entry
+        mul[a, b, t] adds mul[a, b, t] u_i[a] v_i[b] to entry t of row i,
+        every term reduced below p before the sum of at most n**2 terms. The
+        entries are read in target order, PRODUCT_TERMS // rows at a time,
+        so the temporaries stay small."""
+        p, n = self.field.p, self.dim
+        by_target = permute(self.mul, (2, 0, 1))
+        t, a, b = by_target.indices()
+        step = max(1, PRODUCT_TERMS // max(1, len(rows)))
+        chunks = []
+        for lo in range(0, len(t), step):
+            part = slice(lo, lo + step)
+            starts = np.flatnonzero(np.diff(t[part], prepend=-1))
+            chunks.append((a[part], b[part], by_target.vals[part], starts, t[part][starts]))
+
+        def times(u, v):
+            out = np.zeros((len(u), n), dtype=np.int64)
+            for left, right, vals, starts, targets in chunks:
+                terms = u[:, left] * v[:, right] % p * vals % p
+                out[:, targets] = (out[:, targets] + np.add.reduceat(terms, starts, axis=1)) % p
+            return out
+
+        power = None
+        while True:
+            if e & 1:
+                power = rows if power is None else times(power, rows)
+            e >>= 1
+            if not e:
+                return power
+            rows = times(rows, rows)
 
     @cached_property
     def generators(self) -> tuple[int, ...] | None:
@@ -193,11 +287,57 @@ class StructureConstantAlgebra:
             fresh = extend(times(rows, maps[-1]))
 
     @cached_property
-    def centre(self) -> Subspace:
-        """The centre: the joint kernel of the commutator maps
-        v -> e_g v - v e_g of closing_maps. Computed once per algebra."""
+    def _commutator_facts(self) -> tuple[Subspace, Subspace]:
+        """The joint kernel and the image of one stack of commutator maps
+        v -> e_g v - v e_g, g over the index set of closing_maps: the centre
+        and [H, H] (see the module docstring). The stack is built once per
+        algebra and not kept."""
         lefts, rights = closing_maps(self)
-        return null_space(((lefts - rights) % self.field.p).reshape(-1, self.dim), self.field)
+        stack = (lefts - rights) % self.field.p
+        return (null_space(stack.reshape(-1, self.dim), self.field),
+                Subspace(self.field, self.dim, stack.transpose(0, 2, 1).reshape(-1, self.dim)))
+
+    @property
+    def centre(self) -> Subspace:
+        """The centre: the joint kernel of the commutator maps."""
+        return self._commutator_facts[0]
+
+    @property
+    def commutator_span(self) -> Subspace:
+        """[H, H]: the span of the images of the commutator maps, the
+        columns e_g e_k - e_k e_g."""
+        return self._commutator_facts[1]
+
+    @cached_property
+    def trace_radical(self) -> Subspace:
+        """R0, the radical of the regular trace form: the x with
+        tau(x y) = 0 for every y, tau(x) = tr(y -> x y). tau_c is the sum of
+        mul[c, s, s] (the diagonal entries of mul, summed as repeats), and
+        Gram[a, b] = tau(e_a e_b) the sum of mul[a, b, c] tau_c, one
+        contraction of mul. See the module docstring for what R0 is."""
+        p, n = self.field.p, self.dim
+        j, s, t = self.mul.indices()
+        tau = SparseTensor.from_entries(n, 1, np.column_stack([j, self.mul.vals])[s == t], p)
+        return null_space(contract(self.mul, tau, 1, p).dense().T, self.field)
+
+    @cached_property
+    def simple_count(self) -> int:
+        """dim H/T(H), T(H) = {x : x^(p^N) in [H, H] for some N}: the sum
+        over the simple modules S of the degree of End(S) over F_p
+        (Kuelshammer), so at least the number of simples, with equality iff
+        F_p splits H. Modulo K = [H, H] the p-th power map F is F_p-linear
+        (Jacobson's formula) and maps K into K, so T(H)/K is the generalized
+        kernel of F on H/K and dim H/T(H) the rank of F^c, c = dim H/K. F is
+        read off the p-th powers of the standard vectors at the columns
+        outside K's pivots, a basis of H/K, by squaring and multiplying in
+        batches (powers). Needs a certified algebra."""
+        p, n = self.field.p, self.dim
+        k = self.commutator_span
+        rest = k.free_columns()
+        frob = k.reduce_rows(self.powers(np.eye(n, dtype=np.int64)[rest], p))[:, rest]  # row i: F(e_rest[i])
+        for _ in range(len(rest).bit_length()):  # F^(2^s) with 2^s > c
+            frob = matmul_mod(frob, frob, p)
+        return rref(frob, p)[1]
 
     def __repr__(self):
         return f"StructureConstantAlgebra(dim={self.dim}, p={self.field.p})"

@@ -36,7 +36,7 @@ from .fileio import (
 from .hopf import axiom_checks, enumerate_characters
 from .linalg import FieldSpec
 from .repn import chop
-from .specmap import prim_enumerate, remark_uniform_fibers, require_hopf_subalgebra, verify_theorem
+from .specmap import fibers, prim_enumerate, remark_uniform_fibers, require_hopf_subalgebra, verify_theorem
 
 
 def _log(msg: str):
@@ -136,11 +136,11 @@ def cmd_verify(args) -> int:
     inst = instance_from_dict(d)
     if args.uniform_fibers:
         require_hopf_subalgebra(inst)  # refuse before the chop, not after the verdict
-    prims = prim_enumerate(inst.h.alg, seed=args.seed)
-    verdict = verify_theorem(inst, prims, mode=args.mode)
+    fib = fibers(inst, prim_enumerate(inst.h.alg, seed=args.seed))
+    verdict = verify_theorem(inst, fib, mode=args.mode)
     results = verdict.to_dict()
     if args.uniform_fibers:
-        rep = remark_uniform_fibers(inst, prims)
+        rep = remark_uniform_fibers(inst, fib)
         results["uniform_fibers"] = {
             "consistent": rep.consistent,
             "entries": [

@@ -36,9 +36,12 @@ fix A pointwise and preserve every fiber ideal. coideal_subalgebra proves
 A a unital subalgebra once, at load. character_group_X takes X's members
 from its caller, who reads them off the simple modules over the counit of
 A (one_dim_characters), and certifies the group law from the products by
-its generators alone. character_kernel carries ker(xi) into H, both for
-specmap.fibers, which orders the fibers by its key, and for fiber_dim,
-which reads dim H/H*ker(xi) off one ideal closure and builds no quotient.
+its generators alone. character_kernel carries ker(xi) into H, once per
+fiber (specmap.fibers, which orders the fibers by its key), and fiber_dim
+reads dim H/H*ker(xi) off one ideal closure of that kernel and builds no
+quotient. enumerate_characters reads the 1-dimensional simples of
+repn.spectrum: every character kills J(H), so the simples of H/J(H) hold
+them all.
 The quotient algebras and the coproduct and antipode the counit fiber
 inherits are test oracles (tests/oracles.py). The tests hold each of these
 facts on the shipped corpus, and two the verifier does not use: chi o S is
@@ -81,7 +84,7 @@ from .linalg import (
     permute,
     restrict_first,
 )
-from .repn import chop
+from .repn import spectrum
 
 
 # -- data ------------------------------------------------------------------
@@ -289,10 +292,10 @@ def one_dim_characters(p: int, actions) -> list[Character]:
 
 
 def enumerate_characters(b_or_alg, seed: int = 0) -> list[Character]:
-    """All algebra maps onto F_p, via 1-dim factors of the regular module:
-    complete because every simple module occurs in the regular module."""
+    """All algebra maps onto F_p, the 1-dim simple modules of the spectrum
+    (repn.spectrum): complete because every character kills J(H)."""
     alg = b_or_alg.alg if isinstance(b_or_alg, BialgebraData) else b_or_alg
-    return one_dim_characters(alg.field.p, [rec.action for rec in chop(alg, seed=seed)])
+    return one_dim_characters(alg.field.p, [rec.action for rec in spectrum(alg, seed=seed)])
 
 
 def counit_character(b: BialgebraData) -> Character:
@@ -422,11 +425,11 @@ def character_kernel(a: CoidealSubalgebra, xi: Character) -> Subspace:
     return Subspace(field, a.subspace.ambient, rows)
 
 
-def fiber_dim(b: BialgebraData, a: CoidealSubalgebra, xi: Character) -> int:
-    """dim H/H*ker(xi), read off one ideal_closure of character_kernel;
-    ImproperIdeal if that ideal is all of H. Since A is central (specmap
-    checks that once per run), H*K = K*H is that ideal."""
-    ideal = ideal_closure(b.alg, character_kernel(a, xi))
+def fiber_dim(b: BialgebraData, kernel: Subspace) -> int:
+    """dim H/H*K for K = ker(xi) in H's coordinates (character_kernel), read
+    off one ideal_closure; ImproperIdeal if that ideal is all of H. Since A
+    is central (specmap checks that once per run), H*K = K*H is that ideal."""
+    ideal = ideal_closure(b.alg, kernel)
     if ideal.contains_vector(b.alg.unit):
         raise ImproperIdeal("ideal contains the unit")
     return b.dim - ideal.dim

@@ -323,6 +323,13 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, p={self.field.p})"
 
+    def free_columns(self) -> np.ndarray:
+        """The columns outside the pivots, increasing: the standard vectors
+        there are a basis of the ambient space modulo self."""
+        free = np.ones(self.ambient, dtype=bool)
+        free[list(self.pivots)] = False
+        return np.flatnonzero(free)
+
     def reduce_rows(self, rows: np.ndarray) -> np.ndarray:
         """Residual of row vectors after subtracting their projection on self."""
         rows = asmat(rows, self.field.p)

@@ -1,5 +1,19 @@
 """The simple modules of a structure-constant algebra: the composition
-factors of its regular module.
+factors of its regular module (chop), or of H/R0 where a count certifies
+that every simple occurs there (spectrum).
+
+spectrum is what verify and characters read. Every primitive ideal holds
+J(H), so they need the simples of H/J(H) only. R0, the radical of the trace
+form, holds J(H) (algebra module docstring), so the H-module H/R0 has
+simples of H only; its action is read from mul
+(StructureConstantAlgebra.left_quotient_action), split along the centre as
+below, chopped, and its leaves merged by their annihilators in H, so
+nothing is pulled back or re-sorted. Its records are accepted iff they
+number dim H/T(H) (StructureConstantAlgebra.simple_count), which proves that
+none is missing and that F_p splits H; a record's multiplicity is then its
+multiplicity in H/J(H), its dimension, not its multiplicity in H. Otherwise,
+and on semisimple H (R0 = 0), spectrum is chop: simples reports
+multiplicities in H and keeps chop.
 
 The decomposition ("chop") takes the regular module only: every simple
 module occurs in it. It first splits the module along its centre. It
@@ -144,7 +158,7 @@ def quotient_action(action: np.ndarray, sub: Subspace, p: int) -> np.ndarray:
     at the other columns: x mod sub is x[rest] - basis[:, rest]^T x[pivots].
     Only the rows at rest and at the pivots of the images of the quotient
     basis are gathered, and the difference is taken in place."""
-    rest = np.array(sorted(set(range(sub.ambient)).difference(sub.pivots)), dtype=np.intp)
+    rest = sub.free_columns()
     pivots = np.array(sub.pivots, dtype=np.intp)
     out = action[:, rest[:, None], rest]  # (n, q, q)
     out -= matmul_mod(sub.basis[:, rest].T, action[:, pivots[:, None], rest], p)
@@ -198,12 +212,15 @@ def _try_split(action, field, rng, inherited=None):
     )
 
 
-def _central_pieces(alg: StructureConstantAlgebra, rng) -> list:
-    """The regular module split along a random central element z: the
-    nonzero generalized eigenspaces of rho(z), the left multiplication by z,
-    as subspaces (left ideals, whose actions the split stack reads from mul
-    when it reaches them), or the dense action stack of the whole module in
-    one piece when z does not split it (see the module docstring)."""
+def _central_pieces(alg: StructureConstantAlgebra, rng, action=None) -> list:
+    """A module split along a random central element z: the nonzero
+    generalized eigenspaces of rho(z). For the regular module (action None)
+    rho(z) is the left multiplication by z, and the pieces are subspaces
+    (left ideals, whose actions the split stack reads from mul when it
+    reaches them), or the dense action stack of the whole module in one
+    piece when z does not split it (see the module docstring). For a module
+    given by its action stack, the pieces are its restrictions, or the
+    stack itself."""
     centre, p = alg.centre, alg.field.p
     factors, pieces = [], []
     if centre.dim > 1:
@@ -213,14 +230,17 @@ def _central_pieces(alg: StructureConstantAlgebra, rng) -> list:
         piv = list(centre.pivots)
         on_centre = matmul_mod(left_z, centre.basis.T, p)[piv]
         factors = list(irreducible_factors(minpoly_on_vector(on_centre, alg.unit[piv], p), p))
+        rho_z = left_z if action is None else tensordot_mod(z, action, ([0], [0]), p)
     if len(factors) > 1:
         for g, mult in factors:
-            power = poly_eval_matrix(g, left_z, p)
+            power = poly_eval_matrix(g, rho_z, p)
             for _ in range((mult - 1).bit_length()):  # g(rho(z))^(2^s) with 2^s >= mult
                 power = matmul_mod(power, power, p)
             piece = null_space(power, alg.field)
             if piece.dim:
                 pieces.append(piece)
+    if action is not None:
+        return [restrict_action(action, piece, p) for piece in pieces] if len(pieces) > 1 else [action]
     if sum(piece.dim for piece in pieces) != alg.dim:
         return [alg.left_regular()]
     return pieces
@@ -291,6 +311,32 @@ def chop(alg: StructureConstantAlgebra, seed: int = 0) -> list[SimpleRecord]:
     leaves = _split_to_simples(alg, _central_pieces(alg, rng), rng)
     assert sum(a.shape[1] for a in leaves) == alg.dim
     return _merge_leaves(alg, leaves)
+
+
+def spectrum(alg: StructureConstantAlgebra, seed: int = 0) -> list[SimpleRecord]:
+    """The simple modules of the algebra, with their annihilators, read off
+    H/R0, R0 the radical of the trace form (StructureConstantAlgebra.trace_radical),
+    where the count of simple modules certifies it; else chop's records.
+
+    R0 is a two-sided ideal that holds J(H), so the simples of H/R0 are
+    simples of H. The H-module H/R0 is chopped with its action read from
+    mul (left_quotient_action) and its leaves merged by their annihilators
+    in H. The records are accepted iff there are simple_count of them: that
+    count is the sum of the degrees of End(S) over F_p, at least the number
+    of simples of H, so equality proves that no simple is missing and that
+    F_p splits H; then R0 = J(H), and each multiplicity is that in
+    H/J(H), the simple's dimension. Otherwise (p divides some [H:S], F_p
+    does not split H, R0 = H as for a modular group algebra, or data that
+    is not certified) this is chop(alg, seed), errors included; with R0 = 0
+    H is semisimple and chop reads the regular module as it is."""
+    if alg.certified and 0 < alg.trace_radical.dim < alg.dim:
+        rng = np.random.default_rng(seed)
+        pieces = _central_pieces(alg, rng, alg.left_quotient_action(alg.trace_radical))
+        leaves = _split_to_simples(alg, pieces, rng)
+        records = _merge_leaves(alg, leaves)
+        if len(records) == alg.simple_count:
+            return records
+    return chop(alg, seed)
 
 
 def annihilator(alg: StructureConstantAlgebra, action: np.ndarray) -> Subspace:

@@ -16,32 +16,35 @@ The four conditions of the equivalence being verified:
   cond_iv  the same on prime ideals (equal to cond_iii here).
 
 verify_theorem and remark_uniform_fibers read one spectrum of H, the list
-prims = prim_enumerate(h.alg, seed) that the caller takes once. With A
+prims = prim_enumerate(h.alg, seed) that the caller takes once: every
+primitive ideal holds J(H), so it is the spectrum of H/J(H), read off
+H/R0 where the count of simple modules certifies it, else off the regular
+module of H (repn.spectrum). The caller groups it into fibers once
+(fibers) and hands the same Fibers to both. With A
 central and H split, A acts on the simple module of P through a
 character xi_P (Schur), and the fiber over a character xi of A is the set
-of P with xi_P = xi (fibers): Prim(H/H*ker(xi)), so no fiber algebra is
+of P with xi_P = xi: Prim(H/H*ker(xi)), so no fiber algebra is
 chopped. Every character of A is some xi_P, as H is a faithful finite
 A-module (Nakayama). X is the characters of H that restrict to the
 counit of A, that is, the 1-dimensional members of the counit fiber; and
-the dimension of H/H*ker(xi) is read off one ideal closure
-(hopf.fiber_dim). So nothing but H is chopped, and no quotient algebra
-is built. The orbits
+the dimension of H/H*ker(xi) is read off one ideal closure per fiber
+(hopf.fiber_dim, through Fibers.dim). So no fiber algebra is chopped, and
+no quotient algebra is built. The orbits
 match each winding image through the codim P dimensional annihilator of
 P in the dual of H (orbits), not through P itself.
 
 The conditions are about simple modules over a splitting field, so a
 verdict needs F_p to split H. A simple module S with annihilator P has
 H/P = M_d(F_{p^e}) (Wedderburn), dim S = d e and codim P = d^2 e, so
-e = (dim S)^2 / codim P; both raise NotSplit unless e = 1 for every P.
+e = (dim S)^2 / codim P; fibers raises NotSplit unless e = 1 for every P.
 A quotient of H needs no check of its own: its simple modules are simple
 modules of H, with the same endomorphisms.
 
-The equivalence is about centralizing extensions, so both verify_theorem
-and remark_uniform_fibers first check, once, that A is central
-(algebra.is_central_subalgebra: A inside the centre of H, which chop
-reads too); NotCentral
-otherwise. For bialgebras without an antipode only the two-sided orbit
-experiment is run and reported as such. Once per run, and alike for
+The equivalence is about centralizing extensions, so fibers first checks,
+once per run, that A is central (algebra.is_central_subalgebra: A inside
+the centre of H, which chop reads too); NotCentral otherwise. For
+bialgebras without an antipode only the two-sided orbit experiment is run
+and reported as such. Once per run, and alike for
 bialgebras and Hopf algebras, verify_theorem builds X
 (hopf.character_group_X), the right winding maps of its generators and
 one orbit partition: of Prim(H) in global and experiment modes, of the
@@ -75,13 +78,15 @@ from .hopf import (
     winding,
 )
 from .linalg import Subspace, matmul_mod
-from .repn import SimpleRecord, chop
+from .repn import SimpleRecord, spectrum
 
 
 def prim_enumerate(alg: StructureConstantAlgebra, seed: int = 0) -> list[SimpleRecord]:
     """All primitive ideals, each the annihilator of a simple module, with
-    that module's action stack; ordered by (simple dimension, annihilator)."""
-    return chop(alg, seed=seed)
+    that module's action stack; ordered by (simple dimension, annihilator).
+    Every primitive ideal holds J(H), so this is the spectrum of H/J(H)
+    (repn.spectrum)."""
+    return spectrum(alg, seed=seed)
 
 
 def _dual(prim: SimpleRecord) -> Subspace:
@@ -101,21 +106,45 @@ class Partition:
         return sorted(len(b) for b in self.blocks)
 
 
-def fibers(prims: list[SimpleRecord], a: CoidealSubalgebra) -> dict[Character, list[int]]:
-    """Group primitive ideals by the character xi_P of A on their simple
-    module: the indices of the fiber over each xi_P, in the order of the
-    canonical keys of the kernels ker(xi_P).
+@dataclass
+class Fibers:
+    """The fibers of P -> P intersect A on a spectrum, for one run:
+    blocks[xi] holds the indices into prims of the P over the character xi
+    of A, in the order of the canonical keys of ker(xi), and kernels[xi] is
+    ker(xi) in H's coordinates (hopf.character_kernel, once per fiber).
+    Built by fibers; dim reads each fiber algebra's dimension once."""
 
-    A is central and F_p splits H (the callers check both first), so each
-    a in A acts on the simple module of P by a scalar xi_P(a) (Schur),
-    read off one entry of its matrix, and P intersect A = ker(xi_P).
+    prims: list[SimpleRecord]
+    blocks: dict[Character, list[int]]
+    kernels: dict[Character, Subspace]
+    dims: dict[Character, int] = dc_field(default_factory=dict)
+
+    def dim(self, h: BialgebraData, xi: Character) -> int:
+        """dim H/H*ker(xi) (hopf.fiber_dim), closed once per fiber."""
+        if xi not in self.dims:
+            self.dims[xi] = fiber_dim(h, self.kernels[xi])
+        return self.dims[xi]
+
+
+def fibers(instance: CorpusInstance, prims: list[SimpleRecord]) -> Fibers:
+    """Group the primitive ideals by the character xi_P of A on their simple
+    module, after checking that A is central (NotCentral) and that F_p
+    splits H (NotSplit).
+
+    Then each a in A acts on the simple module of P by a scalar xi_P(a)
+    (Schur), read off one entry of its matrix, and P intersect A = ker(xi_P).
     """
+    h, a = instance.h, instance.a
+    _require_central(h, a)
+    _require_split(h.alg, prims)
     p = a.subspace.field.p
     groups: dict[Character, list[int]] = {}
     for idx, prim in enumerate(prims):
         xi = Character.from_vector(p, matmul_mod(a.subspace.basis, prim.action[:, 0, 0], p))
         groups.setdefault(xi, []).append(idx)
-    return {xi: groups[xi] for xi in sorted(groups, key=lambda xi: character_kernel(a, xi).key())}
+    kernels = {xi: character_kernel(a, xi) for xi in groups}
+    order = sorted(groups, key=lambda xi: kernels[xi].key())
+    return Fibers(prims, {xi: groups[xi] for xi in order}, kernels)
 
 
 def orbits(prims: list[SimpleRecord], maps: list[np.ndarray]) -> Partition:
@@ -211,28 +240,26 @@ def _require_central(h: BialgebraData, a: CoidealSubalgebra) -> None:
         raise NotCentral("the subalgebra must be central")
 
 
-def verify_theorem(instance: CorpusInstance, prims: list[SimpleRecord], mode: str = "global") -> Verdict:
+def verify_theorem(instance: CorpusInstance, fib: Fibers, mode: str = "global") -> Verdict:
     """Check the equivalence conditions on a concrete instance whose
-    spectrum is prims.
+    spectrum, grouped into fibers, is fib (fibers, which checks that A is
+    central and F_p splits H).
 
     Global mode additionally compares the full fiber partition with the
     full orbit partition on all primitive ideals. Bialgebras without an
     antipode fall back to the two-sided orbit experiment (third condition
-    only, against the combined left/right winding action). NotCentral
-    unless A is central; NotSplit if F_p does not split H.
+    only, against the combined left/right winding action).
     """
     h = instance.h
     a = instance.a
     p = h.field.p
-    _require_central(h, a)
-    _require_split(h.alg, prims)
-    fib = fibers(prims, a)
+    prims = fib.prims
     eps_a = Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p))
-    fiber = fib[eps_a]  # X's members are its 1-dimensional primitive ideals
+    fiber = fib.blocks[eps_a]  # X's members are its 1-dimensional primitive ideals
     x = character_group_X(h, one_dim_characters(p, [prims[i].action for i in fiber]))
     if h.antipode is None:
         maps = [winding(h, x.chars[i], side) for side in ("right", "left") for i in x.gens]
-        cond_iii, witnesses = _fibers_against_orbits(prims, fib, orbits(prims, maps))
+        cond_iii, witnesses = _fibers_against_orbits(fib, orbits(prims, maps))
         witnesses.update({"x_order": x.order, "action": "two-sided"})
         return Verdict("experiment", False, x.order, None, None, cond_iii, None, True, witnesses)
     maps = [winding(h, x.chars[i]) for i in x.gens]
@@ -248,22 +275,22 @@ def verify_theorem(instance: CorpusInstance, prims: list[SimpleRecord], mode: st
 
     witnesses = {
         "x_order": x.order,
-        "fiber_algebra_dim": fiber_dim(h, a, eps_a),
+        "fiber_algebra_dim": fib.dim(h, eps_a),
         "fiber_algebra_simple_dims": dims,
         "failing_simple_dims": sorted(set(dims) - {1}),
         "counit_fiber_orbit_sizes": sorted(len(b) for b in fiber_orbits),
     }
     cond_iii = cond_iv = None
     if mode == "global":
-        cond_iii, partitions = _fibers_against_orbits(prims, fib, orb)
+        cond_iii, partitions = _fibers_against_orbits(fib, orb)
         cond_iv = cond_iii  # prime = primitive in finite dimension
         witnesses.update(partitions)
     agree = len({c for c in (cond_i, cond_ii, cond_iii, cond_iv) if c is not None}) <= 1
     return Verdict(mode, True, x.order, cond_i, cond_ii, cond_iii, cond_iv, agree, witnesses)
 
 
-def _fibers_against_orbits(prims: list[SimpleRecord], fib: dict[Character, list[int]], orb: Partition):
-    """Do the fibers on Prim(H) (fibers) equal the orbit partition orb?
+def _fibers_against_orbits(fib: Fibers, orb: Partition):
+    """Do the fibers on Prim(H) equal the orbit partition orb?
 
     Returns that verdict and the partition witnesses; when it is False they
     include the first fiber block that is not a single orbit. Every fiber
@@ -271,13 +298,13 @@ def _fibers_against_orbits(prims: list[SimpleRecord], fib: dict[Character, list[
     only (HopfibError otherwise), so a fiber block is an orbit exactly when
     it meets only one.
     """
-    blocks = list(fib.values())
+    blocks = list(fib.blocks.values())
     meets = [[ob for ob in orb.blocks if set(ob) & set(fblock)] for fblock in blocks]
     if sum(map(len, meets)) != len(orb.blocks):
         raise HopfibError("a fiber failed to be a union of winding orbits")
     witnesses = {
-        "prim_count": len(prims),
-        "prim_simple_dims": [it.dim for it in prims],
+        "prim_count": len(fib.prims),
+        "prim_simple_dims": [it.dim for it in fib.prims],
         "fiber_sizes": Partition(blocks).sizes(),
         "orbit_sizes": orb.sizes(),
     }
@@ -321,31 +348,26 @@ def require_hopf_subalgebra(instance: CorpusInstance) -> None:
         raise NotAHopfSubalgebra("antipode does not preserve A")
 
 
-def remark_uniform_fibers(instance: CorpusInstance, prims: list[SimpleRecord]) -> FiberUniformityReport:
+def remark_uniform_fibers(instance: CorpusInstance, fib: Fibers) -> FiberUniformityReport:
     """For every character xi of a central Hopf subalgebra A, the fiber over
-    xi, read off the spectrum prims of H.
+    xi, read off the fibers fib of the spectrum of H (fibers).
 
     Characters of A that are restrictions of characters of H must all give
     the same one-dimensionality verdict (winding by a lift carries one
     fiber ideal onto another); characters that do not extend are reported
     without entering the consistency claim. The characters of A are the
-    xi_P (fibers), sorted by value vector; H*ker(xi) lies in every P over
-    xi, so it is proper, and fiber_dim gives the dimension of
-    H/H*ker(xi). A character of H kills H*ker(xi) iff it restricts to xi,
-    ker(xi) having codimension 1 in A; so xi extends iff the fiber has a
-    1-dimensional simple module. NotSplit unless F_p splits H.
+    xi_P, sorted by value vector; H*ker(xi) lies in every P over xi, so it
+    is proper, and Fibers.dim gives the dimension of H/H*ker(xi). A
+    character of H kills H*ker(xi) iff it restricts to xi, ker(xi) having
+    codimension 1 in A; so xi extends iff the fiber has a 1-dimensional
+    simple module. NotAHopfSubalgebra unless A is a Hopf subalgebra.
     """
     h = instance.h
-    a = instance.a
     require_hopf_subalgebra(instance)
-    _require_central(h, a)
-    _require_split(h.alg, prims)
-
-    fib = fibers(prims, a)
     entries = []
-    for xi in sorted(fib, key=lambda c: c.values):
-        dims = [prims[i].dim for i in fib[xi]]
-        entries.append(FiberReportEntry(xi.values, 1 in dims, True, fiber_dim(h, a, xi),
+    for xi in sorted(fib.blocks, key=lambda c: c.values):
+        dims = [fib.prims[i].dim for i in fib.blocks[xi]]
+        entries.append(FiberReportEntry(xi.values, 1 in dims, True, fib.dim(h, xi),
                                         all(d == 1 for d in dims)))
     verdicts = {e.all_one_dim for e in entries if e.extends_to_h}
     return FiberUniformityReport(entries, len(verdicts) <= 1)

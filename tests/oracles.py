@@ -9,6 +9,7 @@ import numpy as np
 from hopfib import repn
 from hopfib.algebra import (
     StructureConstantAlgebra,
+    build_algebra,
     closing_maps,
     first_failure,
     ideal_closure,
@@ -410,6 +411,36 @@ def right_regular(alg: StructureConstantAlgebra) -> np.ndarray:
     """Stack of the matrices of x -> x e_i, one per basis element, read from
     the dense table."""
     return alg.mul.dense().transpose(1, 2, 0)
+
+
+def trace_form_radical(alg: StructureConstantAlgebra) -> Subspace:
+    """The radical of the regular trace form by its definition: the x with
+    tr(L_x L_y) = 0 for every y, Gram[a, b] = tr(L_a L_b) read from the
+    dense regular stack."""
+    stack, p = alg.left_regular(), alg.field.p
+    return Subspace(alg.field, alg.dim, kernel(tensordot_mod(stack, stack, ([1, 2], [2, 1]), p), p))
+
+
+def all_commutators(alg: StructureConstantAlgebra) -> Subspace:
+    """[H, H] as the span of e_i e_j - e_j e_i over every pair (i, j)."""
+    products = alg.mul.dense()  # (i, j, t)
+    return Subspace(alg.field, alg.dim, (products - products.transpose(1, 0, 2)).reshape(-1, alg.dim))
+
+
+def truncated_times_f3() -> StructureConstantAlgebra:
+    """F_3[x]/(x^3) x F_3 in the basis (1, x, x^2) of the first factor, then
+    the unit of the second: the trace of left multiplication by (1, 0) is
+    3 = 0, so R0 = F_3[x]/(x^3), of dimension 3, against dim J = 2, and
+    H/R0 has one simple module where H has two."""
+    entries = [(0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (1, 0, 1, 1), (1, 1, 2, 1),
+               (2, 0, 2, 1), (3, 3, 3, 1)]
+    return build_algebra(FieldSpec(3), 4, [1, 0, 0, 1], entries)
+
+
+def endomorphism_degrees(alg: StructureConstantAlgebra, recs) -> int:
+    """The sum over simple records of e = (dim S)**2 / codim P, the degree
+    of End(S) over F_p (Wedderburn: H/P = M_d(F_{p^e}))."""
+    return sum(r.dim ** 2 // (alg.dim - r.annihilator.dim) for r in recs)
 
 
 def joint_kernel(field: FieldSpec, maps: np.ndarray) -> Subspace:

@@ -449,7 +449,7 @@ def test_criterion_3_adjoint_identity(corpus):
 
 def test_criterion_4_positive_group_case(corpus):
     with criterion(4, 10.0):
-        v = verify_theorem(corpus["q8"], prim_enumerate(corpus["q8"].h.alg, seed=7))
+        v = verify_theorem(corpus["q8"], fibers(corpus["q8"], prim_enumerate(corpus["q8"].h.alg, seed=7)))
         assert (v.cond_i, v.cond_ii, v.cond_iii, v.cond_iv) == (True, True, True, True)
         assert v.agree
         assert v.x_order == 4
@@ -461,13 +461,13 @@ def test_criterion_5_negative_group_case(corpus):
     with criterion(5, 10.0):
         inst = corpus["s3c2"]
         prims = prim_enumerate(inst.h.alg, seed=7)
-        v = verify_theorem(inst, prims)
+        v = verify_theorem(inst, fibers(inst, prims))
         assert (v.cond_i, v.cond_ii, v.cond_iii, v.cond_iv) == (False, False, False, False)
         assert v.agree
         assert v.witnesses["failing_simple_dims"] == [2]
         # the counit fiber (3 primitives) splits into orbits of sizes 2 and 1
         assert v.witnesses["counit_fiber_orbit_sizes"] == [1, 2]
-        assert sorted(map(len, fibers(prims, inst.a).values())) == [3, 3]
+        assert sorted(map(len, fibers(inst, prims).blocks.values())) == [3, 3]
 
 
 def test_criterion_6_quantum_positive_case(corpus):
@@ -477,7 +477,7 @@ def test_criterion_6_quantum_positive_case(corpus):
         prims = prim_enumerate(inst.h.alg, seed=7)
         assert len(prims) == 3
         assert all(it.dim == 1 for it in prims)
-        v = verify_theorem(inst, prims, mode="local")
+        v = verify_theorem(inst, fibers(inst, prims), mode="local")
         assert v.cond_i is True and v.cond_ii is True and v.agree
         assert v.x_order == 3
         assert v.witnesses["counit_fiber_orbit_sizes"] == [3]
@@ -488,7 +488,7 @@ def test_criterion_7_quantum_negative_case(corpus):
         inst = corpus["usl2"]
         prims = prim_enumerate(inst.h.alg, seed=7)
         assert any(it.dim == 3 for it in prims)
-        v = verify_theorem(inst, prims)
+        v = verify_theorem(inst, fibers(inst, prims))
         assert v.x_order == 1
         assert v.cond_i is False and v.cond_ii is False and v.agree
         assert v.witnesses["fiber_sizes"] == [3]
@@ -512,12 +512,12 @@ def test_criterion_8_fibers_are_unions_of_orbits(corpus):
             every = [[winding(h, c, side) for c in x.chars] for side in sides]
             orb = orbits(prims, [mat for mats in every for mat in mats])
             assert orb == orbits(prims, [mats[i] for mats in every for i in gens])
-            assert refinement_holds(Partition(list(fibers(prims, inst.a).values())), orb)
+            assert refinement_holds(Partition(list(fibers(inst, prims).blocks.values())), orb)
             eps_a = Character.from_vector(p, (inst.a.subspace.basis @ h.counit) % p)
             every_fiber = chopped_fiber(h, inst.a, eps_a, every[0])
             assert every_fiber.orbits == chopped_fiber(h, inst.a, eps_a, [every[0][i] for i in gens]).orbits
             # consistency gate: all applicable conditions agree on every instance
-            v = verify_theorem(inst, prims)
+            v = verify_theorem(inst, fibers(inst, prims))
             assert v.agree
 
 
@@ -558,7 +558,7 @@ def test_criterion_10_quantum_matrices_experiment(corpus):
         assert inst.h.antipode is None
         chars = enumerate_characters(inst.h)
         assert len(chars) == 9
-        v = verify_theorem(inst, prim_enumerate(inst.h.alg, seed=7), mode="local")
+        v = verify_theorem(inst, fibers(inst, prim_enumerate(inst.h.alg, seed=7)), mode="local")
         assert v.mode == "experiment"  # excluded from the equivalence gate
         assert v.x_order == 9
         assert v.cond_iii is True

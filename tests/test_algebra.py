@@ -11,15 +11,17 @@ from hopfib.algebra import (
     is_central_subalgebra,
     is_subalgebra,
 )
-from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra
+from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra, group_algebra_pair
 from hopfib.errors import ImproperIdeal, NotAssociative, UnitAxiomFails
 from hopfib.fileio import corpus_instance_to_dict, instance_from_dict, raw_bialgebra_from_dict
 from hopfib.hopf import character_kernel, enumerate_characters
 from hopfib.linalg import FieldSpec, SparseTensor, Subspace, kernel
-from hopfib.repn import chop
+from hopfib.repn import chop, quotient_action
 
 from oracles import (
+    all_commutators,
     brute_force_centre,
+    element_power,
     exhaustive_center,
     exhaustive_ideal_closure,
     greedy_generating_set,
@@ -34,6 +36,8 @@ from oracles import (
     quotient_maps,
     subalgebra_as_algebra,
     subalgebra_closure,
+    trace_form_radical,
+    truncated_times_f3,
     whole_basis_ideal_closure,
 )
 
@@ -465,3 +469,80 @@ class TestGenerators:
         alg = StructureConstantAlgebra(F7, 3, [0, 1, 0],
                                        SparseTensor.from_entries(3, 3, cyclic_entries(3), 7), ())
         assert alg.generators is None
+
+
+class TestTraceRadicalAndCount:
+    """The two facts the spectrum reads: R0, the radical of the regular trace
+    form, and dim H/T(H), against their definitions on dense data."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, oracle_cases):
+        algs = [inst.h.alg for inst in oracle_cases]
+        with pytest.warns(UserWarning, match="not semisimple"):
+            algs += [group_algebra_pair(FieldSpec(3), g, g.center()).h.alg
+                     for g in (builtin_group("s3"), direct_product(builtin_group("s3"), builtin_group("c2")))]
+        return algs + [truncated_times_f3()]
+
+    def test_trace_radical_matches_the_dense_trace_form(self, cases):
+        assert len(cases) == 18
+        for alg in cases:
+            assert alg.trace_radical == trace_form_radical(alg), alg
+
+    def test_trace_radical_is_a_two_sided_ideal(self, cases):
+        for alg in cases:
+            assert ideal_closure(alg, alg.trace_radical) == alg.trace_radical, alg
+
+    def test_commutator_span_is_every_commutator(self, cases):
+        for alg in cases:
+            assert alg.commutator_span == all_commutators(alg), alg
+
+    def test_the_commutator_stack_is_built_once(self, instances, spy):
+        # on a fresh copy of qm2, whose centre and [H, H] are not read yet
+        h = instances("qm2").h.alg
+        alg = StructureConstantAlgebra(h.field, h.dim, h.unit, h.mul, h.labels, certified=True)
+        calls = spy("closing_maps", algebra)
+        assert alg.centre.dim == 9 and alg.commutator_span.dim == 66
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, radical, count", [
+        ("c3", 0, 3), ("q8", 0, 5), ("s3c2", 0, 6), ("qsl2", 24, 3), ("usl2", 13, 3), ("qm2", 72, 9)])
+    def test_shipped_radicals_and_counts(self, instances, name, radical, count):
+        alg = instances(name).h.alg
+        assert (alg.trace_radical.dim, alg.simple_count) == (radical, count)
+
+    def test_the_count_exceeds_the_simples_of_h_mod_r0_when_p_divides_a_multiplicity(self):
+        alg = truncated_times_f3()
+        assert (alg.trace_radical.dim, alg.simple_count) == (3, 2)
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 7, 11, 2**31 - 1])
+    def test_powers_match_the_binary_ladder(self, instances, rebased_big_p, e):
+        for alg in (instances("qm2").h.alg, instance_from_dict(rebased_big_p("usl2")).h.alg):
+            rows = np.random.default_rng(e).integers(0, alg.field.p, size=(3, alg.dim))
+            want = [element_power(alg, row, e) for row in rows]
+            assert np.array_equal(alg.powers(rows, e), np.array(want))
+
+    def test_powers_hold_few_terms_at_once(self, instances, monkeypatch):
+        # the same rows, with the entries of mul read a few at a time
+        alg = instances("usl2").h.alg
+        rows = np.random.default_rng(0).integers(0, 7, size=(4, alg.dim))
+        want = alg.powers(rows, 7)
+        monkeypatch.setattr(algebra, "PRODUCT_TERMS", 37)
+        assert np.array_equal(alg.powers(rows, 7), want)
+
+    def test_left_quotient_action_holds_few_terms_at_once(self, instances, monkeypatch):
+        # the same stack, with the entries of mul read a few at a time, so
+        # that a sum is split across reads
+        alg = instances("usl2").h.alg
+        want = alg.left_quotient_action(alg.trace_radical)
+        monkeypatch.setattr(algebra, "PRODUCT_TERMS", 37)
+        assert np.array_equal(alg.left_quotient_action(alg.trace_radical), want)
+
+    def test_left_quotient_action_matches_the_dense_quotient(self, cases):
+        rng = np.random.default_rng(0)
+        for alg in cases:
+            p, stack = alg.field.p, alg.left_regular()
+            random_ideal = ideal_closure(alg, Subspace(alg.field, alg.dim, [rng.integers(0, p, alg.dim)]))
+            for ideal in (alg.trace_radical, random_ideal):
+                if ideal.dim < alg.dim:
+                    want = quotient_action(stack, ideal, p)
+                    assert np.array_equal(alg.left_quotient_action(ideal), want), alg

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -8,8 +9,8 @@ import sys
 import pytest
 
 from hopfib.cli import main
-from hopfib.corpus import quantum_m2_kernel
-from hopfib.fileio import canonical_json, corpus_instance_to_dict, instance_from_dict
+from hopfib.corpus import SHIPPED_NAMES, quantum_m2_kernel
+from hopfib.fileio import canonical_json, corpus_instance_to_dict, instance_from_dict, write_instance
 
 from oracles import random_change_of_basis
 
@@ -420,7 +421,7 @@ class TestVerifyCommand:
         import hopfib.specmap
 
         enumerations = spy("enumerate_characters", hopfib.hopf, hopfib.cli)
-        chops = spy("chop", hopfib.repn, hopfib.specmap, hopfib.hopf, hopfib.cli)
+        chops = spy("chop", hopfib.repn, hopfib.cli)
         code, report = run(capsys, "verify", "--input", str(q8_file), "--uniform-fibers")
         assert code == 0 and len(report["results"]["uniform_fibers"]["entries"]) == 2
         assert enumerations == []
@@ -470,12 +471,13 @@ class TestVerifyCommand:
 
         path = tmp_path / "qm2.json"
         path.write_text(canonical_json(corpus_instance_to_dict(quantum_m2_kernel(3, 7))))
-        chops = spy("chop", hopfib.repn, hopfib.specmap, hopfib.hopf, hopfib.cli)
+        chops = spy("chop", hopfib.repn, hopfib.cli)
+        spectra = spy("spectrum", hopfib.repn, hopfib.specmap, hopfib.hopf)
         code = main(["verify", "--input", str(path), "--mode", mode, "--uniform-fibers"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "error: A Hopf subalgebra needs an ambient antipode\n"
-        assert chops == []
+        assert chops == [] and spectra == []
 
     def test_input_digest_present(self, q8_file, capsys):
         _, report = run(capsys, "characters", "--input", str(q8_file))
@@ -513,3 +515,104 @@ class TestVerifyCommand:
         assert results["conditions"]["cond_iii"] is True
         assert results["witnesses"]["action"] == "two-sided"
         assert results["x_order"] == 9
+
+    def test_uniform_fibers_groups_the_spectrum_once(self, instances, tmp_path, capsys, spy):
+        # s3c2 has two fibers: one grouping of the spectrum, one ker(xi) per
+        # fiber and one ideal closure per fiber algebra, the counit's shared
+        # by the verdict and the remark
+        import hopfib.algebra
+        import hopfib.cli
+        import hopfib.hopf
+        import hopfib.specmap
+
+        path = tmp_path / "s3c2.json"
+        write_instance(path, instances("s3c2"))
+        groupings = spy("fibers", *[m for m in (hopfib.specmap, hopfib.cli) if hasattr(m, "fibers")])
+        kernels = spy("character_kernel", hopfib.hopf, hopfib.specmap)
+        closures = spy("ideal_closure", hopfib.algebra, hopfib.hopf)
+        code, report = run(capsys, "verify", "--input", str(path), "--uniform-fibers")
+        assert code == 0 and len(report["results"]["uniform_fibers"]["entries"]) == 2
+        assert (len(groupings), len(kernels), len(closures)) == (1, 2, 2)
+
+    @pytest.mark.parametrize("name, largest", [("qsl2", 3), ("qm2", 9)])
+    def test_verify_splits_only_modules_of_h_mod_r0(self, instances, tmp_path, capsys, monkeypatch,
+                                                    name, largest):
+        # R0 has codimension 3 in qsl2 and 9 in qm2, whose regular modules
+        # have dimension 27 and 81
+        import hopfib.repn
+
+        path = tmp_path / f"{name}.json"
+        write_instance(path, instances(name))
+        real, sizes = hopfib.repn._try_split, []
+
+        def counted(action, *args):
+            sizes.append(action.shape[1])
+            return real(action, *args)
+
+        monkeypatch.setattr(hopfib.repn, "_try_split", counted)
+        code, _ = run(capsys, "verify", "--input", str(path))
+        assert code == 0 and 0 < max(sizes) <= largest
+
+    @pytest.mark.parametrize("name", ["qsl2", "usl2", "qm2"])
+    def test_verify_builds_no_dense_regular_stack(self, instances, tmp_path, capsys, spy, name):
+        from hopfib.algebra import StructureConstantAlgebra
+
+        path = tmp_path / f"{name}.json"
+        write_instance(path, instances(name))
+        stacks = spy("left_regular", StructureConstantAlgebra)
+        code, _ = run(capsys, "verify", "--input", str(path))
+        assert code == 0 and stacks == []
+
+
+# sha256 of canonical_json(report["results"]) for each shipped instance and
+# command, the same at seeds 0 and 1, as the package gave them before the
+# spectrum was read off H/R0; None: the command exits 2 with no report
+# (qm2 has no antipode)
+PINNED_RESULTS = {
+    ("c3", "verify"): "6799f840f8facd48e026e8de6508f57e1a4b3bb50e2b9b9f52ca54bb157b5be3",
+    ("c3", "verify-local"): "7b9bb35f6dbc123f750adeb1789065db440958cf4186e047509aee11b5308ff3",
+    ("c3", "verify-uniform"): "67969632ffcaa5f43f796fe6a8305879b0fbd1974040f416dc6950012fcd2298",
+    ("c3", "characters"): "5ab2f5f9307ef8e6e88642ccdc377329a5dd038010365b9ea777bfc6890d6baf",
+    ("c4c2", "verify"): "be7d49be88067d76475f787f30222bc7117e2caeae80f76ad77be946def12d46",
+    ("c4c2", "verify-local"): "0a363a67d4a60828cfe5f8e6f45b3732a9d234c848c721a91cf2e5d7aa087ed5",
+    ("c4c2", "verify-uniform"): "165bea047c462a6c3efc7fc3131f84f52279fd1a68b47b97faf50393b7e58541",
+    ("c4c2", "characters"): "135c78e86ccda2bdbe30b833f184df75cb101a539b1670cc8d55baaf20705caa",
+    ("q8", "verify"): "117031a9f0dfa8e958f980e938cd4af3c3d1e49eb5776283605cb205124e8452",
+    ("q8", "verify-local"): "3568afa1842b96855534e445bf9c42aab6c1f12f52dade335251e11907777928",
+    ("q8", "verify-uniform"): "7233fca29f51e5e226b2968dbb02343b2f04868fbdc4aa22651502c229956276",
+    ("q8", "characters"): "ad5fdae9e8ca957640bdb8464cf8a9c68e0733ab1e3bcb1bef268d8cabb9b05f",
+    ("s3c2", "verify"): "f9271e3bcdaf5b340054a6e66c97fba0f94fe409aad75d05a8408bc96832117b",
+    ("s3c2", "verify-local"): "6540be33012a1d0839787e0a38a36b3c374b5bb23f2946a1d53f83fccdfdc28f",
+    ("s3c2", "verify-uniform"): "d78ad8a150e04821b279c199adfb2856089e1d9d541ea6168e706839240fca39",
+    ("s3c2", "characters"): "6633139b9c8b828ba1a04140094e6990b0255126815bfe2d505a3072c6c6a00a",
+    ("qsl2", "verify"): "be9b4074ea3e878cc87ad49db981e81a6cad257d0a3c555ccaa0d94ec40f8461",
+    ("qsl2", "verify-local"): "301acc351bd4aa8f6e8ffa1cd1ca87df24b3e3945fe4dacc27cbe4d71dede8d4",
+    ("qsl2", "verify-uniform"): "800d2cff2cc6578222859bc3c29aac2820e1384a4911cdbb3a806b32172a06bf",
+    ("qsl2", "characters"): "49f6323a7aa4cafcd1459ef53c9d9b24ae85722adcf42abbd95b67a916269db7",
+    ("usl2", "verify"): "4a92367ccafccd1b3fcb32a2419d76d71982dd88ba3477598375128883ad0b5f",
+    ("usl2", "verify-local"): "127ef47ccdf9cbf5aa3c03aad1902532adaac66744c27cb32a0bb1c3753af83e",
+    ("usl2", "verify-uniform"): "4b94233d126a2acbe2dcf9b061086b8f5495abc8066d01929e914efeaf94b32d",
+    ("usl2", "characters"): "a30af0e94685fb4fb07889c7c7c6981623426dfa67fad58d8722abef50b4ad32",
+    ("qm2", "verify"): "c4a52314a08208148114698741d79b39c2d49790f11171f0c9692b5a4b54e3ae",
+    ("qm2", "verify-local"): "c4a52314a08208148114698741d79b39c2d49790f11171f0c9692b5a4b54e3ae",
+    ("qm2", "verify-uniform"): None,
+    ("qm2", "characters"): "2a1f06faa6a4c4a1f394192508044ef282c8e50bd62405e62668327a145cb540",
+}
+PINNED_COMMANDS = {"verify": ["verify"], "verify-local": ["verify", "--mode", "local"],
+                   "verify-uniform": ["verify", "--uniform-fibers"], "characters": ["characters"]}
+
+
+class TestPinnedReports:
+    """A change that only makes the verifier faster must leave its results
+    byte for byte as they were."""
+
+    @pytest.mark.parametrize("name", SHIPPED_NAMES)
+    def test_results_digests_are_pinned(self, instances, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.json"
+        write_instance(path, instances(name))
+        for command, argv in PINNED_COMMANDS.items():
+            want = PINNED_RESULTS[name, command]
+            for seed in ("0", "1"):
+                code, report = run(capsys, *argv, "--input", str(path), "--seed", seed)
+                got = report and hashlib.sha256(canonical_json(report["results"]).encode()).hexdigest()
+                assert (code, got) == ((0, want) if want else (2, None)), (command, seed)

@@ -405,7 +405,7 @@ class TestFiberQuotient:
         for xi in enumerate_characters(subalgebra_as_algebra(h.alg, a.subspace)[0]):
             over = [P for P in prims if contract(P, a) == character_kernel(a, xi)]
             try:
-                fiber_dim(h, a, xi)
+                fiber_dim(h, character_kernel(a, xi))
                 improper = False
             except ImproperIdeal:
                 improper = True

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfib.repn
 from hopfib.algebra import StructureConstantAlgebra, build_algebra
 from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra_pair
 from hopfib.errors import DimensionMismatch
@@ -23,6 +24,7 @@ from hopfib.linalg import (
 from hopfib.repn import (
     annihilator,
     chop,
+    spectrum,
     minpoly_on_vector,
     poly_eval_matrix,
     quotient_action,
@@ -30,9 +32,12 @@ from hopfib.repn import (
     spin,
 )
 
+from hopfib.rewrite import extract_bialgebra
+
 from oracles import (
     all_pairs_module_witness,
     checked_module,
+    endomorphism_degrees,
     checked_restrict_action,
     dense_central_pieces,
     fixed_point_spin,
@@ -41,8 +46,10 @@ from oracles import (
     krylov_solve_minpoly,
     power_sum_poly_eval,
     product_quotient_action,
+    truncated_times_f3,
     whole_module_chop,
 )
+from test_rewrite import quantum_plane
 
 F7 = FieldSpec(7)
 
@@ -652,3 +659,72 @@ class TestAnnihilator:
     def test_codim_is_square_of_dim_for_split_simples(self, s3):
         for rec in chop(s3, seed=0):
             assert 6 - rec.annihilator.dim == rec.dim ** 2
+
+
+class TestSpectrum:
+    """spectrum chops H/R0 and accepts it when its records number
+    dim H/T(H); chop of the regular module is the oracle. The cases: the
+    oracle pairs, F_3[S3] and F_3[S3 x C2] (modular group algebras, R0 = H),
+    the primitive bialgebra F_3[x, y]/(x^3, y^3) (R0 = H) and
+    F_3[x]/(x^3) x F_3, where p divides a multiplicity: R0 has dimension 3,
+    H/R0 has one simple and H two, so spectrum falls back to chop."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, oracle_cases):
+        names = [*SHIPPED_NAMES, *(f"{name}-bigp-rebased" for name in SHIPPED_NAMES), "s3s3-bigp"]
+        algs = {name: inst.h.alg for name, inst in zip(names, oracle_cases, strict=True)}
+        with pytest.warns(UserWarning, match="not semisimple"):
+            algs["f3s3"] = group_algebra_pair(FieldSpec(3), builtin_group("s3"), [0]).h.alg
+            s3c2 = direct_product(builtin_group("s3"), builtin_group("c2"))
+            algs["f3s3c2"] = group_algebra_pair(FieldSpec(3), s3c2, s3c2.center()).h.alg
+        primitive = [{((g,), ()): 1, ((), (g,)): 1} for g in (0, 1)]
+        algs["f3[x,y]/(x3,y3)"] = extract_bialgebra(quantum_plane(q=1, p=3, bound=5), primitive, [0, 0]).alg
+        algs["f3[x]/(x3)xf3"] = truncated_times_f3()
+        return algs
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_records_match_the_chop_of_h(self, cases, seed):
+        assert len(cases) == 19
+        for name, alg in cases.items():
+            want = [(r.dim, r.annihilator.key()) for r in chop(alg, seed=seed)]
+            assert [(r.dim, r.annihilator.key()) for r in spectrum(alg, seed=seed)] == want, name
+
+    def test_the_count_is_the_chop_record_count_where_p_splits_h(self, cases):
+        # in general the sum of the degrees of End(S); c4c2 at 2**31 - 1 is
+        # the one case that F_p does not split
+        unsplit = []
+        for name, alg in cases.items():
+            recs = chop(alg, seed=0)
+            assert alg.simple_count == endomorphism_degrees(alg, recs), name
+            if alg.simple_count != len(recs):
+                unsplit.append(name)
+        assert unsplit == ["c4c2-bigp-rebased"]
+
+    def test_which_cases_fall_back_to_chop(self, cases, spy):
+        # R0 = 0 (semisimple), R0 = H and a short count chop H; the quantum
+        # instances, at p = 7 and at 2**31 - 1, are certified from H/R0
+        calls, taken = spy("chop", hopfib.repn), []
+        for name, alg in cases.items():
+            before = len(calls)
+            spectrum(alg, seed=0)
+            if len(calls) == before:
+                taken.append(name)
+        assert taken == ["qsl2", "usl2", "qm2", "qsl2-bigp-rebased", "usl2-bigp-rebased", "qm2-bigp-rebased"]
+        radicals = {name: (cases[name].trace_radical.dim, cases[name].dim)
+                    for name in ("f3s3", "f3s3c2", "f3[x,y]/(x3,y3)", "f3[x]/(x3)xf3")}
+        assert radicals == {"f3s3": (6, 6), "f3s3c2": (12, 12), "f3[x,y]/(x3,y3)": (9, 9),
+                            "f3[x]/(x3)xf3": (3, 4)}
+
+    def test_a_short_count_chops_h_after_h_mod_r0(self, cases, spy):
+        alg = cases["f3[x]/(x3)xf3"]
+        splits = spy("_split_to_simples", hopfib.repn)
+        chops = spy("chop", hopfib.repn)
+        recs = spectrum(alg, seed=0)
+        modules = [sum(a.dim if isinstance(a, Subspace) else a.shape[1] for a in pieces)
+                   for _, pieces, _ in splits]
+        assert modules == [1, 4] and len(chops) == 1
+        assert alg.simple_count == len(recs) == 2
+
+    def test_a_record_multiplicity_is_its_dimension(self, instances):
+        recs = spectrum(instances("usl2").h.alg, seed=0)
+        assert [(r.dim, r.multiplicity) for r in recs] == [(1, 1), (2, 2), (3, 3)]

@@ -40,17 +40,17 @@ F7 = FieldSpec(7)
 HOPF_NAMES = ("c3", "c4c2", "q8", "s3c2", "qsl2", "usl2")
 
 # every module that binds repn.chop, so a spy sees each call
-CHOP_OWNERS = (hopfib.repn, hopfib.specmap, hopfib.hopf, hopfib.cli)
+CHOP_OWNERS = (hopfib.repn, hopfib.cli)
 
 
 def verify(inst, mode="global", seed=0):
     """verify_theorem on the instance's spectrum at the seed."""
-    return verify_theorem(inst, prim_enumerate(inst.h.alg, seed=seed), mode=mode)
+    return verify_theorem(inst, fibers(inst, prim_enumerate(inst.h.alg, seed=seed)), mode=mode)
 
 
-def fiber_partition(prims, a):
+def fiber_partition(inst, prims):
     """The fibers as a Partition, in the order fibers gives them."""
-    return Partition(list(fibers(prims, a).values()))
+    return Partition(list(fibers(inst, prims).blocks.values()))
 
 
 def x_of(inst, prims):
@@ -137,17 +137,17 @@ class TestContract:
 class TestFibers:
     def test_q8_fiber_sizes(self, q8_pair):
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
-        fib = fiber_partition(prims, q8_pair.a)
+        fib = fiber_partition(q8_pair, prims)
         assert fib.sizes() == [1, 4]
 
     def test_s3c2_fiber_sizes(self, s3c2_pair):
         prims = prim_enumerate(s3c2_pair.h.alg, seed=0)
-        fib = fiber_partition(prims, s3c2_pair.a)
+        fib = fiber_partition(s3c2_pair, prims)
         assert fib.sizes() == [3, 3]
 
     def test_scalars_give_single_fiber(self, usl2_pair):
         prims = prim_enumerate(usl2_pair.h.alg, seed=0)
-        fib = fiber_partition(prims, usl2_pair.a)
+        fib = fiber_partition(usl2_pair, prims)
         assert fib.sizes() == [3]
 
     def test_blocks_match_the_contractions_in_order(self, instances, rebased_big_p):
@@ -160,7 +160,7 @@ class TestFibers:
             groups = {}
             for idx, prim in enumerate(prims):
                 groups.setdefault(contract(prim, inst.a).key(), []).append(idx)
-            assert fiber_partition(prims, inst.a).blocks == [groups[k] for k in sorted(groups)]
+            assert fiber_partition(inst, prims).blocks == [groups[k] for k in sorted(groups)]
 
     def test_s3c2_mismatch_witness(self, s3c2_pair):
         v = verify(s3c2_pair)
@@ -170,7 +170,7 @@ class TestFibers:
         for name in HOPF_NAMES:
             inst = instances(name)
             prims = prim_enumerate(inst.h.alg, seed=0)
-            fib = fiber_partition(prims, inst.a)
+            fib = fiber_partition(inst, prims)
             assert all(len(b) >= 1 for b in fib.blocks)
             assert sum(len(b) for b in fib.blocks) == len(prims)
 
@@ -191,7 +191,7 @@ class TestOrbits:
     def test_s3c2_counit_fiber_splits(self, s3c2_pair):
         prims = prim_enumerate(s3c2_pair.h.alg, seed=0)
         x = x_of(s3c2_pair, prims)
-        fib = fiber_partition(prims, s3c2_pair.a)
+        fib = fiber_partition(s3c2_pair, prims)
         orb = orbits(prims, [winding(s3c2_pair.h, c) for c in x.chars])
         assert orb.sizes() == [1, 1, 2, 2]
         # the fiber over the augmentation ideal splits into orbits of 2 and 1
@@ -213,7 +213,7 @@ class TestOrbits:
         h = q8_pair.h
         prims = prim_enumerate(h.alg, seed=0)
         orb = orbits(prims, [winding(h, counit_character(h))])
-        same, witnesses = _fibers_against_orbits(prims, fibers(prims, q8_pair.a), orb)
+        same, witnesses = _fibers_against_orbits(fibers(q8_pair, prims), orb)
         assert same is False
         assert witnesses["fiber_sizes"] == [1, 4] and witnesses["orbit_sizes"] == [1] * 5
         block = witnesses["mismatch_fiber_vs_orbits"]["fiber_block"]
@@ -224,8 +224,8 @@ class TestOrbits:
         # against refinement_holds, on every set partition of q8's five
         # primitive ideals standing in for the orbits
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
-        fib = fibers(prims, q8_pair.a)
-        partition = Partition(list(fib.values()))
+        fib = fibers(q8_pair, prims)
+        partition = Partition(list(fib.blocks.values()))
 
         def set_partitions(items):
             if not items:
@@ -241,7 +241,7 @@ class TestOrbits:
         for blocks in set_partitions(list(range(len(prims)))):
             orb = Partition(sorted(sorted(b) for b in blocks))
             try:
-                _fibers_against_orbits(prims, fib, orb)
+                _fibers_against_orbits(fib, orb)
                 raised.append(False)
             except HopfibError:
                 raised.append(True)
@@ -258,7 +258,7 @@ class TestOrbits:
             inst = instances(name)
             prims = prim_enumerate(inst.h.alg, seed=0)
             x = x_of(inst, prims)
-            fib = fiber_partition(prims, inst.a)
+            fib = fiber_partition(inst, prims)
             orb = orbits(prims, [winding(inst.h, c) for c in x.chars])
             assert refinement_holds(fib, orb)
 
@@ -279,7 +279,7 @@ class TestVerifyTheorem:
 
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
         calls = spy("winding", hopfib.specmap)
-        v = verify_theorem(q8_pair, prims)
+        v = verify_theorem(q8_pair, fibers(q8_pair, prims))
         gens = x_of(q8_pair, prims).gens
         assert v.x_order == 4 and v.cond_iii is True
         assert len(calls) == len({args[1] for args in calls}) == len(gens) == 2
@@ -292,7 +292,7 @@ class TestVerifyTheorem:
         owners = [m for m in (hopfib.algebra, hopfib.hopf) if hasattr(m, "ideal_closure")]
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
         calls = spy("ideal_closure", *owners)
-        v = verify_theorem(q8_pair, prims)
+        v = verify_theorem(q8_pair, fibers(q8_pair, prims))
         assert v.witnesses["fiber_algebra_dim"] == 4
         assert len(calls) == 1
 
@@ -306,7 +306,7 @@ class TestVerifyTheorem:
         chops = spy("chop", *CHOP_OWNERS)
         moved = spy("image_under", Subspace)
         prims = prim_enumerate(inst.h.alg, seed=0)
-        v = verify_theorem(inst, prims)
+        v = verify_theorem(inst, fibers(inst, prims))
         assert len(chops) == 1
         gens = x_of(inst, prims).gens
         assert len(moved) == images == v.witnesses["prim_count"] * len(gens)
@@ -316,8 +316,8 @@ class TestVerifyTheorem:
         # one chop, of H (dim 8), and none of A
         chops = spy("chop", *CHOP_OWNERS)
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
-        verify_theorem(q8_pair, prims)
-        remark_uniform_fibers(q8_pair, prims)
+        verify_theorem(q8_pair, fibers(q8_pair, prims))
+        remark_uniform_fibers(q8_pair, fibers(q8_pair, prims))
         assert [args[0].dim for args in chops] == [8]
 
     def test_orbits_see_only_the_generators_of_x(self, qm2_pair, spy):
@@ -325,7 +325,7 @@ class TestVerifyTheorem:
         # and left here): X = Z3 x Z3 has two generators, not nine members
         prims = prim_enumerate(qm2_pair.h.alg, seed=0)
         calls = spy("image_under", Subspace)
-        v = verify_theorem(qm2_pair, prims)
+        v = verify_theorem(qm2_pair, fibers(qm2_pair, prims))
         gens = x_of(qm2_pair, prims).gens
         assert v.x_order == 9 and len(gens) == 2
         assert len(calls) == v.witnesses["prim_count"] * 2 * len(gens) == 36
@@ -335,7 +335,7 @@ class TestVerifyTheorem:
         # its whole table would take 81
         prims = prim_enumerate(qm2_pair.h.alg, seed=0)
         calls = spy("convolve", hopfib.hopf)
-        v = verify_theorem(qm2_pair, prims)
+        v = verify_theorem(qm2_pair, fibers(qm2_pair, prims))
         assert v.x_order == 9
         assert 0 < len(calls) <= 18
 
@@ -354,7 +354,7 @@ class TestVerifyTheorem:
             assert gens == table_greedy_generators(*convolution_table(h, members))
             if all(it.dim ** 2 == h.dim - it.annihilator.dim for it in prims):
                 calls.clear()
-                verify_theorem(inst, prims)
+                verify_theorem(inst, fibers(inst, prims))
                 assert calls == [(h, members)]
                 verified += 1
         assert verified == len(oracle_cases) - 1
@@ -374,8 +374,8 @@ class TestVerifyTheorem:
 
     def test_usl2_negative_in_both_modes(self, usl2_pair):
         prims = prim_enumerate(usl2_pair.h.alg, seed=7)
-        vg = verify_theorem(usl2_pair, prims, mode="global")
-        vl = verify_theorem(usl2_pair, prims, mode="local")
+        vg = verify_theorem(usl2_pair, fibers(usl2_pair, prims), mode="global")
+        vl = verify_theorem(usl2_pair, fibers(usl2_pair, prims), mode="local")
         assert vg.cond_i is False and vg.cond_ii is False
         assert vg.cond_iii is False and vg.cond_iv is False
         assert vl.cond_i is False and vl.cond_ii is False
@@ -400,7 +400,7 @@ class TestVerifyTheorem:
         prims = prim_enumerate(inst.h.alg, seed=0)
         for mode in ("global", "local"):
             with pytest.raises(NotSplit) as exc:
-                verify_theorem(inst, prims, mode=mode)
+                verify_theorem(inst, fibers(inst, prims), mode=mode)
             algebra, index, dim, degree = exc.value.witness
             assert (algebra, dim, degree) == ("H", 2, 2)
             rec = chop(inst.h.alg)[index]
@@ -473,14 +473,14 @@ class TestAgainstTheChoppedFibers:
         want = chopped_counit_fiber(inst)
         prims = prim_enumerate(inst.h.alg, seed=0)
         for mode in ("global", "local"):
-            v = verify_theorem(inst, prims, mode=mode)
+            v = verify_theorem(inst, fibers(inst, prims), mode=mode)
             got = dict(v.witnesses, cond_i=v.cond_i, cond_ii=v.cond_ii)
             assert {k: got[k] for k in want} == want
 
     @pytest.mark.parametrize("name, basis_seed", HOPF_CASES)
     def test_uniform_fiber_entries_match(self, name, basis_seed, instances, rebased_big_p):
         inst = instances(name) if basis_seed is None else instance_from_dict(rebased_big_p(name, basis_seed))
-        rep = remark_uniform_fibers(inst, prim_enumerate(inst.h.alg, seed=0))
+        rep = remark_uniform_fibers(inst, fibers(inst, prim_enumerate(inst.h.alg, seed=0)))
         got = [(e.xi_values, e.extends_to_h, e.ideal_proper, e.quotient_dim, e.all_one_dim)
                for e in rep.entries]
         assert got == chopped_uniform_fibers(inst)
@@ -488,7 +488,7 @@ class TestAgainstTheChoppedFibers:
 
 class TestRemarkUniformFibers:
     def test_q8_sign_character_does_not_extend(self, q8_pair):
-        rep = remark_uniform_fibers(q8_pair, prim_enumerate(q8_pair.h.alg, seed=0))
+        rep = remark_uniform_fibers(q8_pair, fibers(q8_pair, prim_enumerate(q8_pair.h.alg, seed=0)))
         assert rep.consistent
         by_values = {e.xi_values: e for e in rep.entries}
         assert by_values[(1, 1)].extends_to_h and by_values[(1, 1)].all_one_dim
@@ -503,24 +503,24 @@ class TestRemarkUniformFibers:
         import hopfib.specmap
 
         calls = spy("winding", hopfib.hopf, hopfib.specmap)
-        rep = remark_uniform_fibers(q8_pair, prim_enumerate(q8_pair.h.alg, seed=0))
+        rep = remark_uniform_fibers(q8_pair, fibers(q8_pair, prim_enumerate(q8_pair.h.alg, seed=0)))
         assert len(rep.entries) == 2
         assert calls == []
 
     def test_c4c2_both_characters_extend_and_agree(self, c4c2_pair):
-        rep = remark_uniform_fibers(c4c2_pair, prim_enumerate(c4c2_pair.h.alg, seed=0))
+        rep = remark_uniform_fibers(c4c2_pair, fibers(c4c2_pair, prim_enumerate(c4c2_pair.h.alg, seed=0)))
         assert rep.consistent
         assert len(rep.entries) == 2
         assert all(e.extends_to_h and e.all_one_dim for e in rep.entries)
 
     def test_scalars_vacuously_consistent(self, qsl2_pair):
-        rep = remark_uniform_fibers(qsl2_pair, prim_enumerate(qsl2_pair.h.alg, seed=0))
+        rep = remark_uniform_fibers(qsl2_pair, fibers(qsl2_pair, prim_enumerate(qsl2_pair.h.alg, seed=0)))
         assert rep.consistent
         assert len(rep.entries) == 1  # only the counit itself
 
     def test_no_antipode_rejected(self, qm2_pair):
         with pytest.raises(NotAHopfSubalgebra):
-            remark_uniform_fibers(qm2_pair, prim_enumerate(qm2_pair.h.alg, seed=0))
+            remark_uniform_fibers(qm2_pair, fibers(qm2_pair, prim_enumerate(qm2_pair.h.alg, seed=0)))
 
     def test_non_split_prime_is_refused(self):
         # F_5[C3] with A = F_5: a Hopf subalgebra, central, but x^2 + x + 1
@@ -528,6 +528,6 @@ class TestRemarkUniformFibers:
         # the 2-dimensional simple module
         inst = group_algebra_pair(FieldSpec(5), builtin_group("c3"), [0])
         with pytest.raises(NotSplit) as exc:
-            remark_uniform_fibers(inst, prim_enumerate(inst.h.alg, seed=0))
+            remark_uniform_fibers(inst, fibers(inst, prim_enumerate(inst.h.alg, seed=0)))
         algebra, _index, dim, degree = exc.value.witness
         assert (algebra, dim, degree) == ("H", 2, 2)
