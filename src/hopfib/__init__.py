@@ -41,7 +41,7 @@ from .hopf import (
     winding,
 )
 from .linalg import FieldSpec, Subspace, find_root_of_unity, modinv, rref
-from .repn import SimpleRecord, annihilator, chop, spectrum
+from .repn import SimpleRecord, SpectrumRecord, annihilator, chop, spectrum
 from .rewrite import Presentation, complete_check, enumerate_basis, extract_bialgebra, normalize
 from .specmap import (
     Fibers,
@@ -64,6 +64,7 @@ __all__ = [
     "GroupTable",
     "Presentation",
     "SimpleRecord",
+    "SpectrumRecord",
     "StructureConstantAlgebra",
     "Subspace",
     "Verdict",

@@ -7,11 +7,13 @@ the unit. Products, multiplication matrices and the axiom checks are
 sparse contractions of ``mul``. So are the action of the algebra on a
 left ideal (:meth:`StructureConstantAlgebra.left_ideal_action`), from which
 ``repn.chop`` reads each central piece of the regular module when its split
-stack reaches it, and its action on a quotient H/I
-(:meth:`StructureConstantAlgebra.left_quotient_action`), from which
-``repn.spectrum`` reads H/R0 below. The only dense view is the regular
-module's action stack :meth:`StructureConstantAlgebra.left_regular`, which
-chop builds only when the centre leaves the regular module in one piece.
+stack reaches it, and the multiplications by a batch of elements on a
+quotient H/I (:meth:`StructureConstantAlgebra.quotient_mult`), from which
+``repn.spectrum`` reads the centre of H/R0 below, products in it, and the
+annihilator in the dual of each block. The only dense view of the whole
+algebra is the regular module's action stack
+:meth:`StructureConstantAlgebra.left_regular`, which chop builds only when
+the centre leaves the regular module in one piece.
 
 The unit laws and associativity are checked once, when :func:`build_algebra`
 reads the data, and recorded as ``certified``, so everything downstream can
@@ -53,8 +55,8 @@ On a certified algebra [G, H] = [H, H]: for a functional f, the x with
 f([x, H]) = 0 form a unital subalgebra, as [xy, h] = [x, yh] + [y, hx], so
 a functional that kills [G, H] kills [H, H].
 
-The algebra also owns the two facts from which ``repn.spectrum`` reads the
-simple modules off a quotient:
+The algebra also owns the two facts from which ``repn.spectrum`` reads
+Prim H off the primitive central idempotents of H/R0, and certifies it:
 
 * R0 (:attr:`StructureConstantAlgebra.trace_radical`), the radical of the
   regular trace form (x, y) -> tau(xy), tau(x) = tr(y -> xy). It is a
@@ -68,6 +70,8 @@ simple modules off a quotient:
   T(H) = {x : x^(p^N) in [H, H] for some N}: the sum over the simple modules
   S of the degree e_S of End(S) over F_p (Kuelshammer, J. Algebra 72, 1981).
   It is at least the number of simples, with equality iff F_p splits H.
+  spectrum reads it only where R0 != 0; on a semisimple H the idempotents
+  of the centre certify themselves (repn module docstring).
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ from .linalg import (
 )
 
 # entries of a temporary of terms that StructureConstantAlgebra.powers and
-# left_quotient_action hold at once
+# quotient_mult hold at once
 PRODUCT_TERMS = 2**12
 
 
@@ -170,37 +174,46 @@ class StructureConstantAlgebra:
         out[key[starts]] = np.add.reduceat(terms, starts, axis=0) % p
         return out.reshape(n, d, d)
 
-    def left_quotient_action(self, ideal: Subspace) -> np.ndarray:
-        """Stack of the matrices of x -> e_j x on H/I for a left ideal I (not
-        checked), one per basis element, in the classes of the standard
-        vectors e_r at the columns r outside I's pivots, as in
-        repn.quotient_action. x mod I has the coordinates x[rest] minus the
-        sum of x[pivot_i] b_i[rest], so row t of the reduction map is e_t's
-        class: the standard vector at t's slot, or -b_i[rest] at the pivot of
-        b_i. Entry (j, a, k) is the a-th coordinate of e_j e_{r_k} mod I; each
-        entry mul[j, r_k, t] adds mul[j, r_k, t] times row t, every term
-        reduced below p before the sum of at most n terms. The entries are
-        read PRODUCT_TERMS // (n - dim I) at a time, so the terms held at
-        once stay small."""
+    def quotient_mult(self, ideal: Subspace, rows: np.ndarray, left: bool = False) -> np.ndarray:
+        """Stack of the matrices of x -> x y (of x -> y x when left) on H/I for
+        a two-sided ideal I (not checked), one per row y, in row convention:
+        entry (k, a, c) is the c-th coordinate of e_{r_a} y_k mod I
+        (y_k e_{r_a}). H/I has the coordinates of Subspace.quotient_map, the
+        classes of the standard vectors e_r at the columns r outside I's
+        pivots, and each row y_k is given in them, so it lifts to the sum of
+        y_k[b] e_{r_b}. Each entry mul[r_a, r_b, t] (mul[r_b, r_a, t] when
+        left) adds mul[r_a, r_b, t] y_k[b] to coordinate t of e_{r_a} y_k,
+        every term reduced below p before the sum of at most n terms; the
+        entries are read PRODUCT_TERMS // len(rows) at a time. The products
+        are kept only at the targets t that occur, and then reduced mod I,
+        one product with the quotient map's rows there (a scatter when
+        I = 0)."""
         p, n = self.field.p, self.dim
         rest = ideal.free_columns()
-        q = len(rest)
-        reduction = np.zeros((n, q), dtype=np.int64)
-        reduction[rest, np.arange(q)] = 1
-        reduction[list(ideal.pivots)] = -ideal.basis[:, rest] % p
+        q, m = len(rest), len(rows)
         slot = np.full(n, -1)
         slot[rest] = np.arange(q)
-        j, s, t = self.mul.indices()
-        keep = np.flatnonzero(slot[s] >= 0)
-        key = j[keep] * q + slot[s[keep]]  # non-decreasing: mul's keys are sorted by (j, s)
-        out = np.zeros((n * q, q), dtype=np.int64)
-        step = max(1, PRODUCT_TERMS // max(1, q))
+        mul = permute(self.mul, (1, 0, 2)) if left else self.mul
+        x, y, t = mul.indices()
+        keep = np.flatnonzero((slot[x] >= 0) & (slot[y] >= 0))
+        targets, column = np.unique(t[keep], return_inverse=True)
+        key = slot[x[keep]] * len(targets) + column
+        order = np.argsort(key, kind="stable")
+        key, keep = key[order], keep[order]
+        coeffs = asmat(rows, p).T  # (q, m)
+        out = np.zeros((q * len(targets), m), dtype=np.int64)
+        step = max(1, PRODUCT_TERMS // max(1, m))
         for lo in range(0, len(keep), step):
-            part, rows = keep[lo:lo + step], key[lo:lo + step]
-            terms = self.mul.vals[part, None] * reduction[t[part]] % p  # (term, a)
-            starts = np.flatnonzero(np.diff(rows, prepend=-1))
-            out[rows[starts]] = (out[rows[starts]] + np.add.reduceat(terms, starts, axis=0)) % p
-        return out.reshape(n, q, q).transpose(0, 2, 1)
+            part, at = keep[lo:lo + step], key[lo:lo + step]
+            terms = mul.vals[part, None] * coeffs[slot[y[part]]] % p  # (term, k)
+            starts = np.flatnonzero(np.diff(at, prepend=-1))
+            out[at[starts]] = (out[at[starts]] + np.add.reduceat(terms, starts, axis=0)) % p
+        out = out.reshape(q, len(targets), m).transpose(2, 0, 1)  # (k, a, target)
+        if ideal.dim:
+            return matmul_mod(out, ideal.quotient_map()[targets], p)
+        full = np.zeros((m, q, n), dtype=np.int64)
+        full[:, :, targets] = out
+        return full
 
     def left_regular(self) -> np.ndarray:
         """Stack of left multiplication matrices, one per basis element."""

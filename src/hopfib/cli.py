@@ -135,7 +135,7 @@ def cmd_verify(args) -> int:
     raw, d = _read_input(args.input)
     inst = instance_from_dict(d)
     if args.uniform_fibers:
-        require_hopf_subalgebra(inst)  # refuse before the chop, not after the verdict
+        require_hopf_subalgebra(inst)  # refuse before the spectrum, not after the verdict
     fib = fibers(inst, prim_enumerate(inst.h.alg, seed=args.seed))
     verdict = verify_theorem(inst, fib, mode=args.mode)
     results = verdict.to_dict()

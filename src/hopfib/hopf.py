@@ -39,9 +39,9 @@ A (one_dim_characters), and certifies the group law from the products by
 its generators alone. character_kernel carries ker(xi) into H, once per
 fiber (specmap.fibers, which orders the fibers by its key), and fiber_dim
 reads dim H/H*ker(xi) off one ideal closure of that kernel and builds no
-quotient. enumerate_characters reads the 1-dimensional simples of
-repn.spectrum: every character kills J(H), so the simples of H/J(H) hold
-them all.
+quotient. enumerate_characters reads the 1-dimensional records of
+repn.spectrum, each character off the record's dual: every character
+kills J(H), so the simples of H/J(H) hold them all.
 The quotient algebras and the coproduct and antipode the counit fiber
 inherits are test oracles (tests/oracles.py). The tests hold each of these
 facts on the shipped corpus, and two the verifier does not use: chi o S is
@@ -283,19 +283,20 @@ def build_bialgebra(alg, comul_entries, counit, antipode=None) -> BialgebraData:
 # -- characters and convolution ---------------------------------------------
 
 
-def one_dim_characters(p: int, actions) -> list[Character]:
-    """The characters among simple modules given by their action stacks: a
-    1-dim module is an algebra map onto F_p (not checked again). Sorted
-    lexicographically by value vector."""
-    return sorted((Character.from_vector(p, act[:, 0, 0]) for act in actions if act.shape[1] == 1),
-                  key=lambda c: c.values)
+def one_dim_characters(alg: StructureConstantAlgebra, records) -> list[Character]:
+    """The characters among the simple modules of spectrum records: a 1-dim
+    module is an algebra map onto F_p (not checked again), read off its
+    dual (SpectrumRecord.central_character). Sorted lexicographically by
+    value vector."""
+    return sorted((Character.from_vector(alg.field.p, rec.central_character(alg.unit))
+                   for rec in records if rec.dim == 1), key=lambda c: c.values)
 
 
 def enumerate_characters(b_or_alg, seed: int = 0) -> list[Character]:
     """All algebra maps onto F_p, the 1-dim simple modules of the spectrum
     (repn.spectrum): complete because every character kills J(H)."""
     alg = b_or_alg.alg if isinstance(b_or_alg, BialgebraData) else b_or_alg
-    return one_dim_characters(alg.field.p, [rec.action for rec in spectrum(alg, seed=seed)])
+    return one_dim_characters(alg, spectrum(alg, seed=seed))
 
 
 def counit_character(b: BialgebraData) -> Character:

@@ -180,19 +180,27 @@ def rref(m, p: int):
     """Reduced row echelon form.
 
     Returns (rref matrix, rank, pivot column tuple). The input is not
-    modified.
+    modified. At a column without a pivot, one scan of the rows below the
+    last pivot finds the next column where they are not all zero, and the
+    elimination jumps there, or stops if there is none: row operations
+    cannot make a pivot out of zero rows. So an elimination that finds a
+    pivot in every column pays nothing for the scans, and a run of columns
+    without a pivot costs one scan.
     """
     r = np.array(m, dtype=np.int64) % p
     if r.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {r.shape}")
     nrows, ncols = r.shape
     pivots = []
-    row = 0
-    for col in range(ncols):
-        if row == nrows:
-            break
+    row = col = 0
+    while row < nrows and col < ncols:
         piv = row + int(np.argmax(r[row:, col] != 0))
         if r[piv, col] == 0:
+            # the rows below are zero left of col + 1
+            ahead = np.flatnonzero(r[row:, col + 1:].any(axis=0))
+            if not ahead.size:
+                break
+            col += 1 + int(ahead[0])
             continue
         if piv != row:
             r[[row, piv]] = r[[piv, row]]
@@ -205,6 +213,7 @@ def rref(m, p: int):
             tail[rows] = (tail[rows] - np.outer(tail[rows, 0], tail[row])) % p
         pivots.append(col)
         row += 1
+        col += 1
     return r, row, tuple(pivots)
 
 
@@ -329,6 +338,17 @@ class Subspace:
         free = np.ones(self.ambient, dtype=bool)
         free[list(self.pivots)] = False
         return np.flatnonzero(free)
+
+    def quotient_map(self) -> np.ndarray:
+        """The (ambient, codim) matrix whose row t is the class of e_t modulo
+        self, in the classes of the standard vectors at free_columns: the
+        standard vector at t's slot for a free t, and -b_i at the free
+        columns for the pivot of basis row b_i, since e_t - b_i lies in self."""
+        p, rest = self.field.p, self.free_columns()
+        out = np.zeros((self.ambient, len(rest)), dtype=np.int64)
+        out[rest, np.arange(len(rest))] = 1
+        out[list(self.pivots)] = -self.basis[:, rest] % p
+        return out
 
     def reduce_rows(self, rows: np.ndarray) -> np.ndarray:
         """Residual of row vectors after subtracting their projection on self."""

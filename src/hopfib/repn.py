@@ -1,22 +1,43 @@
 """The simple modules of a structure-constant algebra: the composition
-factors of its regular module (chop), or of H/R0 where a count certifies
-that every simple occurs there (spectrum).
+factors of its regular module (chop), and its primitive ideals, read off
+the blocks of H/R0 where that is certified (spectrum).
 
-spectrum is what verify and characters read. Every primitive ideal holds
-J(H), so they need the simples of H/J(H) only. R0, the radical of the trace
-form, holds J(H) (algebra module docstring), so the H-module H/R0 has
-simples of H only; its action is read from mul
-(StructureConstantAlgebra.left_quotient_action), split along the centre as
-below, chopped, and its leaves merged by their annihilators in H, so
-nothing is pulled back or re-sorted. Its records are accepted iff they
-number dim H/T(H) (StructureConstantAlgebra.simple_count), which proves that
-none is missing and that F_p splits H; a record's multiplicity is then its
-multiplicity in H/J(H), its dimension, not its multiplicity in H. Otherwise,
-and on semisimple H (R0 = 0), spectrum is chop: simples reports
-multiplicities in H and keeps chop.
+spectrum is what verify and characters read. Every primitive ideal P holds
+J(H), and is the kernel of one block of the semisimple H/J(H): if e is
+that block's primitive central idempotent, P is the set of x with
+x e in J(H). R0, the radical of the trace form, holds J(H) (algebra module
+docstring), so H/R0 is a quotient of H/J(H), and its blocks are blocks of
+H. So spectrum finds the primitive idempotents of Zbar = Z(H/R0), in the
+coordinates of H/R0 (Subspace.quotient_map): Zbar is the joint kernel of
+x -> g x - x g over the classes of the generators G, which generate H/R0
+(StructureConstantAlgebra.quotient_mult), or the centre of H when R0 = 0.
+Zbar is commutative and semisimple, and where F_p splits it, Zbar = F_p^k.
+Its unit is split first by the roots of the minimal polynomial of one
+central element drawn from the run's seeded generator, then each
+idempotent by those of the basis elements of Zbar, until there are
+k = dim Zbar; each split is a Lagrange interpolation in one element
+(Ronyai, J. Symb. Comp. 9, 1990; Eberly and Giesbrecht, J. Symb. Comp. 29,
+2000). For each idempotent e, P^perp, the annihilator of P in the dual of
+H, is the row space of x -> x e mod R0, of dimension d**2 for a block
+M_d(F_p); P is its null space. No module is split, so there is no
+MeatAxe and no action stack in this route.
 
-The decomposition ("chop") takes the regular module only: every simple
-module occurs in it. It first splits the module along its centre. It
+The certificate is the same in kind as chop's. With R0 != 0, the
+idempotents must number dim H/T(H) (StructureConstantAlgebra.simple_count):
+that count is the sum of the degrees of End(S) over F_p, at least the
+number of simples of H, which is at least the number of blocks of H/R0,
+so equality proves that every simple of H is a simple of H/R0 (R0 = J(H))
+and that F_p splits H. With R0 = 0, H is semisimple, and k idempotents,
+all from linear factors, prove Z(H) = F_p^k: a simple block whose centre
+is F_p is M_d(F_p), as finite division rings are fields. Any nonlinear or
+repeated factor, a short count, R0 = H (a modular group algebra, where
+the trace form is 0) or data that is not certified falls back to
+chop(alg, seed), run once; its records are turned into spectrum records,
+P^perp being the span of the matrix coefficients of the simple module.
+
+The decomposition ("chop") is what simples reads, and spectrum's
+fallback. It takes the regular module only: every simple module occurs in
+it. It first splits the module along its centre. It
 draws one random element z of the centre Z (StructureConstantAlgebra.centre)
 and takes the minimal polynomial of z, from the action of z on Z. For each
 irreducible factor g, with multiplicity e, the piece is ker g(rho(z))^e,
@@ -62,14 +83,16 @@ one included. Spun subspaces and their Norton complements are invariant,
 which restriction and quotient do not re-check (the tests do, against the
 checked helpers in tests/oracles.py).
 
-All randomness is confined to one seeded generator per chop call, and all
-public outputs are canonically ordered, so results are reproducible.
-Nothing is cached: a run chops each algebra once and passes the result on.
+All randomness is confined to one seeded generator per chop or spectrum
+call, and all public outputs are canonically ordered, so results are
+reproducible; spectrum's records do not depend on the seed at all.
+Nothing is cached: a run reads each algebra once and passes the result on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -81,6 +104,7 @@ from .linalg import (
     irreducible_factors,
     kernel,
     matmul_mod,
+    modinv,
     null_space,
     rref,
     tensordot_mod,
@@ -107,6 +131,29 @@ class SimpleRecord:
     @property
     def dim(self) -> int:
         return self.action.shape[1]
+
+
+@dataclass
+class SpectrumRecord:
+    """A primitive ideal P, the annihilator of a simple module of dimension
+    dim, with P^perp, the annihilator of P in the dual of the algebra, the
+    span of the module's matrix coefficients (dimension dim**2 where F_p
+    splits the module)."""
+
+    dim: int
+    annihilator: Subspace
+    dual: Subspace
+
+    def central_character(self, unit: np.ndarray) -> np.ndarray:
+        """phi = f / f(1) for the first row f of P^perp with f(1) != 0 (1 is
+        not in P, so there is one). Every f in P^perp is x -> tr(M rho(x))
+        for a matrix M, so a central a acting by a scalar xi(a) has
+        f(a) = xi(a) f(1) and phi(a) = xi(a); on a 1-dimensional module phi
+        is the character itself."""
+        p = self.dual.field.p
+        at_one = matmul_mod(self.dual.basis, unit, p)
+        i = int(np.flatnonzero(at_one)[0])
+        return self.dual.basis[i] * modinv(int(at_one[i]), p) % p
 
 
 def spin(action: np.ndarray, seed_rows, field) -> Subspace:
@@ -212,15 +259,12 @@ def _try_split(action, field, rng, inherited=None):
     )
 
 
-def _central_pieces(alg: StructureConstantAlgebra, rng, action=None) -> list:
-    """A module split along a random central element z: the nonzero
-    generalized eigenspaces of rho(z). For the regular module (action None)
-    rho(z) is the left multiplication by z, and the pieces are subspaces
-    (left ideals, whose actions the split stack reads from mul when it
-    reaches them), or the dense action stack of the whole module in one
-    piece when z does not split it (see the module docstring). For a module
-    given by its action stack, the pieces are its restrictions, or the
-    stack itself."""
+def _central_pieces(alg: StructureConstantAlgebra, rng) -> list:
+    """The regular module split along a random central element z: the
+    nonzero generalized eigenspaces of the left multiplication by z, as
+    subspaces (left ideals, whose actions the split stack reads from mul
+    when it reaches them), or the dense action stack of the whole module
+    in one piece when z does not split it (see the module docstring)."""
     centre, p = alg.centre, alg.field.p
     factors, pieces = [], []
     if centre.dim > 1:
@@ -230,17 +274,14 @@ def _central_pieces(alg: StructureConstantAlgebra, rng, action=None) -> list:
         piv = list(centre.pivots)
         on_centre = matmul_mod(left_z, centre.basis.T, p)[piv]
         factors = list(irreducible_factors(minpoly_on_vector(on_centre, alg.unit[piv], p), p))
-        rho_z = left_z if action is None else tensordot_mod(z, action, ([0], [0]), p)
     if len(factors) > 1:
         for g, mult in factors:
-            power = poly_eval_matrix(g, rho_z, p)
-            for _ in range((mult - 1).bit_length()):  # g(rho(z))^(2^s) with 2^s >= mult
+            power = poly_eval_matrix(g, left_z, p)
+            for _ in range((mult - 1).bit_length()):  # g(left_z)^(2^s) with 2^s >= mult
                 power = matmul_mod(power, power, p)
             piece = null_space(power, alg.field)
             if piece.dim:
                 pieces.append(piece)
-    if action is not None:
-        return [restrict_action(action, piece, p) for piece in pieces] if len(pieces) > 1 else [action]
     if sum(piece.dim for piece in pieces) != alg.dim:
         return [alg.left_regular()]
     return pieces
@@ -313,30 +354,118 @@ def chop(alg: StructureConstantAlgebra, seed: int = 0) -> list[SimpleRecord]:
     return _merge_leaves(alg, leaves)
 
 
-def spectrum(alg: StructureConstantAlgebra, seed: int = 0) -> list[SimpleRecord]:
-    """The simple modules of the algebra, with their annihilators, read off
-    H/R0, R0 the radical of the trace form (StructureConstantAlgebra.trace_radical),
-    where the count of simple modules certifies it; else chop's records.
-
-    R0 is a two-sided ideal that holds J(H), so the simples of H/R0 are
-    simples of H. The H-module H/R0 is chopped with its action read from
-    mul (left_quotient_action) and its leaves merged by their annihilators
-    in H. The records are accepted iff there are simple_count of them: that
-    count is the sum of the degrees of End(S) over F_p, at least the number
-    of simples of H, so equality proves that no simple is missing and that
-    F_p splits H; then R0 = J(H), and each multiplicity is that in
-    H/J(H), the simple's dimension. Otherwise (p divides some [H:S], F_p
-    does not split H, R0 = H as for a modular group algebra, or data that
-    is not certified) this is chop(alg, seed), errors included; with R0 = 0
-    H is semisimple and chop reads the regular module as it is."""
-    if alg.certified and 0 < alg.trace_radical.dim < alg.dim:
-        rng = np.random.default_rng(seed)
-        pieces = _central_pieces(alg, rng, alg.left_quotient_action(alg.trace_radical))
-        leaves = _split_to_simples(alg, pieces, rng)
-        records = _merge_leaves(alg, leaves)
-        if len(records) == alg.simple_count:
+def spectrum(alg: StructureConstantAlgebra, seed: int = 0) -> list[SpectrumRecord]:
+    """The primitive ideals of the algebra, each with its simple module's
+    dimension and its annihilator in the dual, ordered by (dimension,
+    annihilator), as chop orders its records: read off the primitive
+    idempotents of the centre of H/R0 (_block_records) where that is
+    certified, else off chop(alg, seed), errors included (see the module
+    docstring)."""
+    if alg.certified and alg.trace_radical.dim < alg.dim:
+        records = _block_records(alg, np.random.default_rng(seed))
+        if records is not None:
             return records
-    return chop(alg, seed)
+    # P^perp is the span of the matrix coefficients, the action flattened to (d^2, n)
+    return [SpectrumRecord(rec.dim, rec.annihilator,
+                           Subspace(alg.field, alg.dim, rec.action.reshape(alg.dim, -1).T))
+            for rec in chop(alg, seed)]
+
+
+def _block_records(alg: StructureConstantAlgebra, rng) -> list[SpectrumRecord] | None:
+    """The records of the blocks of H/R0, or None where they are not
+    certified: a nonlinear or repeated factor, fewer idempotents than
+    dim Z(H/R0), or, with R0 != 0, a count short of simple_count."""
+    radical, p = alg.trace_radical, alg.field.p
+    if radical.dim:
+        # Z(H/R0) is the joint kernel of x -> g x - x g over the classes of G
+        gens = radical.quotient_map()[list(alg.generators)]
+        comm = (alg.quotient_mult(radical, gens, left=True) - alg.quotient_mult(radical, gens)) % p
+        centre = null_space(comm.transpose(0, 2, 1).reshape(-1, comm.shape[1]), alg.field)
+    else:
+        centre = alg.centre
+    idempotents = _primitive_idempotents(alg, centre, rng)
+    if idempotents is None or (radical.dim and len(idempotents) != alg.simple_count):
+        return None
+    # P^perp is spanned by the coordinates of x -> x e mod R0, the rows of
+    # (e_{r_a} e)^T reduced mod R0 and read back on H through the quotient map
+    blocks = alg.quotient_mult(radical, idempotents).transpose(0, 2, 1)
+    if radical.dim:
+        blocks = matmul_mod(blocks, radical.quotient_map().T, p)
+    records = []
+    for rows in blocks:
+        dual = Subspace(alg.field, alg.dim, rows)
+        records.append(SpectrumRecord(isqrt(dual.dim), null_space(dual.basis, alg.field), dual))
+    return sorted(records, key=lambda rec: (rec.dim, rec.annihilator.key()))
+
+
+def _primitive_idempotents(alg: StructureConstantAlgebra, centre: Subspace, rng) -> np.ndarray | None:
+    """The primitive idempotents of Zbar = Z(H/R0), given by its basis in the
+    coordinates of H/R0, as rows in those coordinates; None unless they
+    number dim Zbar and every minimal polynomial on the way splits into
+    distinct linear factors. The unit is split first by the roots of one
+    random element of Zbar, then each idempotent by the basis elements of
+    Zbar in turn (_split_by_roots), until there are dim Zbar of them.
+    Products in Zbar are read in its own coordinates, the pivot entries of
+    its RREF basis, from one quotient_mult per batch of elements."""
+    p, k = alg.field.p, centre.dim
+    basis, piv = centre.basis, list(centre.pivots)
+
+    def on_centre(rows):  # column j of matrix i: the coordinates of rows_i * basis_j
+        return matmul_mod(basis, alg.quotient_mult(alg.trace_radical, rows), p)[:, :, piv].transpose(0, 2, 1)
+
+    unit = matmul_mod(alg.unit, alg.trace_radical.quotient_map(), p)[piv]
+    z = matmul_mod(rng.integers(0, p, size=k), basis, p)
+    idempotents = _split_by_roots(on_centre(z[None])[0], [unit], p)
+    if idempotents is not None and len(idempotents) < k:
+        for theta in on_centre(basis):
+            idempotents = _split_by_roots(theta, idempotents, p)
+            if idempotents is None or len(idempotents) == k:
+                break
+    if idempotents is None or len(idempotents) < k:
+        return None
+    return matmul_mod(np.array(idempotents), basis, p)
+
+
+def _split_by_roots(theta: np.ndarray, idempotents: list, p: int) -> list | None:
+    """Orthogonal idempotents of a commutative algebra, given as coordinate
+    vectors that sum to its unit, each split by the multiplication theta by
+    some element z: if the minimal polynomial of theta at the unit is
+    prod (x - l_i) over distinct roots, the L_i(z), L_i the Lagrange
+    polynomials of the roots, are orthogonal idempotents that sum to 1, so
+    each e is the sum of its nonzero parts e L_i(z), read off the Krylov
+    rows theta^j e of all the e at once. None if a factor is nonlinear or
+    repeated."""
+    roots = []
+    for g, mult in irreducible_factors(minpoly_on_vector(theta, sum(idempotents) % p, p), p):
+        if len(g) != 2 or mult != 1:
+            return None
+        roots.append(-g[1] % p)
+    if len(roots) == 1:
+        return idempotents
+    krylov = [np.array(idempotents)]
+    for _ in roots[1:]:
+        krylov.append(matmul_mod(krylov[-1], theta.T, p))
+    parts = matmul_mod(_lagrange(roots, p), np.stack(krylov, axis=1), p)  # (e, root, coordinate)
+    return [part for part in parts.reshape(-1, theta.shape[0]) if part.any()]
+
+
+def _lagrange(roots: list[int], p: int) -> np.ndarray:
+    """Row i: the coefficients, lowest degree first, of the Lagrange
+    polynomial L_i = prod_{j != i} (x - l_j) / (l_i - l_j) of distinct roots."""
+    full = [1]  # prod (x - l_j), highest degree first
+    for root in roots:
+        full = [(a - root * b) % p for a, b in zip(full + [0], [0] + full)]
+    rows = []
+    for root in roots:
+        quotient = [1]  # full / (x - root), by synthetic division
+        for c in full[1:-1]:
+            quotient.append((c + root * quotient[-1]) % p)
+        value = 0
+        for c in quotient:
+            value = (value * root + c) % p
+        inv = modinv(value, p)
+        rows.append([c * inv % p for c in quotient[::-1]])
+    return np.array(rows, dtype=np.int64)
 
 
 def annihilator(alg: StructureConstantAlgebra, action: np.ndarray) -> Subspace:

@@ -17,12 +17,14 @@ The four conditions of the equivalence being verified:
 
 verify_theorem and remark_uniform_fibers read one spectrum of H, the list
 prims = prim_enumerate(h.alg, seed) that the caller takes once: every
-primitive ideal holds J(H), so it is the spectrum of H/J(H), read off
-H/R0 where the count of simple modules certifies it, else off the regular
-module of H (repn.spectrum). The caller groups it into fibers once
+primitive ideal holds J(H), so it is the spectrum of H/J(H), read off the
+primitive central idempotents of H/R0 where that is certified, else off
+the regular module of H (repn.spectrum). Each record carries P, the
+simple dimension and P^perp, the annihilator of P in the dual of H, and
+no action. The caller groups it into fibers once
 (fibers) and hands the same Fibers to both. With A
 central and H split, A acts on the simple module of P through a
-character xi_P (Schur), and the fiber over a character xi of A is the set
+character xi_P (Schur), read off P^perp, and the fiber over a character xi of A is the set
 of P with xi_P = xi: Prim(H/H*ker(xi)), so no fiber algebra is
 chopped. Every character of A is some xi_P, as H is a faithful finite
 A-module (Nakayama). X is the characters of H that restrict to the
@@ -42,7 +44,7 @@ modules of H, with the same endomorphisms.
 
 The equivalence is about centralizing extensions, so fibers first checks,
 once per run, that A is central (algebra.is_central_subalgebra: A inside
-the centre of H, which chop reads too); NotCentral otherwise. For
+the centre of H, which spectrum and chop read too); NotCentral otherwise. For
 bialgebras without an antipode only the two-sided orbit experiment is run
 and reported as such. Once per run, and alike for
 bialgebras and Hopf algebras, verify_theorem builds X
@@ -78,22 +80,15 @@ from .hopf import (
     winding,
 )
 from .linalg import Subspace, matmul_mod
-from .repn import SimpleRecord, spectrum
+from .repn import SpectrumRecord, spectrum
 
 
-def prim_enumerate(alg: StructureConstantAlgebra, seed: int = 0) -> list[SimpleRecord]:
+def prim_enumerate(alg: StructureConstantAlgebra, seed: int = 0) -> list[SpectrumRecord]:
     """All primitive ideals, each the annihilator of a simple module, with
-    that module's action stack; ordered by (simple dimension, annihilator).
-    Every primitive ideal holds J(H), so this is the spectrum of H/J(H)
-    (repn.spectrum)."""
+    that module's dimension and the ideal's annihilator in the dual of H;
+    ordered by (simple dimension, annihilator). Every primitive ideal holds
+    J(H), so this is the spectrum of H/J(H) (repn.spectrum)."""
     return spectrum(alg, seed=seed)
-
-
-def _dual(prim: SimpleRecord) -> Subspace:
-    """The annihilator of P in the dual of H: the row space of the action
-    flattened to (d^2, n), of dimension codim P."""
-    n, d = prim.action.shape[:2]
-    return Subspace(prim.annihilator.field, n, prim.action.reshape(n, d * d).T)
 
 
 @dataclass
@@ -114,7 +109,7 @@ class Fibers:
     ker(xi) in H's coordinates (hopf.character_kernel, once per fiber).
     Built by fibers; dim reads each fiber algebra's dimension once."""
 
-    prims: list[SimpleRecord]
+    prims: list[SpectrumRecord]
     blocks: dict[Character, list[int]]
     kernels: dict[Character, Subspace]
     dims: dict[Character, int] = dc_field(default_factory=dict)
@@ -126,13 +121,14 @@ class Fibers:
         return self.dims[xi]
 
 
-def fibers(instance: CorpusInstance, prims: list[SimpleRecord]) -> Fibers:
+def fibers(instance: CorpusInstance, prims: list[SpectrumRecord]) -> Fibers:
     """Group the primitive ideals by the character xi_P of A on their simple
     module, after checking that A is central (NotCentral) and that F_p
     splits H (NotSplit).
 
     Then each a in A acts on the simple module of P by a scalar xi_P(a)
-    (Schur), read off one entry of its matrix, and P intersect A = ker(xi_P).
+    (Schur), read off the dual of P (SpectrumRecord.central_character), and
+    P intersect A = ker(xi_P).
     """
     h, a = instance.h, instance.a
     _require_central(h, a)
@@ -140,24 +136,24 @@ def fibers(instance: CorpusInstance, prims: list[SimpleRecord]) -> Fibers:
     p = a.subspace.field.p
     groups: dict[Character, list[int]] = {}
     for idx, prim in enumerate(prims):
-        xi = Character.from_vector(p, matmul_mod(a.subspace.basis, prim.action[:, 0, 0], p))
+        xi = Character.from_vector(p, matmul_mod(a.subspace.basis, prim.central_character(h.alg.unit), p))
         groups.setdefault(xi, []).append(idx)
     kernels = {xi: character_kernel(a, xi) for xi in groups}
     order = sorted(groups, key=lambda xi: kernels[xi].key())
     return Fibers(prims, {xi: groups[xi] for xi in order}, kernels)
 
 
-def orbits(prims: list[SimpleRecord], maps: list[np.ndarray]) -> Partition:
+def orbits(prims: list[SpectrumRecord], maps: list[np.ndarray]) -> Partition:
     """Orbits of the group generated by the maps acting on annihilators.
 
-    An invertible map W sends P_i onto P_j iff the duals (_dual) satisfy
+    An invertible map W sends P_i onto P_j iff the duals satisfy
     P_j^perp W = P_i^perp, so each map is matched through the small duals
     (codim P rows) rather than the annihilators themselves. Each map must
     permute the annihilator list; a missing image raises NotAPermutation
     (an invalid character set or winding side). Callers pass the maps of
     X's generators (XGroup.gens), which generate X's and so give its orbits.
     """
-    duals = [_dual(prim) for prim in prims]
+    duals = [prim.dual for prim in prims]
     index = {dual.key(): i for i, dual in enumerate(duals)}
     n = len(prims)
     perms = []
@@ -227,7 +223,7 @@ class Verdict:
         }
 
 
-def _require_split(alg: StructureConstantAlgebra, prims: list[SimpleRecord]) -> None:
+def _require_split(alg: StructureConstantAlgebra, prims: list[SpectrumRecord]) -> None:
     """NotSplit naming the first P in prims with e = (dim S)^2 / codim P > 1."""
     for index, prim in enumerate(prims):
         codim = alg.dim - prim.annihilator.dim
@@ -256,7 +252,7 @@ def verify_theorem(instance: CorpusInstance, fib: Fibers, mode: str = "global") 
     prims = fib.prims
     eps_a = Character.from_vector(p, matmul_mod(a.subspace.basis, h.counit, p))
     fiber = fib.blocks[eps_a]  # X's members are its 1-dimensional primitive ideals
-    x = character_group_X(h, one_dim_characters(p, [prims[i].action for i in fiber]))
+    x = character_group_X(h, one_dim_characters(h.alg, [prims[i] for i in fiber]))
     if h.antipode is None:
         maps = [winding(h, x.chars[i], side) for side in ("right", "left") for i in x.gens]
         cond_iii, witnesses = _fibers_against_orbits(fib, orbits(prims, maps))
@@ -337,7 +333,7 @@ def require_hopf_subalgebra(instance: CorpusInstance) -> None:
     """NotAHopfSubalgebra unless A is a Hopf subalgebra: Delta(A) in A (x) A,
     an antipode, and S(A) in A. The left legs of Delta(A) lie in A since A
     is a right coideal (checked at load). Needs nothing from the spectrum,
-    so verify --uniform-fibers runs it before the chop."""
+    so verify --uniform-fibers runs it before the spectrum."""
     h, a = instance.h, instance.a
     for v in a.subspace.basis:
         if not a.subspace.contains_rows(h.comul_of(v)):

@@ -506,7 +506,7 @@ def test_criterion_8_fibers_are_unions_of_orbits(corpus):
             h = inst.h
             p = h.field.p
             prims = prim_enumerate(h.alg, seed=0)
-            x = x_by_restriction(h, inst.a, one_dim_characters(p, [it.action for it in prims]))
+            x = x_by_restriction(h, inst.a, one_dim_characters(h.alg, prims))
             gens = x.gens
             sides = ("right",) if h.antipode is not None else ("right", "left")
             every = [[winding(h, c, side) for c in x.chars] for side in sides]

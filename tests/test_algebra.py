@@ -16,7 +16,7 @@ from hopfib.errors import ImproperIdeal, NotAssociative, UnitAxiomFails
 from hopfib.fileio import corpus_instance_to_dict, instance_from_dict, raw_bialgebra_from_dict
 from hopfib.hopf import character_kernel, enumerate_characters
 from hopfib.linalg import FieldSpec, SparseTensor, Subspace, kernel
-from hopfib.repn import chop, quotient_action
+from hopfib.repn import chop
 
 from oracles import (
     all_commutators,
@@ -529,20 +529,27 @@ class TestTraceRadicalAndCount:
         monkeypatch.setattr(algebra, "PRODUCT_TERMS", 37)
         assert np.array_equal(alg.powers(rows, 7), want)
 
-    def test_left_quotient_action_holds_few_terms_at_once(self, instances, monkeypatch):
-        # the same stack, with the entries of mul read a few at a time, so
+    def test_quotient_mult_holds_few_terms_at_once(self, instances, monkeypatch):
+        # the same stacks, with the entries of mul read a few at a time, so
         # that a sum is split across reads
         alg = instances("usl2").h.alg
-        want = alg.left_quotient_action(alg.trace_radical)
+        rows = np.random.default_rng(0).integers(0, 7, size=(3, alg.dim - alg.trace_radical.dim))
+        want = [alg.quotient_mult(alg.trace_radical, rows, left) for left in (False, True)]
         monkeypatch.setattr(algebra, "PRODUCT_TERMS", 37)
-        assert np.array_equal(alg.left_quotient_action(alg.trace_radical), want)
+        for left, stack in zip((False, True), want):
+            assert np.array_equal(alg.quotient_mult(alg.trace_radical, rows, left), stack)
 
-    def test_left_quotient_action_matches_the_dense_quotient(self, cases):
+    def test_quotient_mult_matches_the_quotient_algebra(self, cases):
+        # row convention: matrix k is the transpose of the multiplication
+        # matrix of rows_k in quotient_algebra, which has the same basis
         rng = np.random.default_rng(0)
         for alg in cases:
-            p, stack = alg.field.p, alg.left_regular()
+            p = alg.field.p
             random_ideal = ideal_closure(alg, Subspace(alg.field, alg.dim, [rng.integers(0, p, alg.dim)]))
-            for ideal in (alg.trace_radical, random_ideal):
+            for ideal in (alg.trace_radical, random_ideal, Subspace(alg.field, alg.dim)):
                 if ideal.dim < alg.dim:
-                    want = quotient_action(stack, ideal, p)
-                    assert np.array_equal(alg.left_quotient_action(ideal), want), alg
+                    quotient = quotient_algebra(alg, ideal)
+                    rows = rng.integers(0, p, size=(2, quotient.dim))
+                    for left, mult in ((False, quotient.right_mult_matrix), (True, quotient.left_mult_matrix)):
+                        want = np.array([mult(row).T for row in rows])
+                        assert np.array_equal(alg.quotient_mult(ideal, rows, left), want), alg

@@ -9,12 +9,20 @@ import sys
 import pytest
 
 from hopfib.cli import main
-from hopfib.corpus import SHIPPED_NAMES, quantum_m2_kernel
+from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra_pair, quantum_m2_kernel
 from hopfib.fileio import canonical_json, corpus_instance_to_dict, instance_from_dict, write_instance
+from hopfib.linalg import FieldSpec
 
 from oracles import random_change_of_basis
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def s3s3_big_p():
+    """F_p[S3 x S3] at p = 2**31 - 1 with A its centre: the benchmark's
+    groups-bigp algebra, in the builtin direct product's basis."""
+    s3s3 = direct_product(builtin_group("s3"), builtin_group("s3"))
+    return group_algebra_pair(FieldSpec(2**31 - 1), s3s3, s3s3.center())
 
 
 def run(capsys, *argv):
@@ -413,19 +421,21 @@ class TestVerifyCommand:
         assert len(uf["entries"]) == 2
 
     def test_uniform_fibers_reuses_the_characters_of_verify(self, q8_file, capsys, spy):
-        # both reports read the one spectrum of H: one chop (of H = F_7[Q8]),
-        # no character enumeration, and no chop of A = F_7[Z(Q8)]
+        # both reports read the one spectrum of H: one spectrum (of
+        # H = F_7[Q8]), no character enumeration, and no spectrum or chop of
+        # A = F_7[Z(Q8)]
         import hopfib.cli
         import hopfib.hopf
         import hopfib.repn
         import hopfib.specmap
 
         enumerations = spy("enumerate_characters", hopfib.hopf, hopfib.cli)
+        spectra = spy("spectrum", hopfib.repn, hopfib.specmap, hopfib.hopf)
         chops = spy("chop", hopfib.repn, hopfib.cli)
         code, report = run(capsys, "verify", "--input", str(q8_file), "--uniform-fibers")
         assert code == 0 and len(report["results"]["uniform_fibers"]["entries"]) == 2
-        assert enumerations == []
-        assert [args[0].dim for args in chops] == [8]
+        assert enumerations == [] and chops == []
+        assert [args[0].dim for args in spectra] == [8]
 
     def test_uniform_fibers_builds_no_quotient_algebra(self, q8_file, capsys):
         # every fiber's size is read off one ideal closure: no function that
@@ -444,7 +454,7 @@ class TestVerifyCommand:
         finally:
             sys.setprofile(None)
         assert code == 0 and len(report["results"]["uniform_fibers"]["entries"]) == 2
-        assert {"ideal_closure", "chop"} <= called
+        assert {"ideal_closure", "spectrum"} <= called
         assert not called & {"quotient_algebra", "complement_projection", "induced_constants"}
 
     def test_uniform_fibers_proves_a_subalgebra_once(self, q8_file, capsys, spy):
@@ -534,24 +544,21 @@ class TestVerifyCommand:
         assert code == 0 and len(report["results"]["uniform_fibers"]["entries"]) == 2
         assert (len(groupings), len(kernels), len(closures)) == (1, 2, 2)
 
-    @pytest.mark.parametrize("name, largest", [("qsl2", 3), ("qm2", 9)])
-    def test_verify_splits_only_modules_of_h_mod_r0(self, instances, tmp_path, capsys, monkeypatch,
-                                                    name, largest):
-        # R0 has codimension 3 in qsl2 and 9 in qm2, whose regular modules
-        # have dimension 27 and 81
+    @pytest.mark.parametrize("name", ["qsl2", "qm2", "s3s3-bigp"])
+    def test_verify_and_characters_split_no_module(self, instances, tmp_path, capsys, spy, name):
+        # Prim H is read off the primitive idempotents of the centre of H/R0:
+        # no chop, and no module of H or of H/R0 is split
+        import hopfib.cli
         import hopfib.repn
 
         path = tmp_path / f"{name}.json"
-        write_instance(path, instances(name))
-        real, sizes = hopfib.repn._try_split, []
-
-        def counted(action, *args):
-            sizes.append(action.shape[1])
-            return real(action, *args)
-
-        monkeypatch.setattr(hopfib.repn, "_try_split", counted)
-        code, _ = run(capsys, "verify", "--input", str(path))
-        assert code == 0 and 0 < max(sizes) <= largest
+        write_instance(path, s3s3_big_p() if name == "s3s3-bigp" else instances(name))
+        chops = spy("chop", hopfib.repn, hopfib.cli)
+        splits = spy("_try_split", hopfib.repn)
+        for argv in (["verify"], ["verify", "--mode", "local"], ["characters"]):
+            code, report = run(capsys, *argv, "--input", str(path))
+            assert code == 0 and report is not None
+        assert chops == [] and splits == []
 
     @pytest.mark.parametrize("name", ["qsl2", "usl2", "qm2"])
     def test_verify_builds_no_dense_regular_stack(self, instances, tmp_path, capsys, spy, name):
@@ -566,7 +573,9 @@ class TestVerifyCommand:
 
 # sha256 of canonical_json(report["results"]) for each shipped instance and
 # command, the same at seeds 0 and 1, as the package gave them before the
-# spectrum was read off H/R0; None: the command exits 2 with no report
+# spectrum was read off H/R0, and for s3s3-bigp (F_p[S3 x S3] at
+# p = 2**31 - 1, A its centre) as it gave them before Prim H was read off
+# the idempotents of the centre; None: the command exits 2 with no report
 # (qm2 has no antipode)
 PINNED_RESULTS = {
     ("c3", "verify"): "6799f840f8facd48e026e8de6508f57e1a4b3bb50e2b9b9f52ca54bb157b5be3",
@@ -597,6 +606,10 @@ PINNED_RESULTS = {
     ("qm2", "verify-local"): "c4a52314a08208148114698741d79b39c2d49790f11171f0c9692b5a4b54e3ae",
     ("qm2", "verify-uniform"): None,
     ("qm2", "characters"): "2a1f06faa6a4c4a1f394192508044ef282c8e50bd62405e62668327a145cb540",
+    ("s3s3-bigp", "verify"): "6276425c1e331c12da3d8e28151816d7ede20479692a331b1570a8b26a932c6e",
+    ("s3s3-bigp", "verify-local"): "3f9061fbab4625a28ca499ea3eff01d3a5c3808bddb67bdbab38d88e19e66ece",
+    ("s3s3-bigp", "verify-uniform"): "ec70731b99bbcc24cd688c6a28b4d63acd6469a57ac26fb0e0e5083192d18d1e",
+    ("s3s3-bigp", "characters"): "ce52ac1008ecbec754f1fa7fd785239001e938c97120be21a21285da606268a6",
 }
 PINNED_COMMANDS = {"verify": ["verify"], "verify-local": ["verify", "--mode", "local"],
                    "verify-uniform": ["verify", "--uniform-fibers"], "characters": ["characters"]}
@@ -606,10 +619,10 @@ class TestPinnedReports:
     """A change that only makes the verifier faster must leave its results
     byte for byte as they were."""
 
-    @pytest.mark.parametrize("name", SHIPPED_NAMES)
+    @pytest.mark.parametrize("name", [*SHIPPED_NAMES, "s3s3-bigp"])
     def test_results_digests_are_pinned(self, instances, tmp_path, capsys, name):
         path = tmp_path / f"{name}.json"
-        write_instance(path, instances(name))
+        write_instance(path, s3s3_big_p() if name == "s3s3-bigp" else instances(name))
         for command, argv in PINNED_COMMANDS.items():
             want = PINNED_RESULTS[name, command]
             for seed in ("0", "1"):

@@ -383,6 +383,27 @@ class TestRref:
         for m in cases:
             self.assert_matches_the_masked_rref(m, p)
 
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_a_tall_rank_deficient_matrix_stops_after_its_last_pivot(self, p, monkeypatch):
+        # 40 rows of rank 3 over 25 columns, the first three independent:
+        # the rows below the third pivot are zero, so the elimination stops
+        # at column 3, the first column without a pivot, and does not scan
+        # the 21 columns after it
+        rng = np.random.default_rng(p % 1000)
+        m = matmul_mod(rng.integers(0, p, size=(40, 3)), np.hstack(
+            [np.eye(3, dtype=np.int64), rng.integers(0, p, size=(3, 22))]), p)
+        scans, real = [], np.argmax
+
+        def counted(*args, **kwargs):
+            scans.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argmax", counted)
+        r, rank, pivots = rref(m, p)
+        monkeypatch.setattr(np, "argmax", real)
+        assert (rank, pivots, len(scans)) == (3, (0, 1, 2), 4)
+        self.assert_matches_the_masked_rref(m, p)
+
 
 class TestKernel:
     """kernel reads its RREF null basis off one elimination of the

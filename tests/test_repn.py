@@ -662,12 +662,14 @@ class TestAnnihilator:
 
 
 class TestSpectrum:
-    """spectrum chops H/R0 and accepts it when its records number
-    dim H/T(H); chop of the regular module is the oracle. The cases: the
-    oracle pairs, F_3[S3] and F_3[S3 x C2] (modular group algebras, R0 = H),
-    the primitive bialgebra F_3[x, y]/(x^3, y^3) (R0 = H) and
-    F_3[x]/(x^3) x F_3, where p divides a multiplicity: R0 has dimension 3,
-    H/R0 has one simple and H two, so spectrum falls back to chop."""
+    """spectrum reads Prim H off the primitive idempotents of the centre of
+    H/R0 where the count of simple modules (R0 != 0), or dim Z idempotents
+    from linear factors (R0 = 0), certify it; chop of the regular module is
+    the oracle. The cases: the oracle pairs, F_3[S3] and F_3[S3 x C2]
+    (modular group algebras, R0 = H), the primitive bialgebra
+    F_3[x, y]/(x^3, y^3) (R0 = H) and F_3[x]/(x^3) x F_3, where p divides a
+    multiplicity: R0 has dimension 3, H/R0 has one simple and H two, so
+    spectrum falls back to chop."""
 
     @pytest.fixture(scope="class")
     def cases(self, oracle_cases):
@@ -684,10 +686,13 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_records_match_the_chop_of_h(self, cases, seed):
+        # the dual of a chop record is the row space of its flattened action
         assert len(cases) == 19
         for name, alg in cases.items():
-            want = [(r.dim, r.annihilator.key()) for r in chop(alg, seed=seed)]
-            assert [(r.dim, r.annihilator.key()) for r in spectrum(alg, seed=seed)] == want, name
+            want = [(r.dim, r.annihilator.key(), Subspace(alg.field, alg.dim, r.action.reshape(alg.dim, -1).T).key())
+                    for r in chop(alg, seed=seed)]
+            got = [(r.dim, r.annihilator.key(), r.dual.key()) for r in spectrum(alg, seed=seed)]
+            assert got == want, name
 
     def test_the_count_is_the_chop_record_count_where_p_splits_h(self, cases):
         # in general the sum of the degrees of End(S); c4c2 at 2**31 - 1 is
@@ -701,30 +706,57 @@ class TestSpectrum:
         assert unsplit == ["c4c2-bigp-rebased"]
 
     def test_which_cases_fall_back_to_chop(self, cases, spy):
-        # R0 = 0 (semisimple), R0 = H and a short count chop H; the quantum
-        # instances, at p = 7 and at 2**31 - 1, are certified from H/R0
-        calls, taken = spy("chop", hopfib.repn), []
+        # R0 = H, a short count and a field that does not split H chop H;
+        # every split case, semisimple or not, is read off H/R0
+        calls, chopped = spy("chop", hopfib.repn), []
         for name, alg in cases.items():
             before = len(calls)
             spectrum(alg, seed=0)
-            if len(calls) == before:
-                taken.append(name)
-        assert taken == ["qsl2", "usl2", "qm2", "qsl2-bigp-rebased", "usl2-bigp-rebased", "qm2-bigp-rebased"]
+            if len(calls) != before:
+                chopped.append(name)
+        assert chopped == ["c4c2-bigp-rebased", "f3s3", "f3s3c2", "f3[x,y]/(x3,y3)", "f3[x]/(x3)xf3"]
         radicals = {name: (cases[name].trace_radical.dim, cases[name].dim)
                     for name in ("f3s3", "f3s3c2", "f3[x,y]/(x3,y3)", "f3[x]/(x3)xf3")}
         assert radicals == {"f3s3": (6, 6), "f3s3c2": (12, 12), "f3[x,y]/(x3,y3)": (9, 9),
                             "f3[x]/(x3)xf3": (3, 4)}
 
     def test_a_short_count_chops_h_after_h_mod_r0(self, cases, spy):
+        # one chop, of H itself: H/R0 is read off its idempotents, not chopped
         alg = cases["f3[x]/(x3)xf3"]
         splits = spy("_split_to_simples", hopfib.repn)
         chops = spy("chop", hopfib.repn)
         recs = spectrum(alg, seed=0)
         modules = [sum(a.dim if isinstance(a, Subspace) else a.shape[1] for a in pieces)
                    for _, pieces, _ in splits]
-        assert modules == [1, 4] and len(chops) == 1
+        assert modules == [4] and len(chops) == 1
         assert alg.simple_count == len(recs) == 2
 
-    def test_a_record_multiplicity_is_its_dimension(self, instances):
+    def test_a_record_dual_has_dimension_dim_squared(self, instances):
         recs = spectrum(instances("usl2").h.alg, seed=0)
-        assert [(r.dim, r.multiplicity) for r in recs] == [(1, 1), (2, 2), (3, 3)]
+        assert [(r.dim, r.dual.dim, r.annihilator.dim) for r in recs] == [(1, 1, 26), (2, 4, 23), (3, 9, 18)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_qm2_at_7_is_split_by_the_basis_of_the_centre(self, instances, spy, seed):
+        # H/R0 is commutative of dimension 9 with 9 characters, and a central
+        # element has at most 7 eigenvalues at p = 7: the first split leaves
+        # at most 7 idempotents, and the basis sweep finds the other two
+        alg = instances("qm2").h.alg
+        splits = spy("_split_by_roots", hopfib.repn)
+        chops = spy("chop", hopfib.repn)
+        recs = spectrum(alg, seed=seed)
+        assert [r.dim for r in recs] == [1] * 9 and chops == []
+        assert len(splits) >= 2 and len(splits[0][1]) == 1
+        assert len(splits[1][1]) <= 7
+
+    def test_a_character_is_read_off_the_dual(self, cases):
+        # f / f(1) for a row f of P^perp is the character of a 1-dim simple,
+        # and the scalar of a central element on every simple
+        for name, alg in cases.items():
+            p = alg.field.p
+            for rec, want in zip(spectrum(alg, seed=0), chop(alg, seed=0)):
+                phi = rec.central_character(alg.unit)
+                if rec.dim == 1:
+                    assert np.array_equal(phi, want.action[:, 0, 0]), name
+                for z in alg.centre.basis if rec.dim ** 2 == alg.dim - rec.annihilator.dim else ():
+                    scalar = tensordot_mod(z, want.action, ([0], [0]), p)
+                    assert np.array_equal(scalar, int(matmul_mod(phi, z, p)) * np.eye(rec.dim, dtype=np.int64)), name

@@ -39,8 +39,10 @@ F7 = FieldSpec(7)
 
 HOPF_NAMES = ("c3", "c4c2", "q8", "s3c2", "qsl2", "usl2")
 
-# every module that binds repn.chop, so a spy sees each call
+# every module that binds repn.chop, and every one that binds
+# repn.spectrum, so a spy sees each call
 CHOP_OWNERS = (hopfib.repn, hopfib.cli)
+SPECTRUM_OWNERS = (hopfib.repn, hopfib.specmap, hopfib.hopf)
 
 
 def verify(inst, mode="global", seed=0):
@@ -56,8 +58,7 @@ def fiber_partition(inst, prims):
 def x_of(inst, prims):
     """X, from the characters among the simple modules of prims that
     restrict to the counit on A (x_by_restriction)."""
-    p = inst.h.field.p
-    return x_by_restriction(inst.h, inst.a, one_dim_characters(p, [it.action for it in prims]))
+    return x_by_restriction(inst.h, inst.a, one_dim_characters(inst.h.alg, prims))
 
 
 class TestPrimEnumerate:
@@ -300,25 +301,28 @@ class TestVerifyTheorem:
     def test_global_verify_chops_h_alone_and_takes_one_orbit_partition(
         self, name, images, instances, spy
     ):
-        # every fiber is read from Prim(H): one chop, the spectrum's, and one
-        # image per primitive ideal of H and generator of X (prim_count x |gens|)
+        # every fiber is read from Prim(H): one spectrum, which chops
+        # nothing on these split algebras, and one image per primitive ideal
+        # of H and generator of X (prim_count x |gens|)
         inst = instances(name)
         chops = spy("chop", *CHOP_OWNERS)
+        spectra = spy("spectrum", *SPECTRUM_OWNERS)
         moved = spy("image_under", Subspace)
         prims = prim_enumerate(inst.h.alg, seed=0)
         v = verify_theorem(inst, fibers(inst, prims))
-        assert len(chops) == 1
+        assert len(spectra) == 1 and chops == []
         gens = x_of(inst, prims).gens
         assert len(moved) == images == v.witnesses["prim_count"] * len(gens)
 
     def test_verify_then_remark_chop_h_and_a_once_each(self, q8_pair, spy):
-        # given one spectrum, the verdict and the remark chop nothing more:
-        # one chop, of H (dim 8), and none of A
+        # given one spectrum, the verdict and the remark read nothing more:
+        # one spectrum, of H (dim 8), none of A, and no chop
         chops = spy("chop", *CHOP_OWNERS)
+        spectra = spy("spectrum", *SPECTRUM_OWNERS)
         prims = prim_enumerate(q8_pair.h.alg, seed=0)
         verify_theorem(q8_pair, fibers(q8_pair, prims))
         remark_uniform_fibers(q8_pair, fibers(q8_pair, prims))
-        assert [args[0].dim for args in chops] == [8]
+        assert [args[0].dim for args in spectra] == [8] and chops == []
 
     def test_orbits_see_only_the_generators_of_x(self, qm2_pair, spy):
         # one image_under per primitive ideal and generator winding map (right
@@ -349,7 +353,7 @@ class TestVerifyTheorem:
         for inst in oracle_cases:
             h = inst.h
             prims = prim_enumerate(h.alg, seed=0)
-            members = x_members(h, inst.a, one_dim_characters(h.field.p, [it.action for it in prims]))
+            members = x_members(h, inst.a, one_dim_characters(h.alg, prims))
             gens = character_group_X(h, members).gens
             assert gens == table_greedy_generators(*convolution_table(h, members))
             if all(it.dim ** 2 == h.dim - it.annihilator.dim for it in prims):
