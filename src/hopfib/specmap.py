@@ -21,12 +21,11 @@ primitive ideal holds J(H), so it is the spectrum of H/J(H), read off the
 primitive central idempotents of H/R0 where that is certified, else off
 the regular module of H (repn.spectrum). Each record carries P, the
 simple dimension and P^perp, the annihilator of P in the dual of H, and
-no action. The caller groups it into fibers once
-(fibers) and hands the same Fibers to both. With A
-central and H split, A acts on the simple module of P through a
-character xi_P (Schur), read off P^perp, and the fiber over a character xi of A is the set
-of P with xi_P = xi: Prim(H/H*ker(xi)), so no fiber algebra is
-chopped. Every character of A is some xi_P, as H is a faithful finite
+no action. The caller groups it into fibers once (fibers) and hands the
+same Fibers to both. With A central and H split, A acts on the simple
+module of P through a character xi_P (Schur), read off P^perp, and the
+fiber over a character xi of A is the set of P with xi_P = xi:
+Prim(H/H*ker(xi)), so no fiber algebra is chopped. Every character of A is some xi_P, as H is a faithful finite
 A-module (Nakayama). X is the characters of H that restrict to the
 counit of A, that is, the 1-dimensional members of the counit fiber; and
 the dimension of H/H*ker(xi) is read off one ideal closure per fiber
@@ -44,9 +43,9 @@ modules of H, with the same endomorphisms.
 
 The equivalence is about centralizing extensions, so fibers first checks,
 once per run, that A is central (algebra.is_central_subalgebra: A inside
-the centre of H, which spectrum and chop read too); NotCentral otherwise. For
-bialgebras without an antipode only the two-sided orbit experiment is run
-and reported as such. Once per run, and alike for
+the centre of H, which spectrum and chop read too); NotCentral
+otherwise. For bialgebras without an antipode only the two-sided orbit
+experiment is run and reported as such. Once per run, and alike for
 bialgebras and Hopf algebras, verify_theorem builds X
 (hopf.character_group_X), the right winding maps of its generators and
 one orbit partition: of Prim(H) in global and experiment modes, of the
