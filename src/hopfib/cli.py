@@ -2,7 +2,8 @@
 
 Subcommands: corpus (build instances to JSON), axioms, characters, simples
 and verify (reports on an instance file). Exit codes: 0 success, 1 failed
-axioms or an inconsistent verdict, 2 bad parameters or unreadable input.
+axioms or an inconsistent verdict, 2 bad parameters, unreadable input,
+or a budget or the memory run out.
 All randomized internals derive from --seed (default 0), the sole
 nondeterminism knob; reports are byte-stable for fixed input and seed.
 Set HOPFIB_LOG=debug for timing on stderr.
@@ -211,6 +212,9 @@ def main(argv=None) -> int:
         code = args.func(args)
     except (HopfibError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a budget run out, like BudgetExceeded: no traceback
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
         return 2
     _log(f"{args.command} finished in {time.monotonic() - start:.2f}s")
     return code

@@ -18,17 +18,25 @@ The algebra file format (schema 1) stores everything as integers:
 
 Repeated mul, comul and antipode entries add up. A missing required key,
 any key of the wrong JSON type, or basis_labels other than dim strings, is
-a DimensionMismatch naming it.
+a DimensionMismatch naming it. Entry lists are checked in bulk and read
+into int64 arrays, which SparseTensor.from_entries takes as they are; only
+a list with a fault, or with a value outside int64, is read entry by entry
+(_checked_entries).
 
 Sparse entry arrays are sorted lexicographically and JSON is emitted with
 sorted keys and fixed indentation, so serialization is canonical:
 parsing a canonical file and re-serializing reproduces it byte for byte.
+canonical_json writes exactly the bytes of json.dumps(obj, sort_keys=True,
+indent=2) plus a newline, without json's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
+
+import numpy as np
 
 from . import __version__
 from .algebra import StructureConstantAlgebra, build_algebra
@@ -41,7 +49,50 @@ SCHEMA = 1
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte.
+
+    Given an indent, json leaves its C encoder for the pure-Python one, so
+    the layout is written here: dicts with string keys in sorted key order,
+    a list of ints in one join, and a list of equal-length int lists, such
+    as an entry table, in one % over its flattened rows. Every other value,
+    and every key, is left to json.dumps and indented to its depth.
+    """
+    out: list[str] = []
+    _layout(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _layout(obj, newline: str, out: list[str]) -> None:
+    """Append obj as json.dumps lays it out at the indent that newline
+    (a line break and the indent of obj's depth) carries."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + json.dumps(key) + ": ")
+            _layout(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        kinds = set(map(type, obj))
+        widths = set(map(len, obj)) if kinds <= {list, tuple} else ()
+        if kinds == {int}:
+            out.append("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
+        elif len(widths) == 1 and set(map(type, chain.from_iterable(obj))) == {int}:
+            deeper = inner + "  "
+            row = "[" + deeper + ("," + deeper).join(["%d"] * widths.pop()) + inner + "]"
+            table = "[" + inner + ("," + inner).join([row] * len(obj)) + newline + "]"
+            out.append(table % tuple(chain.from_iterable(obj)))
+        else:
+            sep = "[" + inner
+            for item in obj:
+                out.append(sep)
+                _layout(item, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+    else:
+        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def digest_bytes(data: bytes) -> str:
@@ -121,6 +172,13 @@ def _checked_entries(d: dict) -> dict:
     arity and indices in [0, dim) (DimensionMismatch otherwise), and
     coefficients, unit, counit and A's basis vectors reduced mod p while
     they are Python ints.
+
+    mul, comul and antipode come back as int64 arrays of rows, read in bulk
+    (_bulk_entries: C-level passes over types and lengths, one int64
+    conversion and the range of the index columns) where a list has no
+    fault and no value outside int64. Any other list goes to the per-entry
+    loop, the one place that words an error, so every message, and which of
+    two faults is reported, is the loop's.
     """
     schema = d.get("schema") if type(d) is dict else None
     if schema != SCHEMA:
@@ -141,12 +199,17 @@ def _checked_entries(d: dict) -> dict:
         return [_typed(x, int, f"{key} entry") % p for x in _typed(v, list, key)]
 
     def entries(key, arity):
-        for e in d[key]:
+        rows = d[key]
+        table = _bulk_entries(rows, arity, n, p)
+        if table is not None:
+            return table
+        for e in rows:
             shaped = isinstance(e, list) and len(e) == arity
             if not (shaped and all(0 <= _typed(i, int, f"{key} index") < n for i in e[:-1])):
                 raise DimensionMismatch(
                     f"{key} entry {e!r} is not {arity - 1} indices in [0, {n}) and a coefficient")
-        return [(*e[:-1], _typed(e[-1], int, f"{key} coefficient") % p) for e in d[key]]
+        checked = [(*e[:-1], _typed(e[-1], int, f"{key} coefficient") % p) for e in rows]
+        return np.array(checked, dtype=np.int64).reshape(-1, arity)
 
     out = dict(d, unit=vector("unit", d["unit"]), counit=vector("counit", d["counit"]),
                mul=entries("mul", 4), comul=entries("comul", 4))
@@ -156,6 +219,24 @@ def _checked_entries(d: dict) -> dict:
         rows = _member(d["subalgebra_A"], "basis_vectors", list, "subalgebra_A.basis_vectors")
         out["subalgebra_A"] = {"basis_vectors": [vector("subalgebra_A", row) for row in rows]}
     return out
+
+
+def _bulk_entries(rows: list, arity: int, n: int, p: int) -> np.ndarray | None:
+    """rows as an int64 array with its coefficients reduced mod p, if every
+    row is a list of arity integers within int64 and every index lies in
+    [0, n); else None, and _checked_entries reads rows entry by entry."""
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {arity}
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
+        return None
+    try:
+        table = np.array(rows, dtype=np.int64).reshape(-1, arity)
+    except OverflowError:  # a value outside int64
+        return None
+    indices = table[:, :-1]
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        return None
+    table[:, -1] %= p
+    return table
 
 
 def instance_from_dict(d: dict) -> CorpusInstance:

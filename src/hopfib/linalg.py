@@ -408,8 +408,9 @@ class SparseTensor:
 
     @classmethod
     def from_entries(cls, n: int, rank: int, entries, p: int) -> "SparseTensor":
-        """From (index_1, ..., index_rank, coefficient) rows; repeats add up."""
-        data = np.array(entries, dtype=np.int64).reshape(-1, rank + 1)
+        """From (index_1, ..., index_rank, coefficient) rows, a sequence or an
+        int64 array, which is read as it is; repeats add up."""
+        data = np.asarray(entries, dtype=np.int64).reshape(-1, rank + 1)
         keys = np.ravel_multi_index(tuple(data[:, :rank].T), (n,) * rank)
         return _canonical(n, rank, keys, data[:, rank] % p, p)
 

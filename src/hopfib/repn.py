@@ -13,7 +13,7 @@ x -> g x - x g over the classes of the generators G, which generate H/R0
 (StructureConstantAlgebra.quotient_mult), or the centre of H when R0 = 0.
 Zbar is commutative and semisimple, and where F_p splits it, Zbar = F_p^k.
 Its unit is split first by the roots of the minimal polynomial of one
-central element drawn from the run's seeded generator, then each
+central element drawn from random.Random(seed), then each
 idempotent by those of the basis elements of Zbar, until there are
 k = dim Zbar; each split is a Lagrange interpolation in one element
 (Ronyai, J. Symb. Comp. 9, 1990; Eberly and Giesbrecht, J. Symb. Comp. 29,
@@ -84,13 +84,19 @@ which restriction and quotient do not re-check (the tests do, against the
 checked helpers in tests/oracles.py).
 
 All randomness is confined to one seeded generator per chop or spectrum
-call, and all public outputs are canonically ordered, so results are
-reproducible; spectrum's records do not depend on the seed at all.
+call: numpy.random.default_rng(seed) in chop, whose helpers the tests
+drive with numpy generators, and the standard library's
+random.Random(seed) for the one element that spectrum's split route
+draws, so verify and characters on a split H never load numpy.random.
+Both refuse a negative seed. All public outputs are canonically ordered,
+so results are reproducible; spectrum's records do not depend on the
+seed at all.
 Nothing is cached: a run reads each algebra once and passes the result on.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import isqrt
 
@@ -361,8 +367,10 @@ def spectrum(alg: StructureConstantAlgebra, seed: int = 0) -> list[SpectrumRecor
     idempotents of the centre of H/R0 (_block_records) where that is
     certified, else off chop(alg, seed), errors included (see the module
     docstring)."""
+    if seed < 0:  # as numpy's generator, which chop seeds, refuses it on either route
+        raise ValueError("expected non-negative integer")
     if alg.certified and alg.trace_radical.dim < alg.dim:
-        records = _block_records(alg, np.random.default_rng(seed))
+        records = _block_records(alg, random.Random(seed))
         if records is not None:
             return records
     # P^perp is the span of the matrix coefficients, the action flattened to (d^2, n)
@@ -371,7 +379,7 @@ def spectrum(alg: StructureConstantAlgebra, seed: int = 0) -> list[SpectrumRecor
             for rec in chop(alg, seed)]
 
 
-def _block_records(alg: StructureConstantAlgebra, rng) -> list[SpectrumRecord] | None:
+def _block_records(alg: StructureConstantAlgebra, rng: random.Random) -> list[SpectrumRecord] | None:
     """The records of the blocks of H/R0, or None where they are not
     certified: a nonlinear or repeated factor, fewer idempotents than
     dim Z(H/R0), or, with R0 != 0, a count short of simple_count."""
@@ -398,12 +406,15 @@ def _block_records(alg: StructureConstantAlgebra, rng) -> list[SpectrumRecord] |
     return sorted(records, key=lambda rec: (rec.dim, rec.annihilator.key()))
 
 
-def _primitive_idempotents(alg: StructureConstantAlgebra, centre: Subspace, rng) -> np.ndarray | None:
+def _primitive_idempotents(alg: StructureConstantAlgebra, centre: Subspace,
+                           rng: random.Random) -> np.ndarray | None:
     """The primitive idempotents of Zbar = Z(H/R0), given by its basis in the
     coordinates of H/R0, as rows in those coordinates; None unless they
     number dim Zbar and every minimal polynomial on the way splits into
     distinct linear factors. The unit is split first by the roots of one
-    random element of Zbar, then each idempotent by the basis elements of
+    element of Zbar with coordinates drawn from rng (a random.Random, not
+    numpy's generator, whose import a split run would otherwise pay for
+    this one draw), then each idempotent by the basis elements of
     Zbar in turn (_split_by_roots), until there are dim Zbar of them.
     Products in Zbar are read in its own coordinates, the pivot entries of
     its RREF basis, from one quotient_mult per batch of elements."""
@@ -414,7 +425,7 @@ def _primitive_idempotents(alg: StructureConstantAlgebra, centre: Subspace, rng)
         return matmul_mod(basis, alg.quotient_mult(alg.trace_radical, rows), p)[:, :, piv].transpose(0, 2, 1)
 
     unit = matmul_mod(alg.unit, alg.trace_radical.quotient_map(), p)[piv]
-    z = matmul_mod(rng.integers(0, p, size=k), basis, p)
+    z = matmul_mod(np.array([rng.randrange(p) for _ in range(k)], dtype=np.int64), basis, p)
     idempotents = _split_by_roots(on_centre(z[None])[0], [unit], p)
     if idempotents is not None and len(idempotents) < k:
         for theta in on_centre(basis):

@@ -1196,3 +1196,22 @@ def random_change_of_basis(d: dict, seed: int, dense: bool = True) -> dict:
             "basis_vectors": [coords(row) for row in d["subalgebra_A"]["basis_vectors"]]
         }
     return out
+
+
+def checked_entry_rows(rows, key: str, arity: int, n: int, p: int) -> list[tuple]:
+    """fileio's check of one mul, comul or antipode list before the bulk
+    pass, entry by entry: every entry a list of arity - 1 JSON integers in
+    [0, n) and an integer coefficient, which is read mod p. Raises the
+    DimensionMismatch that fileio words, for the fault that loop finds
+    first: an arity or index fault in any entry before a coefficient fault."""
+    def typed(x, what):
+        if type(x) is not int:
+            raise DimensionMismatch(f"{what} {x!r} is not an integer")
+        return x
+
+    for e in rows:
+        shaped = isinstance(e, list) and len(e) == arity
+        if not (shaped and all(0 <= typed(i, f"{key} index") < n for i in e[:-1])):
+            raise DimensionMismatch(
+                f"{key} entry {e!r} is not {arity - 1} indices in [0, {n}) and a coefficient")
+    return [(*e[:-1], typed(e[-1], f"{key} coefficient") % p) for e in rows]

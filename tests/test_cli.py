@@ -339,6 +339,152 @@ class TestMalformedEntries:
         assert not report["results"]["passed"]
 
 
+def _malformed_files() -> dict:
+    """Every malformed file of TestMalformedEntries, and four more, by case
+    id: a function that spoils a parsed q8 file in place."""
+    cases = {}
+
+    def put(case, locate, value=None):  # value(data, old); None deletes the key
+        def spoil(data):
+            container, key = locate(data)
+            if value is None:
+                del container[key]
+            else:
+                container[key] = value(data, container[key])
+        cases[case] = spoil
+
+    numbers, keys = TestMalformedEntries.NUMBERS, TestMalformedEntries.KEYS
+    for key in ("mul", "comul", "antipode"):
+        put(f"{key} index dim", lambda d, key=key: (d[key][0], 1), lambda d, old: d["dim"])
+        put(f"{key} index -1", lambda d, key=key: (d[key][0], 1), lambda d, old: -1)
+    spells = {"float": lambda x: x + 0.9, "integral float": float, "string": str, "boolean": bool}
+    for where in numbers:
+        for spelling, spell in spells.items():
+            put(f"{where} as {spelling}", numbers[where], lambda d, old, spell=spell: spell(old))
+    for key in TestMalformedEntries.REQUIRED:
+        put(f"no {key}", keys[key])
+    for key in keys:
+        def wrong_type(d, locate=keys[key]):  # "expected" is absent from the file
+            container, leaf = locate(d)
+            value = container.get(leaf, {})
+            container[leaf] = [value] if isinstance(value, dict) else {"value": value}
+        cases[f"{key} of the wrong type"] = wrong_type
+    for name, labels in [("one", ["a"]), ("ints", list(range(8))), ("nine", ["g"] * 9)]:
+        put(f"basis_labels {name}", lambda d: (d, "basis_labels"), lambda d, old, labels=labels: labels)
+
+    def index_after_coefficient(d):
+        d["mul"][0][3] = "1"
+        d["mul"][1][0] = d["dim"]
+    cases["mul index in entry 1 before a string coefficient in entry 0"] = index_after_coefficient
+    put("mul index true", lambda d: (d["mul"][0], 0), lambda d, old: True)
+    put("mul index 2**63", lambda d: (d["mul"][0], 0), lambda d, old: 2**63)
+    put("mul entry of 3 items", lambda d: (d, "mul"), lambda d, old: [old[0][:3], *old[1:]])
+    return cases
+
+
+MALFORMED_FILES = _malformed_files()
+# the error line each case prints, as the per-entry check words it
+PINNED_ERRORS = {
+    'antipode coefficient as boolean': 'antipode coefficient True is not an integer',
+    'antipode coefficient as float': 'antipode coefficient 1.9 is not an integer',
+    'antipode coefficient as integral float': 'antipode coefficient 1.0 is not an integer',
+    'antipode coefficient as string': "antipode coefficient '1' is not an integer",
+    'antipode index -1': 'antipode entry [0, -1, 1] is not 2 indices in [0, 8) and a coefficient',
+    'antipode index as boolean': 'antipode index False is not an integer',
+    'antipode index as float': 'antipode index 0.9 is not an integer',
+    'antipode index as integral float': 'antipode index 0.0 is not an integer',
+    'antipode index as string': "antipode index '0' is not an integer",
+    'antipode index dim': 'antipode entry [0, 8, 1] is not 2 indices in [0, 8) and a coefficient',
+    'antipode of the wrong type': "antipode {'value': [[0, 0, 1], [1, 1, 1], [2, 3, 1], [3, 2, 1], [4, 5, 1], [5, 4, 1], [6, 7, 1], [7, 6, 1]]} is not a list",
+    'basis_labels ints': 'basis_labels must be 8 strings, one per basis element',
+    'basis_labels nine': 'basis_labels must be 8 strings, one per basis element',
+    'basis_labels of the wrong type': "basis_labels {'value': ['g0', 'g1', 'g2', 'g3', 'g4', 'g5', 'g6', 'g7']} is not a list",
+    'basis_labels one': 'basis_labels must be 8 strings, one per basis element',
+    'comul coefficient as boolean': 'comul coefficient True is not an integer',
+    'comul coefficient as float': 'comul coefficient 1.9 is not an integer',
+    'comul coefficient as integral float': 'comul coefficient 1.0 is not an integer',
+    'comul coefficient as string': "comul coefficient '1' is not an integer",
+    'comul index -1': 'comul entry [0, -1, 0, 1] is not 3 indices in [0, 8) and a coefficient',
+    'comul index as boolean': 'comul index False is not an integer',
+    'comul index as float': 'comul index 0.9 is not an integer',
+    'comul index as integral float': 'comul index 0.0 is not an integer',
+    'comul index as string': "comul index '0' is not an integer",
+    'comul index dim': 'comul entry [0, 8, 0, 1] is not 3 indices in [0, 8) and a coefficient',
+    'comul of the wrong type': "comul {'value': [[0, 0, 0, 1], [1, 1, 1, 1], [2, 2, 2, 1], [3, 3, 3, 1], [4, 4, 4, 1], [5, 5, 5, 1], [6, 6, 6, 1], [7, 7, 7, 1]]} is not a list",
+    'counit as boolean': 'counit entry True is not an integer',
+    'counit as float': 'counit entry 1.9 is not an integer',
+    'counit as integral float': 'counit entry 1.0 is not an integer',
+    'counit as string': "counit entry '1' is not an integer",
+    'counit of the wrong type': "counit {'value': [1, 1, 1, 1, 1, 1, 1, 1]} is not a list",
+    'dim as boolean': 'dim True is not an integer',
+    'dim as float': 'dim 8.9 is not an integer',
+    'dim as integral float': 'dim 8.0 is not an integer',
+    'dim as string': "dim '8' is not an integer",
+    'dim of the wrong type': "dim {'value': 8} is not an integer",
+    'expected of the wrong type': 'expected [{}] is not an object',
+    'field of the wrong type': "field [{'p': 7}] is not an object",
+    'field.p as boolean': 'field.p True is not an integer',
+    'field.p as float': 'field.p 7.9 is not an integer',
+    'field.p as integral float': 'field.p 7.0 is not an integer',
+    'field.p as string': "field.p '7' is not an integer",
+    'field.p of the wrong type': "field.p {'value': 7} is not an integer",
+    'mul coefficient as boolean': 'mul coefficient True is not an integer',
+    'mul coefficient as float': 'mul coefficient 1.9 is not an integer',
+    'mul coefficient as integral float': 'mul coefficient 1.0 is not an integer',
+    'mul coefficient as string': "mul coefficient '1' is not an integer",
+    'mul entry of 3 items': 'mul entry [0, 0, 0] is not 3 indices in [0, 8) and a coefficient',
+    'mul index -1': 'mul entry [0, -1, 0, 1] is not 3 indices in [0, 8) and a coefficient',
+    'mul index 2**63': 'mul entry [9223372036854775808, 0, 0, 1] is not 3 indices in [0, 8) and a coefficient',
+    'mul index as boolean': 'mul index False is not an integer',
+    'mul index as float': 'mul index 0.9 is not an integer',
+    'mul index as integral float': 'mul index 0.0 is not an integer',
+    'mul index as string': "mul index '0' is not an integer",
+    'mul index dim': 'mul entry [0, 8, 0, 1] is not 3 indices in [0, 8) and a coefficient',
+    'mul index in entry 1 before a string coefficient in entry 0': 'mul entry [8, 1, 1, 1] is not 3 indices in [0, 8) and a coefficient',
+    'mul index true': 'mul index True is not an integer',
+    'mul of the wrong type': "mul {'value': [[0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [0, 3, 3, 1], [0, 4, 4, 1], [0, 5, 5, 1], [0, 6, 6, 1], [0, 7, 7, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 2, 3, 1], [1, 3, 2, 1], [1, 4, 5, 1], [1, 5, 4, 1], [1, 6, 7, 1], [1, 7, 6, 1], [2, 0, 2, 1], [2, 1, 3, 1], [2, 2, 1, 1], [2, 3, 0, 1], [2, 4, 6, 1], [2, 5, 7, 1], [2, 6, 5, 1], [2, 7, 4, 1], [3, 0, 3, 1], [3, 1, 2, 1], [3, 2, 0, 1], [3, 3, 1, 1], [3, 4, 7, 1], [3, 5, 6, 1], [3, 6, 4, 1], [3, 7, 5, 1], [4, 0, 4, 1], [4, 1, 5, 1], [4, 2, 7, 1], [4, 3, 6, 1], [4, 4, 1, 1], [4, 5, 0, 1], [4, 6, 2, 1], [4, 7, 3, 1], [5, 0, 5, 1], [5, 1, 4, 1], [5, 2, 6, 1], [5, 3, 7, 1], [5, 4, 0, 1], [5, 5, 1, 1], [5, 6, 3, 1], [5, 7, 2, 1], [6, 0, 6, 1], [6, 1, 7, 1], [6, 2, 4, 1], [6, 3, 5, 1], [6, 4, 3, 1], [6, 5, 2, 1], [6, 6, 1, 1], [6, 7, 0, 1], [7, 0, 7, 1], [7, 1, 6, 1], [7, 2, 5, 1], [7, 3, 4, 1], [7, 4, 2, 1], [7, 5, 3, 1], [7, 6, 0, 1], [7, 7, 1, 1]]} is not a list",
+    'no comul': "required key 'comul' is missing",
+    'no counit': "required key 'counit' is missing",
+    'no dim': "required key 'dim' is missing",
+    'no field': "required key 'field' is missing",
+    'no field.p': "required key 'field.p' is missing",
+    'no mul': "required key 'mul' is missing",
+    'no subalgebra_A.basis_vectors': "required key 'subalgebra_A.basis_vectors' is missing",
+    'no unit': "required key 'unit' is missing",
+    'provenance of the wrong type': "provenance [{'family': 'group', 'group': 'q8', 'p': 7, 'z': 'center'}] is not an object",
+    'subalgebra_A as boolean': 'subalgebra_A entry True is not an integer',
+    'subalgebra_A as float': 'subalgebra_A entry 1.9 is not an integer',
+    'subalgebra_A as integral float': 'subalgebra_A entry 1.0 is not an integer',
+    'subalgebra_A as string': "subalgebra_A entry '1' is not an integer",
+    'subalgebra_A of the wrong type': "subalgebra_A [{'basis_vectors': [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0]]}] is not an object",
+    'subalgebra_A.basis_vectors of the wrong type': "subalgebra_A.basis_vectors {'value': [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0]]} is not a list",
+    'unit as boolean': 'unit entry True is not an integer',
+    'unit as float': 'unit entry 1.9 is not an integer',
+    'unit as integral float': 'unit entry 1.0 is not an integer',
+    'unit as string': "unit entry '1' is not an integer",
+    'unit of the wrong type': "unit {'value': [1, 0, 0, 0, 0, 0, 0, 0]} is not a list",
+}
+
+
+class TestErrorLines:
+    """The words and the order of precedence of every entry error are
+    pinned: the bulk check hands every fault to the per-entry loop."""
+
+    def test_every_case_is_pinned(self):
+        assert sorted(MALFORMED_FILES) == sorted(PINNED_ERRORS)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+    def test_error_line_is_pinned(self, q8_file, tmp_path, capsys, case):
+        data = json.loads(q8_file.read_text())
+        MALFORMED_FILES[case](data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        for command in ("verify", "axioms"):
+            code = main([command, "--input", str(bad)])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", f"error: {PINNED_ERRORS[case]}\n"), command
+
+
 class TestCharactersCommand:
     def test_q8_characters(self, q8_file, capsys):
         code, report = run(capsys, "characters", "--input", str(q8_file))
@@ -559,6 +705,43 @@ class TestVerifyCommand:
             code, report = run(capsys, *argv, "--input", str(path))
             assert code == 0 and report is not None
         assert chops == [] and splits == []
+
+    def test_verify_and_characters_leave_numpy_random_unloaded(self, instances, tmp_path):
+        # the split route draws its one central element from random.Random;
+        # importing numpy.random would cost every run about 5 ms
+        paths = [tmp_path / "q8.json", tmp_path / "s3s3-bigp.json"]
+        write_instance(paths[0], instances("q8"))
+        write_instance(paths[1], s3s3_big_p())
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "from hopfib.cli import main",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            *(f"    assert main([{command!r}, '--input', {str(path)!r}]) == 0"
+              for path in paths for command in ("verify", "characters")),
+            "print('numpy.random' in sys.modules)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    @pytest.mark.parametrize("command", ["verify", "characters", "simples"])
+    def test_a_negative_seed_exits_2(self, q8_file, capsys, command):
+        # the split route refuses it as numpy's generator, which chop seeds, does
+        code = main([command, "--input", str(q8_file), "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: expected non-negative integer\n")
+
+    @pytest.mark.parametrize("command", ["verify", "characters"])
+    def test_out_of_memory_exits_2_in_one_line(self, q8_file, capsys, monkeypatch, command):
+        import hopfib.cli
+
+        def exhausted(d):
+            raise MemoryError
+
+        monkeypatch.setattr(hopfib.cli, "instance_from_dict", exhausted)
+        code = main([command, "--input", str(q8_file)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: out of memory in {command}\n")
 
     @pytest.mark.parametrize("name", ["qsl2", "usl2", "qm2"])
     def test_verify_builds_no_dense_regular_stack(self, instances, tmp_path, capsys, spy, name):

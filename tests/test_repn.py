@@ -731,6 +731,18 @@ class TestSpectrum:
         assert modules == [4] and len(chops) == 1
         assert alg.simple_count == len(recs) == 2
 
+    @pytest.mark.parametrize("name", ["q8-bigp-rebased", "s3c2-bigp-rebased", "s3s3-bigp"])
+    def test_records_do_not_depend_on_the_seed_at_the_large_prime(self, cases, spy, name):
+        # each seed draws its own central element, and the records are the same
+        alg = cases[name]
+        splits = spy("_split_by_roots", hopfib.repn)
+        records, first_elements = set(), set()
+        for seed in range(8):
+            before = len(splits)
+            records.add(tuple((r.dim, r.annihilator.key(), r.dual.key()) for r in spectrum(alg, seed=seed)))
+            first_elements.add(splits[before][0].tobytes())
+        assert len(records) == 1 and len(first_elements) == 8
+
     def test_a_record_dual_has_dimension_dim_squared(self, instances):
         recs = spectrum(instances("usl2").h.alg, seed=0)
         assert [(r.dim, r.dual.dim, r.annihilator.dim) for r in recs] == [(1, 1, 26), (2, 4, 23), (3, 9, 18)]
