@@ -12,7 +12,8 @@ import sys
 import time
 
 from hopfib.corpus import SHIPPED_NAMES, shipped_instance
-from hopfib.specmap import fibers, prim_enumerate, verify_theorem
+from hopfib.repn import spectrum
+from hopfib.specmap import fibers, verify_theorem
 
 
 def fmt(value):
@@ -31,7 +32,7 @@ def main() -> int:
         t0 = time.monotonic()
         inst = shipped_instance(name)
         mode = args.mode if inst.h.antipode is not None else "local"
-        v = verify_theorem(inst, fibers(inst, prim_enumerate(inst.h.alg, seed=args.seed)), mode=mode)
+        v = verify_theorem(inst, fibers(inst, spectrum(inst.h.alg, seed=args.seed)), mode=mode)
         elapsed = time.monotonic() - t0
         if "fiber_sizes" in v.witnesses:
             fib, orb = v.witnesses["fiber_sizes"], v.witnesses["orbit_sizes"]

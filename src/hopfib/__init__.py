@@ -1,8 +1,8 @@
 """Exact computation with finite-dimensional bialgebras over prime fields.
 
 The package represents bialgebras and Hopf algebras by explicit structure
-constants, computes their characters, winding automorphisms, simple
-modules and the sizes of their fiber algebras, and checks on
+constants, computes their characters, winding automorphisms, primitive
+ideals and simple modules, and the sizes of their fiber algebras, and checks on
 concrete instances that the fibers of the primitive-ideal contraction map
 onto a central subalgebra match the orbits of the character-group action.
 """
@@ -41,14 +41,13 @@ from .hopf import (
     winding,
 )
 from .linalg import FieldSpec, Subspace, find_root_of_unity, modinv, rref
-from .repn import SimpleRecord, SpectrumRecord, annihilator, chop, spectrum
+from .repn import SpectrumRecord, simples, spectrum
 from .rewrite import Presentation, complete_check, enumerate_basis, extract_bialgebra, normalize
 from .specmap import (
     Fibers,
     Verdict,
     fibers,
     orbits,
-    prim_enumerate,
     remark_uniform_fibers,
     verify_theorem,
 )
@@ -63,17 +62,14 @@ __all__ = [
     "Fibers",
     "GroupTable",
     "Presentation",
-    "SimpleRecord",
     "SpectrumRecord",
     "StructureConstantAlgebra",
     "Subspace",
     "Verdict",
-    "annihilator",
     "build_algebra",
     "build_bialgebra",
     "builtin_group",
     "character_group_X",
-    "chop",
     "coideal_subalgebra",
     "complete_check",
     "convolve",
@@ -91,12 +87,12 @@ __all__ = [
     "modinv",
     "normalize",
     "orbits",
-    "prim_enumerate",
     "quantum_m2_kernel",
     "quantum_sl2_kernel",
     "remark_uniform_fibers",
     "rref",
     "shipped_instance",
+    "simples",
     "small_quantum_sl2",
     "spectrum",
     "verify_structure",

@@ -4,16 +4,13 @@ An algebra of dimension n over F_p is stored as the canonical rank-3
 :class:`~hopfib.linalg.SparseTensor` ``mul``, whose entry (i, j, k) is the
 coefficient of e_k in e_i * e_j, together with the coefficient vector of
 the unit. Products, multiplication matrices and the axiom checks are
-sparse contractions of ``mul``. So are the action of the algebra on a
-left ideal (:meth:`StructureConstantAlgebra.left_ideal_action`), from which
-``repn.chop`` reads each central piece of the regular module when its split
-stack reaches it, and the multiplications by a batch of elements on a
-quotient H/I (:meth:`StructureConstantAlgebra.quotient_mult`), from which
-``repn.spectrum`` reads the centre of H/R0 below, products in it, and the
-annihilator in the dual of each block. The only dense view of the whole
-algebra is the regular module's action stack
-:meth:`StructureConstantAlgebra.left_regular`, which chop builds only when
-the centre leaves the regular module in one piece.
+sparse contractions of ``mul``. So are the multiplications by a batch of
+elements on a quotient H/I (:meth:`StructureConstantAlgebra.quotient_mult`),
+from which ``repn.spectrum`` reads the centre of H/I below, products in
+it, and the annihilator in the dual of each block, and the batched
+products of rows (:meth:`StructureConstantAlgebra.products`). No dense
+(n, n, n) view of the multiplication is built: the radical chain reads
+its matrices a batch at a time.
 
 The unit laws and associativity are checked once, when :func:`build_algebra`
 reads the data, and recorded as ``certified``, so everything downstream can
@@ -37,7 +34,7 @@ The same argument bounds the closures. In a certified algebra the
 elements that commute with a given z, and those whose left (or right)
 products map a given subspace into itself, form unital subalgebras; so
 the centre (:attr:`StructureConstantAlgebra.centre`, computed once per
-algebra and read by :func:`is_central_subalgebra` and ``repn.chop``) and
+algebra and read by :func:`is_central_subalgebra` and ``repn.spectrum``) and
 :func:`ideal_closure` need the multiplication maps of G only, and on
 uncertified data they take every basis element instead
 (:func:`closing_maps`). The tests' module-axiom check
@@ -55,23 +52,30 @@ On a certified algebra [G, H] = [H, H]: for a functional f, the x with
 f([x, H]) = 0 form a unital subalgebra, as [xy, h] = [x, yh] + [y, hx], so
 a functional that kills [G, H] kills [H, H].
 
-The algebra also owns the two facts from which ``repn.spectrum`` reads
-Prim H off the primitive central idempotents of H/R0, and certifies it:
+The algebra also owns the three facts from which ``repn.spectrum`` reads
+Prim H off the primitive central idempotents of H/J(H):
 
 * R0 (:attr:`StructureConstantAlgebra.trace_radical`), the radical of the
   regular trace form (x, y) -> tau(xy), tau(x) = tr(y -> xy). It is a
   two-sided ideal, since tau(xy) = tau(yx), and it holds J(H), since xy is
   nilpotent for x in J(H); so H/R0 is semisimple and its simples are simples
-  of H. R0 = J(H) unless p divides a multiplicity [H : S] (the classical
-  test; Cohen, Ivanyos and Wales, J. Pure Appl. Algebra 117-118, 1997, treat
-  that case). R0 = 0 iff H is semisimple, and R0 = H for a modular group
-  algebra, where tau = 0.
-* dim H/T(H) (:attr:`StructureConstantAlgebra.simple_count`), with
-  T(H) = {x : x^(p^N) in [H, H] for some N}: the sum over the simple modules
-  S of the degree e_S of End(S) over F_p (Kuelshammer, J. Algebra 72, 1981).
-  It is at least the number of simples, with equality iff F_p splits H.
-  spectrum reads it only where R0 != 0; on a semisimple H the idempotents
-  of the centre certify themselves (repn module docstring).
+  of H. R0 = J(H) unless p divides a multiplicity [H : S]. R0 = 0 iff H is
+  semisimple, and R0 = H for a modular group algebra, where tau = 0.
+* The count dim H/T(H) (:attr:`StructureConstantAlgebra.simple_count`),
+  with T(H) = {x : x^(p^N) in [H, H] for some N}: the sum over the simple
+  modules S of the degree of End(S) over F_p (Kuelshammer, J. Algebra 72,
+  1981). It is at least the number of simples, with equality iff F_p
+  splits H, and it equals the sum of the degrees of the blocks of H/R0
+  iff R0 = J(H). spectrum reads it only where 0 != R0 != H.
+* J(H) itself (:attr:`StructureConstantAlgebra.radical`), where the count
+  falls short or R0 = H: the chain I_0 = R0 ⊇ I_1 ⊇ ... ⊇ I_l = J(H),
+  l = floor(log_p n), of Cohen, Ivanyos and Wales (J. Pure Appl. Algebra
+  117-118, 1997; Ronyai, J. Symb. Comp. 9, 1990, for l = 1). I_i is the
+  set of x in I_(i-1) with g_i(x y) = 0 for every y, where
+  g_i(a) = (tr(A^(p^i)) mod p^(i+1)) / p^i for the lift A, with entries in
+  [0, p), of the matrix of y -> a y; g_i is F_p-linear on I_(i-1) and
+  does not depend on the lift or the basis. The chain needs no
+  certificate.
 """
 
 from __future__ import annotations
@@ -95,6 +99,7 @@ from .linalg import (
     asmat,
     contract,
     first_difference,
+    kernel,
     matmul_mod,
     null_space,
     permute,
@@ -102,9 +107,12 @@ from .linalg import (
     rref,
 )
 
-# entries of a temporary of terms that StructureConstantAlgebra.powers and
+# entries of a temporary of terms that StructureConstantAlgebra.products and
 # quotient_mult hold at once
 PRODUCT_TERMS = 2**12
+# entries of the batch of (n, n) matrices that StructureConstantAlgebra.radical
+# holds at once
+MATRIX_BATCH = 2**20
 
 
 @dataclass
@@ -152,28 +160,6 @@ class StructureConstantAlgebra:
         p = self.field.p
         return contract(permute(self.mul, (0, 2, 1)), self._sparse(v), 1, p).dense().T
 
-    def left_ideal_action(self, ideal: Subspace) -> np.ndarray:
-        """Stack of the matrices of x -> e_j x on a left ideal L, one per basis
-        element, in the RREF basis b_k of L (that L is a left ideal is not
-        checked). Entry (j, a, k) is the coefficient of b_a in e_j b_k, which
-        is the entry of e_j b_k at the a-th pivot column; it is read from the
-        entries mul[j, s, t] with t a pivot, each adding mul[j, s, t] b_k[s]
-        for every k. Each term is reduced below p before the sum, and a sum
-        has at most n terms, so it stays below n * 2**31 < 2**47 for n < 2**16."""
-        p, n, d = self.field.p, self.dim, ideal.dim
-        j, s, t = self.mul.indices()
-        slot = np.full(n, -1)
-        slot[list(ideal.pivots)] = np.arange(d)
-        keep = np.flatnonzero(slot[t] >= 0)
-        key = j[keep] * d + slot[t[keep]]
-        order = np.argsort(key, kind="stable")
-        key, keep = key[order], keep[order]
-        terms = self.mul.vals[keep, None] * ideal.basis[:, s[keep]].T % p  # (term, k)
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        out = np.zeros((n * d, d), dtype=np.int64)
-        out[key[starts]] = np.add.reduceat(terms, starts, axis=0) % p
-        return out.reshape(n, d, d)
-
     def quotient_mult(self, ideal: Subspace, rows: np.ndarray, left: bool = False) -> np.ndarray:
         """Stack of the matrices of x -> x y (of x -> y x when left) on H/I for
         a two-sided ideal I (not checked), one per row y, in row convention:
@@ -215,21 +201,16 @@ class StructureConstantAlgebra:
         full[:, :, targets] = out
         return full
 
-    def left_regular(self) -> np.ndarray:
-        """Stack of left multiplication matrices, one per basis element."""
-        return permute(self.mul, (0, 2, 1)).dense()
-
-    def powers(self, rows: np.ndarray, e: int) -> np.ndarray:
-        """Row i is rows_i ** e, e >= 1, by squaring and multiplying, each
-        step one batched product of the rows u_i v_i: each entry
-        mul[a, b, t] adds mul[a, b, t] u_i[a] v_i[b] to entry t of row i,
-        every term reduced below p before the sum of at most n**2 terms. The
-        entries are read in target order, PRODUCT_TERMS // rows at a time,
-        so the temporaries stay small."""
+    def products(self, count: int):
+        """The function (u, v) -> the rows u_i v_i of two stacks of count
+        rows: each entry mul[a, b, t] adds mul[a, b, t] u_i[a] v_i[b] to
+        entry t of row i, every term reduced below p before the sum of at
+        most n**2 terms. The entries are put in target order once, and read
+        PRODUCT_TERMS // count at a time, so the temporaries stay small."""
         p, n = self.field.p, self.dim
         by_target = permute(self.mul, (2, 0, 1))
         t, a, b = by_target.indices()
-        step = max(1, PRODUCT_TERMS // max(1, len(rows)))
+        step = max(1, PRODUCT_TERMS // max(1, count))
         chunks = []
         for lo in range(0, len(t), step):
             part = slice(lo, lo + step)
@@ -243,6 +224,12 @@ class StructureConstantAlgebra:
                 out[:, targets] = (out[:, targets] + np.add.reduceat(terms, starts, axis=1)) % p
             return out
 
+        return times
+
+    def powers(self, rows: np.ndarray, e: int) -> np.ndarray:
+        """Row i is rows_i ** e, e >= 1, by squaring and multiplying, each
+        step one batched product of the rows (products)."""
+        times = self.products(len(rows))
         power = None
         while True:
             if e & 1:
@@ -352,8 +339,64 @@ class StructureConstantAlgebra:
             frob = matmul_mod(frob, frob, p)
         return rref(frob, p)[1]
 
+    @cached_property
+    def radical(self) -> Subspace:
+        """J(H), the last ideal of the chain R0 = I_0 ⊇ I_1 ⊇ ... over the
+        levels i with p**i <= n (see the module docstring). I_i is the set
+        of x in I_(i-1) with g_i(x y) = 0 for every y, and g_i is F_p-linear
+        on I_(i-1); so with phi its values on the basis u_k of I_(i-1), put
+        at their pivot columns, I_i is the set of sum c_k u_k with
+        sum_k c_k phi(u_k e_b) = 0 for every b, one contraction of mul with
+        phi. g_i(u) is read from the map y -> u y on I_(i-1), lifted to
+        [0, p): its p**i-th power's trace mod q = p**(i+1) (_power_traces),
+        divided by p**i. Since u H lies in I_(i-1), the map on H has a lift
+        that is block triangular in a basis through I_(i-1), with this one
+        as its only nonzero diagonal block, so the traces agree. The matrices come from quotient_mult(0, rows, left=True)
+        for a batch of basis rows at a time; the RREF basis b_j of I_(i-1)
+        has the unit vectors at its pivots, so the coordinates of u_k b_j
+        need a product only over its free columns. q <= n**2 < 2**31 keeps
+        matmul_mod exact for every n below 46,341. Needs a certified
+        algebra."""
+        p, n = self.field.p, self.dim
+        ideal, level, zero = self.trace_radical, 1, Subspace(self.field, n)
+        while ideal.dim and p ** level <= n:
+            piv, free = list(ideal.pivots), ideal.free_columns()
+            step = max(1, MATRIX_BATCH // n**2)
+            traces = []
+            for lo in range(0, ideal.dim, step):
+                # row a of matrix k: the coordinates of u_k e_a in I_(i-1), its pivot entries
+                acts = self.quotient_mult(zero, ideal.basis[lo:lo + step], left=True)[:, :, piv]
+                acts = (acts[:, piv] + matmul_mod(ideal.basis[:, free], acts[:, free], p)) % p
+                traces.append(_power_traces(acts, p ** level, p ** (level + 1)))
+            phi = np.zeros(n, dtype=np.int64)
+            phi[piv] = np.concatenate(traces) // p ** level
+            if phi.any():
+                form = contract(self.mul, SparseTensor.from_dense(phi), 1, p).dense()  # [s, b]: phi(e_s e_b)
+                coeffs = kernel(matmul_mod(ideal.basis, form, p).T, p)
+                ideal = Subspace(self.field, n, matmul_mod(coeffs, ideal.basis, p))
+            level += 1
+        return ideal
+
     def __repr__(self):
         return f"StructureConstantAlgebra(dim={self.dim}, p={self.field.p})"
+
+
+def _power_traces(acts: np.ndarray, e: int, q: int) -> np.ndarray:
+    """tr(A**e) mod q for each matrix A of the stack, entries in [0, q), e
+    odd: A**h, h = e // 2, by squaring and multiplying, then A**(h+1), and
+    tr(A**h A**(h+1)) as one dot product of the two matrices' entries, the
+    second transposed, which saves the last product."""
+    power, base, h = None, acts, e // 2
+    while True:
+        if h & 1:
+            power = base if power is None else matmul_mod(power, base, q)
+        h >>= 1
+        if not h:
+            break
+        base = matmul_mod(base, base, q)
+    c, m, _ = acts.shape
+    upper = matmul_mod(power, acts, q).transpose(0, 2, 1)
+    return matmul_mod(power.reshape(c, 1, m * m), upper.reshape(c, m * m, 1), q).reshape(c)
 
 
 def first_failure(chain, gens):
@@ -453,14 +496,16 @@ def closing_maps(alg: StructureConstantAlgebra) -> tuple[np.ndarray, np.ndarray]
             np.array([alg.right_mult_matrix(eye[g]) for g in index]).reshape(shape))
 
 
-def ideal_closure(alg: StructureConstantAlgebra, seed: Subspace) -> Subspace:
+def ideal_closure(alg: StructureConstantAlgebra, seed: Subspace, maps: np.ndarray | None = None) -> Subspace:
     """Smallest two-sided ideal containing the seed subspace: its closure
-    under the maps of closing_maps. Each round maps only the rows the last
-    round added (modulo the span so far), since the images of the older rows
-    are already in that span."""
+    under the maps of closing_maps, or under the given stack of maps (the
+    right ones alone give the right ideal). Each round maps only the rows
+    the last round added (modulo the span so far), since the images of the
+    older rows are already in that span."""
     if seed.ambient != alg.dim:
         raise DimensionMismatch("seed lives in the wrong ambient space")
-    maps = np.concatenate(closing_maps(alg))
+    if maps is None:
+        maps = np.concatenate(closing_maps(alg))
     current, new = seed, seed.basis
     while True:
         imgs = matmul_mod(maps, new.T, alg.field.p).transpose(0, 2, 1)  # (map, row, coordinate)

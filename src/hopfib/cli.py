@@ -36,8 +36,8 @@ from .fileio import (
 )
 from .hopf import axiom_checks, enumerate_characters
 from .linalg import FieldSpec
-from .repn import chop
-from .specmap import fibers, prim_enumerate, remark_uniform_fibers, require_hopf_subalgebra, verify_theorem
+from .repn import simples, spectrum
+from .specmap import fibers, remark_uniform_fibers, require_hopf_subalgebra, verify_theorem
 
 
 def _log(msg: str):
@@ -116,16 +116,15 @@ def cmd_characters(args) -> int:
 def cmd_simples(args) -> int:
     raw, d = _read_input(args.input)
     inst = instance_from_dict(d)
-    recs = chop(inst.h.alg, seed=args.seed)
     results = {
         "records": [
             {
                 "dim": r.dim,
-                "multiplicity": r.multiplicity,
+                "multiplicity": multiplicity,
                 "annihilator_dim": r.annihilator.dim,
                 "annihilator_basis": [[int(x) for x in row] for row in r.annihilator.basis],
             }
-            for r in recs
+            for r, multiplicity in simples(inst.h.alg, seed=args.seed)
         ]
     }
     _emit(report_dict("simples", args.seed, raw, results), args.report)
@@ -137,7 +136,7 @@ def cmd_verify(args) -> int:
     inst = instance_from_dict(d)
     if args.uniform_fibers:
         require_hopf_subalgebra(inst)  # refuse before the spectrum, not after the verdict
-    fib = fibers(inst, prim_enumerate(inst.h.alg, seed=args.seed))
+    fib = fibers(inst, spectrum(inst.h.alg, seed=args.seed))
     verdict = verify_theorem(inst, fib, mode=args.mode)
     results = verdict.to_dict()
     if args.uniform_fibers:

@@ -43,13 +43,11 @@ class NotCentral(HopfibError):
 
 
 class BudgetExceeded(HopfibError):
-    """A named budget ran out: the random elements chop draws for one module
-    (repn.MAX_ATTEMPTS) or the term pairs of one sparse contraction
-    (linalg.MAX_JOIN_TERMS).
-
-    It is not a sign of a splitting-field problem: a module that is simple
-    over F_p but splits over an extension field is certified like any other.
-    """
+    """A named budget ran out: the term pairs of one sparse contraction
+    (linalg.MAX_JOIN_TERMS), or the random central elements that split the
+    centre of H/J(H) into fields once the sweep over its basis has not
+    (repn.EXTRA_DRAWS; each splits a part that is not a field with
+    probability at least 2/3)."""
 
 
 class NotSplit(HopfibError):

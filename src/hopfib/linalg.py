@@ -6,8 +6,10 @@ subspaces are equal iff their basis arrays are identical; no tolerances
 anywhere.
 
 Every product of field data in the package goes through
-:func:`matmul_mod` or :func:`tensordot_mod`, and both are exact in int64
-for every odd prime p <= 2**31. A contraction of length ``inner`` is
+:func:`matmul_mod`, which is exact in int64 for every modulus p <= 2**31:
+the odd primes, and the prime powers of the radical chain
+(``StructureConstantAlgebra.radical``), since the bounds below use only
+the modulus' size. A contraction of length ``inner`` is
 summed directly while ``inner * (p-1)**2 < 2**63``. Beyond that bound
 the right operand is split into w-bit limbs, w being the largest width
 with ``inner * (p-1) * (2**w - 1) < 2**63``, so each limb product is
@@ -146,7 +148,8 @@ def _limb_product(product, a, b, inner: int, p: int) -> np.ndarray:
 
 
 def matmul_mod(a, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, exact for every odd prime p <= 2**31.
+    """a @ b mod p, exact for every modulus p <= 2**31 (see the module
+    docstring).
 
     Entries of a must lie in [0, p); a may be any matrix type with @. With
     inner = a.shape[-1], the product is formed directly when
@@ -157,19 +160,6 @@ def matmul_mod(a, b: np.ndarray, p: int) -> np.ndarray:
     if inner * (p - 1) ** 2 < 2**63:
         return (a @ b) % p
     return _limb_product(lambda x, y: x @ y, a, b, inner, p)
-
-
-def tensordot_mod(a: np.ndarray, b: np.ndarray, axes, p: int) -> np.ndarray:
-    """np.tensordot(a, b, axes) mod p, exact for every odd prime p <= 2**31.
-
-    Entries of a must lie in [0, p). The contracted length inner is the
-    product of a's contracted axis lengths; the same bound as in
-    matmul_mod picks a direct product or w-bit limbs of b.
-    """
-    inner = int(np.prod([a.shape[ax] for ax in np.atleast_1d(axes[0])]))
-    if inner * (p - 1) ** 2 < 2**63:
-        return np.tensordot(a, b, axes=axes) % p
-    return _limb_product(lambda x, y: np.tensordot(x, y, axes=axes), a, b, inner, p)
 
 
 def identity(n: int) -> np.ndarray:
@@ -710,4 +700,28 @@ def irreducible_factors(coeffs_desc: list[int], p: int):
         if len(d) > 1:
             for h in _equal_degree(d, k, ring, rng):
                 yield tuple(h), mult
+
+
+def crt_idempotents(f: list[int], factors, p: int) -> np.ndarray:
+    """Row i: the deg f coefficients, lowest degree first, of the idempotent
+    E_i = (f/g_i) ((f/g_i)^-1 mod g_i) of F_p[x]/(f), for a monic squarefree
+    f and its monic irreducible factors g_i (highest degree first): E_i is 1
+    mod g_i and 0 mod every other factor (Chinese remainders). For
+    g_i = x - l, (f/g_i) mod g_i is the value of f/g_i at l, and E_i is the
+    Lagrange polynomial of the root l; otherwise the inverse is the power
+    p**deg(g_i) - 2 in the field F_p[x]/(g_i), and the product has degree
+    below deg f, so F_p[x]/(f) multiplies it without a reduction."""
+    f = list(f)
+    rows = np.zeros((len(factors), len(f) - 1), dtype=np.int64)
+    for row, g in zip(rows, factors):
+        g = list(g)
+        cofactor = _divmod(f, g, p)[0]
+        rest = _divmod(cofactor, g, p)[1]
+        if len(g) == 2:
+            inv = modinv(rest[0], p)
+            e = [c * inv % p for c in cofactor]
+        else:
+            e = _Quotient(f, p).mul(cofactor, _Quotient(g, p).pow(rest, p ** (len(g) - 1) - 2))
+        row[:len(e)] = e[::-1]
+    return rows
 

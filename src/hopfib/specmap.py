@@ -16,10 +16,9 @@ The four conditions of the equivalence being verified:
   cond_iv  the same on prime ideals (equal to cond_iii here).
 
 verify_theorem and remark_uniform_fibers read one spectrum of H, the list
-prims = prim_enumerate(h.alg, seed) that the caller takes once: every
+prims = repn.spectrum(h.alg, seed) that the caller takes once: every
 primitive ideal holds J(H), so it is the spectrum of H/J(H), read off the
-primitive central idempotents of H/R0 where that is certified, else off
-the regular module of H (repn.spectrum). Each record carries P, the
+primitive central idempotents of H/J(H). Each record carries P, the
 simple dimension and P^perp, the annihilator of P in the dual of H, and
 no action. The caller groups it into fibers once (fibers) and hands the
 same Fibers to both. With A central and H split, A acts on the simple
@@ -43,7 +42,7 @@ modules of H, with the same endomorphisms.
 
 The equivalence is about centralizing extensions, so fibers first checks,
 once per run, that A is central (algebra.is_central_subalgebra: A inside
-the centre of H, which spectrum and chop read too); NotCentral
+the centre of H, which spectrum reads too); NotCentral
 otherwise. For bialgebras without an antipode only the two-sided orbit
 experiment is run and reported as such. Once per run, and alike for
 bialgebras and Hopf algebras, verify_theorem builds X
@@ -79,15 +78,7 @@ from .hopf import (
     winding,
 )
 from .linalg import Subspace, matmul_mod
-from .repn import SpectrumRecord, spectrum
-
-
-def prim_enumerate(alg: StructureConstantAlgebra, seed: int = 0) -> list[SpectrumRecord]:
-    """All primitive ideals, each the annihilator of a simple module, with
-    that module's dimension and the ideal's annihilator in the dual of H;
-    ordered by (simple dimension, annihilator). Every primitive ideal holds
-    J(H), so this is the spectrum of H/J(H) (repn.spectrum)."""
-    return spectrum(alg, seed=seed)
+from .repn import SpectrumRecord
 
 
 @dataclass

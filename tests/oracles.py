@@ -1,12 +1,12 @@
-"""Independent test oracles, deliberately ignorant of the library's chop path."""
+"""Independent test oracles, deliberately ignorant of the routes the library takes."""
 
 import itertools
 import random
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from hopfib import repn
 from hopfib.algebra import (
     StructureConstantAlgebra,
     build_algebra,
@@ -43,17 +43,31 @@ from hopfib.linalg import (
     kernel,
     matmul_mod,
     modinv,
+    null_space,
     permute,
     rref,
-    tensordot_mod,
 )
+from hopfib.linalg import _limb_product
 from hopfib.linalg import contract as sparse_contract
-from hopfib.repn import annihilator
+from hopfib.repn import minpoly_on_vector, spectrum
 from hopfib.rewrite import Presentation, enumerate_basis, normalize
-from hopfib.specmap import orbits, prim_enumerate
+from hopfib.specmap import orbits
 
 
 LinearSolution = namedtuple("LinearSolution", "consistent particular kernel")
+
+
+def tensordot_mod(a: np.ndarray, b: np.ndarray, axes, p: int) -> np.ndarray:
+    """np.tensordot(a, b, axes) mod p, exact for every odd prime p <= 2**31.
+
+    Entries of a must lie in [0, p). The contracted length inner is the
+    product of a's contracted axis lengths; the same bound as in
+    linalg.matmul_mod picks a direct product or w-bit limbs of b.
+    """
+    inner = int(np.prod([a.shape[ax] for ax in np.atleast_1d(axes[0])]))
+    if inner * (p - 1) ** 2 < 2**63:
+        return np.tensordot(a, b, axes=axes) % p
+    return _limb_product(lambda x, y: np.tensordot(x, y, axes=axes), a, b, inner, p)
 
 
 def solve(m, rhs, p: int) -> LinearSolution:
@@ -398,7 +412,7 @@ def is_algebra_endomorphism(alg: StructureConstantAlgebra, mat: np.ndarray, gens
     p = alg.field.p
     if not np.array_equal(matmul_mod(mat, alg.unit, p), alg.unit):
         return False
-    left = alg.left_regular()
+    left = left_regular(alg)
     for g in gens:
         f_of_g_times = matmul_mod(mat, left[g], p)  # x -> f(e_g x)
         f_g_times_f = matmul_mod(alg.left_mult_matrix(mat[:, g]), mat, p)  # x -> f(e_g) f(x)
@@ -417,7 +431,7 @@ def trace_form_radical(alg: StructureConstantAlgebra) -> Subspace:
     """The radical of the regular trace form by its definition: the x with
     tr(L_x L_y) = 0 for every y, Gram[a, b] = tr(L_a L_b) read from the
     dense regular stack."""
-    stack, p = alg.left_regular(), alg.field.p
+    stack, p = left_regular(alg), alg.field.p
     return Subspace(alg.field, alg.dim, kernel(tensordot_mod(stack, stack, ([1, 2], [2, 1]), p), p))
 
 
@@ -580,7 +594,7 @@ def chopped_fiber(b, a, xi, maps, seed: int = 0):
     except ImproperIdeal:
         return None
     proj, section = quotient_maps(b.alg, kernel_h)
-    prims = prim_enumerate(q, seed=seed)
+    prims = spectrum(q, seed=seed)
     descended = [matmul_mod(matmul_mod(proj, mat, p), section, p) for mat in maps]
     return ChoppedFiber(q.dim, [it.dim for it in prims], orbits(prims, descended))
 
@@ -681,7 +695,7 @@ def table_greedy_generators(table, ident) -> list[int]:
 
 def exhaustive_center(alg: StructureConstantAlgebra) -> Subspace:
     """Joint kernel of the commutator maps v -> e_i v - v e_i over every basis element."""
-    return joint_kernel(alg.field, (alg.left_regular() - right_regular(alg)) % alg.field.p)
+    return joint_kernel(alg.field, (left_regular(alg) - right_regular(alg)) % alg.field.p)
 
 
 def brute_force_centre(alg: StructureConstantAlgebra) -> Subspace:
@@ -699,7 +713,7 @@ def brute_force_centre(alg: StructureConstantAlgebra) -> Subspace:
 def multiply_rows_by_basis(alg: StructureConstantAlgebra, rows, side) -> np.ndarray:
     """All products e_i * v (side='left') or v * e_i (side='right'), as rows
     in no particular order."""
-    stack = alg.left_regular() if side == "left" else right_regular(alg)
+    stack = left_regular(alg) if side == "left" else right_regular(alg)
     imgs = matmul_mod(stack, asmat(rows, alg.field.p).T, alg.field.p)  # (i, k, r)
     return imgs.transpose(0, 2, 1).reshape(-1, alg.dim)
 
@@ -814,36 +828,137 @@ def iso_simple(alg: StructureConstantAlgebra, action1, action2) -> bool:
     return action1.shape[1] == action2.shape[1] and annihilator(alg, action1) == annihilator(alg, action2)
 
 
+# elements the whole-module chop tries for one module of its split tree
+MAX_ATTEMPTS = 256
+# kernel vectors spun per irreducible factor before the dual criterion decides
+SPIN_VECTORS_PER_KERNEL = 8
+
+
+@dataclass
+class SimpleRecord:
+    """A simple module, by its action stack (one matrix per basis element of
+    the algebra), with its annihilator, a primitive ideal, and its
+    multiplicity in the chopped module."""
+
+    action: np.ndarray
+    annihilator: Subspace
+    multiplicity: int
+
+    @property
+    def dim(self) -> int:
+        return self.action.shape[1]
+
+
+def left_regular(alg: StructureConstantAlgebra) -> np.ndarray:
+    """Stack of left multiplication matrices, one per basis element, read
+    from the dense table."""
+    return permute(alg.mul, (0, 2, 1)).dense()
+
+
+def annihilator(alg: StructureConstantAlgebra, action: np.ndarray) -> Subspace:
+    """Kernel of the action map of a module, given by its action stack, as a
+    canonical subspace of the algebra (an ideal, the action map being an
+    algebra homomorphism)."""
+    m = action.shape[1]
+    return null_space(action.reshape(alg.dim, m * m).T, alg.field)
+
+
+def spin(action: np.ndarray, seed_rows, field) -> Subspace:
+    """Smallest action-invariant subspace containing the seed rows: with a
+    matrix A_b per basis element b of a unital algebra, span{A_b w} holds w
+    (b = 1) and is invariant (A_c A_b = A_cb), so no loop re-checks it. The
+    same holds for the dual (transposed) stack."""
+    m = action.shape[1]
+    imgs = matmul_mod(action, asmat(seed_rows, field.p).T, field.p)  # (n, m, k)
+    return Subspace(field, m, imgs.transpose(0, 2, 1).reshape(-1, m))
+
+
+def poly_eval_matrix(coeffs_desc, theta: np.ndarray, p: int) -> np.ndarray:
+    """g(theta) for a matrix theta reduced mod p, by Horner's rule started at
+    the leading terms c0*theta + c1*I (each entry below 2**62 + 2**31): a
+    polynomial of degree d >= 1 takes d - 1 products, a linear one none."""
+    coeffs = [int(c) % p for c in coeffs_desc]
+    eye = np.eye(theta.shape[0], dtype=np.int64)
+    out = coeffs[0] * eye if len(coeffs) == 1 else (coeffs[0] * theta + coeffs[1] * eye) % p
+    for c in coeffs[2:]:
+        out = (matmul_mod(out, theta, p) + c * eye) % p
+    return out
+
+
+def restrict_action(action: np.ndarray, sub: Subspace, p: int) -> np.ndarray:
+    """Action matrices on an invariant subspace, in its RREF basis: the pivot
+    rows of the image. Invariance is not re-checked; the chop passes spun
+    subspaces (see spin) and their Norton complements, invariant by duality."""
+    return matmul_mod(action[:, list(sub.pivots), :], sub.basis.T, p)
+
+
+def quotient_action(action: np.ndarray, sub: Subspace, p: int) -> np.ndarray:
+    """Action on the quotient by an invariant subspace, in the standard vectors
+    at the other columns: x mod sub is x[rest] - basis[:, rest]^T x[pivots].
+    Only the rows at rest and at the pivots of the images of the quotient
+    basis are gathered, and the difference is taken in place."""
+    rest = sub.free_columns()
+    pivots = np.array(sub.pivots, dtype=np.intp)
+    out = action[:, rest[:, None], rest]  # (n, q, q)
+    out -= matmul_mod(sub.basis[:, rest].T, action[:, pivots[:, None], rest], p)
+    out %= p
+    return out
+
+
+def merge_leaves(alg: StructureConstantAlgebra, leaves: list[np.ndarray]) -> list[SimpleRecord]:
+    """Simple records, one per (dimension, annihilator), sorted by that key:
+    two simples with one annihilator P are both the simple module of the
+    simple artinian H/P."""
+    # cheap first pass: identical action stacks are identical modules (the
+    # byte length fixes the dimension; 1-dim actions are canonical scalars)
+    by_bytes: dict[bytes, tuple[np.ndarray, int]] = {}
+    for act in leaves:
+        key = act.tobytes()
+        stack_, count = by_bytes.get(key, (act, 0))
+        by_bytes[key] = (stack_, count + 1)
+    classes: dict[tuple[int, bytes], SimpleRecord] = {}
+    for act, count in by_bytes.values():
+        ann = annihilator(alg, act)
+        key = (act.shape[1], ann.key())
+        if key in classes:
+            classes[key].multiplicity += count
+        else:
+            classes[key] = SimpleRecord(act, ann, count)
+    return [classes[key] for key in sorted(classes)]
+
+
 def fresh_element_try_split(action, field, rng):
     """A proper nonzero invariant subspace, or None if certified simple, from
     a fresh random element per attempt, every factor of its minimal
-    polynomial at a random vector tried in turn, within repn.MAX_ATTEMPTS
-    attempts."""
+    polynomial at a random vector tried in turn, within MAX_ATTEMPTS
+    attempts. Irreducibility is certified by the dual-module (Norton)
+    criterion, which needs a factor g whose kernel dimension equals its
+    degree."""
     p = field.p
     n, m, _ = action.shape
     if m == 1:
         return None
-    for _ in range(repn.MAX_ATTEMPTS):
+    for _ in range(MAX_ATTEMPTS):
         coeffs = rng.integers(0, p, size=n)
         theta = tensordot_mod(coeffs, action, ([0], [0]), p)
         v = rng.integers(0, p, size=m)
         if not v.any():
             continue
-        f = repn.minpoly_on_vector(theta, v, p)
+        f = minpoly_on_vector(theta, v, p)
         if len(f) <= 1:
             continue
         for g, _mult in irreducible_factors(f, p):
-            nullsp = kernel(repn.poly_eval_matrix(g, theta, p), p)
+            nullsp = kernel(poly_eval_matrix(g, theta, p), p)
             if nullsp.shape[0] == 0:
                 continue
-            for w in nullsp[:repn.SPIN_VECTORS_PER_KERNEL]:
-                w_spun = repn.spin(action, [w], field)
+            for w in nullsp[:SPIN_VECTORS_PER_KERNEL]:
+                w_spun = spin(action, [w], field)
                 if 0 < w_spun.dim < m:
                     return w_spun
             if nullsp.shape[0] == len(g) - 1:
                 # the dual (Norton) criterion is decisive
-                dual_null = kernel(repn.poly_eval_matrix(g, theta.T % p, p), p)
-                u_spun = repn.spin(action.transpose(0, 2, 1), [dual_null[0]], field)
+                dual_null = kernel(poly_eval_matrix(g, theta.T % p, p), p)
+                u_spun = spin(action.transpose(0, 2, 1), [dual_null[0]], field)
                 if u_spun.dim < m:
                     return Subspace(field, m, kernel(u_spun.basis, p))
                 return None
@@ -851,11 +966,13 @@ def fresh_element_try_split(action, field, rng):
 
 
 def whole_module_chop(alg: StructureConstantAlgebra, action: np.ndarray, seed: int = 0) -> list:
-    """repn.chop of any module, given by its action stack, without the
-    central split and without handing splitting elements down: the whole
-    module seeds the split stack, each module of the split tree draws its
-    own elements (fresh_element_try_split), and the leaves are merged as
-    chop merges them."""
+    """The composition factors of any module, given by its action stack, by
+    the standard randomized MeatAxe: the whole module seeds the split stack,
+    each module of the split tree draws its own elements
+    (fresh_element_try_split), and the leaves are merged by (dimension,
+    annihilator) (merge_leaves). Every leaf is a subquotient of the module,
+    so its action is an algebra map by exactness and is not checked, nor is
+    the invariance of the subspaces it splits along (see spin)."""
     rng = np.random.default_rng(seed)
     stack, leaves = [asmat(action, alg.field.p)], []
     while stack:
@@ -864,35 +981,15 @@ def whole_module_chop(alg: StructureConstantAlgebra, action: np.ndarray, seed: i
         if w is None:
             leaves.append(act)
             continue
-        stack += [repn.restrict_action(act, w, alg.field.p), repn.quotient_action(act, w, alg.field.p)]
-    return repn._merge_leaves(alg, leaves)
+        stack += [restrict_action(act, w, alg.field.p), quotient_action(act, w, alg.field.p)]
+    assert sum(a.shape[1] for a in leaves) == action.shape[1]
+    return merge_leaves(alg, leaves)
 
 
-def dense_central_pieces(alg: StructureConstantAlgebra, rng) -> list[np.ndarray]:
-    """repn._central_pieces on the dense regular stack: the same draw of z,
-    with rho(z) formed from the stack, each generalized eigenspace found by
-    powers of g(rho(z)) from power_sum_poly_eval and its action restricted
-    from the stack (repn.restrict_action); the whole stack when z does not
-    split it."""
-    action, centre, p = alg.left_regular(), alg.centre, alg.field.p
-    factors, pieces = [], []
-    if centre.dim > 1:
-        z = matmul_mod(rng.integers(0, p, size=centre.dim), centre.basis, p)
-        theta = tensordot_mod(z, action, ([0], [0]), p)
-        piv = list(centre.pivots)
-        on_centre = matmul_mod(theta, centre.basis.T, p)[piv]
-        factors = list(irreducible_factors(repn.minpoly_on_vector(on_centre, alg.unit[piv], p), p))
-    if len(factors) > 1:
-        for g, mult in factors:
-            power = g_theta = power_sum_poly_eval(g, theta, p)
-            for _ in range(mult - 1):
-                power = matmul_mod(power, g_theta, p)
-            piece = Subspace(alg.field, alg.dim, kernel(power, p))
-            if piece.dim:
-                pieces.append(repn.restrict_action(action, piece, p))
-    if sum(piece.shape[1] for piece in pieces) != alg.dim:
-        return [action]
-    return pieces
+def chop(alg: StructureConstantAlgebra, seed: int = 0) -> list[SimpleRecord]:
+    """The simple modules of the algebra, with annihilators and
+    multiplicities: the whole-module chop of its regular module."""
+    return whole_module_chop(alg, left_regular(alg), seed)
 
 
 def power_sum_poly_eval(coeffs_desc, theta, p: int) -> np.ndarray:

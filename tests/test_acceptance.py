@@ -26,16 +26,17 @@ from hopfib.hopf import (
     winding,
 )
 from hopfib.linalg import FieldSpec, SparseTensor, rref
-from hopfib.repn import chop
+from hopfib.repn import spectrum
 from hopfib.specmap import (
     Partition,
     fibers,
     orbits,
-    prim_enumerate,
     verify_theorem,
 )
 
 from oracles import (
+    chop,
+    left_regular,
     ad_one_dim_submodules,
     adjoint_action,
     brute_force_characters,
@@ -435,7 +436,7 @@ def test_criterion_3_adjoint_identity(corpus):
         for name in HOPF_NAMES:
             h = corpus[name].h
             p = h.field.p
-            ad = adjoint_action(h, h.alg.left_regular(), right_regular(h.alg))
+            ad = adjoint_action(h, left_regular(h.alg), right_regular(h.alg))
             checked_module(h.alg, ad)  # ad is built unchecked: it must be a left module
             found = ad_one_dim_submodules(h, ad)
             assert found  # at least the counit eigenvector (the unit element)
@@ -449,7 +450,7 @@ def test_criterion_3_adjoint_identity(corpus):
 
 def test_criterion_4_positive_group_case(corpus):
     with criterion(4, 10.0):
-        v = verify_theorem(corpus["q8"], fibers(corpus["q8"], prim_enumerate(corpus["q8"].h.alg, seed=7)))
+        v = verify_theorem(corpus["q8"], fibers(corpus["q8"], spectrum(corpus["q8"].h.alg, seed=7)))
         assert (v.cond_i, v.cond_ii, v.cond_iii, v.cond_iv) == (True, True, True, True)
         assert v.agree
         assert v.x_order == 4
@@ -460,7 +461,7 @@ def test_criterion_4_positive_group_case(corpus):
 def test_criterion_5_negative_group_case(corpus):
     with criterion(5, 10.0):
         inst = corpus["s3c2"]
-        prims = prim_enumerate(inst.h.alg, seed=7)
+        prims = spectrum(inst.h.alg, seed=7)
         v = verify_theorem(inst, fibers(inst, prims))
         assert (v.cond_i, v.cond_ii, v.cond_iii, v.cond_iv) == (False, False, False, False)
         assert v.agree
@@ -474,7 +475,7 @@ def test_criterion_6_quantum_positive_case(corpus):
     with criterion(6, 30.0):
         inst = corpus["qsl2"]
         assert inst.dim == 27
-        prims = prim_enumerate(inst.h.alg, seed=7)
+        prims = spectrum(inst.h.alg, seed=7)
         assert len(prims) == 3
         assert all(it.dim == 1 for it in prims)
         v = verify_theorem(inst, fibers(inst, prims), mode="local")
@@ -486,7 +487,7 @@ def test_criterion_6_quantum_positive_case(corpus):
 def test_criterion_7_quantum_negative_case(corpus):
     with criterion(7, 30.0):
         inst = corpus["usl2"]
-        prims = prim_enumerate(inst.h.alg, seed=7)
+        prims = spectrum(inst.h.alg, seed=7)
         assert any(it.dim == 3 for it in prims)
         v = verify_theorem(inst, fibers(inst, prims))
         assert v.x_order == 1
@@ -505,7 +506,7 @@ def test_criterion_8_fibers_are_unions_of_orbits(corpus):
             inst = corpus[name]
             h = inst.h
             p = h.field.p
-            prims = prim_enumerate(h.alg, seed=0)
+            prims = spectrum(h.alg, seed=0)
             x = x_by_restriction(h, inst.a, one_dim_characters(h.alg, prims))
             gens = x.gens
             sides = ("right",) if h.antipode is not None else ("right", "left")
@@ -558,7 +559,7 @@ def test_criterion_10_quantum_matrices_experiment(corpus):
         assert inst.h.antipode is None
         chars = enumerate_characters(inst.h)
         assert len(chars) == 9
-        v = verify_theorem(inst, fibers(inst, prim_enumerate(inst.h.alg, seed=7)), mode="local")
+        v = verify_theorem(inst, fibers(inst, spectrum(inst.h.alg, seed=7)), mode="local")
         assert v.mode == "experiment"  # excluded from the equivalence gate
         assert v.x_order == 9
         assert v.cond_iii is True

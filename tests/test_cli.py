@@ -568,19 +568,17 @@ class TestVerifyCommand:
 
     def test_uniform_fibers_reuses_the_characters_of_verify(self, q8_file, capsys, spy):
         # both reports read the one spectrum of H: one spectrum (of
-        # H = F_7[Q8]), no character enumeration, and no spectrum or chop of
+        # H = F_7[Q8]), no character enumeration, and no spectrum of
         # A = F_7[Z(Q8)]
         import hopfib.cli
         import hopfib.hopf
         import hopfib.repn
-        import hopfib.specmap
 
         enumerations = spy("enumerate_characters", hopfib.hopf, hopfib.cli)
-        spectra = spy("spectrum", hopfib.repn, hopfib.specmap, hopfib.hopf)
-        chops = spy("chop", hopfib.repn, hopfib.cli)
+        spectra = spy("spectrum", hopfib.repn, hopfib.hopf, hopfib.cli)
         code, report = run(capsys, "verify", "--input", str(q8_file), "--uniform-fibers")
         assert code == 0 and len(report["results"]["uniform_fibers"]["entries"]) == 2
-        assert enumerations == [] and chops == []
+        assert enumerations == []
         assert [args[0].dim for args in spectra] == [8]
 
     def test_uniform_fibers_builds_no_quotient_algebra(self, q8_file, capsys):
@@ -619,21 +617,19 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("mode", ["global", "local"])
     def test_uniform_fibers_without_antipode_exits_2_before_any_chop(self, tmp_path, capsys, spy, mode):
         # qm2 is a bialgebra without an antipode: the remark's Hopf-subalgebra
-        # checks refuse it before H is chopped
+        # checks refuse it before the spectrum of H is read
         import hopfib.cli
         import hopfib.hopf
         import hopfib.repn
-        import hopfib.specmap
 
         path = tmp_path / "qm2.json"
         path.write_text(canonical_json(corpus_instance_to_dict(quantum_m2_kernel(3, 7))))
-        chops = spy("chop", hopfib.repn, hopfib.cli)
-        spectra = spy("spectrum", hopfib.repn, hopfib.specmap, hopfib.hopf)
+        spectra = spy("spectrum", hopfib.repn, hopfib.hopf, hopfib.cli)
         code = main(["verify", "--input", str(path), "--mode", mode, "--uniform-fibers"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "error: A Hopf subalgebra needs an ambient antipode\n"
-        assert chops == [] and spectra == []
+        assert spectra == []
 
     def test_input_digest_present(self, q8_file, capsys):
         _, report = run(capsys, "characters", "--input", str(q8_file))
@@ -692,32 +688,35 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("name", ["qsl2", "qm2", "s3s3-bigp"])
     def test_verify_and_characters_split_no_module(self, instances, tmp_path, capsys, spy, name):
-        # Prim H is read off the primitive idempotents of the centre of H/R0:
-        # no chop, and no module of H or of H/R0 is split
-        import hopfib.cli
+        # Prim H is read off the primitive idempotents of the centre of H/R0,
+        # once per command: no exact radical, no lifted idempotent, and no
+        # module of H or of H/R0 is split
         import hopfib.repn
 
         path = tmp_path / f"{name}.json"
         write_instance(path, s3s3_big_p() if name == "s3s3-bigp" else instances(name))
-        chops = spy("chop", hopfib.repn, hopfib.cli)
-        splits = spy("_try_split", hopfib.repn)
+        blocks = spy("_primitive_idempotents", hopfib.repn)
+        lifts = spy("_lifted_idempotents", hopfib.repn)
         for argv in (["verify"], ["verify", "--mode", "local"], ["characters"]):
             code, report = run(capsys, *argv, "--input", str(path))
             assert code == 0 and report is not None
-        assert chops == [] and splits == []
+        assert len(blocks) == 3 and all(args[1] is args[0].trace_radical for args in blocks)
+        assert lifts == []
 
     def test_verify_and_characters_leave_numpy_random_unloaded(self, instances, tmp_path):
-        # the split route draws its one central element from random.Random;
-        # importing numpy.random would cost every run about 5 ms
-        paths = [tmp_path / "q8.json", tmp_path / "s3s3-bigp.json"]
+        # every route draws its central elements from random.Random;
+        # importing numpy.random would cost every run about 5 ms. F_3[S3]
+        # takes the exact radical, and simples lifts idempotents
+        paths = [tmp_path / "q8.json", tmp_path / "s3s3-bigp.json", tmp_path / "f3s3.json"]
         write_instance(paths[0], instances("q8"))
         write_instance(paths[1], s3s3_big_p())
+        write_instance(paths[2], modular_and_unsplit_pairs()["f3s3"])
         script = "\n".join([
             "import contextlib, io, sys",
             "from hopfib.cli import main",
             "with contextlib.redirect_stdout(io.StringIO()):",
             *(f"    assert main([{command!r}, '--input', {str(path)!r}]) == 0"
-              for path in paths for command in ("verify", "characters")),
+              for path in paths for command in ("verify", "characters", "simples")),
             "print('numpy.random' in sys.modules)",
         ])
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -745,13 +744,13 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("name", ["qsl2", "usl2", "qm2"])
     def test_verify_builds_no_dense_regular_stack(self, instances, tmp_path, capsys, spy, name):
-        from hopfib.algebra import StructureConstantAlgebra
+        from hopfib.linalg import SparseTensor
 
         path = tmp_path / f"{name}.json"
         write_instance(path, instances(name))
-        stacks = spy("left_regular", StructureConstantAlgebra)
+        denses = spy("dense", SparseTensor)
         code, _ = run(capsys, "verify", "--input", str(path))
-        assert code == 0 and stacks == []
+        assert code == 0 and [t.rank for (t,) in denses].count(3) == 0
 
 
 # sha256 of canonical_json(report["results"]) for each shipped instance and
@@ -812,3 +811,52 @@ class TestPinnedReports:
                 code, report = run(capsys, *argv, "--input", str(path), "--seed", seed)
                 got = report and hashlib.sha256(canonical_json(report["results"]).encode()).hexdigest()
                 assert (code, got) == ((0, want) if want else (2, None)), (command, seed)
+
+
+def modular_and_unsplit_pairs():
+    """The pairs on which Prim H is read off H/J(H) rather than H/R0, or off a
+    centre that F_p does not split: F_3[S3] and F_3[S3 x C2] (modular group
+    algebras, R0 = H) and F_p[C4] at p = 2**31 - 1, A = F_p[C2], where
+    x**2 + 1 is irreducible."""
+    with pytest.warns(UserWarning, match="not semisimple"):
+        f3s3 = group_algebra_pair(FieldSpec(3), builtin_group("s3"), [0])
+        s3c2 = direct_product(builtin_group("s3"), builtin_group("c2"))
+        f3s3c2 = group_algebra_pair(FieldSpec(3), s3c2, s3c2.center())
+    return {"f3s3": f3s3, "f3s3c2": f3s3c2,
+            "c4c2-bigp": group_algebra_pair(FieldSpec(2**31 - 1), builtin_group("c4"), [0, 2])}
+
+
+# sha256 of canonical_json(report["results"]) of simples, the same at seeds 0
+# and 1, as the package gave them while simples still chopped the regular
+# module
+PINNED_SIMPLES = {
+    "c3": "82d6adb269494378a4c59411e49e7f3eb9638881851d968c9471d20b0eac8ef7",
+    "c4c2": "413ec1550a7cb80230d87cfc6fd83bf7421ef41b5da7ef53cbfeb7339c00325d",
+    "q8": "97206763a0f21798a89d79579147fc97dcd482592c35c16851f12b9af62a076b",
+    "s3c2": "070d027b0b75909932dc05725c309f75375e2e85ab441fd225f098b452e80232",
+    "qsl2": "aac7ab4255d768d710820fc603eb11475235ad3e5014fe05c4b15948e4825b31",
+    "usl2": "a90f9e2015cd16cbd37e5053fcb0847cafe0b1dd14d9229fe95e45e6d9ad40f9",
+    "qm2": "cde58f335ff01a27d62d77e3f88319c23a1d5652ae4effba45fac076142b9436",
+    "s3s3-bigp": "bae2712a171090ab38572c64470fbea88bf3e8aecc51423c8588094a057e4051",
+    "f3s3": "9ef6a901d8580f62097f44c39d49a84edc6a7f6d071a3f20d7596561d0b144e0",
+    "f3s3c2": "9a1a2dd2e7a200a6588960ea6f710bc3daf5f6e9898519812119ee8038a44732",
+    "c4c2-bigp": "cccdf4562af6bcc8a8782b94453d1be5e6e50d523c3593e5725e5a615c2868c4",
+}
+
+
+class TestPinnedSimples:
+    """simples reports the dimension, multiplicity and annihilator of every
+    simple module; a change of route must leave them byte for byte."""
+
+    @pytest.mark.parametrize("name", list(PINNED_SIMPLES))
+    def test_simples_digests_are_pinned(self, instances, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.json"
+        if name in SHIPPED_NAMES:
+            inst = instances(name)
+        else:
+            inst = s3s3_big_p() if name == "s3s3-bigp" else modular_and_unsplit_pairs()[name]
+        write_instance(path, inst)
+        for seed in ("0", "1"):
+            code, report = run(capsys, "simples", "--input", str(path), "--seed", seed)
+            got = hashlib.sha256(canonical_json(report["results"]).encode()).hexdigest()
+            assert (code, got) == (0, PINNED_SIMPLES[name]), seed

@@ -25,9 +25,12 @@ from hopfib.hopf import (
     verify_structure,
 )
 from hopfib.linalg import FieldSpec, Subspace, rref
-from hopfib.repn import annihilator, chop, spin
 
 from oracles import (
+    annihilator,
+    chop,
+    left_regular,
+    spin,
     brute_force_characters,
     character_of,
     checked_module,
@@ -324,7 +327,7 @@ class TestIdealClosureOnCorpus:
 
     def test_regular_homomorphism_identity_on_qsl2(self, qsl2_pair):
         alg = qsl2_pair.h.alg
-        left = alg.left_regular()
+        left = left_regular(alg)
         flat = left.reshape(27, 27 * 27)
         for i in range(27):
             actual = (left[i] @ left) % 7

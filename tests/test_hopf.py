@@ -24,10 +24,11 @@ from hopfib.hopf import (
     winding,
 )
 from hopfib.linalg import FieldSpec, Subspace, kernel, matmul_mod
-from hopfib.repn import chop
-from hopfib.specmap import prim_enumerate
+from hopfib.repn import spectrum
 
 from oracles import (
+    chop,
+    left_regular,
     NotABimodule,
     ad_one_dim_submodules,
     adjoint_action,
@@ -328,7 +329,7 @@ class TestCharacterGroupX:
 class TestAdjoint:
     def test_regular_bimodule_ad_on_unit(self, q8_pair):
         h = q8_pair.h
-        ad = adjoint_action(h, h.alg.left_regular(), right_regular(h.alg))
+        ad = adjoint_action(h, left_regular(h.alg), right_regular(h.alg))
         one = h.alg.unit
         for i in range(h.dim):
             assert np.array_equal((ad[i] @ one) % 7, (h.counit[i] * one) % 7)
@@ -336,7 +337,7 @@ class TestAdjoint:
     def test_group_algebra_ad_is_conjugation(self, q8_pair):
         h = q8_pair.h
         g = builtin_group("q8")
-        ad = adjoint_action(h, h.alg.left_regular(), right_regular(h.alg))
+        ad = adjoint_action(h, left_regular(h.alg), right_regular(h.alg))
         for i in range(8):
             expected = np.zeros((8, 8), dtype=np.int64)
             for v in range(8):
@@ -347,7 +348,7 @@ class TestAdjoint:
         # if ad(h) n = chi(h) n for all h then right-multiplication by n
         # equals left-multiplication by n composed with the winding map
         h = q8_pair.h
-        ad = adjoint_action(h, h.alg.left_regular(), right_regular(h.alg))
+        ad = adjoint_action(h, left_regular(h.alg), right_regular(h.alg))
         found = ad_one_dim_submodules(h, ad)
         assert found, "central group-likes must give ad-eigenvectors"
         for chi, eigenspace in found:
@@ -359,7 +360,7 @@ class TestAdjoint:
 
     def test_central_group_likes_are_trivial_eigenvectors(self, q8_pair):
         h = q8_pair.h
-        ad = adjoint_action(h, h.alg.left_regular(), right_regular(h.alg))
+        ad = adjoint_action(h, left_regular(h.alg), right_regular(h.alg))
         found = dict(
             (chi.values, space) for chi, space in ad_one_dim_submodules(h, ad)
         )
@@ -374,7 +375,7 @@ class TestAdjoint:
     def test_bad_stack_names_the_side_and_the_all_pairs_witness(self, q8_pair, side):
         # both stacks go through checked_module on G, the right one transposed
         h = q8_pair.h
-        stacks = {"left": h.alg.left_regular().copy(), "right": right_regular(h.alg).copy()}
+        stacks = {"left": left_regular(h.alg).copy(), "right": right_regular(h.alg).copy()}
         stacks[side][3, 0, 1] = (stacks[side][3, 0, 1] + 1) % 7
         as_module = stacks[side] if side == "left" else stacks[side].transpose(0, 2, 1)
         at = all_pairs_module_witness(h.alg, as_module)
@@ -400,7 +401,7 @@ class TestFiberQuotient:
             a = coideal_subalgebra(h, Subspace(F7, g.order, np.eye(g.order, dtype=np.int64)[c3]))
         else:
             h, a = instances(name).h, instances(name).a
-        prims = prim_enumerate(h.alg)
+        prims = spectrum(h.alg)
         outcomes = []
         for xi in enumerate_characters(subalgebra_as_algebra(h.alg, a.subspace)[0]):
             over = [P for P in prims if contract(P, a) == character_kernel(a, xi)]

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import sparse
 from sympy import isprime, primefactors
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor, gf_irreducible_p
+from sympy.polys.galoistools import gf_factor, gf_irreducible_p, gf_rem, gf_strip
 
 from hopfib import linalg
 from hopfib.errors import BudgetExceeded, NoSuchRoot
@@ -23,6 +23,7 @@ from hopfib.linalg import (
     SparseTensor,
     Subspace,
     contract,
+    crt_idempotents,
     find_root_of_unity,
     first_difference,
     irreducible_factors,
@@ -34,10 +35,9 @@ from hopfib.linalg import (
     permute,
     prime_factors,
     rref,
-    tensordot_mod,
 )
 
-from oracles import binary_ladder_pow, intersect, inverse_mod, masked_rref, solve, two_elimination_kernel
+from oracles import binary_ladder_pow, intersect, inverse_mod, masked_rref, solve, tensordot_mod, two_elimination_kernel
 
 F7 = FieldSpec(7)
 
@@ -189,6 +189,22 @@ class TestFactorPoly:
         got = check_factorisation(f, p)
         check_stream(f, p)
         assert max(m for _, m in got) > 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.sampled_from(FACTOR_PRIMES))
+    def test_crt_idempotents_are_one_at_their_factor_and_zero_at_the_others(self, data, p):
+        # the squarefree product of a random polynomial's irreducible
+        # factors, linear and nonlinear, against sympy's remainder
+        factors = [g for g, _ in irreducible_factors(data.draw(monic_polys(p, 1, 12)), p)]
+        f = [1]
+        for g in factors:
+            f = poly_mul(f, list(g), p)
+        rows = crt_idempotents(f, factors, p)
+        assert rows.shape == (len(factors), len(f) - 1)
+        for i, row in enumerate(rows):
+            e = gf_strip(ZZ.map([int(c) for c in row[::-1]]))
+            for j, g in enumerate(factors):
+                assert gf_rem(e, ZZ.map(list(g)), p, ZZ) == ([1] if i == j else []), (i, j)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.sampled_from([3, 5, 7]))
@@ -770,9 +786,8 @@ def lint_regular_stack_reads(tree: ast.AST) -> list[tuple[int, str]]:
 
 class TestOnlyAlgebraDensifiesMul:
     """The multiplication is stored once, as a sparse tensor; algebra.py alone
-    builds a dense view of it (the regular module's action stack), and only
-    repn._central_pieces asks for that view, when the centre leaves the
-    regular module in one piece."""
+    builds a dense view of it, and no package code reads a dense action
+    stack of the regular module (the tests' oracles.left_regular)."""
 
     def test_lint_flags_each_pattern(self):
         bad = ast.parse(
@@ -806,7 +821,7 @@ class TestOnlyAlgebraDensifiesMul:
             for path in sorted(SRC.glob("*.py"))
             for line, scope in lint_regular_stack_reads(ast.parse(path.read_text()))
         }
-        assert list(reads) == [("repn.py", "_central_pieces")]
+        assert list(reads) == []
 
 
 class TestEveryProductGoesThroughLinalg:

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfib.repn
-from hopfib.algebra import StructureConstantAlgebra, build_algebra
-from hopfib.corpus import SHIPPED_NAMES, builtin_group, direct_product, group_algebra_pair
-from hopfib.errors import DimensionMismatch
+from hopfib.algebra import StructureConstantAlgebra, build_algebra, closing_maps, ideal_closure
+from hopfib.corpus import SHIPPED_NAMES, GroupTable, builtin_group, direct_product, group_algebra_pair
+from hopfib.errors import DimensionMismatch, HopfibError
 from hopfib.fileio import instance_from_dict
 from hopfib.linalg import (
     FieldSpec,
@@ -19,33 +19,32 @@ from hopfib.linalg import (
     irreducible_factors,
     kernel,
     matmul_mod,
-    tensordot_mod,
+    null_space,
 )
-from hopfib.repn import (
-    annihilator,
-    chop,
-    spectrum,
-    minpoly_on_vector,
-    poly_eval_matrix,
-    quotient_action,
-    restrict_action,
-    spin,
-)
+from hopfib.repn import minpoly_on_vector, simples, spectrum
 
 from hopfib.rewrite import extract_bialgebra
 
+import oracles
 from oracles import (
     all_pairs_module_witness,
+    annihilator,
     checked_module,
+    chop,
     endomorphism_degrees,
     checked_restrict_action,
-    dense_central_pieces,
     fixed_point_spin,
     inverse_mod,
     iso_simple,
     krylov_solve_minpoly,
+    left_regular,
+    poly_eval_matrix,
     power_sum_poly_eval,
     product_quotient_action,
+    quotient_action,
+    restrict_action,
+    spin,
+    tensordot_mod,
     truncated_times_f3,
     whole_module_chop,
 )
@@ -105,7 +104,7 @@ class TestModuleRep:
     """The module-axiom check of the tests (oracles.checked_module)."""
 
     def test_regular_module_valid(self, c3):
-        assert checked_module(c3, c3.left_regular()).shape == (3, 3, 3)
+        assert checked_module(c3, left_regular(c3)).shape == (3, 3, 3)
 
     def test_broken_action_rejected(self, c3):
         # g acts by diag(3,1,1) but g*g would then act by diag(2,1,1) != identity
@@ -116,7 +115,7 @@ class TestModuleRep:
             checked_module(c3, bad)
 
     def test_spin_of_invariant_vector(self, c3):
-        reg = c3.left_regular()
+        reg = left_regular(c3)
         full = spin(reg, [[1, 0, 0]], F7)
         assert full.dim == 3
         # the all-ones vector spans the trivial submodule of a group algebra
@@ -149,7 +148,7 @@ class TestModuleCheckOnGenerators:
         for inst in oracle_cases:
             alg, p = inst.h.alg, inst.h.field.p
             actions = [rec.action for rec in chop(alg)]
-            actions += [alg.left_regular()] if alg.dim <= 36 else []
+            actions += [left_regular(alg)] if alg.dim <= 36 else []
             for action in actions:
                 assert module_witness(alg, action) is None is all_pairs_module_witness(alg, action)
                 for _ in range(2):
@@ -163,8 +162,9 @@ class TestModuleCheckOnGenerators:
 
 
 class TestSplitHelpersMatchOracles:
-    """spin, restrict_action and quotient_action skip work their answers do
-    not need; each must match the checked helper it replaced bit for bit."""
+    """The whole-module chop's spin, restrict_action and quotient_action skip
+    work their answers do not need; each must match the checked helper it
+    replaced bit for bit."""
 
     @staticmethod
     def _seeds(stack, field, rng):
@@ -193,7 +193,7 @@ class TestSplitHelpersMatchOracles:
         algebras.append(instance_from_dict(rebased_big_p("q8")).h.alg)
         for k, alg in enumerate(algebras):
             field, p = alg.field, alg.field.p
-            action = alg.left_regular()
+            action = left_regular(alg)
             m = action.shape[1]
             rng = np.random.default_rng(k)
             splits = perps = 0
@@ -220,7 +220,7 @@ class TestSplitHelpersMatchOracles:
         degrees = set()
         for k, alg in enumerate(algebras):
             p = alg.field.p
-            action = alg.left_regular()
+            action = left_regular(alg)
             n, m, _ = action.shape
             rng = np.random.default_rng(k)
             for _ in range(3):
@@ -251,21 +251,17 @@ class TestSplitHelpersMatchOracles:
 
     @pytest.mark.parametrize("degree", range(4))
     def test_poly_eval_of_degree_d_takes_d_minus_one_products(self, s3, spy, degree):
-        from hopfib import repn
-
-        theta = tensordot_mod(np.arange(6), s3.left_regular(), ([0], [0]), 7)
-        calls = spy("matmul_mod", repn)
+        theta = tensordot_mod(np.arange(6), left_regular(s3), ([0], [0]), 7)
+        calls = spy("matmul_mod", oracles)
         out = poly_eval_matrix([1] + [3] * degree, theta, 7)
         # a linear factor, the usual one, is theta + c*I with no product
         assert len(calls) == max(degree - 1, 0)
         assert np.array_equal(out, power_sum_poly_eval([1] + [3] * degree, theta, 7))
 
     def test_one_spin_is_one_product(self, s3, spy):
-        from hopfib import repn
-
-        calls = spy("matmul_mod", repn)
+        calls = spy("matmul_mod", oracles)
         # 1 - t for a transposition t generates a proper left ideal of F_7[S3]
-        sub = spin(s3.left_regular(), [[1, 6, 0, 0, 0, 0]], F7)
+        sub = spin(left_regular(s3), [[1, 6, 0, 0, 0, 0]], F7)
         assert len(calls) == 1 and sub.dim == 3
 
 
@@ -315,11 +311,22 @@ def records(recs):
     return [(r.dim, r.multiplicity, r.annihilator.key()) for r in recs]
 
 
+def s4_group():
+    """S4 as the permutations of {0, 1, 2, 3} in lexicographic order."""
+    perms = sorted(itertools.permutations(range(4)))
+    index = {q: i for i, q in enumerate(perms)}
+    return GroupTable.from_cayley([[index[tuple(a[b[t]] for t in range(4))] for b in perms] for a in perms])
+
+
 class TestCentralSplit:
-    """chop splits the regular module along a random central element before
-    the split stack, whose children first try the element that split their
-    parent; the whole-module chop, which draws fresh elements for every
-    module of its split tree, is the oracle."""
+    """simples splits H along the primitive central idempotents of H/J(H),
+    each lifted to an idempotent e of H, and reads the multiplicity of each
+    simple off the right ideal e H; the whole-module chop of the regular
+    module, which draws fresh elements for every module of its split tree,
+    is the oracle for its records, and the intersection of the chop's
+    annihilators for J(H). The cases: the shipped instances, F_p[S3 x S3]
+    and q8 and s3c2 rebased at p = 2**31 - 1, F_p[C4] at that prime (not
+    split), and the modular F_3[S3], F_3[S3 x C2] and F_3[S4]."""
 
     @pytest.fixture(scope="class")
     def cases(self, instances, rebased_big_p):
@@ -327,212 +334,70 @@ class TestCentralSplit:
         algs["s3s3-bigp"] = big_p_s3s3()
         for name in ("q8", "s3c2"):
             algs[f"{name}-bigp-rebased"] = instance_from_dict(rebased_big_p(name)).h.alg
+        algs["c4c2-bigp"] = group_algebra_pair(FieldSpec(2**31 - 1), builtin_group("c4"), [0, 2]).h.alg
+        with pytest.warns(UserWarning, match="not semisimple"):
+            algs["f3s3"] = group_algebra_pair(FieldSpec(3), builtin_group("s3"), [0]).h.alg
+            s3c2 = direct_product(builtin_group("s3"), builtin_group("c2"))
+            algs["f3s3c2"] = group_algebra_pair(FieldSpec(3), s3c2, s3c2.center()).h.alg
+            algs["f3s4"] = group_algebra_pair(FieldSpec(3), s4_group(), [0]).h.alg
         return algs
 
     @pytest.mark.parametrize("seed", range(4))
     def test_records_match_the_whole_module_chop(self, cases, seed):
-        assert len(cases) == 10
+        assert len(cases) == 14
         for name, alg in cases.items():
-            want = records(whole_module_chop(alg, alg.left_regular(), seed=seed))
-            assert records(chop(alg, seed=seed)) == want, name
+            want = records(whole_module_chop(alg, left_regular(alg), seed=seed))
+            got = [(r.dim, multiplicity, r.annihilator.key()) for r, multiplicity in simples(alg, seed=seed)]
+            assert got == want, name
+
+    def test_the_radical_is_the_intersection_of_the_chop_annihilators(self, cases):
+        # J(H) is the kernel of the action on the sum of the simple modules;
+        # the chain runs levels only where p <= dim H, and is R0 elsewhere
+        levels = {}
+        for name, alg in cases.items():
+            actions = [rec.action.reshape(alg.dim, -1).T for rec in chop(alg, seed=0)]
+            assert alg.radical == null_space(np.vstack(actions), alg.field), name
+            levels[name] = (alg.trace_radical.dim, alg.radical.dim)
+        assert levels["f3s3"] == (6, 4) and levels["f3s3c2"] == (12, 8) and levels["f3s4"] == (24, 4)
+        assert levels["qm2"] == (72, 72) and levels["s3s3-bigp"] == (0, 0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_pieces_read_from_mul_equal_the_restricted_dense_stack(self, cases, seed):
-        # the regular module's pieces come from the sparse mul; the oracle is
-        # the same central split of the dense stack, through restrict_action
+        # each lifted block idempotent e is an idempotent of H, held on the
+        # dense regular stack, in the class of its block idempotent mod I,
+        # and the right ideal e H that simples closes from the sparse mul is
+        # the column space of the stack contracted with e
         from hopfib import repn
 
         for name, alg in cases.items():
-            pieces = repn._central_pieces(alg, np.random.default_rng(seed))
-            sparse = [alg.left_ideal_action(a) if isinstance(a, Subspace) else a for a in pieces]
-            dense = dense_central_pieces(alg, np.random.default_rng(seed))
-            assert len(sparse) == len(dense), name
-            assert all(np.array_equal(a, b) for a, b in zip(sparse, dense)), name
-
-    def test_left_ideal_action_on_random_left_ideals(self, cases):
-        rng = np.random.default_rng(0)
-        for name, alg in cases.items():
-            p, stack = alg.field.p, alg.left_regular()
-            for _ in range(3):
-                # H v, the span of the e_i v
-                ideal = Subspace(alg.field, alg.dim, alg.right_mult_matrix(rng.integers(0, p, size=alg.dim)).T)
-                assert np.array_equal(alg.left_ideal_action(ideal), restrict_action(stack, ideal, p)), name
-
-    @pytest.mark.parametrize("name, dense_stacks", [("qm2", 0), ("s3c2", 0), ("qsl2", 1)])
-    def test_the_dense_stack_is_built_only_for_a_single_piece(self, instances, spy, name, dense_stacks):
-        # qm2's and s3c2's centres split the regular module; qsl2's is local
-        alg = instances(name).h.alg
-        stacks = spy("left_regular", StructureConstantAlgebra)
-        denses = spy("dense", SparseTensor)
-        chop(alg, seed=0)
-        assert len(stacks) == dense_stacks
-        assert [t.rank for (t,) in denses].count(3) == dense_stacks
-
-    def pieces_and_first_split(self, alg, monkeypatch):
-        from hopfib import repn
-
-        pieces, tried = [], []
-        real_pieces, real_try = repn._central_pieces, repn._try_split
-
-        def counted_pieces(*args):
-            out = real_pieces(*args)
-            pieces.extend(a.dim if isinstance(a, Subspace) else a.shape[1] for a in out)
-            return out
-
-        def counted_try(action, *args):
-            tried.append((len(pieces), action.shape[1]))
-            return real_try(action, *args)
-
-        monkeypatch.setattr(repn, "_central_pieces", counted_pieces)
-        monkeypatch.setattr(repn, "_try_split", counted_try)
-        return chop(alg, seed=0), pieces, tried
-
-    def test_each_piece_stack_is_built_when_the_split_stack_pops_it(self, qm2_pair, spy, monkeypatch):
-        # qm2's pieces are left ideals; only the one the split stack pops
-        # first has its action stack when the first element is tried
-        from hopfib import repn
-
-        built = spy("left_ideal_action", StructureConstantAlgebra)
-        real_try, built_at_try = repn._try_split, []
-
-        def counted_try(*args):
-            built_at_try.append(len(built))
-            return real_try(*args)
-
-        monkeypatch.setattr(repn, "_try_split", counted_try)
-        recs, pieces, _ = self.pieces_and_first_split(qm2_pair.h.alg, monkeypatch)
-        assert len(pieces) >= 2 and built_at_try[0] == 1
-        assert len(built) == len(pieces) and sorted(ideal.dim for _, ideal in built) == sorted(pieces)
-        assert [(r.dim, r.multiplicity) for r in recs] == [(1, 9)] * 9
-
-    def test_s3s3_is_split_into_central_pieces_before_any_random_element(self, monkeypatch):
-        alg = big_p_s3s3()
-        recs, pieces, tried = self.pieces_and_first_split(alg, monkeypatch)
-        assert len(pieces) >= 2 and sum(pieces) == alg.dim == 36
-        # every random element is drawn for a piece, never for the whole module
-        assert tried[0][0] == len(pieces) and max(dim for _, dim in tried) < 36
-        assert sorted(r.dim for r in recs) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
-
-    def test_a_centre_with_nilpotents_splits_into_generalized_eigenspaces(self, qm2_pair, monkeypatch):
-        # qm2's centre is not semisimple, so the pieces fill the module only
-        # as generalized eigenspaces, not as eigenspaces
-        recs, pieces, _ = self.pieces_and_first_split(qm2_pair.h.alg, monkeypatch)
-        assert len(pieces) >= 2 and sum(pieces) == 81
-        assert [(r.dim, r.multiplicity) for r in recs] == [(1, 9)] * 9
-
-    def test_a_local_centre_leaves_one_piece(self, qsl2_pair, monkeypatch):
-        alg = qsl2_pair.h.alg
-        assert alg.centre.dim == 3
-        recs, pieces, _ = self.pieces_and_first_split(alg, monkeypatch)
-        assert pieces == [27]
-        assert [(r.dim, r.multiplicity) for r in recs] == [(1, 9), (1, 9), (1, 9)]
-
-
-class TestInheritedElement:
-    """A child of a split first tries the element that split its parent, on
-    the factor that decided there, and draws fresh elements only when it
-    does not decide: the submodule child always, the quotient child when the
-    submodule is at least a third of it."""
-
-    def test_s3s3_factors_fewer_minimal_polynomials(self, spy, monkeypatch):
-        # a fresh element for every module factored 22, 24, 24 and 20 minimal
-        # polynomials per chop at seeds 0-3, the central element's included
-        from hopfib import repn
-
-        alg = big_p_s3s3()
-        counts = []
-        for seed in range(4):
-            calls = spy("irreducible_factors", repn)
-            recs = chop(alg, seed=seed)
-            monkeypatch.undo()
-            assert sorted(r.dim for r in recs) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
-            counts.append(len(calls))
-        assert all(0 < count < before for count, before in zip(counts, (22, 24, 24, 20)))
-
-    def test_an_element_without_kernel_on_the_child_gives_way_to_a_fresh_draw(self, spy):
-        # F_7[C5]: the generator acts on the quartic factor by a root of the
-        # irreducible x^4 + x^3 + x^2 + x + 1, so x - 1 has no kernel there
-        from hopfib import repn
-
-        c5 = build_algebra(F7, 5, [1, 0, 0, 0, 0], cyclic_entries(5))
-        quartic = [r.action for r in chop(c5, seed=0) if r.dim == 4][0]
-        inherited = (np.eye(5, dtype=np.int64)[1], (1, 6))
-        draws = spy("minpoly_on_vector", repn)
-        sub, decider = repn._try_split(quartic, F7, np.random.default_rng(0), inherited)
-        # certified simple by the dual criterion at a quartic factor of a fresh element
-        assert sub is None and len(draws) >= 1
-        assert not np.array_equal(decider[0], inherited[0]) and len(decider[1]) == 5
-
-    def test_qm2_children_decide_with_and_without_a_fresh_draw(self, qm2_pair, spy, monkeypatch):
-        from hopfib import repn
-
-        alg = qm2_pair.h.alg
-        draws = spy("minpoly_on_vector", repn)
-        real_try, tries = repn._try_split, []
-
-        def counted_try(action, field, rng, inherited=None):
-            before = len(draws)
-            out = real_try(action, field, rng, inherited)
-            tries.append((inherited is not None, len(draws) > before))
-            return out
-
-        monkeypatch.setattr(repn, "_try_split", counted_try)
-        recs = chop(alg, seed=0)
-        monkeypatch.undo()
-        assert records(recs) == records(whole_module_chop(alg, alg.left_regular(), seed=0))
-        # (inherited, drew fresh): children the inherited element decides,
-        # and children it cannot decide that certify through a fresh draw
-        assert {(True, False), (True, True)} <= set(tries)
-
-
-    def test_a_quotient_inherits_only_from_a_submodule_a_third_its_size(self, qm2_pair, monkeypatch):
-        from hopfib import repn
-
-        alg = qm2_pair.h.alg
-        made = {}  # id of a child's action -> (that action, side, parent's dimension)
-        real = {name: getattr(repn, name) for name in ("restrict_action", "quotient_action", "_try_split")}
-
-        def child(name, side):
-            def wrapper(action, sub, p):
-                out = real[name](action, sub, p)
-                made[id(out)] = (out, side, action.shape[1])
-                return out
-            return wrapper
-
-        tries = []
-
-        def tried(action, field, rng, inherited=None):
-            if id(action) in made:
-                _, side, parent = made[id(action)]
-                tries.append((side, 3 * (parent - action.shape[1]) >= action.shape[1], inherited is not None))
-            return real["_try_split"](action, field, rng, inherited)
-
-        monkeypatch.setattr(repn, "restrict_action", child("restrict_action", "sub"))
-        monkeypatch.setattr(repn, "quotient_action", child("quotient_action", "quo"))
-        monkeypatch.setattr(repn, "_try_split", tried)
-        chop(alg, seed=0)
-        monkeypatch.undo()
-        assert all(inherited == (side == "sub" or big_sub) for side, big_sub, inherited in tries)
-        # qm2's split tree has quotients on both sides of the mark
-        assert {("quo", True, True), ("quo", False, False)} <= set(tries)
+            p, stack = alg.field.p, left_regular(alg)
+            ideal, blocks = repn._blocks(alg, seed)
+            lifts = repn._lifted_idempotents(alg, ideal, [e for _, e in blocks])
+            assert np.array_equal(matmul_mod(lifts, ideal.quotient_map(), p), [e for _, e in blocks]), name
+            rights = closing_maps(alg)[1]
+            for e, mat in zip(lifts, tensordot_mod(lifts, stack, ([1], [0]), p)):
+                assert np.array_equal(matmul_mod(mat, mat, p), mat), name
+                piece = ideal_closure(alg, Subspace(alg.field, alg.dim, e[None]), rights)
+                assert piece == Subspace(alg.field, alg.dim, mat.T), name
 
 
 class TestSimples:
     def test_s3_simples(self, s3):
-        recs = chop(s3, seed=0)
-        assert [r.dim for r in recs] == [1, 1, 2]
+        recs = simples(s3, seed=0)
+        assert [(r.dim, multiplicity) for r, multiplicity in recs] == [(1, 1), (1, 1), (2, 2)]
         # semisimple: sum of squares of dims equals algebra dim (Wedderburn)
-        assert sum(r.dim ** 2 for r in recs) == 6
+        assert sum(r.dim ** 2 for r, _ in recs) == 6
 
     def test_m2_single_simple(self, m2):
-        recs = chop(m2, seed=0)
+        recs = simples(m2, seed=0)
         assert len(recs) == 1
-        assert recs[0].dim == 2
-        assert recs[0].annihilator.dim == 0
+        assert recs[0][0].dim == 2 and recs[0][1] == 2
+        assert recs[0][0].annihilator.dim == 0
 
     def test_irreducibility_certificates_by_exhaustive_search(self, s3):
-        # independent check: no nonzero proper invariant subspace, found by
-        # spinning every nonzero vector (dims here are at most 2)
+        # independent check of the chop oracle: no nonzero proper invariant
+        # subspace, found by spinning every nonzero vector (dims here are at
+        # most 2)
         for rec in chop(s3, seed=0):
             act = rec.action
             m = rec.dim
@@ -542,74 +407,53 @@ class TestSimples:
                     continue
                 assert spin(act, [v], F7).dim == m
 
+    def test_uncertified_data_is_refused(self, s3):
+        # the spectrum reads G and the centre, which need the axioms
+        raw = StructureConstantAlgebra(s3.field, s3.dim, s3.unit, s3.mul, ())
+        for read in (spectrum, simples):
+            with pytest.raises(HopfibError, match="needs a certified algebra"):
+                read(raw, seed=0)
+
 
 class TestBudget:
-    def test_exhausted_budget_raises(self, s3, monkeypatch):
+    def test_exhausted_budget_raises(self, q8_pair, monkeypatch):
+        # an element that splits nothing leaves the centre of H in one part
+        # that is not a field, and no further draw is allowed
         from hopfib import repn
         from hopfib.errors import BudgetExceeded
 
-        monkeypatch.setattr(repn, "MAX_ATTEMPTS", 0)
-        with pytest.raises(BudgetExceeded, match=r"attempt budget of 0 .*repn\.MAX_ATTEMPTS"):
-            chop(s3, seed=0)
+        monkeypatch.setattr(repn, "EXTRA_DRAWS", 0)
+        monkeypatch.setattr(repn, "_split", lambda theta, parts, p: parts)
+        with pytest.raises(BudgetExceeded, match=r"0 random central elements \(repn\.EXTRA_DRAWS\)"):
+            spectrum(q8_pair.h.alg, seed=0)
 
-    def test_budget_bounds_each_module_not_the_whole_chop(self, instances, monkeypatch):
-        # each attempt forms one random element with one tensordot_mod; a
-        # budget below qsl2's total but at least its largest per-module use
-        # gives the same records, since the draws do not depend on it
+    def test_parts_the_sweep_leaves_whole_are_split_by_further_draws(self, instances, monkeypatch):
+        # the first draw and the whole basis sweep split nothing here; the
+        # parts are then not certified fields, and the draws after the sweep
+        # must find the same records
         from hopfib import repn
 
-        alg = instances("qsl2").h.alg
-        per_call = []
-        real_try, real_dot = repn._try_split, repn.tensordot_mod
+        alg = instances("s3c2").h.alg
+        want = [(r.dim, r.dual.key()) for r in spectrum(alg, seed=0)]
+        real, calls = repn._split, []
 
-        def counted_dot(*args):
-            per_call[-1] += 1
-            return real_dot(*args)
+        def late(theta, parts, p):
+            calls.append(len(parts))
+            return parts if len(calls) <= 1 + alg.centre.dim else real(theta, parts, p)
 
-        def counted_try(*args):
-            per_call.append(0)
-            return real_try(*args)
-
-        monkeypatch.setattr(repn, "tensordot_mod", counted_dot)
-        monkeypatch.setattr(repn, "_try_split", counted_try)
-        expected = chop(alg, seed=0)
-        largest, total = max(per_call), sum(per_call)
-        assert largest < total
-
-        monkeypatch.setattr(repn, "MAX_ATTEMPTS", largest)
-        again = chop(alg, seed=0)
-        assert records(again) == records(expected)
+        monkeypatch.setattr(repn, "_split", late)
+        assert [(r.dim, r.dual.key()) for r in spectrum(alg, seed=0)] == want
+        assert len(calls) > 1 + alg.centre.dim
 
     def test_non_split_simple_is_still_certified(self):
         # F_7[C5]: x^5 - 1 = (x - 1) * (irreducible quartic) over F_7, so the
         # regular module has a 4-dim factor whose endomorphisms are a field
-        # extension; the certificate must handle it without a split
+        # extension; its part of the centre is certified a field of degree 4
         c5 = build_algebra(F7, 5, [1, 0, 0, 0, 0], cyclic_entries(5))
-        recs = chop(c5, seed=0)
-        assert [r.dim for r in recs] == [1, 4]
+        recs = simples(c5, seed=0)
+        assert [(r.dim, multiplicity) for r, multiplicity in recs] == [(1, 1), (4, 1)]
         # non-split: annihilator codimension is dim * degree, not dim**2
-        assert 5 - recs[1].annihilator.dim == 4
-
-    def test_chop_reads_factors_only_until_one_decides(self, monkeypatch):
-        # F_p[S3 x S3] at p = 2**31 - 1: when every minimal polynomial was
-        # factored completely, chop(seed=0) made 11,460 products in the
-        # quotient rings F_p[x]/(f) of the factoriser
-        from hopfib import linalg
-
-        s3 = builtin_group("s3")
-        g = direct_product(s3, s3)
-        alg = group_algebra_pair(FieldSpec(2**31 - 1), g, g.center()).h.alg
-        calls = []
-        real_mul = linalg._Quotient.mul
-
-        def counted_mul(ring, a, b):
-            calls.append(1)
-            return real_mul(ring, a, b)
-
-        monkeypatch.setattr(linalg._Quotient, "mul", counted_mul)
-        recs = chop(alg, seed=0)
-        assert sorted(r.dim for r in recs) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
-        assert 0 < len(calls) <= 11_460 // 2
+        assert 5 - recs[1][0].annihilator.dim == 4
 
 
 class TestIsoSimple:
@@ -632,14 +476,14 @@ class TestIsoSimple:
 
 class TestAnnihilator:
     def test_regular_module_is_faithful(self, s3):
-        assert annihilator(s3, s3.left_regular()).dim == 0
+        assert annihilator(s3, left_regular(s3)).dim == 0
 
     def test_one_elimination_per_annihilator(self, s3, spy):
         # kernel's rows are already the RREF basis of the annihilator, so the
         # subspace is built without a second elimination
         from hopfib import linalg
 
-        actions = [rec.action for rec in chop(s3, seed=0)] + [s3.left_regular()]
+        actions = [rec.action for rec in chop(s3, seed=0)] + [left_regular(s3)]
         calls = spy("rref", linalg)
         anns = [annihilator(s3, action) for action in actions]
         assert len(calls) == len(actions) == 4
@@ -663,13 +507,13 @@ class TestAnnihilator:
 
 class TestSpectrum:
     """spectrum reads Prim H off the primitive idempotents of the centre of
-    H/R0 where the count of simple modules (R0 != 0), or dim Z idempotents
-    from linear factors (R0 = 0), certify it; chop of the regular module is
-    the oracle. The cases: the oracle pairs, F_3[S3] and F_3[S3 x C2]
-    (modular group algebras, R0 = H), the primitive bialgebra
-    F_3[x, y]/(x^3, y^3) (R0 = H) and F_3[x]/(x^3) x F_3, where p divides a
-    multiplicity: R0 has dimension 3, H/R0 has one simple and H two, so
-    spectrum falls back to chop."""
+    H/R0 where the count of simple modules (R0 != 0) or R0 = 0 certifies
+    it, and off those of H/J(H), J(H) from the exact radical chain,
+    elsewhere; the whole-module chop of the regular module is the oracle.
+    The cases: the oracle pairs, F_3[S3] and F_3[S3 x C2] (modular group
+    algebras, R0 = H), the primitive bialgebra F_3[x, y]/(x^3, y^3) (R0 = H)
+    and F_3[x]/(x^3) x F_3, where p divides a multiplicity: R0 has
+    dimension 3, H/R0 has one simple and H two, so the count falls short."""
 
     @pytest.fixture(scope="class")
     def cases(self, oracle_cases):
@@ -705,37 +549,33 @@ class TestSpectrum:
                 unsplit.append(name)
         assert unsplit == ["c4c2-bigp-rebased"]
 
-    def test_which_cases_fall_back_to_chop(self, cases, spy):
-        # R0 = H, a short count and a field that does not split H chop H;
-        # every split case, semisimple or not, is read off H/R0
-        calls, chopped = spy("chop", hopfib.repn), []
+    def test_which_cases_take_the_exact_radical(self, cases, spy):
+        # R0 = H and a short count read the blocks of H/J(H); every other
+        # case, split or not, semisimple or not, is read off H/R0
+        calls, exact = spy("_primitive_idempotents", hopfib.repn), []
         for name, alg in cases.items():
-            before = len(calls)
             spectrum(alg, seed=0)
-            if len(calls) != before:
-                chopped.append(name)
-        assert chopped == ["c4c2-bigp-rebased", "f3s3", "f3s3c2", "f3[x,y]/(x3,y3)", "f3[x]/(x3)xf3"]
-        radicals = {name: (cases[name].trace_radical.dim, cases[name].dim)
-                    for name in ("f3s3", "f3s3c2", "f3[x,y]/(x3,y3)", "f3[x]/(x3)xf3")}
-        assert radicals == {"f3s3": (6, 6), "f3s3c2": (12, 12), "f3[x,y]/(x3,y3)": (9, 9),
-                            "f3[x]/(x3)xf3": (3, 4)}
+            if calls[-1][1] is not alg.trace_radical:
+                exact.append(name)
+        assert exact == ["f3s3", "f3s3c2", "f3[x,y]/(x3,y3)", "f3[x]/(x3)xf3"]
+        radicals = {name: (cases[name].trace_radical.dim, cases[name].radical.dim, cases[name].dim) for name in exact}
+        assert radicals == {"f3s3": (6, 4, 6), "f3s3c2": (12, 8, 12), "f3[x,y]/(x3,y3)": (9, 8, 9),
+                            "f3[x]/(x3)xf3": (3, 2, 4)}
 
-    def test_a_short_count_chops_h_after_h_mod_r0(self, cases, spy):
-        # one chop, of H itself: H/R0 is read off its idempotents, not chopped
+    def test_a_short_count_takes_the_exact_radical_after_h_mod_r0(self, cases, spy):
+        # the idempotents of H/R0 are found and counted first, then those of
+        # H/J(H); no module is split
         alg = cases["f3[x]/(x3)xf3"]
-        splits = spy("_split_to_simples", hopfib.repn)
-        chops = spy("chop", hopfib.repn)
+        calls = spy("_primitive_idempotents", hopfib.repn)
         recs = spectrum(alg, seed=0)
-        modules = [sum(a.dim if isinstance(a, Subspace) else a.shape[1] for a in pieces)
-                   for _, pieces, _ in splits]
-        assert modules == [4] and len(chops) == 1
+        assert [args[1].dim for args in calls] == [3, 2]
         assert alg.simple_count == len(recs) == 2
 
     @pytest.mark.parametrize("name", ["q8-bigp-rebased", "s3c2-bigp-rebased", "s3s3-bigp"])
     def test_records_do_not_depend_on_the_seed_at_the_large_prime(self, cases, spy, name):
         # each seed draws its own central element, and the records are the same
         alg = cases[name]
-        splits = spy("_split_by_roots", hopfib.repn)
+        splits = spy("_split", hopfib.repn)
         records, first_elements = set(), set()
         for seed in range(8):
             before = len(splits)
@@ -753,10 +593,9 @@ class TestSpectrum:
         # element has at most 7 eigenvalues at p = 7: the first split leaves
         # at most 7 idempotents, and the basis sweep finds the other two
         alg = instances("qm2").h.alg
-        splits = spy("_split_by_roots", hopfib.repn)
-        chops = spy("chop", hopfib.repn)
+        splits = spy("_split", hopfib.repn)
         recs = spectrum(alg, seed=seed)
-        assert [r.dim for r in recs] == [1] * 9 and chops == []
+        assert [r.dim for r in recs] == [1] * 9
         assert len(splits) >= 2 and len(splits[0][1]) == 1
         assert len(splits[1][1]) <= 7
 

@@ -11,18 +11,18 @@ from hopfib.errors import HopfibError, NotAHopfSubalgebra, NotAPermutation, NotS
 from hopfib.fileio import canonical_json, instance_from_dict
 from hopfib.hopf import character_group_X, counit_character, one_dim_characters, winding
 from hopfib.linalg import FieldSpec, Subspace
-from hopfib.repn import chop
+from hopfib.repn import spectrum
 from hopfib.specmap import (
     Partition,
     _fibers_against_orbits,
     fibers,
     orbits,
-    prim_enumerate,
     remark_uniform_fibers,
     verify_theorem,
 )
 
 from oracles import (
+    chop,
     chopped_counit_fiber,
     chopped_uniform_fibers,
     contract,
@@ -39,15 +39,13 @@ F7 = FieldSpec(7)
 
 HOPF_NAMES = ("c3", "c4c2", "q8", "s3c2", "qsl2", "usl2")
 
-# every module that binds repn.chop, and every one that binds
-# repn.spectrum, so a spy sees each call
-CHOP_OWNERS = (hopfib.repn, hopfib.cli)
-SPECTRUM_OWNERS = (hopfib.repn, hopfib.specmap, hopfib.hopf)
+# every module that binds repn.spectrum, so a spy sees each call
+SPECTRUM_OWNERS = (hopfib.repn, hopfib.hopf, hopfib.cli)
 
 
 def verify(inst, mode="global", seed=0):
     """verify_theorem on the instance's spectrum at the seed."""
-    return verify_theorem(inst, fibers(inst, prim_enumerate(inst.h.alg, seed=seed)), mode=mode)
+    return verify_theorem(inst, fibers(inst, spectrum(inst.h.alg, seed=seed)), mode=mode)
 
 
 def fiber_partition(inst, prims):
@@ -63,7 +61,7 @@ def x_of(inst, prims):
 
 class TestPrimEnumerate:
     def test_q8_five_primitives(self, q8_pair):
-        prims = prim_enumerate(q8_pair.h.alg, seed=0)
+        prims = spectrum(q8_pair.h.alg, seed=0)
         assert [it.dim for it in prims] == [1, 1, 1, 1, 2]
         # split simples: codimension of the annihilator is the dim squared
         for it in prims:
@@ -78,16 +76,16 @@ class TestPrimEnumerate:
             if b == c
         ]
         m2 = build_algebra(F7, 4, [1, 0, 0, 1], entries)
-        prims = prim_enumerate(m2, seed=0)
+        prims = spectrum(m2, seed=0)
         assert len(prims) == 1
         assert prims[0].annihilator.dim == 0
 
     def test_s3c2_six_primitives(self, s3c2_pair):
-        prims = prim_enumerate(s3c2_pair.h.alg, seed=0)
+        prims = spectrum(s3c2_pair.h.alg, seed=0)
         assert [it.dim for it in prims] == [1, 1, 1, 1, 2, 2]
 
     def test_characters_attached_to_linear_items(self, q8_pair):
-        prims = prim_enumerate(q8_pair.h.alg, seed=0)
+        prims = spectrum(q8_pair.h.alg, seed=0)
         recs = chop(q8_pair.h.alg, seed=0)
         for it, rec in zip(prims, recs, strict=True):
             assert it.dim == rec.dim
@@ -100,7 +98,7 @@ class TestPrimEnumerate:
 
 class TestContract:
     def test_character_kernels_contract_to_codim_one(self, q8_pair):
-        prims = prim_enumerate(q8_pair.h.alg, seed=0)
+        prims = spectrum(q8_pair.h.alg, seed=0)
         a = q8_pair.a
         for it in prims:
             if it.dim == 1:
@@ -109,7 +107,7 @@ class TestContract:
                 assert contraction_is_maximal(q8_pair.h.alg, it, a)
 
     def test_q8_two_dim_contraction_is_sign_kernel(self, q8_pair):
-        prims = prim_enumerate(q8_pair.h.alg, seed=0)
+        prims = spectrum(q8_pair.h.alg, seed=0)
         two = [it for it in prims if it.dim == 2][0]
         cont = contract(two, q8_pair.a)
         # z acts by -1 on the 2-dim simple, so the contraction is span{1 + z}
@@ -118,7 +116,7 @@ class TestContract:
         assert contraction_is_maximal(q8_pair.h.alg, two, q8_pair.a)
 
     def test_scalar_subalgebra_contractions_are_zero(self, qsl2_pair):
-        prims = prim_enumerate(qsl2_pair.h.alg, seed=0)
+        prims = spectrum(qsl2_pair.h.alg, seed=0)
         for it in prims:
             cont = contract(it, qsl2_pair.a)
             assert cont.dim == 0
@@ -127,7 +125,7 @@ class TestContract:
     def test_contraction_invariant_under_x_windings(self, instances):
         for name in HOPF_NAMES:
             inst = instances(name)
-            prims = prim_enumerate(inst.h.alg, seed=0)
+            prims = spectrum(inst.h.alg, seed=0)
             x = x_of(inst, prims)
             for mat in [winding(inst.h, c) for c in x.chars]:
                 for it in prims:
@@ -137,17 +135,17 @@ class TestContract:
 
 class TestFibers:
     def test_q8_fiber_sizes(self, q8_pair):
-        prims = prim_enumerate(q8_pair.h.alg, seed=0)
+        prims = spectrum(q8_pair.h.alg, seed=0)
         fib = fiber_partition(q8_pair, prims)
         assert fib.sizes() == [1, 4]
 
     def test_s3c2_fiber_sizes(self, s3c2_pair):
-        prims = prim_enumerate(s3c2_pair.h.alg, seed=0)
+        prims = spectrum(s3c2_pair.h.alg, seed=0)
         fib = fiber_partition(s3c2_pair, prims)
         assert fib.sizes() == [3, 3]
 
     def test_scalars_give_single_fiber(self, usl2_pair):
-        prims = prim_enumerate(usl2_pair.h.alg, seed=0)
+        prims = spectrum(usl2_pair.h.alg, seed=0)
         fib = fiber_partition(usl2_pair, prims)
         assert fib.sizes() == [3]
 
@@ -157,7 +155,7 @@ class TestFibers:
         cases = [instances(name) for name in SHIPPED_NAMES]
         cases += [instance_from_dict(rebased_big_p(name)) for name in ("q8", "s3c2")]
         for inst in cases:
-            prims = prim_enumerate(inst.h.alg, seed=0)
+            prims = spectrum(inst.h.alg, seed=0)
             groups = {}
             for idx, prim in enumerate(prims):
                 groups.setdefault(contract(prim, inst.a).key(), []).append(idx)
@@ -170,7 +168,7 @@ class TestFibers:
     def test_fibers_finite_and_nonempty(self, instances):
         for name in HOPF_NAMES:
             inst = instances(name)
-            prims = prim_enumerate(inst.h.alg, seed=0)
+            prims = spectrum(inst.h.alg, seed=0)
             fib = fiber_partition(inst, prims)
             assert all(len(b) >= 1 for b in fib.blocks)
             assert sum(len(b) for b in fib.blocks) == len(prims)
@@ -178,19 +176,19 @@ class TestFibers:
 
 class TestOrbits:
     def test_q8_orbit_sizes(self, q8_pair):
-        prims = prim_enumerate(q8_pair.h.alg, seed=0)
+        prims = spectrum(q8_pair.h.alg, seed=0)
         x = x_of(q8_pair, prims)
         orb = orbits(prims, [winding(q8_pair.h, c) for c in x.chars])
         assert orb.sizes() == [1, 4]
 
     def test_counit_winding_gives_singletons(self, q8_pair):
-        prims = prim_enumerate(q8_pair.h.alg, seed=0)
+        prims = spectrum(q8_pair.h.alg, seed=0)
         eps = counit_character(q8_pair.h)
         orb = orbits(prims, [winding(q8_pair.h, eps)])
         assert orb.sizes() == [1, 1, 1, 1, 1]
 
     def test_s3c2_counit_fiber_splits(self, s3c2_pair):
-        prims = prim_enumerate(s3c2_pair.h.alg, seed=0)
+        prims = spectrum(s3c2_pair.h.alg, seed=0)
         x = x_of(s3c2_pair, prims)
         fib = fiber_partition(s3c2_pair, prims)
         orb = orbits(prims, [winding(s3c2_pair.h, c) for c in x.chars])
@@ -212,7 +210,7 @@ class TestOrbits:
         # with only the counit's winding every orbit is a singleton, so the
         # 4-element fiber is the mismatch
         h = q8_pair.h
-        prims = prim_enumerate(h.alg, seed=0)
+        prims = spectrum(h.alg, seed=0)
         orb = orbits(prims, [winding(h, counit_character(h))])
         same, witnesses = _fibers_against_orbits(fibers(q8_pair, prims), orb)
         assert same is False
@@ -224,7 +222,7 @@ class TestOrbits:
     def test_a_fiber_that_is_not_a_union_of_orbits_raises(self, q8_pair):
         # against refinement_holds, on every set partition of q8's five
         # primitive ideals standing in for the orbits
-        prims = prim_enumerate(q8_pair.h.alg, seed=0)
+        prims = spectrum(q8_pair.h.alg, seed=0)
         fib = fibers(q8_pair, prims)
         partition = Partition(list(fib.blocks.values()))
 
@@ -250,14 +248,14 @@ class TestOrbits:
         assert len(raised) == 52 and 0 < sum(raised) < 52
 
     def test_bad_map_raises_not_a_permutation(self, q8_pair):
-        prims = prim_enumerate(q8_pair.h.alg, seed=0)
+        prims = spectrum(q8_pair.h.alg, seed=0)
         with pytest.raises(NotAPermutation):
             orbits(prims, [np.zeros((8, 8), dtype=np.int64)])
 
     def test_refinement_on_all_hopf_instances(self, instances):
         for name in HOPF_NAMES:
             inst = instances(name)
-            prims = prim_enumerate(inst.h.alg, seed=0)
+            prims = spectrum(inst.h.alg, seed=0)
             x = x_of(inst, prims)
             fib = fiber_partition(inst, prims)
             orb = orbits(prims, [winding(inst.h, c) for c in x.chars])
@@ -278,7 +276,7 @@ class TestVerifyTheorem:
         # uses them on Prim(H), the counit fiber included
         import hopfib.specmap
 
-        prims = prim_enumerate(q8_pair.h.alg, seed=0)
+        prims = spectrum(q8_pair.h.alg, seed=0)
         calls = spy("winding", hopfib.specmap)
         v = verify_theorem(q8_pair, fibers(q8_pair, prims))
         gens = x_of(q8_pair, prims).gens
@@ -291,7 +289,7 @@ class TestVerifyTheorem:
         import hopfib.hopf
 
         owners = [m for m in (hopfib.algebra, hopfib.hopf) if hasattr(m, "ideal_closure")]
-        prims = prim_enumerate(q8_pair.h.alg, seed=0)
+        prims = spectrum(q8_pair.h.alg, seed=0)
         calls = spy("ideal_closure", *owners)
         v = verify_theorem(q8_pair, fibers(q8_pair, prims))
         assert v.witnesses["fiber_algebra_dim"] == 4
@@ -301,33 +299,30 @@ class TestVerifyTheorem:
     def test_global_verify_chops_h_alone_and_takes_one_orbit_partition(
         self, name, images, instances, spy
     ):
-        # every fiber is read from Prim(H): one spectrum, which chops
-        # nothing on these split algebras, and one image per primitive ideal
-        # of H and generator of X (prim_count x |gens|)
+        # every fiber is read from Prim(H): one spectrum, and one image per
+        # primitive ideal of H and generator of X (prim_count x |gens|)
         inst = instances(name)
-        chops = spy("chop", *CHOP_OWNERS)
         spectra = spy("spectrum", *SPECTRUM_OWNERS)
         moved = spy("image_under", Subspace)
-        prims = prim_enumerate(inst.h.alg, seed=0)
+        prims = hopfib.repn.spectrum(inst.h.alg, seed=0)
         v = verify_theorem(inst, fibers(inst, prims))
-        assert len(spectra) == 1 and chops == []
+        assert len(spectra) == 1
         gens = x_of(inst, prims).gens
         assert len(moved) == images == v.witnesses["prim_count"] * len(gens)
 
     def test_verify_then_remark_chop_h_and_a_once_each(self, q8_pair, spy):
         # given one spectrum, the verdict and the remark read nothing more:
-        # one spectrum, of H (dim 8), none of A, and no chop
-        chops = spy("chop", *CHOP_OWNERS)
+        # one spectrum, of H (dim 8), and none of A
         spectra = spy("spectrum", *SPECTRUM_OWNERS)
-        prims = prim_enumerate(q8_pair.h.alg, seed=0)
+        prims = hopfib.repn.spectrum(q8_pair.h.alg, seed=0)
         verify_theorem(q8_pair, fibers(q8_pair, prims))
         remark_uniform_fibers(q8_pair, fibers(q8_pair, prims))
-        assert [args[0].dim for args in spectra] == [8] and chops == []
+        assert [args[0].dim for args in spectra] == [8]
 
     def test_orbits_see_only_the_generators_of_x(self, qm2_pair, spy):
         # one image_under per primitive ideal and generator winding map (right
         # and left here): X = Z3 x Z3 has two generators, not nine members
-        prims = prim_enumerate(qm2_pair.h.alg, seed=0)
+        prims = spectrum(qm2_pair.h.alg, seed=0)
         calls = spy("image_under", Subspace)
         v = verify_theorem(qm2_pair, fibers(qm2_pair, prims))
         gens = x_of(qm2_pair, prims).gens
@@ -337,7 +332,7 @@ class TestVerifyTheorem:
     def test_x_convolves_each_member_with_each_generator_once(self, qm2_pair, spy):
         # X = Z3 x Z3 with two generators: |X| |gens| = 18 products, where
         # its whole table would take 81
-        prims = prim_enumerate(qm2_pair.h.alg, seed=0)
+        prims = spectrum(qm2_pair.h.alg, seed=0)
         calls = spy("convolve", hopfib.hopf)
         v = verify_theorem(qm2_pair, fibers(qm2_pair, prims))
         assert v.x_order == 9
@@ -352,7 +347,7 @@ class TestVerifyTheorem:
         calls, verified = spy("character_group_X", hopfib.specmap), 0
         for inst in oracle_cases:
             h = inst.h
-            prims = prim_enumerate(h.alg, seed=0)
+            prims = spectrum(h.alg, seed=0)
             members = x_members(h, inst.a, one_dim_characters(h.alg, prims))
             gens = character_group_X(h, members).gens
             assert gens == table_greedy_generators(*convolution_table(h, members))
@@ -377,7 +372,7 @@ class TestVerifyTheorem:
         assert v.agree and v.x_order == 3
 
     def test_usl2_negative_in_both_modes(self, usl2_pair):
-        prims = prim_enumerate(usl2_pair.h.alg, seed=7)
+        prims = spectrum(usl2_pair.h.alg, seed=7)
         vg = verify_theorem(usl2_pair, fibers(usl2_pair, prims), mode="global")
         vl = verify_theorem(usl2_pair, fibers(usl2_pair, prims), mode="local")
         assert vg.cond_i is False and vg.cond_ii is False
@@ -401,7 +396,7 @@ class TestVerifyTheorem:
         # p = 2 mod 3 and p = 3 mod 4: F_p[G] has a 2-dimensional simple
         # module with annihilator of codimension 2, so e = 4 / 2 = 2
         inst = group_algebra_pair(FieldSpec(p), builtin_group(group), [0])
-        prims = prim_enumerate(inst.h.alg, seed=0)
+        prims = spectrum(inst.h.alg, seed=0)
         for mode in ("global", "local"):
             with pytest.raises(NotSplit) as exc:
                 verify_theorem(inst, fibers(inst, prims), mode=mode)
@@ -475,7 +470,7 @@ class TestAgainstTheChoppedFibers:
     def test_counit_fiber_conditions_match(self, name, basis_seed, instances, rebased_big_p):
         inst = instances(name) if basis_seed is None else instance_from_dict(rebased_big_p(name, basis_seed))
         want = chopped_counit_fiber(inst)
-        prims = prim_enumerate(inst.h.alg, seed=0)
+        prims = spectrum(inst.h.alg, seed=0)
         for mode in ("global", "local"):
             v = verify_theorem(inst, fibers(inst, prims), mode=mode)
             got = dict(v.witnesses, cond_i=v.cond_i, cond_ii=v.cond_ii)
@@ -484,7 +479,7 @@ class TestAgainstTheChoppedFibers:
     @pytest.mark.parametrize("name, basis_seed", HOPF_CASES)
     def test_uniform_fiber_entries_match(self, name, basis_seed, instances, rebased_big_p):
         inst = instances(name) if basis_seed is None else instance_from_dict(rebased_big_p(name, basis_seed))
-        rep = remark_uniform_fibers(inst, fibers(inst, prim_enumerate(inst.h.alg, seed=0)))
+        rep = remark_uniform_fibers(inst, fibers(inst, spectrum(inst.h.alg, seed=0)))
         got = [(e.xi_values, e.extends_to_h, e.ideal_proper, e.quotient_dim, e.all_one_dim)
                for e in rep.entries]
         assert got == chopped_uniform_fibers(inst)
@@ -492,7 +487,7 @@ class TestAgainstTheChoppedFibers:
 
 class TestRemarkUniformFibers:
     def test_q8_sign_character_does_not_extend(self, q8_pair):
-        rep = remark_uniform_fibers(q8_pair, fibers(q8_pair, prim_enumerate(q8_pair.h.alg, seed=0)))
+        rep = remark_uniform_fibers(q8_pair, fibers(q8_pair, spectrum(q8_pair.h.alg, seed=0)))
         assert rep.consistent
         by_values = {e.xi_values: e for e in rep.entries}
         assert by_values[(1, 1)].extends_to_h and by_values[(1, 1)].all_one_dim
@@ -507,24 +502,24 @@ class TestRemarkUniformFibers:
         import hopfib.specmap
 
         calls = spy("winding", hopfib.hopf, hopfib.specmap)
-        rep = remark_uniform_fibers(q8_pair, fibers(q8_pair, prim_enumerate(q8_pair.h.alg, seed=0)))
+        rep = remark_uniform_fibers(q8_pair, fibers(q8_pair, spectrum(q8_pair.h.alg, seed=0)))
         assert len(rep.entries) == 2
         assert calls == []
 
     def test_c4c2_both_characters_extend_and_agree(self, c4c2_pair):
-        rep = remark_uniform_fibers(c4c2_pair, fibers(c4c2_pair, prim_enumerate(c4c2_pair.h.alg, seed=0)))
+        rep = remark_uniform_fibers(c4c2_pair, fibers(c4c2_pair, spectrum(c4c2_pair.h.alg, seed=0)))
         assert rep.consistent
         assert len(rep.entries) == 2
         assert all(e.extends_to_h and e.all_one_dim for e in rep.entries)
 
     def test_scalars_vacuously_consistent(self, qsl2_pair):
-        rep = remark_uniform_fibers(qsl2_pair, fibers(qsl2_pair, prim_enumerate(qsl2_pair.h.alg, seed=0)))
+        rep = remark_uniform_fibers(qsl2_pair, fibers(qsl2_pair, spectrum(qsl2_pair.h.alg, seed=0)))
         assert rep.consistent
         assert len(rep.entries) == 1  # only the counit itself
 
     def test_no_antipode_rejected(self, qm2_pair):
         with pytest.raises(NotAHopfSubalgebra):
-            remark_uniform_fibers(qm2_pair, fibers(qm2_pair, prim_enumerate(qm2_pair.h.alg, seed=0)))
+            remark_uniform_fibers(qm2_pair, fibers(qm2_pair, spectrum(qm2_pair.h.alg, seed=0)))
 
     def test_non_split_prime_is_refused(self):
         # F_5[C3] with A = F_5: a Hopf subalgebra, central, but x^2 + x + 1
@@ -532,6 +527,6 @@ class TestRemarkUniformFibers:
         # the 2-dimensional simple module
         inst = group_algebra_pair(FieldSpec(5), builtin_group("c3"), [0])
         with pytest.raises(NotSplit) as exc:
-            remark_uniform_fibers(inst, fibers(inst, prim_enumerate(inst.h.alg, seed=0)))
+            remark_uniform_fibers(inst, fibers(inst, spectrum(inst.h.alg, seed=0)))
         algebra, _index, dim, degree = exc.value.witness
         assert (algebra, dim, degree) == ("H", 2, 2)
